@@ -20,7 +20,7 @@ from .bounds import (BoundReport, fast_equilibration_bound,
                      fast_equilibration_constant, general_distinguishability_bound,
                      general_expectation_bound, population_term_bound)
 from .haar import (HaarSampler, TwirlResult, exact_mean_sq_distinguishability,
-                   sample_haar, typical_distinguishability_bound)
+                   typical_distinguishability_bound)
 from .constructions import (Scenario, SnapshotSubspace, gaussian_scenario,
                             harmonic_oscillator_1d, harmonic_oscillator_3d_boltzmann,
                             random_scenario, snapshot_subspace)

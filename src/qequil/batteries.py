@@ -12,7 +12,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .averaging import TimeGrid, lorentzian_purity, lorentzian_state, time_average
-from .constructions import (Scenario, partitioned_slow_measurement, random_scenario,
+from .constructions import (Scenario, random_scenario, refinement_holds,
                             snapshot_subspace, slow_window_check)
 from .haar import (HaarSampler, mc_constrained_mean, mc_mean_distinguishability,
                    mc_mean_sq_distinguishability, mc_n_outcome_constrained_mean,
@@ -115,7 +115,7 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
         p_omega = proj.expectation(omega)
         t_grid = np.geomspace(0.1, 100.0, t_points) / sigma
         for window in t_grid:
-            grid = TimeGrid.for_window(window, spec.max_gap)
+            grid = TimeGrid.for_window(window, spec.span)
             avg = time_average(
                 lambda ts: np.abs(expectation_series(proj, state, ts) - p_omega),
                 grid)
@@ -184,7 +184,7 @@ def gap_counting_battery(seed: int, dim: int = 40, eps_factors=(0.1, 1.0, 10.0),
     meas = two_outcome(proj)
 
     for window in np.geomspace(1.0, 100.0, t_points) / sigma:
-        grid = TimeGrid.for_window(window, spec.max_gap)
+        grid = TimeGrid.for_window(window, spec.span)
         sq_avg = time_average(
             lambda ts: (expectation_series(proj, state, ts) - p_omega) ** 2, grid)
         d_avg = time_average(
@@ -293,15 +293,7 @@ def slow_battery(seed: int, scenarios: int = 20, num_samples: int = 128,
         sub = snapshot_subspace(scenario, k, eps)
         rep = slow_window_check(sub, scenario, num_samples=num_samples)
 
-        omega = dephase(scenario.state)
-        meas = partitioned_slow_measurement(sub, 3)
-        proj = sub.projector()
-        p_omega = proj.expectation(omega)
-        t_end = (2.0 * k - 1.0) * eps / scenario.sigma_e
-        times = np.linspace(0.0, t_end, refine_times)
-        refined = distinguishability_series(meas, scenario.state, omega, times)
-        base = np.abs(expectation_series(proj, scenario.state, times) - p_omega)
-        refine_ok = bool(np.all(refined >= base - 1e-10))
+        refine_ok = refinement_holds(sub, scenario, 3, refine_times)
 
         row = {"battery": "slow", "scenario": idx, "d": d, "K": k, "eps": eps,
                "d_eff": scenario.d_eff, "floor": rep.floor,

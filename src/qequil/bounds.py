@@ -81,10 +81,6 @@ class BoundReport:
         return out
 
 
-def _eta(spectrum, probs, width):
-    return max_window_probability(spectrum, probs, width)
-
-
 def fast_equilibration_bound(spectrum: EnergySpectrum, probs, rank: int,
                              window: float) -> BoundReport:
     """Uniform-average distinguishability bound c * sqrt(eta_{1/T} K) for any
@@ -93,7 +89,7 @@ def fast_equilibration_bound(spectrum: EnergySpectrum, probs, rank: int,
         raise ValueError("rank must be at least 1")
     if window <= 0:
         raise ValueError("window must be positive")
-    eta = _eta(spectrum, probs, 1.0 / window)
+    eta = max_window_probability(spectrum, probs, 1.0 / window)
     c = fast_equilibration_constant()
     return BoundReport(
         "fast_equilibration",
@@ -110,7 +106,7 @@ def population_term_bound(spectrum: EnergySpectrum, probs, rank: int,
         raise ValueError("rank must be at least 1")
     if window <= 0:
         raise ValueError("window must be positive")
-    eta = _eta(spectrum, probs, 1.0 / window)
+    eta = max_window_probability(spectrum, probs, 1.0 / window)
     return BoundReport(
         "population_term",
         LORENTZIAN_DOMINATION_FACTOR * np.sqrt(purity_chain_factor(2.0) * eta * rank),
@@ -126,7 +122,7 @@ def n_outcome_fast_bound(spectrum: EnergySpectrum, probs, ranks,
     d = spectrum.dim
     if sum(ranks) != d:
         raise ValueError("outcome ranks must sum to the dimension")
-    eta = _eta(spectrum, probs, 1.0 / window)
+    eta = max_window_probability(spectrum, probs, 1.0 / window)
     c = fast_equilibration_constant()
     ksum = sum(np.sqrt(min(k, d - k)) for k in ranks)
     return BoundReport(
@@ -242,11 +238,9 @@ def fast_equilibration_chain(spectrum: EnergySpectrum, state: QuantumState,
     omega = dephase(state)
     if projector.rank > projector.dim - projector.rank:
         # D_P = D_{1-P}, so run the chain on the smaller-rank side.
-        projector = Projector(matrix=projector.complement_matrix(),
-                              rank=projector.dim - projector.rank,
-                              dim=projector.dim)
+        projector = projector.complement()
     rank = projector.rank
-    grid = TimeGrid.for_window(window, spectrum.max_gap, min_samples)
+    grid = TimeGrid.for_window(window, spectrum.span, min_samples)
     p_omega = projector.expectation(omega)
 
     def dvals(ts):
@@ -260,7 +254,7 @@ def fast_equilibration_chain(spectrum: EnergySpectrum, state: QuantumState,
     pur_lor = lorentzian_purity(state, window).exact
     pur_omega = purity(omega)
     probs = level_distribution(state).probs
-    eta = _eta(spectrum, probs, 1.0 / window)
+    eta = max_window_probability(spectrum, probs, 1.0 / window)
 
     links = {
         "measured": measured.value,

@@ -23,8 +23,8 @@ import numpy as np
 from . import batteries, bounds
 from .averaging import (TimeSeries, lorentzian_purity_product, running_average)
 from .constructions import (gaussian_scenario, harmonic_oscillator_1d,
-                            partitioned_slow_measurement, random_scenario,
-                            snapshot_subspace, slow_window_check)
+                            random_scenario, refinement_holds, snapshot_subspace,
+                            slow_window_check)
 from .haar import (HaarSampler, TwirlResult, initial_distinguishability_floor,
                    mc_constrained_mean, mc_initial_distinguishability,
                    mc_mean_sq_distinguishability, mc_n_outcome_mean, mc_twirl_pair,
@@ -63,8 +63,8 @@ def _effective_config(name: str, args) -> dict:
     if args.config:
         with open(args.config) as fh:
             config.update(json.load(fh))
-    for flag, key in (("seed", "seed"), ("samples", "samples"), ("t_max", "t_max")):
-        value = getattr(args, flag, None)
+    for key in ("seed", "samples"):
+        value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     for key, value in (args.set or []):
@@ -209,15 +209,7 @@ def run_slow(config: dict, out_dir: str) -> dict:
     series.to_csv(os.path.join(out_dir, "slow.csv"), value_name="D",
                   comment=comment)
 
-    omega = dephase(scenario.state)
-    meas = partitioned_slow_measurement(sub, int(config["outcomes"]))
-    times = np.linspace(0.0, rep.series.times[-1], 64)
-    proj = sub.projector()
-    base = np.abs(expectation_series(proj, scenario.state, times)
-                  - proj.expectation(omega))
-    from .measure import distinguishability_series
-    refined = distinguishability_series(meas, scenario.state, omega, times)
-    refinement_holds = bool(np.all(refined >= base - 1e-10))
+    refinement_ok = refinement_holds(sub, scenario, int(config["outcomes"]))
 
     failures = []
     if not rep.floor_holds:
@@ -229,7 +221,7 @@ def run_slow(config: dict, out_dir: str) -> dict:
     if not rep.ceiling_holds:
         failures.append({"check": "long_time_ceiling",
                          "value": rep.long_time_average, "limit": rep.ceiling})
-    if not refinement_holds:
+    if not refinement_ok:
         failures.append({"check": "refinement_dominance"})
     summary = {"dim": scenario.spectrum.dim, "d_eff": scenario.d_eff,
                "snapshots": k, "epsilon": eps,
@@ -238,7 +230,7 @@ def run_slow(config: dict, out_dir: str) -> dict:
                "trace_omega": rep.trace_omega,
                "trace_omega_bound": rep.trace_omega_bound,
                "long_time_average": rep.long_time_average,
-               "ceiling": rep.ceiling, "refinement_holds": refinement_holds}
+               "ceiling": rep.ceiling, "refinement_holds": refinement_ok}
     return _finish("slow", config, out_dir, summary, failures)
 
 
@@ -454,7 +446,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--T-max", dest="t_max", type=float, default=None)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config key (value parsed as JSON)")
     args = parser.parse_args(argv)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import TimeGrid, TimeSeries, time_average
-from .measure import Measurement, Projector, expectation_series
+from .measure import (Measurement, Projector, distinguishability_series,
+                      expectation_series)
 from .spectra import EnergySpectrum
 from .states import (QuantumState, dephase, effective_dimension, energy_moments,
                      level_distribution)
@@ -30,6 +31,7 @@ __all__ = [
     "SlowWindowReport",
     "slow_window_check",
     "partitioned_slow_measurement",
+    "refinement_holds",
 ]
 
 SNAPSHOT_SVD_CUTOFF = 1e-8
@@ -240,7 +242,7 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario,
     series = TimeSeries(times, values).with_running_average()
 
     ceiling = 2.0 * np.sqrt(k / d_eff)
-    grid = TimeGrid.for_window(long_window_sigma / sigma, scenario.spectrum.max_gap)
+    grid = TimeGrid.for_window(long_window_sigma / sigma, scenario.spectrum.span)
     long_avg = time_average(
         lambda ts: np.abs(expectation_series(proj, state, ts) - p_omega), grid)
 
@@ -271,7 +273,20 @@ def partitioned_slow_measurement(subspace: SnapshotSubspace,
     edges = np.linspace(0, r, outcomes).round().astype(int)
     blocks = [Projector.from_factor(subspace.basis[:, a:b])
               for a, b in zip(edges[:-1], edges[1:])]
+    return Measurement([*blocks, subspace.projector().complement()])
+
+
+def refinement_holds(subspace: SnapshotSubspace, scenario: Scenario, outcomes: int,
+                     num_times: int = 64) -> bool:
+    """Whether the partitioned measurement stays at or above the two-outcome
+    distinguishability from equilibrium, up to 1e-10, on a grid across the
+    guaranteed window [0, (2K-1) eps / sigma_E]."""
+    state = scenario.state
+    omega = dephase(state)
+    meas = partitioned_slow_measurement(subspace, outcomes)
     proj = subspace.projector()
-    complement = Projector(matrix=proj.complement_matrix(),
-                           rank=proj.dim - r, dim=proj.dim)
-    return Measurement([*blocks, complement])
+    t_end = (2.0 * subspace.count - 1.0) * subspace.epsilon / scenario.sigma_e
+    times = np.linspace(0.0, t_end, num_times)
+    base = np.abs(expectation_series(proj, state, times) - proj.expectation(omega))
+    refined = distinguishability_series(meas, state, omega, times)
+    return bool(np.all(refined >= base - 1e-10))

@@ -18,7 +18,6 @@ from .states import QuantumState, purity
 
 __all__ = [
     "HaarSampler",
-    "sample_haar",
     "TwirlResult",
     "exact_mean_sq_distinguishability",
     "typical_distinguishability_bound",
@@ -127,10 +126,6 @@ class HaarSampler:
         z = (self._rng.standard_normal(self.dim)
              + 1j * self._rng.standard_normal(self.dim))
         return QuantumState.pure(spectrum, z / np.linalg.norm(z))
-
-
-def sample_haar(sampler: HaarSampler) -> np.ndarray:
-    return sampler.unitary()
 
 
 @dataclass

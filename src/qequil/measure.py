@@ -32,42 +32,47 @@ PROJECTOR_TOL = 1e-8
 
 
 class Projector:
-    """An orthogonal projector, stored as a full matrix or as an orthonormal
-    column factor V with P = V V^dag (rank-1 projectors store the vector)."""
+    """An orthogonal projector V V^dag, or 1 - V V^dag when ``is_complement``
+    is set, stored as its d x r orthonormal column factor V."""
 
-    __slots__ = ("_matrix", "factor", "rank", "dim")
+    __slots__ = ("factor", "is_complement", "dim", "rank", "_matrix")
 
-    def __init__(self, *, matrix=None, factor=None, rank=None, dim=None):
-        self._matrix = matrix
+    def __init__(self, factor, is_complement: bool = False):
         self.factor = factor
-        self.rank = rank
-        self.dim = dim
+        self.is_complement = is_complement
+        self.dim, k = factor.shape
+        self.rank = self.dim - k if is_complement else k
+        self._matrix = None
 
     @classmethod
     def from_matrix(cls, matrix, tol: float = PROJECTOR_TOL) -> "Projector":
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("projector must be a square matrix")
-        herm = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-        idem = float(np.abs(m @ m - m).max()) if m.size else 0.0
+        if not np.all(np.isfinite(m)):
+            raise ValueError("projector matrix has non-finite entries")
+        herm = float(np.abs(m - m.conj().T).max(initial=0.0))
+        idem = float(np.abs(m @ m - m).max(initial=0.0))
         if herm > tol or idem > tol:
             raise ValueError(
                 f"not a projector: hermiticity residual {herm:.3e}, "
                 f"idempotency residual {idem:.3e} (tol {tol:g})"
             )
-        rank = int(round(np.trace(m).real))
-        return cls(matrix=m, rank=rank, dim=m.shape[0])
+        eigvals, vecs = np.linalg.eigh(m)
+        return cls(vecs[:, eigvals > 0.5])
 
     @classmethod
     def from_factor(cls, factor, tol: float = PROJECTOR_TOL) -> "Projector":
         v = np.asarray(factor, dtype=complex)
         if v.ndim == 1:
             v = v[:, None]
+        if not np.all(np.isfinite(v)):
+            raise ValueError("factor has non-finite entries")
         gram = v.conj().T @ v
-        resid = float(np.abs(gram - np.eye(v.shape[1])).max())
+        resid = float(np.abs(gram - np.eye(v.shape[1])).max(initial=0.0))
         if resid > tol:
             raise ValueError(f"factor columns not orthonormal: residual {resid:.3e}")
-        return cls(factor=v, rank=v.shape[1], dim=v.shape[0])
+        return cls(v)
 
     @classmethod
     def rank_one(cls, vector, tol: float = PROJECTOR_TOL) -> "Projector":
@@ -75,39 +80,40 @@ class Projector:
 
     @property
     def matrix(self) -> np.ndarray:
+        """Dense d x d view, built on first use and cached."""
         if self._matrix is None:
-            self._matrix = self.factor @ self.factor.conj().T
+            vv = self.factor @ self.factor.conj().T
+            self._matrix = np.eye(self.dim, dtype=complex) - vv if self.is_complement else vv
         return self._matrix
 
-    def expectation(self, state: QuantumState) -> float:
-        """tr(P rho)."""
-        if self.factor is not None:
-            if state.is_pure:
-                return float(np.sum(np.abs(self.factor.conj().T @ state.amplitudes) ** 2))
-            return float(np.sum(self.factor.conj() * (state.rho @ self.factor)).real)
-        if state.is_pure:
-            c = state.amplitudes
-            return float(np.vdot(c, self.matrix @ c).real)
-        return float(np.vdot(self.matrix, state.rho).real)
+    def complement(self) -> "Projector":
+        """1 - P over the same factor."""
+        return Projector(self.factor, not self.is_complement)
 
-    def complement_matrix(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex) - self.matrix
+    def expectation(self, state: QuantumState) -> float:
+        """tr(P rho); a complement's value is 1 - tr(V V^dag rho), using tr(rho) = 1."""
+        v = self.factor
+        if state.is_pure:
+            value = float(np.sum(np.abs(v.conj().T @ state.amplitudes) ** 2))
+        else:
+            value = float(np.sum(v.conj() * (state.rho @ v)).real)
+        return 1.0 - value if self.is_complement else value
 
 
 def expectation_series(projector: Projector, state: QuantumState, times) -> np.ndarray:
     """tr(P rho_t) for an array of times, without materializing each rho_t.
 
-    For pure states this is one matrix product over the whole time grid.
+    For pure states this is one factor product over the whole time grid, and
+    a complement's series is 1 - the series of V V^dag. Mixed states go
+    through the projector's dense matrix view.
     """
     times = np.asarray(times, dtype=float)
     energies = state.spectrum.index_energies
     if state.is_pure:
         phases = np.exp(-1j * np.outer(energies, times))  # (d, nt)
-        if projector.factor is not None:
-            w = projector.factor.conj().T * state.amplitudes[None, :]  # (r, d)
-            return np.sum(np.abs(w @ phases) ** 2, axis=0)
-        ct = state.amplitudes[:, None] * phases  # (d, nt)
-        return np.sum(ct.conj() * (projector.matrix @ ct), axis=0).real
+        w = projector.factor.conj().T * state.amplitudes[None, :]  # (r, d)
+        values = np.sum(np.abs(w @ phases) ** 2, axis=0)
+        return 1.0 - values if projector.is_complement else values
     # Mixed: tr(P rho_t) = sum_jk conj(P)_jk rho_jk e^{-i(E_j - E_k)t}.
     coeff = (projector.matrix.conj() * state.rho).ravel()
     gaps = (energies[:, None] - energies[None, :]).ravel()
@@ -120,9 +126,10 @@ def expectation_series(projector: Projector, state: QuantumState, times) -> np.n
 
 
 class Measurement:
-    """Ordered projective outcomes that sum to the identity."""
+    """Ordered projective outcomes that sum to the identity; at most one
+    outcome may be a complement."""
 
-    def __init__(self, projectors, tol: float = PROJECTOR_TOL, validate: bool = True):
+    def __init__(self, projectors, tol: float = PROJECTOR_TOL):
         self.projectors = tuple(projectors)
         if not self.projectors:
             raise ValueError("measurement needs at least one outcome")
@@ -131,11 +138,12 @@ class Measurement:
             raise ValueError("projectors have mismatched dimensions")
         if sum(p.rank for p in self.projectors) != self.dim:
             raise ValueError("outcome ranks must sum to the dimension")
-        if validate:
-            resid = self.residuals()
-            worst = max(resid.values())
-            if worst > tol:
-                raise ValueError(f"measurement residuals exceed {tol:g}: {resid}")
+        if sum(p.is_complement for p in self.projectors) > 1:
+            raise ValueError("at most one outcome may be a complement")
+        resid = self.residuals()
+        worst = float(np.max(list(resid.values())))
+        if not np.isfinite(worst) or worst > tol:
+            raise ValueError(f"measurement residuals exceed {tol:g}: {resid}")
 
     @property
     def ranks(self) -> tuple:
@@ -147,43 +155,39 @@ class Measurement:
 
     def residuals(self) -> dict:
         """Worst hermiticity, idempotency, orthogonality, and completeness
-        residuals, for reporting against the shared tolerance."""
-        herm = idem = 0.0
-        for p in self.projectors:
-            if p.factor is not None:
-                g = p.factor.conj().T @ p.factor
-                idem = max(idem, float(np.abs(g - np.eye(p.rank)).max()))
-            else:
-                m = p.matrix
-                herm = max(herm, float(np.abs(m - m.conj().T).max()))
-                idem = max(idem, float(np.abs(m @ m - m).max()))
-        ortho = 0.0
-        for i, p in enumerate(self.projectors):
-            for q in self.projectors[i + 1:]:
-                if p.factor is not None and q.factor is not None:
-                    ortho = max(ortho, float(np.linalg.norm(p.factor.conj().T @ q.factor, 2)))
-                else:
-                    ortho = max(ortho, float(np.abs(p.matrix @ q.matrix).max()))
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for p in self.projectors:
-            total += p.matrix
-        complete = float(np.abs(total - np.eye(self.dim)).max())
-        return {"hermiticity": herm, "idempotency": idem,
-                "orthogonality": ortho, "completeness": complete}
+        residuals, for reporting against the shared tolerance.
+
+        Only d x r factor products are formed, and factors are Hermitian by
+        construction. X holds the explicit factors side by side: X^dag X - 1
+        gives idempotency (within a factor) and orthogonality (across). A
+        complement 1 - W W^dag completes the measurement when W spans X, and
+        the rank sum is already checked, so completeness is ||X - W W^dag X||_2;
+        without a complement X is square and it is ||X^dag X - 1||_2.
+        """
+        explicit = [p.factor for p in self.projectors if not p.is_complement]
+        x = np.concatenate([np.zeros((self.dim, 0), dtype=complex), *explicit], axis=1)
+        dev = x.conj().T @ x - np.eye(x.shape[1])
+        owner = np.repeat(np.arange(len(explicit)), [v.shape[1] for v in explicit])
+        same = owner[:, None] == owner[None, :]
+        idem = np.abs(dev[same]).max(initial=0.0)
+        ortho = np.linalg.norm(np.where(same, 0.0, dev), 2)
+        complement = [p.factor for p in self.projectors if p.is_complement]
+        if complement:
+            w = complement[0]
+            idem = max(idem, np.abs(w.conj().T @ w - np.eye(w.shape[1])).max(initial=0.0))
+            complete = np.linalg.norm(x - w @ (w.conj().T @ x), 2)
+        else:
+            complete = np.linalg.norm(dev, 2)
+        return {"hermiticity": 0.0, "idempotency": float(idem),
+                "orthogonality": float(ortho), "completeness": float(complete)}
 
     def outcome_probabilities(self, state: QuantumState) -> np.ndarray:
         return np.array([p.expectation(state) for p in self.projectors])
 
 
-def two_outcome(projector, tol: float = PROJECTOR_TOL) -> Measurement:
-    """Measurement {P, 1 - P} from a projector (matrix, factor-backed
-    Projector, or vector)."""
-    if isinstance(projector, Projector):
-        p = projector
-    else:
-        p = Projector.from_matrix(projector, tol)
-    comp = Projector(matrix=p.complement_matrix(), rank=p.dim - p.rank, dim=p.dim)
-    return Measurement([p, comp], tol=tol)
+def two_outcome(projector: Projector, tol: float = PROJECTOR_TOL) -> Measurement:
+    """Measurement {P, 1 - P}."""
+    return Measurement([projector, projector.complement()], tol=tol)
 
 
 def distinguishability(m: Measurement, a: QuantumState, b: QuantumState) -> float:
@@ -217,7 +221,7 @@ def success_probability(distance: float) -> float:
 def save_measurement(m: Measurement, path) -> None:
     entries = []
     for p in m.projectors:
-        if p.rank == 1 and p.factor is not None:
+        if p.rank == 1 and not p.is_complement:
             entries.append({"rank_one": complex_out(p.factor[:, 0])})
         else:
             entries.append(complex_out(p.matrix))

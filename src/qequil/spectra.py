@@ -53,6 +53,8 @@ class EnergySpectrum:
             raise ValueError("levels and degeneracies must be matching 1-d sequences")
         if levels.size == 0:
             raise ValueError("spectrum needs at least one level")
+        if not np.all(np.isfinite(levels)):
+            raise ValueError("levels must be finite")
         if np.any(degs < 1):
             raise ValueError("degeneracies must be positive integers")
         scale = max(1.0, float(np.abs(levels).max()))
@@ -88,11 +90,6 @@ class EnergySpectrum:
     @property
     def span(self) -> float:
         return float(self.levels[-1] - self.levels[0])
-
-    @property
-    def max_gap(self) -> float:
-        """Largest |E_j - E_k|, i.e. the spectral span."""
-        return self.span
 
     def gaps(self) -> "GapSet":
         return GapSet.from_spectrum(self)
@@ -177,14 +174,18 @@ def spectrum_from_hermitian(matrix, tol: float = DEGENERACY_RTOL):
 
 
 def validated_level_probs(probs, num_levels: int) -> np.ndarray:
-    """Check a level-probability vector: right length, nonnegative, sums to 1."""
+    """Check a level-probability vector: right length, finite, nonnegative,
+    sums to 1."""
     p = np.asarray(probs, dtype=float)
     if p.shape != (num_levels,):
         raise ValueError(f"expected {num_levels} level probabilities, got shape {p.shape}")
+    total = p.sum()
+    if not np.isfinite(total):  # NaN and inf entries propagate into the sum
+        raise ValueError("level probabilities must be finite")
     if np.any(p < -PROB_SUM_TOL):
         raise ValueError("level probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"level probabilities sum to {p.sum()!r}, not 1")
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"level probabilities sum to {total!r}, not 1")
     return np.clip(p, 0.0, None)
 
 

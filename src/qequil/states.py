@@ -55,6 +55,8 @@ class QuantumState:
             c = np.asarray(amplitudes, dtype=complex).reshape(-1)
             if c.size != d:
                 raise ValueError(f"amplitude vector has length {c.size}, expected {d}")
+            if not np.all(np.isfinite(c)):
+                raise ValueError("amplitudes must be finite")
             norm2 = float(np.vdot(c, c).real)
             if abs(norm2 - 1.0) > NORM_TOL:
                 raise ValueError(f"|amplitudes|^2 sums to {norm2!r}, not 1")
@@ -64,6 +66,8 @@ class QuantumState:
             m = np.asarray(rho, dtype=complex)
             if m.shape != (d, d):
                 raise ValueError(f"density matrix has shape {m.shape}, expected {(d, d)}")
+            if not np.all(np.isfinite(m)):
+                raise ValueError("density matrix entries must be finite")
             herm = float(np.abs(m - m.conj().T).max())
             if herm > HERMITICITY_TOL:
                 raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")

@@ -189,7 +189,7 @@ def test_criterion_10_structural_properties(acceptance):
     pure = random_pure(rng, spec)
     omega_p = dephase(pure)
     proj = HaarSampler(SEED + 1, spec.dim).projector(3)
-    comp = Projector.from_matrix(proj.complement_matrix())
+    comp = Projector.from_matrix(np.eye(spec.dim) - proj.matrix)
     times = np.linspace(0.0, 10.0, 32)
     da = np.abs(expectation_series(proj, pure, times) - proj.expectation(omega_p))
     db = np.abs(expectation_series(comp, pure, times) - comp.expectation(omega_p))

@@ -60,8 +60,8 @@ class TestTimeAverage:
             return np.abs(expectation_series(proj, state, ts) - p_omega)
 
         window = 2.0 * np.pi
-        grid = TimeGrid.for_window(window, scenario.spectrum.max_gap)
-        fine = TimeGrid.for_window(window, 4.0 * scenario.spectrum.max_gap)
+        grid = TimeGrid.for_window(window, scenario.spectrum.span)
+        fine = TimeGrid.for_window(window, 4.0 * scenario.spectrum.span)
         coarse_avg = time_average(f, grid)
         fine_avg = time_average(f, fine)
         assert coarse_avg.value == pytest.approx(fine_avg.value, abs=1e-4)
@@ -213,7 +213,7 @@ class TestDominationCheck:
             return np.abs(expectation_series(proj, state, ts) - p_omega)
 
         T = 5.0
-        rep = lorentzian_domination_check(f, T, np.pi / (4 * spec.max_gap))
+        rep = lorentzian_domination_check(f, T, np.pi / (4 * spec.span))
         assert rep.holds
 
     def test_peaked_function_still_dominated(self):

@@ -83,7 +83,7 @@ class TestFastBound:
         proj = Projector.rank_one(state.amplitudes)
         p_omega = proj.expectation(omega)
         window = 50.0 / sigma
-        grid = TimeGrid.for_window(window, spec.max_gap)
+        grid = TimeGrid.for_window(window, spec.span)
         measured = time_average(
             lambda ts: np.abs(expectation_series(proj, state, ts) - p_omega), grid)
         rep = fast_equilibration_bound(spec, dist.probs, 1, window)

@@ -7,7 +7,8 @@ from qequil.constructions import (Scenario, gaussian_scenario,
                                   harmonic_oscillator_1d,
                                   harmonic_oscillator_3d_boltzmann,
                                   partitioned_slow_measurement, random_scenario,
-                                  snapshot_subspace, slow_window_check)
+                                  refinement_holds, snapshot_subspace,
+                                  slow_window_check)
 from qequil.measure import (Projector, distinguishability, distinguishability_series,
                             expectation_series, two_outcome)
 from qequil.spectra import max_window_probability
@@ -255,6 +256,7 @@ class TestPartitionedMeasurement:
         refined = distinguishability_series(meas, scen.state, omega, times)
         base = np.abs(expectation_series(proj, scen.state, times) - p_omega)
         assert np.all(refined >= base - 1e-12)
+        assert refinement_holds(sub, scen, 3)
 
     def test_blocks_sum_to_subspace_projector(self):
         scen = random_scenario(16, 48)

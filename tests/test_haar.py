@@ -12,7 +12,7 @@ from qequil.haar import (HaarSampler, constrained_mean_bound,
                          mc_n_outcome_constrained_mean, mc_n_outcome_mean,
                          mc_twirl_pair, n_outcome_constrained_bound,
                          n_outcome_typical_bound, n_outcome_typical_cap,
-                         sample_haar, swap_operator, twirl_reconstruction,
+                         swap_operator, twirl_reconstruction,
                          twirl_second_moment, typical_bound_cap,
                          typical_distinguishability_bound)
 from qequil.spectra import EnergySpectrum
@@ -81,11 +81,6 @@ class TestSampler:
     def test_excluded_vector_requires_dim_above_two(self):
         with pytest.raises(ValueError, match="dim > 2"):
             HaarSampler(1, 2, excluded_vector=np.array([1.0, 0.0]))
-
-    def test_sample_haar_function(self):
-        s = HaarSampler(6, 3)
-        u = sample_haar(s)
-        assert u.shape == (3, 3)
 
 
 @pytest.fixture

@@ -1,6 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qequil.constructions import (partitioned_slow_measurement, random_scenario,
+                                  snapshot_subspace)
 from qequil.measure import (Measurement, Projector, distinguishability,
                             distinguishability_series, expectation_series,
                             load_measurement, save_measurement,
@@ -32,6 +38,21 @@ class TestProjector:
         v = np.array([[1.0], [1.0]], dtype=complex)
         with pytest.raises(ValueError, match="orthonormal"):
             Projector.from_factor(v)
+
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Projector.from_factor([[np.nan], [0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            Projector.from_matrix([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_complement_shares_the_factor(self):
+        rng = np.random.default_rng(14)
+        p = Projector.from_factor(_haar_frame(rng, 6, 2))
+        comp = p.complement()
+        assert comp.factor is p.factor
+        assert (comp.rank, comp.dim) == (4, 6)
+        assert comp.complement().rank == 2
+        assert np.abs(comp.matrix - (np.eye(6) - p.matrix)).max() < 1e-15
 
     def test_factor_and_matrix_agree(self, spec):
         rng = np.random.default_rng(0)
@@ -74,6 +95,22 @@ class TestMeasurement:
                          Projector.from_factor(v[:, 2:3]),
                          Projector.from_factor(v[:, 3:4])])
 
+    def test_rejects_non_finite_residual(self):
+        class NanResiduals(Measurement):
+            def residuals(self):
+                return {**super().residuals(), "completeness": float("nan")}
+
+        v = _haar_frame(np.random.default_rng(15), 5, 5)
+        with pytest.raises(ValueError, match="residuals"):
+            NanResiduals([Projector.from_factor(v[:, :2]),
+                          Projector.from_factor(v[:, 2:])])
+
+    def test_rejects_two_complements(self):
+        v = _haar_frame(np.random.default_rng(16), 4, 4)
+        with pytest.raises(ValueError, match="at most one"):
+            Measurement([Projector.from_factor(v[:, :2]).complement(),
+                         Projector.from_factor(v[:, 2:]).complement()])
+
     def test_rejects_overlapping(self, spec):
         rng = np.random.default_rng(4)
         v = _haar_frame(rng, 5, 3)
@@ -99,16 +136,16 @@ class TestDistinguishability:
     def test_trivial_projectors_give_zero(self, spec):
         rng = np.random.default_rng(7)
         a, b = random_pure(rng, spec), random_mixed(rng, spec)
-        zero = Projector(matrix=np.zeros((5, 5), dtype=complex), rank=0, dim=5)
-        full = Projector(matrix=np.eye(5, dtype=complex), rank=5, dim=5)
-        m = Measurement([zero, full], validate=True)
+        zero = Projector.from_matrix(np.zeros((5, 5), dtype=complex))
+        full = Projector.from_matrix(np.eye(5, dtype=complex))
+        m = Measurement([zero, full])
         assert distinguishability(m, a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_complement_symmetry(self, spec):
         rng = np.random.default_rng(8)
         a, b = random_mixed(rng, spec), random_mixed(rng, spec)
         p = Projector.from_factor(_haar_frame(rng, 5, 2))
-        comp = Projector.from_matrix(p.complement_matrix())
+        comp = Projector.from_matrix(np.eye(5) - p.matrix)
         da = distinguishability(two_outcome(p), a, b)
         db = distinguishability(two_outcome(comp), a, b)
         assert da == pytest.approx(db, abs=1e-12)
@@ -182,3 +219,76 @@ def test_measurement_file_roundtrip(tmp_path, spec):
     state = random_mixed(rng, spec)
     assert np.abs(back.outcome_probabilities(state)
                   - m.outcome_probabilities(state)).max() < 1e-12
+
+
+def _random_spectrum(rng, d):
+    return EnergySpectrum(np.cumsum(rng.uniform(0.1, 1.0, d)), np.ones(d, dtype=int))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 9), data=st.data())
+def test_complement_matches_dense_oracle(d, data):
+    rank = data.draw(st.integers(1, d - 1), label="rank")
+    mixed = data.draw(st.booleans(), label="mixed")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    spec = _random_spectrum(rng, d)
+    state = random_mixed(rng, spec) if mixed else random_pure(rng, spec)
+    omega = dephase(state)
+    p = Projector.from_factor(_haar_frame(rng, d, rank))
+    comp = p.complement()
+    oracle = Projector.from_matrix(np.eye(d) - p.matrix)
+    assert comp.rank == oracle.rank == d - rank
+    assert comp.expectation(state) == pytest.approx(oracle.expectation(state), abs=1e-12)
+    times = np.linspace(0.0, 6.0, 11)
+    assert np.abs(expectation_series(comp, state, times)
+                  - expectation_series(oracle, state, times)).max() < 1e-12
+    implicit = distinguishability_series(two_outcome(p), state, omega, times)
+    dense = distinguishability_series(Measurement([p, oracle]), state, omega, times)
+    assert np.abs(implicit - dense).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(3, 9), data=st.data())
+def test_residuals_reject_like_dense_oracle(d, data):
+    k = data.draw(st.integers(2, d - 1), label="explicit rank")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    v = _haar_frame(rng, d, d)
+
+    def blocks(*cols):
+        return [Projector.from_factor(v[:, c]) for c in cols]
+
+    def with_complement(explicit, w):
+        # the implicit complement and its dense oracle
+        p = Projector.from_factor(w)
+        return ([*explicit, p.complement()],
+                [*explicit, Projector.from_matrix(np.eye(d) - p.matrix)])
+
+    good = with_complement(blocks(slice(0, 1), slice(1, k)), v[:, :k])
+    bad = {
+        "overlapping": with_complement(blocks(slice(0, 1), slice(0, k - 1)), v[:, :k]),
+        "rank sum": with_complement(blocks(slice(0, k)), v[:, :k - 1]),
+        "not spanning": with_complement(blocks(slice(0, k)), _haar_frame(rng, d, k)),
+    }
+    for outcomes in good:
+        assert max(Measurement(outcomes).residuals().values()) < 1e-10
+    for pair in bad.values():
+        for outcomes in pair:
+            with pytest.raises(ValueError):
+                Measurement(outcomes)
+
+
+def test_two_outcome_and_partition_stay_factor_sized():
+    # d = 2048 with a rank-16 snapshot projector: a dense d x d complex
+    # matrix alone would take 64 MB.
+    scen = random_scenario(20240811, 2048)
+    sub = snapshot_subspace(scen, 16, 0.5)
+    proj = sub.projector()
+    assert proj.rank == 16
+    tracemalloc.start()
+    try:
+        two_outcome(proj)
+        partitioned_slow_measurement(sub, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qequil.spectra import (EnergySpectrum, max_gaps_in_window,
                             max_window_probability, max_window_probability_window,
-                            spectrum_from_hermitian)
+                            spectrum_from_hermitian, validated_level_probs)
 
 from helpers import brute_eta, brute_gap_count, charpoly_eigenvalues, random_hermitian
 
@@ -17,6 +17,12 @@ def test_construction_and_index_maps():
     assert list(spec.level_of_index) == [0, 0, 1, 2, 2, 2]
     assert np.allclose(spec.index_energies, [0, 0, 1, 2.5, 2.5, 2.5])
     assert spec.span == 2.5
+
+
+def test_rejects_non_finite_levels():
+    for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            EnergySpectrum(bad, [1, 1, 1])
 
 
 @pytest.mark.parametrize("levels,degs", [
@@ -99,6 +105,11 @@ class TestWindowProbability:
             max_window_probability(spec, [0.6, 0.6], 1.0)
         with pytest.raises(ValueError):
             max_window_probability(spec, [-0.1, 1.1], 1.0)
+
+    def test_rejects_non_finite_probabilities(self):
+        for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]):
+            with pytest.raises(ValueError, match="finite"):
+                validated_level_probs(bad, 3)
 
     def test_monotone_and_floor(self):
         rng = np.random.default_rng(7)

@@ -34,6 +34,15 @@ def test_constructor_validation(small_spec):
         QuantumState(small_spec)                               # nothing given
 
 
+def test_rejects_non_finite_input(small_spec):
+    with pytest.raises(ValueError, match="finite"):
+        QuantumState.pure(small_spec, [np.nan, 1.0, 0.0, 0.0])
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[1, 2] = rho[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        QuantumState.mixed(small_spec, rho)
+
+
 def test_positivity_check_is_opt_in(small_spec):
     m = np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex)
     state = QuantumState.mixed(small_spec, m)  # construction does not check
