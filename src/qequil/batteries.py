@@ -15,12 +15,12 @@ from .averaging import TimeGrid, lorentzian_purity, lorentzian_state, time_avera
 from .constructions import (Scenario, random_scenario, refinement_holds,
                             snapshot_subspace, slow_window_check)
 from .haar import (HaarSampler, mc_constrained_mean, mc_mean_distinguishability,
-                   mc_mean_sq_distinguishability, mc_n_outcome_constrained_mean,
-                   mc_n_outcome_mean, n_outcome_typical_cap, typical_bound_cap)
+                   mc_n_outcome_constrained_mean, mc_n_outcome_mean,
+                   n_outcome_typical_cap)
 from .measure import distinguishability_series, expectation_series, two_outcome
 from .spectra import spectrum_from_hermitian
 from .states import (QuantumState, dephase, energy_moments, evolve,
-                     level_distribution, purity)
+                     level_distribution)
 
 __all__ = [
     "BatteryReport",

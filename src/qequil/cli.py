@@ -59,17 +59,22 @@ def _config_hash(config: dict) -> str:
 
 
 def _effective_config(name: str, args) -> dict:
-    config = dict(DEFAULTS[name])
+    """DEFAULTS[name] updated by the config file, then the flags; a key that
+    the experiment does not read is rejected rather than hashed and ignored."""
+    overrides = {}
     if args.config:
         with open(args.config) as fh:
-            config.update(json.load(fh))
+            overrides.update(json.load(fh))
     for key in ("seed", "samples"):
         value = getattr(args, key, None)
         if value is not None:
-            config[key] = value
-    for key, value in (args.set or []):
-        config[key] = value
-    return config
+            overrides[key] = value
+    overrides.update(args.set or [])
+    unknown = sorted(set(overrides) - set(DEFAULTS[name]))
+    if unknown:
+        raise SystemExit(f"{name}: unknown config key(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(sorted(DEFAULTS[name]))}")
+    return {**DEFAULTS[name], **overrides}
 
 
 def _write_json(path, payload: dict) -> None:

@@ -5,6 +5,12 @@ over the unitary group. Second moments have closed forms through the
 symmetric/antisymmetric twirl decomposition; the Monte Carlo estimators here
 exist to cross-validate those formulas and bounds, with plain sample standard
 errors (the integrands are bounded, so the CLT is adequate at desk scale).
+
+All samples come from one batched kernel, :meth:`HaarSampler.batches`: a
+chunk of Ginibre matrices, one stacked QR of their first ``rank`` columns and
+the R-diagonal phase fix of Mezzadri (math-ph/0609050). It gives the samples
+of drawing and factoring one matrix at a time, bit for bit up to d = 64
+(beyond that LAPACK's blocked QR agrees only to rounding).
 """
 from __future__ import annotations
 
@@ -41,7 +47,9 @@ __all__ = [
     "mc_twirl_pair",
 ]
 
-UNITARY_TOL = 1e-10
+# Complex Ginibre entries per kernel chunk: enough samples to amortize the
+# per-call cost at small d, few enough to keep the working set small.
+CHUNK_ENTRIES = 4096
 
 
 class HaarSampler:
@@ -49,8 +57,7 @@ class HaarSampler:
 
     With ``excluded_vector`` set, samples are partial unitaries supported on
     the orthogonal complement of that (pure-state) vector: they fix its span
-    and act Haar-randomly on the remaining d - 1 dimensions. Streams are
-    splittable via :meth:`spawn` so parallel workers can own derived seeds.
+    and act Haar-randomly on the remaining d - 1 dimensions.
     """
 
     def __init__(self, seed: int, dim: int, excluded_vector=None):
@@ -78,46 +85,41 @@ class HaarSampler:
     def sample_dim(self) -> int:
         return self.dim if self.excluded_vector is None else self.dim - 1
 
-    def spawn(self, count: int) -> list:
-        """Derived samplers with independent streams; they report the parent
-        seed, which together with their position reproduces them."""
-        children = np.random.SeedSequence(self.seed).spawn(count)
-        out = []
-        for child in children:
-            s = HaarSampler.__new__(HaarSampler)
-            s.seed = self.seed
-            s.dim = self.dim
-            s._rng = np.random.default_rng(child)
-            s.excluded_vector = self.excluded_vector
-            s.complement_basis = self.complement_basis
-            out.append(s)
-        return out
+    def batches(self, rank: int, count: int):
+        """First ``rank`` columns of the next ``count`` samples, in chunks of
+        shape (m, dim, rank) (in the complement when an excluded vector is set).
+        Each sample consumes a full Ginibre matrix, so the stream does not
+        depend on ``rank`` or the chunking."""
+        n = self.sample_dim
+        if not 1 <= rank <= n:
+            raise ValueError(f"rank {rank} outside [1, {n}]")
+        per_chunk = max(1, CHUNK_ENTRIES // (n * n))
+        for start in range(0, count, per_chunk):
+            g = self._rng.standard_normal((min(per_chunk, count - start), 2, n, n))
+            z = (g[:, 0, :, :rank] + 1j * g[:, 1, :, :rank]) / np.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            # absorb the R-diagonal phases so the distribution is exactly
+            # Haar, not just orthonormal
+            diag = np.diagonal(r, axis1=1, axis2=2)
+            q = q * (diag / np.abs(diag))[:, None, :]
+            yield q if self.complement_basis is None else self.complement_basis @ q
 
-    def _haar(self, n: int) -> np.ndarray:
-        # Ginibre matrix -> QR -> absorb the R-diagonal phases so the
-        # distribution is exactly Haar, not just orthonormal.
-        z = (self._rng.standard_normal((n, n))
-             + 1j * self._rng.standard_normal((n, n))) / np.sqrt(2.0)
-        q, r = np.linalg.qr(z)
-        diag = np.diag(r)
-        return q * (diag / np.abs(diag))
+    def _unitaries(self, count: int):
+        """Chunks of full samples: Haar unitaries, or b U b^dag on the
+        complement basis b when an excluded vector is set."""
+        b = self.complement_basis
+        for u in self.batches(self.sample_dim, count):
+            yield u if b is None else u @ b.conj().T
 
     def unitary(self) -> np.ndarray:
         """Next sample: a Haar unitary, or the embedded partial unitary on
         the complement when an excluded vector is set."""
-        if self.excluded_vector is None:
-            return self._haar(self.dim)
-        b = self.complement_basis
-        return b @ self._haar(self.dim - 1) @ b.conj().T
+        return next(self._unitaries(1))[0]
 
     def frame(self, rank: int) -> np.ndarray:
         """First ``rank`` columns of the next sample, as an orthonormal
         frame (in the complement when an excluded vector is set)."""
-        if not 1 <= rank <= self.sample_dim:
-            raise ValueError(f"rank {rank} outside [1, {self.sample_dim}]")
-        if self.excluded_vector is None:
-            return self._haar(self.dim)[:, :rank]
-        return self.complement_basis @ self._haar(self.dim - 1)[:, :rank]
+        return next(self.batches(rank, 1))[0]
 
     def projector(self, rank: int) -> Projector:
         return Projector.from_factor(self.frame(rank))
@@ -296,8 +298,16 @@ def twirl_reconstruction(projector_matrix) -> np.ndarray:
     return alpha * (eye + s) / 2.0 + beta * (eye - s) / 2.0
 
 
-def _two_outcome_value(frame: np.ndarray, delta: np.ndarray) -> float:
-    return float(np.sum(frame.conj() * (delta @ frame)).real)
+def _block_traces(frames, delta: np.ndarray, ranks) -> np.ndarray:
+    """tr(F_b^dag delta F_b) for each column block F_b of each frame in the
+    chunks ``frames``, as a (samples, len(ranks)) array."""
+    edges = np.cumsum([0, *ranks])
+    out = []
+    for f in frames:
+        blocks = [f[:, :, a:b] for a, b in zip(edges[:-1], edges[1:])]
+        out.append(np.stack([np.sum(x.conj() * (delta @ x), axis=(1, 2)).real
+                             for x in blocks], axis=1))
+    return np.concatenate(out) if out else np.empty((0, len(ranks)))
 
 
 def _result(values: np.ndarray, exact: float, sampler: HaarSampler) -> TwirlResult:
@@ -313,11 +323,8 @@ def mc_mean_sq_distinguishability(state_t: QuantumState, omega: QuantumState,
     """Monte Carlo estimate of the Haar-averaged squared distinguishability,
     referenced against the exact formula."""
     delta = state_t.rho - omega.rho
-    vals = np.empty(samples)
-    for i in range(samples):
-        x = _two_outcome_value(sampler.frame(rank), delta)
-        vals[i] = x * x
-    return _result(vals, exact_mean_sq_distinguishability(state_t, omega, rank), sampler)
+    x = _block_traces(sampler.batches(rank, samples), delta, [rank])[:, 0]
+    return _result(x * x, exact_mean_sq_distinguishability(state_t, omega, rank), sampler)
 
 
 def mc_mean_distinguishability(state_t: QuantumState, omega: QuantumState,
@@ -326,10 +333,8 @@ def mc_mean_distinguishability(state_t: QuantumState, omega: QuantumState,
     """Monte Carlo Haar mean of |tr(P_U (rho_t - omega))|, referenced against
     the typical-measurement cap."""
     delta = state_t.rho - omega.rho
-    vals = np.empty(samples)
-    for i in range(samples):
-        vals[i] = abs(_two_outcome_value(sampler.frame(rank), delta))
-    return _result(vals, typical_distinguishability_bound(rank, state_t.dim), sampler)
+    x = _block_traces(sampler.batches(rank, samples), delta, [rank])[:, 0]
+    return _result(np.abs(x), typical_distinguishability_bound(rank, state_t.dim), sampler)
 
 
 def mc_constrained_mean(state0: QuantumState, state_t: QuantumState,
@@ -343,12 +348,11 @@ def mc_constrained_mean(state0: QuantumState, state_t: QuantumState,
     delta = state_t.rho - omega.rho
     rho0 = np.outer(state0.amplitudes, state0.amplitudes.conj())
     base = float(np.vdot(rho0, delta).real)
-    vals = np.empty(samples)
     if rank == 1:
-        vals[:] = abs(base)
+        vals = np.full(samples, abs(base))
     else:
-        for i in range(samples):
-            vals[i] = abs(base + _two_outcome_value(sampler.frame(rank - 1), delta))
+        x = _block_traces(sampler.batches(rank - 1, samples), delta, [rank - 1])[:, 0]
+        vals = np.abs(base + x)
     return _result(vals, constrained_mean_bound(state0, state_t, omega, rank), sampler)
 
 
@@ -363,15 +367,6 @@ def mc_initial_distinguishability(state0: QuantumState, omega: QuantumState,
     return res
 
 
-def _split_frame(frame: np.ndarray, ranks) -> list:
-    out = []
-    start = 0
-    for k in ranks:
-        out.append(frame[:, start:start + k])
-        start += k
-    return out
-
-
 def mc_n_outcome_mean(state_t: QuantumState, omega: QuantumState, ranks,
                       sampler: HaarSampler, samples: int) -> TwirlResult:
     """Monte Carlo Haar mean of the N-outcome distinguishability for a
@@ -380,12 +375,9 @@ def mc_n_outcome_mean(state_t: QuantumState, omega: QuantumState, ranks,
     d = state_t.dim
     if sum(ranks) != d:
         raise ValueError("outcome ranks must sum to the dimension")
-    delta = state_t.rho - omega.rho
-    vals = np.empty(samples)
-    for i in range(samples):
-        u = sampler.unitary()
-        vals[i] = 0.5 * sum(abs(_two_outcome_value(block, delta))
-                            for block in _split_frame(u, ranks))
+    t = _block_traces(sampler._unitaries(samples), state_t.rho - omega.rho, ranks)
+    # the builtin sum adds the outcomes in order, one sample per element
+    vals = 0.5 * sum(np.abs(t).T)
     return _result(vals, n_outcome_typical_bound(ranks, d), sampler)
 
 
@@ -403,13 +395,9 @@ def mc_n_outcome_constrained_mean(state0: QuantumState, state_t: QuantumState,
     delta = state_t.rho - omega.rho
     rho0 = np.outer(state0.amplitudes, state0.amplitudes.conj())
     base = float(np.vdot(rho0, delta).real)
-    vals = np.empty(samples)
-    for i in range(samples):
-        cols = sampler.frame(d - 1)  # orthonormal frame spanning the complement
-        blocks = _split_frame(cols, ranks)
-        first = abs(base + _two_outcome_value(blocks[0], delta))
-        rest = sum(abs(_two_outcome_value(b, delta)) for b in blocks[1:])
-        vals[i] = 0.5 * (first + rest)
+    # frames of d - 1 columns span the complement
+    t = _block_traces(sampler.batches(d - 1, samples), delta, ranks)
+    vals = 0.5 * (np.abs(base + t[:, 0]) + sum(np.abs(t[:, 1:]).T))
     f = _initial_overlap_deficit(state0, state_t, omega)
     return _result(vals, n_outcome_constrained_bound(f, len(ranks) + 1, d), sampler)
 
@@ -424,12 +412,16 @@ def mc_twirl_pair(projector_matrix, sampler: HaarSampler, samples: int):
     d = p.shape[0]
     acc = np.zeros((d * d, d * d), dtype=complex)
     acc_sq = np.zeros((d * d, d * d))
-    for _ in range(samples):
-        u = sampler.unitary()
-        pu = u @ p @ u.conj().T
-        k = np.kron(pu, pu)
-        acc += k
-        acc_sq += np.abs(k) ** 2
+    step = max(1, CHUNK_ENTRIES // d ** 4)
+    for chunk in sampler._unitaries(samples):
+        for s in range(0, len(chunk), step):
+            u = chunk[s:s + step]
+            pu = u @ p @ u.conj().transpose(0, 2, 1)
+            k = (pu[:, :, None, :, None] * pu[:, None, :, None, :]).reshape(-1, d * d, d * d)
+            # with the running sum prepended, the reduction over the sample
+            # axis adds one sample at a time, in order
+            acc = np.concatenate([acc[None], k]).sum(axis=0)
+            acc_sq = np.concatenate([acc_sq[None], np.abs(k) ** 2]).sum(axis=0)
     mean = acc / samples
     var = np.maximum(acc_sq / samples - np.abs(mean) ** 2, 0.0)
     stderr = np.sqrt(var / samples)

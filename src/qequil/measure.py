@@ -219,22 +219,27 @@ def success_probability(distance: float) -> float:
 
 
 def save_measurement(m: Measurement, path) -> None:
-    entries = []
-    for p in m.projectors:
-        if p.rank == 1 and not p.is_complement:
-            entries.append({"rank_one": complex_out(p.factor[:, 0])})
-        else:
-            entries.append(complex_out(p.matrix))
+    """One entry per outcome: the columns of its factor as [re, im] pairs,
+    the dimension, and the complement bit; nothing d x d is written."""
+    entries = [{"dim": p.dim, "factor": complex_out(p.factor.T),
+                "complement": p.is_complement} for p in m.projectors]
     with open(path, "w") as fh:
         json.dump({"projectors": entries}, fh)
 
 
 def load_measurement(path, tol: float = PROJECTOR_TOL) -> Measurement:
+    """Read a measurement file; entries written as dense matrices or as
+    ``{"rank_one": ...}`` vectors by earlier versions still load."""
     with open(path) as fh:
         payload = json.load(fh)
     projectors = []
     for entry in payload["projectors"]:
-        if isinstance(entry, dict) and "rank_one" in entry:
+        if isinstance(entry, dict) and "factor" in entry:
+            cols = entry["factor"]
+            v = complex_in(cols).T if cols else np.zeros((entry["dim"], 0), complex)
+            p = Projector.from_factor(v, tol)
+            projectors.append(p.complement() if entry["complement"] else p)
+        elif isinstance(entry, dict) and "rank_one" in entry:
             v = complex_in(entry["rank_one"])
             v = v / np.linalg.norm(v)
             projectors.append(Projector.rank_one(v, tol))

@@ -132,3 +132,19 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 129 + 2  # comment + header + samples
     summary = json.loads((out / "figure3_summary.json").read_text())
     assert summary["levels"] == 20
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["bounds", "--set", "trails=6"], "trails"),
+    (["figure3", "--seed", "3"], "seed"),
+    (["bounds", "--samples", "10"], "samples"),
+    (["haar", "--config", "{cfg}"], "battery_sample"),
+])
+def test_unknown_config_key_is_rejected(tmp_path, argv, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 10, "battery_sample": 5}))
+    out = tmp_path / "out"
+    argv = [a.replace("{cfg}", str(cfg)) for a in argv] + ["--out", str(out)]
+    with pytest.raises(SystemExit, match=f"unknown config key.*{key}"):
+        _run(argv)
+    assert not out.exists()

@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from helpers import (PerSampleHaar, per_sample_constrained, per_sample_mean,
+                     per_sample_mean_sq, per_sample_n_outcome,
+                     per_sample_n_outcome_constrained, per_sample_stats,
+                     per_sample_twirl)
 from qequil.constructions import random_scenario
-from qequil.haar import (HaarSampler, constrained_mean_bound,
+from qequil.haar import (CHUNK_ENTRIES, HaarSampler, constrained_mean_bound,
                          constrained_mean_bound_tight,
                          exact_mean_sq_distinguishability,
                          initial_distinguishability_exact,
@@ -38,10 +44,6 @@ class TestSampler:
         b = HaarSampler(99, 5)
         for _ in range(3):
             assert np.array_equal(a.unitary(), b.unitary())
-
-    def test_spawn_streams_differ(self):
-        children = HaarSampler(5, 4).spawn(2)
-        assert not np.array_equal(children[0].unitary(), children[1].unitary())
 
     def test_first_moment_vanishes(self):
         s = HaarSampler(3, 4)
@@ -81,6 +83,128 @@ class TestSampler:
     def test_excluded_vector_requires_dim_above_two(self):
         with pytest.raises(ValueError, match="dim > 2"):
             HaarSampler(1, 2, excluded_vector=np.array([1.0, 0.0]))
+
+
+def _sampler_pair(seed, scen, excluded):
+    """The batched sampler and the per-sample reference on the same stream."""
+    v = scen.state.amplitudes if excluded else None
+    d = scen.spectrum.dim
+    return HaarSampler(seed, d, v), PerSampleHaar(HaarSampler(seed, d, v))
+
+
+def _crossing_count(n):
+    """A sample count that runs one sample past the second kernel chunk."""
+    return 2 * max(1, CHUNK_ENTRIES // (n * n)) + 1
+
+
+class TestBatchedKernel:
+    """The batched kernel against the per-sample loop it replaced: the same
+    samples, and the same estimates, bit for bit."""
+
+    @pytest.mark.parametrize("excluded", [False, True])
+    @pytest.mark.parametrize("d", [4, 8, 13, 24, 64])
+    def test_draws_match_per_sample(self, d, excluded):
+        scen = random_scenario(d, d)
+        sampler, ref = _sampler_pair(100 + d, scen, excluded)
+        n = sampler.sample_dim
+        count = _crossing_count(n)
+        for rank in sorted({1, n // 2, n}):
+            chunks = list(sampler.batches(rank, count))
+            assert len(chunks) == 3
+            got = np.concatenate(chunks)
+            want = np.stack([ref.frame(rank) for _ in range(count)])
+            assert got.shape == (count, d, rank)
+            assert np.array_equal(got, want)
+            assert np.array_equal(sampler.frame(rank), ref.frame(rank))
+            assert np.array_equal(sampler.unitary(), ref.unitary())
+        with pytest.raises(ValueError, match="outside"):
+            sampler.frame(n + 1)
+
+    @pytest.mark.parametrize("excluded", [False, True])
+    @pytest.mark.parametrize("d", [4, 8, 13, 24, 64])
+    def test_estimators_match_per_sample(self, d, excluded):
+        scen = random_scenario(d + 1, d)
+        state_t = evolve(scen.state, 0.8)
+        omega = dephase(scen.state)
+        delta = state_t.rho - omega.rho
+        count = _crossing_count(d - excluded)
+        seeds = iter(range(200 + d, 300 + d))
+
+        def check(res, vals):
+            assert (res.mc_mean, res.mc_stderr) == per_sample_stats(vals)
+            assert res.samples == count
+
+        for rank in sorted({1, d // 2, d - 1}):
+            sampler, ref = _sampler_pair(next(seeds), scen, excluded)
+            check(mc_mean_sq_distinguishability(state_t, omega, rank, sampler, count),
+                  per_sample_mean_sq(ref, delta, rank, count))
+            sampler, ref = _sampler_pair(next(seeds), scen, excluded)
+            check(mc_mean_distinguishability(state_t, omega, rank, sampler, count),
+                  per_sample_mean(ref, delta, rank, count))
+        for ranks in ([1, d // 2 - 1, d - d // 2], [1] * d):
+            sampler, ref = _sampler_pair(next(seeds), scen, excluded)
+            check(mc_n_outcome_mean(state_t, omega, ranks, sampler, count),
+                  per_sample_n_outcome(ref, delta, ranks, count))
+        if not excluded:
+            return
+        a = scen.state.amplitudes
+        base = float(np.vdot(np.outer(a, a.conj()), delta).real)
+        for rank in sorted({1, 2, d // 2, d - 1}):
+            sampler, ref = _sampler_pair(next(seeds), scen, excluded)
+            check(mc_constrained_mean(scen.state, state_t, omega, rank, sampler, count),
+                  per_sample_constrained(ref, base, delta, rank, count))
+        for ranks in ([d - 1], [2, d - 3], [1, d // 2 - 1, d - 1 - d // 2],
+                      [1] * (d - 1)):
+            sampler, ref = _sampler_pair(next(seeds), scen, excluded)
+            check(mc_n_outcome_constrained_mean(scen.state, state_t, omega, ranks,
+                                                sampler, count),
+                  per_sample_n_outcome_constrained(ref, base, delta, ranks, count))
+
+    @pytest.mark.parametrize("excluded", [False, True])
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_twirl_matches_per_sample(self, d, excluded):
+        scen = random_scenario(d + 2, d)
+        p = HaarSampler(d, d).projector(d // 2).matrix
+        sampler, ref = _sampler_pair(300 + d, scen, excluded)
+        count = _crossing_count(d - excluded)
+        mean, stderr = mc_twirl_pair(p, sampler, count)
+        want_mean, want_stderr = per_sample_twirl(ref, p, count)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(stderr, want_stderr)
+
+    @pytest.mark.parametrize("excluded", [False, True])
+    def test_blocked_qr_dimension_agrees_to_rounding(self, excluded):
+        # at d >= 100 LAPACK factors blocked, so factoring only the first
+        # columns agrees with the full factorization to rounding only
+        d, count = 128, 3
+        scen = random_scenario(5, d)
+        sampler, ref = _sampler_pair(400, scen, excluded)
+        got = np.concatenate(list(sampler.batches(5, count)))
+        want = np.stack([ref.frame(5) for _ in range(count)])
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        assert np.array_equal(sampler.unitary(), ref.unitary())
+        state_t = evolve(scen.state, 0.8)
+        omega = dephase(scen.state)
+        sampler, ref = _sampler_pair(401, scen, excluded)
+        res = mc_mean_distinguishability(state_t, omega, 7, sampler, count)
+        mean, stderr = per_sample_stats(
+            per_sample_mean(ref, state_t.rho - omega.rho, 7, count))
+        assert res.mc_mean == pytest.approx(mean, rel=1e-10, abs=1e-14)
+        assert res.mc_stderr == pytest.approx(stderr, rel=1e-8, abs=1e-14)
+
+    def test_n_outcome_memory_is_chunk_bounded(self):
+        scen = random_scenario(9, 24)
+        state_t = evolve(scen.state, 0.8)
+        omega = dephase(scen.state)
+        sampler = HaarSampler(10, 24)
+        tracemalloc.start()
+        try:
+            res = mc_n_outcome_mean(state_t, omega, [6, 6, 6, 6], sampler, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.samples == 2000
+        assert peak < 2 * 2 ** 20
 
 
 @pytest.fixture

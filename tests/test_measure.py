@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from qequil.measure import (Measurement, Projector, distinguishability,
                             load_measurement, save_measurement,
                             success_probability, two_outcome)
 from qequil.spectra import EnergySpectrum
-from qequil.states import QuantumState, dephase, evolve
+from qequil.states import QuantumState, complex_out, dephase, evolve
 
 from helpers import random_mixed, random_pure, trace_distance
 
@@ -219,6 +220,43 @@ def test_measurement_file_roundtrip(tmp_path, spec):
     state = random_mixed(rng, spec)
     assert np.abs(back.outcome_probabilities(state)
                   - m.outcome_probabilities(state)).max() < 1e-12
+
+
+def test_measurement_file_stores_factors(tmp_path):
+    rng = np.random.default_rng(17)
+    d = 512
+    m = two_outcome(Projector.from_factor(_haar_frame(rng, d, 4)))
+    path = tmp_path / "two.json"
+    save_measurement(m, path)
+    assert path.stat().st_size < 200_000  # a dense d x d entry is ~12 MB
+    back = load_measurement(path)
+    assert back.ranks == (4, d - 4)
+    assert [p.is_complement for p in back.projectors] == [False, True]
+    state = random_pure(rng, _random_spectrum(rng, d))
+    assert np.abs(back.outcome_probabilities(state)
+                  - m.outcome_probabilities(state)).max() < 1e-12
+
+
+def test_measurement_file_rank_zero_outcome(tmp_path):
+    zero = Projector.from_matrix(np.zeros((3, 3)))
+    path = tmp_path / "trivial.json"
+    save_measurement(Measurement([zero, zero.complement()]), path)
+    assert load_measurement(path).ranks == (0, 3)
+
+
+def test_legacy_measurement_file_loads(tmp_path, spec):
+    rng = np.random.default_rng(19)
+    v = _haar_frame(rng, 5, 5)
+    rest = v[:, 1:] @ v[:, 1:].conj().T
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps({"projectors": [{"rank_one": complex_out(v[:, 0])},
+                                               complex_out(rest)]}))
+    back = load_measurement(path)
+    assert back.ranks == (1, 4)
+    state = random_mixed(rng, spec)
+    want = [Projector.rank_one(v[:, 0]).expectation(state),
+            Projector.from_factor(v[:, 1:]).expectation(state)]
+    assert np.abs(back.outcome_probabilities(state) - want).max() < 1e-12
 
 
 def _random_spectrum(rng, d):
