@@ -23,16 +23,12 @@ __all__ = [
     "AverageResult",
     "time_average",
     "running_average",
-    "lorentzian_kernel",
     "lorentzian_phase_average",
-    "lorentzian_phase_average_quadrature",
     "lorentzian_state",
     "lorentzian_purity",
     "lorentzian_purity_product",
     "PurityPair",
     "dephased_purity_bound",
-    "lorentzian_domination_check",
-    "DominationReport",
     "LORENTZIAN_DOMINATION_FACTOR",
 ]
 
@@ -40,6 +36,8 @@ __all__ = [
 # uniform averages of nonnegative functions are dominated by 5*pi/4 times the
 # Lorentzian average.
 LORENTZIAN_DOMINATION_FACTOR = 5.0 * np.pi / 4.0
+# Fewest samples on an averaging grid, whatever the window and the gaps.
+MIN_GRID_SAMPLES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +63,10 @@ class TimeGrid:
         object.__setattr__(self, "times", t)
 
     @classmethod
-    def for_window(cls, window: float, max_gap: float, min_samples: int = 64) -> "TimeGrid":
-        if window <= 0:
+    def for_window(cls, window: float, max_gap: float) -> "TimeGrid":
+        if not window > 0:
             raise ValueError("window must be positive")
-        n = min_samples
+        n = MIN_GRID_SAMPLES
         if max_gap > 0:
             n = max(n, int(np.ceil(4.0 * max_gap * window / np.pi)) + 1)
         if n % 2 == 0:  # odd count so the half-resolution grid shares endpoints
@@ -119,90 +117,39 @@ def running_average(times, values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Sampled times and values, with an optional running average, for CSV
-    emission at full float precision."""
+    """Sampled times and values, with an optional running average."""
 
     times: np.ndarray
     values: np.ndarray
     running: np.ndarray | None = None
-    bound: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if t.shape != v.shape:
             raise ValueError("times and values must have equal length")
-        for name in ("running", "bound"):
-            col = getattr(self, name)
-            if col is not None and np.asarray(col).shape != t.shape:
-                raise ValueError(f"{name} column length mismatch")
+        if self.running is not None and np.asarray(self.running).shape != t.shape:
+            raise ValueError("running column length mismatch")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
     def with_running_average(self) -> "TimeSeries":
         return TimeSeries(self.times, self.values,
-                          running=running_average(self.times, self.values),
-                          bound=self.bound)
-
-    def to_csv(self, path, value_name: str = "value", comment: str | None = None) -> None:
-        cols = [("t", self.times), (value_name, self.values)]
-        if self.running is not None:
-            cols.append(("running_avg", np.asarray(self.running, dtype=float)))
-        if self.bound is not None:
-            cols.append(("bound", np.asarray(self.bound, dtype=float)))
-        with open(path, "w") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            fh.write(",".join(name for name, _ in cols) + "\n")
-            for i in range(self.times.size):
-                fh.write(",".join(format(col[i], ".17g") for _, col in cols) + "\n")
-
-
-def lorentzian_kernel(t, window: float) -> np.ndarray:
-    """Cauchy weight T / (pi (T^2 + (t - T/2)^2)), normalized over the line."""
-    t = np.asarray(t, dtype=float)
-    return window / (np.pi * (window ** 2 + (t - window / 2.0) ** 2))
+                          running=running_average(self.times, self.values))
 
 
 def lorentzian_phase_average(nu: float, window: float) -> complex:
     """Closed-form Lorentzian average of e^{i nu t}."""
-    if window <= 0:
+    if not window > 0:
         raise ValueError("window must be positive")
     return np.exp(-abs(nu) * window) * np.exp(1j * nu * window / 2.0)
-
-
-def lorentzian_phase_average_quadrature(nu: float, window: float,
-                                        half_width_factor: float = 200.0):
-    """Numeric Lorentzian average of e^{i nu t}: adaptive quadrature on
-    [T/2 - W, T/2 + W] with the heavy tails evaluated by Fourier-weighted
-    quadrature (the kernel tail alone integrates to (2/pi) arctan(T/W)).
-
-    Returns ``(value, error_bound)``.
-    """
-    T = window
-    w = half_width_factor * T
-    absnu = abs(nu)
-
-    def centered(s):
-        return T / (np.pi * (T ** 2 + s ** 2))
-
-    if absnu == 0.0:
-        core, err = integrate.quad(centered, -w, w, limit=400)
-        tail = (2.0 / np.pi) * np.arctan(T / w)
-        return complex(core + tail), err
-    core_re, err_re = integrate.quad(centered, 0.0, w, weight="cos", wvar=absnu,
-                                     limit=8000)
-    tail_re, terr_re = integrate.quad(centered, w, np.inf, weight="cos", wvar=absnu)
-    even = 2.0 * (core_re + tail_re)  # sin part vanishes by symmetry
-    value = even * np.exp(1j * nu * T / 2.0)
-    return complex(value), 2.0 * (err_re + terr_re)
 
 
 def lorentzian_state(state: QuantumState, window: float) -> QuantumState:
     """Lorentzian-averaged state: rho_jk is damped by e^{-|E_j - E_k| T}
     and rotated by e^{-i (E_j - E_k) T / 2}; the T -> infinity limit is the
     dephased state, the T = 0 limit the state itself."""
-    if window < 0:
+    if not window >= 0:
         raise ValueError("window must be nonnegative")
     e = state.spectrum.index_energies
     gap = e[:, None] - e[None, :]
@@ -219,7 +166,7 @@ def lorentzian_purity_product(spectrum: EnergySpectrum, probs, window: float) ->
     """Population-product form sum_nm p_n p_m e^{-2 |E_n - E_m| T} over level
     pairs; an upper bound on the Lorentzian-averaged purity and its exact
     value for pure states."""
-    if window < 0:
+    if not window >= 0:
         raise ValueError("window must be nonnegative")
     p = np.asarray(probs, dtype=float)
     lv = spectrum.levels
@@ -235,7 +182,7 @@ def lorentzian_purity(state: QuantumState, window: float) -> PurityPair:
     |rho_jk|^2 by the product of populations (an upper bound by positivity,
     an equality for pure states) and collapses to a sum over level pairs.
     """
-    if window < 0:
+    if not window >= 0:
         raise ValueError("window must be nonnegative")
     e = state.spectrum.index_energies
     damp = np.exp(-2.0 * window * np.abs(e[:, None] - e[None, :]))
@@ -249,46 +196,7 @@ def dephased_purity_bound(spectrum: EnergySpectrum, probs, window: float,
                           delta: float = 2.0) -> float:
     """Window-probability bound on the Lorentzian-averaged purity:
     2 * eta_{delta / 2T} / (1 - e^{-delta}), valid for every delta > 0."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     eta = max_window_probability(spectrum, probs, delta / (2.0 * window))
     return 2.0 * eta / (1.0 - np.exp(-delta))
-
-
-class DominationReport(NamedTuple):
-    uniform_average: float
-    lorentzian_average: float
-    limit: float
-    tail_allowance: float
-    holds: bool
-
-
-def lorentzian_domination_check(f: Callable, window: float, spacing: float,
-                                half_width_factor: float = 200.0,
-                                value_bound: float = 1.0,
-                                slack: float = 1e-6) -> DominationReport:
-    """Check that the uniform average of a nonnegative function is dominated
-    by 5*pi/4 times its Lorentzian average.
-
-    ``f`` must be vectorized and nonnegative on the sampled range;
-    ``value_bound`` caps |f| for the analytic tail allowance.
-    """
-    T = window
-    h = min(spacing, T / 64.0)
-    n_uni = int(np.ceil(T / h)) + 1
-    uni_t = np.linspace(0.0, T, n_uni)
-    uni_vals = np.asarray(f(uni_t), dtype=float)
-    if np.any(uni_vals < -1e-12):
-        raise ValueError("f must be nonnegative on [0, T]")
-    uniform = _trapezoid_mean(uni_vals, uni_t)
-
-    w = half_width_factor * T
-    n_lor = int(np.ceil(2.0 * w / h)) + 1
-    n_lor = min(n_lor, 4_000_001)
-    lor_t = np.linspace(T / 2.0 - w, T / 2.0 + w, n_lor)
-    lor_vals = np.asarray(f(lor_t), dtype=float) * lorentzian_kernel(lor_t, T)
-    lorentzian = float(np.trapezoid(lor_vals, lor_t))
-    tail = value_bound * (2.0 / np.pi) * np.arctan(T / w)
-
-    limit = LORENTZIAN_DOMINATION_FACTOR * (lorentzian + tail) + slack
-    return DominationReport(uniform, lorentzian, limit, tail, uniform <= limit)

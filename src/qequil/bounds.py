@@ -63,7 +63,7 @@ class BoundReport:
     slack: float = 0.0
 
     def __post_init__(self):
-        if self.value < 0:
+        if not self.value >= 0:
             raise ValueError(f"bound {self.name} is negative: {self.value!r}")
 
     @property
@@ -87,7 +87,7 @@ def fast_equilibration_bound(spectrum: EnergySpectrum, probs, rank: int,
     two-outcome measurement whose smaller projector rank is K."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
-    if window <= 0:
+    if not window > 0:
         raise ValueError("window must be positive")
     eta = max_window_probability(spectrum, probs, 1.0 / window)
     c = fast_equilibration_constant()
@@ -104,7 +104,7 @@ def population_term_bound(spectrum: EnergySpectrum, probs, rank: int,
     two-outcome bound minus the sqrt(K eta) equilibrium term)."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
-    if window <= 0:
+    if not window > 0:
         raise ValueError("window must be positive")
     eta = max_window_probability(spectrum, probs, 1.0 / window)
     return BoundReport(
@@ -143,7 +143,7 @@ def general_expectation_bound(spectrum: EnergySpectrum, state: QuantumState,
     """Gap-counting bound on <|tr A (rho_t - omega)|^2>_T:
     (5 pi / 2) (|A|^2 / d_eff) N(eps) (3/2 + 1/(eps T))."""
     _require_pure(state)
-    if eps <= 0 or window <= 0:
+    if not (eps > 0 and window > 0):
         raise ValueError("eps and window must be positive")
     if gaps is None:
         gaps = spectrum.gaps()
@@ -167,7 +167,7 @@ def general_distinguishability_bound(spectrum: EnergySpectrum, state: QuantumSta
     _require_pure(state)
     if total_outcomes < 2:
         raise ValueError("total outcome count must be at least 2")
-    if eps <= 0 or window <= 0:
+    if not (eps > 0 and window > 0):
         raise ValueError("eps and window must be positive")
     if gaps is None:
         gaps = spectrum.gaps()
@@ -190,7 +190,7 @@ def best_epsilon(spectrum: EnergySpectrum, state: QuantumState, window: float,
     the distinguishability form; the width is a free parameter of the bound."""
     gaps = spectrum.gaps()
     span = spectrum.span
-    if span <= 0:
+    if not span > 0:
         raise ValueError("spectrum has a single level; no gaps to count")
     grid = np.geomspace(span * 1e-6, 2.0 * span, num)
     best = None
@@ -205,7 +205,7 @@ def best_epsilon(spectrum: EnergySpectrum, state: QuantumState, window: float,
 def gaussian_window_probability_estimate(sigma: float, window: float) -> float:
     """Continuum estimate for a Gaussian energy distribution:
     eta_{1/T} <= peak density / T = 1 / (sqrt(2 pi) sigma T), capped at 1."""
-    if sigma <= 0 or window <= 0:
+    if not (sigma > 0 and window > 0):
         raise ValueError("sigma and window must be positive")
     return min(1.0, 1.0 / (np.sqrt(2.0 * np.pi) * sigma * window))
 
@@ -214,21 +214,20 @@ def gaussian_purity_exact(sigma: float, window: float) -> float:
     """Exact continuum purity of the Lorentzian-averaged state for a
     Gaussian energy distribution: e^{4 s^2 T^2} erfc(2 s T), evaluated
     stably via the scaled complementary error function."""
-    if sigma <= 0 or window <= 0:
+    if not (sigma > 0 and window > 0):
         raise ValueError("sigma and window must be positive")
     return float(special.erfcx(2.0 * sigma * window))
 
 
 def gaussian_purity_asymptote(sigma: float, window: float) -> float:
     """Large-sigma*T asymptote 1 / (2 sqrt(pi) sigma T) of the exact form."""
-    if sigma <= 0 or window <= 0:
+    if not (sigma > 0 and window > 0):
         raise ValueError("sigma and window must be positive")
     return 1.0 / (2.0 * np.sqrt(np.pi) * sigma * window)
 
 
 def fast_equilibration_chain(spectrum: EnergySpectrum, state: QuantumState,
-                             projector: Projector, window: float,
-                             min_samples: int = 64) -> dict:
+                             projector: Projector, window: float) -> dict:
     """Evaluate every link of the two-outcome bound chain on one instance.
 
     Returns the measured average distinguishability followed by each
@@ -240,7 +239,7 @@ def fast_equilibration_chain(spectrum: EnergySpectrum, state: QuantumState,
         # D_P = D_{1-P}, so run the chain on the smaller-rank side.
         projector = projector.complement()
     rank = projector.rank
-    grid = TimeGrid.for_window(window, spectrum.span, min_samples)
+    grid = TimeGrid.for_window(window, spectrum.span)
     p_omega = projector.expectation(omega)
 
     def dvals(ts):

@@ -8,7 +8,6 @@ projector's small rank forces eventual equilibration.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,8 @@ __all__ = [
 ]
 
 SNAPSHOT_SVD_CUTOFF = 1e-8
+CEILING_SLACK = 1e-3  # quadrature allowance on the eventual-equilibration ceiling
+REFINEMENT_TIMES = 64  # grid of the refinement-dominance check
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +59,6 @@ class Scenario:
     def d_eff(self) -> float:
         return effective_dimension(level_distribution(self.state))
 
-    def save(self, spectrum_path, state_path, meta_path=None) -> None:
-        from .states import save_state
-        self.spectrum.save(spectrum_path)
-        save_state(self.state, state_path, spectrum_path)
-        if meta_path is not None:
-            with open(meta_path, "w") as fh:
-                json.dump({"label": self.label, "params": self.params}, fh, indent=1)
-
 
 def harmonic_oscillator_1d(levels: int, spacing: float = 1.0) -> Scenario:
     """Equally spaced nondegenerate ladder E_n = (n + 1/2) * spacing with a
@@ -87,7 +80,7 @@ def harmonic_oscillator_3d_boltzmann(levels: int, spacing: float,
     proportional to degeneracy times the Boltzmann factor."""
     if levels < 1:
         raise ValueError("need at least one level")
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     n = np.arange(levels)
     energies = (n + 0.5) * spacing
@@ -110,7 +103,7 @@ def gaussian_scenario(num_levels: int, sigma: float = 1.0,
     """
     if num_levels < 100:
         raise ValueError("need at least 100 levels for continuum fidelity")
-    if sigma <= 0 or span <= 0:
+    if not (sigma > 0 and span > 0):
         raise ValueError("sigma and span must be positive")
     half = span * sigma / 2.0
     energies = np.linspace(-half, half, num_levels)
@@ -167,8 +160,7 @@ class SnapshotSubspace:
         return Projector.from_factor(self.basis)
 
 
-def snapshot_subspace(scenario: Scenario, count: int, epsilon: float,
-                      svd_cutoff: float = SNAPSHOT_SVD_CUTOFF) -> SnapshotSubspace:
+def snapshot_subspace(scenario: Scenario, count: int, epsilon: float) -> SnapshotSubspace:
     """Span of |psi(j tau)> for j = 0..count-1 with tau = 2 eps / sigma_E.
 
     Rank deficiency (near-parallel snapshots) is reported through
@@ -177,7 +169,7 @@ def snapshot_subspace(scenario: Scenario, count: int, epsilon: float,
     """
     if count < 1:
         raise ValueError("need at least one snapshot")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     state = scenario.state
     if not state.is_pure:
@@ -188,7 +180,7 @@ def snapshot_subspace(scenario: Scenario, count: int, epsilon: float,
     times = tau * np.arange(count)
     snaps = state.amplitudes[:, None] * np.exp(-1j * np.outer(energies, times))
     u, s, _ = np.linalg.svd(snaps, full_matrices=False)
-    keep = s > svd_cutoff * s[0]
+    keep = s > SNAPSHOT_SVD_CUTOFF * s[0]
     basis = u[:, keep]
     residual = float((1.0 - np.sum(np.abs(basis.conj().T @ snaps) ** 2, axis=0)).max())
     return SnapshotSubspace(count=count, tau=tau, epsilon=epsilon, basis=basis,
@@ -217,15 +209,15 @@ class SlowWindowReport:
 
 
 def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario,
-                      num_samples: int = 256, long_window_sigma: float = 500.0,
-                      ceiling_slack: float = 1e-3) -> SlowWindowReport:
+                      num_samples: int = 256,
+                      long_window_sigma: float = 500.0) -> SlowWindowReport:
     """Sample the distinguishability of the snapshot projector across the
     guaranteed window [0, (2K-1) eps / sigma_E] and check it stays above
     1 - eps^2 - sqrt(K / d_eff); then average over a long window and check
     the eventual-equilibration ceiling 2 sqrt(K / d_eff)."""
     state = scenario.state
     sigma = scenario.sigma_e
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("slow-window check needs a state with energy spread")
     d_eff = scenario.d_eff
     k = subspace.count
@@ -256,7 +248,7 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario,
         trace_omega_bound=float(np.sqrt(k / d_eff)),
         long_time_average=float(long_avg.value),
         ceiling=float(ceiling),
-        ceiling_holds=bool(long_avg.value <= ceiling + ceiling_slack),
+        ceiling_holds=bool(long_avg.value <= ceiling + CEILING_SLACK),
     )
 
 
@@ -276,8 +268,8 @@ def partitioned_slow_measurement(subspace: SnapshotSubspace,
     return Measurement([*blocks, subspace.projector().complement()])
 
 
-def refinement_holds(subspace: SnapshotSubspace, scenario: Scenario, outcomes: int,
-                     num_times: int = 64) -> bool:
+def refinement_holds(subspace: SnapshotSubspace, scenario: Scenario,
+                     outcomes: int) -> bool:
     """Whether the partitioned measurement stays at or above the two-outcome
     distinguishability from equilibrium, up to 1e-10, on a grid across the
     guaranteed window [0, (2K-1) eps / sigma_E]."""
@@ -286,7 +278,7 @@ def refinement_holds(subspace: SnapshotSubspace, scenario: Scenario, outcomes: i
     meas = partitioned_slow_measurement(subspace, outcomes)
     proj = subspace.projector()
     t_end = (2.0 * subspace.count - 1.0) * subspace.epsilon / scenario.sigma_e
-    times = np.linspace(0.0, t_end, num_times)
+    times = np.linspace(0.0, t_end, REFINEMENT_TIMES)
     base = np.abs(expectation_series(proj, state, times) - proj.expectation(omega))
     refined = distinguishability_series(meas, state, omega, times)
     return bool(np.all(refined >= base - 1e-10))

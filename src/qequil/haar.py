@@ -14,7 +14,6 @@ of drawing and factoring one matrix at a time, bit for bit up to d = 64
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,11 +123,6 @@ class HaarSampler:
     def projector(self, rank: int) -> Projector:
         return Projector.from_factor(self.frame(rank))
 
-    def pure_state(self, spectrum) -> QuantumState:
-        z = (self._rng.standard_normal(self.dim)
-             + 1j * self._rng.standard_normal(self.dim))
-        return QuantumState.pure(spectrum, z / np.linalg.norm(z))
-
 
 @dataclass
 class TwirlResult:
@@ -145,10 +139,6 @@ class TwirlResult:
         return {"exact": self.exact, "mc_mean": self.mc_mean,
                 "mc_stderr": self.mc_stderr, "samples": self.samples,
                 "seed": self.seed}
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
 
 
 def _check_rank_dim(rank: int, dim: int):

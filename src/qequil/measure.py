@@ -45,7 +45,7 @@ class Projector:
         self._matrix = None
 
     @classmethod
-    def from_matrix(cls, matrix, tol: float = PROJECTOR_TOL) -> "Projector":
+    def from_matrix(cls, matrix) -> "Projector":
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("projector must be a square matrix")
@@ -53,16 +53,16 @@ class Projector:
             raise ValueError("projector matrix has non-finite entries")
         herm = float(np.abs(m - m.conj().T).max(initial=0.0))
         idem = float(np.abs(m @ m - m).max(initial=0.0))
-        if herm > tol or idem > tol:
+        if herm > PROJECTOR_TOL or idem > PROJECTOR_TOL:
             raise ValueError(
                 f"not a projector: hermiticity residual {herm:.3e}, "
-                f"idempotency residual {idem:.3e} (tol {tol:g})"
+                f"idempotency residual {idem:.3e} (tol {PROJECTOR_TOL:g})"
             )
         eigvals, vecs = np.linalg.eigh(m)
         return cls(vecs[:, eigvals > 0.5])
 
     @classmethod
-    def from_factor(cls, factor, tol: float = PROJECTOR_TOL) -> "Projector":
+    def from_factor(cls, factor) -> "Projector":
         v = np.asarray(factor, dtype=complex)
         if v.ndim == 1:
             v = v[:, None]
@@ -70,13 +70,13 @@ class Projector:
             raise ValueError("factor has non-finite entries")
         gram = v.conj().T @ v
         resid = float(np.abs(gram - np.eye(v.shape[1])).max(initial=0.0))
-        if resid > tol:
+        if resid > PROJECTOR_TOL:
             raise ValueError(f"factor columns not orthonormal: residual {resid:.3e}")
         return cls(v)
 
     @classmethod
-    def rank_one(cls, vector, tol: float = PROJECTOR_TOL) -> "Projector":
-        return cls.from_factor(np.asarray(vector, dtype=complex).reshape(-1, 1), tol)
+    def rank_one(cls, vector) -> "Projector":
+        return cls.from_factor(np.asarray(vector, dtype=complex).reshape(-1, 1))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -129,7 +129,7 @@ class Measurement:
     """Ordered projective outcomes that sum to the identity; at most one
     outcome may be a complement."""
 
-    def __init__(self, projectors, tol: float = PROJECTOR_TOL):
+    def __init__(self, projectors):
         self.projectors = tuple(projectors)
         if not self.projectors:
             raise ValueError("measurement needs at least one outcome")
@@ -142,16 +142,12 @@ class Measurement:
             raise ValueError("at most one outcome may be a complement")
         resid = self.residuals()
         worst = float(np.max(list(resid.values())))
-        if not np.isfinite(worst) or worst > tol:
-            raise ValueError(f"measurement residuals exceed {tol:g}: {resid}")
+        if not np.isfinite(worst) or worst > PROJECTOR_TOL:
+            raise ValueError(f"measurement residuals exceed {PROJECTOR_TOL:g}: {resid}")
 
     @property
     def ranks(self) -> tuple:
         return tuple(p.rank for p in self.projectors)
-
-    @property
-    def num_outcomes(self) -> int:
-        return len(self.projectors)
 
     def residuals(self) -> dict:
         """Worst hermiticity, idempotency, orthogonality, and completeness
@@ -185,9 +181,9 @@ class Measurement:
         return np.array([p.expectation(state) for p in self.projectors])
 
 
-def two_outcome(projector: Projector, tol: float = PROJECTOR_TOL) -> Measurement:
+def two_outcome(projector: Projector) -> Measurement:
     """Measurement {P, 1 - P}."""
-    return Measurement([projector, projector.complement()], tol=tol)
+    return Measurement([projector, projector.complement()])
 
 
 def distinguishability(m: Measurement, a: QuantumState, b: QuantumState) -> float:
@@ -227,7 +223,7 @@ def save_measurement(m: Measurement, path) -> None:
         json.dump({"projectors": entries}, fh)
 
 
-def load_measurement(path, tol: float = PROJECTOR_TOL) -> Measurement:
+def load_measurement(path) -> Measurement:
     """Read a measurement file; entries written as dense matrices or as
     ``{"rank_one": ...}`` vectors by earlier versions still load."""
     with open(path) as fh:
@@ -237,12 +233,12 @@ def load_measurement(path, tol: float = PROJECTOR_TOL) -> Measurement:
         if isinstance(entry, dict) and "factor" in entry:
             cols = entry["factor"]
             v = complex_in(cols).T if cols else np.zeros((entry["dim"], 0), complex)
-            p = Projector.from_factor(v, tol)
+            p = Projector.from_factor(v)
             projectors.append(p.complement() if entry["complement"] else p)
         elif isinstance(entry, dict) and "rank_one" in entry:
             v = complex_in(entry["rank_one"])
             v = v / np.linalg.norm(v)
-            projectors.append(Projector.rank_one(v, tol))
+            projectors.append(Projector.rank_one(v))
         else:
-            projectors.append(Projector.from_matrix(complex_in(entry), tol))
-    return Measurement(projectors, tol=tol)
+            projectors.append(Projector.from_matrix(complex_in(entry)))
+    return Measurement(projectors)

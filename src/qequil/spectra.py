@@ -203,7 +203,7 @@ def max_window_probability_window(spectrum: EnergySpectrum, probs, width: float)
         The probability and the ``(left, right)`` edges of a maximizing
         window.
     """
-    if width <= 0:
+    if not width > 0:
         raise ValueError("window width must be positive")
     p = validated_level_probs(probs, spectrum.num_levels)
     levels = spectrum.levels
@@ -225,7 +225,7 @@ def max_window_probability(spectrum: EnergySpectrum, probs, width: float) -> flo
 def max_gaps_in_window(gaps: GapSet, width: float) -> int:
     """Maximum number of gaps (with multiplicity) inside any closed window
     of the given width."""
-    if width <= 0:
+    if not width > 0:
         raise ValueError("window width must be positive")
     vals = gaps.values
     if vals.size == 0:

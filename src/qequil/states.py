@@ -134,10 +134,6 @@ class LevelDistribution:
         p = validated_level_probs(self.probs, np.asarray(self.probs).shape[0])
         object.__setattr__(self, "probs", p)
 
-    @property
-    def max_prob(self) -> float:
-        return float(self.probs.max())
-
 
 class EnergyMoments(NamedTuple):
     mean: float

@@ -3,8 +3,12 @@
 These deliberately avoid the library's sliding-window / closed-form code
 paths so that agreement is meaningful.
 """
-import numpy as np
+from typing import Callable, NamedTuple
 
+import numpy as np
+from scipy import integrate
+
+from qequil.averaging import LORENTZIAN_DOMINATION_FACTOR
 from qequil.spectra import EnergySpectrum
 from qequil.states import QuantumState
 
@@ -183,3 +187,75 @@ def per_sample_twirl(haar, p, samples):
     mean = acc / samples
     var = np.maximum(acc_sq / samples - np.abs(mean) ** 2, 0.0)
     return mean, np.sqrt(var / samples)
+
+
+def lorentzian_kernel(t, window: float) -> np.ndarray:
+    """Cauchy weight T / (pi (T^2 + (t - T/2)^2)), normalized over the line."""
+    t = np.asarray(t, dtype=float)
+    return window / (np.pi * (window ** 2 + (t - window / 2.0) ** 2))
+
+
+def lorentzian_phase_average_quadrature(nu: float, window: float,
+                                        half_width_factor: float = 200.0):
+    """Numeric Lorentzian average of e^{i nu t}: adaptive quadrature on
+    [T/2 - W, T/2 + W] with the heavy tails evaluated by Fourier-weighted
+    quadrature (the kernel tail alone integrates to (2/pi) arctan(T/W)).
+
+    Returns ``(value, error_bound)``.
+    """
+    T = window
+    w = half_width_factor * T
+    absnu = abs(nu)
+
+    def centered(s):
+        return T / (np.pi * (T ** 2 + s ** 2))
+
+    if absnu == 0.0:
+        core, err = integrate.quad(centered, -w, w, limit=400)
+        tail = (2.0 / np.pi) * np.arctan(T / w)
+        return complex(core + tail), err
+    core_re, err_re = integrate.quad(centered, 0.0, w, weight="cos", wvar=absnu,
+                                     limit=8000)
+    tail_re, terr_re = integrate.quad(centered, w, np.inf, weight="cos", wvar=absnu)
+    even = 2.0 * (core_re + tail_re)  # sin part vanishes by symmetry
+    value = even * np.exp(1j * nu * T / 2.0)
+    return complex(value), 2.0 * (err_re + terr_re)
+
+
+class DominationReport(NamedTuple):
+    uniform_average: float
+    lorentzian_average: float
+    limit: float
+    tail_allowance: float
+    holds: bool
+
+
+def lorentzian_domination_check(f: Callable, window: float, spacing: float,
+                                half_width_factor: float = 200.0,
+                                value_bound: float = 1.0,
+                                slack: float = 1e-6) -> DominationReport:
+    """Check that the uniform average of a nonnegative function is dominated
+    by 5*pi/4 times its Lorentzian average.
+
+    ``f`` must be vectorized and nonnegative on the sampled range;
+    ``value_bound`` caps |f| for the analytic tail allowance.
+    """
+    T = window
+    h = min(spacing, T / 64.0)
+    n_uni = int(np.ceil(T / h)) + 1
+    uni_t = np.linspace(0.0, T, n_uni)
+    uni_vals = np.asarray(f(uni_t), dtype=float)
+    if np.any(uni_vals < -1e-12):
+        raise ValueError("f must be nonnegative on [0, T]")
+    uniform = float(np.trapezoid(uni_vals, uni_t) / T)
+
+    w = half_width_factor * T
+    n_lor = int(np.ceil(2.0 * w / h)) + 1
+    n_lor = min(n_lor, 4_000_001)
+    lor_t = np.linspace(T / 2.0 - w, T / 2.0 + w, n_lor)
+    lor_vals = np.asarray(f(lor_t), dtype=float) * lorentzian_kernel(lor_t, T)
+    lorentzian = float(np.trapezoid(lor_vals, lor_t))
+    tail = value_bound * (2.0 / np.pi) * np.arctan(T / w)
+
+    limit = LORENTZIAN_DOMINATION_FACTOR * (lorentzian + tail) + slack
+    return DominationReport(uniform, lorentzian, limit, tail, uniform <= limit)

@@ -154,8 +154,7 @@ def test_criterion_8_slow_equilibration_scaled(acceptance):
 
 
 def test_criterion_9_gap_counting_bounds(acceptance):
-    report = batteries.gap_counting_battery(SEED, dim=40,
-                                          eps_factors=(0.1, 1.0, 10.0))
+    report = batteries.gap_counting_battery(SEED, dim=40)
     bad = [r for r in report.rows if not r["holds"]]
     # a distinct-gap spectrum admits an informative (< 1) regime once the
     # window width is optimized and the averaging window is long

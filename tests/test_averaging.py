@@ -3,11 +3,9 @@ import pytest
 
 from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid,
                               TimeSeries, dephased_purity_bound,
-                              lorentzian_domination_check, lorentzian_kernel,
-                              lorentzian_phase_average,
-                              lorentzian_phase_average_quadrature,
-                              lorentzian_purity, lorentzian_purity_product,
-                              lorentzian_state, running_average, time_average)
+                              lorentzian_phase_average, lorentzian_purity,
+                              lorentzian_purity_product, lorentzian_state,
+                              running_average, time_average)
 from qequil.bounds import gaussian_purity_asymptote
 from qequil.constructions import gaussian_scenario, harmonic_oscillator_1d
 from qequil.measure import Projector, expectation_series
@@ -15,7 +13,9 @@ from qequil.spectra import EnergySpectrum
 from qequil.states import (QuantumState, dephase, effective_dimension,
                            level_distribution, purity)
 
-from helpers import poisson_spectrum, random_mixed, random_pure
+from helpers import (lorentzian_domination_check,
+                     lorentzian_phase_average_quadrature, poisson_spectrum,
+                     random_mixed, random_pure)
 
 
 class TestTimeGrid:
@@ -232,17 +232,6 @@ class TestDominationCheck:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             lorentzian_domination_check(lambda t: -np.ones_like(t), 1.0, 0.05)
-
-
-def test_timeseries_csv_format(tmp_path):
-    ts = TimeSeries(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1 / 3.0, 0.25]))
-    path = tmp_path / "series.csv"
-    ts.with_running_average().to_csv(path, value_name="D", comment="config=abc seed=1")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# config=abc seed=1"
-    assert lines[1] == "t,D,running_avg"
-    assert lines[2].startswith("0,1,")
-    assert "0.33333333333333331" in lines[3]  # 17 significant digits
 
 
 def test_timeseries_validation():

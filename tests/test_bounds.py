@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from qequil.averaging import TimeGrid, time_average
+from qequil.averaging import (TimeGrid, dephased_purity_bound,
+                              lorentzian_phase_average, lorentzian_purity,
+                              lorentzian_purity_product, lorentzian_state,
+                              time_average)
 from qequil.bounds import (BoundReport, best_epsilon, fast_equilibration_bound,
                            fast_equilibration_chain, fast_equilibration_constant,
                            gaussian_purity_asymptote, gaussian_purity_exact,
@@ -10,13 +13,56 @@ from qequil.bounds import (BoundReport, best_epsilon, fast_equilibration_bound,
                            general_expectation_bound, n_outcome_fast_bound,
                            population_constant, population_term_bound,
                            purity_chain_factor)
-from qequil.constructions import gaussian_scenario, harmonic_oscillator_1d
+from qequil.constructions import (gaussian_scenario, harmonic_oscillator_1d,
+                                  harmonic_oscillator_3d_boltzmann, random_scenario,
+                                  snapshot_subspace)
 from qequil.haar import HaarSampler
 from qequil.measure import Projector, expectation_series
-from qequil.spectra import EnergySpectrum, max_window_probability
+from qequil.spectra import (EnergySpectrum, max_gaps_in_window,
+                            max_window_probability, max_window_probability_window)
 from qequil.states import (dephase, energy_moments, level_distribution)
 
 from helpers import poisson_spectrum, random_mixed, random_pure
+
+NAN = float("nan")
+_SCEN = random_scenario(3, 6)
+_SPEC, _STATE = _SCEN.spectrum, _SCEN.state
+_PROBS = level_distribution(_STATE).probs
+
+# Every scalar guard against a nonpositive (or negative) width, window,
+# spread or value, called with NaN, which fails every comparison.
+NAN_CALLS = {
+    "max_window_probability_window": lambda: max_window_probability_window(_SPEC, _PROBS, NAN),
+    "max_gaps_in_window": lambda: max_gaps_in_window(_SPEC.gaps(), NAN),
+    "BoundReport": lambda: BoundReport("nan", NAN),
+    "fast_equilibration_bound": lambda: fast_equilibration_bound(_SPEC, _PROBS, 1, NAN),
+    "population_term_bound": lambda: population_term_bound(_SPEC, _PROBS, 1, NAN),
+    "general_expectation_bound": lambda: general_expectation_bound(
+        _SPEC, _STATE, 1.0, NAN, 1.0),
+    "general_distinguishability_bound": lambda: general_distinguishability_bound(
+        _SPEC, _STATE, 2, 1.0, NAN),
+    "gaussian_window_probability_estimate": lambda: gaussian_window_probability_estimate(
+        NAN, 1.0),
+    "gaussian_purity_exact": lambda: gaussian_purity_exact(1.0, NAN),
+    "gaussian_purity_asymptote": lambda: gaussian_purity_asymptote(NAN, 1.0),
+    "TimeGrid.for_window": lambda: TimeGrid.for_window(NAN, 1.0),
+    "lorentzian_phase_average": lambda: lorentzian_phase_average(1.0, NAN),
+    "lorentzian_state": lambda: lorentzian_state(_STATE, NAN),
+    "lorentzian_purity_product": lambda: lorentzian_purity_product(_SPEC, _PROBS, NAN),
+    "lorentzian_purity": lambda: lorentzian_purity(_STATE, NAN),
+    "dephased_purity_bound": lambda: dephased_purity_bound(_SPEC, _PROBS, 1.0, NAN),
+    "harmonic_oscillator_3d_boltzmann": lambda: harmonic_oscillator_3d_boltzmann(
+        3, 1.0, NAN),
+    "gaussian_scenario": lambda: gaussian_scenario(100, NAN),
+    "snapshot_subspace": lambda: snapshot_subspace(_SCEN, 3, NAN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CALLS))
+def test_nan_scalar_is_rejected(name):
+    with pytest.raises(ValueError):
+        NAN_CALLS[name]()
+
 
 # Frozen regression pins for the derived constants (recomputed from
 # primitives on every run; a drift beyond 1e-6 is a build defect).

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qequil.cli import main
+from qequil import batteries
+from qequil.cli import _write_rows_csv, main
 from qequil.constructions import random_scenario
 from qequil.states import save_state
 
@@ -147,4 +148,67 @@ def test_unknown_config_key_is_rejected(tmp_path, argv, key):
     argv = [a.replace("{cfg}", str(cfg)) for a in argv] + ["--out", str(out)]
     with pytest.raises(SystemExit, match=f"unknown config key.*{key}"):
         _run(argv)
+    assert not out.exists()
+
+
+def test_timeseries_csv_format(tmp_path):
+    rows = [{"t": t, "D": v, "running_avg": 0.5}
+            for t, v in [(0.0, 1.0), (0.5, 1 / 3.0), (1.0, 0.25)]]
+    path = tmp_path / "series.csv"
+    _write_rows_csv(path, rows, "config=abc seed=1")
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# config=abc seed=1"
+    assert lines[1] == "t,D,running_avg"
+    assert lines[2].startswith("0,1,")
+    assert "0.33333333333333331" in lines[3]  # 17 significant digits
+
+
+def test_battery_violation_exits_with_typed_failures(tmp_path):
+    out = tmp_path / "bounds"
+    code = _run(["bounds", "--out", str(out), "--set", "trials=1",
+                 "--set", "t_points=2", "--set", "slack=-10"])
+    assert code == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert failures["experiment"] == "bounds"
+    assert failures["seed"] == 20240811
+    bad = [f for f in failures["failures"] if f["check"] == "fast_equilibration"]
+    assert bad  # a slack of -10 pulls the bound below the measured value
+    assert all(f["holds"] is False and isinstance(f["value"], float)
+               and isinstance(f["trial"], int) for f in bad)
+    summary = json.loads((out / "bounds_summary.json").read_text())
+    assert summary["violations"] == len(failures["failures"])
+
+
+def test_experiment_returns_tables_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = {"levels": 20, "spacing": 1.0, "samples": 65, "phase_seed": 0}
+    result = batteries.run_figure3(config)
+    assert list(tmp_path.iterdir()) == []
+    assert set(result.tables) == {"figure3.csv", "figure3_random_phase.csv"}
+    rows = result.tables["figure3.csv"]
+    assert len(rows) == 65 and list(rows[0]) == ["t", "D", "running_avg"]
+    assert result.failures == []
+    assert result.summary["levels"] == 20
+
+
+def test_seed_meta_only_for_seeded_experiments(tmp_path):
+    fig = tmp_path / "fig"
+    assert _run(["figure3", "--out", str(fig), "--set", "levels=20",
+                 "--samples", "65", "--set", "phase_seed=7"]) == 0
+    assert json.loads((fig / "figure3_summary.json").read_text())["_seed"] == 7
+    assert (fig / "figure3.csv").read_text().splitlines()[0].endswith(" seed=7")
+
+    gauss = tmp_path / "gauss"
+    assert _run(["gaussian", "--out", str(gauss), "--set", "levels=400",
+                 "--set", "sigma_t_grid=[2.0]"]) == 0
+    summary = json.loads((gauss / "gaussian_summary.json").read_text())
+    assert "_seed" not in summary and "_config_hash" in summary
+    comment = (gauss / "gaussian.csv").read_text().splitlines()[0]
+    assert comment.startswith("# config=") and "seed" not in comment
+
+
+def test_spectrum_experiment_without_spectrum_stops(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="provide a spectrum file"):
+        _run(["eta", "--out", str(out)])
     assert not out.exists()

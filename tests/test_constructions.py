@@ -12,8 +12,7 @@ from qequil.constructions import (Scenario, gaussian_scenario,
 from qequil.measure import (Projector, distinguishability, distinguishability_series,
                             expectation_series, two_outcome)
 from qequil.spectra import max_window_probability
-from qequil.states import (QuantumState, dephase, evolve, level_distribution,
-                           load_state, overlap)
+from qequil.states import QuantumState, dephase, evolve, level_distribution, overlap
 
 from helpers import brute_eta
 
@@ -270,16 +269,3 @@ class TestPartitionedMeasurement:
         sub = snapshot_subspace(scen, 3, 0.5)
         with pytest.raises(ValueError):
             partitioned_slow_measurement(sub, 6)
-
-
-def test_scenario_roundtrip(tmp_path):
-    scen = random_scenario(18, 12)
-    spec_path = tmp_path / "spec.json"
-    state_path = tmp_path / "state.json"
-    meta_path = tmp_path / "meta.json"
-    scen.save(spec_path, state_path, meta_path)
-    state = load_state(state_path)
-    assert np.abs(state.amplitudes - scen.state.amplitudes).max() < 1e-15
-    import json
-    meta = json.loads(meta_path.read_text())
-    assert meta["label"] == scen.label

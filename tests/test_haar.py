@@ -463,13 +463,10 @@ class TestTwirl:
         assert np.abs(mean - exact).max() <= 6.0 * stderr.max() + 1e-3
 
 
-def test_twirl_result_json(tmp_path, d8_scenario):
+def test_twirl_result_json(d8_scenario):
     _, state_t, omega = d8_scenario
     res = mc_mean_sq_distinguishability(state_t, omega, 2, HaarSampler(71, 8), 100)
-    path = tmp_path / "twirl.json"
-    res.to_json(path)
-    import json
-    data = json.loads(path.read_text())
+    data = res.to_dict()
     assert set(data) == {"exact", "mc_mean", "mc_stderr", "samples", "seed"}
     assert data["samples"] == 100
     assert data["seed"] == 71
