@@ -1,14 +1,14 @@
 """Scenario builders and the slow-equilibration snapshot subspace.
 
-A scenario bundles a spectrum with an initial state and the parameters that
-produced it. The snapshot subspace spans sequential evolved copies of a pure
-state at step 2*eps/sigma_E; measuring its projector stays far from
-equilibrium for a window that grows with the number of snapshots, yet the
-projector's small rank forces eventual equilibration.
+A scenario bundles a spectrum with an initial state and a label. The
+snapshot subspace spans sequential evolved copies of a pure state at step
+2*eps/sigma_E; measuring its projector stays far from equilibrium for a
+window that grows with the number of snapshots, yet the projector's small
+rank forces eventual equilibration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,22 +30,19 @@ __all__ = [
     "SlowWindowReport",
     "slow_window_check",
     "partitioned_slow_measurement",
-    "refinement_holds",
 ]
 
 SNAPSHOT_SVD_CUTOFF = 1e-8
 CEILING_SLACK = 1e-3  # quadrature allowance on the eventual-equilibration ceiling
-REFINEMENT_TIMES = 64  # grid of the refinement-dominance check
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A spectrum, an initial state over it, and provenance parameters."""
+    """A spectrum, an initial state over it, and a label."""
 
     spectrum: EnergySpectrum
     state: QuantumState
     label: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.state.dim != self.spectrum.dim:
@@ -69,8 +66,7 @@ def harmonic_oscillator_1d(levels: int, spacing: float = 1.0) -> Scenario:
     amps = np.full(levels, 1.0 / np.sqrt(levels))
     spec = EnergySpectrum(energies, np.ones(levels, dtype=int))
     state = QuantumState.pure(spec, amps)
-    return Scenario(spec, state, f"ho1d-{levels}",
-                    {"levels": levels, "spacing": spacing})
+    return Scenario(spec, state, f"ho1d-{levels}")
 
 
 def harmonic_oscillator_3d_boltzmann(levels: int, spacing: float,
@@ -90,9 +86,7 @@ def harmonic_oscillator_3d_boltzmann(levels: int, spacing: float,
     spec = EnergySpectrum(energies, degs)
     diag = np.repeat(probs / degs, degs)
     state = QuantumState.mixed(spec, np.diag(diag.astype(complex)))
-    return Scenario(spec, state, f"ho3d-{levels}",
-                    {"levels": levels, "spacing": spacing,
-                     "temperature": temperature})
+    return Scenario(spec, state, f"ho3d-{levels}")
 
 
 def gaussian_scenario(num_levels: int, sigma: float = 1.0,
@@ -111,8 +105,7 @@ def gaussian_scenario(num_levels: int, sigma: float = 1.0,
     probs /= probs.sum()
     spec = EnergySpectrum(energies, np.ones(num_levels, dtype=int))
     state = QuantumState.pure(spec, np.sqrt(probs))
-    return Scenario(spec, state, f"gaussian-{num_levels}",
-                    {"num_levels": num_levels, "sigma": sigma, "span": span})
+    return Scenario(spec, state, f"gaussian-{num_levels}")
 
 
 def random_scenario(seed: int, dim: int, degeneracies=None,
@@ -131,9 +124,7 @@ def random_scenario(seed: int, dim: int, degeneracies=None,
     spec = EnergySpectrum(levels, degeneracies)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     state = QuantumState.pure(spec, z / np.linalg.norm(z))
-    return Scenario(spec, state, f"random-{seed}-d{dim}",
-                    {"seed": int(seed), "dim": dim, "mean_spacing": mean_spacing,
-                     "num_levels": int(num_levels)})
+    return Scenario(spec, state, f"random-{seed}-d{dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +180,8 @@ def snapshot_subspace(scenario: Scenario, count: int, epsilon: float) -> Snapsho
 
 @dataclass(frozen=True, eq=False)
 class SlowWindowReport:
-    """Floor and ceiling checks for a snapshot-subspace measurement."""
+    """Floor, ceiling and refinement checks for a snapshot-subspace
+    measurement."""
 
     series: TimeSeries
     floor: float
@@ -201,20 +193,37 @@ class SlowWindowReport:
     long_time_average: float
     ceiling: float
     ceiling_holds: bool
+    refinement_holds: bool
+
+    @property
+    def failures(self) -> list:
+        """One dict per check that did not hold, naming it."""
+        checks = [
+            (self.floor_holds, {"check": "window_floor", "worst_time": self.worst_time,
+                                "worst_value": self.worst_value, "floor": self.floor}),
+            (self.trace_omega <= self.trace_omega_bound,
+             {"check": "equilibrium_weight", "value": self.trace_omega,
+              "limit": self.trace_omega_bound}),
+            (self.ceiling_holds, {"check": "long_time_ceiling",
+                                  "value": self.long_time_average, "limit": self.ceiling}),
+            (self.refinement_holds, {"check": "refinement_dominance"}),
+        ]
+        return [fail for ok, fail in checks if not ok]
 
     @property
     def holds(self) -> bool:
-        return (self.floor_holds and self.ceiling_holds
-                and self.trace_omega <= self.trace_omega_bound)
+        return not self.failures
 
 
-def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario,
+def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: int,
                       num_samples: int = 256,
                       long_window_sigma: float = 500.0) -> SlowWindowReport:
     """Sample the distinguishability of the snapshot projector across the
     guaranteed window [0, (2K-1) eps / sigma_E] and check it stays above
-    1 - eps^2 - sqrt(K / d_eff); then average over a long window and check
-    the eventual-equilibration ceiling 2 sqrt(K / d_eff)."""
+    1 - eps^2 - sqrt(K / d_eff), and that splitting the subspace into
+    ``outcomes`` - 1 blocks plus the complement stays at or above it up to
+    1e-10 on the same grid; then average over a long window and check the
+    eventual-equilibration ceiling 2 sqrt(K / d_eff)."""
     state = scenario.state
     sigma = scenario.sigma_e
     if not sigma > 0:
@@ -232,6 +241,8 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario,
     floor = 1.0 - eps ** 2 - np.sqrt(k / d_eff)
     worst = int(np.argmin(values))
     series = TimeSeries(times, values).with_running_average()
+    refined = distinguishability_series(
+        partitioned_slow_measurement(subspace, outcomes), state, omega, times)
 
     ceiling = 2.0 * np.sqrt(k / d_eff)
     grid = TimeGrid.for_window(long_window_sigma / sigma, scenario.spectrum.span)
@@ -249,6 +260,7 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario,
         long_time_average=float(long_avg.value),
         ceiling=float(ceiling),
         ceiling_holds=bool(long_avg.value <= ceiling + CEILING_SLACK),
+        refinement_holds=bool(np.all(refined >= values - 1e-10)),
     )
 
 
@@ -266,19 +278,3 @@ def partitioned_slow_measurement(subspace: SnapshotSubspace,
     blocks = [Projector.from_factor(subspace.basis[:, a:b])
               for a, b in zip(edges[:-1], edges[1:])]
     return Measurement([*blocks, subspace.projector().complement()])
-
-
-def refinement_holds(subspace: SnapshotSubspace, scenario: Scenario,
-                     outcomes: int) -> bool:
-    """Whether the partitioned measurement stays at or above the two-outcome
-    distinguishability from equilibrium, up to 1e-10, on a grid across the
-    guaranteed window [0, (2K-1) eps / sigma_E]."""
-    state = scenario.state
-    omega = dephase(state)
-    meas = partitioned_slow_measurement(subspace, outcomes)
-    proj = subspace.projector()
-    t_end = (2.0 * subspace.count - 1.0) * subspace.epsilon / scenario.sigma_e
-    times = np.linspace(0.0, t_end, REFINEMENT_TIMES)
-    base = np.abs(expectation_series(proj, state, times) - proj.expectation(omega))
-    refined = distinguishability_series(meas, state, omega, times)
-    return bool(np.all(refined >= base - 1e-10))

@@ -14,6 +14,7 @@ from .states import QuantumState, complex_in, complex_out
 
 __all__ = [
     "PROJECTOR_TOL",
+    "SERIES_CHUNK_ENTRIES",
     "Projector",
     "Measurement",
     "two_outcome",
@@ -29,20 +30,22 @@ __all__ = [
 # orthonormalization, so the shared acceptance tolerance is looser than the
 # 1e-10 that exactly constructed projectors meet.
 PROJECTOR_TOL = 1e-8
+# Complex entries per chunk of times in expectation_series: d per time for a
+# pure state, d * r for a mixed one.
+SERIES_CHUNK_ENTRIES = 4_000_000
 
 
 class Projector:
     """An orthogonal projector V V^dag, or 1 - V V^dag when ``is_complement``
     is set, stored as its d x r orthonormal column factor V."""
 
-    __slots__ = ("factor", "is_complement", "dim", "rank", "_matrix")
+    __slots__ = ("factor", "is_complement", "dim", "rank")
 
     def __init__(self, factor, is_complement: bool = False):
         self.factor = factor
         self.is_complement = is_complement
         self.dim, k = factor.shape
         self.rank = self.dim - k if is_complement else k
-        self._matrix = None
 
     @classmethod
     def from_matrix(cls, matrix) -> "Projector":
@@ -78,14 +81,6 @@ class Projector:
     def rank_one(cls, vector) -> "Projector":
         return cls.from_factor(np.asarray(vector, dtype=complex).reshape(-1, 1))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense d x d view, built on first use and cached."""
-        if self._matrix is None:
-            vv = self.factor @ self.factor.conj().T
-            self._matrix = np.eye(self.dim, dtype=complex) - vv if self.is_complement else vv
-        return self._matrix
-
     def complement(self) -> "Projector":
         """1 - P over the same factor."""
         return Projector(self.factor, not self.is_complement)
@@ -101,28 +96,34 @@ class Projector:
 
 
 def expectation_series(projector: Projector, state: QuantumState, times) -> np.ndarray:
-    """tr(P rho_t) for an array of times, without materializing each rho_t.
+    """tr(P rho_t) for an array of times, from d x r factor products only.
 
-    For pure states this is one factor product over the whole time grid, and
-    a complement's series is 1 - the series of V V^dag. Mixed states go
-    through the projector's dense matrix view.
+    With Y = e^{+iEt} V, tr(V V^dag rho_t) = tr(Y^dag rho Y): for a pure state
+    c this is sum |(V^dag * c) e^{-iEt}|^2, for a mixed state the sum of
+    conj(Y) * (rho Y). The times run in chunks of SERIES_CHUNK_ENTRIES // d
+    (pure) or // (d r) (mixed), so no d x d or d^2 x nt array is formed, and
+    a complement's series is 1 - the series of V V^dag.
     """
     times = np.asarray(times, dtype=float)
     energies = state.spectrum.index_energies
+    v = projector.factor
+    d, r = v.shape
     if state.is_pure:
-        phases = np.exp(-1j * np.outer(energies, times))  # (d, nt)
-        w = projector.factor.conj().T * state.amplitudes[None, :]  # (r, d)
-        values = np.sum(np.abs(w @ phases) ** 2, axis=0)
-        return 1.0 - values if projector.is_complement else values
-    # Mixed: tr(P rho_t) = sum_jk conj(P)_jk rho_jk e^{-i(E_j - E_k)t}.
-    coeff = (projector.matrix.conj() * state.rho).ravel()
-    gaps = (energies[:, None] - energies[None, :]).ravel()
-    out = np.empty(times.size)
-    chunk = max(1, int(4e6 // max(gaps.size, 1)))
+        w = v.conj().T * state.amplitudes[None, :]  # (r, d)
+        chunk = SERIES_CHUNK_ENTRIES // d
+    else:
+        chunk = SERIES_CHUNK_ENTRIES // max(d * r, 1)
+    chunk = max(chunk, 1)
+    values = np.empty(times.size)
     for start in range(0, times.size, chunk):
-        t = times[start:start + chunk]
-        out[start:start + chunk] = (coeff @ np.exp(-1j * np.outer(gaps, t))).real
-    return out
+        phases = np.exp(-1j * np.outer(energies, times[start:start + chunk]))  # (d, n)
+        if state.is_pure:
+            values[start:start + chunk] = np.sum(np.abs(w @ phases) ** 2, axis=0)
+        else:
+            y = v[:, :, None] * phases.conj()[:, None, :]  # (d, r, n)
+            rho_y = (state.rho @ y.reshape(d, -1)).reshape(y.shape)
+            values[start:start + chunk] = np.sum(y.conj() * rho_y, axis=(0, 1)).real
+    return 1.0 - values if projector.is_complement else values
 
 
 class Measurement:

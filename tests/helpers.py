@@ -63,6 +63,23 @@ def charpoly_eigenvalues(matrix):
     return np.sort(roots.real)
 
 
+def dense(p) -> np.ndarray:
+    """Dense d x d matrix of a projector: V V^dag, or 1 - V V^dag for a
+    complement."""
+    vv = p.factor @ p.factor.conj().T
+    return np.eye(p.dim, dtype=complex) - vv if p.is_complement else vv
+
+
+def gap_series(projector, state: QuantumState, times) -> np.ndarray:
+    """tr(P rho_t) = sum_jk conj(P)_jk rho_jk e^{-i(E_j - E_k)t}, summed over
+    all d^2 gaps of the dense projector and the dense rho."""
+    times = np.asarray(times, dtype=float)
+    energies = state.spectrum.index_energies
+    coeff = (dense(projector).conj() * state.rho).ravel()
+    gaps = (energies[:, None] - energies[None, :]).ravel()
+    return (coeff @ np.exp(-1j * np.outer(gaps, times))).real
+
+
 def trace_distance(a: QuantumState, b: QuantumState) -> float:
     eigs = np.linalg.eigvalsh(a.rho - b.rho)
     return 0.5 * float(np.abs(eigs).sum())

@@ -18,7 +18,7 @@ from qequil.spectra import EnergySpectrum, max_window_probability
 from qequil.states import (dephase, energy_moments, evolve,
                            level_distribution, overlap, purity)
 
-from helpers import brute_eta, brute_gap_count, poisson_spectrum, random_mixed, \
+from helpers import brute_eta, brute_gap_count, dense, poisson_spectrum, random_mixed, \
     random_pure
 
 SEED = 20240811
@@ -135,7 +135,7 @@ def test_criterion_7_oscillator_revival(acceptance):
 def test_criterion_8_slow_equilibration_scaled(acceptance):
     scenario = random_scenario(SEED, 2048)
     sub = snapshot_subspace(scenario, 16, 0.5)
-    rep = slow_window_check(sub, scenario, num_samples=256)
+    rep = slow_window_check(sub, scenario, 3, num_samples=256)
     omega = dephase(scenario.state)
     meas = partitioned_slow_measurement(sub, 3)
     proj = sub.projector()
@@ -188,7 +188,7 @@ def test_criterion_10_structural_properties(acceptance):
     pure = random_pure(rng, spec)
     omega_p = dephase(pure)
     proj = HaarSampler(SEED + 1, spec.dim).projector(3)
-    comp = Projector.from_matrix(np.eye(spec.dim) - proj.matrix)
+    comp = Projector.from_matrix(np.eye(spec.dim) - dense(proj))
     times = np.linspace(0.0, 10.0, 32)
     da = np.abs(expectation_series(proj, pure, times) - proj.expectation(omega_p))
     db = np.abs(expectation_series(comp, pure, times) - comp.expectation(omega_p))

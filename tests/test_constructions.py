@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,14 +9,13 @@ from qequil.constructions import (Scenario, gaussian_scenario,
                                   harmonic_oscillator_1d,
                                   harmonic_oscillator_3d_boltzmann,
                                   partitioned_slow_measurement, random_scenario,
-                                  refinement_holds, snapshot_subspace,
-                                  slow_window_check)
+                                  snapshot_subspace, slow_window_check)
 from qequil.measure import (Projector, distinguishability, distinguishability_series,
                             expectation_series, two_outcome)
 from qequil.spectra import max_window_probability
 from qequil.states import QuantumState, dephase, evolve, level_distribution, overlap
 
-from helpers import brute_eta
+from helpers import brute_eta, dense
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ def gaussian_2000():
 def slow_checked():
     scen = random_scenario(13, 512)
     sub = snapshot_subspace(scen, 8, 0.5)
-    rep = slow_window_check(sub, scen, num_samples=128, long_window_sigma=300.0)
+    rep = slow_window_check(sub, scen, 3, num_samples=128, long_window_sigma=300.0)
     return scen, sub, rep
 
 
@@ -162,7 +163,7 @@ class TestSnapshotSubspace:
         scen = random_scenario(7, 32)
         sub = snapshot_subspace(scen, 1, 0.5)
         assert sub.effective_rank == 1
-        p = sub.projector().matrix
+        p = dense(sub.projector())
         rho0 = np.outer(scen.state.amplitudes, scen.state.amplitudes.conj())
         assert np.abs(p - rho0).max() < 1e-12
 
@@ -177,8 +178,8 @@ class TestSnapshotSubspace:
 
     def test_reproducible_projector(self):
         scen = random_scenario(9, 64)
-        a = snapshot_subspace(scen, 5, 0.5).projector().matrix
-        b = snapshot_subspace(scen, 5, 0.5).projector().matrix
+        a = dense(snapshot_subspace(scen, 5, 0.5).projector())
+        b = dense(snapshot_subspace(scen, 5, 0.5).projector())
         assert np.abs(a - b).max() < 1e-10
 
     def test_rank_and_residual(self):
@@ -230,6 +231,27 @@ class TestSlowWindow:
         _, _, rep = slow_checked
         assert rep.series.values[0] >= 0.9
 
+    def test_failures_name_each_failed_check(self, slow_checked):
+        _, _, rep = slow_checked
+        assert rep.failures == [] and rep.refinement_holds
+        broken = dataclasses.replace(rep, floor_holds=False, ceiling_holds=False,
+                                     trace_omega=2.0 * rep.trace_omega_bound,
+                                     refinement_holds=False)
+        assert [f["check"] for f in broken.failures] == [
+            "window_floor", "equilibrium_weight", "long_time_ceiling",
+            "refinement_dominance"]
+        assert broken.failures[0] == {"check": "window_floor",
+                                      "worst_time": rep.worst_time,
+                                      "worst_value": rep.worst_value,
+                                      "floor": rep.floor}
+        assert broken.failures[2] == {"check": "long_time_ceiling",
+                                      "value": rep.long_time_average,
+                                      "limit": rep.ceiling}
+        assert not broken.holds
+        for flag in ("floor_holds", "ceiling_holds", "refinement_holds"):
+            one = dataclasses.replace(rep, **{flag: False})
+            assert len(one.failures) == 1 and not one.holds
+
 
 class TestPartitionedMeasurement:
     def test_two_outcomes_match_plain_projector(self):
@@ -255,14 +277,14 @@ class TestPartitionedMeasurement:
         refined = distinguishability_series(meas, scen.state, omega, times)
         base = np.abs(expectation_series(proj, scen.state, times) - p_omega)
         assert np.all(refined >= base - 1e-12)
-        assert refinement_holds(sub, scen, 3)
+        assert slow_window_check(sub, scen, 3, num_samples=64).refinement_holds
 
     def test_blocks_sum_to_subspace_projector(self):
         scen = random_scenario(16, 48)
         sub = snapshot_subspace(scen, 5, 0.5)
         meas = partitioned_slow_measurement(sub, 3)
-        total = sum(p.matrix for p in meas.projectors[:-1])
-        assert np.abs(total - sub.projector().matrix).max() < 1e-12
+        total = sum(dense(p) for p in meas.projectors[:-1])
+        assert np.abs(total - dense(sub.projector())).max() < 1e-12
 
     def test_too_many_outcomes_rejected(self):
         scen = random_scenario(17, 32)

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (PerSampleHaar, per_sample_constrained, per_sample_mean,
-                     per_sample_mean_sq, per_sample_n_outcome,
+from helpers import (PerSampleHaar, dense, per_sample_constrained,
+                     per_sample_mean, per_sample_mean_sq, per_sample_n_outcome,
                      per_sample_n_outcome_constrained, per_sample_stats,
                      per_sample_twirl)
 from qequil.constructions import random_scenario
@@ -65,7 +65,7 @@ class TestSampler:
         s = HaarSampler(4, 6)
         p = s.projector(2)
         assert p.rank == 2
-        m = p.matrix
+        m = dense(p)
         assert np.abs(m @ m - m).max() < 1e-10
 
     def test_excluded_vector_partial_unitary(self):
@@ -164,7 +164,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("d", [4, 8])
     def test_twirl_matches_per_sample(self, d, excluded):
         scen = random_scenario(d + 2, d)
-        p = HaarSampler(d, d).projector(d // 2).matrix
+        p = dense(HaarSampler(d, d).projector(d // 2))
         sampler, ref = _sampler_pair(300 + d, scen, excluded)
         count = _crossing_count(d - excluded)
         mean, stderr = mc_twirl_pair(p, sampler, count)
@@ -458,8 +458,8 @@ class TestTwirl:
 
     def test_entrywise_monte_carlo_agreement(self):
         proj = HaarSampler(61, 4).projector(2)
-        mean, stderr = mc_twirl_pair(proj.matrix, HaarSampler(62, 4), 10000)
-        exact = twirl_reconstruction(proj.matrix)
+        mean, stderr = mc_twirl_pair(dense(proj), HaarSampler(62, 4), 10000)
+        exact = twirl_reconstruction(dense(proj))
         assert np.abs(mean - exact).max() <= 6.0 * stderr.max() + 1e-3
 
 

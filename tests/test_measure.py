@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qequil import measure
 from qequil.constructions import (partitioned_slow_measurement, random_scenario,
                                   snapshot_subspace)
 from qequil.measure import (Measurement, Projector, distinguishability,
@@ -15,7 +16,7 @@ from qequil.measure import (Measurement, Projector, distinguishability,
 from qequil.spectra import EnergySpectrum
 from qequil.states import QuantumState, complex_out, dephase, evolve
 
-from helpers import random_mixed, random_pure, trace_distance
+from helpers import dense, gap_series, random_mixed, random_pure, trace_distance
 
 
 @pytest.fixture
@@ -53,7 +54,7 @@ class TestProjector:
         assert comp.factor is p.factor
         assert (comp.rank, comp.dim) == (4, 6)
         assert comp.complement().rank == 2
-        assert np.abs(comp.matrix - (np.eye(6) - p.matrix)).max() < 1e-15
+        assert np.abs(dense(comp) - (np.eye(6) - dense(p))).max() < 1e-15
 
     def test_factor_and_matrix_agree(self, spec):
         rng = np.random.default_rng(0)
@@ -146,7 +147,7 @@ class TestDistinguishability:
         rng = np.random.default_rng(8)
         a, b = random_mixed(rng, spec), random_mixed(rng, spec)
         p = Projector.from_factor(_haar_frame(rng, 5, 2))
-        comp = Projector.from_matrix(np.eye(5) - p.matrix)
+        comp = Projector.from_matrix(np.eye(5) - dense(p))
         da = distinguishability(two_outcome(p), a, b)
         db = distinguishability(two_outcome(comp), a, b)
         assert da == pytest.approx(db, abs=1e-12)
@@ -263,6 +264,79 @@ def _random_spectrum(rng, d):
     return EnergySpectrum(np.cumsum(rng.uniform(0.1, 1.0, d)), np.ones(d, dtype=int))
 
 
+def _degenerate_spectrum(rng, d):
+    """Random levels whose degeneracies sum to d."""
+    num_levels = int(rng.integers(1, d + 1))
+    degs = np.ones(num_levels, dtype=int)
+    np.add.at(degs, rng.integers(num_levels, size=d - num_levels), 1)
+    return EnergySpectrum(np.cumsum(rng.uniform(0.1, 1.0, num_levels)), degs)
+
+
+def _series_case(d, data):
+    """A spectrum (degenerate or not), a projector of any rank 0..d (a
+    complement or not) and a time grid, all drawn."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    degenerate = data.draw(st.booleans(), label="degenerate")
+    spec = _degenerate_spectrum(rng, d) if degenerate else _random_spectrum(rng, d)
+    rank = data.draw(st.integers(0, d), label="rank")
+    p = Projector.from_factor(_haar_frame(rng, d, d)[:, :rank])
+    if data.draw(st.booleans(), label="complement"):
+        p = p.complement()
+    times = np.linspace(0.0, data.draw(st.floats(0.0, 40.0), label="t_max"),
+                        data.draw(st.integers(0, 40), label="times"))
+    return rng, spec, p, times
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 12), data=st.data())
+def test_mixed_series_matches_gap_oracle(d, data):
+    rng, spec, p, times = _series_case(d, data)
+    state = random_mixed(rng, spec, components=data.draw(st.integers(1, 4)))
+    series = expectation_series(p, state, times)
+    assert series.shape == times.shape
+    assert np.abs(series - gap_series(p, state, times)).max(initial=0.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 12), data=st.data())
+def test_pure_series_matches_same_state_as_rho(d, data):
+    rng, spec, p, times = _series_case(d, data)
+    pure = random_pure(rng, spec)
+    as_rho = QuantumState.mixed(spec, np.outer(pure.amplitudes, pure.amplitudes.conj()))
+    assert np.abs(expectation_series(p, pure, times)
+                  - expectation_series(p, as_rho, times)).max(initial=0.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 12), data=st.data())
+def test_chunked_series_matches_unchunked(d, data):
+    rng, spec, p, times = _series_case(d, data)
+    mixed = data.draw(st.booleans(), label="mixed")
+    state = random_mixed(rng, spec) if mixed else random_pure(rng, spec)
+    entries = data.draw(st.integers(1, 3 * d * max(p.factor.shape[1], 1)), label="entries")
+    whole = expectation_series(p, state, times)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "SERIES_CHUNK_ENTRIES", entries)
+        chunked = expectation_series(p, state, times)
+    assert np.abs(chunked - whole).max(initial=0.0) <= 1e-12
+
+
+def test_pure_series_memory_is_chunked():
+    # d = 2048 over 8192 times: the whole d x nt phase matrix alone would
+    # take 256 MB.
+    scen = random_scenario(20240811, 2048)
+    proj = snapshot_subspace(scen, 16, 0.5).projector()
+    times = np.linspace(0.0, 50.0, 8192)
+    tracemalloc.start()
+    try:
+        series = expectation_series(proj, scen.state, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert series.shape == (8192,)
+    assert peak < 256 * 2 ** 20
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 9), data=st.data())
 def test_complement_matches_dense_oracle(d, data):
@@ -274,15 +348,15 @@ def test_complement_matches_dense_oracle(d, data):
     omega = dephase(state)
     p = Projector.from_factor(_haar_frame(rng, d, rank))
     comp = p.complement()
-    oracle = Projector.from_matrix(np.eye(d) - p.matrix)
+    oracle = Projector.from_matrix(np.eye(d) - dense(p))
     assert comp.rank == oracle.rank == d - rank
     assert comp.expectation(state) == pytest.approx(oracle.expectation(state), abs=1e-12)
     times = np.linspace(0.0, 6.0, 11)
     assert np.abs(expectation_series(comp, state, times)
                   - expectation_series(oracle, state, times)).max() < 1e-12
     implicit = distinguishability_series(two_outcome(p), state, omega, times)
-    dense = distinguishability_series(Measurement([p, oracle]), state, omega, times)
-    assert np.abs(implicit - dense).max() < 1e-12
+    explicit = distinguishability_series(Measurement([p, oracle]), state, omega, times)
+    assert np.abs(implicit - explicit).max() < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -299,7 +373,7 @@ def test_residuals_reject_like_dense_oracle(d, data):
         # the implicit complement and its dense oracle
         p = Projector.from_factor(w)
         return ([*explicit, p.complement()],
-                [*explicit, Projector.from_matrix(np.eye(d) - p.matrix)])
+                [*explicit, Projector.from_matrix(np.eye(d) - dense(p))])
 
     good = with_complement(blocks(slice(0, 1), slice(1, k)), v[:, :k])
     bad = {
