@@ -9,11 +9,11 @@ reproducible seeded experiments.
 from .spectra import (EnergySpectrum, GapSet, max_gaps_in_window,
                       max_window_probability, max_window_probability_window,
                       spectrum_from_hermitian)
-from .states import (LevelDistribution, QuantumState, dephase,
+from .states import (EquilibriumState, LevelDistribution, QuantumState, dephase,
                      effective_dimension, energy_moments, evolve,
-                     level_distribution, overlap, purity)
+                     level_distribution, purity)
 from .measure import (Measurement, Projector, distinguishability,
-                      distinguishability_series, success_probability, two_outcome)
+                      distinguishability_series, two_outcome)
 from .averaging import (TimeGrid, TimeSeries, lorentzian_phase_average,
                         lorentzian_purity, lorentzian_state, time_average)
 from .bounds import (BoundReport, fast_equilibration_bound,

@@ -56,6 +56,8 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 3:
             raise ValueError("grid needs at least three samples")
+        if not (np.all(np.isfinite(t)) and np.isfinite(self.window)):
+            raise ValueError("grid times and window must be finite")
         if t[0] != 0.0 or abs(t[-1] - self.window) > 1e-12 * max(1.0, self.window):
             raise ValueError("grid must span [0, T] inclusive")
         if np.any(np.diff(t) <= 0):
@@ -64,8 +66,8 @@ class TimeGrid:
 
     @classmethod
     def for_window(cls, window: float, max_gap: float) -> "TimeGrid":
-        if not window > 0:
-            raise ValueError("window must be positive")
+        if not 0 < window < np.inf:
+            raise ValueError("window must be positive and finite")
         n = MIN_GRID_SAMPLES
         if max_gap > 0:
             n = max(n, int(np.ceil(4.0 * max_gap * window / np.pi)) + 1)

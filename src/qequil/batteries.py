@@ -360,12 +360,12 @@ def run_figure3(config: dict) -> ExperimentResult:
     rand_avg = float(rand_series.running[-1])
     expected_d0 = 1.0 - 1.0 / levels
     failures = []
-    if abs(d0 - expected_d0) > 1e-9:
+    if not (abs(d0 - expected_d0) <= 1e-9):
         failures.append({"check": "initial_distinguishability", "value": d0,
                          "expected": expected_d0})
-    if revival_gap > 1e-9:
+    if not (revival_gap <= 1e-9):
         failures.append({"check": "revival", "value": revival_gap})
-    if avg_at_period > 0.2 * d0:
+    if not (avg_at_period <= 0.2 * d0):
         failures.append({"check": "average_at_revival", "value": avg_at_period,
                          "limit": 0.2 * d0})
     summary = {"levels": levels, "initial_distinguishability": d0,
@@ -449,7 +449,7 @@ def run_gaussian(config: dict) -> ExperimentResult:
         if not row["holds"]:
             failures.append({"check": "eta_estimate", "sigma_T": float(st),
                              "value": product, "limit": limit_coeff})
-        if float(st) >= 5.0 and abs(exact - asym) > 0.1 * asym:
+        if float(st) >= 5.0 and not (abs(exact - asym) <= 0.1 * asym):
             failures.append({"check": "purity_asymptote", "sigma_T": float(st),
                              "exact": exact, "asymptote": asym})
     summary = {"sigma_target": float(config["sigma"]), "sigma_measured": sigma,

@@ -15,7 +15,7 @@ import numpy as np
 from .averaging import TimeGrid, TimeSeries, time_average
 from .measure import (Measurement, Projector, distinguishability_series,
                       expectation_series)
-from .spectra import EnergySpectrum
+from .spectra import DEGENERACY_RTOL, EnergySpectrum
 from .states import (QuantumState, dephase, effective_dimension, energy_moments,
                      level_distribution)
 
@@ -111,7 +111,13 @@ def gaussian_scenario(num_levels: int, sigma: float = 1.0,
 def random_scenario(seed: int, dim: int, degeneracies=None,
                     mean_spacing: float = 1.0) -> Scenario:
     """Seeded generic scenario: level spacings drawn i.i.d. exponential with
-    the given mean (a Poisson spectrum), and a Haar-random pure state."""
+    the given mean (a Poisson spectrum), and a Haar-random pure state.
+
+    Levels that land within the :class:`EnergySpectrum` separation limit of
+    the one below merge, transitively, into one degenerate level at the
+    first one's energy, with the degeneracies summed. The draws do not
+    change, so a seed without such a collision gives the same scenario.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if degeneracies is None:
         degeneracies = np.ones(dim, dtype=int)
@@ -121,7 +127,10 @@ def random_scenario(seed: int, dim: int, degeneracies=None,
     num_levels = degeneracies.size
     spacings = rng.exponential(mean_spacing, num_levels - 1)
     levels = np.concatenate(([0.0], np.cumsum(spacings)))
-    spec = EnergySpectrum(levels, degeneracies)
+    scale = max(1.0, float(np.abs(levels).max()))
+    first = np.concatenate(([True], np.diff(levels) > DEGENERACY_RTOL * scale))
+    spec = EnergySpectrum(levels[first],
+                          np.add.reduceat(degeneracies, np.flatnonzero(first)))
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     state = QuantumState.pure(spec, z / np.linalg.norm(z))
     return Scenario(spec, state, f"random-{seed}-d{dim}")

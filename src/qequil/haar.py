@@ -10,7 +10,9 @@ All samples come from one batched kernel, :meth:`HaarSampler.batches`: a
 chunk of Ginibre matrices, one stacked QR of their first ``rank`` columns and
 the R-diagonal phase fix of Mezzadri (math-ph/0609050). It gives the samples
 of drawing and factoring one matrix at a time, bit for bit up to d = 64
-(beyond that LAPACK's blocked QR agrees only to rounding).
+(beyond that LAPACK's blocked QR agrees only to rounding). The estimators
+run at small d and read the equilibrium state as a dense matrix, through
+:meth:`EquilibriumState.dense`.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import Projector
-from .states import QuantumState, purity
+from .states import EquilibriumState, QuantumState, purity
 
 __all__ = [
     "HaarSampler",
@@ -146,7 +148,7 @@ def _check_rank_dim(rank: int, dim: int):
         raise ValueError(f"rank {rank} outside [1, {dim}]")
 
 
-def exact_mean_sq_distinguishability(state_t: QuantumState, omega: QuantumState,
+def exact_mean_sq_distinguishability(state_t: QuantumState, omega: EquilibriumState,
                                      rank: int) -> float:
     """Haar average of the squared two-outcome distinguishability between
     rho_t and omega: (K/d) (d-K)/(d^2-1) tr(rho_t^2 - omega^2)."""
@@ -170,7 +172,7 @@ def typical_bound_cap(dim: int) -> float:
 
 
 def _initial_overlap_deficit(state0: QuantumState, state_t: QuantumState,
-                             omega: QuantumState) -> float:
+                             omega: EquilibriumState) -> float:
     """f(t) = tr(rho_0 (rho_t - omega)) for a pure rho_0."""
     if not state0.is_pure:
         raise ValueError("the constrained ensemble requires a pure initial state")
@@ -179,12 +181,12 @@ def _initial_overlap_deficit(state0: QuantumState, state_t: QuantumState,
         left = float(abs(np.vdot(c, state_t.amplitudes)) ** 2)
     else:
         left = float(np.vdot(c, state_t.rho @ c).real)
-    right = float(np.vdot(c, omega.rho @ c).real)
+    right = float(np.vdot(c, omega.dense() @ c).real)
     return left - right
 
 
 def constrained_mean_bound(state0: QuantumState, state_t: QuantumState,
-                           omega: QuantumState, rank: int) -> float:
+                           omega: EquilibriumState, rank: int) -> float:
     """Haar-mean bound for two-outcome measurements containing the initial
     state as an outcome direction: D_{rho_0}(rho_t, omega) + 1/(2 sqrt(d-1))."""
     d = state0.dim
@@ -196,7 +198,7 @@ def constrained_mean_bound(state0: QuantumState, state_t: QuantumState,
 
 
 def constrained_mean_bound_tight(state0: QuantumState, state_t: QuantumState,
-                                 omega: QuantumState, rank: int) -> float:
+                                 omega: EquilibriumState, rank: int) -> float:
     """Pre-relaxation version sqrt(f(t)^2 + 1/(4 (d-1))) of the constrained
     mean bound."""
     d = state0.dim
@@ -214,7 +216,7 @@ def initial_distinguishability_floor(rank: int, dim: int, d_eff: float) -> float
     return (1.0 - (rank - 1.0) / (dim - 1.0)) * (1.0 - 1.0 / d_eff)
 
 
-def initial_distinguishability_exact(state0: QuantumState, omega: QuantumState,
+def initial_distinguishability_exact(state0: QuantumState, omega: EquilibriumState,
                                      rank: int) -> float:
     """Exact Haar mean (1 - (K-1)/(d-1)) (1 - tr(rho_0 omega)) of the initial
     distinguishability for a pure initial state."""
@@ -223,7 +225,7 @@ def initial_distinguishability_exact(state0: QuantumState, omega: QuantumState,
     d = state0.dim
     _check_rank_dim(rank, d)
     c = state0.amplitudes
-    t0_omega = float(np.vdot(c, omega.rho @ c).real)
+    t0_omega = float(np.vdot(c, omega.dense() @ c).real)
     return (1.0 - (rank - 1.0) / (d - 1.0)) * (1.0 - t0_omega)
 
 
@@ -307,35 +309,35 @@ def _result(values: np.ndarray, exact: float, sampler: HaarSampler) -> TwirlResu
                        mc_stderr=stderr, samples=n, seed=sampler.seed)
 
 
-def mc_mean_sq_distinguishability(state_t: QuantumState, omega: QuantumState,
+def mc_mean_sq_distinguishability(state_t: QuantumState, omega: EquilibriumState,
                                   rank: int, sampler: HaarSampler,
                                   samples: int) -> TwirlResult:
     """Monte Carlo estimate of the Haar-averaged squared distinguishability,
     referenced against the exact formula."""
-    delta = state_t.rho - omega.rho
+    delta = state_t.rho - omega.dense()
     x = _block_traces(sampler.batches(rank, samples), delta, [rank])[:, 0]
     return _result(x * x, exact_mean_sq_distinguishability(state_t, omega, rank), sampler)
 
 
-def mc_mean_distinguishability(state_t: QuantumState, omega: QuantumState,
+def mc_mean_distinguishability(state_t: QuantumState, omega: EquilibriumState,
                                rank: int, sampler: HaarSampler,
                                samples: int) -> TwirlResult:
     """Monte Carlo Haar mean of |tr(P_U (rho_t - omega))|, referenced against
     the typical-measurement cap."""
-    delta = state_t.rho - omega.rho
+    delta = state_t.rho - omega.dense()
     x = _block_traces(sampler.batches(rank, samples), delta, [rank])[:, 0]
     return _result(np.abs(x), typical_distinguishability_bound(rank, state_t.dim), sampler)
 
 
 def mc_constrained_mean(state0: QuantumState, state_t: QuantumState,
-                        omega: QuantumState, rank: int, sampler: HaarSampler,
+                        omega: EquilibriumState, rank: int, sampler: HaarSampler,
                         samples: int) -> TwirlResult:
     """Monte Carlo Haar mean over measurements containing the initial state
     (rank-(K-1) random part on the complement), referenced against the
     constrained mean bound."""
     if sampler.excluded_vector is None:
         raise ValueError("sampler must exclude the initial-state direction")
-    delta = state_t.rho - omega.rho
+    delta = state_t.rho - omega.dense()
     rho0 = np.outer(state0.amplitudes, state0.amplitudes.conj())
     base = float(np.vdot(rho0, delta).real)
     if rank == 1:
@@ -346,7 +348,7 @@ def mc_constrained_mean(state0: QuantumState, state_t: QuantumState,
     return _result(vals, constrained_mean_bound(state0, state_t, omega, rank), sampler)
 
 
-def mc_initial_distinguishability(state0: QuantumState, omega: QuantumState,
+def mc_initial_distinguishability(state0: QuantumState, omega: EquilibriumState,
                                   rank: int, sampler: HaarSampler,
                                   samples: int) -> TwirlResult:
     """Monte Carlo Haar mean of the initial distinguishability for
@@ -357,7 +359,7 @@ def mc_initial_distinguishability(state0: QuantumState, omega: QuantumState,
     return res
 
 
-def mc_n_outcome_mean(state_t: QuantumState, omega: QuantumState, ranks,
+def mc_n_outcome_mean(state_t: QuantumState, omega: EquilibriumState, ranks,
                       sampler: HaarSampler, samples: int) -> TwirlResult:
     """Monte Carlo Haar mean of the N-outcome distinguishability for a
     conjugated rank partition, referenced against the N-outcome cap."""
@@ -365,14 +367,14 @@ def mc_n_outcome_mean(state_t: QuantumState, omega: QuantumState, ranks,
     d = state_t.dim
     if sum(ranks) != d:
         raise ValueError("outcome ranks must sum to the dimension")
-    t = _block_traces(sampler._unitaries(samples), state_t.rho - omega.rho, ranks)
+    t = _block_traces(sampler._unitaries(samples), state_t.rho - omega.dense(), ranks)
     # the builtin sum adds the outcomes in order, one sample per element
     vals = 0.5 * sum(np.abs(t).T)
     return _result(vals, n_outcome_typical_bound(ranks, d), sampler)
 
 
 def mc_n_outcome_constrained_mean(state0: QuantumState, state_t: QuantumState,
-                                  omega: QuantumState, ranks,
+                                  omega: EquilibriumState, ranks,
                                   sampler: HaarSampler, samples: int) -> TwirlResult:
     """Monte Carlo Haar mean for an N-outcome measurement whose first outcome
     contains the initial state, referenced against |f(t)| + sqrt(N/(d-1))/2."""
@@ -382,7 +384,7 @@ def mc_n_outcome_constrained_mean(state0: QuantumState, state_t: QuantumState,
     d = state0.dim
     if sum(ranks) != d - 1:
         raise ValueError("complement ranks must sum to dim - 1")
-    delta = state_t.rho - omega.rho
+    delta = state_t.rho - omega.dense()
     rho0 = np.outer(state0.amplitudes, state0.amplitudes.conj())
     base = float(np.vdot(rho0, delta).real)
     # frames of d - 1 columns span the complement

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .states import QuantumState, complex_in, complex_out
+from .states import EquilibriumState, QuantumState, complex_in, complex_out
 
 __all__ = [
     "PROJECTOR_TOL",
@@ -21,7 +21,6 @@ __all__ = [
     "distinguishability",
     "distinguishability_series",
     "expectation_series",
-    "success_probability",
     "save_measurement",
     "load_measurement",
 ]
@@ -85,14 +84,23 @@ class Projector:
         """1 - P over the same factor."""
         return Projector(self.factor, not self.is_complement)
 
-    def expectation(self, state: QuantumState) -> float:
+    def expectation(self, state: QuantumState | EquilibriumState) -> float:
         """tr(P rho); a complement's value is 1 - tr(V V^dag rho), using tr(rho) = 1."""
-        v = self.factor
-        if state.is_pure:
-            value = float(np.sum(np.abs(v.conj().T @ state.amplitudes) ** 2))
-        else:
-            value = float(np.sum(v.conj() * (state.rho @ v)).real)
+        value = state.projected_trace(self.factor)
         return 1.0 - value if self.is_complement else value
+
+
+def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i E t) as a (d, n) complex array, bit for bit
+    np.exp(-1j * np.outer(energies, times)): E t is written into the
+    imaginary view, its cosine into the real view, then the sine is taken
+    and negated in place, so no other d x n array is allocated."""
+    out = np.empty((energies.size, times.size), dtype=complex)
+    np.multiply(energies[:, None], times[None, :], out=out.imag)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
 
 
 def expectation_series(projector: Projector, state: QuantumState, times) -> np.ndarray:
@@ -116,7 +124,7 @@ def expectation_series(projector: Projector, state: QuantumState, times) -> np.n
     chunk = max(chunk, 1)
     values = np.empty(times.size)
     for start in range(0, times.size, chunk):
-        phases = np.exp(-1j * np.outer(energies, times[start:start + chunk]))  # (d, n)
+        phases = _phases(energies, times[start:start + chunk])  # (d, n)
         if state.is_pure:
             values[start:start + chunk] = np.sum(np.abs(w @ phases) ** 2, axis=0)
         else:
@@ -178,7 +186,7 @@ class Measurement:
         return {"hermiticity": 0.0, "idempotency": float(idem),
                 "orthogonality": float(ortho), "completeness": float(complete)}
 
-    def outcome_probabilities(self, state: QuantumState) -> np.ndarray:
+    def outcome_probabilities(self, state: QuantumState | EquilibriumState) -> np.ndarray:
         return np.array([p.expectation(state) for p in self.projectors])
 
 
@@ -187,8 +195,10 @@ def two_outcome(projector: Projector) -> Measurement:
     return Measurement([projector, projector.complement()])
 
 
-def distinguishability(m: Measurement, a: QuantumState, b: QuantumState) -> float:
-    """Half the L1 distance between the outcome statistics of two states."""
+def distinguishability(m: Measurement, a: QuantumState | EquilibriumState,
+                       b: QuantumState | EquilibriumState) -> float:
+    """Half the L1 distance between the outcome statistics of two states;
+    either may be an equilibrium state."""
     if a.dim != b.dim or a.dim != m.dim:
         raise ValueError("measurement and states have mismatched dimensions")
     pa = m.outcome_probabilities(a)
@@ -197,22 +207,15 @@ def distinguishability(m: Measurement, a: QuantumState, b: QuantumState) -> floa
 
 
 def distinguishability_series(m: Measurement, state: QuantumState,
-                              fixed: QuantumState, times) -> np.ndarray:
+                              fixed: QuantumState | EquilibriumState,
+                              times) -> np.ndarray:
     """D(rho_t, fixed) under m for an array of times, with state evolving
-    and the comparison state held fixed."""
+    and the comparison state (typically the equilibrium state) held fixed."""
     times = np.asarray(times, dtype=float)
     total = np.zeros(times.size)
     for p in m.projectors:
         total += np.abs(expectation_series(p, state, times) - p.expectation(fixed))
     return 0.5 * total
-
-
-def success_probability(distance: float) -> float:
-    """Probability of correctly guessing which of two equally likely states
-    was measured, given their distinguishability."""
-    if not 0.0 <= distance <= 1.0 + 1e-12:
-        raise ValueError(f"distinguishability {distance!r} outside [0, 1]")
-    return 0.5 + 0.5 * min(distance, 1.0)
 
 
 def save_measurement(m: Measurement, path) -> None:

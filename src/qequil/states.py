@@ -2,8 +2,11 @@
 
 Evolution is elementwise phase multiplication, never matrix exponentiation:
 with the state written in the eigenbasis, rho_jk(t) = rho_jk e^{-i(E_j-E_k)t}.
-Dephasing projects onto the within-level blocks and yields the equilibrium
-(infinite-time-averaged) state.
+Dephasing keeps only the within-level blocks and yields the equilibrium
+(infinite-time-averaged) state omega = sum_n P_n rho P_n. It is stored level
+by level as an :class:`EquilibriumState`, never as a d x d matrix: a pure
+state's amplitudes with the level partition, or a mixed state's within-level
+blocks grouped by degeneracy (a diagonal when the spectrum is nondegenerate).
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from .spectra import EnergySpectrum, validated_level_probs
 
 __all__ = [
     "QuantumState",
+    "EquilibriumState",
     "LevelDistribution",
     "EnergyMoments",
     "evolve",
@@ -26,7 +30,6 @@ __all__ = [
     "effective_dimension",
     "energy_moments",
     "purity",
-    "overlap",
     "save_state",
     "load_state",
 ]
@@ -112,16 +115,94 @@ class QuantumState:
             return np.abs(self._amps) ** 2
         return self._rho.diagonal().real.copy()
 
-    def check_positive(self, tol: float = 1e-8) -> float:
-        """Opt-in positivity check; returns the minimum eigenvalue.
+    def projected_trace(self, v) -> float:
+        """tr(V^dag rho V), the weight of the state in the span of the
+        orthonormal columns of the d x r factor V."""
+        if self._amps is not None:
+            return float(np.sum(np.abs(v.conj().T @ self._amps) ** 2))
+        return float(np.sum(v.conj() * (self.rho @ v)).real)
 
-        Eigenvalue checks are O(d^3), and unitary evolution cannot break
-        positivity, so this is not run per operation.
+
+def _levels_by_degeneracy(spectrum: EnergySpectrum) -> dict:
+    """{g: (m, g) array}: the eigenbasis indices of each of the m levels of
+    degeneracy g, one row per level."""
+    degs = spectrum.degeneracies
+    starts = np.cumsum(degs) - degs
+    return {int(g): starts[degs == g][:, None] + np.arange(g) for g in np.unique(degs)}
+
+
+class EquilibriumState:
+    """The equilibrium state omega = sum_n P_n rho P_n, stored level by level.
+
+    Levels are grouped by their degeneracy g (``groups``, see
+    :func:`_levels_by_degeneracy`). A pure source keeps its amplitude vector
+    c, and omega's block on level n is c_n c_n^dag. A mixed source keeps its
+    within-level blocks, one (m, g, g) array per group, so a nondegenerate
+    spectrum stores just the diagonal. Nothing d x d is held; omega is
+    handled as a mixed state (``is_pure`` is false). Built by
+    :func:`dephase` from a state's amplitudes or density matrix.
+    """
+
+    __slots__ = ("spectrum", "groups", "_amps", "_blocks")
+    is_pure = False
+
+    def __init__(self, spectrum: EnergySpectrum, *, amplitudes=None, rho=None):
+        self.spectrum = spectrum
+        self.groups = _levels_by_degeneracy(spectrum)
+        self._amps = amplitudes
+        self._blocks = None if rho is None else {
+            g: rho[idx[:, :, None], idx[:, None, :]] for g, idx in self.groups.items()}
+
+    @property
+    def dim(self) -> int:
+        return self.spectrum.dim
+
+    def diagonal(self) -> np.ndarray:
+        """Real diagonal (eigenbasis populations), the same as the source's."""
+        if self._amps is not None:
+            return np.abs(self._amps) ** 2
+        out = np.empty(self.dim)
+        for g, idx in self.groups.items():
+            out[idx] = self._blocks[g].diagonal(axis1=1, axis2=2).real
+        return out
+
+    def projected_trace(self, v) -> float:
+        """tr(V^dag omega V) for a d x r orthonormal factor V, summed over
+        levels: sum_n ||V_n^dag c_n||^2 for a pure source and
+        sum_n tr(V_n^dag rho_nn V_n) for a mixed one.
+
+        Nondegenerate levels contribute sum_j omega_jj |V_j|^2, computed in
+        the order a diagonal matrix product would use, so a nondegenerate
+        spectrum gives the same bits as the dense tr(V^dag omega V).
         """
-        smallest = float(np.linalg.eigvalsh(self.rho)[0])
-        if smallest < -tol:
-            raise ValueError(f"density matrix has eigenvalue {smallest:.3e} below -{tol:g}")
-        return smallest
+        parts = []
+        c = self._amps
+        for g, idx in self.groups.items():
+            if g == 1:
+                j = slice(None) if idx.size == self.dim else idx[:, 0]
+                x = v[j]
+                diag = c[j] * c[j].conj() if c is not None else self._blocks[1][:, 0, 0]
+                parts.append(np.sum(x.conj() * np.multiply(diag[:, None], x, order="C")).real)
+                continue
+            x = v[idx]  # (m, g, r)
+            if c is not None:
+                y = np.sum(x.conj() * c[idx][:, :, None], axis=1)  # V_n^dag c_n
+                parts.append(np.sum(y.real ** 2 + y.imag ** 2))
+            else:
+                parts.append(np.sum(x.conj() * (self._blocks[g] @ x)).real)
+        return float(sum(parts))
+
+    def dense(self) -> np.ndarray:
+        """omega as a d x d matrix, bit for bit the masked copy of the
+        source's density matrix. O(d^2); meant for small d only."""
+        if self._amps is not None:
+            lvl = self.spectrum.level_of_index
+            c = self._amps
+            return np.where(lvl[:, None] == lvl[None, :], np.outer(c, c.conj()), 0.0)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for g, idx in self.groups.items():
+            out[idx[:, :, None], idx[:, None, :]] = self._blocks[g]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,12 +232,18 @@ def evolve(state: QuantumState, t: float) -> QuantumState:
                               state.rho * np.outer(phases, phases.conj()))
 
 
-def dephase(state: QuantumState) -> QuantumState:
-    """Equilibrium state: zero all matrix elements between distinct levels,
-    keeping within-level blocks."""
-    lvl = state.spectrum.level_of_index
-    mask = lvl[:, None] == lvl[None, :]
-    return QuantumState.mixed(state.spectrum, np.where(mask, state.rho, 0.0))
+def dephase(state: QuantumState) -> EquilibriumState:
+    """Equilibrium state omega = sum_n P_n rho P_n: only the within-level
+    blocks survive.
+
+    A pure state keeps its amplitude vector (O(d) memory); a mixed state's
+    blocks are copied out of its density matrix (O(sum_n g_n^2)). No d x d
+    matrix is built and nothing is revalidated: omega inherits trace and
+    Hermiticity from the state.
+    """
+    if state.is_pure:
+        return EquilibriumState(state.spectrum, amplitudes=state.amplitudes)
+    return EquilibriumState(state.spectrum, rho=state.rho)
 
 
 def level_distribution(state: QuantumState) -> LevelDistribution:
@@ -185,21 +272,18 @@ def energy_moments(dist: LevelDistribution, spectrum: EnergySpectrum) -> EnergyM
     return EnergyMoments(mean, np.sqrt(max(var, 0.0)))
 
 
-def purity(state: QuantumState) -> float:
-    """tr(rho^2); equals 1 for pure states."""
+def purity(state: QuantumState | EquilibriumState) -> float:
+    """tr(rho^2); equals 1 for pure states. For an equilibrium state it is
+    sum_n p_n^2 (pure source) or the summed squared norms of its blocks."""
+    if isinstance(state, EquilibriumState):
+        if state._amps is not None:
+            p = level_distribution(state).probs
+            return float(np.dot(p, p))
+        return float(sum(np.vdot(b, b).real for b in state._blocks.values()))
     if state.is_pure:
         n = float(np.vdot(state.amplitudes, state.amplitudes).real)
         return n * n
     return float(np.vdot(state.rho, state.rho).real)
-
-
-def overlap(a: QuantumState, b: QuantumState) -> float:
-    """|<a|b>|^2 for two pure states."""
-    if not (a.is_pure and b.is_pure):
-        raise ValueError("overlap is defined for pure states only")
-    if a.dim != b.dim:
-        raise ValueError("states live on different dimensions")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def complex_out(arr) -> list:

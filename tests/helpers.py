@@ -80,6 +80,39 @@ def gap_series(projector, state: QuantumState, times) -> np.ndarray:
     return (coeff @ np.exp(-1j * np.outer(gaps, times))).real
 
 
+def dense_dephase(state: QuantumState) -> QuantumState:
+    """Dense equilibrium state: every matrix element between distinct levels
+    zeroed, the within-level blocks kept, as a d x d mixed state."""
+    lvl = state.spectrum.level_of_index
+    mask = lvl[:, None] == lvl[None, :]
+    return QuantumState.mixed(state.spectrum, np.where(mask, state.rho, 0.0))
+
+
+def check_positive(state: QuantumState, tol: float = 1e-8) -> float:
+    """Minimum eigenvalue of the density matrix; raises below -tol."""
+    smallest = float(np.linalg.eigvalsh(state.rho)[0])
+    if smallest < -tol:
+        raise ValueError(f"density matrix has eigenvalue {smallest:.3e} below -{tol:g}")
+    return smallest
+
+
+def overlap(a: QuantumState, b: QuantumState) -> float:
+    """|<a|b>|^2 for two pure states."""
+    if not (a.is_pure and b.is_pure):
+        raise ValueError("overlap is defined for pure states only")
+    if a.dim != b.dim:
+        raise ValueError("states live on different dimensions")
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+
+
+def success_probability(distance: float) -> float:
+    """Probability of correctly guessing which of two equally likely states
+    was measured, given their distinguishability."""
+    if not 0.0 <= distance <= 1.0 + 1e-12:
+        raise ValueError(f"distinguishability {distance!r} outside [0, 1]")
+    return 0.5 + 0.5 * min(distance, 1.0)
+
+
 def trace_distance(a: QuantumState, b: QuantumState) -> float:
     eigs = np.linalg.eigvalsh(a.rho - b.rho)
     return 0.5 * float(np.abs(eigs).sum())

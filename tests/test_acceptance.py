@@ -16,10 +16,10 @@ from qequil.measure import (Projector, distinguishability_series,
                             expectation_series, two_outcome)
 from qequil.spectra import EnergySpectrum, max_window_probability
 from qequil.states import (dephase, energy_moments, evolve,
-                           level_distribution, overlap, purity)
+                           level_distribution, purity)
 
-from helpers import brute_eta, brute_gap_count, dense, poisson_spectrum, random_mixed, \
-    random_pure
+from helpers import brute_eta, brute_gap_count, dense, dense_dephase, overlap, \
+    poisson_spectrum, random_mixed, random_pure
 
 SEED = 20240811
 
@@ -178,11 +178,12 @@ def test_criterion_10_structural_properties(acceptance):
     a = evolve(evolve(state, 1.3), 2.1).rho
     b = evolve(state, 3.4).rho
     ok &= np.abs(a - b).max() < 1e-12
-    omega = dephase(state)
-    ok &= np.abs(dephase(omega).rho - omega.rho).max() < 1e-13
-    ok &= np.abs(dephase(evolve(state, 2.7)).rho - omega.rho).max() < 1e-12
+    omega = dense_dephase(state)
+    ok &= np.abs(dense_dephase(omega).rho - omega.rho).max() < 1e-13
+    ok &= np.abs(dephase(omega).dense() - omega.rho).max() < 1e-13
+    ok &= np.abs(dense_dephase(evolve(state, 2.7)).rho - omega.rho).max() < 1e-12
     ok &= abs(float(np.vdot(evolve(state, 1.9).rho, omega.rho).real)
-              - purity(omega)) < 1e-12
+              - purity(dephase(state))) < 1e-12
 
     # two-outcome symmetry under complement
     pure = random_pure(rng, spec)

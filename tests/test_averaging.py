@@ -13,7 +13,7 @@ from qequil.spectra import EnergySpectrum
 from qequil.states import (QuantumState, dephase, effective_dimension,
                            level_distribution, purity)
 
-from helpers import (lorentzian_domination_check,
+from helpers import (dense_dephase, lorentzian_domination_check,
                      lorentzian_phase_average_quadrature, poisson_spectrum,
                      random_mixed, random_pure)
 
@@ -34,6 +34,21 @@ class TestTimeGrid:
             TimeGrid(np.array([0.0, 0.5, 0.4]), 0.5)
         with pytest.raises(ValueError):
             TimeGrid.for_window(-1.0, 1.0)
+
+    @pytest.mark.parametrize("times, window", [
+        ([0.0, 1.0, np.nan], 2.0),     # NaN end passes abs(t[-1] - T) > tol
+        ([0.0, np.nan, 2.0], 2.0),     # NaN step passes diff <= 0
+        ([0.0, 1.0, 2.0], np.nan),
+        ([0.0, 1.0, np.inf], np.inf),
+    ])
+    def test_rejects_non_finite(self, times, window):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(np.array(times), window)
+
+    @pytest.mark.parametrize("window", [np.nan, np.inf])
+    def test_for_window_rejects_non_finite(self, window):
+        with pytest.raises(ValueError, match="window"):
+            TimeGrid.for_window(window, 1.0)
 
 
 class TestTimeAverage:
@@ -120,7 +135,7 @@ class TestLorentzianState:
         min_gap = np.diff(spec.levels).min()
         T = 20.0
         avg = lorentzian_state(state, T)
-        omega = dephase(state)
+        omega = dense_dephase(state)
         assert np.abs(avg.rho - omega.rho).max() <= np.exp(-min_gap * T)
 
 

@@ -1,3 +1,7 @@
+import numpy as np
+
+from qequil import batteries, cli
+from qequil.averaging import TimeSeries
 from qequil.batteries import (gap_counting_battery, haar_battery, slow_battery,
                               fast_equilibration_battery)
 
@@ -44,3 +48,23 @@ def test_slow_battery_full_sweep():
     assert dims == {256, 512, 1024, 2048}
     assert {r["eps"] for r in report.rows} <= {0.25, 0.5}
     assert report.ok, report.violations[:2]
+
+
+def test_figure3_checks_fail_on_nan(monkeypatch):
+    # a NaN series passes every `x > limit` test; each check must name it
+    def nan_series(state, times):
+        nan = np.full(times.size, np.nan)
+        return TimeSeries(times, nan, running=nan)
+
+    monkeypatch.setattr(batteries, "_initial_projector_series", nan_series)
+    result = batteries.run_figure3(cli.DEFAULTS["figure3"])
+    assert [f["check"] for f in result.failures] == [
+        "initial_distinguishability", "revival", "average_at_revival"]
+
+
+def test_gaussian_asymptote_check_fails_on_nan(monkeypatch):
+    monkeypatch.setattr(batteries.bounds_mod, "gaussian_purity_exact",
+                        lambda sigma, window: np.nan)
+    config = {**cli.DEFAULTS["gaussian"], "sigma_t_grid": [2.0, 10.0]}
+    result = batteries.run_gaussian(config)
+    assert [f["check"] for f in result.failures] == ["purity_asymptote"]

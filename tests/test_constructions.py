@@ -13,9 +13,9 @@ from qequil.constructions import (Scenario, gaussian_scenario,
 from qequil.measure import (Projector, distinguishability, distinguishability_series,
                             expectation_series, two_outcome)
 from qequil.spectra import max_window_probability
-from qequil.states import QuantumState, dephase, evolve, level_distribution, overlap
+from qequil.states import QuantumState, dephase, evolve, level_distribution
 
-from helpers import brute_eta, dense
+from helpers import brute_eta, dense, overlap
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +156,39 @@ class TestRandomScenario:
         scen = random_scenario(3, 8)
         with pytest.raises(ValueError):
             Scenario(scen.spectrum, random_scenario(3, 9).state, "bad")
+
+    @staticmethod
+    def _draws(seed, dim):
+        """The unmerged levels and the amplitudes, drawn as the builder does."""
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        levels = np.concatenate(([0.0], np.cumsum(rng.exponential(1.0, dim - 1))))
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return levels, z / np.linalg.norm(z)
+
+    def test_colliding_levels_merge(self):
+        # the default CLI seed draws spacings below the separation limit here
+        seed, dim = 20240811, 65536
+        scen = random_scenario(seed, dim)
+        spec = scen.spectrum
+        levels, amps = self._draws(seed, dim)
+        assert spec.dim == dim
+        assert spec.num_levels < dim
+        assert np.array_equal(scen.state.amplitudes, amps)
+        # each merged level keeps the energy of its first member
+        assert np.array_equal(spec.levels, levels[np.isin(levels, spec.levels)])
+        assert np.all(np.abs(spec.index_energies - levels) <= 1e-10 * levels[-1])
+
+    def test_collision_chain_merges_transitively(self):
+        scen = random_scenario(4, 8, mean_spacing=1e-13)
+        assert list(scen.spectrum.degeneracies) == [8]
+        assert list(scen.spectrum.levels) == [0.0]
+
+    def test_non_colliding_seed_unchanged(self):
+        levels, amps = self._draws(5, 4096)
+        scen = random_scenario(5, 4096)
+        assert np.array_equal(scen.spectrum.levels, levels)
+        assert np.all(scen.spectrum.degeneracies == 1)
+        assert np.array_equal(scen.state.amplitudes, amps)
 
 
 class TestSnapshotSubspace:

@@ -11,12 +11,12 @@ from qequil.constructions import (partitioned_slow_measurement, random_scenario,
                                   snapshot_subspace)
 from qequil.measure import (Measurement, Projector, distinguishability,
                             distinguishability_series, expectation_series,
-                            load_measurement, save_measurement,
-                            success_probability, two_outcome)
+                            load_measurement, save_measurement, two_outcome)
 from qequil.spectra import EnergySpectrum
 from qequil.states import QuantumState, complex_out, dephase, evolve
 
-from helpers import dense, gap_series, random_mixed, random_pure, trace_distance
+from helpers import (dense, gap_series, random_mixed, random_pure, success_probability,
+                     trace_distance)
 
 
 @pytest.fixture

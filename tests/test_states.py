@@ -4,9 +4,10 @@ import pytest
 from qequil.spectra import EnergySpectrum
 from qequil.states import (QuantumState, dephase, effective_dimension,
                            energy_moments, evolve, level_distribution,
-                           load_state, overlap, purity, save_state)
+                           load_state, purity, save_state)
 
-from helpers import poisson_spectrum, random_mixed, random_pure
+from helpers import (check_positive, dense_dephase, overlap, poisson_spectrum,
+                     random_mixed, random_pure)
 
 
 @pytest.fixture
@@ -47,7 +48,7 @@ def test_positivity_check_is_opt_in(small_spec):
     m = np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex)
     state = QuantumState.mixed(small_spec, m)  # construction does not check
     with pytest.raises(ValueError):
-        state.check_positive()
+        check_positive(state)
 
 
 class TestEvolve:
@@ -100,20 +101,22 @@ class TestDephase:
     def test_diagonal_nondegenerate_unchanged(self, small_spec):
         diag = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         state = QuantumState.mixed(small_spec, diag)
-        assert np.abs(dephase(state).rho - diag).max() == 0.0
+        assert np.abs(dense_dephase(state).rho - diag).max() == 0.0
+        assert np.array_equal(dephase(state).dense(), diag)
 
     def test_pure_nondegenerate_gives_populations(self, small_spec):
         rng = np.random.default_rng(4)
         state = random_pure(rng, small_spec)
-        omega = dephase(state)
+        omega = dense_dephase(state)
         assert np.abs(omega.rho - np.diag(np.abs(state.amplitudes) ** 2)).max() < 1e-15
 
     def test_degenerate_block_survives(self, degenerate_spec):
         rng = np.random.default_rng(5)
         state = random_pure(rng, degenerate_spec)
         omega = dephase(state)
-        assert abs(omega.rho[1, 2]) > 1e-3      # within-level coherence kept
-        assert abs(omega.rho[0, 1]) == 0.0      # cross-level zeroed
+        dense = dense_dephase(state).rho
+        assert abs(dense[1, 2]) > 1e-3      # within-level coherence kept
+        assert abs(dense[0, 1]) == 0.0      # cross-level zeroed
         # blockwise purity oracle
         blocks = [[0], [1, 2], [3]]
         block_purity = sum(
@@ -124,10 +127,11 @@ class TestDephase:
     def test_idempotent_and_commutes_with_evolve(self, degenerate_spec):
         rng = np.random.default_rng(6)
         state = random_mixed(rng, degenerate_spec)
-        omega = dephase(state)
-        assert np.abs(dephase(omega).rho - omega.rho).max() < 1e-15
+        omega = dense_dephase(state)
+        assert np.abs(dense_dephase(omega).rho - omega.rho).max() < 1e-15
+        assert np.abs(dephase(omega).dense() - omega.rho).max() < 1e-15
         t = 2.2
-        a = dephase(evolve(state, t)).rho
+        a = dense_dephase(evolve(state, t)).rho
         b = omega.rho
         assert np.abs(a - b).max() < 1e-12
 
@@ -142,8 +146,8 @@ class TestDephase:
         # tr(rho_t omega) equals tr(omega^2) at every time
         rng = np.random.default_rng(8)
         state = random_mixed(rng, degenerate_spec)
-        omega = dephase(state)
-        target = purity(omega)
+        omega = dense_dephase(state)
+        target = purity(dephase(state))
         for t in (0.0, 0.3, 2.9, 17.0):
             val = float(np.vdot(evolve(state, t).rho, omega.rho).real)
             assert val == pytest.approx(target, abs=1e-12)
