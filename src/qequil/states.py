@@ -134,7 +134,7 @@ def _levels_by_degeneracy(spectrum: EnergySpectrum) -> dict:
 class EquilibriumState:
     """The equilibrium state omega = sum_n P_n rho P_n, stored level by level.
 
-    Levels are grouped by their degeneracy g (``groups``, see
+    Levels are grouped by their degeneracy g (see
     :func:`_levels_by_degeneracy`). A pure source keeps its amplitude vector
     c, and omega's block on level n is c_n c_n^dag. A mixed source keeps its
     within-level blocks, one (m, g, g) array per group, so a nondegenerate
@@ -143,15 +143,15 @@ class EquilibriumState:
     :func:`dephase` from a state's amplitudes or density matrix.
     """
 
-    __slots__ = ("spectrum", "groups", "_amps", "_blocks")
+    __slots__ = ("spectrum", "_groups", "_amps", "_blocks")
     is_pure = False
 
     def __init__(self, spectrum: EnergySpectrum, *, amplitudes=None, rho=None):
         self.spectrum = spectrum
-        self.groups = _levels_by_degeneracy(spectrum)
+        self._groups = _levels_by_degeneracy(spectrum)
         self._amps = amplitudes
         self._blocks = None if rho is None else {
-            g: rho[idx[:, :, None], idx[:, None, :]] for g, idx in self.groups.items()}
+            g: rho[idx[:, :, None], idx[:, None, :]] for g, idx in self._groups.items()}
 
     @property
     def dim(self) -> int:
@@ -162,7 +162,7 @@ class EquilibriumState:
         if self._amps is not None:
             return np.abs(self._amps) ** 2
         out = np.empty(self.dim)
-        for g, idx in self.groups.items():
+        for g, idx in self._groups.items():
             out[idx] = self._blocks[g].diagonal(axis1=1, axis2=2).real
         return out
 
@@ -177,7 +177,7 @@ class EquilibriumState:
         """
         parts = []
         c = self._amps
-        for g, idx in self.groups.items():
+        for g, idx in self._groups.items():
             if g == 1:
                 j = slice(None) if idx.size == self.dim else idx[:, 0]
                 x = v[j]
@@ -200,7 +200,7 @@ class EquilibriumState:
             c = self._amps
             return np.where(lvl[:, None] == lvl[None, :], np.outer(c, c.conj()), 0.0)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for g, idx in self.groups.items():
+        for g, idx in self._groups.items():
             out[idx[:, :, None], idx[:, None, :]] = self._blocks[g]
         return out
 

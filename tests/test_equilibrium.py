@@ -10,7 +10,6 @@ states.
 import tracemalloc
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +17,7 @@ from qequil import batteries, cli
 from qequil.constructions import (partitioned_slow_measurement, random_scenario,
                                   snapshot_subspace)
 from qequil.measure import (Measurement, Projector, _phases, distinguishability,
-                            distinguishability_series, expectation_series, two_outcome)
+                            distinguishability_series, two_outcome)
 from qequil.spectra import EnergySpectrum
 from qequil.states import EquilibriumState, dephase, evolve, level_distribution, purity
 
@@ -131,17 +130,6 @@ def test_phases_equal_complex_exponential_bitwise():
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
-def test_series_with_cos_sin_phases_unchanged():
-    scen = random_scenario(17, 300)
-    p = Projector.from_factor(_frame(np.random.default_rng(8), 300, 5))
-    times = np.linspace(0.0, 40.0, 77)
-    c = scen.state.amplitudes
-    w = p.factor.conj().T * c[None, :]
-    old = np.sum(np.abs(w @ np.exp(-1j * np.outer(scen.spectrum.index_energies, times)))
-                 ** 2, axis=0)
-    assert np.array_equal(expectation_series(p, scen.state, times), old)
-
-
 def test_slow_memory_stays_below_one_dense_matrix():
     """run_slow at d=4096 must peak below 16 d^2 bytes, the size of one
     d x d complex matrix."""
@@ -155,11 +143,3 @@ def test_slow_memory_stays_below_one_dense_matrix():
         tracemalloc.stop()
     assert not result.failures
     assert peak < 16 * d * d
-
-
-@pytest.mark.parametrize("degenerate", [False, True])
-def test_pure_purity_is_inverse_effective_dimension(degenerate):
-    spec = _spectrum(np.random.default_rng(11), 40, degenerate)
-    state = random_pure(np.random.default_rng(12), spec)
-    probs = level_distribution(state).probs
-    assert purity(dephase(state)) == float(np.dot(probs, probs))
