@@ -147,6 +147,8 @@ class EquilibriumState:
     is_pure = False
 
     def __init__(self, spectrum: EnergySpectrum, *, amplitudes=None, rho=None):
+        if (amplitudes is None) == (rho is None):
+            raise ValueError("provide exactly one of amplitudes or rho")
         self.spectrum = spectrum
         self._groups = _levels_by_degeneracy(spectrum)
         self._amps = amplitudes

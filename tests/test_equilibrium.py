@@ -10,6 +10,7 @@ states.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,6 +119,8 @@ def test_pure_source_keeps_no_matrix():
     mixed = dephase(random_mixed(np.random.default_rng(5), spec))
     stored = sum(b.size for b in mixed._blocks.values())
     assert stored == int(np.sum(spec.degeneracies ** 2)) < 64 * 64
+    with pytest.raises(ValueError, match="exactly one"):
+        EquilibriumState(spec)
 
 
 def test_phases_equal_complex_exponential_bitwise():
