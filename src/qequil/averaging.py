@@ -4,7 +4,9 @@ The uniform average over [0, T] is computed by trapezoid quadrature on a
 Nyquist-safe grid, with the refinement error measured rather than assumed.
 Averaging against the Cauchy kernel T / (pi (T^2 + (t - T/2)^2)) has a
 closed form for pure phases, which turns the time-averaged state into an
-entrywise multiplication and gives a computable handle on its purity.
+entrywise multiplication and gives a computable handle on its purity. The
+population forms of that purity take a level distribution, which carries
+its own spectrum.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import integrate
 
-from .spectra import EnergySpectrum, max_window_probability
+from .spectra import LevelDistribution, max_window_probability
 from .states import QuantumState, level_distribution
 
 __all__ = [
@@ -164,14 +166,14 @@ class PurityPair(NamedTuple):
     product_bound: float
 
 
-def lorentzian_purity_product(spectrum: EnergySpectrum, probs, window: float) -> float:
+def lorentzian_purity_product(dist: LevelDistribution, window: float) -> float:
     """Population-product form sum_nm p_n p_m e^{-2 |E_n - E_m| T} over level
     pairs; an upper bound on the Lorentzian-averaged purity and its exact
     value for pure states."""
     if not window >= 0:
         raise ValueError("window must be nonnegative")
-    p = np.asarray(probs, dtype=float)
-    lv = spectrum.levels
+    p = dist.probs
+    lv = dist.spectrum.levels
     damp = np.exp(-2.0 * window * np.abs(lv[:, None] - lv[None, :]))
     return float(p @ damp @ p)
 
@@ -189,16 +191,15 @@ def lorentzian_purity(state: QuantumState, window: float) -> PurityPair:
     e = state.spectrum.index_energies
     damp = np.exp(-2.0 * window * np.abs(e[:, None] - e[None, :]))
     exact = float(np.sum((np.abs(state.rho) ** 2) * damp))
-    bound = lorentzian_purity_product(state.spectrum,
-                                      level_distribution(state).probs, window)
+    bound = lorentzian_purity_product(level_distribution(state), window)
     return PurityPair(exact, bound)
 
 
-def dephased_purity_bound(spectrum: EnergySpectrum, probs, window: float,
+def dephased_purity_bound(dist: LevelDistribution, window: float,
                           delta: float = 2.0) -> float:
     """Window-probability bound on the Lorentzian-averaged purity:
     2 * eta_{delta / 2T} / (1 - e^{-delta}), valid for every delta > 0."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    eta = max_window_probability(spectrum, probs, delta / (2.0 * window))
+    eta = max_window_probability(dist, delta / (2.0 * window))
     return 2.0 * eta / (1.0 - np.exp(-delta))

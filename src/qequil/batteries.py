@@ -30,7 +30,7 @@ from .haar import (HaarSampler, TwirlResult, initial_distinguishability_floor,
                    n_outcome_typical_cap, twirl_reconstruction)
 from .measure import (Projector, distinguishability_series, expectation_series,
                       two_outcome)
-from .spectra import (EnergySpectrum, max_gaps_in_window,
+from .spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
                       max_window_probability_window, spectrum_from_hermitian)
 from .states import (QuantumState, complex_in, dephase, effective_dimension,
                      energy_moments, evolve, level_distribution, load_state, purity)
@@ -52,9 +52,11 @@ __all__ = [
 ]
 
 PURITY_DUAL_PATH_TOL = 1e-12
-# Sweep settings: purity-chain widths delta (the one matched to sigma_E is
-# added), gap-counting widths eps / sigma_E and number of windows T, the
-# Monte Carlo allowance in standard errors, samples across the slow window.
+# Sweep settings: dimensions of the randomized trials (inclusive), purity-chain
+# widths delta (the one matched to sigma_E is added), gap-counting widths
+# eps / sigma_E and number of windows T, the Monte Carlo allowance in standard
+# errors, samples across the slow window.
+TRIAL_DIM_RANGE = (24, 60)
 PURITY_CHAIN_DELTAS = (0.5, 1.0, 2.0, 4.0)
 GAP_COUNTING_EPS_FACTORS = (0.1, 1.0, 10.0)
 GAP_COUNTING_WINDOWS = 6
@@ -86,11 +88,11 @@ class ExperimentResult(NamedTuple):
     failures: list
 
 
-def _random_trial_scenario(rng, dim_range=(24, 60)) -> Scenario:
+def _random_trial_scenario(rng) -> Scenario:
     """One randomized (spectrum, state) pair; spectra alternate between
     Poisson-spaced ladders, versions with degenerate levels, and dense
     random-matrix spectra; states alternate pure and low-rank mixed."""
-    d = int(rng.integers(dim_range[0], dim_range[1] + 1))
+    d = int(rng.integers(TRIAL_DIM_RANGE[0], TRIAL_DIM_RANGE[1] + 1))
     flavor = int(rng.integers(3))
     seed = int(rng.integers(2 ** 62))
     if flavor == 0:
@@ -106,10 +108,9 @@ def _random_trial_scenario(rng, dim_range=(24, 60)) -> Scenario:
         z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         spec, _ = spectrum_from_hermitian((z + z.conj().T) / (2.0 * np.sqrt(d)),
                                           tol=1e-9)
-        return Scenario(spec, _random_state(rng, spec), f"trial-{seed}")
+        return Scenario(_random_state(rng, spec), f"trial-{seed}")
     if rng.random() < 0.2:
-        return Scenario(scenario.spectrum, _random_state(rng, scenario.spectrum),
-                        f"trial-{seed}")
+        return Scenario(_random_state(rng, scenario.spectrum), f"trial-{seed}")
     return scenario
 
 
@@ -137,8 +138,7 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
         spec = scenario.spectrum
         state = scenario.state
         dist = level_distribution(state)
-        probs = dist.probs
-        sigma = energy_moments(dist, spec).std
+        sigma = energy_moments(dist).std
         omega = dephase(state)
         d = spec.dim
         rank = int(rng.integers(1, min(max_rank, d // 2) + 1))
@@ -150,7 +150,7 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
             avg = time_average(
                 lambda ts: np.abs(expectation_series(proj, state, ts) - p_omega),
                 grid)
-            rep = bounds_mod.fast_equilibration_bound(spec, probs, rank, window)
+            rep = bounds_mod.fast_equilibration_bound(dist, rank, window)
             rep.measured = avg.value
             rep.slack = slack
             row = {"name": rep.name, "T": float(window), "eps": 1.0 / window,
@@ -160,12 +160,11 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
                    "eta": rep.inputs["eta"],
                    "refinement_error": avg.refinement_error}
             report.rows.append(row)
-            report.rows.append(_purity_chain_row(spec, state, probs, sigma,
-                                                 window, trial))
+            report.rows.append(_purity_chain_row(state, dist, sigma, window, trial))
     return report
 
 
-def _purity_chain_row(spec, state, probs, sigma, window, trial) -> dict:
+def _purity_chain_row(state, dist, sigma, window, trial) -> dict:
     pair = lorentzian_purity(state, window)
     matrix_path = purity(lorentzian_state(state, window))
     agreement = abs(pair.exact - matrix_path)
@@ -174,7 +173,7 @@ def _purity_chain_row(spec, state, probs, sigma, window, trial) -> dict:
            "agreement": agreement, "product_bound": pair.product_bound}
     ok = agreement <= PURITY_DUAL_PATH_TOL and pair.exact <= pair.product_bound + 1e-12
     for delta in (*PURITY_CHAIN_DELTAS, 2.0 * window * (sigma / 2.0)):
-        cap = dephased_purity_bound(spec, probs, window, delta=delta)
+        cap = dephased_purity_bound(dist, window, delta=delta)
         row[f"bound_delta_{delta:g}"] = cap
         ok = ok and pair.exact <= cap + 1e-12
     row["holds"] = ok
@@ -191,34 +190,30 @@ def gap_counting_scenario(seed: int, dim: int = 40):
     zz = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     state = QuantumState.pure(spec, zz / np.linalg.norm(zz))
     proj = HaarSampler(int(rng.integers(2 ** 62)), dim).projector(dim // 2)
-    return spec, state, proj
+    return state, proj
 
 
 def gap_counting_battery(seed: int, dim: int = 40) -> BatteryReport:
     """Gap-counting bound checks on a dense random-matrix scenario, for both
     the expectation and distinguishability forms."""
     report = BatteryReport()
-    spec, state, proj = gap_counting_scenario(seed, dim)
-    dist = level_distribution(state)
-    sigma = energy_moments(dist, spec).std
+    state, proj = gap_counting_scenario(seed, dim)
+    sigma = energy_moments(level_distribution(state)).std
     omega = dephase(state)
     p_omega = proj.expectation(omega)
-    gaps = spec.gaps()
     meas = two_outcome(proj)
 
     for window in np.geomspace(1.0, 100.0, GAP_COUNTING_WINDOWS) / sigma:
-        grid = TimeGrid.for_window(window, spec.span)
+        grid = TimeGrid.for_window(window, state.spectrum.span)
         sq_avg = time_average(
             lambda ts: (expectation_series(proj, state, ts) - p_omega) ** 2, grid)
         d_avg = time_average(
             lambda ts: distinguishability_series(meas, state, omega, ts), grid)
         for factor in GAP_COUNTING_EPS_FACTORS:
             eps = factor * sigma
-            exp_rep = bounds_mod.general_expectation_bound(
-                spec, state, 1.0, eps, window, gaps=gaps)
+            exp_rep = bounds_mod.general_expectation_bound(state, 1.0, eps, window)
             exp_rep.measured, exp_rep.slack = sq_avg.value, 1e-3
-            dis_rep = bounds_mod.general_distinguishability_bound(
-                spec, state, 2, eps, window, gaps=gaps)
+            dis_rep = bounds_mod.general_distinguishability_bound(state, 2, eps, window)
             dis_rep.measured, dis_rep.slack = d_avg.value, 1e-3
             for rep in (exp_rep, dis_rep):
                 row = {"name": rep.name, "T": float(window), "eps": float(eps),
@@ -240,7 +235,6 @@ def haar_battery(seed: int, scenarios: int = 50, samples: int = 300) -> BatteryR
         d = int(rng.integers(8, 25))
         scenario = random_scenario(int(rng.integers(2 ** 62)), d)
         state0 = scenario.state
-        spec = scenario.spectrum
         sigma = scenario.sigma_e
         t = float(rng.uniform(0.0, 20.0 / sigma))
         state_t = evolve(state0, t)
@@ -331,7 +325,7 @@ def _series_rows(series: TimeSeries, **constant) -> list:
 
 def _initial_projector_series(state: QuantumState, times) -> TimeSeries:
     """|tr(P rho_t) - tr(P omega)| under the initial-state projector P."""
-    proj = Projector.rank_one(state.amplitudes)
+    proj = Projector.from_factor(state.amplitudes)
     values = np.abs(expectation_series(proj, state, times)
                     - proj.expectation(dephase(state)))
     return TimeSeries(times, values).with_running_average()
@@ -426,17 +420,15 @@ def run_gaussian(config: dict) -> ExperimentResult:
     scenario = gaussian_scenario(int(config["levels"]), float(config["sigma"]),
                                  float(config["span"]))
     dist = level_distribution(scenario.state)
-    sigma = energy_moments(dist, scenario.spectrum).std
+    sigma = energy_moments(dist).std
     limit_coeff = float(config["eta_limit_coeff"])
     rows = []
     failures = []
     for st in config["sigma_t_grid"]:
         window = float(st) / sigma
-        eta, win = max_window_probability_window(scenario.spectrum, dist.probs,
-                                                 1.0 / window)
+        eta, win = max_window_probability_window(dist, 1.0 / window)
         product = eta * sigma * window
-        measured_purity = lorentzian_purity_product(scenario.spectrum, dist.probs,
-                                                    window)
+        measured_purity = lorentzian_purity_product(dist, window)
         exact = bounds_mod.gaussian_purity_exact(sigma, window)
         asym = bounds_mod.gaussian_purity_asymptote(sigma, window)
         row = {"sigma_T": float(st), "T": window, "eta": eta,
@@ -551,14 +543,13 @@ def run_eta(config: dict) -> ExperimentResult:
     spectrum, with the maximizing window."""
     spec = _load_spectrum_arg(config)
     if config.get("state"):
-        state = load_state(config["state"], spectrum=spec)
-        probs = level_distribution(state).probs
+        dist = level_distribution(load_state(config["state"], spectrum=spec))
         source = config["state"]
     else:
-        probs = np.full(spec.num_levels, 1.0 / spec.num_levels)
+        dist = LevelDistribution(spec, np.full(spec.num_levels, 1.0 / spec.num_levels))
         source = "uniform"
     eps = float(config["epsilon"])
-    value, window = max_window_probability_window(spec, probs, eps)
+    value, window = max_window_probability_window(dist, eps)
     summary = {"epsilon": eps, "eta": value,
                "window": [window[0], window[1]], "probs_source": source,
                "num_levels": spec.num_levels}

@@ -1,7 +1,9 @@
 """Named equilibration bounds.
 
 All constants are computed from primitives at import time and regression
-pinned in the tests, never hardcoded as decimals here.
+pinned in the tests, never hardcoded as decimals here. Window-probability
+bounds take a level distribution, which carries its spectrum; bounds on a
+state read the state's own spectrum.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from scipy import special
 from .averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid, lorentzian_purity,
                         lorentzian_state, time_average)
 from .measure import Projector, expectation_series
-from .spectra import EnergySpectrum, GapSet, max_gaps_in_window, max_window_probability
+from .spectra import LevelDistribution, max_gaps_in_window, max_window_probability
 from .states import QuantumState, dephase, effective_dimension, level_distribution, purity
 
 __all__ = [
@@ -81,7 +83,7 @@ class BoundReport:
         return out
 
 
-def fast_equilibration_bound(spectrum: EnergySpectrum, probs, rank: int,
+def fast_equilibration_bound(dist: LevelDistribution, rank: int,
                              window: float) -> BoundReport:
     """Uniform-average distinguishability bound c * sqrt(eta_{1/T} K) for any
     two-outcome measurement whose smaller projector rank is K."""
@@ -89,7 +91,7 @@ def fast_equilibration_bound(spectrum: EnergySpectrum, probs, rank: int,
         raise ValueError("rank must be at least 1")
     if not window > 0:
         raise ValueError("window must be positive")
-    eta = max_window_probability(spectrum, probs, 1.0 / window)
+    eta = max_window_probability(dist, 1.0 / window)
     c = fast_equilibration_constant()
     return BoundReport(
         "fast_equilibration",
@@ -98,7 +100,7 @@ def fast_equilibration_bound(spectrum: EnergySpectrum, probs, rank: int,
     )
 
 
-def population_term_bound(spectrum: EnergySpectrum, probs, rank: int,
+def population_term_bound(dist: LevelDistribution, rank: int,
                           window: float) -> BoundReport:
     """Bound on the averaged population <tr(P rho_t)>_T alone (the full
     two-outcome bound minus the sqrt(K eta) equilibrium term)."""
@@ -106,7 +108,7 @@ def population_term_bound(spectrum: EnergySpectrum, probs, rank: int,
         raise ValueError("rank must be at least 1")
     if not window > 0:
         raise ValueError("window must be positive")
-    eta = max_window_probability(spectrum, probs, 1.0 / window)
+    eta = max_window_probability(dist, 1.0 / window)
     return BoundReport(
         "population_term",
         LORENTZIAN_DOMINATION_FACTOR * np.sqrt(purity_chain_factor(2.0) * eta * rank),
@@ -114,15 +116,15 @@ def population_term_bound(spectrum: EnergySpectrum, probs, rank: int,
     )
 
 
-def n_outcome_fast_bound(spectrum: EnergySpectrum, probs, ranks,
+def n_outcome_fast_bound(dist: LevelDistribution, ranks,
                          window: float) -> BoundReport:
     """N-outcome generalization: (c/2) sqrt(eta_{1/T}) * sum_i sqrt(k_i)
     where k_i = min(rank P_i, d - rank P_i)."""
     ranks = [int(k) for k in ranks]
-    d = spectrum.dim
+    d = dist.spectrum.dim
     if sum(ranks) != d:
         raise ValueError("outcome ranks must sum to the dimension")
-    eta = max_window_probability(spectrum, probs, 1.0 / window)
+    eta = max_window_probability(dist, 1.0 / window)
     c = fast_equilibration_constant()
     ksum = sum(np.sqrt(min(k, d - k)) for k in ranks)
     return BoundReport(
@@ -137,17 +139,14 @@ def _require_pure(state: QuantumState):
         raise ValueError("this bound is derived for pure initial states")
 
 
-def general_expectation_bound(spectrum: EnergySpectrum, state: QuantumState,
-                              operator_norm: float, eps: float, window: float,
-                              gaps: GapSet | None = None) -> BoundReport:
+def general_expectation_bound(state: QuantumState, operator_norm: float,
+                              eps: float, window: float) -> BoundReport:
     """Gap-counting bound on <|tr A (rho_t - omega)|^2>_T:
     (5 pi / 2) (|A|^2 / d_eff) N(eps) (3/2 + 1/(eps T))."""
     _require_pure(state)
     if not (eps > 0 and window > 0):
         raise ValueError("eps and window must be positive")
-    if gaps is None:
-        gaps = spectrum.gaps()
-    n_eps = max_gaps_in_window(gaps, eps)
+    n_eps = max_gaps_in_window(state.spectrum.gaps(), eps)
     d_eff = effective_dimension(level_distribution(state))
     value = (2.0 * LORENTZIAN_DOMINATION_FACTOR * operator_norm ** 2 / d_eff
              * n_eps * (1.5 + 1.0 / (eps * window)))
@@ -159,9 +158,8 @@ def general_expectation_bound(spectrum: EnergySpectrum, state: QuantumState,
     )
 
 
-def general_distinguishability_bound(spectrum: EnergySpectrum, state: QuantumState,
-                                     total_outcomes: int, eps: float, window: float,
-                                     gaps: GapSet | None = None) -> BoundReport:
+def general_distinguishability_bound(state: QuantumState, total_outcomes: int,
+                                     eps: float, window: float) -> BoundReport:
     """Distinguishability form of the gap-counting bound:
     (S/4) sqrt( (5 pi N(eps)) / (2 d_eff) * (3/2 + 1/(eps T)) )."""
     _require_pure(state)
@@ -169,9 +167,7 @@ def general_distinguishability_bound(spectrum: EnergySpectrum, state: QuantumSta
         raise ValueError("total outcome count must be at least 2")
     if not (eps > 0 and window > 0):
         raise ValueError("eps and window must be positive")
-    if gaps is None:
-        gaps = spectrum.gaps()
-    n_eps = max_gaps_in_window(gaps, eps)
+    n_eps = max_gaps_in_window(state.spectrum.gaps(), eps)
     d_eff = effective_dimension(level_distribution(state))
     value = (total_outcomes / 4.0) * np.sqrt(
         2.0 * LORENTZIAN_DOMINATION_FACTOR * n_eps / d_eff
@@ -184,19 +180,17 @@ def general_distinguishability_bound(spectrum: EnergySpectrum, state: QuantumSta
     )
 
 
-def best_epsilon(spectrum: EnergySpectrum, state: QuantumState, window: float,
-                 num: int = 25, total_outcomes: int = 2) -> tuple:
+def best_epsilon(state: QuantumState, window: float, num: int = 25,
+                 total_outcomes: int = 2) -> tuple:
     """Scan a log grid of window widths and return (eps, report) minimizing
     the distinguishability form; the width is a free parameter of the bound."""
-    gaps = spectrum.gaps()
-    span = spectrum.span
+    span = state.spectrum.span
     if not span > 0:
         raise ValueError("spectrum has a single level; no gaps to count")
     grid = np.geomspace(span * 1e-6, 2.0 * span, num)
     best = None
     for eps in grid:
-        rep = general_distinguishability_bound(spectrum, state, total_outcomes,
-                                               eps, window, gaps=gaps)
+        rep = general_distinguishability_bound(state, total_outcomes, eps, window)
         if best is None or rep.value < best[1].value:
             best = (float(eps), rep)
     return best
@@ -226,8 +220,8 @@ def gaussian_purity_asymptote(sigma: float, window: float) -> float:
     return 1.0 / (2.0 * np.sqrt(np.pi) * sigma * window)
 
 
-def fast_equilibration_chain(spectrum: EnergySpectrum, state: QuantumState,
-                             projector: Projector, window: float) -> dict:
+def fast_equilibration_chain(state: QuantumState, projector: Projector,
+                             window: float) -> dict:
     """Evaluate every link of the two-outcome bound chain on one instance.
 
     Returns the measured average distinguishability followed by each
@@ -239,7 +233,7 @@ def fast_equilibration_chain(spectrum: EnergySpectrum, state: QuantumState,
         # D_P = D_{1-P}, so run the chain on the smaller-rank side.
         projector = projector.complement()
     rank = projector.rank
-    grid = TimeGrid.for_window(window, spectrum.span)
+    grid = TimeGrid.for_window(window, state.spectrum.span)
     p_omega = projector.expectation(omega)
 
     def dvals(ts):
@@ -252,8 +246,7 @@ def fast_equilibration_chain(spectrum: EnergySpectrum, state: QuantumState,
     p_lor = projector.expectation(omega_l)
     pur_lor = lorentzian_purity(state, window).exact
     pur_omega = purity(omega)
-    probs = level_distribution(state).probs
-    eta = max_window_probability(spectrum, probs, 1.0 / window)
+    eta = max_window_probability(level_distribution(state), 1.0 / window)
 
     links = {
         "measured": measured.value,

@@ -1,10 +1,10 @@
 """Scenario builders and the slow-equilibration snapshot subspace.
 
-A scenario bundles a spectrum with an initial state and a label. The
-snapshot subspace spans sequential evolved copies of a pure state at step
-2*eps/sigma_E; measuring its projector stays far from equilibrium for a
-window that grows with the number of snapshots, yet the projector's small
-rank forces eventual equilibration.
+A scenario bundles an initial state, which carries its spectrum, with a
+label. The snapshot subspace spans sequential evolved copies of a pure state
+at step 2*eps/sigma_E; measuring its projector stays far from equilibrium
+for a window that grows with the number of snapshots, yet the projector's
+small rank forces eventual equilibration.
 """
 from __future__ import annotations
 
@@ -38,19 +38,18 @@ CEILING_SLACK = 1e-3  # quadrature allowance on the eventual-equilibration ceili
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A spectrum, an initial state over it, and a label."""
+    """An initial state and a label; the spectrum is the state's."""
 
-    spectrum: EnergySpectrum
     state: QuantumState
     label: str
 
-    def __post_init__(self):
-        if self.state.dim != self.spectrum.dim:
-            raise ValueError("state dimension does not match the spectrum")
+    @property
+    def spectrum(self) -> EnergySpectrum:
+        return self.state.spectrum
 
     @property
     def sigma_e(self) -> float:
-        return energy_moments(level_distribution(self.state), self.spectrum).std
+        return energy_moments(level_distribution(self.state)).std
 
     @property
     def d_eff(self) -> float:
@@ -66,7 +65,7 @@ def harmonic_oscillator_1d(levels: int, spacing: float = 1.0) -> Scenario:
     amps = np.full(levels, 1.0 / np.sqrt(levels))
     spec = EnergySpectrum(energies, np.ones(levels, dtype=int))
     state = QuantumState.pure(spec, amps)
-    return Scenario(spec, state, f"ho1d-{levels}")
+    return Scenario(state, f"ho1d-{levels}")
 
 
 def harmonic_oscillator_3d_boltzmann(levels: int, spacing: float,
@@ -86,7 +85,7 @@ def harmonic_oscillator_3d_boltzmann(levels: int, spacing: float,
     spec = EnergySpectrum(energies, degs)
     diag = np.repeat(probs / degs, degs)
     state = QuantumState.mixed(spec, np.diag(diag.astype(complex)))
-    return Scenario(spec, state, f"ho3d-{levels}")
+    return Scenario(state, f"ho3d-{levels}")
 
 
 def gaussian_scenario(num_levels: int, sigma: float = 1.0,
@@ -105,7 +104,7 @@ def gaussian_scenario(num_levels: int, sigma: float = 1.0,
     probs /= probs.sum()
     spec = EnergySpectrum(energies, np.ones(num_levels, dtype=int))
     state = QuantumState.pure(spec, np.sqrt(probs))
-    return Scenario(spec, state, f"gaussian-{num_levels}")
+    return Scenario(state, f"gaussian-{num_levels}")
 
 
 def random_scenario(seed: int, dim: int, degeneracies=None,
@@ -133,7 +132,7 @@ def random_scenario(seed: int, dim: int, degeneracies=None,
                           np.add.reduceat(degeneracies, np.flatnonzero(first)))
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     state = QuantumState.pure(spec, z / np.linalg.norm(z))
-    return Scenario(spec, state, f"random-{seed}-d{dim}")
+    return Scenario(state, f"random-{seed}-d{dim}")
 
 
 @dataclass(frozen=True, eq=False)

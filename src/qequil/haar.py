@@ -71,7 +71,10 @@ class HaarSampler:
                 raise ValueError("excluded vector has the wrong dimension")
             if dim <= 2:
                 raise ValueError("the constrained ensemble requires dim > 2")
-            v = v / np.linalg.norm(v)
+            norm = np.linalg.norm(v)
+            if not 0 < norm < np.inf:  # also false for NaN
+                raise ValueError("excluded vector must be finite and nonzero")
+            v = v / norm
             # QR of [v | I] puts v (up to phase) in the first column; the
             # remaining columns are an orthonormal basis of its complement.
             stacked = np.concatenate([v[:, None], np.eye(dim, dtype=complex)], axis=1)

@@ -47,23 +47,6 @@ class Projector:
         self.rank = self.dim - k if is_complement else k
 
     @classmethod
-    def from_matrix(cls, matrix) -> "Projector":
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("projector must be a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("projector matrix has non-finite entries")
-        herm = float(np.abs(m - m.conj().T).max(initial=0.0))
-        idem = float(np.abs(m @ m - m).max(initial=0.0))
-        if herm > PROJECTOR_TOL or idem > PROJECTOR_TOL:
-            raise ValueError(
-                f"not a projector: hermiticity residual {herm:.3e}, "
-                f"idempotency residual {idem:.3e} (tol {PROJECTOR_TOL:g})"
-            )
-        eigvals, vecs = np.linalg.eigh(m)
-        return cls(vecs[:, eigvals > 0.5])
-
-    @classmethod
     def from_factor(cls, factor) -> "Projector":
         v = np.asarray(factor, dtype=complex)
         if v.ndim == 1:
@@ -75,10 +58,6 @@ class Projector:
         if resid > PROJECTOR_TOL:
             raise ValueError(f"factor columns not orthonormal: residual {resid:.3e}")
         return cls(v)
-
-    @classmethod
-    def rank_one(cls, vector) -> "Projector":
-        return cls.from_factor(np.asarray(vector, dtype=complex).reshape(-1, 1))
 
     def complement(self) -> "Projector":
         """1 - P over the same factor."""
@@ -228,21 +207,18 @@ def save_measurement(m: Measurement, path) -> None:
 
 
 def load_measurement(path) -> Measurement:
-    """Read a measurement file; entries written as dense matrices or as
-    ``{"rank_one": ...}`` vectors by earlier versions still load."""
+    """Read a measurement file written by :func:`save_measurement`; an entry
+    in any other form is rejected."""
     with open(path) as fh:
         payload = json.load(fh)
     projectors = []
     for entry in payload["projectors"]:
-        if isinstance(entry, dict) and "factor" in entry:
-            cols = entry["factor"]
-            v = complex_in(cols).T if cols else np.zeros((entry["dim"], 0), complex)
-            p = Projector.from_factor(v)
-            projectors.append(p.complement() if entry["complement"] else p)
-        elif isinstance(entry, dict) and "rank_one" in entry:
-            v = complex_in(entry["rank_one"])
-            v = v / np.linalg.norm(v)
-            projectors.append(Projector.rank_one(v))
-        else:
-            projectors.append(Projector.from_matrix(complex_in(entry)))
+        keys = set(entry) if isinstance(entry, dict) else None
+        if keys != {"dim", "factor", "complement"}:
+            raise ValueError('measurement entries must be {"dim": d, "factor": '
+                             '[column, ...], "complement": bool} objects')
+        cols = entry["factor"]
+        v = complex_in(cols).T if cols else np.zeros((entry["dim"], 0), complex)
+        p = Projector.from_factor(v)
+        projectors.append(p.complement() if entry["complement"] else p)
     return Measurement(projectors)

@@ -1,8 +1,10 @@
-"""Energy spectra, spectral gaps, and window statistics.
+"""Energy spectra, spectral gaps, level distributions and window statistics.
 
 Everything downstream works in the Hamiltonian eigenbasis, so a spectrum is
 just the sorted distinct energies, their degeneracies, and the map from
-eigenbasis index to level index.
+eigenbasis index to level index. A :class:`LevelDistribution` carries the
+spectrum whose levels it weights and is checked once, when it is built;
+the window scans read it without checking it again.
 """
 from __future__ import annotations
 
@@ -15,11 +17,11 @@ __all__ = [
     "DEGENERACY_RTOL",
     "EnergySpectrum",
     "GapSet",
+    "LevelDistribution",
     "spectrum_from_hermitian",
     "max_window_probability",
     "max_window_probability_window",
     "max_gaps_in_window",
-    "validated_level_probs",
 ]
 
 DEGENERACY_RTOL = 1e-10
@@ -68,6 +70,7 @@ class EnergySpectrum:
         object.__setattr__(self, "_level_of_index",
                            np.repeat(np.arange(levels.size), degs))
         object.__setattr__(self, "_index_energies", np.repeat(levels, degs))
+        object.__setattr__(self, "_gaps", None)
 
     @property
     def num_levels(self) -> int:
@@ -92,7 +95,10 @@ class EnergySpectrum:
         return float(self.levels[-1] - self.levels[0])
 
     def gaps(self) -> "GapSet":
-        return GapSet.from_spectrum(self)
+        """The gap multiset, built on first use (O(L^2)) and kept."""
+        if self._gaps is None:
+            object.__setattr__(self, "_gaps", GapSet.from_spectrum(self))
+        return self._gaps
 
     def is_nondegenerate(self) -> bool:
         return bool(np.all(self.degeneracies == 1))
@@ -116,6 +122,33 @@ class EnergySpectrum:
     def load(cls, path) -> "EnergySpectrum":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+@dataclass(frozen=True, eq=False)
+class LevelDistribution:
+    """Probability p_n of finding the state on each level of ``spectrum``.
+
+    The probabilities are checked here and nowhere else: one per level,
+    finite, nonnegative and summing to 1. A clipped copy (no entry below
+    zero) is stored.
+    """
+
+    spectrum: EnergySpectrum
+    probs: np.ndarray
+
+    def __post_init__(self):
+        p = np.asarray(self.probs, dtype=float)
+        n = self.spectrum.num_levels
+        if p.shape != (n,):
+            raise ValueError(f"expected {n} level probabilities, got shape {p.shape}")
+        total = p.sum()
+        if not np.isfinite(total):  # NaN and inf entries propagate into the sum
+            raise ValueError("level probabilities must be finite")
+        if np.any(p < -PROB_SUM_TOL):
+            raise ValueError("level probabilities must be nonnegative")
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"level probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "probs", np.clip(p, 0.0, None))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,25 +206,9 @@ def spectrum_from_hermitian(matrix, tol: float = DEGENERACY_RTOL):
     return EnergySpectrum(levels, degs, tol=tol), basis
 
 
-def validated_level_probs(probs, num_levels: int) -> np.ndarray:
-    """Check a level-probability vector: right length, finite, nonnegative,
-    sums to 1."""
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (num_levels,):
-        raise ValueError(f"expected {num_levels} level probabilities, got shape {p.shape}")
-    total = p.sum()
-    if not np.isfinite(total):  # NaN and inf entries propagate into the sum
-        raise ValueError("level probabilities must be finite")
-    if np.any(p < -PROB_SUM_TOL):
-        raise ValueError("level probabilities must be nonnegative")
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"level probabilities sum to {total!r}, not 1")
-    return np.clip(p, 0.0, None)
-
-
-def max_window_probability_window(spectrum: EnergySpectrum, probs, width: float):
-    """Maximum total level probability inside any closed energy window of
-    the given width, together with the maximizing window.
+def max_window_probability_window(dist: LevelDistribution, width: float):
+    """Maximum total level probability of ``dist`` inside any closed energy
+    window of the given width, together with the maximizing window.
 
     The maximum of the window sum as a function of the window position is
     attained with the left edge sitting on a level, so only ``num_levels``
@@ -205,9 +222,8 @@ def max_window_probability_window(spectrum: EnergySpectrum, probs, width: float)
     """
     if not width > 0:
         raise ValueError("window width must be positive")
-    p = validated_level_probs(probs, spectrum.num_levels)
-    levels = spectrum.levels
-    cums = np.concatenate(([0.0], np.cumsum(p)))
+    levels = dist.spectrum.levels
+    cums = np.concatenate(([0.0], np.cumsum(dist.probs)))
     right = np.searchsorted(levels, levels + width, side="right")
     sums = cums[right] - cums[: levels.size]
     best = int(np.argmax(sums))
@@ -215,10 +231,10 @@ def max_window_probability_window(spectrum: EnergySpectrum, probs, width: float)
     return float(sums[best]), (lo, lo + width)
 
 
-def max_window_probability(spectrum: EnergySpectrum, probs, width: float) -> float:
-    """Maximum total level probability inside any closed window of the
-    given energy width."""
-    value, _ = max_window_probability_window(spectrum, probs, width)
+def max_window_probability(dist: LevelDistribution, width: float) -> float:
+    """Maximum total level probability of ``dist`` inside any closed window
+    of the given energy width."""
+    value, _ = max_window_probability_window(dist, width)
     return value
 
 

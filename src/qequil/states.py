@@ -7,22 +7,22 @@ Dephasing keeps only the within-level blocks and yields the equilibrium
 by level as an :class:`EquilibriumState`, never as a d x d matrix: a pure
 state's amplitudes with the level partition, or a mixed state's within-level
 blocks grouped by degeneracy (a diagonal when the spectrum is nondegenerate).
+:func:`level_distribution` returns the state's level probabilities as a
+:class:`~qequil.spectra.LevelDistribution` over the state's own spectrum.
 """
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .spectra import EnergySpectrum, validated_level_probs
+from .spectra import EnergySpectrum, LevelDistribution
 
 __all__ = [
     "QuantumState",
     "EquilibriumState",
-    "LevelDistribution",
     "EnergyMoments",
     "evolve",
     "dephase",
@@ -207,17 +207,6 @@ class EquilibriumState:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class LevelDistribution:
-    """Probability of finding the state on each distinct energy level."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = validated_level_probs(self.probs, np.asarray(self.probs).shape[0])
-        object.__setattr__(self, "probs", p)
-
-
 class EnergyMoments(NamedTuple):
     mean: float
     std: float
@@ -249,11 +238,12 @@ def dephase(state: QuantumState) -> EquilibriumState:
 
 
 def level_distribution(state: QuantumState) -> LevelDistribution:
-    """p_n = trace of the state inside each energy eigenspace."""
-    diag = state.diagonal()
-    sums = np.bincount(state.spectrum.level_of_index, weights=diag,
-                       minlength=state.spectrum.num_levels)
-    return LevelDistribution(sums)
+    """p_n = trace of the state inside each energy eigenspace, over the
+    state's spectrum."""
+    spec = state.spectrum
+    sums = np.bincount(spec.level_of_index, weights=state.diagonal(),
+                       minlength=spec.num_levels)
+    return LevelDistribution(spec, sums)
 
 
 def effective_dimension(dist: LevelDistribution) -> float:
@@ -264,13 +254,12 @@ def effective_dimension(dist: LevelDistribution) -> float:
     return 1.0 / s
 
 
-def energy_moments(dist: LevelDistribution, spectrum: EnergySpectrum) -> EnergyMoments:
+def energy_moments(dist: LevelDistribution) -> EnergyMoments:
     """Mean energy and energy standard deviation of a level distribution."""
     p = dist.probs
-    if p.shape != spectrum.levels.shape:
-        raise ValueError("distribution does not match the spectrum")
-    mean = float(np.dot(p, spectrum.levels))
-    var = float(np.dot(p, (spectrum.levels - mean) ** 2))
+    levels = dist.spectrum.levels
+    mean = float(np.dot(p, levels))
+    var = float(np.dot(p, (levels - mean) ** 2))
     return EnergyMoments(mean, np.sqrt(max(var, 0.0)))
 
 

@@ -9,6 +9,7 @@ import numpy as np
 from scipy import integrate
 
 from qequil.averaging import LORENTZIAN_DOMINATION_FACTOR
+from qequil.measure import PROJECTOR_TOL, Projector
 from qequil.spectra import EnergySpectrum
 from qequil.states import QuantumState
 
@@ -68,6 +69,25 @@ def dense(p) -> np.ndarray:
     complement."""
     vv = p.factor @ p.factor.conj().T
     return np.eye(p.dim, dtype=complex) - vv if p.is_complement else vv
+
+
+def projector_from_matrix(matrix) -> Projector:
+    """A projector from its dense d x d matrix: checked for Hermiticity and
+    idempotency, then reduced to the eigenvectors of eigenvalue 1."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("projector must be a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("projector matrix has non-finite entries")
+    herm = float(np.abs(m - m.conj().T).max(initial=0.0))
+    idem = float(np.abs(m @ m - m).max(initial=0.0))
+    if herm > PROJECTOR_TOL or idem > PROJECTOR_TOL:
+        raise ValueError(
+            f"not a projector: hermiticity residual {herm:.3e}, "
+            f"idempotency residual {idem:.3e} (tol {PROJECTOR_TOL:g})"
+        )
+    eigvals, vecs = np.linalg.eigh(m)
+    return Projector(vecs[:, eigvals > 0.5])
 
 
 def gap_series(projector, state: QuantumState, times) -> np.ndarray:

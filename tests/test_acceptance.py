@@ -14,12 +14,12 @@ from qequil.haar import HaarSampler, mc_mean_sq_distinguishability, mc_n_outcome
     n_outcome_typical_cap
 from qequil.measure import (Projector, distinguishability_series,
                             expectation_series, two_outcome)
-from qequil.spectra import EnergySpectrum, max_window_probability
+from qequil.spectra import EnergySpectrum, LevelDistribution, max_window_probability
 from qequil.states import (dephase, energy_moments, evolve,
                            level_distribution, purity)
 
 from helpers import brute_eta, brute_gap_count, dense, dense_dephase, overlap, \
-    poisson_spectrum, random_mixed, random_pure
+    poisson_spectrum, projector_from_matrix, random_mixed, random_pure
 
 SEED = 20240811
 
@@ -98,7 +98,7 @@ def test_criterion_6_gaussian_analytics(acceptance):
     worst = 0.0
     for sigma_t in (2.0, 2.5, 4.0, 5.0, 8.0, 10.0, 20.0, 25.0, 50.0):
         window = sigma_t / sigma
-        eta = max_window_probability(scenario.spectrum, dist.probs, 1.0 / window)
+        eta = max_window_probability(dist, 1.0 / window)
         worst = max(worst, eta * sigma * window)
     eta_ok = worst <= 0.42
 
@@ -117,7 +117,7 @@ def test_criterion_7_oscillator_revival(acceptance):
     scenario = harmonic_oscillator_1d(50)
     state = scenario.state
     omega = dephase(state)
-    proj = Projector.rank_one(state.amplitudes)
+    proj = Projector.from_factor(state.amplitudes)
     p_omega = proj.expectation(omega)
     times = np.linspace(0.0, 2.0 * np.pi, 2049)
     values = np.abs(expectation_series(proj, state, times) - p_omega)
@@ -159,9 +159,9 @@ def test_criterion_9_gap_counting_bounds(acceptance):
     # a distinct-gap spectrum admits an informative (< 1) regime once the
     # window width is optimized and the averaging window is long
     from qequil.bounds import best_epsilon
-    spec, state, _ = batteries.gap_counting_scenario(SEED, 40)
-    sigma = energy_moments(level_distribution(state), spec).std
-    _, optimized = best_epsilon(spec, state, window=2000.0 / sigma)
+    state, _ = batteries.gap_counting_scenario(SEED, 40)
+    sigma = energy_moments(level_distribution(state)).std
+    _, optimized = best_epsilon(state, window=2000.0 / sigma)
     ok = not bad and optimized.value < 1.0
     acceptance(9, f"gap-counting bounds on d=40: {len(bad)}/{len(report.rows)} "
                   f"violations, optimized bound {optimized.value:.3f} < 1", ok)
@@ -189,7 +189,7 @@ def test_criterion_10_structural_properties(acceptance):
     pure = random_pure(rng, spec)
     omega_p = dephase(pure)
     proj = HaarSampler(SEED + 1, spec.dim).projector(3)
-    comp = Projector.from_matrix(np.eye(spec.dim) - dense(proj))
+    comp = projector_from_matrix(np.eye(spec.dim) - dense(proj))
     times = np.linspace(0.0, 10.0, 32)
     da = np.abs(expectation_series(proj, pure, times) - proj.expectation(omega_p))
     db = np.abs(expectation_series(comp, pure, times) - comp.expectation(omega_p))
@@ -202,7 +202,8 @@ def test_criterion_10_structural_properties(acceptance):
         spec_n = EnergySpectrum(levels, np.ones(n, dtype=int))
         p = rng.dirichlet(np.ones(n))
         widths = np.sort(rng.uniform(0.01, 60.0, 3))
-        vals = [max_window_probability(spec_n, p, w) for w in widths]
+        dist = LevelDistribution(spec_n, p)
+        vals = [max_window_probability(dist, w) for w in widths]
         ok &= all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
         d_eff = 1.0 / float(np.sum(p ** 2))
         ok &= all(v >= 1.0 / d_eff - 1e-12 for v in vals)
@@ -216,7 +217,7 @@ def test_criterion_10_structural_properties(acceptance):
     spec_o = poisson_spectrum(rng, 20)
     for _ in range(10):
         psi = random_pure(rng, spec_o)
-        sigma = energy_moments(level_distribution(psi), spec_o).std
+        sigma = energy_moments(level_distribution(psi)).std
         for t in np.linspace(0.0, 1.0 / sigma, 7):
             ok &= overlap(psi, evolve(psi, t)) >= 1.0 - (sigma * t) ** 2 - 1e-12
 

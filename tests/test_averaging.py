@@ -68,7 +68,7 @@ class TestTimeAverage:
         scenario = harmonic_oscillator_1d(50)
         state = scenario.state
         omega = dephase(state)
-        proj = Projector.rank_one(state.amplitudes)
+        proj = Projector.from_factor(state.amplitudes)
         p_omega = proj.expectation(omega)
 
         def f(ts):
@@ -181,10 +181,10 @@ class TestLorentzianPurity:
     def test_product_form_equals_exact_for_pure(self, spec):
         rng = np.random.default_rng(6)
         state = random_pure(rng, spec)
-        probs = level_distribution(state).probs
+        dist = level_distribution(state)
         for T in (0.3, 2.0):
             pair = lorentzian_purity(state, T)
-            via_levels = lorentzian_purity_product(spec, probs, T)
+            via_levels = lorentzian_purity_product(dist, T)
             assert pair.exact == pytest.approx(pair.product_bound, abs=1e-12)
             assert via_levels == pytest.approx(pair.product_bound, abs=1e-14)
 
@@ -193,18 +193,18 @@ class TestLorentzianPurity:
         for trial in range(10):
             spec = poisson_spectrum(rng, int(rng.integers(4, 16)))
             state = random_pure(rng, spec) if trial % 2 else random_mixed(rng, spec)
-            probs = level_distribution(state).probs
+            dist = level_distribution(state)
             for T in (0.2, 1.0, 8.0):
                 exact = lorentzian_purity(state, T).exact
                 for delta in (0.5, 1.0, 2.0, 4.0):
-                    cap = dephased_purity_bound(spec, probs, T, delta=delta)
+                    cap = dephased_purity_bound(dist, T, delta=delta)
                     assert exact <= cap + 1e-12
 
     def test_gaussian_scenario_matches_continuum(self):
         scenario = gaussian_scenario(2000, sigma=1.0, span=8.0)
-        probs = level_distribution(scenario.state).probs
+        dist = level_distribution(scenario.state)
         sigma_t = 10.0
-        measured = lorentzian_purity_product(scenario.spectrum, probs, sigma_t)
+        measured = lorentzian_purity_product(dist, sigma_t)
         target = gaussian_purity_asymptote(1.0, sigma_t)
         assert abs(measured - target) <= 0.1 * target
 

@@ -18,7 +18,7 @@ from qequil.constructions import (gaussian_scenario, harmonic_oscillator_1d,
                                   snapshot_subspace)
 from qequil.haar import HaarSampler
 from qequil.measure import Projector, expectation_series
-from qequil.spectra import (EnergySpectrum, max_gaps_in_window,
+from qequil.spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
                             max_window_probability, max_window_probability_window)
 from qequil.states import (dephase, energy_moments, level_distribution)
 
@@ -27,20 +27,20 @@ from helpers import poisson_spectrum, random_mixed, random_pure
 NAN = float("nan")
 _SCEN = random_scenario(3, 6)
 _SPEC, _STATE = _SCEN.spectrum, _SCEN.state
-_PROBS = level_distribution(_STATE).probs
+_DIST = level_distribution(_STATE)
 
 # Every scalar guard against a nonpositive (or negative) width, window,
 # spread or value, called with NaN, which fails every comparison.
 NAN_CALLS = {
-    "max_window_probability_window": lambda: max_window_probability_window(_SPEC, _PROBS, NAN),
+    "max_window_probability_window": lambda: max_window_probability_window(_DIST, NAN),
     "max_gaps_in_window": lambda: max_gaps_in_window(_SPEC.gaps(), NAN),
     "BoundReport": lambda: BoundReport("nan", NAN),
-    "fast_equilibration_bound": lambda: fast_equilibration_bound(_SPEC, _PROBS, 1, NAN),
-    "population_term_bound": lambda: population_term_bound(_SPEC, _PROBS, 1, NAN),
+    "fast_equilibration_bound": lambda: fast_equilibration_bound(_DIST, 1, NAN),
+    "population_term_bound": lambda: population_term_bound(_DIST, 1, NAN),
     "general_expectation_bound": lambda: general_expectation_bound(
-        _SPEC, _STATE, 1.0, NAN, 1.0),
+        _STATE, 1.0, NAN, 1.0),
     "general_distinguishability_bound": lambda: general_distinguishability_bound(
-        _SPEC, _STATE, 2, 1.0, NAN),
+        _STATE, 2, 1.0, NAN),
     "gaussian_window_probability_estimate": lambda: gaussian_window_probability_estimate(
         NAN, 1.0),
     "gaussian_purity_exact": lambda: gaussian_purity_exact(1.0, NAN),
@@ -48,9 +48,9 @@ NAN_CALLS = {
     "TimeGrid.for_window": lambda: TimeGrid.for_window(NAN, 1.0),
     "lorentzian_phase_average": lambda: lorentzian_phase_average(1.0, NAN),
     "lorentzian_state": lambda: lorentzian_state(_STATE, NAN),
-    "lorentzian_purity_product": lambda: lorentzian_purity_product(_SPEC, _PROBS, NAN),
+    "lorentzian_purity_product": lambda: lorentzian_purity_product(_DIST, NAN),
     "lorentzian_purity": lambda: lorentzian_purity(_STATE, NAN),
-    "dephased_purity_bound": lambda: dephased_purity_bound(_SPEC, _PROBS, 1.0, NAN),
+    "dephased_purity_bound": lambda: dephased_purity_bound(_DIST, 1.0, NAN),
     "harmonic_oscillator_3d_boltzmann": lambda: harmonic_oscillator_3d_boltzmann(
         3, 1.0, NAN),
     "gaussian_scenario": lambda: gaussian_scenario(100, NAN),
@@ -87,36 +87,36 @@ class TestConstants:
 
 
 @pytest.fixture
-def flat_spec():
+def flat_dist():
     # one level inside every window: eta = 1 for any width
-    return EnergySpectrum([0.0], [4])
+    return LevelDistribution(EnergySpectrum([0.0], [4]), [1.0])
 
 
 class TestFastBound:
-    def test_saturated_window_probability(self, flat_spec):
-        rep = fast_equilibration_bound(flat_spec, [1.0], 1, 1e-6)
+    def test_saturated_window_probability(self, flat_dist):
+        rep = fast_equilibration_bound(flat_dist, 1, 1e-6)
         assert rep.inputs["eta"] == pytest.approx(1.0)
         assert rep.value == pytest.approx(fast_equilibration_constant())
         assert rep.value >= 1.0  # trivially true bound
 
     def test_rank_scaling(self):
         spec = EnergySpectrum(np.arange(10, dtype=float), np.ones(10, dtype=int))
-        probs = np.full(10, 0.1)
-        one = fast_equilibration_bound(spec, probs, 1, 2.0).value
-        four = fast_equilibration_bound(spec, probs, 4, 2.0).value
+        dist = LevelDistribution(spec, np.full(10, 0.1))
+        one = fast_equilibration_bound(dist, 1, 2.0).value
+        four = fast_equilibration_bound(dist, 4, 2.0).value
         assert four == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_population_term_relation(self):
         spec = EnergySpectrum(np.arange(6, dtype=float), np.ones(6, dtype=int))
-        probs = np.full(6, 1.0 / 6.0)
+        dist = LevelDistribution(spec, np.full(6, 1.0 / 6.0))
         for rank, window in ((1, 0.5), (3, 4.0)):
-            full = fast_equilibration_bound(spec, probs, rank, window).value
-            pop = population_term_bound(spec, probs, rank, window).value
-            eta = max_window_probability(spec, probs, 1.0 / window)
+            full = fast_equilibration_bound(dist, rank, window).value
+            pop = population_term_bound(dist, rank, window).value
+            eta = max_window_probability(dist, 1.0 / window)
             assert pop == pytest.approx(full - np.sqrt(rank * eta), rel=1e-12)
 
-    def test_population_constant_value(self, flat_spec):
-        rep = population_term_bound(flat_spec, [1.0], 1, 1.0)
+    def test_population_constant_value(self, flat_dist):
+        rep = population_term_bound(flat_dist, 1, 1.0)
         assert abs(rep.value - 5.98) <= 0.01
 
     def test_holds_on_oscillator_scenario(self):
@@ -124,23 +124,23 @@ class TestFastBound:
         state = scenario.state
         spec = scenario.spectrum
         dist = level_distribution(state)
-        sigma = energy_moments(dist, spec).std
+        sigma = energy_moments(dist).std
         omega = dephase(state)
-        proj = Projector.rank_one(state.amplitudes)
+        proj = Projector.from_factor(state.amplitudes)
         p_omega = proj.expectation(omega)
         window = 50.0 / sigma
         grid = TimeGrid.for_window(window, spec.span)
         measured = time_average(
             lambda ts: np.abs(expectation_series(proj, state, ts) - p_omega), grid)
-        rep = fast_equilibration_bound(spec, dist.probs, 1, window)
+        rep = fast_equilibration_bound(dist, 1, window)
         rep.measured, rep.slack = measured.value, 1e-3
         assert rep.holds
 
-    def test_rejections(self, flat_spec):
+    def test_rejections(self, flat_dist):
         with pytest.raises(ValueError):
-            fast_equilibration_bound(flat_spec, [1.0], 0, 1.0)
+            fast_equilibration_bound(flat_dist, 0, 1.0)
         with pytest.raises(ValueError):
-            fast_equilibration_bound(flat_spec, [1.0], 1, 0.0)
+            fast_equilibration_bound(flat_dist, 1, 0.0)
 
 
 class TestChainLinks:
@@ -152,9 +152,9 @@ class TestChainLinks:
             state = random_pure(rng, spec) if trial % 2 else random_mixed(rng, spec)
             rank = int(rng.integers(1, num // 2 + 1))
             proj = HaarSampler(int(rng.integers(2 ** 31)), spec.dim).projector(rank)
-            sigma = energy_moments(level_distribution(state), spec).std
+            sigma = energy_moments(level_distribution(state)).std
             for window in (0.5 / sigma, 5.0 / sigma, 50.0 / sigma):
-                links = fast_equilibration_chain(spec, state, proj, window)
+                links = fast_equilibration_chain(state, proj, window)
                 slack = links["refinement_error"] + 1e-9
                 order = ["measured", "triangle", "lorentzian_population",
                          "purity_cauchy_schwarz", "window_probability"]
@@ -170,8 +170,8 @@ class TestChainLinks:
         spec = poisson_spectrum(rng, 8)
         state = random_pure(rng, spec)
         proj = HaarSampler(3, 8).projector(6)  # complement rank 2
-        links = fast_equilibration_chain(spec, state, proj, 2.0)
-        eta = max_window_probability(spec, level_distribution(state).probs, 0.5)
+        links = fast_equilibration_chain(state, proj, 2.0)
+        eta = max_window_probability(level_distribution(state), 0.5)
         assert links["window_probability"] == pytest.approx(
             fast_equilibration_constant() * np.sqrt(eta * 2.0), rel=1e-12)
 
@@ -179,16 +179,17 @@ class TestChainLinks:
 class TestNOutcomeFastBound:
     def test_reduces_to_two_outcome(self):
         spec = EnergySpectrum(np.arange(8, dtype=float), np.ones(8, dtype=int))
-        probs = np.full(8, 1.0 / 8.0)
+        dist = LevelDistribution(spec, np.full(8, 1.0 / 8.0))
         window = 3.0
-        pair = n_outcome_fast_bound(spec, probs, [3, 5], window).value
-        two = fast_equilibration_bound(spec, probs, 3, window).value
+        pair = n_outcome_fast_bound(dist, [3, 5], window).value
+        two = fast_equilibration_bound(dist, 3, window).value
         assert pair == pytest.approx(two, rel=1e-12)
 
     def test_rejects_bad_partition(self):
         spec = EnergySpectrum(np.arange(4, dtype=float), np.ones(4, dtype=int))
         with pytest.raises(ValueError):
-            n_outcome_fast_bound(spec, np.full(4, 0.25), [1, 1, 1], 1.0)
+            n_outcome_fast_bound(LevelDistribution(spec, np.full(4, 0.25)),
+                                 [1, 1, 1], 1.0)
 
 
 class TestGeneralBounds:
@@ -201,15 +202,15 @@ class TestGeneralBounds:
     def test_vacuous_regime(self, scenario):
         spec, state = scenario
         gaps = spec.gaps()
-        rep = general_expectation_bound(spec, state, 1.0, 4.0 * spec.span, 1.0)
+        rep = general_expectation_bound(state, 1.0, 4.0 * spec.span, 1.0)
         assert rep.inputs["N_eps"] == gaps.count
         assert rep.value > 1.0
 
     def test_large_window_limit(self, scenario):
         # with eps * T -> infinity only the 3/2 term survives
-        spec, state = scenario
+        _, state = scenario
         eps = 0.3
-        rep = general_expectation_bound(spec, state, 1.0, eps, 1e12)
+        rep = general_expectation_bound(state, 1.0, eps, 1e12)
         from qequil.states import effective_dimension
         d_eff = effective_dimension(level_distribution(state))
         limit = (15.0 * np.pi / 4.0) * rep.inputs["N_eps"] / d_eff
@@ -220,20 +221,20 @@ class TestGeneralBounds:
         rng = np.random.default_rng(78)
         mixed = random_mixed(rng, spec)
         with pytest.raises(ValueError, match="pure"):
-            general_expectation_bound(spec, mixed, 1.0, 0.5, 1.0)
+            general_expectation_bound(mixed, 1.0, 0.5, 1.0)
         with pytest.raises(ValueError, match="pure"):
-            general_distinguishability_bound(spec, mixed, 2, 0.5, 1.0)
+            general_distinguishability_bound(mixed, 2, 0.5, 1.0)
 
     def test_outcome_scaling(self, scenario):
-        spec, state = scenario
-        two = general_distinguishability_bound(spec, state, 2, 0.5, 2.0).value
-        four = general_distinguishability_bound(spec, state, 4, 0.5, 2.0).value
+        _, state = scenario
+        two = general_distinguishability_bound(state, 2, 0.5, 2.0).value
+        four = general_distinguishability_bound(state, 4, 0.5, 2.0).value
         assert four == pytest.approx(2.0 * two, rel=1e-12)
 
     def test_best_epsilon_minimizes_grid(self, scenario):
         spec, state = scenario
-        eps, rep = best_epsilon(spec, state, window=10.0, num=15)
-        sweep = [general_distinguishability_bound(spec, state, 2, e, 10.0).value
+        eps, rep = best_epsilon(state, window=10.0, num=15)
+        sweep = [general_distinguishability_bound(state, 2, e, 10.0).value
                  for e in np.geomspace(spec.span * 1e-6, 2 * spec.span, 15)]
         assert rep.value == pytest.approx(min(sweep), rel=1e-12)
 
@@ -259,11 +260,11 @@ class TestGaussianAnalytics:
     def test_discretized_spectrum_obeys_estimate(self):
         scenario = gaussian_scenario(2000, sigma=1.0, span=8.0)
         dist = level_distribution(scenario.state)
-        sigma = energy_moments(dist, scenario.spectrum).std
+        sigma = energy_moments(dist).std
         assert abs(sigma - 1.0) < 0.01
         for sigma_t in (2.0, 5.0, 10.0, 25.0, 50.0):
             window = sigma_t / sigma
-            eta = max_window_probability(scenario.spectrum, dist.probs, 1.0 / window)
+            eta = max_window_probability(dist, 1.0 / window)
             assert eta <= 1.05 * 0.4 / sigma_t
 
 

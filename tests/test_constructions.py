@@ -12,7 +12,7 @@ from qequil.constructions import (Scenario, gaussian_scenario,
                                   snapshot_subspace, slow_window_check)
 from qequil.measure import (Projector, distinguishability, distinguishability_series,
                             expectation_series, two_outcome)
-from qequil.spectra import max_window_probability
+from qequil.spectra import max_window_probability, max_window_probability_window
 from qequil.states import QuantumState, dephase, evolve, level_distribution
 
 from helpers import brute_eta, dense, overlap
@@ -49,14 +49,14 @@ class TestHarmonicOscillator1D:
 
     def test_initial_distinguishability(self, scenario):
         omega = dephase(scenario.state)
-        m = two_outcome(Projector.rank_one(scenario.state.amplitudes))
+        m = two_outcome(Projector.from_factor(scenario.state.amplitudes))
         assert distinguishability(m, scenario.state, omega) == pytest.approx(
             0.98, abs=1e-12)
 
     def test_full_revival(self, scenario):
         period = 2.0 * np.pi
         omega = dephase(scenario.state)
-        m = two_outcome(Projector.rank_one(scenario.state.amplitudes))
+        m = two_outcome(Projector.from_factor(scenario.state.amplitudes))
         d0 = distinguishability(m, scenario.state, omega)
         dt = distinguishability(m, evolve(scenario.state, period), omega)
         assert abs(dt - d0) < 1e-9
@@ -64,7 +64,7 @@ class TestHarmonicOscillator1D:
     def test_average_suppressed_despite_revival(self, scenario):
         state = scenario.state
         omega = dephase(state)
-        proj = Projector.rank_one(state.amplitudes)
+        proj = Projector.from_factor(state.amplitudes)
         p_omega = proj.expectation(omega)
         times = np.linspace(0.0, 2.0 * np.pi, 2049)
         values = np.abs(expectation_series(proj, state, times) - p_omega)
@@ -97,10 +97,10 @@ class TestHarmonicOscillator3D:
 
     def test_window_probability_against_brute_force(self):
         scen = harmonic_oscillator_3d_boltzmann(30, 1.0, 10.0)
-        probs = level_distribution(scen.state).probs
-        fast = max_window_probability(scen.spectrum, probs, 8.0)
+        dist = level_distribution(scen.state)
+        fast = max_window_probability(dist, 8.0)
         assert fast == pytest.approx(
-            brute_eta(scen.spectrum.levels, probs, 8.0), abs=1e-14)
+            brute_eta(scen.spectrum.levels, dist.probs, 8.0), abs=1e-14)
 
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
@@ -116,9 +116,8 @@ class TestGaussianScenario:
         assert abs(gaussian_2000.sigma_e - 1.0) < 0.01
 
     def test_peak_window_at_center(self, gaussian_2000):
-        from qequil.spectra import max_window_probability_window
-        probs = level_distribution(gaussian_2000.state).probs
-        _, window = max_window_probability_window(gaussian_2000.spectrum, probs, 0.5)
+        dist = level_distribution(gaussian_2000.state)
+        _, window = max_window_probability_window(dist, 0.5)
         center = 0.5 * (window[0] + window[1])
         assert abs(center) < 0.01
 
@@ -151,11 +150,6 @@ class TestRandomScenario:
         assert list(scen.spectrum.degeneracies) == degs
         with pytest.raises(ValueError):
             random_scenario(9, 8, degeneracies=[2, 2])
-
-    def test_dimension_mismatch_rejected(self):
-        scen = random_scenario(3, 8)
-        with pytest.raises(ValueError):
-            Scenario(scen.spectrum, random_scenario(3, 9).state, "bad")
 
     @staticmethod
     def _draws(seed, dim):
@@ -204,8 +198,7 @@ class TestSnapshotSubspace:
         scen = random_scenario(8, 16)
         amps = np.zeros(16, dtype=complex)
         amps[3] = 1.0
-        eigen = Scenario(scen.spectrum, QuantumState.pure(scen.spectrum, amps),
-                         "eigen")
+        eigen = Scenario(QuantumState.pure(scen.spectrum, amps), "eigen")
         sub = snapshot_subspace(eigen, 6, 0.5)
         assert sub.effective_rank == 1
 
@@ -224,7 +217,7 @@ class TestSnapshotSubspace:
 
     def test_requires_pure_state(self):
         scen = random_scenario(11, 8)
-        mixed = Scenario(scen.spectrum, dephase(scen.state), "mixed")
+        mixed = Scenario(dephase(scen.state), "mixed")
         with pytest.raises(ValueError):
             snapshot_subspace(mixed, 2, 0.5)
 

@@ -84,6 +84,12 @@ class TestSampler:
         with pytest.raises(ValueError, match="dim > 2"):
             HaarSampler(1, 2, excluded_vector=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_excluded_vector_must_be_finite_and_nonzero(self, bad):
+        v = np.zeros(5) if bad == 0.0 else np.array([1.0, bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            HaarSampler(1, 5, excluded_vector=v)
+
 
 def _sampler_pair(seed, scen, excluded):
     """The batched sampler and the per-sample reference on the same stream."""

@@ -15,8 +15,8 @@ from qequil.measure import (Measurement, Projector, distinguishability,
 from qequil.spectra import EnergySpectrum
 from qequil.states import QuantumState, complex_out, dephase, evolve
 
-from helpers import (dense, gap_series, random_mixed, random_pure, success_probability,
-                     trace_distance)
+from helpers import (dense, gap_series, projector_from_matrix, random_mixed,
+                     random_pure, success_probability, trace_distance)
 
 
 @pytest.fixture
@@ -34,7 +34,7 @@ class TestProjector:
     def test_rejects_non_projector(self):
         m = np.diag([0.5, 0.5]).astype(complex)
         with pytest.raises(ValueError, match="idempotency residual"):
-            Projector.from_matrix(m)
+            projector_from_matrix(m)
 
     def test_rejects_non_orthonormal_factor(self):
         v = np.array([[1.0], [1.0]], dtype=complex)
@@ -45,7 +45,7 @@ class TestProjector:
         with pytest.raises(ValueError, match="non-finite"):
             Projector.from_factor([[np.nan], [0.0]])
         with pytest.raises(ValueError, match="non-finite"):
-            Projector.from_matrix([[np.nan, 0.0], [0.0, 1.0]])
+            projector_from_matrix([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_complement_shares_the_factor(self):
         rng = np.random.default_rng(14)
@@ -60,7 +60,7 @@ class TestProjector:
         rng = np.random.default_rng(0)
         v = _haar_frame(rng, 5, 2)
         p = Projector.from_factor(v)
-        q = Projector.from_matrix(v @ v.conj().T)
+        q = projector_from_matrix(v @ v.conj().T)
         assert p.rank == q.rank == 2
         state = random_mixed(rng, spec)
         assert p.expectation(state) == pytest.approx(q.expectation(state), abs=1e-12)
@@ -69,7 +69,7 @@ class TestProjector:
         rng = np.random.default_rng(1)
         v = _haar_frame(rng, 5, 3)
         p_fac = Projector.from_factor(v)
-        p_mat = Projector.from_matrix(v @ v.conj().T)
+        p_mat = projector_from_matrix(v @ v.conj().T)
         pure = random_pure(rng, spec)
         mixed = random_mixed(rng, spec)
         assert p_mat.expectation(pure) == pytest.approx(p_fac.expectation(pure), abs=1e-12)
@@ -132,14 +132,14 @@ class TestDistinguishability:
         rng = np.random.default_rng(6)
         state = random_pure(rng, spec)
         mixed = QuantumState.mixed(spec, np.eye(5, dtype=complex) / 5.0)
-        m = two_outcome(Projector.rank_one(state.amplitudes))
+        m = two_outcome(Projector.from_factor(state.amplitudes))
         assert distinguishability(m, state, mixed) == pytest.approx(1 - 1 / 5, abs=1e-12)
 
     def test_trivial_projectors_give_zero(self, spec):
         rng = np.random.default_rng(7)
         a, b = random_pure(rng, spec), random_mixed(rng, spec)
-        zero = Projector.from_matrix(np.zeros((5, 5), dtype=complex))
-        full = Projector.from_matrix(np.eye(5, dtype=complex))
+        zero = projector_from_matrix(np.zeros((5, 5), dtype=complex))
+        full = projector_from_matrix(np.eye(5, dtype=complex))
         m = Measurement([zero, full])
         assert distinguishability(m, a, b) == pytest.approx(0.0, abs=1e-12)
 
@@ -147,7 +147,7 @@ class TestDistinguishability:
         rng = np.random.default_rng(8)
         a, b = random_mixed(rng, spec), random_mixed(rng, spec)
         p = Projector.from_factor(_haar_frame(rng, 5, 2))
-        comp = Projector.from_matrix(np.eye(5) - dense(p))
+        comp = projector_from_matrix(np.eye(5) - dense(p))
         da = distinguishability(two_outcome(p), a, b)
         db = distinguishability(two_outcome(comp), a, b)
         assert da == pytest.approx(db, abs=1e-12)
@@ -211,7 +211,7 @@ def test_success_probability():
 def test_measurement_file_roundtrip(tmp_path, spec):
     rng = np.random.default_rng(13)
     v = _haar_frame(rng, 5, 5)
-    m = Measurement([Projector.rank_one(v[:, 0]),
+    m = Measurement([Projector.from_factor(v[:, 0]),
                      Projector.from_factor(v[:, 1:3]),
                      Projector.from_factor(v[:, 3:])])
     path = tmp_path / "meas.json"
@@ -239,25 +239,26 @@ def test_measurement_file_stores_factors(tmp_path):
 
 
 def test_measurement_file_rank_zero_outcome(tmp_path):
-    zero = Projector.from_matrix(np.zeros((3, 3)))
+    zero = projector_from_matrix(np.zeros((3, 3)))
     path = tmp_path / "trivial.json"
     save_measurement(Measurement([zero, zero.complement()]), path)
     assert load_measurement(path).ranks == (0, 3)
 
 
-def test_legacy_measurement_file_loads(tmp_path, spec):
-    rng = np.random.default_rng(19)
-    v = _haar_frame(rng, 5, 5)
-    rest = v[:, 1:] @ v[:, 1:].conj().T
+@pytest.mark.parametrize("form", ["rank_one", "matrix", "misspelled_key"])
+def test_legacy_measurement_file_rejected(tmp_path, form):
+    v = _haar_frame(np.random.default_rng(19), 5, 5)
+    first = {
+        "rank_one": {"rank_one": complex_out(v[:, 0])},
+        "matrix": complex_out(v[:, :1] @ v[:, :1].conj().T),
+        "misspelled_key": {"dim": 5, "factor": complex_out(v[:, :1].T),
+                           "complment": False},
+    }[form]
+    rest = {"dim": 5, "factor": complex_out(v[:, :1].T), "complement": True}
     path = tmp_path / "legacy.json"
-    path.write_text(json.dumps({"projectors": [{"rank_one": complex_out(v[:, 0])},
-                                               complex_out(rest)]}))
-    back = load_measurement(path)
-    assert back.ranks == (1, 4)
-    state = random_mixed(rng, spec)
-    want = [Projector.rank_one(v[:, 0]).expectation(state),
-            Projector.from_factor(v[:, 1:]).expectation(state)]
-    assert np.abs(back.outcome_probabilities(state) - want).max() < 1e-12
+    path.write_text(json.dumps({"projectors": [first, rest]}))
+    with pytest.raises(ValueError, match='"factor"'):
+        load_measurement(path)
 
 
 def _random_spectrum(rng, d):
@@ -348,7 +349,7 @@ def test_complement_matches_dense_oracle(d, data):
     omega = dephase(state)
     p = Projector.from_factor(_haar_frame(rng, d, rank))
     comp = p.complement()
-    oracle = Projector.from_matrix(np.eye(d) - dense(p))
+    oracle = projector_from_matrix(np.eye(d) - dense(p))
     assert comp.rank == oracle.rank == d - rank
     assert comp.expectation(state) == pytest.approx(oracle.expectation(state), abs=1e-12)
     times = np.linspace(0.0, 6.0, 11)
@@ -373,7 +374,7 @@ def test_residuals_reject_like_dense_oracle(d, data):
         # the implicit complement and its dense oracle
         p = Projector.from_factor(w)
         return ([*explicit, p.complement()],
-                [*explicit, Projector.from_matrix(np.eye(d) - dense(p))])
+                [*explicit, projector_from_matrix(np.eye(d) - dense(p))])
 
     good = with_complement(blocks(slice(0, 1), slice(1, k)), v[:, :k])
     bad = {

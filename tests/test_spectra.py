@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qequil.spectra import (EnergySpectrum, max_gaps_in_window,
+from qequil.spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
                             max_window_probability, max_window_probability_window,
-                            spectrum_from_hermitian, validated_level_probs)
+                            spectrum_from_hermitian)
 
 from helpers import brute_eta, brute_gap_count, charpoly_eigenvalues, random_hermitian
 
@@ -84,32 +84,44 @@ class TestFromHermitian:
 class TestWindowProbability:
     def test_worked_example(self):
         spec = EnergySpectrum([0.0, 1.0, 3.0], [1, 1, 1])
-        value, window = max_window_probability_window(spec, [0.5, 0.3, 0.2], 1.0)
+        dist = LevelDistribution(spec, [0.5, 0.3, 0.2])
+        value, window = max_window_probability_window(dist, 1.0)
         assert value == pytest.approx(0.8, abs=1e-15)
         assert window == (0.0, 1.0)
 
     def test_covering_window_is_one(self):
         spec = EnergySpectrum([0.0, 0.7, 2.0], [1, 1, 1])
-        value = max_window_probability(spec, [0.2, 0.5, 0.3], 2.0)
+        value = max_window_probability(LevelDistribution(spec, [0.2, 0.5, 0.3]), 2.0)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_single_level(self):
         spec = EnergySpectrum([5.0], [3])
-        assert max_window_probability(spec, [1.0], 0.01) == pytest.approx(1.0)
+        dist = LevelDistribution(spec, [1.0])
+        assert max_window_probability(dist, 0.01) == pytest.approx(1.0)
 
     def test_rejects_bad_inputs(self):
         spec = EnergySpectrum([0.0, 1.0], [1, 1])
         with pytest.raises(ValueError):
-            max_window_probability(spec, [0.5, 0.5], 0.0)
-        with pytest.raises(ValueError):
-            max_window_probability(spec, [0.6, 0.6], 1.0)
-        with pytest.raises(ValueError):
-            max_window_probability(spec, [-0.1, 1.1], 1.0)
+            max_window_probability(LevelDistribution(spec, [0.5, 0.5]), 0.0)
+        with pytest.raises(ValueError, match="sum"):
+            LevelDistribution(spec, [0.6, 0.6])
+        with pytest.raises(ValueError, match="nonnegative"):
+            LevelDistribution(spec, [-0.1, 1.1])
+        for wrong in ([1.0], [0.2, 0.3, 0.5]):
+            with pytest.raises(ValueError, match="expected 2 level probabilities"):
+                LevelDistribution(spec, wrong)
 
     def test_rejects_non_finite_probabilities(self):
+        spec = EnergySpectrum([0.0, 1.0, 2.0], [1, 1, 1])
         for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]):
             with pytest.raises(ValueError, match="finite"):
-                validated_level_probs(bad, 3)
+                LevelDistribution(spec, bad)
+
+    def test_stores_a_clipped_copy(self):
+        spec = EnergySpectrum([0.0, 1.0], [1, 1])
+        dist = LevelDistribution(spec, [-1e-14, 1.0 + 1e-14])
+        assert dist.spectrum is spec
+        assert dist.probs.min() == 0.0
 
     def test_monotone_and_floor(self):
         rng = np.random.default_rng(7)
@@ -119,7 +131,8 @@ class TestWindowProbability:
             spec = EnergySpectrum(levels, np.ones(n, dtype=int))
             p = rng.dirichlet(np.ones(n))
             widths = np.sort(rng.uniform(0.01, 50.0, 4))
-            vals = [max_window_probability(spec, p, w) for w in widths]
+            dist = LevelDistribution(spec, p)
+            vals = [max_window_probability(dist, w) for w in widths]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
             d_eff = 1.0 / np.sum(p ** 2)
             assert all(v >= p.max() - 1e-12 for v in vals)
@@ -133,9 +146,9 @@ class TestWindowProbability:
             spec = EnergySpectrum(levels, np.ones(n, dtype=int))
             p = rng.dirichlet(np.ones(n))
             w1, w2 = rng.uniform(0.01, 20.0, 2)
-            lhs = max_window_probability(spec, p, w1 + w2)
-            rhs = (max_window_probability(spec, p, w1)
-                   + max_window_probability(spec, p, w2))
+            dist = LevelDistribution(spec, p)
+            lhs = max_window_probability(dist, w1 + w2)
+            rhs = max_window_probability(dist, w1) + max_window_probability(dist, w2)
             assert lhs <= rhs + 1e-12
 
 
@@ -156,7 +169,7 @@ def _spectrum_probs_width(draw):
 def test_window_probability_matches_brute_force(case):
     levels, probs, width = case
     spec = EnergySpectrum(levels, np.ones(levels.size, dtype=int))
-    fast = max_window_probability(spec, probs, width)
+    fast = max_window_probability(LevelDistribution(spec, probs), width)
     assert fast == pytest.approx(brute_eta(levels, probs, width), abs=1e-12)
 
 
@@ -176,6 +189,7 @@ class TestGaps:
         assert gaps.count == 6
         assert np.allclose(gaps.values, [-2, -1, -1, 1, 1, 2])
         assert np.allclose(np.sort(-gaps.values), gaps.values)  # antisymmetry
+        assert spec.gaps() is gaps  # built once, on first use
 
     def test_equally_spaced_small_window(self):
         spec = EnergySpectrum([0.0, 1.0, 2.0], [1, 1, 1])

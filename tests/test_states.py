@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qequil.spectra import EnergySpectrum
+from qequil.spectra import EnergySpectrum, LevelDistribution
 from qequil.states import (QuantumState, dephase, effective_dimension,
                            energy_moments, evolve, level_distribution,
                            load_state, purity, save_state)
@@ -161,17 +161,17 @@ class TestDistributionsAndMoments:
         assert d_eff == pytest.approx(7.0, rel=1e-12)
 
     def test_effective_dimension_simple_cases(self, small_spec):
-        from qequil.states import LevelDistribution
-        assert effective_dimension(LevelDistribution([1.0, 0, 0, 0])) == pytest.approx(1.0)
-        assert effective_dimension(LevelDistribution([0.5, 0.5, 0, 0])) == pytest.approx(2.0)
+        one = LevelDistribution(small_spec, [1.0, 0, 0, 0])
+        two = LevelDistribution(small_spec, [0.5, 0.5, 0, 0])
+        assert effective_dimension(one) == pytest.approx(1.0)
+        assert effective_dimension(two) == pytest.approx(2.0)
 
     def test_moments(self, small_spec):
-        from qequil.states import LevelDistribution
-        single = LevelDistribution([0.0, 1.0, 0.0, 0.0])
-        mean, std = energy_moments(single, small_spec)
+        single = LevelDistribution(small_spec, [0.0, 1.0, 0.0, 0.0])
+        mean, std = energy_moments(single)
         assert (mean, std) == (1.0, 0.0)
         spec2 = EnergySpectrum([0.0, 2.0], [1, 1])
-        mean, std = energy_moments(LevelDistribution([0.5, 0.5]), spec2)
+        mean, std = energy_moments(LevelDistribution(spec2, [0.5, 0.5]))
         assert mean == pytest.approx(1.0)
         assert std == pytest.approx(1.0)  # half the spacing
 
@@ -180,14 +180,14 @@ class TestDistributionsAndMoments:
         spec = EnergySpectrum((np.arange(levels) + 0.5) * 1.0,
                               np.ones(levels, dtype=int))
         amps = np.full(levels, 1.0 / np.sqrt(levels))
-        _, std = energy_moments(level_distribution(QuantumState.pure(spec, amps)),
-                                spec)
+        _, std = energy_moments(level_distribution(QuantumState.pure(spec, amps)))
         assert std == pytest.approx(np.sqrt((levels ** 2 - 1) / 12.0), rel=1e-12)
 
     def test_degenerate_level_probability(self, degenerate_spec):
         amps = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
-        probs = level_distribution(QuantumState.pure(degenerate_spec, amps)).probs
-        assert np.allclose(probs, [0.0, 1.0, 0.0])
+        dist = level_distribution(QuantumState.pure(degenerate_spec, amps))
+        assert dist.spectrum is degenerate_spec
+        assert np.allclose(dist.probs, [0.0, 1.0, 0.0])
 
 
 class TestPurityOverlap:
@@ -230,7 +230,7 @@ class TestPurityOverlap:
         spec = poisson_spectrum(rng, 24)
         for _ in range(10):
             state = random_pure(rng, spec)
-            _, sigma = energy_moments(level_distribution(state), spec)
+            _, sigma = energy_moments(level_distribution(state))
             for t in np.linspace(0.0, 1.0 / sigma, 9):
                 assert overlap(state, evolve(state, t)) >= 1.0 - (sigma * t) ** 2 - 1e-12
 
