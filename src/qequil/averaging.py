@@ -1,7 +1,10 @@
 """Finite-time and Lorentzian averages.
 
 The uniform average over [0, T] is computed by trapezoid quadrature on a
-Nyquist-safe grid, with the refinement error measured rather than assumed.
+Nyquist-safe grid, with the refinement error measured rather than assumed;
+the running average is the same rule summed cumulatively in numpy (the
+arithmetic of scipy's ``cumulative_trapezoid``, so bit for bit its result,
+without importing scipy).
 Averaging against the Cauchy kernel T / (pi (T^2 + (t - T/2)^2)) has a
 closed form for pure phases, which turns the time-averaged state into an
 entrywise multiplication and gives a computable handle on its purity. The
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .spectra import LevelDistribution, max_window_probability
 from .states import QuantumState, level_distribution
@@ -112,10 +114,14 @@ def running_average(times, values) -> np.ndarray:
     the t = 0 entry is the instantaneous value."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    cum = integrate.cumulative_trapezoid(values, times, initial=0.0)
+    if values.size == 0:
+        raise ValueError("running average needs at least one point")
+    if times.shape != values.shape:
+        raise ValueError("times and values must have the same length")
+    cum = np.cumsum(np.diff(times) * (values[1:] + values[:-1]) / 2.0)
     out = np.empty_like(values)
     out[0] = values[0]
-    out[1:] = cum[1:] / (times[1:] - times[0])
+    out[1:] = cum / (times[1:] - times[0])
     return out
 
 

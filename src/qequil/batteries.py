@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; load it with the package
 
 from . import bounds as bounds_mod
 from .averaging import (TimeGrid, TimeSeries, dephased_purity_bound,

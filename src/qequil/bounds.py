@@ -3,14 +3,15 @@
 All constants are computed from primitives at import time and regression
 pinned in the tests, never hardcoded as decimals here. Window-probability
 bounds take a level distribution, which carries its spectrum; bounds on a
-state read the state's own spectrum.
+state read the state's own spectrum. scipy is imported only inside
+:func:`gaussian_purity_exact` (for ``erfcx``), so importing this module, or
+running any experiment but ``gaussian``, does not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid, lorentzian_purity,
                         lorentzian_state, time_average)
@@ -210,6 +211,8 @@ def gaussian_purity_exact(sigma: float, window: float) -> float:
     stably via the scaled complementary error function."""
     if not (sigma > 0 and window > 0):
         raise ValueError("sigma and window must be positive")
+    from scipy import special
+
     return float(special.erfcx(2.0 * sigma * window))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -44,13 +45,36 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _check_types(name: str, overrides: dict) -> None:
+    """Stop on a value of the wrong type for its key's default: an int key
+    takes an int (not a bool), a float key a finite int or float, a list key
+    a list. Keys that default to None are left to the experiment."""
+    for key, value in overrides.items():
+        default = DEFAULTS[name][key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(default, int):
+            ok, expected = number and isinstance(value, int), "an integer"
+        elif isinstance(default, float):
+            ok, expected = number and math.isfinite(value), "a finite number"
+        elif isinstance(default, list):
+            ok, expected = isinstance(value, list), "a list"
+        else:
+            continue
+        if not ok:
+            raise SystemExit(f"{name}: config key {key} must be {expected}, got {value!r}")
+
+
 def _effective_config(name: str, args) -> dict:
     """DEFAULTS[name] updated by the config file, then the flags; a key that
-    the experiment does not read is rejected rather than hashed and ignored."""
+    the experiment does not read, or a value of the wrong type, is rejected
+    rather than hashed and ignored or cast."""
     overrides = {}
     if args.config:
         with open(args.config) as fh:
-            overrides.update(json.load(fh))
+            from_file = json.load(fh)
+        if not isinstance(from_file, dict):
+            raise SystemExit(f"{name}: config file {args.config} must hold a JSON object")
+        overrides.update(from_file)
     for key in ("seed", "samples"):
         value = getattr(args, key, None)
         if value is not None:
@@ -60,6 +84,7 @@ def _effective_config(name: str, args) -> dict:
     if unknown:
         raise SystemExit(f"{name}: unknown config key(s) {', '.join(unknown)}; "
                          f"known: {', '.join(sorted(DEFAULTS[name]))}")
+    _check_types(name, overrides)
     config = {**DEFAULTS[name], **overrides}
     if "spectrum" in config and not (config["spectrum"] or config.get("hermitian")):
         raise SystemExit("provide a spectrum file (or a hermitian matrix file)")

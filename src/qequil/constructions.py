@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; load it with the package
 
 from .averaging import TimeGrid, TimeSeries, time_average
 from .measure import (Measurement, Projector, distinguishability_series,

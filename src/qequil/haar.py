@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; load it with the package
 
 from .measure import Projector
 from .states import EquilibriumState, QuantumState, purity

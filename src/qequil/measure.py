@@ -212,13 +212,20 @@ def load_measurement(path) -> Measurement:
     with open(path) as fh:
         payload = json.load(fh)
     projectors = []
-    for entry in payload["projectors"]:
+    for i, entry in enumerate(payload["projectors"]):
         keys = set(entry) if isinstance(entry, dict) else None
         if keys != {"dim", "factor", "complement"}:
             raise ValueError('measurement entries must be {"dim": d, "factor": '
                              '[column, ...], "complement": bool} objects')
-        cols = entry["factor"]
-        v = complex_in(cols).T if cols else np.zeros((entry["dim"], 0), complex)
+        dim, cols = entry["dim"], entry["factor"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError(f"measurement entry {i}: dim must be an integer")
+        if not isinstance(entry["complement"], bool):
+            raise ValueError(f"measurement entry {i}: complement must be true or false")
+        v = complex_in(cols).T if cols else np.zeros((dim, 0), complex)
+        if v.shape[0] != dim:
+            raise ValueError(f"measurement entry {i}: dim {dim} does not match "
+                             f"the factor's {v.shape[0]} rows")
         p = Projector.from_factor(v)
         projectors.append(p.complement() if entry["complement"] else p)
     return Measurement(projectors)

@@ -9,6 +9,8 @@ the window scans read it without checking it again.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,20 @@ __all__ = [
 
 DEGENERACY_RTOL = 1e-10
 PROB_SUM_TOL = 1e-12
+
+
+def _degeneracy_array(values) -> np.ndarray:
+    """``values`` as a 1-d int array. An entry that is not an integer value
+    (a fraction, NaN, infinity, a boolean, a string) raises rather than
+    being truncated by the cast."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return np.atleast_1d(np.asarray(values, dtype=int))
+    items = np.atleast_1d(np.asarray(values, dtype=object))
+    for g in items.flat:
+        if (isinstance(g, (bool, np.bool_)) or not isinstance(g, numbers.Real)
+                or not math.isfinite(g) or g != int(g)):
+            raise ValueError(f"degeneracies must be positive integers, got {g!r}")
+    return items.astype(int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +66,7 @@ class EnergySpectrum:
 
     def __post_init__(self):
         levels = np.atleast_1d(np.asarray(self.levels, dtype=float))
-        degs = np.atleast_1d(np.asarray(self.degeneracies, dtype=int))
+        degs = _degeneracy_array(self.degeneracies)
         if levels.ndim != 1 or degs.shape != levels.shape:
             raise ValueError("levels and degeneracies must be matching 1-d sequences")
         if levels.size == 0:
@@ -111,8 +127,7 @@ class EnergySpectrum:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnergySpectrum":
-        return cls(np.asarray(data["levels"], dtype=float),
-                   np.asarray(data["degeneracies"], dtype=int))
+        return cls(data["levels"], data["degeneracies"])
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -128,7 +128,9 @@ def _levels_by_degeneracy(spectrum: EnergySpectrum) -> dict:
     degeneracy g, one row per level."""
     degs = spectrum.degeneracies
     starts = np.cumsum(degs) - degs
-    return {int(g): starts[degs == g][:, None] + np.arange(g) for g in np.unique(degs)}
+    # The distinct degeneracies, ascending; np.unique would load numpy.ma.
+    present = np.flatnonzero(np.bincount(degs))
+    return {int(g): starts[degs == g][:, None] + np.arange(g) for g in present}
 
 
 class EquilibriumState:

@@ -259,6 +259,18 @@ def per_sample_twirl(haar, p, samples):
     return mean, np.sqrt(var / samples)
 
 
+def running_average_trapezoid(times, values) -> np.ndarray:
+    """Reference running average: scipy's cumulative trapezoid, then the
+    same division as :func:`qequil.averaging.running_average`."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    cum = integrate.cumulative_trapezoid(values, times, initial=0.0)
+    out = np.empty_like(values)
+    out[0] = values[0]
+    out[1:] = cum[1:] / (times[1:] - times[0])
+    return out
+
+
 def lorentzian_kernel(t, window: float) -> np.ndarray:
     """Cauchy weight T / (pi (T^2 + (t - T/2)^2)), normalized over the line."""
     t = np.asarray(t, dtype=float)

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid,
                               TimeSeries, dephased_purity_bound,
@@ -15,7 +18,7 @@ from qequil.states import (QuantumState, dephase, effective_dimension,
 
 from helpers import (dense_dephase, lorentzian_domination_check,
                      lorentzian_phase_average_quadrature, poisson_spectrum,
-                     random_mixed, random_pure)
+                     random_mixed, random_pure, running_average_trapezoid)
 
 
 class TestTimeGrid:
@@ -88,6 +91,27 @@ class TestTimeAverage:
         assert run[0] == 0.0
         assert run[-1] == pytest.approx(16.0 / 3.0, rel=1e-3)
         assert np.all(run >= -1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3000))
+    def test_running_average_matches_scipy_bitwise(self, data, n):
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        start = data.draw(finite)
+        steps = data.draw(hnp.arrays(float, n - 1, elements=st.floats(1e-3, 1e3)))
+        times = start + np.concatenate(([0.0], np.cumsum(steps)))
+        assume(np.all(np.diff(times) > 0))
+        values = data.draw(hnp.arrays(float, n, elements=finite))
+        run = running_average(times, values)
+        assert run.tobytes() == running_average_trapezoid(times, values).tobytes()
+
+    @pytest.mark.parametrize("times, values", [
+        ([], []),
+        ([0.0], [1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [1.0, 2.0]),
+    ])
+    def test_running_average_rejects_empty_or_mismatched(self, times, values):
+        with pytest.raises(ValueError, match="at least one point|same length"):
+            running_average(times, values)
 
 
 class TestLorentzianPhaseAverage:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -147,6 +148,26 @@ def test_unknown_config_key_is_rejected(tmp_path, argv, key):
     out = tmp_path / "out"
     argv = [a.replace("{cfg}", str(cfg)) for a in argv] + ["--out", str(out)]
     with pytest.raises(SystemExit, match=f"unknown config key.*{key}"):
+        _run(argv)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["slow", "--set", "dim=256.7"], "dim must be an integer, got 256.7"),
+    (["slow", "--set", "dim=true"], "dim must be an integer, got True"),
+    (["bounds", "--set", "trials=12.0"], "trials must be an integer"),
+    (["bounds", "--set", "slack=NaN"], "slack must be a finite number, got nan"),
+    (["slow", "--set", "epsilon=Infinity"], "epsilon must be a finite number"),
+    (["figure3", "--set", "spacing=one"], "spacing must be a finite number, got 'one'"),
+    (["gaussian", "--set", "sigma_t_grid=2.0"], "sigma_t_grid must be a list"),
+    (["haar", "--config", "{cfg}"], "must hold a JSON object"),
+])
+def test_config_value_of_wrong_type_is_rejected(tmp_path, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"samples": 10}]))
+    out = tmp_path / "out"
+    argv = [a.replace("{cfg}", str(cfg)) for a in argv] + ["--out", str(out)]
+    with pytest.raises(SystemExit, match=re.escape(message)):
         _run(argv)
     assert not out.exists()
 

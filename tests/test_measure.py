@@ -261,6 +261,27 @@ def test_legacy_measurement_file_rejected(tmp_path, form):
         load_measurement(path)
 
 
+@pytest.mark.parametrize("dim", [7, 3, 4.0, "4", True])
+def test_measurement_entry_dim_must_match_factor(tmp_path, dim):
+    v = _haar_frame(np.random.default_rng(23), 4, 1)
+    entry = {"dim": dim, "factor": complex_out(v.T), "complement": False}
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps({"projectors": [entry]}))
+    with pytest.raises(ValueError, match="measurement entry 0: dim"):
+        load_measurement(path)
+
+
+@pytest.mark.parametrize("complement", ["no", 1, 0, None])
+def test_measurement_entry_complement_must_be_boolean(tmp_path, complement):
+    v = _haar_frame(np.random.default_rng(29), 4, 1)
+    good = {"dim": 4, "factor": complex_out(v.T), "complement": False}
+    bad = {**good, "complement": complement}
+    path = tmp_path / "complement.json"
+    path.write_text(json.dumps({"projectors": [good, bad]}))
+    with pytest.raises(ValueError, match="measurement entry 1: complement"):
+        load_measurement(path)
+
+
 def _random_spectrum(rng, d):
     return EnergySpectrum(np.cumsum(rng.uniform(0.1, 1.0, d)), np.ones(d, dtype=int))
 

@@ -36,6 +36,14 @@ def test_construction_rejections(levels, degs):
         EnergySpectrum(levels, degs)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, np.nan])
+def test_non_integer_degeneracy_rejected(bad):
+    with pytest.raises(ValueError, match=f"positive integers, got {bad!r}"):
+        EnergySpectrum.from_dict({"levels": [0.0, 1.0], "degeneracies": [bad, 2]})
+    with pytest.raises(ValueError, match="positive integers"):
+        EnergySpectrum([0.0, 1.0], np.array([bad, bad]))
+
+
 def test_spectrum_json_roundtrip(tmp_path):
     spec = EnergySpectrum([-1.0, 0.25, 3.0], [1, 2, 1])
     path = tmp_path / "spec.json"
