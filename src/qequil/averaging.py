@@ -42,6 +42,9 @@ __all__ = [
 LORENTZIAN_DOMINATION_FACTOR = 5.0 * np.pi / 4.0
 # Fewest samples on an averaging grid, whatever the window and the gaps.
 MIN_GRID_SAMPLES = 64
+# Entries of the stacked (W, d, d) damping array that lorentzian_purity
+# forms at once; more windows than fit are taken in chunks.
+PURITY_STACK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +75,8 @@ class TimeGrid:
     def for_window(cls, window: float, max_gap: float) -> "TimeGrid":
         if not 0 < window < np.inf:
             raise ValueError("window must be positive and finite")
+        if not 0 <= max_gap < np.inf:
+            raise ValueError("max_gap must be nonnegative and finite")
         n = MIN_GRID_SAMPLES
         if max_gap > 0:
             n = max(n, int(np.ceil(4.0 * max_gap * window / np.pi)) + 1)
@@ -184,28 +189,46 @@ def lorentzian_purity_product(dist: LevelDistribution, window: float) -> float:
     return float(p @ damp @ p)
 
 
-def lorentzian_purity(state: QuantumState, window: float) -> PurityPair:
+def lorentzian_purity(state: QuantumState, window):
     """Purity of the Lorentzian-averaged state.
 
     ``exact`` sums |rho_jk|^2 e^{-2 |E_j - E_k| T} over eigenbasis index
     pairs and is the true tr(omega_LT^2). ``product_bound`` replaces
     |rho_jk|^2 by the product of populations (an upper bound by positivity,
     an equality for pure states) and collapses to a sum over level pairs.
+
+    For a 1-d array of windows the gaps, |rho|^2 and the level distribution
+    are built once, the damped sums are taken over a stacked (W, d, d) array,
+    and one :class:`PurityPair` per window is returned, each equal to the
+    pair of that window alone.
     """
-    if not window >= 0:
-        raise ValueError("window must be nonnegative")
+    windows = np.asarray(window, dtype=float)
+    if windows.ndim > 1 or not np.all(windows >= 0):
+        raise ValueError("window must be nonnegative, one value or a 1-d array")
     e = state.spectrum.index_energies
-    damp = np.exp(-2.0 * window * np.abs(e[:, None] - e[None, :]))
-    exact = float(np.sum((np.abs(state.rho) ** 2) * damp))
-    bound = lorentzian_purity_product(level_distribution(state), window)
-    return PurityPair(exact, bound)
+    gap = np.abs(e[:, None] - e[None, :])
+    rho_sq = np.abs(state.rho) ** 2
+    stacked = np.atleast_1d(windows)
+    step = max(1, PURITY_STACK_ENTRIES // gap.size)
+    exact = []
+    for i in range(0, stacked.size, step):
+        damp = np.exp((-2.0 * stacked[i:i + step])[:, None, None] * gap)
+        exact.extend(np.sum(rho_sq * damp, axis=(1, 2)))
+    dist = level_distribution(state)
+    pairs = [PurityPair(float(x), lorentzian_purity_product(dist, w))
+             for x, w in zip(exact, stacked)]
+    return pairs[0] if windows.ndim == 0 else pairs
 
 
-def dephased_purity_bound(dist: LevelDistribution, window: float,
-                          delta: float = 2.0) -> float:
+def dephased_purity_bound(dist: LevelDistribution, window, delta=2.0):
     """Window-probability bound on the Lorentzian-averaged purity:
-    2 * eta_{delta / 2T} / (1 - e^{-delta}), valid for every delta > 0."""
-    if not delta > 0:
+    2 * eta_{delta / 2T} / (1 - e^{-delta}), valid for every delta > 0.
+    ``window`` and ``delta`` may be arrays that broadcast together; every
+    width is then scanned in one pass and the bounds come back in their
+    broadcast shape."""
+    if not np.all(np.asarray(delta) > 0):
         raise ValueError("delta must be positive")
+    if not np.all(np.asarray(window) > 0):
+        raise ValueError("window must be positive")
     eta = max_window_probability(dist, delta / (2.0 * window))
     return 2.0 * eta / (1.0 - np.exp(-delta))

@@ -84,21 +84,26 @@ class BoundReport:
         return out
 
 
-def fast_equilibration_bound(dist: LevelDistribution, rank: int,
-                             window: float) -> BoundReport:
+def fast_equilibration_bound(dist: LevelDistribution, rank: int, window):
     """Uniform-average distinguishability bound c * sqrt(eta_{1/T} K) for any
-    two-outcome measurement whose smaller projector rank is K."""
+    two-outcome measurement whose smaller projector rank is K. For a 1-d
+    array of windows every eta comes from one scan, and one report per
+    window is returned."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
-    if not window > 0:
-        raise ValueError("window must be positive")
-    eta = max_window_probability(dist, 1.0 / window)
+    windows = np.asarray(window, dtype=float)
+    if windows.ndim > 1 or not np.all(windows > 0):
+        raise ValueError("window must be positive, one value or a 1-d array")
+    etas = max_window_probability(dist, 1.0 / windows)
     c = fast_equilibration_constant()
-    return BoundReport(
-        "fast_equilibration",
-        c * np.sqrt(eta * rank),
-        inputs={"K": rank, "T": window, "eta": eta, "c": c},
-    )
+
+    def report(w, eta):
+        return BoundReport("fast_equilibration", c * np.sqrt(eta * rank),
+                           inputs={"K": rank, "T": w, "eta": float(eta), "c": c})
+
+    if windows.ndim == 0:
+        return report(window, etas)
+    return [report(w, eta) for w, eta in zip(windows, etas)]
 
 
 def population_term_bound(dist: LevelDistribution, rank: int,
@@ -125,6 +130,8 @@ def n_outcome_fast_bound(dist: LevelDistribution, ranks,
     d = dist.spectrum.dim
     if sum(ranks) != d:
         raise ValueError("outcome ranks must sum to the dimension")
+    if not window > 0:
+        raise ValueError("window must be positive")
     eta = max_window_probability(dist, 1.0 / window)
     c = fast_equilibration_constant()
     ksum = sum(np.sqrt(min(k, d - k)) for k in ranks)

@@ -48,11 +48,18 @@ def _config_hash(config: dict) -> str:
 def _check_types(name: str, overrides: dict) -> None:
     """Stop on a value of the wrong type for its key's default: an int key
     takes an int (not a bool), a float key a finite int or float, a list key
-    a list. Keys that default to None are left to the experiment."""
+    a list. Of the keys that default to None, ``epsilon`` takes a finite
+    positive number or null and the file keys a path string or null."""
     for key, value in overrides.items():
         default = DEFAULTS[name][key]
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if isinstance(default, int):
+        if default is None:
+            if key == "epsilon":
+                ok = value is None or (number and math.isfinite(value) and value > 0)
+                expected = "a finite positive number or null"
+            else:
+                ok, expected = value is None or isinstance(value, str), "a path string or null"
+        elif isinstance(default, int):
             ok, expected = number and isinstance(value, int), "an integer"
         elif isinstance(default, float):
             ok, expected = number and math.isfinite(value), "a finite number"

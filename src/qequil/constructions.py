@@ -16,7 +16,7 @@ import numpy.random  # numpy 2 loads it on first use; load it with the package
 from .averaging import TimeGrid, TimeSeries, time_average
 from .measure import (Measurement, Projector, distinguishability_series,
                       expectation_series)
-from .spectra import DEGENERACY_RTOL, EnergySpectrum
+from .spectra import DEGENERACY_RTOL, EnergySpectrum, _degeneracy_array
 from .states import (QuantumState, dephase, effective_dimension, energy_moments,
                      level_distribution)
 
@@ -121,7 +121,7 @@ def random_scenario(seed: int, dim: int, degeneracies=None,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if degeneracies is None:
         degeneracies = np.ones(dim, dtype=int)
-    degeneracies = np.asarray(degeneracies, dtype=int)
+    degeneracies = _degeneracy_array(degeneracies)
     if degeneracies.sum() != dim:
         raise ValueError("degeneracies must sum to the dimension")
     num_levels = degeneracies.size

@@ -221,34 +221,44 @@ def spectrum_from_hermitian(matrix, tol: float = DEGENERACY_RTOL):
     return EnergySpectrum(levels, degs, tol=tol), basis
 
 
-def max_window_probability_window(dist: LevelDistribution, width: float):
+def max_window_probability_window(dist: LevelDistribution, width):
     """Maximum total level probability of ``dist`` inside any closed energy
     window of the given width, together with the maximizing window.
 
     The maximum of the window sum as a function of the window position is
     attained with the left edge sitting on a level, so only ``num_levels``
-    candidate windows need to be scanned.
+    candidate windows need to be scanned. ``width`` may be an array: every
+    width is scanned in one pass (one ``searchsorted`` over all of them), and
+    each result equals the scan of that width alone.
 
     Returns
     -------
     (float, (float, float))
-        The probability and the ``(left, right)`` edges of a maximizing
-        window.
+        For a scalar width, the probability and the ``(left, right)`` edges
+        of a maximizing window; for an array of widths, arrays of its shape
+        in the same places.
     """
-    if not width > 0:
+    widths = np.asarray(width, dtype=float)
+    if not np.all(widths > 0):
         raise ValueError("window width must be positive")
     levels = dist.spectrum.levels
     cums = np.concatenate(([0.0], np.cumsum(dist.probs)))
-    right = np.searchsorted(levels, levels + width, side="right")
+    flat = widths.reshape(-1, 1)
+    right = np.searchsorted(levels, levels + flat, side="right")
     sums = cums[right] - cums[: levels.size]
-    best = int(np.argmax(sums))
-    lo = float(levels[best])
-    return float(sums[best]), (lo, lo + width)
+    best = np.argmax(sums, axis=1)
+    values = sums[np.arange(best.size), best]
+    lo = levels[best]
+    hi = lo + flat[:, 0]
+    if widths.ndim == 0:
+        return float(values[0]), (float(lo[0]), float(hi[0]))
+    return (values.reshape(widths.shape),
+            (lo.reshape(widths.shape), hi.reshape(widths.shape)))
 
 
-def max_window_probability(dist: LevelDistribution, width: float) -> float:
+def max_window_probability(dist: LevelDistribution, width):
     """Maximum total level probability of ``dist`` inside any closed window
-    of the given energy width."""
+    of the given energy width: a float, or an array for an array of widths."""
     value, _ = max_window_probability_window(dist, width)
     return value
 

@@ -341,3 +341,62 @@ def lorentzian_domination_check(f: Callable, window: float, spacing: float,
 
     limit = LORENTZIAN_DOMINATION_FACTOR * (lorentzian + tail) + slack
     return DominationReport(uniform, lorentzian, limit, tail, uniform <= limit)
+
+
+def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int = 12,
+                                          max_rank: int = 8,
+                                          slack: float = 1e-3) -> list:
+    """Rows of :func:`qequil.batteries.fast_equilibration_battery`, computed
+    window by window with the scalar form of every call: one bound, one
+    Lorentzian purity and five window-probability caps per window."""
+    from qequil import batteries
+    from qequil.averaging import (TimeGrid, dephased_purity_bound, lorentzian_purity,
+                                  lorentzian_state, time_average)
+    from qequil.bounds import fast_equilibration_bound
+    from qequil.haar import HaarSampler
+    from qequil.measure import expectation_series
+    from qequil.states import dephase, energy_moments, level_distribution, purity
+
+    rows = []
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        scenario = batteries._random_trial_scenario(rng)
+        spec = scenario.spectrum
+        state = scenario.state
+        dist = level_distribution(state)
+        sigma = energy_moments(dist).std
+        omega = dephase(state)
+        d = spec.dim
+        rank = int(rng.integers(1, min(max_rank, d // 2) + 1))
+        proj = HaarSampler(int(rng.integers(2 ** 62)), d).projector(rank)
+        p_omega = proj.expectation(omega)
+        for window in np.geomspace(0.1, 100.0, t_points) / sigma:
+            grid = TimeGrid.for_window(window, spec.span)
+            avg = time_average(
+                lambda ts: np.abs(expectation_series(proj, state, ts) - p_omega),
+                grid)
+            rep = fast_equilibration_bound(dist, rank, window)
+            rep.measured = avg.value
+            rep.slack = slack
+            rows.append({"name": rep.name, "T": float(window), "eps": 1.0 / window,
+                         "K": rank, "value": rep.value, "measured": avg.value,
+                         "holds": rep.holds, "battery": "fast_equilibration",
+                         "trial": trial, "label": scenario.label, "d": d,
+                         "levels": spec.num_levels, "eta": rep.inputs["eta"],
+                         "refinement_error": avg.refinement_error})
+
+            pair = lorentzian_purity(state, window)
+            matrix_path = purity(lorentzian_state(state, window))
+            agreement = abs(pair.exact - matrix_path)
+            row = {"battery": "purity_chain", "trial": trial, "T": float(window),
+                   "purity_exact": pair.exact, "purity_matrix": matrix_path,
+                   "agreement": agreement, "product_bound": pair.product_bound}
+            ok = (agreement <= batteries.PURITY_DUAL_PATH_TOL
+                  and pair.exact <= pair.product_bound + 1e-12)
+            for delta in (*batteries.PURITY_CHAIN_DELTAS, 2.0 * window * (sigma / 2.0)):
+                cap = dephased_purity_bound(dist, window, delta=delta)
+                row[f"bound_delta_{delta:g}"] = cap
+                ok = ok and pair.exact <= cap + 1e-12
+            row["holds"] = ok
+            rows.append(row)
+    return rows

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qequil import averaging
 from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid,
                               TimeSeries, dephased_purity_bound,
                               lorentzian_phase_average, lorentzian_purity,
@@ -223,6 +224,37 @@ class TestLorentzianPurity:
                 for delta in (0.5, 1.0, 2.0, 4.0):
                     cap = dephased_purity_bound(dist, T, delta=delta)
                     assert exact <= cap + 1e-12
+
+    @pytest.mark.parametrize("stack_entries", [1 << 20, 30])
+    def test_windows_array_matches_per_window_sums(self, monkeypatch, stack_entries):
+        # the stacked sums (in one chunk, or one window per chunk) must be
+        # bit for bit the single-window sum of |rho|^2 e^{-2 T |gap|}
+        monkeypatch.setattr(averaging, "PURITY_STACK_ENTRIES", stack_entries)
+        rng = np.random.default_rng(8)
+        spec = EnergySpectrum([0.0, 0.8, 1.9, 3.5], [1, 2, 1, 2])
+        e = spec.index_energies
+        gap = np.abs(e[:, None] - e[None, :])
+        windows = np.array([0.0, 0.05, 0.7, 0.7, 3.0, 40.0])
+        for state in (random_pure(rng, spec), random_mixed(rng, spec)):
+            dist = level_distribution(state)
+            pairs = lorentzian_purity(state, windows)
+            assert len(pairs) == windows.size
+            for T, pair in zip(windows, pairs):
+                direct = float(np.sum(np.abs(state.rho) ** 2 * np.exp(-2.0 * T * gap)))
+                assert pair == (direct, lorentzian_purity_product(dist, T))
+                assert pair == lorentzian_purity(state, float(T))
+
+    def test_dephased_bound_broadcasts_like_scalar_calls(self):
+        rng = np.random.default_rng(9)
+        spec = poisson_spectrum(rng, 12)
+        dist = level_distribution(random_pure(rng, spec))
+        windows = np.array([0.1, 1.0, 1.0, 9.0])
+        deltas = np.column_stack([np.tile([0.5, 2.0], (windows.size, 1)), windows])
+        caps = dephased_purity_bound(dist, windows[:, None], deltas)
+        assert caps.shape == deltas.shape
+        for T, row_deltas, row_caps in zip(windows, deltas, caps):
+            for delta, cap in zip(row_deltas, row_caps):
+                assert cap == dephased_purity_bound(dist, T, delta=delta)
 
     def test_gaussian_scenario_matches_continuum(self):
         scenario = gaussian_scenario(2000, sigma=1.0, span=8.0)

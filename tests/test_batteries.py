@@ -1,11 +1,20 @@
-import numpy as np
+import sys
 
-from qequil import batteries, cli
+import numpy as np
+import pytest
+
+from qequil import batteries, cli, spectra
 from qequil.averaging import TimeSeries
 from qequil.batteries import (gap_counting_battery, haar_battery, slow_battery,
                               fast_equilibration_battery)
 
+from helpers import per_window_fast_equilibration_battery
+
 SEED = 20240811
+# Eight trials at each of these seeds draw pure and mixed states on
+# nondegenerate, degenerate and random-matrix spectra (every combination).
+ORACLE_SEEDS = (2, 24, 33)
+ORACLE_TRIALS = 8
 
 
 def test_trial_generator_covers_flavors():
@@ -23,6 +32,60 @@ def test_fast_equilibration_battery_deterministic():
     a = fast_equilibration_battery(3, trials=3, t_points=3)
     b = fast_equilibration_battery(3, trials=3, t_points=3)
     assert a.rows == b.rows
+
+
+def test_oracle_seeds_cover_every_trial_kind():
+    kinds = set()
+    for seed in ORACLE_SEEDS:
+        for trial in range(ORACLE_TRIALS):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+            scenario = batteries._random_trial_scenario(rng)
+            spec = scenario.spectrum
+            # ladder spectra start at 0; random-matrix ones do not
+            flavor = ("random-matrix" if spec.levels[0] != 0.0
+                      else "nondegenerate" if spec.is_nondegenerate() else "degenerate")
+            kinds.add((scenario.state.is_pure, flavor))
+    assert kinds == {(pure, flavor) for pure in (True, False)
+                     for flavor in ("nondegenerate", "degenerate", "random-matrix")}
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_battery_matches_per_window_oracle(seed):
+    # the battery evaluates a trial's windows together; every value, and its
+    # type, must be what the window-by-window scalar calls give
+    rows = fast_equilibration_battery(seed, trials=ORACLE_TRIALS).rows
+    oracle = per_window_fast_equilibration_battery(seed, trials=ORACLE_TRIALS)
+    assert len(rows) == len(oracle) == 2 * 12 * ORACLE_TRIALS
+    for got, want in zip(rows, oracle):
+        assert list(got) == list(want)
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+
+
+def test_battery_without_windows_has_no_rows():
+    assert fast_equilibration_battery(SEED, trials=2, t_points=0).rows == []
+
+
+def test_bounds_run_scans_windows_under_the_traced_names(monkeypatch):
+    """perfbench's traced bounds-battery run requires spectra.window_scans > 0,
+    and that counter counts only calls of spectra.max_window_probability and
+    spectra.max_window_probability_window; a scan under any other name would
+    zero it and fail the benchmark gate."""
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name.startswith("qequil")]
+    for fname in ("max_window_probability", "max_window_probability_window"):
+        original = getattr(spectra, fname)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, fname, None) is original:
+                monkeypatch.setattr(module, fname, counted)
+    config = {**cli.DEFAULTS["bounds"], "trials": 2, "t_points": 3,
+              "gap_counting_dim": 24}
+    batteries.run_bounds(config)
+    assert len(calls) >= 1
 
 
 def test_haar_battery_rows_and_determinism():

@@ -55,6 +55,16 @@ NAN_CALLS = {
         3, 1.0, NAN),
     "gaussian_scenario": lambda: gaussian_scenario(100, NAN),
     "snapshot_subspace": lambda: snapshot_subspace(_SCEN, 3, NAN),
+    "TimeGrid.for_window max_gap": lambda: TimeGrid.for_window(1.0, NAN),
+    "dephased_purity_bound window": lambda: dephased_purity_bound(_DIST, NAN),
+    # an array of windows or widths is rejected for any NaN element
+    "max_window_probability_window array": lambda: max_window_probability_window(
+        _DIST, [1.0, NAN]),
+    "fast_equilibration_bound array": lambda: fast_equilibration_bound(
+        _DIST, 1, [1.0, NAN]),
+    "lorentzian_purity array": lambda: lorentzian_purity(_STATE, [1.0, NAN]),
+    "dephased_purity_bound array": lambda: dephased_purity_bound(
+        _DIST, [1.0, 2.0], [2.0, NAN]),
 }
 
 
@@ -62,6 +72,21 @@ NAN_CALLS = {
 def test_nan_scalar_is_rejected(name):
     with pytest.raises(ValueError):
         NAN_CALLS[name]()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dephased_purity_bound(_DIST, 0.0),   # was a ZeroDivisionError
+    lambda: dephased_purity_bound(_DIST, np.array([1.0, -1.0])),
+    lambda: fast_equilibration_bound(_DIST, 1, np.array([1.0, 0.0])),
+    lambda: max_window_probability(_DIST, np.array([0.5, 0.0])),
+    lambda: TimeGrid.for_window(1.0, np.inf),    # was an OverflowError
+    lambda: TimeGrid.for_window(1.0, -1.0),
+    lambda: n_outcome_fast_bound(_DIST, [3, 3], 0.0),   # was a ZeroDivisionError
+], ids=["dephased-zero", "dephased-array-negative", "fast-array-zero",
+        "scan-array-zero", "grid-inf-gap", "grid-negative-gap", "n-outcome-zero"])
+def test_nonpositive_or_infinite_window_inputs_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # Frozen regression pins for the derived constants (recomputed from

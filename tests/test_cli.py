@@ -161,6 +161,17 @@ def test_unknown_config_key_is_rejected(tmp_path, argv, key):
     (["figure3", "--set", "spacing=one"], "spacing must be a finite number, got 'one'"),
     (["gaussian", "--set", "sigma_t_grid=2.0"], "sigma_t_grid must be a list"),
     (["haar", "--config", "{cfg}"], "must hold a JSON object"),
+    (["eta", "--set", "spectrum=7"], "spectrum must be a path string or null, got 7"),
+    (["eta", "--set", "spectrum=s.json", "--set", "state=[1]"],
+     "state must be a path string or null, got [1]"),
+    (["spectrum-info", "--set", "hermitian=true"],
+     "hermitian must be a path string or null, got True"),
+    (["spectrum-info", "--set", "spectrum=s.json", "--set", 'epsilon="abc"'],
+     "epsilon must be a finite positive number or null, got 'abc'"),
+    (["spectrum-info", "--set", "spectrum=s.json", "--set", "epsilon=NaN"],
+     "epsilon must be a finite positive number or null, got nan"),
+    (["spectrum-info", "--set", "spectrum=s.json", "--set", "epsilon=-1"],
+     "epsilon must be a finite positive number or null, got -1"),
 ])
 def test_config_value_of_wrong_type_is_rejected(tmp_path, argv, message):
     cfg = tmp_path / "cfg.json"

@@ -151,6 +151,12 @@ class TestRandomScenario:
         with pytest.raises(ValueError):
             random_scenario(9, 8, degeneracies=[2, 2])
 
+    @pytest.mark.parametrize("degs", [[1.5, 2.9], [1.0, np.nan], [True, 2]])
+    def test_non_integer_degeneracies_are_rejected(self, degs):
+        # [1.5, 2.9] used to truncate to [1, 2], a valid dimension-3 profile
+        with pytest.raises(ValueError, match="positive integers"):
+            random_scenario(1, 3, degeneracies=degs)
+
     @staticmethod
     def _draws(seed, dim):
         """The unmerged levels and the amplitudes, drawn as the builder does."""

@@ -181,6 +181,35 @@ def test_window_probability_matches_brute_force(case):
     assert fast == pytest.approx(brute_eta(levels, probs, width), abs=1e-12)
 
 
+@st.composite
+def _spectrum_probs_widths(draw):
+    """A case of ``_spectrum_probs_width`` with an array of widths instead:
+    free widths, level gaps (a window edge then lands on a level) and
+    repeats of both."""
+    levels, probs, _ = draw(_spectrum_probs_width())
+    pool = st.floats(min_value=1e-3, max_value=700.0)
+    gaps = [b - a for i, a in enumerate(levels) for b in levels[i + 1:]]
+    if gaps:
+        pool = pool | st.sampled_from(gaps)
+    widths = draw(st.lists(pool, min_size=1, max_size=10))
+    widths += draw(st.lists(st.sampled_from(widths), max_size=4))
+    return levels, probs, np.array(widths)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_spectrum_probs_widths())
+def test_array_scan_equals_scalar_scans_bitwise(case):
+    levels, probs, widths = case
+    spec = EnergySpectrum(levels, np.ones(levels.size, dtype=int))
+    dist = LevelDistribution(spec, probs)
+    values, (lo, hi) = max_window_probability_window(dist, widths)
+    assert values.shape == lo.shape == hi.shape == widths.shape
+    for k, width in enumerate(widths):
+        value, (left, right) = max_window_probability_window(dist, float(width))
+        assert (values[k], lo[k], hi[k]) == (value, left, right)  # exact, no tolerance
+    assert np.array_equal(max_window_probability(dist, widths), values)
+
+
 @settings(max_examples=120, deadline=None)
 @given(_spectrum_probs_width())
 def test_gap_count_matches_brute_force(case):
