@@ -160,16 +160,17 @@ def lorentzian_phase_average(nu: float, window: float) -> complex:
     return np.exp(-abs(nu) * window) * np.exp(1j * nu * window / 2.0)
 
 
-def lorentzian_state(state: QuantumState, window: float) -> QuantumState:
-    """Lorentzian-averaged state: rho_jk is damped by e^{-|E_j - E_k| T}
-    and rotated by e^{-i (E_j - E_k) T / 2}; the T -> infinity limit is the
-    dephased state, the T = 0 limit the state itself."""
+def lorentzian_state(state: QuantumState, window: float) -> np.ndarray:
+    """Density matrix of the Lorentzian-averaged state: rho_jk is damped by
+    e^{-|E_j - E_k| T} and rotated by e^{-i (E_j - E_k) T / 2}; the
+    T -> infinity limit is the dephased state, the T = 0 limit the state
+    itself. Returned as a d x d matrix, not revalidated as a state."""
     if not window >= 0:
         raise ValueError("window must be nonnegative")
     e = state.spectrum.index_energies
     gap = e[:, None] - e[None, :]
     factor = np.exp(-np.abs(gap) * window) * np.exp(-1j * gap * window / 2.0)
-    return QuantumState.mixed(state.spectrum, state.rho * factor)
+    return state.rho * factor
 
 
 class PurityPair(NamedTuple):

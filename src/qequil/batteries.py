@@ -34,7 +34,7 @@ from .measure import (Projector, distinguishability_series, expectation_series,
 from .spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
                       max_window_probability_window, spectrum_from_hermitian)
 from .states import (QuantumState, complex_in, dephase, effective_dimension,
-                     energy_moments, evolve, level_distribution, load_state, purity)
+                     energy_moments, evolve, level_distribution, load_state)
 
 __all__ = [
     "BatteryReport",
@@ -120,12 +120,11 @@ def _random_state(rng, spec) -> QuantumState:
     if rng.random() < 0.8:
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         return QuantumState.pure(spec, z / np.linalg.norm(z))
-    rho = np.zeros((d, d), dtype=complex)
+    columns = []
     for w in rng.dirichlet(np.ones(int(rng.integers(2, 5)))):
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        z /= np.linalg.norm(z)
-        rho += w * np.outer(z, z.conj())
-    return QuantumState.mixed(spec, rho)
+        columns.append(np.sqrt(w) * z / np.linalg.norm(z))
+    return QuantumState(spec, np.column_stack(columns))
 
 
 def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
@@ -171,21 +170,25 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
 def _purity_chain_rows(state, dist, sigma, windows, trial) -> list:
     """One purity-chain row per window: the exact Lorentzian purity against
     its matrix path, its product bound and the window-probability caps at
-    every width delta (the fixed ones, then the one matched to sigma_E)."""
+    every width delta (the fixed ones, then ``bound_delta_matched``, the one
+    matched to sigma_E)."""
     pairs = lorentzian_purity(state, windows)
     deltas = np.column_stack([np.tile(PURITY_CHAIN_DELTAS, (windows.size, 1)),
                               2.0 * windows * (sigma / 2.0)])
     caps = dephased_purity_bound(dist, windows[:, None], deltas)
+    names = [f"bound_delta_{delta:g}" for delta in PURITY_CHAIN_DELTAS]
+    names.append("bound_delta_matched")
     rows = []
-    for window, pair, row_deltas, row_caps in zip(windows, pairs, deltas, caps):
-        matrix_path = purity(lorentzian_state(state, window))
+    for window, pair, row_caps in zip(windows, pairs, caps):
+        damped = lorentzian_state(state, window)
+        matrix_path = float(np.vdot(damped, damped).real)
         agreement = abs(pair.exact - matrix_path)
         row = {"battery": "purity_chain", "trial": trial, "T": float(window),
                "purity_exact": pair.exact, "purity_matrix": matrix_path,
                "agreement": agreement, "product_bound": pair.product_bound}
         ok = agreement <= PURITY_DUAL_PATH_TOL and pair.exact <= pair.product_bound + 1e-12
-        for delta, cap in zip(row_deltas, row_caps):
-            row[f"bound_delta_{delta:g}"] = cap
+        for name, cap in zip(names, row_caps):
+            row[name] = cap
             ok = ok and pair.exact <= cap + 1e-12
         row["holds"] = ok
         rows.append(row)

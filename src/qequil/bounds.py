@@ -252,8 +252,10 @@ def fast_equilibration_chain(state: QuantumState, projector: Projector,
     measured = time_average(dvals, grid)
     pop_avg = time_average(lambda ts: expectation_series(projector, state, ts), grid)
 
-    omega_l = lorentzian_state(state, window)
-    p_lor = projector.expectation(omega_l)
+    v = projector.factor
+    p_lor = float(np.sum(v.conj() * (lorentzian_state(state, window) @ v)).real)
+    if projector.is_complement:
+        p_lor = 1.0 - p_lor
     pur_lor = lorentzian_purity(state, window).exact
     pur_omega = purity(omega)
     eta = max_window_probability(level_distribution(state), 1.0 / window)

@@ -113,14 +113,19 @@ def _fmt(value):
 
 
 def _write_rows_csv(path, rows, comment: str) -> None:
+    """One CSV line per row under the first row's keys; a row with other
+    keys raises ``ValueError`` rather than losing or blanking a column."""
     with open(path, "w") as fh:
         fh.write(f"# {comment}\n")
         if not rows:
             return
         cols = list(rows[0].keys())
         fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c, "")) for c in cols) + "\n")
+        for i, row in enumerate(rows):
+            if row.keys() != rows[0].keys():
+                raise ValueError(f"{path}: row {i} has keys {sorted(row)}, "
+                                 f"expected {sorted(cols)}")
+            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
 
 
 def _write_outputs(name: str, config: dict, out_dir: str,

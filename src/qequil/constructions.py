@@ -85,7 +85,7 @@ def harmonic_oscillator_3d_boltzmann(levels: int, spacing: float,
     probs = weights / weights.sum()
     spec = EnergySpectrum(energies, degs)
     diag = np.repeat(probs / degs, degs)
-    state = QuantumState.mixed(spec, np.diag(diag.astype(complex)))
+    state = QuantumState(spec, np.diag(np.sqrt(diag)))
     return Scenario(state, f"ho3d-{levels}")
 
 
@@ -117,7 +117,10 @@ def random_scenario(seed: int, dim: int, degeneracies=None,
     the one below merge, transitively, into one degenerate level at the
     first one's energy, with the degeneracies summed. The draws do not
     change, so a seed without such a collision gives the same scenario.
+    ``mean_spacing`` must be finite and positive.
     """
+    if not (np.isfinite(mean_spacing) and mean_spacing > 0):
+        raise ValueError(f"mean_spacing must be a finite positive number, got {mean_spacing!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if degeneracies is None:
         degeneracies = np.ones(dim, dtype=int)

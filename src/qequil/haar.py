@@ -177,14 +177,12 @@ def typical_bound_cap(dim: int) -> float:
 
 def _initial_overlap_deficit(state0: QuantumState, state_t: QuantumState,
                              omega: EquilibriumState) -> float:
-    """f(t) = tr(rho_0 (rho_t - omega)) for a pure rho_0."""
+    """f(t) = tr(rho_0 (rho_t - omega)) for a pure rho_0 = c c^dag: the sum
+    of |<c|a>|^2 over the columns a of rho_t's factor, less <c|omega|c>."""
     if not state0.is_pure:
         raise ValueError("the constrained ensemble requires a pure initial state")
     c = state0.amplitudes
-    if state_t.is_pure:
-        left = float(abs(np.vdot(c, state_t.amplitudes)) ** 2)
-    else:
-        left = float(np.vdot(c, state_t.rho @ c).real)
+    left = float(sum(abs(np.vdot(c, a)) ** 2 for a in state_t.factor.T))
     right = float(np.vdot(c, omega.dense() @ c).real)
     return left - right
 
@@ -342,8 +340,7 @@ def mc_constrained_mean(state0: QuantumState, state_t: QuantumState,
     if sampler.excluded_vector is None:
         raise ValueError("sampler must exclude the initial-state direction")
     delta = state_t.rho - omega.dense()
-    rho0 = np.outer(state0.amplitudes, state0.amplitudes.conj())
-    base = float(np.vdot(rho0, delta).real)
+    base = float(np.vdot(state0.rho, delta).real)
     if rank == 1:
         vals = np.full(samples, abs(base))
     else:
@@ -389,8 +386,7 @@ def mc_n_outcome_constrained_mean(state0: QuantumState, state_t: QuantumState,
     if sum(ranks) != d - 1:
         raise ValueError("complement ranks must sum to dim - 1")
     delta = state_t.rho - omega.dense()
-    rho0 = np.outer(state0.amplitudes, state0.amplitudes.conj())
-    base = float(np.vdot(rho0, delta).real)
+    base = float(np.vdot(state0.rho, delta).real)
     # frames of d - 1 columns span the complement
     t = _block_traces(sampler.batches(d - 1, samples), delta, ranks)
     vals = 0.5 * (np.abs(base + t[:, 0]) + sum(np.abs(t[:, 1:]).T))

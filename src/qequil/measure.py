@@ -29,8 +29,7 @@ __all__ = [
 # orthonormalization, so the shared acceptance tolerance is looser than the
 # 1e-10 that exactly constructed projectors meet.
 PROJECTOR_TOL = 1e-8
-# Complex entries per chunk of times in expectation_series: d per time for a
-# pure state, d * r for a mixed one.
+# Complex entries per chunk of times in expectation_series: d per time.
 SERIES_CHUNK_ENTRIES = 4_000_000
 
 
@@ -85,31 +84,22 @@ def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
 def expectation_series(projector: Projector, state: QuantumState, times) -> np.ndarray:
     """tr(P rho_t) for an array of times, from d x r factor products only.
 
-    With Y = e^{+iEt} V, tr(V V^dag rho_t) = tr(Y^dag rho Y): for a pure state
-    c this is sum |(V^dag * c) e^{-iEt}|^2, for a mixed state the sum of
-    conj(Y) * (rho Y). The times run in chunks of SERIES_CHUNK_ENTRIES // d
-    (pure) or // (d r) (mixed), so no d x d or d^2 x nt array is formed, and
+    With rho = A A^dag, tr(V V^dag rho_t) is the sum over the columns a of A
+    of sum |(V^dag * a) e^{-iEt}|^2. The times run in chunks of
+    SERIES_CHUNK_ENTRIES // d, so no d x d or d^2 x nt array is formed, and
     a complement's series is 1 - the series of V V^dag.
     """
     times = np.asarray(times, dtype=float)
     energies = state.spectrum.index_energies
     v = projector.factor
-    d, r = v.shape
-    if state.is_pure:
-        w = v.conj().T * state.amplitudes[None, :]  # (r, d)
-        chunk = SERIES_CHUNK_ENTRIES // d
-    else:
-        chunk = SERIES_CHUNK_ENTRIES // max(d * r, 1)
-    chunk = max(chunk, 1)
+    d = v.shape[0]
+    chunk = max(SERIES_CHUNK_ENTRIES // d, 1)
     values = np.empty(times.size)
     for start in range(0, times.size, chunk):
         phases = _phases(energies, times[start:start + chunk])  # (d, n)
-        if state.is_pure:
-            values[start:start + chunk] = np.sum(np.abs(w @ phases) ** 2, axis=0)
-        else:
-            y = v[:, :, None] * phases.conj()[:, None, :]  # (d, r, n)
-            rho_y = (state.rho @ y.reshape(d, -1)).reshape(y.shape)
-            values[start:start + chunk] = np.sum(y.conj() * rho_y, axis=(0, 1)).real
+        values[start:start + chunk] = sum(
+            np.sum(np.abs((v.conj().T * a[None, :]) @ phases) ** 2, axis=0)
+            for a in state.factor.T)
     return 1.0 - values if projector.is_complement else values
 
 

@@ -30,6 +30,13 @@ DEGENERACY_RTOL = 1e-10
 PROB_SUM_TOL = 1e-12
 
 
+def _check_tol(tol) -> None:
+    """A separation tolerance must be a finite positive number: a NaN one
+    passes every ``>`` comparison it is used in."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+
+
 def _degeneracy_array(values) -> np.ndarray:
     """``values`` as a 1-d int array. An entry that is not an integer value
     (a fraction, NaN, infinity, a boolean, a string) raises rather than
@@ -58,6 +65,7 @@ class EnergySpectrum:
     tol : float
         Relative tolerance below which two levels would be considered
         degenerate; adjacent levels must be separated by more than this.
+        Must be finite and positive.
     """
 
     levels: np.ndarray
@@ -65,6 +73,7 @@ class EnergySpectrum:
     tol: float = DEGENERACY_RTOL
 
     def __post_init__(self):
+        _check_tol(self.tol)
         levels = np.atleast_1d(np.asarray(self.levels, dtype=float))
         degs = _degeneracy_array(self.degeneracies)
         if levels.ndim != 1 or degs.shape != levels.shape:
@@ -194,7 +203,8 @@ def spectrum_from_hermitian(matrix, tol: float = DEGENERACY_RTOL):
 
     Eigenvalues closer than ``tol * max(1, |E|_max)`` are merged into one
     level; the merge is a transitive closure, so chains of near-equal
-    eigenvalues collapse together.
+    eigenvalues collapse together. ``tol`` must be finite and positive; it
+    also bounds the Hermiticity residual, relative to the largest entry.
 
     Returns
     -------
@@ -202,6 +212,7 @@ def spectrum_from_hermitian(matrix, tol: float = DEGENERACY_RTOL):
         The spectrum and the unitary whose columns are the eigenvectors,
         ordered consistently with ``level_of_index``.
     """
+    _check_tol(tol)
     H = np.asarray(matrix, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("expected a square matrix")

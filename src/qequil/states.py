@@ -1,12 +1,11 @@
 """Quantum states in the energy eigenbasis.
 
-Evolution is elementwise phase multiplication, never matrix exponentiation:
-with the state written in the eigenbasis, rho_jk(t) = rho_jk e^{-i(E_j-E_k)t}.
-Dephasing keeps only the within-level blocks and yields the equilibrium
-(infinite-time-averaged) state omega = sum_n P_n rho P_n. It is stored level
-by level as an :class:`EquilibriumState`, never as a d x d matrix: a pure
-state's amplitudes with the level partition, or a mixed state's within-level
-blocks grouped by degeneracy (a diagonal when the spectrum is nondegenerate).
+Every state is a d x s factor A with rho = A A^dag; a pure state has s = 1
+and A is its amplitude vector. Evolution multiplies the rows of A by their
+phases e^{-i E_j t}, never exponentiating a matrix. Dephasing keeps only the
+within-level blocks and yields the equilibrium (infinite-time-averaged)
+state omega = sum_n P_n rho P_n, an :class:`EquilibriumState` that holds the
+same factor with the level partition: its block on level n is A_n A_n^dag.
 :func:`level_distribution` returns the state's level probabilities as a
 :class:`~qequil.spectra.LevelDistribution` over the state's own spectrum.
 """
@@ -36,57 +35,77 @@ __all__ = [
 
 TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
-NORM_TOL = 1e-10
+
+
+def _checked_factor(spectrum: EnergySpectrum, factor) -> np.ndarray:
+    """``factor`` as a d x s complex array (a vector is one column), checked
+    for its row count, finite entries and tr(A A^dag) = 1."""
+    a = np.asarray(factor, dtype=complex)
+    if a.ndim == 1:
+        a = a[:, None]
+    d = spectrum.dim
+    if a.ndim != 2 or a.shape[0] != d:
+        raise ValueError(f"factor has shape {a.shape}, expected {d} rows")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("factor entries must be finite")
+    norm2 = float(np.vdot(a, a).real)
+    if abs(norm2 - 1.0) > TRACE_TOL:
+        raise ValueError(f"tr(A A^dag) is {norm2!r}, not 1")
+    return a
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """A A^dag as a d x d matrix. One column goes through np.outer, whose
+    entries are the single rounded products c_j conj(c_k); a matrix product
+    does not promise those bits."""
+    if a.shape[1] == 1:
+        return np.outer(a[:, 0], a[:, 0].conj())
+    return a @ a.conj().T
 
 
 class QuantumState:
-    """A density matrix over an :class:`EnergySpectrum`'s eigenbasis.
+    """A density matrix rho = A A^dag over an :class:`EnergySpectrum`'s
+    eigenbasis, stored as its d x s factor A.
 
-    Pure states carry their amplitude vector and materialize the density
-    matrix lazily; mixed states are matrix-only. Instances are treated as
-    immutable.
+    A pure state has s = 1 and A is its amplitude vector; :meth:`mixed`
+    factors a density matrix. The d x d matrix is built only when ``rho`` is
+    read, and then kept. Instances are treated as immutable.
     """
 
-    __slots__ = ("spectrum", "_amps", "_rho")
+    __slots__ = ("spectrum", "factor", "_rho")
 
-    def __init__(self, spectrum: EnergySpectrum, *, amplitudes=None, rho=None):
-        if (amplitudes is None) == (rho is None):
-            raise ValueError("provide exactly one of amplitudes or rho")
+    def __init__(self, spectrum: EnergySpectrum, factor):
         self.spectrum = spectrum
-        d = spectrum.dim
-        if amplitudes is not None:
-            c = np.asarray(amplitudes, dtype=complex).reshape(-1)
-            if c.size != d:
-                raise ValueError(f"amplitude vector has length {c.size}, expected {d}")
-            if not np.all(np.isfinite(c)):
-                raise ValueError("amplitudes must be finite")
-            norm2 = float(np.vdot(c, c).real)
-            if abs(norm2 - 1.0) > NORM_TOL:
-                raise ValueError(f"|amplitudes|^2 sums to {norm2!r}, not 1")
-            self._amps = c
-            self._rho = None
-        else:
-            m = np.asarray(rho, dtype=complex)
-            if m.shape != (d, d):
-                raise ValueError(f"density matrix has shape {m.shape}, expected {(d, d)}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("density matrix entries must be finite")
-            herm = float(np.abs(m - m.conj().T).max())
-            if herm > HERMITICITY_TOL:
-                raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")
-            tr = complex(np.trace(m))
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"density matrix trace is {tr!r}, not 1")
-            self._amps = None
-            self._rho = m
+        self.factor = _checked_factor(spectrum, factor)
+        self._rho = None
 
     @classmethod
     def pure(cls, spectrum: EnergySpectrum, amplitudes) -> "QuantumState":
-        return cls(spectrum, amplitudes=amplitudes)
+        return cls(spectrum, np.ravel(amplitudes))
 
     @classmethod
     def mixed(cls, spectrum: EnergySpectrum, rho) -> "QuantumState":
-        return cls(spectrum, rho=rho)
+        """Factor a finite, Hermitian, unit-trace, positive semidefinite
+        density matrix: rho = V diag(w) V^dag gives A = V sqrt(w) over the
+        positive eigenvalues w. An eigenvalue below -TRACE_TOL is rejected."""
+        d = spectrum.dim
+        m = np.asarray(rho, dtype=complex)
+        if m.shape != (d, d):
+            raise ValueError(f"density matrix has shape {m.shape}, expected {(d, d)}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix entries must be finite")
+        herm = float(np.abs(m - m.conj().T).max())
+        if herm > HERMITICITY_TOL:
+            raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")
+        tr = complex(np.trace(m))
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace is {tr!r}, not 1")
+        w, v = np.linalg.eigh(m)
+        if w[0] < -TRACE_TOL:
+            raise ValueError(f"density matrix not positive semidefinite: "
+                             f"eigenvalue {w[0]:.3e}")
+        keep = w > 0
+        return cls(spectrum, v[:, keep] * np.sqrt(w[keep]))
 
     @property
     def dim(self) -> int:
@@ -94,33 +113,29 @@ class QuantumState:
 
     @property
     def is_pure(self) -> bool:
-        return self._amps is not None
+        return self.factor.shape[1] == 1
 
     @property
     def amplitudes(self) -> np.ndarray:
-        if self._amps is None:
+        if not self.is_pure:
             raise ValueError("state is mixed; no amplitude vector")
-        return self._amps
+        return self.factor[:, 0]
 
     @property
     def rho(self) -> np.ndarray:
         if self._rho is None:
-            c = self._amps
-            self._rho = np.outer(c, c.conj())
+            self._rho = _gram(self.factor)
         return self._rho
 
     def diagonal(self) -> np.ndarray:
-        """Real diagonal of the density matrix (eigenbasis populations)."""
-        if self._amps is not None:
-            return np.abs(self._amps) ** 2
-        return self._rho.diagonal().real.copy()
+        """Real diagonal sum_k |A_jk|^2 of the density matrix (eigenbasis
+        populations); an equilibrium state shares it with its source."""
+        return np.sum(np.abs(self.factor) ** 2, axis=1)
 
     def projected_trace(self, v) -> float:
-        """tr(V^dag rho V), the weight of the state in the span of the
-        orthonormal columns of the d x r factor V."""
-        if self._amps is not None:
-            return float(np.sum(np.abs(v.conj().T @ self._amps) ** 2))
-        return float(np.sum(v.conj() * (self.rho @ v)).real)
+        """tr(V^dag rho V) = ||V^dag A||_F^2, the weight of the state in the
+        span of the orthonormal columns of the d x r factor V."""
+        return float(np.sum(np.abs(v.conj().T @ self.factor) ** 2))
 
 
 def _levels_by_degeneracy(spectrum: EnergySpectrum) -> dict:
@@ -134,79 +149,55 @@ def _levels_by_degeneracy(spectrum: EnergySpectrum) -> dict:
 
 
 class EquilibriumState:
-    """The equilibrium state omega = sum_n P_n rho P_n, stored level by level.
+    """The equilibrium state omega = sum_n P_n rho P_n of rho = A A^dag,
+    stored as the same factor A with the level partition.
 
-    Levels are grouped by their degeneracy g (see
-    :func:`_levels_by_degeneracy`). A pure source keeps its amplitude vector
-    c, and omega's block on level n is c_n c_n^dag. A mixed source keeps its
-    within-level blocks, one (m, g, g) array per group, so a nondegenerate
-    spectrum stores just the diagonal. Nothing d x d is held; omega is
-    handled as a mixed state (``is_pure`` is false). Built by
-    :func:`dephase` from a state's amplitudes or density matrix.
+    omega's block on level n is A_n A_n^dag, where A_n holds the rows of A on
+    that level. Levels are grouped by their degeneracy g (see
+    :func:`_levels_by_degeneracy`), and nothing d x d is held. omega is
+    handled as a mixed state (``is_pure`` is false). Built by :func:`dephase`.
     """
 
-    __slots__ = ("spectrum", "_groups", "_amps", "_blocks")
+    __slots__ = ("spectrum", "factor", "_groups")
     is_pure = False
 
-    def __init__(self, spectrum: EnergySpectrum, *, amplitudes=None, rho=None):
-        if (amplitudes is None) == (rho is None):
-            raise ValueError("provide exactly one of amplitudes or rho")
+    def __init__(self, spectrum: EnergySpectrum, factor):
         self.spectrum = spectrum
+        self.factor = _checked_factor(spectrum, factor)
         self._groups = _levels_by_degeneracy(spectrum)
-        self._amps = amplitudes
-        self._blocks = None if rho is None else {
-            g: rho[idx[:, :, None], idx[:, None, :]] for g, idx in self._groups.items()}
 
-    @property
-    def dim(self) -> int:
-        return self.spectrum.dim
-
-    def diagonal(self) -> np.ndarray:
-        """Real diagonal (eigenbasis populations), the same as the source's."""
-        if self._amps is not None:
-            return np.abs(self._amps) ** 2
-        out = np.empty(self.dim)
-        for g, idx in self._groups.items():
-            out[idx] = self._blocks[g].diagonal(axis1=1, axis2=2).real
-        return out
+    dim = QuantumState.dim
+    diagonal = QuantumState.diagonal
 
     def projected_trace(self, v) -> float:
-        """tr(V^dag omega V) for a d x r orthonormal factor V, summed over
-        levels: sum_n ||V_n^dag c_n||^2 for a pure source and
-        sum_n tr(V_n^dag rho_nn V_n) for a mixed one.
+        """tr(V^dag omega V) = sum_n ||V_n^dag A_n||_F^2 for a d x r
+        orthonormal factor V.
 
-        Nondegenerate levels contribute sum_j omega_jj |V_j|^2, computed in
-        the order a diagonal matrix product would use, so a nondegenerate
-        spectrum gives the same bits as the dense tr(V^dag omega V).
+        A nondegenerate level contributes omega_jj |V_j|^2 with omega_jj =
+        sum_k A_jk conj(A_jk), computed in the order a diagonal matrix
+        product would use, so a nondegenerate spectrum gives the same bits
+        as the dense tr(V^dag omega V).
         """
         parts = []
-        c = self._amps
+        a = self.factor
         for g, idx in self._groups.items():
             if g == 1:
                 j = slice(None) if idx.size == self.dim else idx[:, 0]
                 x = v[j]
-                diag = c[j] * c[j].conj() if c is not None else self._blocks[1][:, 0, 0]
+                diag = np.sum(a[j] * a[j].conj(), axis=1)
                 parts.append(np.sum(x.conj() * np.multiply(diag[:, None], x, order="C")).real)
                 continue
-            x = v[idx]  # (m, g, r)
-            if c is not None:
-                y = np.sum(x.conj() * c[idx][:, :, None], axis=1)  # V_n^dag c_n
+            xc = v[idx].conj()  # (m, g, r)
+            for col in a.T:  # one column at a time keeps memory at d r
+                y = np.sum(xc * col[idx][:, :, None], axis=1)  # V_n^dag a_n, (m, r)
                 parts.append(np.sum(y.real ** 2 + y.imag ** 2))
-            else:
-                parts.append(np.sum(x.conj() * (self._blocks[g] @ x)).real)
         return float(sum(parts))
 
     def dense(self) -> np.ndarray:
         """omega as a d x d matrix, bit for bit the masked copy of the
         source's density matrix. O(d^2); meant for small d only."""
-        if self._amps is not None:
-            lvl = self.spectrum.level_of_index
-            c = self._amps
-            return np.where(lvl[:, None] == lvl[None, :], np.outer(c, c.conj()), 0.0)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for g, idx in self._groups.items():
-            out[idx[:, :, None], idx[:, None, :]] = self._blocks[g]
-        return out
+        lvl = self.spectrum.level_of_index
+        return np.where(lvl[:, None] == lvl[None, :], _gram(self.factor), 0.0)
 
 
 class EnergyMoments(NamedTuple):
@@ -215,28 +206,17 @@ class EnergyMoments(NamedTuple):
 
 
 def evolve(state: QuantumState, t: float) -> QuantumState:
-    """Evolve a state for time t (phase multiplication in the eigenbasis)."""
-    energies = state.spectrum.index_energies
-    if state.is_pure:
-        return QuantumState.pure(state.spectrum,
-                                 state.amplitudes * np.exp(-1j * energies * t))
-    phases = np.exp(-1j * energies * t)
-    return QuantumState.mixed(state.spectrum,
-                              state.rho * np.outer(phases, phases.conj()))
+    """Evolve a state for time t: each row of its factor gets its phase
+    e^{-i E_j t}."""
+    phases = np.exp(-1j * state.spectrum.index_energies * t)
+    return QuantumState(state.spectrum, state.factor * phases[:, None])
 
 
 def dephase(state: QuantumState) -> EquilibriumState:
     """Equilibrium state omega = sum_n P_n rho P_n: only the within-level
-    blocks survive.
-
-    A pure state keeps its amplitude vector (O(d) memory); a mixed state's
-    blocks are copied out of its density matrix (O(sum_n g_n^2)). No d x d
-    matrix is built and nothing is revalidated: omega inherits trace and
-    Hermiticity from the state.
-    """
-    if state.is_pure:
-        return EquilibriumState(state.spectrum, amplitudes=state.amplitudes)
-    return EquilibriumState(state.spectrum, rho=state.rho)
+    blocks survive. omega shares the state's factor, so nothing is copied
+    and no d x d matrix is built."""
+    return EquilibriumState(state.spectrum, state.factor)
 
 
 def level_distribution(state: QuantumState) -> LevelDistribution:
@@ -266,17 +246,23 @@ def energy_moments(dist: LevelDistribution) -> EnergyMoments:
 
 
 def purity(state: QuantumState | EquilibriumState) -> float:
-    """tr(rho^2); equals 1 for pure states. For an equilibrium state it is
-    sum_n p_n^2 (pure source) or the summed squared norms of its blocks."""
-    if isinstance(state, EquilibriumState):
-        if state._amps is not None:
-            p = level_distribution(state).probs
-            return float(np.dot(p, p))
-        return float(sum(np.vdot(b, b).real for b in state._blocks.values()))
-    if state.is_pure:
-        n = float(np.vdot(state.amplitudes, state.amplitudes).real)
-        return n * n
-    return float(np.vdot(state.rho, state.rho).real)
+    """tr(rho^2) = ||A^dag A||_F^2; equals 1 for pure states. For an
+    equilibrium state it is sum_n ||A_n^dag A_n||_F^2, taken as the squared
+    norm of each block A_n A_n^dag (a nondegenerate level's block is its
+    population)."""
+    a = state.factor
+    if not isinstance(state, EquilibriumState):
+        gram = a.conj().T @ a
+        return float(np.vdot(gram, gram).real)
+    parts = []
+    for g, idx in state._groups.items():
+        if g == 1:
+            q = state.diagonal()[idx[:, 0]]
+            parts.append(np.dot(q, q))
+        else:
+            blocks = a[idx] @ a[idx].conj().transpose(0, 2, 1)  # (m, g, g)
+            parts.append(np.vdot(blocks, blocks).real)
+    return float(sum(parts))
 
 
 def complex_out(arr) -> list:

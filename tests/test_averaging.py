@@ -145,14 +145,14 @@ class TestLorentzianState:
     def test_diagonal_invariant(self, spec):
         diag = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         state = QuantumState.mixed(spec, diag)
-        assert np.abs(lorentzian_state(state, 2.0).rho - diag).max() < 1e-15
+        assert np.abs(lorentzian_state(state, 2.0) - diag).max() < 1e-15
 
     def test_trace_and_hermiticity(self, spec):
         rng = np.random.default_rng(0)
         state = random_mixed(rng, spec)
         avg = lorentzian_state(state, 1.3)
-        assert abs(np.trace(avg.rho) - 1.0) < 1e-12
-        assert np.abs(avg.rho - avg.rho.conj().T).max() < 1e-12
+        assert abs(np.trace(avg) - 1.0) < 1e-12
+        assert np.abs(avg - avg.conj().T).max() < 1e-12
 
     def test_long_window_approaches_dephased(self, spec):
         rng = np.random.default_rng(1)
@@ -161,7 +161,7 @@ class TestLorentzianState:
         T = 20.0
         avg = lorentzian_state(state, T)
         omega = dense_dephase(state)
-        assert np.abs(avg.rho - omega.rho).max() <= np.exp(-min_gap * T)
+        assert np.abs(avg - omega).max() <= np.exp(-min_gap * T)
 
 
 class TestLorentzianPurity:
@@ -174,7 +174,7 @@ class TestLorentzianPurity:
         for state in (random_pure(rng, spec), random_mixed(rng, spec)):
             for T in (0.01, 0.5, 3.0):
                 pair = lorentzian_purity(state, T)
-                m = lorentzian_state(state, T).rho
+                m = lorentzian_state(state, T)
                 matrix_path = float(np.trace(m @ m).real)
                 assert pair.exact == pytest.approx(matrix_path, abs=1e-12)
                 assert pair.exact <= pair.product_bound + 1e-12

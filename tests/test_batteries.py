@@ -28,6 +28,18 @@ def test_trial_generator_covers_flavors():
     assert report.ok
 
 
+def test_purity_chain_rows_share_one_set_of_columns():
+    # the sigma-matched cap used to be named after its width, which changes
+    # with every window, so the CSV header kept it for the first row only
+    rows = [r for r in fast_equilibration_battery(SEED, trials=2, t_points=3).rows
+            if r["battery"] == "purity_chain"]
+    assert len(rows) == 6
+    assert all(list(r) == list(rows[0]) for r in rows)
+    caps = [k for k in rows[0] if k.startswith("bound_delta_")]
+    assert caps == [*(f"bound_delta_{d:g}" for d in batteries.PURITY_CHAIN_DELTAS),
+                    "bound_delta_matched"]
+
+
 def test_fast_equilibration_battery_deterministic():
     a = fast_equilibration_battery(3, trials=3, t_points=3)
     b = fast_equilibration_battery(3, trials=3, t_points=3)

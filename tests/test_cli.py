@@ -195,6 +195,20 @@ def test_timeseries_csv_format(tmp_path):
     assert "0.33333333333333331" in lines[3]  # 17 significant digits
 
 
+@pytest.mark.parametrize("second", [{"a": 3, "c": 4}, {"a": 3}, {"a": 3, "b": 4, "c": 5}])
+def test_rows_csv_rejects_rows_with_other_keys(tmp_path, second):
+    # a row with other keys used to lose its extra columns and blank the
+    # missing ones
+    with pytest.raises(ValueError, match="row 1 has keys"):
+        _write_rows_csv(tmp_path / "rows.csv", [{"a": 1, "b": 2}, second], "config=abc")
+
+
+def test_rows_csv_writes_reordered_keys_in_header_order(tmp_path):
+    path = tmp_path / "rows.csv"
+    _write_rows_csv(path, [{"a": 1, "b": 2}, {"b": 4, "a": 3}], "config=abc")
+    assert path.read_text().splitlines()[1:] == ["a,b", "1,2", "3,4"]
+
+
 def test_battery_violation_exits_with_typed_failures(tmp_path):
     out = tmp_path / "bounds"
     code = _run(["bounds", "--out", str(out), "--set", "trials=1",

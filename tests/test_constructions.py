@@ -157,6 +157,12 @@ class TestRandomScenario:
         with pytest.raises(ValueError, match="positive integers"):
             random_scenario(1, 3, degeneracies=degs)
 
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf, 0.0, -1.0])
+    def test_mean_spacing_must_be_finite_and_positive(self, spacing):
+        # mean_spacing=nan used to merge every draw into one level
+        with pytest.raises(ValueError, match="mean_spacing"):
+            random_scenario(1, 5, mean_spacing=spacing)
+
     @staticmethod
     def _draws(seed, dim):
         """The unmerged levels and the amplitudes, drawn as the builder does."""

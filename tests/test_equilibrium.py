@@ -1,11 +1,15 @@
-"""The block-form equilibrium state against the dense oracle.
+"""The factor form of states and of the equilibrium state against dense
+oracles.
 
-``dephase`` returns omega = sum_n P_n rho P_n level by level; the oracle in
-``helpers.dense_dephase`` builds the masked d x d matrix. Every reader of
-omega (projector expectations, purity, distinguishability and its series,
-the populations and the dense view the Haar estimators use) must agree with
-the oracle, across degenerate and nondegenerate spectra and pure and mixed
-states.
+Every state is a factor A with rho = A A^dag, and ``dephase`` returns
+omega = sum_n P_n rho P_n as the same factor with the level partition. The
+oracles in ``helpers`` work on dense d x d arrays: ``dense_dephase`` masks
+rho, ``dense_expectation`` takes tr(P rho) and ``gap_series`` sums tr(P rho_t)
+over all d^2 gaps. Every reader of a state or of omega (populations,
+projector expectations, purity, evolution, expectation and
+distinguishability series, and the dense view the Haar estimators use) must
+agree with them, for pure, low-rank and full-rank mixed states on
+degenerate and nondegenerate spectra.
 """
 import tracemalloc
 
@@ -18,13 +22,16 @@ from qequil import batteries, cli
 from qequil.constructions import (partitioned_slow_measurement, random_scenario,
                                   snapshot_subspace)
 from qequil.measure import (Measurement, Projector, _phases, distinguishability,
-                            distinguishability_series, two_outcome)
+                            distinguishability_series, expectation_series, two_outcome)
 from qequil.spectra import EnergySpectrum
-from qequil.states import EquilibriumState, dephase, evolve, level_distribution, purity
+from qequil.states import (EquilibriumState, QuantumState, dephase, evolve,
+                           level_distribution, purity)
 
-from helpers import dense_dephase, random_mixed, random_pure
+from helpers import (dense_dephase, dense_distinguishability, dense_expectation,
+                     gap_series, random_mixed, random_pure)
 
 TOL = 1e-14
+SERIES_TOL = 1e-12
 
 
 def _spectrum(rng, d, degenerate):
@@ -43,17 +50,48 @@ def _frame(rng, d, k):
 
 @st.composite
 def cases(draw):
-    """A spectrum (degenerate or not), a pure or mixed state over it, and a
-    projector of any rank 0..d, possibly a complement."""
+    """A spectrum (degenerate or not), a pure, low-rank or full-rank mixed
+    state over it (a mixed one possibly factored from its matrix by
+    ``QuantumState.mixed``), and a projector of any rank 0..d, possibly a
+    complement."""
     d = draw(st.integers(1, 10), label="d")
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     spec = _spectrum(rng, d, draw(st.booleans(), label="degenerate"))
-    mixed = draw(st.booleans(), label="mixed")
-    state = random_mixed(rng, spec) if mixed else random_pure(rng, spec)
+    kind = draw(st.sampled_from(["pure", "low-rank", "full-rank"]), label="kind")
+    if kind == "pure":
+        state = random_pure(rng, spec)
+    else:
+        components = d if kind == "full-rank" else draw(st.integers(1, max(1, d - 1)))
+        state = random_mixed(rng, spec, components)
+        if draw(st.booleans(), label="from_matrix"):
+            state = QuantumState.mixed(spec, state.rho)
     p = Projector.from_factor(_frame(rng, d, draw(st.integers(0, d), label="rank")))
     if draw(st.booleans(), label="complement"):
         p = p.complement()
     return rng, state, p
+
+
+def _outer_sum(factor) -> np.ndarray:
+    """sum_k a_k a_k^dag over the columns of a factor, one outer product at
+    a time."""
+    return sum(np.outer(a, a.conj()) for a in factor.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases(), t=st.floats(0.0, 30.0))
+def test_factor_form_matches_dense_oracle(case, t):
+    _, state, p = case
+    rho = _outer_sum(state.factor)
+    assert state.is_pure == (state.factor.shape[1] == 1)
+    assert np.abs(state.rho - rho).max() <= TOL
+    assert np.abs(state.diagonal() - rho.diagonal().real).max() <= TOL
+    assert abs(p.expectation(state) - dense_expectation(p, rho)) <= TOL
+    assert abs(purity(state) - float(np.vdot(rho, rho).real)) <= TOL
+    phases = np.exp(-1j * state.spectrum.index_energies * t)
+    assert np.abs(evolve(state, t).rho - rho * np.outer(phases, phases.conj())).max() <= TOL
+    times = np.linspace(0.0, t, 9)
+    assert np.abs(expectation_series(p, state, times)
+                  - gap_series(p, state, times)).max() <= SERIES_TOL
 
 
 @settings(max_examples=150, deadline=None)
@@ -63,14 +101,14 @@ def test_block_form_matches_dense_oracle(case):
     omega, oracle = dephase(state), dense_dephase(state)
     assert isinstance(omega, EquilibriumState)
     assert not omega.is_pure and omega.dim == state.dim
-    # the dense view copies the masked entries and the populations are the
+    # the dense view masks the same Gram matrix and the populations are the
     # state's own, so both agree bit for bit
-    assert np.array_equal(omega.dense(), oracle.rho)
+    assert np.array_equal(omega.dense(), oracle)
     assert np.array_equal(omega.diagonal(), state.diagonal())
     assert np.array_equal(level_distribution(omega).probs, level_distribution(state).probs)
-    assert np.abs(omega.diagonal() - oracle.diagonal()).max() <= TOL
-    assert abs(p.expectation(omega) - p.expectation(oracle)) <= TOL
-    assert abs(purity(omega) - purity(oracle)) <= TOL
+    assert np.abs(omega.diagonal() - oracle.diagonal().real).max() <= TOL
+    assert abs(p.expectation(omega) - dense_expectation(p, oracle)) <= TOL
+    assert abs(purity(omega) - float(np.vdot(oracle, oracle).real)) <= TOL
 
 
 @settings(max_examples=80, deadline=None)
@@ -81,17 +119,18 @@ def test_distinguishability_against_block_form(case, t_max):
     m = two_outcome(p)
     state_t = evolve(state, t_max)
     assert abs(distinguishability(m, state_t, omega)
-               - distinguishability(m, state_t, oracle)) <= TOL
+               - dense_distinguishability(m, state_t.rho, oracle)) <= TOL
     assert abs(distinguishability(m, omega, state_t)
-               - distinguishability(m, oracle, state_t)) <= TOL
+               - dense_distinguishability(m, oracle, state_t.rho)) <= TOL
     if state.dim >= 2:
         v = _frame(rng, state.dim, state.dim)
         k = int(rng.integers(1, state.dim))
         m = Measurement([Projector(v[:, :k]), Projector(v[:, :k], True)])
     times = np.linspace(0.0, t_max, 9)
-    a = distinguishability_series(m, state, omega, times)
-    b = distinguishability_series(m, state, oracle, times)
-    assert np.abs(a - b).max() <= TOL
+    got = distinguishability_series(m, state, omega, times)
+    want = 0.5 * sum(np.abs(gap_series(q, state, times) - dense_expectation(q, oracle))
+                     for q in m.projectors)
+    assert np.abs(got - want).max() <= SERIES_TOL
 
 
 def test_slow_default_is_bit_for_bit():
@@ -113,14 +152,36 @@ def test_slow_default_is_bit_for_bit():
 
 
 def test_pure_source_keeps_no_matrix():
+    """omega shares its source's factor: a pure source keeps one column, a
+    mixed one its s columns, and nothing d x d is stored."""
     spec = _spectrum(np.random.default_rng(3), 64, degenerate=True)
-    omega = dephase(random_pure(np.random.default_rng(4), spec))
-    assert omega._blocks is None and omega._amps.shape == (64,)
-    mixed = dephase(random_mixed(np.random.default_rng(5), spec))
-    stored = sum(b.size for b in mixed._blocks.values())
-    assert stored == int(np.sum(spec.degeneracies ** 2)) < 64 * 64
-    with pytest.raises(ValueError, match="exactly one"):
+    pure = random_pure(np.random.default_rng(4), spec)
+    omega = dephase(pure)
+    assert omega.factor is pure.factor and omega.factor.shape == (64, 1)
+    mixed = random_mixed(np.random.default_rng(5), spec)
+    assert dephase(mixed).factor is mixed.factor and mixed.factor.shape == (64, 3)
+    assert pure._rho is None and mixed._rho is None
+    with pytest.raises(TypeError):
         EquilibriumState(spec)
+
+
+def test_wide_factor_on_degenerate_levels_stays_below_one_dense_matrix():
+    """tr(V^dag omega V) for a full-rank mixed state on doubly degenerate
+    levels takes one factor column at a time; stacking all s = d columns
+    would hold a d x r x d array (100 MB here)."""
+    d = 512
+    spec = EnergySpectrum(np.arange(d // 2, dtype=float), np.full(d // 2, 2))
+    rng = np.random.default_rng(8)
+    omega = dephase(random_mixed(rng, spec, components=d))
+    v = _frame(rng, d, 16)
+    tracemalloc.start()
+    try:
+        value = omega.projected_trace(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d * d
+    assert abs(value - dense_expectation(Projector(v), omega.dense())) <= 1e-13
 
 
 def test_phases_equal_complex_exponential_bitwise():

@@ -132,7 +132,7 @@ class TestBatchedKernel:
         scen = random_scenario(d + 1, d)
         state_t = evolve(scen.state, 0.8)
         omega = dephase(scen.state)
-        delta = state_t.rho - dense_dephase(scen.state).rho
+        delta = state_t.rho - dense_dephase(scen.state)
         count = _crossing_count(d - excluded)
         seeds = iter(range(200 + d, 300 + d))
 
@@ -194,7 +194,7 @@ class TestBatchedKernel:
         sampler, ref = _sampler_pair(401, scen, excluded)
         res = mc_mean_distinguishability(state_t, omega, 7, sampler, count)
         mean, stderr = per_sample_stats(
-            per_sample_mean(ref, state_t.rho - dense_dephase(scen.state).rho, 7, count))
+            per_sample_mean(ref, state_t.rho - dense_dephase(scen.state), 7, count))
         assert res.mc_mean == pytest.approx(mean, rel=1e-10, abs=1e-14)
         assert res.mc_stderr == pytest.approx(stderr, rel=1e-8, abs=1e-14)
 
@@ -273,7 +273,7 @@ class TestTypicalBound:
         # conjugating the base projector by a fixed unitary leaves the
         # ensemble invariant, so two estimates agree within error bars
         scen, state_t, omega = d8_scenario
-        delta = state_t.rho - dense_dephase(scen.state).rho
+        delta = state_t.rho - dense_dephase(scen.state)
         rot = HaarSampler(100, 8).unitary()
         base = np.zeros((8, 8), dtype=complex)
         base[:3, :3] = np.eye(3)
@@ -312,7 +312,7 @@ class TestConstrainedEnsemble:
     def test_initial_value_nonnegative(self, d10):
         scen, _, omega = d10
         f0 = 1.0 - float(np.vdot(scen.state.amplitudes,
-                                 dense_dephase(scen.state).rho @ scen.state.amplitudes).real)
+                                 dense_dephase(scen.state) @ scen.state.amplitudes).real)
         assert f0 >= 0.0
         assert constrained_mean_bound(scen.state, scen.state, omega, 3) == \
             pytest.approx(f0 + 0.5 / np.sqrt(9.0), rel=1e-12)

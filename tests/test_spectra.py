@@ -36,6 +36,13 @@ def test_construction_rejections(levels, degs):
         EnergySpectrum(levels, degs)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
+def test_spectrum_tolerance_must_be_finite_and_positive(tol):
+    # with tol=nan, levels 1e-30 apart passed the separation check
+    with pytest.raises(ValueError, match="tol must be a finite positive"):
+        EnergySpectrum([0.0, 1e-30], [1, 1], tol=tol)
+
+
 @pytest.mark.parametrize("bad", [1.5, True, np.nan])
 def test_non_integer_degeneracy_rejected(bad):
     with pytest.raises(ValueError, match=f"positive integers, got {bad!r}"):
@@ -69,6 +76,14 @@ class TestFromHermitian:
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not Hermitian"):
             spectrum_from_hermitian(m)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-9])
+    def test_rejects_tolerance_that_is_not_finite_and_positive(self, tol):
+        # a NaN tolerance let a non-Hermitian matrix through and merged
+        # every eigenvalue into one level
+        m = np.array([[0.0, 1.0], [0.0, 3.0]])
+        with pytest.raises(ValueError, match="tol must be a finite positive"):
+            spectrum_from_hermitian(m, tol=tol)
 
     def test_matches_characteristic_polynomial_roots(self):
         rng = np.random.default_rng(206)

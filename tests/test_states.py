@@ -6,8 +6,7 @@ from qequil.states import (QuantumState, dephase, effective_dimension,
                            energy_moments, evolve, level_distribution,
                            load_state, purity, save_state)
 
-from helpers import (check_positive, dense_dephase, overlap, poisson_spectrum,
-                     random_mixed, random_pure)
+from helpers import dense_dephase, overlap, poisson_spectrum, random_mixed, random_pure
 
 
 @pytest.fixture
@@ -31,8 +30,12 @@ def test_constructor_validation(small_spec):
     bad[0, 1] = 0.3
     with pytest.raises(ValueError):
         QuantumState.mixed(small_spec, bad)                    # not Hermitian
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         QuantumState(small_spec)                               # nothing given
+    with pytest.raises(ValueError):
+        QuantumState(small_spec, np.ones((3, 2)) / np.sqrt(6))  # wrong row count
+    with pytest.raises(ValueError):
+        QuantumState(small_spec, np.ones((4, 2)))              # tr(A A^dag) = 8
 
 
 def test_rejects_non_finite_input(small_spec):
@@ -44,11 +47,29 @@ def test_rejects_non_finite_input(small_spec):
         QuantumState.mixed(small_spec, rho)
 
 
-def test_positivity_check_is_opt_in(small_spec):
-    m = np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex)
-    state = QuantumState.mixed(small_spec, m)  # construction does not check
-    with pytest.raises(ValueError):
-        check_positive(state)
+def test_mixed_rejects_matrices_that_are_not_positive_semidefinite():
+    spec = EnergySpectrum([0.0, 1.0], [1, 1])
+    for m in (np.diag([1.5, -0.5]), [[0.5, 0.6], [0.6, 0.5]]):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            QuantumState.mixed(spec, m)
+    four = EnergySpectrum([0.0, 1.0, 2.7, 4.1], [1, 1, 1, 1])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        QuantumState.mixed(four, np.diag([0.8, 0.4, -0.1, -0.1]))
+    # an eigenvalue within the tolerance below zero is dropped, not rejected
+    state = QuantumState.mixed(spec, np.diag([1.0 + 5e-11, -5e-11]))
+    assert state.factor.shape == (2, 1)
+    assert purity(state) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_mixed_factor_reproduces_the_matrix(small_spec):
+    rng = np.random.default_rng(15)
+    for components in (1, 2, 4):
+        rho = random_mixed(rng, small_spec, components).rho
+        state = QuantumState.mixed(small_spec, rho)
+        assert state.factor.shape[1] <= 4
+        assert np.abs(state.rho - rho).max() < 1e-15
+        assert np.abs(state.diagonal() - rho.diagonal().real).max() < 1e-15
+        assert purity(state) == pytest.approx(float(np.vdot(rho, rho).real), abs=1e-14)
 
 
 class TestEvolve:
@@ -101,20 +122,21 @@ class TestDephase:
     def test_diagonal_nondegenerate_unchanged(self, small_spec):
         diag = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         state = QuantumState.mixed(small_spec, diag)
-        assert np.abs(dense_dephase(state).rho - diag).max() == 0.0
-        assert np.array_equal(dephase(state).dense(), diag)
+        assert np.array_equal(dense_dephase(state), state.rho)
+        assert np.array_equal(dephase(state).dense(), state.rho)
+        assert np.abs(state.rho - diag).max() < 1e-16
 
     def test_pure_nondegenerate_gives_populations(self, small_spec):
         rng = np.random.default_rng(4)
         state = random_pure(rng, small_spec)
         omega = dense_dephase(state)
-        assert np.abs(omega.rho - np.diag(np.abs(state.amplitudes) ** 2)).max() < 1e-15
+        assert np.abs(omega - np.diag(np.abs(state.amplitudes) ** 2)).max() < 1e-15
 
     def test_degenerate_block_survives(self, degenerate_spec):
         rng = np.random.default_rng(5)
         state = random_pure(rng, degenerate_spec)
         omega = dephase(state)
-        dense = dense_dephase(state).rho
+        dense = dense_dephase(state)
         assert abs(dense[1, 2]) > 1e-3      # within-level coherence kept
         assert abs(dense[0, 1]) == 0.0      # cross-level zeroed
         # blockwise purity oracle
@@ -127,11 +149,11 @@ class TestDephase:
     def test_idempotent_and_commutes_with_evolve(self, degenerate_spec):
         rng = np.random.default_rng(6)
         state = random_mixed(rng, degenerate_spec)
-        omega = dense_dephase(state)
-        assert np.abs(dense_dephase(omega).rho - omega.rho).max() < 1e-15
+        omega = QuantumState.mixed(degenerate_spec, dense_dephase(state))
+        assert np.abs(dense_dephase(omega) - omega.rho).max() < 1e-15
         assert np.abs(dephase(omega).dense() - omega.rho).max() < 1e-15
         t = 2.2
-        a = dense_dephase(evolve(state, t)).rho
+        a = dense_dephase(evolve(state, t))
         b = omega.rho
         assert np.abs(a - b).max() < 1e-12
 
@@ -149,7 +171,7 @@ class TestDephase:
         omega = dense_dephase(state)
         target = purity(dephase(state))
         for t in (0.0, 0.3, 2.9, 17.0):
-            val = float(np.vdot(evolve(state, t).rho, omega.rho).real)
+            val = float(np.vdot(evolve(state, t).rho, omega).real)
             assert val == pytest.approx(target, abs=1e-12)
 
 
@@ -233,6 +255,26 @@ class TestPurityOverlap:
             _, sigma = energy_moments(level_distribution(state))
             for t in np.linspace(0.0, 1.0 / sigma, 9):
                 assert overlap(state, evolve(state, t)) >= 1.0 - (sigma * t) ** 2 - 1e-12
+
+
+def test_state_attributes_read_by_the_benchmark_tracer(small_spec):
+    """perfbench's tracer counts a dense density matrix when
+    ``QuantumState.rho`` finds its cache slot ``_rho`` empty, and sizes
+    expectation series and states from ``is_pure`` and ``dim``; a rename or
+    an eager build would silently change its per-layer counts."""
+    assert "_rho" in QuantumState.__slots__
+    assert isinstance(vars(QuantumState)["rho"], property)
+    rng = np.random.default_rng(16)
+    pure, mixed = random_pure(rng, small_spec), random_mixed(rng, small_spec)
+    factored = QuantumState.mixed(small_spec, random_mixed(rng, small_spec).rho)
+    for state in (pure, mixed, factored, evolve(pure, 0.3), evolve(factored, 0.3)):
+        assert state._rho is None
+        rho = state.rho
+        assert state._rho is rho and state.rho is rho
+        assert state.dim == 4
+    assert pure.is_pure is True and mixed.is_pure is False
+    omega = dephase(pure)
+    assert omega.is_pure is False and omega.dim == 4
 
 
 def test_state_file_roundtrip(tmp_path, small_spec):
