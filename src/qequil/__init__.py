@@ -17,7 +17,7 @@ from .averaging import (TimeGrid, TimeSeries, lorentzian_phase_average,
                         lorentzian_purity, lorentzian_state, time_average)
 from .bounds import (BoundReport, fast_equilibration_bound,
                      fast_equilibration_constant, general_distinguishability_bound,
-                     general_expectation_bound, population_term_bound)
+                     general_expectation_bound)
 from .haar import (HaarSampler, TwirlResult, exact_mean_sq_distinguishability,
                    typical_distinguishability_bound)
 from .constructions import (Scenario, SnapshotSubspace, gaussian_scenario,

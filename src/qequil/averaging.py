@@ -84,10 +84,6 @@ class TimeGrid:
             n += 1
         return cls(np.linspace(0.0, window, n), window)
 
-    @property
-    def spacing(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 class AverageResult(NamedTuple):
     value: float
@@ -153,10 +149,11 @@ class TimeSeries:
                           running=running_average(self.times, self.values))
 
 
-def lorentzian_phase_average(nu: float, window: float) -> complex:
-    """Closed-form Lorentzian average of e^{i nu t}."""
-    if not window > 0:
-        raise ValueError("window must be positive")
+def lorentzian_phase_average(nu, window: float):
+    """Closed-form Lorentzian average e^{-|nu| T} e^{i nu T / 2} of e^{i nu t},
+    entrywise for an array of frequencies; 1 at T = 0, the kernel's limit."""
+    if not window >= 0:
+        raise ValueError("window must be nonnegative")
     return np.exp(-abs(nu) * window) * np.exp(1j * nu * window / 2.0)
 
 
@@ -165,12 +162,8 @@ def lorentzian_state(state: QuantumState, window: float) -> np.ndarray:
     e^{-|E_j - E_k| T} and rotated by e^{-i (E_j - E_k) T / 2}; the
     T -> infinity limit is the dephased state, the T = 0 limit the state
     itself. Returned as a d x d matrix, not revalidated as a state."""
-    if not window >= 0:
-        raise ValueError("window must be nonnegative")
     e = state.spectrum.index_energies
-    gap = e[:, None] - e[None, :]
-    factor = np.exp(-np.abs(gap) * window) * np.exp(-1j * gap * window / 2.0)
-    return state.rho * factor
+    return state.rho * lorentzian_phase_average(e[None, :] - e[:, None], window)
 
 
 class PurityPair(NamedTuple):

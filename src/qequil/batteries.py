@@ -42,7 +42,6 @@ __all__ = [
     "fast_equilibration_battery",
     "gap_counting_battery",
     "haar_battery",
-    "slow_battery",
     "run_figure3",
     "run_bounds",
     "run_slow",
@@ -56,13 +55,12 @@ PURITY_DUAL_PATH_TOL = 1e-12
 # Sweep settings: dimensions of the randomized trials (inclusive), purity-chain
 # widths delta (the one matched to sigma_E is added), gap-counting widths
 # eps / sigma_E and number of windows T, the Monte Carlo allowance in standard
-# errors, samples across the slow window.
+# errors.
 TRIAL_DIM_RANGE = (24, 60)
 PURITY_CHAIN_DELTAS = (0.5, 1.0, 2.0, 4.0)
 GAP_COUNTING_EPS_FACTORS = (0.1, 1.0, 10.0)
 GAP_COUNTING_WINDOWS = 6
 HAAR_STDERR_SIGMAS = 3.0
-SLOW_BATTERY_SAMPLES = 128
 
 
 @dataclass
@@ -73,10 +71,6 @@ class BatteryReport:
     def violations(self) -> list:
         """The rows whose ``holds`` is false."""
         return [row for row in self.rows if not row["holds"]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 class ExperimentResult(NamedTuple):
@@ -298,38 +292,6 @@ def _random_partition(rng, total: int, parts: int):
     cuts = np.sort(rng.choice(np.arange(1, total), size=parts - 1, replace=False))
     edges = np.concatenate(([0], cuts, [total]))
     return [int(b - a) for a, b in zip(edges[:-1], edges[1:])]
-
-
-def slow_battery(seed: int, scenarios: int = 20) -> BatteryReport:
-    """Snapshot-subspace floor/ceiling checks plus N-outcome refinement
-    dominance across a range of dimensions and snapshot counts."""
-    report = BatteryReport()
-    dims = (256, 512, 1024, 2048)
-    counts = (4, 8, 16, 32)
-    eps_choices = (0.25, 0.5)
-    for idx in range(scenarios):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x510, idx]))
-        d = int(dims[idx % len(dims)])
-        k = int(counts[int(rng.integers(len(counts)))])
-        # keep the guaranteed floor strictly positive and meaningful
-        while np.sqrt(k / (d / 2.2)) > 0.5:
-            k //= 2
-        eps = float(eps_choices[int(rng.integers(2))])
-        scenario = random_scenario(int(rng.integers(2 ** 62)), d)
-        sub = snapshot_subspace(scenario, k, eps)
-        rep = slow_window_check(sub, scenario, 3, num_samples=SLOW_BATTERY_SAMPLES)
-
-        row = {"battery": "slow", "scenario": idx, "d": d, "K": k, "eps": eps,
-               "d_eff": scenario.d_eff, "floor": rep.floor,
-               "min_value": rep.worst_value, "floor_holds": rep.floor_holds,
-               "trace_omega": rep.trace_omega,
-               "trace_omega_bound": rep.trace_omega_bound,
-               "long_time_average": rep.long_time_average,
-               "ceiling": rep.ceiling, "ceiling_holds": rep.ceiling_holds,
-               "refinement_holds": rep.refinement_holds,
-               "holds": rep.holds}
-        report.rows.append(row)
-    return report
 
 
 def _series_rows(series: TimeSeries, **constant) -> list:

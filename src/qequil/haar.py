@@ -29,9 +29,7 @@ __all__ = [
     "TwirlResult",
     "exact_mean_sq_distinguishability",
     "typical_distinguishability_bound",
-    "typical_bound_cap",
     "constrained_mean_bound",
-    "constrained_mean_bound_tight",
     "initial_distinguishability_floor",
     "initial_distinguishability_exact",
     "n_outcome_typical_bound",
@@ -170,11 +168,6 @@ def typical_distinguishability_bound(rank: int, dim: int) -> float:
     return float(np.sqrt(rank * (dim - rank) / (dim ** 2 * (dim + 1.0))))
 
 
-def typical_bound_cap(dim: int) -> float:
-    """Worst case of the typical bound over ranks, attained at K = d/2."""
-    return 1.0 / (2.0 * np.sqrt(dim + 1.0))
-
-
 def _initial_overlap_deficit(state0: QuantumState, state_t: QuantumState,
                              omega: EquilibriumState) -> float:
     """f(t) = tr(rho_0 (rho_t - omega)) for a pure rho_0 = c c^dag: the sum
@@ -197,18 +190,6 @@ def constrained_mean_bound(state0: QuantumState, state_t: QuantumState,
     _check_rank_dim(rank, d)
     f = _initial_overlap_deficit(state0, state_t, omega)
     return abs(f) + 1.0 / (2.0 * np.sqrt(d - 1.0))
-
-
-def constrained_mean_bound_tight(state0: QuantumState, state_t: QuantumState,
-                                 omega: EquilibriumState, rank: int) -> float:
-    """Pre-relaxation version sqrt(f(t)^2 + 1/(4 (d-1))) of the constrained
-    mean bound."""
-    d = state0.dim
-    if d <= 2:
-        raise ValueError("the constrained ensemble requires dim > 2")
-    _check_rank_dim(rank, d)
-    f = _initial_overlap_deficit(state0, state_t, omega)
-    return float(np.sqrt(f ** 2 + 1.0 / (4.0 * (d - 1.0))))
 
 
 def initial_distinguishability_floor(rank: int, dim: int, d_eff: float) -> float:
@@ -258,11 +239,7 @@ def n_outcome_constrained_bound(f_t: float, outcomes: int, dim: int) -> float:
 
 def swap_operator(dim: int) -> np.ndarray:
     """Swap on the doubled space: S (a tensor b) = b tensor a."""
-    s = np.zeros((dim * dim, dim * dim))
-    for a in range(dim):
-        for b in range(dim):
-            s[a * dim + b, b * dim + a] = 1.0
-    return s
+    return np.eye(dim * dim)[np.arange(dim * dim).reshape(dim, dim).T.ravel()]
 
 
 def twirl_second_moment(projector_matrix) -> tuple:

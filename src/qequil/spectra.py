@@ -216,6 +216,8 @@ def spectrum_from_hermitian(matrix, tol: float = DEGENERACY_RTOL):
     H = np.asarray(matrix, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(H)):
+        raise ValueError("matrix entries must be finite")
     residual = float(np.abs(H - H.conj().T).max()) if H.size else 0.0
     scale = max(1.0, float(np.abs(H).max())) if H.size else 1.0
     if residual > tol * scale:

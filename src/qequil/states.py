@@ -87,7 +87,8 @@ class QuantumState:
     def mixed(cls, spectrum: EnergySpectrum, rho) -> "QuantumState":
         """Factor a finite, Hermitian, unit-trace, positive semidefinite
         density matrix: rho = V diag(w) V^dag gives A = V sqrt(w) over the
-        positive eigenvalues w. An eigenvalue below -TRACE_TOL is rejected."""
+        eigenvalues w above the eigensolver's roundoff, d eps max(w). An
+        eigenvalue below -TRACE_TOL is rejected."""
         d = spectrum.dim
         m = np.asarray(rho, dtype=complex)
         if m.shape != (d, d):
@@ -104,7 +105,7 @@ class QuantumState:
         if w[0] < -TRACE_TOL:
             raise ValueError(f"density matrix not positive semidefinite: "
                              f"eigenvalue {w[0]:.3e}")
-        keep = w > 0
+        keep = w > d * np.finfo(float).eps * w[-1]
         return cls(spectrum, v[:, keep] * np.sqrt(w[keep]))
 
     @property

@@ -1,17 +1,26 @@
 """Independent brute-force oracles and small utilities shared by the tests.
 
 These deliberately avoid the library's sliding-window / closed-form code
-paths so that agreement is meaningful.
+paths so that agreement is meaningful. The paper's bounds that no
+experiment evaluates (the population term, the N-outcome extension, the
+window-width optimizer, the bound chain and the tight constrained mean) live
+here too, as references the theorem checks compare against.
 """
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate
 
-from qequil.averaging import LORENTZIAN_DOMINATION_FACTOR
-from qequil.measure import PROJECTOR_TOL, Projector
-from qequil.spectra import EnergySpectrum
-from qequil.states import QuantumState
+from qequil import batteries, haar
+from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid, dephased_purity_bound,
+                              lorentzian_purity, lorentzian_state, time_average)
+from qequil.bounds import (BoundReport, fast_equilibration_bound,
+                           fast_equilibration_constant, general_distinguishability_bound,
+                           population_constant, purity_chain_factor)
+from qequil.measure import PROJECTOR_TOL, Projector, expectation_series
+from qequil.spectra import EnergySpectrum, LevelDistribution, max_window_probability
+from qequil.states import (EquilibriumState, QuantumState, dephase, energy_moments,
+                           level_distribution, purity)
 
 
 def brute_eta(levels, probs, width):
@@ -355,14 +364,6 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int 
     """Rows of :func:`qequil.batteries.fast_equilibration_battery`, computed
     window by window with the scalar form of every call: one bound, one
     Lorentzian purity and five window-probability caps per window."""
-    from qequil import batteries
-    from qequil.averaging import (TimeGrid, dephased_purity_bound, lorentzian_purity,
-                                  lorentzian_state, time_average)
-    from qequil.bounds import fast_equilibration_bound
-    from qequil.haar import HaarSampler
-    from qequil.measure import expectation_series
-    from qequil.states import dephase, energy_moments, level_distribution
-
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
@@ -374,7 +375,7 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int 
         omega = dephase(state)
         d = spec.dim
         rank = int(rng.integers(1, min(max_rank, d // 2) + 1))
-        proj = HaarSampler(int(rng.integers(2 ** 62)), d).projector(rank)
+        proj = haar.HaarSampler(int(rng.integers(2 ** 62)), d).projector(rank)
         p_omega = proj.expectation(omega)
         for window in np.geomspace(0.1, 100.0, t_points) / sigma:
             grid = TimeGrid.for_window(window, spec.span)
@@ -410,3 +411,101 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int 
             row["holds"] = ok
             rows.append(row)
     return rows
+
+
+def population_term_bound(dist: LevelDistribution, rank: int,
+                          window: float) -> BoundReport:
+    """Bound on the averaged population <tr(P rho_t)>_T alone (the full
+    two-outcome bound minus the sqrt(K eta) equilibrium term)."""
+    if rank < 1:
+        raise ValueError("rank must be at least 1")
+    if not window > 0:
+        raise ValueError("window must be positive")
+    eta = max_window_probability(dist, 1.0 / window)
+    value = LORENTZIAN_DOMINATION_FACTOR * np.sqrt(purity_chain_factor(2.0) * eta * rank)
+    return BoundReport("population_term", value,
+                       inputs={"K": rank, "T": window, "eta": eta, "c": population_constant()})
+
+
+def n_outcome_fast_bound(dist: LevelDistribution, ranks, window: float) -> BoundReport:
+    """N-outcome generalization: (c/2) sqrt(eta_{1/T}) * sum_i sqrt(k_i)
+    where k_i = min(rank P_i, d - rank P_i)."""
+    ranks = [int(k) for k in ranks]
+    d = dist.spectrum.dim
+    if sum(ranks) != d:
+        raise ValueError("outcome ranks must sum to the dimension")
+    if not window > 0:
+        raise ValueError("window must be positive")
+    eta = max_window_probability(dist, 1.0 / window)
+    c = fast_equilibration_constant()
+    ksum = sum(np.sqrt(min(k, d - k)) for k in ranks)
+    return BoundReport("n_outcome_fast", 0.5 * c * np.sqrt(eta) * ksum,
+                       inputs={"ranks": tuple(ranks), "T": window, "eta": eta, "c": c})
+
+
+def best_epsilon(state: QuantumState, window: float, num: int = 25,
+                 total_outcomes: int = 2) -> tuple:
+    """Scan a log grid of window widths and return (eps, report) minimizing
+    the distinguishability form; the width is a free parameter of the bound."""
+    span = state.spectrum.span
+    if not span > 0:
+        raise ValueError("spectrum has a single level; no gaps to count")
+    best = None
+    for eps in np.geomspace(span * 1e-6, 2.0 * span, num):
+        rep = general_distinguishability_bound(state, total_outcomes, eps, window)
+        if best is None or rep.value < best[1].value:
+            best = (float(eps), rep)
+    return best
+
+
+def constrained_mean_bound_tight(state0: QuantumState, state_t: QuantumState,
+                                 omega: EquilibriumState, rank: int) -> float:
+    """Pre-relaxation version sqrt(f(t)^2 + 1/(4 (d-1))) of
+    :func:`qequil.haar.constrained_mean_bound`."""
+    d = state0.dim
+    if d <= 2:
+        raise ValueError("the constrained ensemble requires dim > 2")
+    haar._check_rank_dim(rank, d)
+    f = haar._initial_overlap_deficit(state0, state_t, omega)
+    return float(np.sqrt(f ** 2 + 1.0 / (4.0 * (d - 1.0))))
+
+
+def fast_equilibration_chain(state: QuantumState, projector: Projector,
+                             window: float) -> dict:
+    """Evaluate every link of the two-outcome bound chain on one instance.
+
+    Returns the measured average distinguishability followed by each
+    successive relaxation up to c * sqrt(eta K); consecutive entries must be
+    ordered (the first link up to quadrature error, the rest exactly).
+    """
+    omega = dephase(state)
+    if projector.rank > projector.dim - projector.rank:
+        # D_P = D_{1-P}, so run the chain on the smaller-rank side.
+        projector = projector.complement()
+    rank = projector.rank
+    grid = TimeGrid.for_window(window, state.spectrum.span)
+    p_omega = projector.expectation(omega)
+    measured = time_average(
+        lambda ts: np.abs(expectation_series(projector, state, ts) - p_omega), grid)
+    pop_avg = time_average(lambda ts: expectation_series(projector, state, ts), grid)
+
+    v = projector.factor
+    p_lor = float(np.sum(v.conj() * (lorentzian_state(state, window) @ v)).real)
+    if projector.is_complement:
+        p_lor = 1.0 - p_lor
+    pur_lor = lorentzian_purity(state, window).exact
+    pur_omega = purity(omega)
+    eta = max_window_probability(level_distribution(state), 1.0 / window)
+
+    links = {
+        "measured": measured.value,
+        "triangle": pop_avg.value + p_omega,
+        "lorentzian_population": (LORENTZIAN_DOMINATION_FACTOR * p_lor
+                                  + np.sqrt(pur_omega * rank)),
+        "purity_cauchy_schwarz": (LORENTZIAN_DOMINATION_FACTOR
+                                  * np.sqrt(rank * pur_lor)
+                                  + np.sqrt(rank * pur_omega)),
+        "window_probability": fast_equilibration_constant() * np.sqrt(eta * rank),
+    }
+    links["refinement_error"] = measured.refinement_error + pop_avg.refinement_error
+    return links

@@ -25,7 +25,7 @@ from helpers import (dense_dephase, lorentzian_domination_check,
 class TestTimeGrid:
     def test_nyquist_spacing(self):
         grid = TimeGrid.for_window(10.0, max_gap=3.0)
-        assert grid.spacing <= np.pi / (4.0 * 3.0)
+        assert grid.times[1] - grid.times[0] <= np.pi / (4.0 * 3.0)
         assert grid.times[0] == 0.0 and grid.times[-1] == 10.0
         assert grid.times.size % 2 == 1
 
@@ -132,9 +132,13 @@ class TestLorentzianPhaseAverage:
             numeric, err = lorentzian_phase_average_quadrature(sign * nu, window)
             assert abs(analytic - numeric) <= 1e-6 + err
 
+    def test_zero_window_is_the_kernel_limit(self):
+        assert lorentzian_phase_average(1.7, 0.0) == 1.0
+
     def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            lorentzian_phase_average(1.0, 0.0)
+        for window in (-1e-9, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                lorentzian_phase_average(1.0, window)
 
 
 class TestLorentzianState:
@@ -162,6 +166,18 @@ class TestLorentzianState:
         avg = lorentzian_state(state, T)
         omega = dense_dephase(state)
         assert np.abs(avg - omega).max() <= np.exp(-min_gap * T)
+
+    def test_entries_are_damped_by_the_phase_average(self, spec):
+        # rho_jk picks up the average of e^{-i (E_j - E_k) t}; at T = 0 the
+        # state comes back unchanged
+        rng = np.random.default_rng(5)
+        state = random_mixed(rng, spec)
+        e = spec.index_energies
+        for T in (0.3, 7.0):
+            want = np.array([[state.rho[j, k] * lorentzian_phase_average(e[k] - e[j], T)
+                              for k in range(4)] for j in range(4)])
+            assert np.abs(lorentzian_state(state, T) - want).max() < 1e-15
+        assert np.array_equal(lorentzian_state(state, 0.0), state.rho)
 
 
 class TestLorentzianPurity:

@@ -5,13 +5,10 @@ from qequil.averaging import (TimeGrid, dephased_purity_bound,
                               lorentzian_phase_average, lorentzian_purity,
                               lorentzian_purity_product, lorentzian_state,
                               time_average)
-from qequil.bounds import (BoundReport, best_epsilon, fast_equilibration_bound,
-                           fast_equilibration_chain, fast_equilibration_constant,
-                           gaussian_purity_asymptote, gaussian_purity_exact,
-                           gaussian_window_probability_estimate,
-                           general_distinguishability_bound,
-                           general_expectation_bound, n_outcome_fast_bound,
-                           population_constant, population_term_bound,
+from qequil.bounds import (BoundReport, fast_equilibration_bound,
+                           fast_equilibration_constant, gaussian_purity_asymptote,
+                           gaussian_purity_exact, general_distinguishability_bound,
+                           general_expectation_bound, population_constant,
                            purity_chain_factor)
 from qequil.constructions import (gaussian_scenario, harmonic_oscillator_1d,
                                   harmonic_oscillator_3d_boltzmann, random_scenario,
@@ -19,10 +16,12 @@ from qequil.constructions import (gaussian_scenario, harmonic_oscillator_1d,
 from qequil.haar import HaarSampler
 from qequil.measure import Projector, expectation_series
 from qequil.spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
-                            max_window_probability, max_window_probability_window)
+                            max_window_probability, max_window_probability_window,
+                            spectrum_from_hermitian)
 from qequil.states import (dephase, energy_moments, level_distribution)
 
-from helpers import poisson_spectrum, random_mixed, random_pure
+from helpers import (best_epsilon, fast_equilibration_chain, n_outcome_fast_bound,
+                     poisson_spectrum, population_term_bound, random_mixed, random_pure)
 
 NAN = float("nan")
 _SCEN = random_scenario(3, 6)
@@ -34,6 +33,8 @@ _DIST = level_distribution(_STATE)
 NAN_CALLS = {
     "max_window_probability_window": lambda: max_window_probability_window(_DIST, NAN),
     "max_gaps_in_window": lambda: max_gaps_in_window(_SPEC.gaps(), NAN),
+    "spectrum_from_hermitian": lambda: spectrum_from_hermitian(
+        np.array([[0.0, NAN], [NAN, 1.0]])),
     "BoundReport": lambda: BoundReport("nan", NAN),
     "fast_equilibration_bound": lambda: fast_equilibration_bound(_DIST, 1, NAN),
     "population_term_bound": lambda: population_term_bound(_DIST, 1, NAN),
@@ -41,8 +42,6 @@ NAN_CALLS = {
         _STATE, 1.0, NAN, 1.0),
     "general_distinguishability_bound": lambda: general_distinguishability_bound(
         _STATE, 2, 1.0, NAN),
-    "gaussian_window_probability_estimate": lambda: gaussian_window_probability_estimate(
-        NAN, 1.0),
     "gaussian_purity_exact": lambda: gaussian_purity_exact(1.0, NAN),
     "gaussian_purity_asymptote": lambda: gaussian_purity_asymptote(NAN, 1.0),
     "TimeGrid.for_window": lambda: TimeGrid.for_window(NAN, 1.0),
@@ -265,13 +264,6 @@ class TestGeneralBounds:
 
 
 class TestGaussianAnalytics:
-    def test_window_probability_estimate(self):
-        assert gaussian_window_probability_estimate(1.0, 10.0) == pytest.approx(
-            1.0 / np.sqrt(2 * np.pi) / 10.0, rel=1e-12)
-        # the quoted 0.4 coefficient rounds the exact 1/sqrt(2 pi)
-        assert gaussian_window_probability_estimate(1.0, 10.0) <= 0.4 / 10.0
-        assert gaussian_window_probability_estimate(1.0, 1e-9) == 1.0
-
     def test_purity_exact_form_against_asymptote(self):
         for sigma_t in (5.0, 10.0, 40.0):
             exact = gaussian_purity_exact(1.0, sigma_t)
@@ -309,9 +301,3 @@ class TestBoundReport:
     def test_requires_measurement_for_holds(self):
         with pytest.raises(ValueError):
             BoundReport("demo", 1.0).holds
-
-    def test_to_dict(self):
-        rep = BoundReport("demo", 2.0, inputs={"K": 1}, measured=1.0)
-        data = rep.to_dict()
-        assert data["name"] == "demo"
-        assert data["holds"] is True

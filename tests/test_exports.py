@@ -1,7 +1,10 @@
-"""Every public name resolves to its defining module, and the package
-re-exports the defining module's object rather than a stale copy."""
+"""Every public name resolves to its defining module, the package
+re-exports the defining module's object rather than a stale copy, and every
+public name has a caller inside the library."""
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,10 @@ import qequil
 
 MODULES = ("spectra", "states", "measure", "averaging", "bounds", "haar",
            "constructions", "batteries", "cli")
+# Public API that no experiment calls: file round trips and constructions
+# offered to users of the library.
+ENTRY_POINTS = {"save_state", "distinguishability", "save_measurement",
+                "load_measurement", "harmonic_oscillator_3d_boltzmann"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -30,3 +37,19 @@ def test_package_reexports_are_the_defining_objects():
         owner = importlib.import_module(obj.__module__)
         assert getattr(owner, attr) is obj, attr
         assert attr in owner.__all__, f"{attr} is not public in {owner.__name__}"
+
+
+def test_every_public_name_has_a_library_caller():
+    """A public name that only tests reach belongs in the tests: as an
+    oracle in helpers.py, or nowhere."""
+    referenced = set()
+    for path in Path(qequil.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    uncalled = [f"{name}.{attr}" for name in MODULES
+                for attr in importlib.import_module(f"qequil.{name}").__all__
+                if attr not in referenced and attr not in ENTRY_POINTS]
+    assert not uncalled, uncalled

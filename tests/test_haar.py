@@ -3,13 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (PerSampleHaar, dense, dense_dephase, per_sample_constrained,
-                     per_sample_mean, per_sample_mean_sq, per_sample_n_outcome,
-                     per_sample_n_outcome_constrained, per_sample_stats,
-                     per_sample_twirl)
+from helpers import (PerSampleHaar, constrained_mean_bound_tight, dense, dense_dephase,
+                     per_sample_constrained, per_sample_mean, per_sample_mean_sq,
+                     per_sample_n_outcome, per_sample_n_outcome_constrained,
+                     per_sample_stats, per_sample_twirl)
 from qequil.constructions import random_scenario
 from qequil.haar import (CHUNK_ENTRIES, HaarSampler, constrained_mean_bound,
-                         constrained_mean_bound_tight,
                          exact_mean_sq_distinguishability,
                          initial_distinguishability_exact,
                          initial_distinguishability_floor,
@@ -19,8 +18,7 @@ from qequil.haar import (CHUNK_ENTRIES, HaarSampler, constrained_mean_bound,
                          mc_twirl_pair, n_outcome_constrained_bound,
                          n_outcome_typical_bound, n_outcome_typical_cap,
                          swap_operator, twirl_reconstruction,
-                         twirl_second_moment, typical_bound_cap,
-                         typical_distinguishability_bound)
+                         twirl_second_moment, typical_distinguishability_bound)
 from qequil.spectra import EnergySpectrum
 from qequil.states import (QuantumState, dephase, effective_dimension, evolve,
                            level_distribution, purity)
@@ -254,8 +252,9 @@ class TestExactSecondMoment:
 class TestTypicalBound:
     def test_extremes(self):
         assert typical_distinguishability_bound(8, 8) == 0.0
+        # the worst case over ranks, at K = d/2, is 1 / (2 sqrt(d + 1))
         assert typical_distinguishability_bound(4, 8) == pytest.approx(
-            typical_bound_cap(8), rel=1e-12)
+            1.0 / (2.0 * np.sqrt(9.0)), rel=1e-12)
 
     def test_jensen_consistency(self, d8_scenario):
         _, state_t, omega = d8_scenario
@@ -461,6 +460,10 @@ class TestTwirl:
         a = np.arange(3.0)
         b = np.array([5.0, 7.0, 11.0])
         assert np.allclose(s @ np.kron(a, b), np.kron(b, a))
+        # on every product basis vector, so the permutation is the swap itself
+        e = np.eye(3)
+        assert all(np.array_equal(s @ np.kron(e[i], e[j]), np.kron(e[j], e[i]))
+                   for i in range(3) for j in range(3))
 
     def test_entrywise_monte_carlo_agreement(self):
         proj = HaarSampler(61, 4).projector(2)

@@ -77,6 +77,18 @@ class TestFromHermitian:
         with pytest.raises(ValueError, match="not Hermitian"):
             spectrum_from_hermitian(m)
 
+    @pytest.mark.parametrize("entries", [[(0, 1)], [(0, 1), (1, 0)], [(2, 2)]],
+                             ids=["asymmetric", "symmetric-pair", "diagonal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, entries, bad):
+        # a NaN passed the Hermiticity check and failed later, in eigh or in
+        # the level validation, with an unrelated message
+        m = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        for ij in entries:
+            m[ij] = bad
+        with pytest.raises(ValueError, match="finite"):
+            spectrum_from_hermitian(m)
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-9])
     def test_rejects_tolerance_that_is_not_finite_and_positive(self, tol):
         # a NaN tolerance let a non-Hermitian matrix through and merged

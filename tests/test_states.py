@@ -72,6 +72,18 @@ def test_mixed_factor_reproduces_the_matrix(small_spec):
         assert purity(state) == pytest.approx(float(np.vdot(rho, rho).real), abs=1e-14)
 
 
+@pytest.mark.parametrize("rank", [1, 3])
+def test_mixed_drops_eigensolver_roundoff_columns(rank):
+    # eigh returns the null space of a low-rank rho as eigenvalues of about
+    # 1e-17; kept, they gave a rank-1 rho at d=40 a 40 x 21 factor
+    spec = poisson_spectrum(np.random.default_rng(40), 40)
+    rho = random_mixed(np.random.default_rng(41), spec, rank).rho
+    state = QuantumState.mixed(spec, rho)
+    assert state.factor.shape == (40, rank)
+    assert state.is_pure == (rank == 1)
+    assert np.abs(state.rho - rho).max() < 1e-15
+
+
 class TestEvolve:
     def test_zero_time_identity(self, small_spec):
         rng = np.random.default_rng(0)
