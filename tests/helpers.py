@@ -17,7 +17,7 @@ from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid, dephased_p
 from qequil.bounds import (BoundReport, fast_equilibration_bound,
                            fast_equilibration_constant, general_distinguishability_bound,
                            population_constant, purity_chain_factor)
-from qequil.measure import PROJECTOR_TOL, Projector, expectation_series
+from qequil.measure import PROJECTOR_TOL, Projector, _phases, expectation_series
 from qequil.spectra import EnergySpectrum, LevelDistribution, max_window_probability
 from qequil.states import (EquilibriumState, QuantumState, dephase, energy_moments,
                            level_distribution, purity)
@@ -107,6 +107,18 @@ def gap_series(projector, state: QuantumState, times) -> np.ndarray:
     coeff = (dense(projector).conj() * state.rho).ravel()
     gaps = (energies[:, None] - energies[None, :]).ravel()
     return (coeff @ np.exp(-1j * np.outer(gaps, times))).real
+
+
+def direct_series(projector, state: QuantumState, times) -> np.ndarray:
+    """tr(P rho_t) from the whole (d, n) phase array exp(-i E t), one state
+    column a at a time: sum |(V^dag * a) @ phases|^2, the form that
+    expectation_series factors into block starts and offsets."""
+    times = np.asarray(times, dtype=float)
+    phases = _phases(state.spectrum.index_energies, times)
+    v = projector.factor
+    values = sum(np.sum(np.abs((v.conj().T * a[None, :]) @ phases) ** 2, axis=0)
+                 for a in state.factor.T)
+    return 1.0 - values if projector.is_complement else values
 
 
 def dense_dephase(state: QuantumState) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qequil import measure
+from qequil.averaging import TimeGrid
 from qequil.constructions import (partitioned_slow_measurement, random_scenario,
                                   snapshot_subspace)
 from qequil.measure import (Measurement, Projector, distinguishability,
@@ -15,8 +16,8 @@ from qequil.measure import (Measurement, Projector, distinguishability,
 from qequil.spectra import EnergySpectrum
 from qequil.states import QuantumState, complex_out, dephase, evolve
 
-from helpers import (dense, gap_series, projector_from_matrix, random_mixed,
-                     random_pure, success_probability, trace_distance)
+from helpers import (dense, direct_series, gap_series, projector_from_matrix,
+                     random_mixed, random_pure, success_probability, trace_distance)
 
 
 @pytest.fixture
@@ -357,6 +358,100 @@ def test_pure_series_memory_is_chunked():
         tracemalloc.stop()
     assert series.shape == (8192,)
     assert peak < 256 * 2 ** 20
+
+
+def test_blocked_series_memory_stays_within_two_budgets():
+    # d = 2048 over 8192 times: the phases, the stacked rows and their
+    # products each stay within half of SERIES_CHUNK_ENTRIES complex entries.
+    scen = random_scenario(20240811, 2048)
+    proj = snapshot_subspace(scen, 16, 0.5).projector()
+    times = np.linspace(0.0, 50.0, 8192)
+    tracemalloc.start()
+    try:
+        series = expectation_series(proj, scen.state, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert series.shape == (8192,)
+    assert peak < 2 * 16 * measure.SERIES_CHUNK_ENTRIES
+
+
+# Each phase of either form is within about 8 eps (1 + max|E| max|t|) of
+# exp(-iEt): 4 from the block check in _block_length, the rest from rounding
+# E t, cos/sin and the start-offset product. A coefficient row has l1 norm at
+# most 1, so its amplitude moves by no more than a phase does and, as
+# |amp| <= 1, its |amp|^2 by twice that; two forms make 32 for one row. The
+# rows' |amp|^2 sum to tr(P rho_t) <= 1, so more rows share the error rather
+# than add it: over 3,000 random cases with up to 48 rows the largest ratio
+# was 3.3.
+SERIES_ACCURACY = 32
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 12), data=st.data())
+def test_blocked_series_matches_direct_form(d, data):
+    rng, spec, p, _ = _series_case(d, data)
+    mixed = data.draw(st.booleans(), label="mixed")
+    state = random_mixed(rng, spec, components=data.draw(st.integers(1, 4))) if mixed \
+        else random_pure(rng, spec)
+    n = data.draw(st.integers(0, 90), label="times")
+    t0 = data.draw(st.floats(-200.0, 200.0), label="t0")
+    span = data.draw(st.floats(0.0, 3000.0), label="span")
+    times = np.linspace(t0, t0 + span, n)
+    if data.draw(st.booleans(), label="jittered"):
+        times = times + rng.uniform(-0.3, 0.3, n) * (span + 1.0) / max(n, 1)
+    entries = data.draw(st.sampled_from([measure.SERIES_CHUNK_ENTRIES, 1, 7, 64, 500]),
+                        label="entries")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "SERIES_CHUNK_ENTRIES", entries)
+        series = expectation_series(p, state, times)
+    scale = np.finfo(float).eps * (1.0 + np.abs(spec.levels).max()
+                                   * np.abs(times).max(initial=0.0))
+    assert series.shape == times.shape
+    assert np.abs(series - direct_series(p, state, times)).max(initial=0.0) \
+        <= SERIES_ACCURACY * scale
+
+
+@pytest.mark.parametrize("times, m", [
+    (np.linspace(0.0, 7.0, 1), 1),
+    (np.linspace(0.0, 7.0, 2), 2),
+    (np.linspace(0.0, 7.0, 10), 4),
+    (np.linspace(-3.0, 5e3, 2179), 47),
+    (np.linspace(0.0, 0.0, 12), 4),
+    (TimeGrid.for_window(123.4, 7.5).times, 35),
+    (np.array([0.0, 1.0, 2.5, 3.0, 4.5]), 1),
+    (np.linspace(0.0, 1.0, 9) + 32 * np.finfo(float).eps * (np.arange(9) == 4), 1),
+])
+def test_block_length_factors_only_uniform_grids(times, m):
+    assert measure._block_length(times) == m
+
+
+@pytest.mark.parametrize("complement", [False, True])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_series_edge_cases(spec, complement, mixed):
+    rng = np.random.default_rng(5)
+    state = random_mixed(rng, spec) if mixed else random_pure(rng, spec)
+    empty = Projector.from_factor(np.zeros((5, 0)))
+    p = Projector.from_factor(_haar_frame(rng, 5, 2))
+    if complement:
+        empty, p = empty.complement(), p.complement()
+    rank0 = expectation_series(empty, state, np.linspace(0.0, 3.0, 7))
+    assert np.array_equal(rank0, np.full(7, 1.0 if complement else 0.0))
+    assert expectation_series(p, state, []).shape == (0,)
+    one = expectation_series(p, state, [2.5])
+    assert one.shape == (1,)
+    assert one[0] == pytest.approx(p.expectation(evolve(state, 2.5)), abs=1e-14)
+    still = expectation_series(p, state, np.linspace(0.0, 0.0, 9))
+    assert np.abs(still - p.expectation(state)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [np.inf], [0.0, -np.inf],
+                                   [[0.0, 1.0]]])
+def test_series_rejects_non_finite_or_nested_times(spec, times):
+    p = Projector.from_factor(_haar_frame(np.random.default_rng(6), 5, 2))
+    state = random_pure(np.random.default_rng(6), spec)
+    with pytest.raises(ValueError, match="times must be a 1-d array of finite values"):
+        expectation_series(p, state, times)
 
 
 @settings(max_examples=40, deadline=None)
