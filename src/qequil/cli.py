@@ -194,7 +194,10 @@ def main(argv=None) -> int:
     name = args.experiment
     config = _effective_config(name, args)
     os.makedirs(args.out, exist_ok=True)
-    result = RUNNERS[name](config)
+    try:
+        result = RUNNERS[name](config)
+    except ValueError as exc:  # an input the experiment cannot run on
+        raise SystemExit(f"{name}: {exc}") from exc
     _write_outputs(name, config, args.out, result)
     if result.failures:
         print(f"{name}: {len(result.failures)} check(s) FAILED", file=sys.stderr)

@@ -7,11 +7,18 @@ exist to cross-validate those formulas and bounds, with plain sample standard
 errors (the integrands are bounded, so the CLT is adequate at desk scale).
 
 All samples come from one batched kernel, :meth:`HaarSampler.batches`: a
-chunk of Ginibre matrices, one stacked QR of their first ``rank`` columns and
-the R-diagonal phase fix of Mezzadri (math-ph/0609050). It gives the samples
-of drawing and factoring one matrix at a time, bit for bit up to d = 64
-(beyond that LAPACK's blocked QR agrees only to rounding). The estimators
-run at small d and read the equilibrium state as a dense matrix, through
+rank-k draw takes an n x k Ginibre matrix (2 n k normals) per sample, one
+stacked QR of a chunk of them and the R-diagonal phase fix of Mezzadri
+(math-ph/0609050), which gives the first k columns of a Haar unitary. The
+samples are those of drawing and factoring one n x k matrix at a time, bit
+for bit, and do not depend on the chunking.
+
+Every estimator reads one rank partition of the sample space through
+:func:`_partition_traces`: the frames are drawn only for the blocks other
+than the largest, and the largest block's trace is the total trace less the
+others. The column blocks of a Haar unitary are exchangeable, so this has
+the distribution of drawing every block. The estimators run at small d and
+read the equilibrium state as a dense matrix, through
 :meth:`EquilibriumState.dense`.
 """
 from __future__ import annotations
@@ -90,29 +97,28 @@ class HaarSampler:
 
     def batches(self, rank: int, count: int):
         """First ``rank`` columns of the next ``count`` samples, in chunks of
-        shape (m, dim, rank) (in the complement when an excluded vector is set).
-        Each sample consumes a full Ginibre matrix, so the stream does not
-        depend on ``rank`` or the chunking."""
+        shape (m, n, rank) in sample-space coordinates (n = sample_dim; the
+        complement basis's coordinates when an excluded vector is set).
+        Each sample consumes 2 n rank normals, so the stream does not depend
+        on the chunking."""
         n = self.sample_dim
         if not 1 <= rank <= n:
             raise ValueError(f"rank {rank} outside [1, {n}]")
-        per_chunk = max(1, CHUNK_ENTRIES // (n * n))
+        per_chunk = max(1, CHUNK_ENTRIES // (n * rank))
         for start in range(0, count, per_chunk):
-            g = self._rng.standard_normal((min(per_chunk, count - start), 2, n, n))
-            z = (g[:, 0, :, :rank] + 1j * g[:, 1, :, :rank]) / np.sqrt(2.0)
-            q, r = np.linalg.qr(z)
+            g = self._rng.standard_normal((min(per_chunk, count - start), 2, n, rank))
+            q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
             # absorb the R-diagonal phases so the distribution is exactly
             # Haar, not just orthonormal
             diag = np.diagonal(r, axis1=1, axis2=2)
-            q = q * (diag / np.abs(diag))[:, None, :]
-            yield q if self.complement_basis is None else self.complement_basis @ q
+            yield q * (diag / np.abs(diag))[:, None, :]
 
     def _unitaries(self, count: int):
         """Chunks of full samples: Haar unitaries, or b U b^dag on the
         complement basis b when an excluded vector is set."""
         b = self.complement_basis
         for u in self.batches(self.sample_dim, count):
-            yield u if b is None else u @ b.conj().T
+            yield u if b is None else b @ u @ b.conj().T
 
     def unitary(self) -> np.ndarray:
         """Next sample: a Haar unitary, or the embedded partial unitary on
@@ -120,9 +126,10 @@ class HaarSampler:
         return next(self._unitaries(1))[0]
 
     def frame(self, rank: int) -> np.ndarray:
-        """First ``rank`` columns of the next sample, as an orthonormal
-        frame (in the complement when an excluded vector is set)."""
-        return next(self.batches(rank, 1))[0]
+        """First ``rank`` columns of the next sample, as an orthonormal d x
+        rank frame (inside the complement when an excluded vector is set)."""
+        f = next(self.batches(rank, 1))[0]
+        return f if self.complement_basis is None else self.complement_basis @ f
 
     def projector(self, rank: int) -> Projector:
         return Projector.from_factor(self.frame(rank))
@@ -170,14 +177,12 @@ def typical_distinguishability_bound(rank: int, dim: int) -> float:
 
 def _initial_overlap_deficit(state0: QuantumState, state_t: QuantumState,
                              omega: EquilibriumState) -> float:
-    """f(t) = tr(rho_0 (rho_t - omega)) for a pure rho_0 = c c^dag: the sum
-    of |<c|a>|^2 over the columns a of rho_t's factor, less <c|omega|c>."""
+    """f(t) = tr(rho_0 (rho_t - omega)) = <c|rho_t|c> - <c|omega|c> for a
+    pure rho_0 = c c^dag, both read through the states' factors."""
     if not state0.is_pure:
         raise ValueError("the constrained ensemble requires a pure initial state")
-    c = state0.amplitudes
-    left = float(sum(abs(np.vdot(c, a)) ** 2 for a in state_t.factor.T))
-    right = float(np.vdot(c, omega.dense() @ c).real)
-    return left - right
+    c = state0.amplitudes[:, None]
+    return state_t.projected_trace(c) - omega.projected_trace(c)
 
 
 def constrained_mean_bound(state0: QuantumState, state_t: QuantumState,
@@ -207,8 +212,7 @@ def initial_distinguishability_exact(state0: QuantumState, omega: EquilibriumSta
         raise ValueError("exact initial mean requires a pure initial state")
     d = state0.dim
     _check_rank_dim(rank, d)
-    c = state0.amplitudes
-    t0_omega = float(np.vdot(c, omega.dense() @ c).real)
+    t0_omega = omega.projected_trace(state0.amplitudes[:, None])
     return (1.0 - (rank - 1.0) / (d - 1.0)) * (1.0 - t0_omega)
 
 
@@ -269,23 +273,59 @@ def twirl_reconstruction(projector_matrix) -> np.ndarray:
     return alpha * (eye + s) / 2.0 + beta * (eye - s) / 2.0
 
 
-def _block_traces(frames, delta: np.ndarray, ranks) -> np.ndarray:
-    """tr(F_b^dag delta F_b) for each column block F_b of each frame in the
-    chunks ``frames``, as a (samples, len(ranks)) array."""
-    edges = np.cumsum([0, *ranks])
-    out = []
-    for f in frames:
-        blocks = [f[:, :, a:b] for a, b in zip(edges[:-1], edges[1:])]
-        out.append(np.stack([np.sum(x.conj() * (delta @ x), axis=(1, 2)).real
-                             for x in blocks], axis=1))
-    return np.concatenate(out) if out else np.empty((0, len(ranks)))
+def _check_samples(samples: int):
+    if samples < 2:
+        raise ValueError(f"a Monte Carlo estimate needs at least 2 samples "
+                         f"for its standard error, got {samples}")
+
+
+def _partition_traces(sampler: HaarSampler, delta: np.ndarray, ranks,
+                      count: int) -> np.ndarray:
+    """tr(F_b^dag delta F_b) for each block F_b of a rank partition of the
+    sample space, for ``count`` samples, as a (count, len(ranks)) array.
+
+    ``delta`` is in sample-space coordinates and ``ranks`` (zeros allowed)
+    sum to its dimension n. Frames are drawn only for the blocks other than
+    the (first) largest, in their order, n - max(ranks) columns per sample;
+    the largest block's trace is tr(delta) less theirs.
+    """
+    _check_samples(count)
+    n = sampler.sample_dim
+    if delta.shape != (n, n) or sum(ranks) != n:
+        raise ValueError(f"need a {n} x {n} delta and ranks summing to {n}, the "
+                         f"sampler's sample dimension; got {delta.shape} and {ranks}")
+    big = int(np.argmax(ranks))
+    rest = [i for i in range(len(ranks)) if i != big]
+    edges = np.cumsum([0, *(ranks[i] for i in rest)])
+    out = np.zeros((count, len(ranks)))
+    if edges[-1]:
+        chunks = []
+        for f in sampler.batches(int(edges[-1]), count):
+            cols = np.sum(f.conj() * (delta @ f), axis=1).real
+            chunks.append(np.stack([cols[:, a:b].sum(axis=1)
+                                    for a, b in zip(edges[:-1], edges[1:])], axis=1))
+        out[:, rest] = np.concatenate(chunks)
+    out[:, big] = np.trace(delta).real - out.sum(axis=1)
+    return out
 
 
 def _result(values: np.ndarray, exact: float, sampler: HaarSampler) -> TwirlResult:
     n = values.size
-    stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
     return TwirlResult(exact=float(exact), mc_mean=float(values.mean()),
-                       mc_stderr=stderr, samples=n, seed=sampler.seed)
+                       mc_stderr=float(values.std(ddof=1) / np.sqrt(n)), samples=n,
+                       seed=sampler.seed)
+
+
+def _constrained_delta(state0: QuantumState, state_t: QuantumState,
+                       omega: EquilibriumState, sampler: HaarSampler):
+    """(<c|delta|c>, b^dag delta b) for delta = rho_t - omega, the initial
+    state c and the sampler's complement basis b."""
+    if sampler.excluded_vector is None:
+        raise ValueError("sampler must exclude the initial-state direction")
+    delta = state_t.rho - omega.dense()
+    c = state0.amplitudes
+    b = sampler.complement_basis
+    return float(np.vdot(c, delta @ c).real), b.conj().T @ delta @ b
 
 
 def mc_mean_sq_distinguishability(state_t: QuantumState, omega: EquilibriumState,
@@ -293,9 +333,10 @@ def mc_mean_sq_distinguishability(state_t: QuantumState, omega: EquilibriumState
                                   samples: int) -> TwirlResult:
     """Monte Carlo estimate of the Haar-averaged squared distinguishability,
     referenced against the exact formula."""
-    delta = state_t.rho - omega.dense()
-    x = _block_traces(sampler.batches(rank, samples), delta, [rank])[:, 0]
-    return _result(x * x, exact_mean_sq_distinguishability(state_t, omega, rank), sampler)
+    exact = exact_mean_sq_distinguishability(state_t, omega, rank)
+    x = _partition_traces(sampler, state_t.rho - omega.dense(),
+                          [rank, state_t.dim - rank], samples)[:, 0]
+    return _result(x * x, exact, sampler)
 
 
 def mc_mean_distinguishability(state_t: QuantumState, omega: EquilibriumState,
@@ -303,9 +344,10 @@ def mc_mean_distinguishability(state_t: QuantumState, omega: EquilibriumState,
                                samples: int) -> TwirlResult:
     """Monte Carlo Haar mean of |tr(P_U (rho_t - omega))|, referenced against
     the typical-measurement cap."""
-    delta = state_t.rho - omega.dense()
-    x = _block_traces(sampler.batches(rank, samples), delta, [rank])[:, 0]
-    return _result(np.abs(x), typical_distinguishability_bound(rank, state_t.dim), sampler)
+    cap = typical_distinguishability_bound(rank, state_t.dim)
+    x = _partition_traces(sampler, state_t.rho - omega.dense(),
+                          [rank, state_t.dim - rank], samples)[:, 0]
+    return _result(np.abs(x), cap, sampler)
 
 
 def mc_constrained_mean(state0: QuantumState, state_t: QuantumState,
@@ -314,16 +356,10 @@ def mc_constrained_mean(state0: QuantumState, state_t: QuantumState,
     """Monte Carlo Haar mean over measurements containing the initial state
     (rank-(K-1) random part on the complement), referenced against the
     constrained mean bound."""
-    if sampler.excluded_vector is None:
-        raise ValueError("sampler must exclude the initial-state direction")
-    delta = state_t.rho - omega.dense()
-    base = float(np.vdot(state0.rho, delta).real)
-    if rank == 1:
-        vals = np.full(samples, abs(base))
-    else:
-        x = _block_traces(sampler.batches(rank - 1, samples), delta, [rank - 1])[:, 0]
-        vals = np.abs(base + x)
-    return _result(vals, constrained_mean_bound(state0, state_t, omega, rank), sampler)
+    bound = constrained_mean_bound(state0, state_t, omega, rank)
+    base, delta_s = _constrained_delta(state0, state_t, omega, sampler)
+    x = _partition_traces(sampler, delta_s, [rank - 1, state0.dim - rank], samples)[:, 0]
+    return _result(np.abs(base + x), bound, sampler)
 
 
 def mc_initial_distinguishability(state0: QuantumState, omega: EquilibriumState,
@@ -342,13 +378,10 @@ def mc_n_outcome_mean(state_t: QuantumState, omega: EquilibriumState, ranks,
     """Monte Carlo Haar mean of the N-outcome distinguishability for a
     conjugated rank partition, referenced against the N-outcome cap."""
     ranks = [int(k) for k in ranks]
-    d = state_t.dim
-    if sum(ranks) != d:
-        raise ValueError("outcome ranks must sum to the dimension")
-    t = _block_traces(sampler._unitaries(samples), state_t.rho - omega.dense(), ranks)
+    cap = n_outcome_typical_bound(ranks, state_t.dim)
+    t = _partition_traces(sampler, state_t.rho - omega.dense(), ranks, samples)
     # the builtin sum adds the outcomes in order, one sample per element
-    vals = 0.5 * sum(np.abs(t).T)
-    return _result(vals, n_outcome_typical_bound(ranks, d), sampler)
+    return _result(0.5 * sum(np.abs(t).T), cap, sampler)
 
 
 def mc_n_outcome_constrained_mean(state0: QuantumState, state_t: QuantumState,
@@ -356,19 +389,13 @@ def mc_n_outcome_constrained_mean(state0: QuantumState, state_t: QuantumState,
                                   sampler: HaarSampler, samples: int) -> TwirlResult:
     """Monte Carlo Haar mean for an N-outcome measurement whose first outcome
     contains the initial state, referenced against |f(t)| + sqrt(N/(d-1))/2."""
-    if sampler.excluded_vector is None:
-        raise ValueError("sampler must exclude the initial-state direction")
     ranks = [int(k) for k in ranks]
-    d = state0.dim
-    if sum(ranks) != d - 1:
-        raise ValueError("complement ranks must sum to dim - 1")
-    delta = state_t.rho - omega.dense()
-    base = float(np.vdot(state0.rho, delta).real)
-    # frames of d - 1 columns span the complement
-    t = _block_traces(sampler.batches(d - 1, samples), delta, ranks)
+    base, delta_s = _constrained_delta(state0, state_t, omega, sampler)
+    t = _partition_traces(sampler, delta_s, ranks, samples)
     vals = 0.5 * (np.abs(base + t[:, 0]) + sum(np.abs(t[:, 1:]).T))
     f = _initial_overlap_deficit(state0, state_t, omega)
-    return _result(vals, n_outcome_constrained_bound(f, len(ranks) + 1, d), sampler)
+    return _result(vals, n_outcome_constrained_bound(f, len(ranks) + 1, state0.dim),
+                   sampler)
 
 
 def mc_twirl_pair(projector_matrix, sampler: HaarSampler, samples: int):
@@ -377,6 +404,7 @@ def mc_twirl_pair(projector_matrix, sampler: HaarSampler, samples: int):
     Returns ``(mean, stderr)`` matrices for comparison with the exact
     symmetric/antisymmetric reconstruction.
     """
+    _check_samples(samples)
     p = np.asarray(projector_matrix, dtype=complex)
     d = p.shape[0]
     acc = np.zeros((d * d, d * d), dtype=complex)

@@ -54,6 +54,15 @@ def _checked_factor(spectrum: EnergySpectrum, factor) -> np.ndarray:
     return a
 
 
+def _checked_columns(v, d: int) -> np.ndarray:
+    """``v`` as a (d, r) array. Anything else is rejected: a 1-d vector would
+    broadcast to an outer product."""
+    v = np.asarray(v)
+    if v.ndim != 2 or v.shape[0] != d:
+        raise ValueError(f"expected a ({d}, r) array of columns, got shape {v.shape}")
+    return v
+
+
 def _gram(a: np.ndarray) -> np.ndarray:
     """A A^dag as a d x d matrix. One column goes through np.outer, whose
     entries are the single rounded products c_j conj(c_k); a matrix product
@@ -136,6 +145,7 @@ class QuantumState:
     def projected_trace(self, v) -> float:
         """tr(V^dag rho V) = ||V^dag A||_F^2, the weight of the state in the
         span of the orthonormal columns of the d x r factor V."""
+        v = _checked_columns(v, self.dim)
         return float(np.sum(np.abs(v.conj().T @ self.factor) ** 2))
 
 
@@ -179,6 +189,7 @@ class EquilibriumState:
         product would use, so a nondegenerate spectrum gives the same bits
         as the dense tr(V^dag omega V).
         """
+        v = _checked_columns(v, self.dim)
         parts = []
         a = self.factor
         for g, idx in self._groups.items():

@@ -193,31 +193,31 @@ def poisson_spectrum(rng, num_levels, mean_spacing=1.0) -> EnergySpectrum:
 
 
 class PerSampleHaar:
-    """Reference Haar stream: one Ginibre matrix, one full QR and one phase
-    fix per sample, on the random stream of a fresh ``HaarSampler``."""
+    """Reference Haar stream: one n x k Ginibre matrix, one QR and one phase
+    fix per rank-k sample, on the random stream of a fresh ``HaarSampler``."""
 
     def __init__(self, sampler):
         self._rng = sampler._rng
         self.basis = sampler.complement_basis
         self.n = sampler.sample_dim
 
-    def _haar(self):
+    def sample(self, rank):
+        """First ``rank`` columns of the next sample, in sample-space
+        coordinates."""
         n = self.n
-        z = (self._rng.standard_normal((n, n))
-             + 1j * self._rng.standard_normal((n, n))) / np.sqrt(2.0)
+        z = (self._rng.standard_normal((n, rank))
+             + 1j * self._rng.standard_normal((n, rank))) / np.sqrt(2.0)
         q, r = np.linalg.qr(z)
         diag = np.diag(r)
         return q * (diag / np.abs(diag))
 
     def unitary(self):
-        if self.basis is None:
-            return self._haar()
-        return self.basis @ self._haar() @ self.basis.conj().T
+        u = self.sample(self.n)
+        return u if self.basis is None else self.basis @ u @ self.basis.conj().T
 
     def frame(self, rank):
-        if self.basis is None:
-            return self._haar()[:, :rank]
-        return self.basis @ self._haar()[:, :rank]
+        f = self.sample(rank)
+        return f if self.basis is None else self.basis @ f
 
 
 def _two_outcome_value(frame, delta):
@@ -235,40 +235,49 @@ def per_sample_stats(vals):
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
 
 
+def per_sample_partition(haar, delta, ranks, samples):
+    """Block traces of a rank partition of the sample space, one sample at a
+    time and densely in the full d-dimensional space (``delta`` is d x d).
+
+    The blocks other than the (first) largest are the column blocks, in
+    order, of one embedded frame F of n - max(ranks) columns; the largest is
+    tr((I_s - F F^dag) delta), with I_s the projector onto the sample space.
+    """
+    big = int(np.argmax(ranks))
+    others = [k for i, k in enumerate(ranks) if i != big]
+    d = delta.shape[0]
+    eye = np.eye(d) if haar.basis is None else haar.basis @ haar.basis.conj().T
+    out = np.empty((samples, len(ranks)))
+    for s in range(samples):
+        f = haar.frame(sum(others)) if sum(others) else np.zeros((d, 0))
+        vals = [_two_outcome_value(b, delta) for b in _split(f, others)]
+        vals.insert(big, float(np.trace((eye - f @ f.conj().T) @ delta).real))
+        out[s] = vals
+    return out
+
+
 def per_sample_mean_sq(haar, delta, rank, samples):
-    vals = np.empty(samples)
-    for i in range(samples):
-        x = _two_outcome_value(haar.frame(rank), delta)
-        vals[i] = x * x
-    return vals
+    x = per_sample_partition(haar, delta, [rank, haar.n - rank], samples)[:, 0]
+    return x * x
 
 
 def per_sample_mean(haar, delta, rank, samples):
-    return np.array([abs(_two_outcome_value(haar.frame(rank), delta))
-                     for _ in range(samples)])
+    return np.abs(per_sample_partition(haar, delta, [rank, haar.n - rank], samples)[:, 0])
 
 
 def per_sample_constrained(haar, base, delta, rank, samples):
-    if rank == 1:
-        return np.full(samples, abs(base))
-    return np.array([abs(base + _two_outcome_value(haar.frame(rank - 1), delta))
-                     for _ in range(samples)])
+    x = per_sample_partition(haar, delta, [rank - 1, haar.n - rank + 1], samples)[:, 0]
+    return np.abs(base + x)
 
 
 def per_sample_n_outcome(haar, delta, ranks, samples):
-    return np.array([0.5 * sum(abs(_two_outcome_value(b, delta))
-                               for b in _split(haar.unitary(), ranks))
-                     for _ in range(samples)])
+    t = per_sample_partition(haar, delta, ranks, samples)
+    return 0.5 * np.abs(t).sum(axis=1)
 
 
 def per_sample_n_outcome_constrained(haar, base, delta, ranks, samples):
-    vals = np.empty(samples)
-    for i in range(samples):
-        blocks = _split(haar.frame(haar.n), ranks)
-        first = abs(base + _two_outcome_value(blocks[0], delta))
-        rest = sum(abs(_two_outcome_value(b, delta)) for b in blocks[1:])
-        vals[i] = 0.5 * (first + rest)
-    return vals
+    t = per_sample_partition(haar, delta, ranks, samples)
+    return 0.5 * (np.abs(base + t[:, 0]) + np.abs(t[:, 1:]).sum(axis=1))
 
 
 def per_sample_twirl(haar, p, samples):

@@ -81,6 +81,12 @@ def test_haar_quick(tmp_path):
     assert (out / "haar_battery.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["samples", "battery_samples", "twirl_samples"])
+def test_haar_with_one_sample_stops(tmp_path, key):
+    with pytest.raises(SystemExit, match="haar: .*at least 2 samples.*got 1"):
+        _run(["haar", "--out", str(tmp_path), "--set", f"{key}=1"])
+
+
 def test_seed_flag_changes_trials_not_verdict(tmp_path):
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"

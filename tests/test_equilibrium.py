@@ -165,6 +165,21 @@ def test_pure_source_keeps_no_matrix():
         EquilibriumState(spec)
 
 
+@pytest.mark.parametrize("dephased", [False, True])
+def test_projected_trace_takes_only_a_column_array(dephased):
+    # a 1-d vector used to broadcast to an outer product and give a wrong
+    # value (1.0 for <c|omega|c> = 0.2068 here)
+    scen = random_scenario(3, 12)
+    state = dephase(scen.state) if dephased else scen.state
+    rho = dense_dephase(scen.state) if dephased else scen.state.rho
+    c = scen.state.amplitudes
+    want = float(np.vdot(c, rho @ c).real)
+    assert state.projected_trace(c[:, None]) == pytest.approx(want, rel=1e-12)
+    for bad in (c, c[None, :], np.stack([c[:, None]] * 2), np.ones((11, 1))):
+        with pytest.raises(ValueError, match=r"\(12, r\) array"):
+            state.projected_trace(bad)
+
+
 def test_wide_factor_on_degenerate_levels_stays_below_one_dense_matrix():
     """tr(V^dag omega V) for a full-rank mixed state on doubly degenerate
     levels takes one factor column at a time; stacking all s = d columns

@@ -7,6 +7,7 @@ from helpers import (PerSampleHaar, constrained_mean_bound_tight, dense, dense_d
                      per_sample_constrained, per_sample_mean, per_sample_mean_sq,
                      per_sample_n_outcome, per_sample_n_outcome_constrained,
                      per_sample_stats, per_sample_twirl)
+from qequil import haar
 from qequil.constructions import random_scenario
 from qequil.haar import (CHUNK_ENTRIES, HaarSampler, constrained_mean_bound,
                          exact_mean_sq_distinguishability,
@@ -96,14 +97,22 @@ def _sampler_pair(seed, scen, excluded):
     return HaarSampler(seed, d, v), PerSampleHaar(HaarSampler(seed, d, v))
 
 
-def _crossing_count(n):
-    """A sample count that runs one sample past the second kernel chunk."""
-    return 2 * max(1, CHUNK_ENTRIES // (n * n)) + 1
+def _crossing_count(n, rank):
+    """A sample count that runs one sample past the second kernel chunk of
+    rank-``rank`` draws in an n-dimensional sample space."""
+    return 2 * max(1, CHUNK_ENTRIES // (n * rank)) + 1
+
+
+# Largest |estimator - per-sample oracle| allowed for a mean or stderr. The
+# kernel and the oracle sum the same unit-bounded products of n <= 64 terms in
+# different orders, and the largest block comes from a difference of traces:
+# rounding stays well below n^2 eps ~ 1e-12.
+ORACLE_TOL = 1e-12
 
 
 class TestBatchedKernel:
-    """The batched kernel against the per-sample loop it replaced: the same
-    samples, and the same estimates, bit for bit."""
+    """The batched kernel against per-sample reference loops: the same
+    samples bit for bit, and the same estimates to rounding."""
 
     @pytest.mark.parametrize("excluded", [False, True])
     @pytest.mark.parametrize("d", [4, 8, 13, 24, 64])
@@ -111,13 +120,13 @@ class TestBatchedKernel:
         scen = random_scenario(d, d)
         sampler, ref = _sampler_pair(100 + d, scen, excluded)
         n = sampler.sample_dim
-        count = _crossing_count(n)
         for rank in sorted({1, n // 2, n}):
+            count = _crossing_count(n, rank)
             chunks = list(sampler.batches(rank, count))
             assert len(chunks) == 3
             got = np.concatenate(chunks)
-            want = np.stack([ref.frame(rank) for _ in range(count)])
-            assert got.shape == (count, d, rank)
+            want = np.stack([ref.sample(rank) for _ in range(count)])
+            assert got.shape == (count, n, rank)
             assert np.array_equal(got, want)
             assert np.array_equal(sampler.frame(rank), ref.frame(rank))
             assert np.array_equal(sampler.unitary(), ref.unitary())
@@ -131,38 +140,71 @@ class TestBatchedKernel:
         state_t = evolve(scen.state, 0.8)
         omega = dephase(scen.state)
         delta = state_t.rho - dense_dephase(scen.state)
-        count = _crossing_count(d - excluded)
+        n = d - excluded
         seeds = iter(range(200 + d, 300 + d))
 
-        def check(res, vals):
-            assert (res.mc_mean, res.mc_stderr) == per_sample_stats(vals)
+        def run(estimator, oracle, ranks, *args):
+            # enough samples to cross two chunks of the frames drawn
+            count = _crossing_count(n, max(1, n - max(ranks)))
+            sampler, ref = _sampler_pair(next(seeds), scen, excluded)
+            res = estimator(*args, sampler, count)
+            mean, stderr = per_sample_stats(oracle(ref, count))
             assert res.samples == count
+            assert abs(res.mc_mean - mean) <= ORACLE_TOL
+            assert abs(res.mc_stderr - stderr) <= ORACLE_TOL
 
-        for rank in sorted({1, d // 2, d - 1}):
-            sampler, ref = _sampler_pair(next(seeds), scen, excluded)
-            check(mc_mean_sq_distinguishability(state_t, omega, rank, sampler, count),
-                  per_sample_mean_sq(ref, delta, rank, count))
-            sampler, ref = _sampler_pair(next(seeds), scen, excluded)
-            check(mc_mean_distinguishability(state_t, omega, rank, sampler, count),
-                  per_sample_mean(ref, delta, rank, count))
-        for ranks in ([1, d // 2 - 1, d - d // 2], [1] * d):
-            sampler, ref = _sampler_pair(next(seeds), scen, excluded)
-            check(mc_n_outcome_mean(state_t, omega, ranks, sampler, count),
-                  per_sample_n_outcome(ref, delta, ranks, count))
         if not excluded:
+            for rank in sorted({1, d // 2, d - 1, d}):
+                ranks = [rank, d - rank]
+                run(mc_mean_sq_distinguishability,
+                    lambda ref, c: per_sample_mean_sq(ref, delta, rank, c),
+                    ranks, state_t, omega, rank)
+                run(mc_mean_distinguishability,
+                    lambda ref, c: per_sample_mean(ref, delta, rank, c),
+                    ranks, state_t, omega, rank)
+            # the largest block last, first, in the middle, and a tie
+            for ranks in ([1, d // 2 - 1, d - d // 2], [d // 2 + 1, 1, d - d // 2 - 2],
+                          [1, d - 2, 1], [1] * d):
+                run(mc_n_outcome_mean,
+                    lambda ref, c: per_sample_n_outcome(ref, delta, ranks, c),
+                    ranks, state_t, omega, ranks)
             return
         a = scen.state.amplitudes
         base = float(np.vdot(np.outer(a, a.conj()), delta).real)
-        for rank in sorted({1, 2, d // 2, d - 1}):
-            sampler, ref = _sampler_pair(next(seeds), scen, excluded)
-            check(mc_constrained_mean(scen.state, state_t, omega, rank, sampler, count),
-                  per_sample_constrained(ref, base, delta, rank, count))
+        for rank in sorted({1, 2, d // 2, d - 1, d}):
+            run(mc_constrained_mean,
+                lambda ref, c: per_sample_constrained(ref, base, delta, rank, c),
+                [rank - 1, d - rank], scen.state, state_t, omega, rank)
         for ranks in ([d - 1], [2, d - 3], [1, d // 2 - 1, d - 1 - d // 2],
-                      [1] * (d - 1)):
-            sampler, ref = _sampler_pair(next(seeds), scen, excluded)
-            check(mc_n_outcome_constrained_mean(scen.state, state_t, omega, ranks,
-                                                sampler, count),
-                  per_sample_n_outcome_constrained(ref, base, delta, ranks, count))
+                      [d - 3, 1, 1], [1] * (d - 1)):
+            run(mc_n_outcome_constrained_mean,
+                lambda ref, c: per_sample_n_outcome_constrained(ref, base, delta, ranks, c),
+                ranks, scen.state, state_t, omega, ranks)
+
+    def test_unconstrained_estimators_reject_excluded_sampler(self):
+        scen = random_scenario(3, 8)
+        state_t = evolve(scen.state, 0.8)
+        omega = dephase(scen.state)
+        sampler = HaarSampler(1, 8, excluded_vector=scen.state.amplitudes)
+        with pytest.raises(ValueError, match="sample dimension"):
+            mc_mean_distinguishability(state_t, omega, 3, sampler, 10)
+        with pytest.raises(ValueError, match="sample dimension"):
+            mc_n_outcome_mean(state_t, omega, [4, 4], sampler, 10)
+
+    @pytest.mark.parametrize("entries", [1, 7, CHUNK_ENTRIES])
+    def test_samples_do_not_depend_on_chunking(self, entries, monkeypatch):
+        scen = random_scenario(5, 12)
+        state_t = evolve(scen.state, 0.8)
+        omega = dephase(scen.state)
+        count = 40
+        frames = np.concatenate(list(HaarSampler(3, 12).batches(5, count)))
+        est = mc_n_outcome_mean(state_t, omega, [3, 5, 4], HaarSampler(4, 12), count)
+        monkeypatch.setattr(haar, "CHUNK_ENTRIES", entries)
+        chunks = list(HaarSampler(3, 12).batches(5, count))
+        assert len(chunks) == -(-count // max(1, entries // 60))
+        assert np.array_equal(np.concatenate(chunks), frames)
+        again = mc_n_outcome_mean(state_t, omega, [3, 5, 4], HaarSampler(4, 12), count)
+        assert np.array_equal([again.mc_mean, again.mc_stderr], [est.mc_mean, est.mc_stderr])
 
     @pytest.mark.parametrize("excluded", [False, True])
     @pytest.mark.parametrize("d", [4, 8])
@@ -170,7 +212,7 @@ class TestBatchedKernel:
         scen = random_scenario(d + 2, d)
         p = dense(HaarSampler(d, d).projector(d // 2))
         sampler, ref = _sampler_pair(300 + d, scen, excluded)
-        count = _crossing_count(d - excluded)
+        count = _crossing_count(d - excluded, d - excluded)
         mean, stderr = mc_twirl_pair(p, sampler, count)
         want_mean, want_stderr = per_sample_twirl(ref, p, count)
         assert np.array_equal(mean, want_mean)
@@ -178,21 +220,29 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("excluded", [False, True])
     def test_blocked_qr_dimension_agrees_to_rounding(self, excluded):
-        # at d >= 100 LAPACK factors blocked, so factoring only the first
-        # columns agrees with the full factorization to rounding only
+        # at d >= 100 LAPACK factors blocked: the stacked and per-sample QRs
+        # of the same n x k draws still give the same frames, and the
+        # estimates agree with the dense oracle to rounding
         d, count = 128, 3
         scen = random_scenario(5, d)
         sampler, ref = _sampler_pair(400, scen, excluded)
         got = np.concatenate(list(sampler.batches(5, count)))
-        want = np.stack([ref.frame(5) for _ in range(count)])
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        want = np.stack([ref.sample(5) for _ in range(count)])
+        assert np.array_equal(got, want)
         assert np.array_equal(sampler.unitary(), ref.unitary())
         state_t = evolve(scen.state, 0.8)
         omega = dephase(scen.state)
+        delta = state_t.rho - dense_dephase(scen.state)
         sampler, ref = _sampler_pair(401, scen, excluded)
-        res = mc_mean_distinguishability(state_t, omega, 7, sampler, count)
-        mean, stderr = per_sample_stats(
-            per_sample_mean(ref, state_t.rho - dense_dephase(scen.state), 7, count))
+        if excluded:
+            a = scen.state.amplitudes
+            res = mc_constrained_mean(scen.state, state_t, omega, 7, sampler, count)
+            vals = per_sample_constrained(ref, float(np.vdot(a, delta @ a).real),
+                                          delta, 7, count)
+        else:
+            res = mc_mean_distinguishability(state_t, omega, 7, sampler, count)
+            vals = per_sample_mean(ref, delta, 7, count)
+        mean, stderr = per_sample_stats(vals)
         assert res.mc_mean == pytest.approx(mean, rel=1e-10, abs=1e-14)
         assert res.mc_stderr == pytest.approx(stderr, rel=1e-8, abs=1e-14)
 
@@ -238,6 +288,15 @@ class TestExactSecondMoment:
         _, state_t, omega = d8_scenario
         res = mc_mean_sq_distinguishability(state_t, omega, 3,
                                             HaarSampler(5, 8), 2000)
+        assert res.mc_stderr <= 1e-3
+        assert abs(res.mc_mean - res.exact) <= 5.0 * res.mc_stderr
+
+    def test_matches_monte_carlo_when_measured_block_is_subtracted(self, d8_scenario):
+        # K > d/2: the measured block is the largest, so its trace is the
+        # total trace less the drawn d - K columns
+        _, state_t, omega = d8_scenario
+        res = mc_mean_sq_distinguishability(state_t, omega, 6,
+                                            HaarSampler(6, 8), 2000)
         assert res.mc_stderr <= 1e-3
         assert abs(res.mc_mean - res.exact) <= 5.0 * res.mc_stderr
 
@@ -417,6 +476,20 @@ class TestNOutcome:
         assert res.mc_mean <= res.exact + 3.0 * res.mc_stderr
         assert res.mc_mean <= n_outcome_typical_cap(4, 16) + 3.0 * res.mc_stderr
 
+    def test_largest_block_not_last(self):
+        # the column blocks of a Haar unitary are exchangeable: with the
+        # largest block (the subtracted one) in the middle, the mean agrees
+        # with the same partition ordered largest-last, and stays below the cap
+        scen = random_scenario(41, 16)
+        state_t = evolve(scen.state, 0.9)
+        omega = dephase(scen.state)
+        middle = mc_n_outcome_mean(state_t, omega, [3, 8, 5], HaarSampler(44, 16), 2000)
+        last = mc_n_outcome_mean(state_t, omega, [3, 5, 8], HaarSampler(45, 16), 2000)
+        assert middle.exact == pytest.approx(last.exact, rel=1e-12)
+        assert middle.mc_mean <= middle.exact + 3.0 * middle.mc_stderr
+        gap = abs(middle.mc_mean - last.mc_mean)
+        assert gap <= 4.0 * np.hypot(middle.mc_stderr, last.mc_stderr)
+
     def test_constrained_monte_carlo(self):
         scen = random_scenario(51, 12)
         state_t = evolve(scen.state, 1.7)
@@ -479,3 +552,23 @@ def test_twirl_result_json(d8_scenario):
     assert set(data) == {"exact", "mc_mean", "mc_stderr", "samples", "seed"}
     assert data["samples"] == 100
     assert data["seed"] == 71
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_estimators_need_two_samples(d8_scenario, samples):
+    scen, state_t, omega = d8_scenario
+    state0 = scen.state
+    excluded = HaarSampler(1, 8, excluded_vector=state0.amplitudes)
+    calls = [
+        lambda: mc_mean_sq_distinguishability(state_t, omega, 3, HaarSampler(1, 8), samples),
+        lambda: mc_mean_distinguishability(state_t, omega, 3, HaarSampler(1, 8), samples),
+        lambda: mc_constrained_mean(state0, state_t, omega, 3, excluded, samples),
+        lambda: mc_initial_distinguishability(state0, omega, 3, excluded, samples),
+        lambda: mc_n_outcome_mean(state_t, omega, [4, 4], HaarSampler(1, 8), samples),
+        lambda: mc_n_outcome_constrained_mean(state0, state_t, omega, [3, 4], excluded,
+                                              samples),
+        lambda: mc_twirl_pair(np.eye(4) / 2.0, HaarSampler(1, 4), samples),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            call()
