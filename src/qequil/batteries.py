@@ -100,13 +100,19 @@ def _random_trial_scenario(rng) -> Scenario:
         np.add.at(degs, bump, 1)
         scenario = random_scenario(seed, d, degeneracies=degs)
     else:
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        spec, _ = spectrum_from_hermitian((z + z.conj().T) / (2.0 * np.sqrt(d)),
-                                          tol=1e-9)
-        return Scenario(_random_state(rng, spec), f"trial-{seed}")
+        return Scenario(_random_state(rng, _random_matrix_spectrum(rng, d)),
+                        f"trial-{seed}")
     if rng.random() < 0.2:
         return Scenario(_random_state(rng, scenario.spectrum), f"trial-{seed}")
     return scenario
+
+
+def _random_matrix_spectrum(rng, d: int) -> EnergySpectrum:
+    """Spectrum of the Hermitian part of a d x d complex Ginibre matrix,
+    scaled by 1/sqrt(d), with levels merged below a relative 1e-9."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    spec, _ = spectrum_from_hermitian((z + z.conj().T) / (2.0 * np.sqrt(d)), tol=1e-9)
+    return spec
 
 
 def _random_state(rng, spec) -> QuantumState:
@@ -193,11 +199,9 @@ def gap_counting_scenario(seed: int, dim: int = 40):
     """Dense random-matrix spectrum with a Haar pure state and a half-rank
     projector, shared by the gap-counting checks."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA]))
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    spec, _ = spectrum_from_hermitian((z + z.conj().T) / (2.0 * np.sqrt(dim)),
-                                      tol=1e-9)
-    zz = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    state = QuantumState.pure(spec, zz / np.linalg.norm(zz))
+    spec = _random_matrix_spectrum(rng, dim)
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    state = QuantumState.pure(spec, z / np.linalg.norm(z))
     proj = HaarSampler(int(rng.integers(2 ** 62)), dim).projector(dim // 2)
     return state, proj
 

@@ -17,9 +17,10 @@ Every estimator reads one rank partition of the sample space through
 :func:`_partition_traces`: the frames are drawn only for the blocks other
 than the largest, and the largest block's trace is the total trace less the
 others. The column blocks of a Haar unitary are exchangeable, so this has
-the distribution of drawing every block. The estimators run at small d and
-read the equilibrium state as a dense matrix, through
-:meth:`EquilibriumState.dense`.
+the distribution of drawing every block. Both states are read only through
+their ``column_traces``: each chunk of frames, embedded in the full space
+when the sampler excludes a vector, gives tr(F^dag rho_t F) - tr(F^dag omega F)
+per column from the states' factors, and nothing d x d is formed.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package
 
-from .measure import Projector
+from .measure import PROJECTOR_TOL, Projector
 from .states import EquilibriumState, QuantumState, purity
 
 __all__ = [
@@ -60,11 +61,12 @@ CHUNK_ENTRIES = 4096
 
 
 class HaarSampler:
-    """Seeded stream of Haar-distributed unitaries of a fixed dimension.
+    """Seeded stream of Haar-random frames, the first columns of Haar
+    unitaries of a fixed dimension.
 
-    With ``excluded_vector`` set, samples are partial unitaries supported on
-    the orthogonal complement of that (pure-state) vector: they fix its span
-    and act Haar-randomly on the remaining d - 1 dimensions.
+    With ``excluded_vector`` set, samples are frames of the orthogonal
+    complement of that (pure-state) vector: the first columns of a Haar
+    unitary on the remaining d - 1 dimensions.
     """
 
     def __init__(self, seed: int, dim: int, excluded_vector=None):
@@ -112,18 +114,6 @@ class HaarSampler:
             # Haar, not just orthonormal
             diag = np.diagonal(r, axis1=1, axis2=2)
             yield q * (diag / np.abs(diag))[:, None, :]
-
-    def _unitaries(self, count: int):
-        """Chunks of full samples: Haar unitaries, or b U b^dag on the
-        complement basis b when an excluded vector is set."""
-        b = self.complement_basis
-        for u in self.batches(self.sample_dim, count):
-            yield u if b is None else b @ u @ b.conj().T
-
-    def unitary(self) -> np.ndarray:
-        """Next sample: a Haar unitary, or the embedded partial unitary on
-        the complement when an excluded vector is set."""
-        return next(self._unitaries(1))[0]
 
     def frame(self, rank: int) -> np.ndarray:
         """First ``rank`` columns of the next sample, as an orthonormal d x
@@ -182,7 +172,7 @@ def _initial_overlap_deficit(state0: QuantumState, state_t: QuantumState,
     if not state0.is_pure:
         raise ValueError("the constrained ensemble requires a pure initial state")
     c = state0.amplitudes[:, None]
-    return state_t.projected_trace(c) - omega.projected_trace(c)
+    return float(state_t.column_traces(c)[0] - omega.column_traces(c)[0])
 
 
 def constrained_mean_bound(state0: QuantumState, state_t: QuantumState,
@@ -212,7 +202,7 @@ def initial_distinguishability_exact(state0: QuantumState, omega: EquilibriumSta
         raise ValueError("exact initial mean requires a pure initial state")
     d = state0.dim
     _check_rank_dim(rank, d)
-    t0_omega = omega.projected_trace(state0.amplitudes[:, None])
+    t0_omega = float(omega.column_traces(state0.amplitudes[:, None])[0])
     return (1.0 - (rank - 1.0) / (d - 1.0)) * (1.0 - t0_omega)
 
 
@@ -264,7 +254,7 @@ def twirl_second_moment(projector_matrix) -> tuple:
 
 
 def twirl_reconstruction(projector_matrix) -> np.ndarray:
-    """alpha * Pi_sym + beta * Pi_antisym as a dense d^2 x d^2 matrix."""
+    """alpha * Pi_sym + beta * Pi_antisym as a full d^2 x d^2 matrix."""
     p = np.asarray(projector_matrix, dtype=complex)
     d = p.shape[0]
     alpha, beta = twirl_second_moment(p)
@@ -279,33 +269,40 @@ def _check_samples(samples: int):
                          f"for its standard error, got {samples}")
 
 
-def _partition_traces(sampler: HaarSampler, delta: np.ndarray, ranks,
-                      count: int) -> np.ndarray:
-    """tr(F_b^dag delta F_b) for each block F_b of a rank partition of the
-    sample space, for ``count`` samples, as a (count, len(ranks)) array.
+def _partition_traces(sampler: HaarSampler, state_t: QuantumState,
+                      omega: EquilibriumState, ranks, count: int,
+                      total: float) -> np.ndarray:
+    """tr(F_b^dag (rho_t - omega) F_b) for each block F_b of a rank partition
+    of the sample space, for ``count`` samples, as a (count, len(ranks)) array.
 
-    ``delta`` is in sample-space coordinates and ``ranks`` (zeros allowed)
-    sum to its dimension n. Frames are drawn only for the blocks other than
-    the (first) largest, in their order, n - max(ranks) columns per sample;
-    the largest block's trace is tr(delta) less theirs.
+    ``ranks`` (zeros allowed) sum to the sampler's sample dimension n, and
+    ``total`` is tr(rho_t - omega) on the sample space. Frames are drawn only
+    for the blocks other than the (first) largest, in their order, n -
+    max(ranks) columns per sample, embedded by the complement basis when the
+    sampler has one, and read through both states' column traces; the
+    largest block's trace is ``total`` less theirs.
     """
     _check_samples(count)
     n = sampler.sample_dim
-    if delta.shape != (n, n) or sum(ranks) != n:
-        raise ValueError(f"need a {n} x {n} delta and ranks summing to {n}, the "
-                         f"sampler's sample dimension; got {delta.shape} and {ranks}")
+    if state_t.dim != sampler.dim or sum(ranks) != n:
+        raise ValueError(f"need states of dimension {sampler.dim} and ranks summing "
+                         f"to {n}, the sampler's sample dimension; got "
+                         f"{state_t.dim} and {ranks}")
     big = int(np.argmax(ranks))
     rest = [i for i in range(len(ranks)) if i != big]
     edges = np.cumsum([0, *(ranks[i] for i in rest)])
+    basis = sampler.complement_basis
     out = np.zeros((count, len(ranks)))
     if edges[-1]:
         chunks = []
         for f in sampler.batches(int(edges[-1]), count):
-            cols = np.sum(f.conj() * (delta @ f), axis=1).real
+            if basis is not None:
+                f = basis @ f
+            cols = state_t.column_traces(f) - omega.column_traces(f)
             chunks.append(np.stack([cols[:, a:b].sum(axis=1)
                                     for a, b in zip(edges[:-1], edges[1:])], axis=1))
         out[:, rest] = np.concatenate(chunks)
-    out[:, big] = np.trace(delta).real - out.sum(axis=1)
+    out[:, big] = total - out.sum(axis=1)
     return out
 
 
@@ -316,16 +313,17 @@ def _result(values: np.ndarray, exact: float, sampler: HaarSampler) -> TwirlResu
                        seed=sampler.seed)
 
 
-def _constrained_delta(state0: QuantumState, state_t: QuantumState,
-                       omega: EquilibriumState, sampler: HaarSampler):
-    """(<c|delta|c>, b^dag delta b) for delta = rho_t - omega, the initial
-    state c and the sampler's complement basis b."""
-    if sampler.excluded_vector is None:
+def _excluded_deficit(state0: QuantumState, state_t: QuantumState,
+                      omega: EquilibriumState, sampler: HaarSampler) -> float:
+    """f(t) = <c|rho_t - omega|c> for the pure initial state c, once the
+    sampler is checked to exclude c's direction."""
+    f = _initial_overlap_deficit(state0, state_t, omega)
+    v = sampler.excluded_vector
+    if v is None:
         raise ValueError("sampler must exclude the initial-state direction")
-    delta = state_t.rho - omega.dense()
-    c = state0.amplitudes
-    b = sampler.complement_basis
-    return float(np.vdot(c, delta @ c).real), b.conj().T @ delta @ b
+    if abs(np.vdot(v, state0.amplitudes)) ** 2 < 1.0 - PROJECTOR_TOL:
+        raise ValueError("sampler excludes a vector other than the initial state")
+    return f
 
 
 def mc_mean_sq_distinguishability(state_t: QuantumState, omega: EquilibriumState,
@@ -334,8 +332,8 @@ def mc_mean_sq_distinguishability(state_t: QuantumState, omega: EquilibriumState
     """Monte Carlo estimate of the Haar-averaged squared distinguishability,
     referenced against the exact formula."""
     exact = exact_mean_sq_distinguishability(state_t, omega, rank)
-    x = _partition_traces(sampler, state_t.rho - omega.dense(),
-                          [rank, state_t.dim - rank], samples)[:, 0]
+    x = _partition_traces(sampler, state_t, omega, [rank, state_t.dim - rank],
+                          samples, 0.0)[:, 0]
     return _result(x * x, exact, sampler)
 
 
@@ -345,8 +343,8 @@ def mc_mean_distinguishability(state_t: QuantumState, omega: EquilibriumState,
     """Monte Carlo Haar mean of |tr(P_U (rho_t - omega))|, referenced against
     the typical-measurement cap."""
     cap = typical_distinguishability_bound(rank, state_t.dim)
-    x = _partition_traces(sampler, state_t.rho - omega.dense(),
-                          [rank, state_t.dim - rank], samples)[:, 0]
+    x = _partition_traces(sampler, state_t, omega, [rank, state_t.dim - rank],
+                          samples, 0.0)[:, 0]
     return _result(np.abs(x), cap, sampler)
 
 
@@ -357,9 +355,10 @@ def mc_constrained_mean(state0: QuantumState, state_t: QuantumState,
     (rank-(K-1) random part on the complement), referenced against the
     constrained mean bound."""
     bound = constrained_mean_bound(state0, state_t, omega, rank)
-    base, delta_s = _constrained_delta(state0, state_t, omega, sampler)
-    x = _partition_traces(sampler, delta_s, [rank - 1, state0.dim - rank], samples)[:, 0]
-    return _result(np.abs(base + x), bound, sampler)
+    f = _excluded_deficit(state0, state_t, omega, sampler)
+    x = _partition_traces(sampler, state_t, omega, [rank - 1, state0.dim - rank],
+                          samples, -f)[:, 0]
+    return _result(np.abs(f + x), bound, sampler)
 
 
 def mc_initial_distinguishability(state0: QuantumState, omega: EquilibriumState,
@@ -379,7 +378,7 @@ def mc_n_outcome_mean(state_t: QuantumState, omega: EquilibriumState, ranks,
     conjugated rank partition, referenced against the N-outcome cap."""
     ranks = [int(k) for k in ranks]
     cap = n_outcome_typical_bound(ranks, state_t.dim)
-    t = _partition_traces(sampler, state_t.rho - omega.dense(), ranks, samples)
+    t = _partition_traces(sampler, state_t, omega, ranks, samples, 0.0)
     # the builtin sum adds the outcomes in order, one sample per element
     return _result(0.5 * sum(np.abs(t).T), cap, sampler)
 
@@ -390,27 +389,29 @@ def mc_n_outcome_constrained_mean(state0: QuantumState, state_t: QuantumState,
     """Monte Carlo Haar mean for an N-outcome measurement whose first outcome
     contains the initial state, referenced against |f(t)| + sqrt(N/(d-1))/2."""
     ranks = [int(k) for k in ranks]
-    base, delta_s = _constrained_delta(state0, state_t, omega, sampler)
-    t = _partition_traces(sampler, delta_s, ranks, samples)
-    vals = 0.5 * (np.abs(base + t[:, 0]) + sum(np.abs(t[:, 1:]).T))
-    f = _initial_overlap_deficit(state0, state_t, omega)
+    f = _excluded_deficit(state0, state_t, omega, sampler)
+    t = _partition_traces(sampler, state_t, omega, ranks, samples, -f)
+    vals = 0.5 * (np.abs(f + t[:, 0]) + sum(np.abs(t[:, 1:]).T))
     return _result(vals, n_outcome_constrained_bound(f, len(ranks) + 1, state0.dim),
                    sampler)
 
 
 def mc_twirl_pair(projector_matrix, sampler: HaarSampler, samples: int):
-    """Entrywise Monte Carlo twirl <(U P U^dag) tensor (U P U^dag)>.
+    """Entrywise Monte Carlo twirl <(U P U^dag) tensor (U P U^dag)> over
+    whole Haar unitaries U, so the sampler may not exclude a vector.
 
     Returns ``(mean, stderr)`` matrices for comparison with the exact
     symmetric/antisymmetric reconstruction.
     """
     _check_samples(samples)
+    if sampler.excluded_vector is not None:
+        raise ValueError("the twirl needs a sampler without an excluded vector")
     p = np.asarray(projector_matrix, dtype=complex)
     d = p.shape[0]
     acc = np.zeros((d * d, d * d), dtype=complex)
     acc_sq = np.zeros((d * d, d * d))
     step = max(1, CHUNK_ENTRIES // d ** 4)
-    for chunk in sampler._unitaries(samples):
+    for chunk in sampler.batches(sampler.dim, samples):
         for s in range(0, len(chunk), step):
             u = chunk[s:s + step]
             pu = u @ p @ u.conj().transpose(0, 2, 1)

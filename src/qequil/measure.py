@@ -65,8 +65,9 @@ class Projector:
         return Projector(self.factor, not self.is_complement)
 
     def expectation(self, state: QuantumState | EquilibriumState) -> float:
-        """tr(P rho); a complement's value is 1 - tr(V V^dag rho), using tr(rho) = 1."""
-        value = state.projected_trace(self.factor)
+        """tr(P rho), the sum of the state's column traces over the factor; a
+        complement's value is 1 - tr(V V^dag rho), using tr(rho) = 1."""
+        value = float(state.column_traces(self.factor).sum())
         return 1.0 - value if self.is_complement else value
 
 
@@ -122,7 +123,6 @@ def expectation_series(projector: Projector, state: QuantumState, times) -> np.n
         return np.full(times.size, 1.0 if projector.is_complement else 0.0)
     spec = state.spectrum
     levels = spec.levels.size
-    level_starts = np.cumsum(spec.degeneracies) - spec.degeneracies
     # A chunk of k^2 times has k offset and k start phases per level, and the
     # phases and the stacked rows each take at most half the entry budget.
     budget = SERIES_CHUNK_ENTRIES // 2
@@ -132,7 +132,7 @@ def expectation_series(projector: Projector, state: QuantumState, times) -> np.n
     values = np.zeros(times.size)
     for c0 in range(0, columns.shape[0], cols):
         coef = np.add.reduceat((columns[c0:c0 + cols, None, :] * vh).reshape(-1, d),
-                               level_starts, axis=1)
+                               spec.level_starts, axis=1)
         rows = coef.shape[0]
         for start in range(0, times.size, chunk):
             t = times[start:start + chunk]
@@ -170,10 +170,6 @@ class Measurement:
         worst = float(np.max(list(resid.values())))
         if not np.isfinite(worst) or worst > PROJECTOR_TOL:
             raise ValueError(f"measurement residuals exceed {PROJECTOR_TOL:g}: {resid}")
-
-    @property
-    def ranks(self) -> tuple:
-        return tuple(p.rank for p in self.projectors)
 
     def residuals(self) -> dict:
         """Worst hermiticity, idempotency, orthogonality, and completeness

@@ -95,6 +95,7 @@ class EnergySpectrum:
         object.__setattr__(self, "_level_of_index",
                            np.repeat(np.arange(levels.size), degs))
         object.__setattr__(self, "_index_energies", np.repeat(levels, degs))
+        object.__setattr__(self, "_level_starts", np.cumsum(degs) - degs)
         object.__setattr__(self, "_gaps", None)
 
     @property
@@ -109,6 +110,12 @@ class EnergySpectrum:
     def level_of_index(self) -> np.ndarray:
         """Map eigenbasis index j in [0, dim) to its level index."""
         return self._level_of_index
+
+    @property
+    def level_starts(self) -> np.ndarray:
+        """First eigenbasis index of each level: the offsets that
+        ``np.add.reduceat`` sums a per-index array over."""
+        return self._level_starts
 
     @property
     def index_energies(self) -> np.ndarray:

@@ -6,6 +6,9 @@ phases e^{-i E_j t}, never exponentiating a matrix. Dephasing keeps only the
 within-level blocks and yields the equilibrium (infinite-time-averaged)
 state omega = sum_n P_n rho P_n, an :class:`EquilibriumState` that holds the
 same factor with the level partition: its block on level n is A_n A_n^dag.
+Both kinds are read through one method, ``column_traces``: the weight
+tr(v^dag rho v) of every column v of a stack of frames, from which projector
+expectations, overlaps, purity and the Haar estimators are summed.
 :func:`level_distribution` returns the state's level probabilities as a
 :class:`~qequil.spectra.LevelDistribution` over the state's own spectrum.
 """
@@ -54,22 +57,13 @@ def _checked_factor(spectrum: EnergySpectrum, factor) -> np.ndarray:
     return a
 
 
-def _checked_columns(v, d: int) -> np.ndarray:
-    """``v`` as a (d, r) array. Anything else is rejected: a 1-d vector would
-    broadcast to an outer product."""
+def _checked_frames(v, d: int) -> np.ndarray:
+    """``v`` as frames of shape (..., d, r). Anything else is rejected: a 1-d
+    vector would broadcast to an outer product."""
     v = np.asarray(v)
-    if v.ndim != 2 or v.shape[0] != d:
-        raise ValueError(f"expected a ({d}, r) array of columns, got shape {v.shape}")
+    if v.ndim < 2 or v.shape[-2] != d:
+        raise ValueError(f"expected frames of shape (..., {d}, r), got shape {v.shape}")
     return v
-
-
-def _gram(a: np.ndarray) -> np.ndarray:
-    """A A^dag as a d x d matrix. One column goes through np.outer, whose
-    entries are the single rounded products c_j conj(c_k); a matrix product
-    does not promise those bits."""
-    if a.shape[1] == 1:
-        return np.outer(a[:, 0], a[:, 0].conj())
-    return a @ a.conj().T
 
 
 class QuantumState:
@@ -133,8 +127,13 @@ class QuantumState:
 
     @property
     def rho(self) -> np.ndarray:
+        """A A^dag as a d x d matrix, built on first read and kept. One column
+        goes through np.outer, whose entries are the single rounded products
+        c_j conj(c_k); a matrix product does not promise those bits."""
         if self._rho is None:
-            self._rho = _gram(self.factor)
+            a = self.factor
+            self._rho = (np.outer(a[:, 0], a[:, 0].conj()) if self.is_pure
+                         else a @ a.conj().T)
         return self._rho
 
     def diagonal(self) -> np.ndarray:
@@ -142,21 +141,12 @@ class QuantumState:
         populations); an equilibrium state shares it with its source."""
         return np.sum(np.abs(self.factor) ** 2, axis=1)
 
-    def projected_trace(self, v) -> float:
-        """tr(V^dag rho V) = ||V^dag A||_F^2, the weight of the state in the
-        span of the orthonormal columns of the d x r factor V."""
-        v = _checked_columns(v, self.dim)
-        return float(np.sum(np.abs(v.conj().T @ self.factor) ** 2))
-
-
-def _levels_by_degeneracy(spectrum: EnergySpectrum) -> dict:
-    """{g: (m, g) array}: the eigenbasis indices of each of the m levels of
-    degeneracy g, one row per level."""
-    degs = spectrum.degeneracies
-    starts = np.cumsum(degs) - degs
-    # The distinct degeneracies, ascending; np.unique would load numpy.ma.
-    present = np.flatnonzero(np.bincount(degs))
-    return {int(g): starts[degs == g][:, None] + np.arange(g) for g in present}
+    def column_traces(self, v) -> np.ndarray:
+        """tr(v_i^dag rho v_i) = ||v_i^dag A||^2 for every column v_i of frames
+        v of shape (..., d, r), as an array of shape (..., r)."""
+        v = _checked_frames(v, self.dim)
+        y = self.factor.conj().T @ v  # (..., s, r), the conjugate of v^dag A
+        return np.sum(y.real ** 2 + y.imag ** 2, axis=-2)
 
 
 class EquilibriumState:
@@ -164,52 +154,38 @@ class EquilibriumState:
     stored as the same factor A with the level partition.
 
     omega's block on level n is A_n A_n^dag, where A_n holds the rows of A on
-    that level. Levels are grouped by their degeneracy g (see
-    :func:`_levels_by_degeneracy`), and nothing d x d is held. omega is
-    handled as a mixed state (``is_pure`` is false). Built by :func:`dephase`.
+    that level (``spectrum.level_starts`` marks where each level begins), and
+    nothing d x d is held. omega is handled as a mixed state (``is_pure`` is
+    false). Built by :func:`dephase`.
     """
 
-    __slots__ = ("spectrum", "factor", "_groups")
+    __slots__ = ("spectrum", "factor")
     is_pure = False
 
     def __init__(self, spectrum: EnergySpectrum, factor):
         self.spectrum = spectrum
         self.factor = _checked_factor(spectrum, factor)
-        self._groups = _levels_by_degeneracy(spectrum)
 
     dim = QuantumState.dim
     diagonal = QuantumState.diagonal
 
-    def projected_trace(self, v) -> float:
-        """tr(V^dag omega V) = sum_n ||V_n^dag A_n||_F^2 for a d x r
-        orthonormal factor V.
+    def column_traces(self, v) -> np.ndarray:
+        """tr(v_i^dag omega v_i) = sum_n ||v_{i,n}^dag A_n||^2 for every column
+        v_i of frames v of shape (..., d, r), as an array of shape (..., r).
 
-        A nondegenerate level contributes omega_jj |V_j|^2 with omega_jj =
-        sum_k A_jk conj(A_jk), computed in the order a diagonal matrix
-        product would use, so a nondegenerate spectrum gives the same bits
-        as the dense tr(V^dag omega V).
-        """
-        v = _checked_columns(v, self.dim)
-        parts = []
-        a = self.factor
-        for g, idx in self._groups.items():
-            if g == 1:
-                j = slice(None) if idx.size == self.dim else idx[:, 0]
-                x = v[j]
-                diag = np.sum(a[j] * a[j].conj(), axis=1)
-                parts.append(np.sum(x.conj() * np.multiply(diag[:, None], x, order="C")).real)
-                continue
-            xc = v[idx].conj()  # (m, g, r)
-            for col in a.T:  # one column at a time keeps memory at d r
-                y = np.sum(xc * col[idx][:, :, None], axis=1)  # V_n^dag a_n, (m, r)
-                parts.append(np.sum(y.real ** 2 + y.imag ** 2))
-        return float(sum(parts))
-
-    def dense(self) -> np.ndarray:
-        """omega as a d x d matrix, bit for bit the masked copy of the
-        source's density matrix. O(d^2); meant for small d only."""
-        lvl = self.spectrum.level_of_index
-        return np.where(lvl[:, None] == lvl[None, :], _gram(self.factor), 0.0)
+        The level sums (their conjugates a_n^dag v_{i,n}) run through
+        np.add.reduceat over the level starts, one column a of A at a time,
+        so memory stays at the size of v. Without a degenerate level each
+        sum has one term, and the reduceat, an identity then, is skipped."""
+        v = _checked_frames(v, self.dim)
+        starts = self.spectrum.level_starts
+        out = np.zeros(v.shape[:-2] + v.shape[-1:])
+        for a in self.factor.T:
+            y = v * a.conj()[:, None]
+            if starts.size < self.dim:
+                y = np.add.reduceat(y, starts, axis=-2)
+            out += np.sum(y.real ** 2 + y.imag ** 2, axis=-2)
+        return out
 
 
 class EnergyMoments(NamedTuple):
@@ -258,23 +234,10 @@ def energy_moments(dist: LevelDistribution) -> EnergyMoments:
 
 
 def purity(state: QuantumState | EquilibriumState) -> float:
-    """tr(rho^2) = ||A^dag A||_F^2; equals 1 for pure states. For an
-    equilibrium state it is sum_n ||A_n^dag A_n||_F^2, taken as the squared
-    norm of each block A_n A_n^dag (a nondegenerate level's block is its
-    population)."""
-    a = state.factor
-    if not isinstance(state, EquilibriumState):
-        gram = a.conj().T @ a
-        return float(np.vdot(gram, gram).real)
-    parts = []
-    for g, idx in state._groups.items():
-        if g == 1:
-            q = state.diagonal()[idx[:, 0]]
-            parts.append(np.dot(q, q))
-        else:
-            blocks = a[idx] @ a[idx].conj().transpose(0, 2, 1)  # (m, g, g)
-            parts.append(np.vdot(blocks, blocks).real)
-    return float(sum(parts))
+    """tr(rho^2), the sum of the column traces of rho's own factor: for rho
+    = A A^dag it is ||A^dag A||_F^2 (1 for a pure state), and for an
+    equilibrium state sum_n ||A_n^dag A_n||_F^2."""
+    return float(state.column_traces(state.factor).sum())
 
 
 def complex_out(arr) -> list:

@@ -130,6 +130,20 @@ def dense_dephase(state: QuantumState) -> np.ndarray:
     return np.where(mask, state.rho, 0.0)
 
 
+def matrix_from_column_traces(state) -> np.ndarray:
+    """The d x d matrix of a state or an equilibrium state, read back through
+    its column traces alone by polarization: tr(v^dag M v) on e_j, on
+    (e_j + e_k)/sqrt(2) and on (e_j + i e_k)/sqrt(2) is M_jj,
+    (M_jj + M_kk)/2 + Re M_jk and (M_jj + M_kk)/2 - Im M_jk."""
+    eye = np.eye(state.dim)
+    diag = state.column_traces(eye)
+    mean = (diag[:, None] + diag[None, :]) / 2.0
+    # frame j holds the vectors (e_j + c e_k)/sqrt(2) as its columns k
+    re = state.column_traces((eye[:, :, None] + eye[None]) / np.sqrt(2.0)) - mean
+    im = mean - state.column_traces((eye[:, :, None] + 1j * eye[None]) / np.sqrt(2.0))
+    return re + 1j * im
+
+
 def dense_expectation(projector, rho) -> float:
     """tr(P rho) from the dense projector and a dense density matrix."""
     return float(np.trace(dense(projector) @ rho).real)
@@ -211,10 +225,6 @@ class PerSampleHaar:
         diag = np.diag(r)
         return q * (diag / np.abs(diag))
 
-    def unitary(self):
-        u = self.sample(self.n)
-        return u if self.basis is None else self.basis @ u @ self.basis.conj().T
-
     def frame(self, rank):
         f = self.sample(rank)
         return f if self.basis is None else self.basis @ f
@@ -285,7 +295,7 @@ def per_sample_twirl(haar, p, samples):
     acc = np.zeros((d * d, d * d), dtype=complex)
     acc_sq = np.zeros((d * d, d * d))
     for _ in range(samples):
-        u = haar.unitary()
+        u = haar.frame(d)
         pu = u @ p @ u.conj().T
         k = np.kron(pu, pu)
         acc += k

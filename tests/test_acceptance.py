@@ -19,7 +19,8 @@ from qequil.states import (QuantumState, dephase, energy_moments, evolve,
                            level_distribution, purity)
 
 from helpers import best_epsilon, brute_eta, brute_gap_count, dense, dense_dephase, \
-    overlap, poisson_spectrum, projector_from_matrix, random_mixed, random_pure
+    matrix_from_column_traces, overlap, poisson_spectrum, projector_from_matrix, \
+    random_mixed, random_pure
 
 SEED = 20240811
 
@@ -179,7 +180,7 @@ def test_criterion_10_structural_properties(acceptance):
     ok &= np.abs(a - b).max() < 1e-12
     omega = QuantumState.mixed(spec, dense_dephase(state))
     ok &= np.abs(dense_dephase(omega) - omega.rho).max() < 1e-13
-    ok &= np.abs(dephase(omega).dense() - omega.rho).max() < 1e-13
+    ok &= np.abs(matrix_from_column_traces(dephase(omega)) - omega.rho).max() < 1e-13
     ok &= np.abs(dense_dephase(evolve(state, 2.7)) - omega.rho).max() < 1e-12
     ok &= abs(float(np.vdot(evolve(state, 1.9).rho, omega.rho).real)
               - purity(dephase(state))) < 1e-12

@@ -6,7 +6,7 @@ import pytest
 from helpers import (PerSampleHaar, constrained_mean_bound_tight, dense, dense_dephase,
                      per_sample_constrained, per_sample_mean, per_sample_mean_sq,
                      per_sample_n_outcome, per_sample_n_outcome_constrained,
-                     per_sample_stats, per_sample_twirl)
+                     per_sample_stats, per_sample_twirl, random_mixed, random_pure)
 from qequil import haar
 from qequil.constructions import random_scenario
 from qequil.haar import (CHUNK_ENTRIES, HaarSampler, constrained_mean_bound,
@@ -29,12 +29,12 @@ class TestSampler:
     def test_unitarity(self):
         s = HaarSampler(1, 7)
         for _ in range(5):
-            u = s.unitary()
+            u = s.frame(7)
             assert np.abs(u @ u.conj().T - np.eye(7)).max() < 1e-10
             assert np.abs(np.abs(np.linalg.norm(u, axis=0)) - 1.0).max() < 1e-12
 
     def test_dimension_one(self):
-        u = HaarSampler(2, 1).unitary()
+        u = HaarSampler(2, 1).frame(1)
         assert u.shape == (1, 1)
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
@@ -42,21 +42,21 @@ class TestSampler:
         a = HaarSampler(99, 5)
         b = HaarSampler(99, 5)
         for _ in range(3):
-            assert np.array_equal(a.unitary(), b.unitary())
+            assert np.array_equal(a.frame(5), b.frame(5))
 
     def test_first_moment_vanishes(self):
         s = HaarSampler(3, 4)
         acc = np.zeros((4, 4), dtype=complex)
         n = 3000
         for _ in range(n):
-            acc += s.unitary()
+            acc += s.frame(4)
         assert np.abs(acc / n).max() < 5.0 / np.sqrt(n)
 
     def test_entry_second_moment(self):
         # <|U_00|^2> = 1/d, with variance (d-1)/(d^2 (d+1))
         d, n = 6, 10000
         s = HaarSampler(18, d)
-        vals = np.array([abs(s.unitary()[0, 0]) ** 2 for _ in range(n)])
+        vals = np.array([abs(s.frame(d)[0, 0]) ** 2 for _ in range(n)])
         stderr = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - 1.0 / d) <= 3.0 * stderr
 
@@ -68,14 +68,16 @@ class TestSampler:
         assert np.abs(m @ m - m).max() < 1e-10
 
     def test_excluded_vector_partial_unitary(self):
+        # a full frame of the complement is the partial unitary's image:
+        # F F^dag is the projector onto the complement of v
         rng = np.random.default_rng(0)
         v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         v /= np.linalg.norm(v)
         s = HaarSampler(11, 5, excluded_vector=v)
-        u = s.unitary()
+        u = s.frame(4)
         proj_comp = np.eye(5) - np.outer(v, v.conj())
         assert np.abs(u @ u.conj().T - proj_comp).max() < 1e-10
-        assert np.abs(u @ v).max() < 1e-12
+        assert np.abs(u.conj().T @ v).max() < 1e-12
         frame = s.frame(2)
         assert np.abs(frame.conj().T @ v).max() < 1e-12
 
@@ -129,7 +131,6 @@ class TestBatchedKernel:
             assert got.shape == (count, n, rank)
             assert np.array_equal(got, want)
             assert np.array_equal(sampler.frame(rank), ref.frame(rank))
-            assert np.array_equal(sampler.unitary(), ref.unitary())
         with pytest.raises(ValueError, match="outside"):
             sampler.frame(n + 1)
 
@@ -181,6 +182,40 @@ class TestBatchedKernel:
                 lambda ref, c: per_sample_n_outcome_constrained(ref, base, delta, ranks, c),
                 ranks, scen.state, state_t, omega, ranks)
 
+    def test_degenerate_spectrum_matches_per_sample(self):
+        # omega keeps the within-level coherences of a degenerate spectrum:
+        # a mixed rho_t, and for the constrained ensemble a pure one, against
+        # the dense oracle
+        d = 12
+        spec = EnergySpectrum(np.arange(5, dtype=float), [1, 3, 2, 4, 2])
+        rng = np.random.default_rng(7)
+
+        def setup(state):
+            state_t, omega = evolve(state, 0.8), dephase(state)
+            oracle = dense_dephase(state)
+            assert abs(oracle[1, 2]) > 1e-3  # a kept coherence
+            return state_t, omega, state_t.rho - oracle
+
+        def run(seed, v, drawn, estimate, oracle):
+            count = _crossing_count(d - (v is not None), drawn)
+            res = estimate(HaarSampler(seed, d, v), count)
+            ref = PerSampleHaar(HaarSampler(seed, d, v))
+            mean, stderr = per_sample_stats(oracle(ref, count))
+            assert abs(res.mc_mean - mean) <= ORACLE_TOL
+            assert abs(res.mc_stderr - stderr) <= ORACLE_TOL
+
+        state_t, omega, delta = setup(random_mixed(rng, spec, components=3))
+        run(500, None, 5, lambda s, c: mc_mean_distinguishability(state_t, omega, 5, s, c),
+            lambda ref, c: per_sample_mean(ref, delta, 5, c))
+        run(501, None, 7, lambda s, c: mc_n_outcome_mean(state_t, omega, [3, 5, 4], s, c),
+            lambda ref, c: per_sample_n_outcome(ref, delta, [3, 5, 4], c))
+        pure = random_pure(rng, spec)
+        a = pure.amplitudes
+        state_t, omega, delta = setup(pure)
+        base = float(np.vdot(a, delta @ a).real)
+        run(502, a, 2, lambda s, c: mc_constrained_mean(pure, state_t, omega, 3, s, c),
+            lambda ref, c: per_sample_constrained(ref, base, delta, 3, c))
+
     def test_unconstrained_estimators_reject_excluded_sampler(self):
         scen = random_scenario(3, 8)
         state_t = evolve(scen.state, 0.8)
@@ -212,7 +247,12 @@ class TestBatchedKernel:
         scen = random_scenario(d + 2, d)
         p = dense(HaarSampler(d, d).projector(d // 2))
         sampler, ref = _sampler_pair(300 + d, scen, excluded)
-        count = _crossing_count(d - excluded, d - excluded)
+        count = _crossing_count(d, d)
+        if excluded:
+            # the twirl averages over the whole unitary group
+            with pytest.raises(ValueError, match="excluded vector"):
+                mc_twirl_pair(p, sampler, count)
+            return
         mean, stderr = mc_twirl_pair(p, sampler, count)
         want_mean, want_stderr = per_sample_twirl(ref, p, count)
         assert np.array_equal(mean, want_mean)
@@ -229,7 +269,7 @@ class TestBatchedKernel:
         got = np.concatenate(list(sampler.batches(5, count)))
         want = np.stack([ref.sample(5) for _ in range(count)])
         assert np.array_equal(got, want)
-        assert np.array_equal(sampler.unitary(), ref.unitary())
+        assert np.array_equal(sampler.frame(d - excluded), ref.frame(d - excluded))
         state_t = evolve(scen.state, 0.8)
         omega = dephase(scen.state)
         delta = state_t.rho - dense_dephase(scen.state)
@@ -332,7 +372,7 @@ class TestTypicalBound:
         # ensemble invariant, so two estimates agree within error bars
         scen, state_t, omega = d8_scenario
         delta = state_t.rho - dense_dephase(scen.state)
-        rot = HaarSampler(100, 8).unitary()
+        rot = HaarSampler(100, 8).frame(8)
         base = np.zeros((8, 8), dtype=complex)
         base[:3, :3] = np.eye(3)
         rotated = rot @ base @ rot.conj().T
@@ -342,7 +382,7 @@ class TestTypicalBound:
         s = HaarSampler(14, 8)
         vals = np.empty(n)
         for i in range(n):
-            u = s.unitary()
+            u = s.frame(8)
             pu = u @ rotated @ u.conj().T
             vals[i] = abs(np.vdot(pu, delta).real)
         gap = abs(direct.mc_mean - vals.mean())
@@ -398,6 +438,23 @@ class TestConstrainedEnsemble:
             values.append(n_outcome_constrained_bound(f, 2, d) - abs(f))
         assert values[0] > values[1] > values[2]
         assert values[2] < 0.025
+
+    def test_sampler_must_exclude_the_initial_state(self, d10):
+        # a sampler that excludes another vector once gave a mean of 0.427
+        # against 0.329, with no error
+        scen, state_t, omega = d10
+        other = random_scenario(22, 10).state.amplitudes
+        for sampler, match in ((HaarSampler(5, 10, excluded_vector=other), "other than"),
+                               (HaarSampler(5, 10), "must exclude")):
+            with pytest.raises(ValueError, match=match):
+                mc_constrained_mean(scen.state, state_t, omega, 3, sampler, 100)
+            with pytest.raises(ValueError, match=match):
+                mc_n_outcome_constrained_mean(scen.state, state_t, omega, [3, 6],
+                                              sampler, 100)
+        # the initial state's direction is accepted up to its phase
+        phased = HaarSampler(5, 10, excluded_vector=1j * scen.state.amplitudes)
+        res = mc_constrained_mean(scen.state, state_t, omega, 3, phased, 100)
+        assert res.samples == 100
 
     def test_mixed_initial_state_rejected(self, d10):
         scen, state_t, omega = d10

@@ -218,7 +218,7 @@ def test_measurement_file_roundtrip(tmp_path, spec):
     path = tmp_path / "meas.json"
     save_measurement(m, path)
     back = load_measurement(path)
-    assert back.ranks == (1, 2, 2)
+    assert [p.rank for p in back.projectors] == [1, 2, 2]
     state = random_mixed(rng, spec)
     assert np.abs(back.outcome_probabilities(state)
                   - m.outcome_probabilities(state)).max() < 1e-12
@@ -232,7 +232,7 @@ def test_measurement_file_stores_factors(tmp_path):
     save_measurement(m, path)
     assert path.stat().st_size < 200_000  # a dense d x d entry is ~12 MB
     back = load_measurement(path)
-    assert back.ranks == (4, d - 4)
+    assert [p.rank for p in back.projectors] == [4, d - 4]
     assert [p.is_complement for p in back.projectors] == [False, True]
     state = random_pure(rng, _random_spectrum(rng, d))
     assert np.abs(back.outcome_probabilities(state)
@@ -243,7 +243,7 @@ def test_measurement_file_rank_zero_outcome(tmp_path):
     zero = projector_from_matrix(np.zeros((3, 3)))
     path = tmp_path / "trivial.json"
     save_measurement(Measurement([zero, zero.complement()]), path)
-    assert load_measurement(path).ranks == (0, 3)
+    assert [p.rank for p in load_measurement(path).projectors] == [0, 3]
 
 
 @pytest.mark.parametrize("form", ["rank_one", "matrix", "misspelled_key"])
