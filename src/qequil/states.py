@@ -176,15 +176,23 @@ class EquilibriumState:
         The level sums (their conjugates a_n^dag v_{i,n}) run through
         np.add.reduceat over the level starts, one column a of A at a time,
         so memory stays at the size of v. Without a degenerate level each
-        sum has one term, and the reduceat, an identity then, is skipped."""
+        sum has one term, and the reduceat, an identity then, is skipped.
+
+        The products conj(a_j) v_j are taken in real arithmetic: numpy's
+        complex multiply picks its kernel by the operands' layout, and the
+        kernels round differently, so a frame alone and the same frame in a
+        stack would not give the same bits."""
         v = _checked_frames(v, self.dim)
         starts = self.spectrum.level_starts
+        vr, vi = v.real, v.imag
         out = np.zeros(v.shape[:-2] + v.shape[-1:])
         for a in self.factor.T:
-            y = v * a.conj()[:, None]
+            ar, ai = a.real[:, None], a.imag[:, None]
+            yr, yi = vr * ar + vi * ai, vi * ar - vr * ai
             if starts.size < self.dim:
-                y = np.add.reduceat(y, starts, axis=-2)
-            out += np.sum(y.real ** 2 + y.imag ** 2, axis=-2)
+                yr = np.add.reduceat(yr, starts, axis=-2)
+                yi = np.add.reduceat(yi, starts, axis=-2)
+            out += np.sum(yr ** 2 + yi ** 2, axis=-2)
         return out
 
 
