@@ -24,11 +24,12 @@ from .averaging import (TimeGrid, TimeSeries, dephased_purity_bound,
                         lorentzian_state, time_average)
 from .constructions import (Scenario, gaussian_scenario, harmonic_oscillator_1d,
                             random_scenario, snapshot_subspace, slow_window_check)
-from .haar import (HaarSampler, TwirlResult, initial_distinguishability_floor,
-                   mc_constrained_mean, mc_initial_distinguishability,
-                   mc_mean_distinguishability, mc_mean_sq_distinguishability,
-                   mc_n_outcome_constrained_mean, mc_n_outcome_mean, mc_twirl_pair,
-                   n_outcome_typical_cap, twirl_reconstruction)
+from .haar import (HaarSampler, TwirlResult, constrained_mean_bound,
+                   exact_mean_sq_distinguishability, initial_distinguishability_exact,
+                   initial_distinguishability_floor, mc_distinguishabilities,
+                   mc_twirl_pair, n_outcome_constrained_bound, n_outcome_typical_bound,
+                   n_outcome_typical_cap, twirl_reconstruction,
+                   typical_distinguishability_bound)
 from .measure import (Projector, distinguishability_series, expectation_series,
                       two_outcome)
 from .spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
@@ -61,6 +62,12 @@ PURITY_CHAIN_DELTAS = (0.5, 1.0, 2.0, 4.0)
 GAP_COUNTING_EPS_FACTORS = (0.1, 1.0, 10.0)
 GAP_COUNTING_WINDOWS = 6
 HAAR_STDERR_SIGMAS = 3.0
+
+
+def _check_count(name: str, value: int):
+    """A battery with no trials, scenarios or grid points checks nothing."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass
@@ -133,6 +140,8 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
     Lorentzian-purity chain checked at every grid point along the way. Each
     trial evaluates its bounds, window scans and exact purities over all of
     its windows at once; only the time averages run window by window."""
+    _check_count("trials", trials)
+    _check_count("t_points", t_points)
     report = BatteryReport()
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
@@ -242,6 +251,7 @@ def gap_counting_battery(seed: int, dim: int = 40) -> BatteryReport:
 def haar_battery(seed: int, scenarios: int = 50, samples: int = 300) -> BatteryReport:
     """Monte Carlo sweep of all four Haar-ensemble bounds (two-outcome and
     N-outcome, unconstrained and initial-state-constrained)."""
+    _check_count("scenarios", scenarios)
     report = BatteryReport()
     for idx in range(scenarios):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x44A, idx]))
@@ -255,31 +265,25 @@ def haar_battery(seed: int, scenarios: int = 50, samples: int = 300) -> BatteryR
         rank = int(rng.integers(1, d))
         outcomes = int(rng.integers(2, min(6, d // 2) + 1))
         seeds = [int(x) for x in rng.integers(0, 2 ** 62, size=4)]
-
-        checks = []
-        res = mc_mean_distinguishability(state_t, omega, rank,
-                                         HaarSampler(seeds[0], d), samples)
-        checks.append(("typical_two_outcome", res, res.exact))
-
-        res = mc_constrained_mean(state0, state_t, omega, max(rank, 1),
-                                  HaarSampler(seeds[1], d,
-                                              excluded_vector=state0.amplitudes),
-                                  samples)
-        checks.append(("constrained_two_outcome", res, res.exact))
-
         ranks = _random_partition(rng, d, outcomes)
-        res = mc_n_outcome_mean(state_t, omega, ranks,
-                                HaarSampler(seeds[2], d), samples)
-        checks.append(("typical_n_outcome", res,
-                       min(res.exact, n_outcome_typical_cap(outcomes, d))))
-
-        ranks_c = _random_partition(rng, d - 1, outcomes - 1)
-        res = mc_n_outcome_constrained_mean(
-            state0, state_t, omega, ranks_c,
-            HaarSampler(seeds[3], d, excluded_vector=state0.amplitudes), samples)
-        checks.append(("constrained_n_outcome", res, res.exact))
-
-        for name, res, cap in checks:
+        ranks_c = _random_partition(rng, d - 1, outcomes)
+        # (name, excluded vector, rank partition of the sample space, cap);
+        # an excluded initial state sits inside outcome 0
+        checks = [
+            ("typical_two_outcome", None, [rank, d - rank],
+             typical_distinguishability_bound(rank, d)),
+            ("constrained_two_outcome", state0.amplitudes, [rank - 1, d - rank],
+             constrained_mean_bound(state0, state_t, omega, rank)),
+            ("typical_n_outcome", None, ranks,
+             min(n_outcome_typical_bound(ranks, d), n_outcome_typical_cap(outcomes, d))),
+            ("constrained_n_outcome", state0.amplitudes, ranks_c,
+             n_outcome_constrained_bound(state0, state_t, omega, len(ranks_c))),
+        ]
+        for (name, excluded, part, cap), sampler_seed in zip(checks, seeds):
+            sampler = HaarSampler(sampler_seed, d, excluded_vector=excluded)
+            res = TwirlResult.from_samples(
+                mc_distinguishabilities(state_t, omega, part, sampler, samples), cap,
+                sampler)
             limit = cap + HAAR_STDERR_SIGMAS * res.mc_stderr
             row = {"name": name, "T": t, "K": rank, "value": cap,
                    "measured": res.mc_mean, "holds": res.mc_mean <= limit,
@@ -438,7 +442,9 @@ def run_haar(config: dict) -> ExperimentResult:
     samples = int(config["samples"])
     reports = {}
 
-    def check(name: str, res: TwirlResult, sigmas: float, cap_only: bool):
+    def check(name: str, values: np.ndarray, exact: float, sampler: HaarSampler,
+              sigmas: float, cap_only: bool):
+        res = TwirlResult.from_samples(values, exact, sampler)
         gap = res.mc_mean - res.exact
         ok = gap <= sigmas * res.mc_stderr if cap_only else abs(gap) <= sigmas * res.mc_stderr
         reports[name] = {**res.to_dict(), "holds": bool(ok)}
@@ -447,19 +453,20 @@ def run_haar(config: dict) -> ExperimentResult:
     scenario = random_scenario(seed + 1, 8)
     state_t = evolve(scenario.state, 0.7)
     omega = dephase(scenario.state)
-    res = mc_mean_sq_distinguishability(state_t, omega, 3,
-                                        HaarSampler(seed + 2, 8), samples)
-    check("mean_sq_d8_k3", res, 5.0, cap_only=False)
+    sampler = HaarSampler(seed + 2, 8)
+    x = mc_distinguishabilities(state_t, omega, [3, 5], sampler, samples)
+    check("mean_sq_d8_k3", x * x, exact_mean_sq_distinguishability(state_t, omega, 3),
+          sampler, 5.0, cap_only=False)
 
     # constrained ensemble
     scen10 = random_scenario(seed + 3, 10)
     st10 = evolve(scen10.state, 1.3)
     om10 = dephase(scen10.state)
-    res = mc_constrained_mean(scen10.state, st10, om10, 3,
-                              HaarSampler(seed + 4, 10,
-                                          excluded_vector=scen10.state.amplitudes),
-                              samples)
-    check("constrained_d10_k3", res, 3.0, cap_only=True)
+    sampler = HaarSampler(seed + 4, 10, excluded_vector=scen10.state.amplitudes)
+    check("constrained_d10_k3",
+          mc_distinguishabilities(st10, om10, [2, 7], sampler, samples),
+          constrained_mean_bound(scen10.state, st10, om10, 3), sampler, 3.0,
+          cap_only=True)
 
     # initial distinguishability floor, uniform state over 6 of 12 levels
     spec12 = EnergySpectrum(np.arange(12, dtype=float), np.ones(12, dtype=int))
@@ -467,11 +474,11 @@ def run_haar(config: dict) -> ExperimentResult:
     amps[:6] = 1.0 / np.sqrt(6.0)
     state12 = QuantumState.pure(spec12, amps)
     om12 = dephase(state12)
-    res = mc_initial_distinguishability(state12, om12, 4,
-                                        HaarSampler(seed + 5, 12,
-                                                    excluded_vector=amps),
-                                        samples)
-    check("initial_floor_d12_k4", res, 3.0, cap_only=False)
+    sampler = HaarSampler(seed + 5, 12, excluded_vector=amps)
+    check("initial_floor_d12_k4",
+          mc_distinguishabilities(state12, om12, [3, 8], sampler, samples),
+          initial_distinguishability_exact(state12, om12, 4), sampler, 3.0,
+          cap_only=False)
     reports["initial_floor_d12_k4"]["floor"] = initial_distinguishability_floor(
         4, 12, effective_dimension(level_distribution(state12)))
 
@@ -479,9 +486,10 @@ def run_haar(config: dict) -> ExperimentResult:
     scen16 = random_scenario(seed + 6, 16)
     st16 = evolve(scen16.state, 0.9)
     om16 = dephase(scen16.state)
-    res = mc_n_outcome_mean(st16, om16, [4, 4, 4, 4],
-                            HaarSampler(seed + 7, 16), samples)
-    check("n_outcome_d16_n4", res, 3.0, cap_only=True)
+    sampler = HaarSampler(seed + 7, 16)
+    check("n_outcome_d16_n4",
+          mc_distinguishabilities(st16, om16, [4, 4, 4, 4], sampler, samples),
+          n_outcome_typical_bound([4, 4, 4, 4], 16), sampler, 3.0, cap_only=True)
     reports["n_outcome_d16_n4"]["cap"] = n_outcome_typical_cap(4, 16)
 
     # entrywise twirl

@@ -1,10 +1,17 @@
-"""Haar-random unitaries, exact twirl formulas, and Monte Carlo checks.
+"""Haar-random unitaries, exact twirl formulas, and one Monte Carlo estimator.
 
-Typical-measurement statements average a conjugated projector P_U = U P U^dag
-over the unitary group. Second moments have closed forms through the
-symmetric/antisymmetric twirl decomposition; the Monte Carlo estimators here
-exist to cross-validate those formulas and bounds, with plain sample standard
-errors (the integrands are bounded, so the CLT is adequate at desk scale).
+Both Haar statements average one quantity, the distinguishability
+D(rho_t, omega) = (1/2) sum_b |tr(P_b (rho_t - omega))| of a projective
+measurement {P_b} with a fixed rank partition, over a Haar unitary that
+conjugates it. "Most measurements are already equilibrated" averages over
+all such measurements; the constrained ensemble averages over those that
+have the initial state as an eigenvector, with the state inside outcome 0.
+Second moments have closed forms through the symmetric/antisymmetric twirl
+decomposition. :func:`mc_distinguishabilities` returns per-sample values of
+D, which the callers reduce with :meth:`TwirlResult.from_samples` to check
+those formulas and bounds, with plain sample standard errors (the
+integrands are bounded, so the CLT is adequate at desk scale). A sampler
+that excludes a vector v draws the constrained ensemble of v.
 
 All samples come from one batched kernel, :meth:`HaarSampler.batches`: a
 rank-k draw takes an n x k Ginibre matrix (2 n k normals) per sample, one
@@ -13,7 +20,7 @@ stacked QR of a chunk of them and the R-diagonal phase fix of Mezzadri
 samples are those of drawing and factoring one n x k matrix at a time, bit
 for bit, and do not depend on the chunking.
 
-Every estimator reads one rank partition of the sample space through
+The estimator reads its rank partition of the sample space through
 :func:`_partition_traces`: the frames are drawn only for the blocks other
 than the largest, and the largest block's trace is the total trace less the
 others. The column blocks of a Haar unitary are exchangeable, so this has
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package
 
-from .measure import PROJECTOR_TOL, Projector
+from .measure import Projector
 from .states import EquilibriumState, QuantumState, purity
 
 __all__ = [
@@ -46,12 +53,7 @@ __all__ = [
     "swap_operator",
     "twirl_second_moment",
     "twirl_reconstruction",
-    "mc_mean_sq_distinguishability",
-    "mc_mean_distinguishability",
-    "mc_constrained_mean",
-    "mc_initial_distinguishability",
-    "mc_n_outcome_mean",
-    "mc_n_outcome_constrained_mean",
+    "mc_distinguishabilities",
     "mc_twirl_pair",
 ]
 
@@ -136,6 +138,16 @@ class TwirlResult:
     samples: int
     seed: int
 
+    @classmethod
+    def from_samples(cls, values: np.ndarray, exact: float,
+                     sampler: HaarSampler) -> "TwirlResult":
+        """Mean and plain standard error of per-sample ``values`` drawn from
+        ``sampler``, next to the reference value ``exact``."""
+        n = values.size
+        return cls(exact=float(exact), mc_mean=float(values.mean()),
+                   mc_stderr=float(values.std(ddof=1) / np.sqrt(n)), samples=n,
+                   seed=sampler.seed)
+
     def to_dict(self) -> dict:
         return {"exact": self.exact, "mc_mean": self.mc_mean,
                 "mc_stderr": self.mc_stderr, "samples": self.samples,
@@ -165,14 +177,18 @@ def typical_distinguishability_bound(rank: int, dim: int) -> float:
     return float(np.sqrt(rank * (dim - rank) / (dim ** 2 * (dim + 1.0))))
 
 
+def _overlap_deficit(v, state_t: QuantumState, omega: EquilibriumState) -> float:
+    """<v|rho_t|v> - <v|omega|v>, both read through the states' factors."""
+    c = v[:, None]
+    return float(state_t.column_traces(c)[0] - omega.column_traces(c)[0])
+
+
 def _initial_overlap_deficit(state0: QuantumState, state_t: QuantumState,
                              omega: EquilibriumState) -> float:
-    """f(t) = tr(rho_0 (rho_t - omega)) = <c|rho_t|c> - <c|omega|c> for a
-    pure rho_0 = c c^dag, both read through the states' factors."""
+    """f(t) = tr(rho_0 (rho_t - omega)) for a pure rho_0 = c c^dag."""
     if not state0.is_pure:
         raise ValueError("the constrained ensemble requires a pure initial state")
-    c = state0.amplitudes[:, None]
-    return float(state_t.column_traces(c)[0] - omega.column_traces(c)[0])
+    return _overlap_deficit(state0.amplitudes, state_t, omega)
 
 
 def constrained_mean_bound(state0: QuantumState, state_t: QuantumState,
@@ -221,14 +237,17 @@ def n_outcome_typical_cap(outcomes: int, dim: int) -> float:
     return 0.5 * np.sqrt(outcomes / (dim + 1.0))
 
 
-def n_outcome_constrained_bound(f_t: float, outcomes: int, dim: int) -> float:
+def n_outcome_constrained_bound(state0: QuantumState, state_t: QuantumState,
+                                omega: EquilibriumState, outcomes: int) -> float:
     """|f(t)| + (1/2) sqrt(N / (d-1)) for N-outcome measurements containing
     the initial state."""
+    d = state0.dim
     if outcomes < 2:
         raise ValueError("need at least two outcomes")
-    if dim <= 2:
+    if d <= 2:
         raise ValueError("the constrained ensemble requires dim > 2")
-    return abs(f_t) + 0.5 * np.sqrt(outcomes / (dim - 1.0))
+    f = _initial_overlap_deficit(state0, state_t, omega)
+    return abs(f) + 0.5 * np.sqrt(outcomes / (d - 1.0))
 
 
 def swap_operator(dim: int) -> np.ndarray:
@@ -306,94 +325,23 @@ def _partition_traces(sampler: HaarSampler, state_t: QuantumState,
     return out
 
 
-def _result(values: np.ndarray, exact: float, sampler: HaarSampler) -> TwirlResult:
-    n = values.size
-    return TwirlResult(exact=float(exact), mc_mean=float(values.mean()),
-                       mc_stderr=float(values.std(ddof=1) / np.sqrt(n)), samples=n,
-                       seed=sampler.seed)
+def mc_distinguishabilities(state_t: QuantumState, omega: EquilibriumState, ranks,
+                            sampler: HaarSampler, samples: int) -> np.ndarray:
+    """Per-sample N-outcome distinguishability (1/2) sum_b |tr(P_b (rho_t -
+    omega))| of ``samples`` Haar-random measurements, one per element.
 
-
-def _excluded_deficit(state0: QuantumState, state_t: QuantumState,
-                      omega: EquilibriumState, sampler: HaarSampler) -> float:
-    """f(t) = <c|rho_t - omega|c> for the pure initial state c, once the
-    sampler is checked to exclude c's direction."""
-    f = _initial_overlap_deficit(state0, state_t, omega)
+    The outcomes are a rank partition ``ranks`` (zeros allowed) of the
+    sampler's sample space, conjugated by a Haar unitary on it. When the
+    sampler excludes a vector v, v is also in outcome 0: its trace gains
+    f = <v|rho_t - omega|v>, and the traces on the complement sum to -f.
+    """
+    ranks = [int(k) for k in ranks]
     v = sampler.excluded_vector
-    if v is None:
-        raise ValueError("sampler must exclude the initial-state direction")
-    if abs(np.vdot(v, state0.amplitudes)) ** 2 < 1.0 - PROJECTOR_TOL:
-        raise ValueError("sampler excludes a vector other than the initial state")
-    return f
-
-
-def mc_mean_sq_distinguishability(state_t: QuantumState, omega: EquilibriumState,
-                                  rank: int, sampler: HaarSampler,
-                                  samples: int) -> TwirlResult:
-    """Monte Carlo estimate of the Haar-averaged squared distinguishability,
-    referenced against the exact formula."""
-    exact = exact_mean_sq_distinguishability(state_t, omega, rank)
-    x = _partition_traces(sampler, state_t, omega, [rank, state_t.dim - rank],
-                          samples, 0.0)[:, 0]
-    return _result(x * x, exact, sampler)
-
-
-def mc_mean_distinguishability(state_t: QuantumState, omega: EquilibriumState,
-                               rank: int, sampler: HaarSampler,
-                               samples: int) -> TwirlResult:
-    """Monte Carlo Haar mean of |tr(P_U (rho_t - omega))|, referenced against
-    the typical-measurement cap."""
-    cap = typical_distinguishability_bound(rank, state_t.dim)
-    x = _partition_traces(sampler, state_t, omega, [rank, state_t.dim - rank],
-                          samples, 0.0)[:, 0]
-    return _result(np.abs(x), cap, sampler)
-
-
-def mc_constrained_mean(state0: QuantumState, state_t: QuantumState,
-                        omega: EquilibriumState, rank: int, sampler: HaarSampler,
-                        samples: int) -> TwirlResult:
-    """Monte Carlo Haar mean over measurements containing the initial state
-    (rank-(K-1) random part on the complement), referenced against the
-    constrained mean bound."""
-    bound = constrained_mean_bound(state0, state_t, omega, rank)
-    f = _excluded_deficit(state0, state_t, omega, sampler)
-    x = _partition_traces(sampler, state_t, omega, [rank - 1, state0.dim - rank],
-                          samples, -f)[:, 0]
-    return _result(np.abs(f + x), bound, sampler)
-
-
-def mc_initial_distinguishability(state0: QuantumState, omega: EquilibriumState,
-                                  rank: int, sampler: HaarSampler,
-                                  samples: int) -> TwirlResult:
-    """Monte Carlo Haar mean of the initial distinguishability for
-    measurements containing the initial state, referenced against its exact
-    value."""
-    res = mc_constrained_mean(state0, state0, omega, rank, sampler, samples)
-    res.exact = initial_distinguishability_exact(state0, omega, rank)
-    return res
-
-
-def mc_n_outcome_mean(state_t: QuantumState, omega: EquilibriumState, ranks,
-                      sampler: HaarSampler, samples: int) -> TwirlResult:
-    """Monte Carlo Haar mean of the N-outcome distinguishability for a
-    conjugated rank partition, referenced against the N-outcome cap."""
-    ranks = [int(k) for k in ranks]
-    cap = n_outcome_typical_bound(ranks, state_t.dim)
-    t = _partition_traces(sampler, state_t, omega, ranks, samples, 0.0)
-    # the builtin sum adds the outcomes in order, one sample per element
-    return _result(0.5 * sum(np.abs(t).T), cap, sampler)
-
-
-def mc_n_outcome_constrained_mean(state0: QuantumState, state_t: QuantumState,
-                                  omega: EquilibriumState, ranks,
-                                  sampler: HaarSampler, samples: int) -> TwirlResult:
-    """Monte Carlo Haar mean for an N-outcome measurement whose first outcome
-    contains the initial state, referenced against |f(t)| + sqrt(N/(d-1))/2."""
-    ranks = [int(k) for k in ranks]
-    f = _excluded_deficit(state0, state_t, omega, sampler)
+    f = 0.0 if v is None else _overlap_deficit(v, state_t, omega)
     t = _partition_traces(sampler, state_t, omega, ranks, samples, -f)
-    vals = 0.5 * (np.abs(f + t[:, 0]) + sum(np.abs(t[:, 1:]).T))
-    return _result(vals, n_outcome_constrained_bound(f, len(ranks) + 1, state0.dim),
-                   sampler)
+    t[:, 0] += f
+    # the builtin sum adds the outcomes in order, one sample per element
+    return 0.5 * sum(np.abs(t).T)
 
 
 def mc_twirl_pair(projector_matrix, sampler: HaarSampler, samples: int):

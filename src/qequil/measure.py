@@ -172,11 +172,12 @@ class Measurement:
             raise ValueError(f"measurement residuals exceed {PROJECTOR_TOL:g}: {resid}")
 
     def residuals(self) -> dict:
-        """Worst hermiticity, idempotency, orthogonality, and completeness
-        residuals, for reporting against the shared tolerance.
+        """Worst idempotency, orthogonality, and completeness residuals, for
+        reporting against the shared tolerance.
 
-        Only d x r factor products are formed, and factors are Hermitian by
-        construction. X holds the explicit factors side by side: X^dag X - 1
+        Only d x r factor products are formed; a projector built from a
+        factor is Hermitian by construction, so there is no hermiticity
+        residual. X holds the explicit factors side by side: X^dag X - 1
         gives idempotency (within a factor) and orthogonality (across). A
         complement 1 - W W^dag completes the measurement when W spans X, and
         the rank sum is already checked, so completeness is ||X - W W^dag X||_2;
@@ -196,7 +197,7 @@ class Measurement:
             complete = np.linalg.norm(x - w @ (w.conj().T @ x), 2)
         else:
             complete = np.linalg.norm(dev, 2)
-        return {"hermiticity": 0.0, "idempotency": float(idem),
+        return {"idempotency": float(idem),
                 "orthogonality": float(ortho), "completeness": float(complete)}
 
     def outcome_probabilities(self, state: QuantumState | EquilibriumState) -> np.ndarray:

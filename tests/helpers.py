@@ -212,6 +212,7 @@ class PerSampleHaar:
 
     def __init__(self, sampler):
         self._rng = sampler._rng
+        self.excluded = sampler.excluded_vector
         self.basis = sampler.complement_basis
         self.n = sampler.sample_dim
 
@@ -266,28 +267,14 @@ def per_sample_partition(haar, delta, ranks, samples):
     return out
 
 
-def per_sample_mean_sq(haar, delta, rank, samples):
-    x = per_sample_partition(haar, delta, [rank, haar.n - rank], samples)[:, 0]
-    return x * x
-
-
-def per_sample_mean(haar, delta, rank, samples):
-    return np.abs(per_sample_partition(haar, delta, [rank, haar.n - rank], samples)[:, 0])
-
-
-def per_sample_constrained(haar, base, delta, rank, samples):
-    x = per_sample_partition(haar, delta, [rank - 1, haar.n - rank + 1], samples)[:, 0]
-    return np.abs(base + x)
-
-
-def per_sample_n_outcome(haar, delta, ranks, samples):
+def per_sample_distinguishabilities(haar, delta, ranks, samples):
+    """(1/2) sum_b |t_b| per sample for the block traces of
+    :func:`per_sample_partition`; an excluded vector v belongs to outcome 0,
+    which gains <v|delta|v>."""
     t = per_sample_partition(haar, delta, ranks, samples)
+    if haar.excluded is not None:
+        t[:, 0] += float(np.vdot(haar.excluded, delta @ haar.excluded).real)
     return 0.5 * np.abs(t).sum(axis=1)
-
-
-def per_sample_n_outcome_constrained(haar, base, delta, ranks, samples):
-    t = per_sample_partition(haar, delta, ranks, samples)
-    return 0.5 * (np.abs(base + t[:, 0]) + np.abs(t[:, 1:]).sum(axis=1))
 
 
 def per_sample_twirl(haar, p, samples):

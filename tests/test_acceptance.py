@@ -10,8 +10,8 @@ from qequil.bounds import (fast_equilibration_constant, gaussian_purity_asymptot
 from qequil.constructions import (gaussian_scenario, harmonic_oscillator_1d,
                                   partitioned_slow_measurement, random_scenario,
                                   snapshot_subspace, slow_window_check)
-from qequil.haar import HaarSampler, mc_mean_sq_distinguishability, mc_n_outcome_mean, \
-    n_outcome_typical_cap
+from qequil.haar import HaarSampler, TwirlResult, exact_mean_sq_distinguishability, \
+    mc_distinguishabilities, n_outcome_typical_cap
 from qequil.measure import (Projector, distinguishability_series,
                             expectation_series, two_outcome)
 from qequil.spectra import EnergySpectrum, LevelDistribution, max_window_probability
@@ -47,7 +47,10 @@ def test_criterion_2_exact_haar_formula_vs_monte_carlo(acceptance):
     scen = random_scenario(11, 8)
     state_t = evolve(scen.state, 0.7)
     omega = dephase(scen.state)
-    res = mc_mean_sq_distinguishability(state_t, omega, 3, HaarSampler(5, 8), 2000)
+    sampler = HaarSampler(5, 8)
+    x = mc_distinguishabilities(state_t, omega, [3, 5], sampler, 2000)
+    res = TwirlResult.from_samples(x * x, exact_mean_sq_distinguishability(state_t, omega, 3),
+                                   sampler)
     gap = abs(res.mc_mean - res.exact)
     ok = res.mc_stderr <= 1e-3 and gap <= 5.0 * res.mc_stderr
     acceptance(2, f"exact second moment vs MC at d=8, K=3: gap={gap:.2e} "
@@ -64,10 +67,11 @@ def test_criterion_3_typical_measurement_caps(acceptance):
     scen = random_scenario(SEED + 16, 16)
     state_t = evolve(scen.state, 0.9)
     omega = dephase(scen.state)
-    res = mc_n_outcome_mean(state_t, omega, [4, 4, 4, 4],
-                            HaarSampler(SEED + 17, 16), 2000)
-    cap = n_outcome_typical_cap(4, 16)
-    ok = ok and res.mc_mean <= cap + 3.0 * res.mc_stderr
+    sampler = HaarSampler(SEED + 17, 16)
+    res = TwirlResult.from_samples(
+        mc_distinguishabilities(state_t, omega, [4, 4, 4, 4], sampler, 2000),
+        n_outcome_typical_cap(4, 16), sampler)
+    ok = ok and res.mc_mean <= res.exact + 3.0 * res.mc_stderr
     acceptance(3, f"typical-measurement caps over {len(named)} battery rows "
                   f"plus N=4, d=16 cap check", ok)
     assert ok

@@ -74,8 +74,15 @@ def test_battery_matches_per_window_oracle(seed):
         assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
 
 
-def test_battery_without_windows_has_no_rows():
-    assert fast_equilibration_battery(SEED, trials=2, t_points=0).rows == []
+def test_empty_battery_is_rejected():
+    # no windows, trials or scenarios would leave a battery with no rows,
+    # which reads as a pass
+    for call, name in ((lambda: fast_equilibration_battery(SEED, trials=2, t_points=0),
+                        "t_points"),
+                       (lambda: fast_equilibration_battery(SEED, trials=0), "trials"),
+                       (lambda: haar_battery(SEED, scenarios=0), "scenarios")):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            call()
 
 
 def test_bounds_run_scans_windows_under_the_traced_names(monkeypatch):
@@ -107,6 +114,15 @@ def test_haar_battery_rows_and_determinism():
     assert a.rows == b.rows
     assert len(a.rows) == 4 * 4  # four checks per scenario
     assert not a.violations
+
+
+def test_constrained_n_outcome_rows_measure_every_outcome():
+    # a partition of the initial state's complement into N - 1 parts once
+    # gave the N = 2 rows a single outcome, the identity: 10 of these 50
+    # rows read 0 with a standard error of 0
+    rows = [r for r in haar_battery(SEED).rows if r["name"] == "constrained_n_outcome"]
+    assert len(rows) == 50
+    assert all(r["mc_stderr"] > 0 for r in rows)
 
 
 def test_appendix_battery_reports_vacuous_flag():

@@ -87,6 +87,16 @@ def test_haar_with_one_sample_stops(tmp_path, key):
         _run(["haar", "--out", str(tmp_path), "--set", f"{key}=1"])
 
 
+@pytest.mark.parametrize("experiment,key,value,name", [
+    ("bounds", "trials", -3, "trials"), ("bounds", "t_points", 0, "t_points"),
+    ("haar", "battery_scenarios", 0, "scenarios")])
+def test_empty_battery_stops(tmp_path, experiment, key, value, name):
+    # a battery without trials, grid points or scenarios checks nothing
+    with pytest.raises(SystemExit, match=f"{experiment}: {name} must be at least 1, "
+                                         f"got {value}"):
+        _run([experiment, "--out", str(tmp_path), "--set", f"{key}={value}"])
+
+
 def test_seed_flag_changes_trials_not_verdict(tmp_path):
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"

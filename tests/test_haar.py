@@ -4,25 +4,21 @@ import numpy as np
 import pytest
 
 from helpers import (PerSampleHaar, constrained_mean_bound_tight, dense, dense_dephase,
-                     per_sample_constrained, per_sample_mean, per_sample_mean_sq,
-                     per_sample_n_outcome, per_sample_n_outcome_constrained,
-                     per_sample_stats, per_sample_twirl, random_mixed, random_pure)
+                     per_sample_distinguishabilities, per_sample_stats, per_sample_twirl,
+                     random_mixed, random_pure)
 from qequil import haar
 from qequil.constructions import random_scenario
-from qequil.haar import (CHUNK_ENTRIES, HaarSampler, constrained_mean_bound,
+from qequil.haar import (CHUNK_ENTRIES, HaarSampler, TwirlResult, constrained_mean_bound,
                          exact_mean_sq_distinguishability,
                          initial_distinguishability_exact,
-                         initial_distinguishability_floor,
-                         mc_constrained_mean, mc_initial_distinguishability,
-                         mc_mean_distinguishability, mc_mean_sq_distinguishability,
-                         mc_n_outcome_constrained_mean, mc_n_outcome_mean,
+                         initial_distinguishability_floor, mc_distinguishabilities,
                          mc_twirl_pair, n_outcome_constrained_bound,
                          n_outcome_typical_bound, n_outcome_typical_cap,
                          swap_operator, twirl_reconstruction,
                          twirl_second_moment, typical_distinguishability_bound)
 from qequil.spectra import EnergySpectrum
 from qequil.states import (QuantumState, dephase, effective_dimension, evolve,
-                           level_distribution, purity)
+                           level_distribution)
 
 
 class TestSampler:
@@ -99,6 +95,13 @@ def _sampler_pair(seed, scen, excluded):
     return HaarSampler(seed, d, v), PerSampleHaar(HaarSampler(seed, d, v))
 
 
+def _mc(state_t, omega, ranks, sampler, samples, exact=0.0, square=False) -> TwirlResult:
+    """The estimate from the estimator's samples, squared for the mean
+    square, as the experiments report it."""
+    x = mc_distinguishabilities(state_t, omega, ranks, sampler, samples)
+    return TwirlResult.from_samples(x * x if square else x, exact, sampler)
+
+
 def _crossing_count(n, rank):
     """A sample count that runs one sample past the second kernel chunk of
     rank-``rank`` draws in an n-dimensional sample space."""
@@ -110,6 +113,18 @@ def _crossing_count(n, rank):
 # different orders, and the largest block comes from a difference of traces:
 # rounding stays well below n^2 eps ~ 1e-12.
 ORACLE_TOL = 1e-12
+
+
+def _assert_matches_oracle(got, want, sampler):
+    """Per-sample values, and the mean and stderr reported from them, within
+    ORACLE_TOL of the oracle's."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= ORACLE_TOL
+    res = TwirlResult.from_samples(got, 0.0, sampler)
+    mean, stderr = per_sample_stats(want)
+    assert res.samples == want.size
+    assert abs(res.mc_mean - mean) <= ORACLE_TOL
+    assert abs(res.mc_stderr - stderr) <= ORACLE_TOL
 
 
 class TestBatchedKernel:
@@ -144,43 +159,28 @@ class TestBatchedKernel:
         n = d - excluded
         seeds = iter(range(200 + d, 300 + d))
 
-        def run(estimator, oracle, ranks, *args):
+        def run(ranks):
             # enough samples to cross two chunks of the frames drawn
             count = _crossing_count(n, max(1, n - max(ranks)))
             sampler, ref = _sampler_pair(next(seeds), scen, excluded)
-            res = estimator(*args, sampler, count)
-            mean, stderr = per_sample_stats(oracle(ref, count))
-            assert res.samples == count
-            assert abs(res.mc_mean - mean) <= ORACLE_TOL
-            assert abs(res.mc_stderr - stderr) <= ORACLE_TOL
+            got = mc_distinguishabilities(state_t, omega, ranks, sampler, count)
+            _assert_matches_oracle(
+                got, per_sample_distinguishabilities(ref, delta, ranks, count), sampler)
 
         if not excluded:
             for rank in sorted({1, d // 2, d - 1, d}):
-                ranks = [rank, d - rank]
-                run(mc_mean_sq_distinguishability,
-                    lambda ref, c: per_sample_mean_sq(ref, delta, rank, c),
-                    ranks, state_t, omega, rank)
-                run(mc_mean_distinguishability,
-                    lambda ref, c: per_sample_mean(ref, delta, rank, c),
-                    ranks, state_t, omega, rank)
+                run([rank, d - rank])
             # the largest block last, first, in the middle, and a tie
             for ranks in ([1, d // 2 - 1, d - d // 2], [d // 2 + 1, 1, d - d // 2 - 2],
                           [1, d - 2, 1], [1] * d):
-                run(mc_n_outcome_mean,
-                    lambda ref, c: per_sample_n_outcome(ref, delta, ranks, c),
-                    ranks, state_t, omega, ranks)
+                run(ranks)
             return
-        a = scen.state.amplitudes
-        base = float(np.vdot(np.outer(a, a.conj()), delta).real)
+        # the rank-K two-outcome measurements containing the initial state
         for rank in sorted({1, 2, d // 2, d - 1, d}):
-            run(mc_constrained_mean,
-                lambda ref, c: per_sample_constrained(ref, base, delta, rank, c),
-                [rank - 1, d - rank], scen.state, state_t, omega, rank)
+            run([rank - 1, d - rank])
         for ranks in ([d - 1], [2, d - 3], [1, d // 2 - 1, d - 1 - d // 2],
                       [d - 3, 1, 1], [1] * (d - 1)):
-            run(mc_n_outcome_constrained_mean,
-                lambda ref, c: per_sample_n_outcome_constrained(ref, base, delta, ranks, c),
-                ranks, scen.state, state_t, omega, ranks)
+            run(ranks)
 
     def test_degenerate_spectrum_matches_per_sample(self):
         # omega keeps the within-level coherences of a degenerate spectrum:
@@ -196,35 +196,32 @@ class TestBatchedKernel:
             assert abs(oracle[1, 2]) > 1e-3  # a kept coherence
             return state_t, omega, state_t.rho - oracle
 
-        def run(seed, v, drawn, estimate, oracle):
-            count = _crossing_count(d - (v is not None), drawn)
-            res = estimate(HaarSampler(seed, d, v), count)
+        def run(seed, v, ranks):
+            n = d - (v is not None)
+            count = _crossing_count(n, n - max(ranks))
+            sampler = HaarSampler(seed, d, v)
+            got = mc_distinguishabilities(state_t, omega, ranks, sampler, count)
             ref = PerSampleHaar(HaarSampler(seed, d, v))
-            mean, stderr = per_sample_stats(oracle(ref, count))
-            assert abs(res.mc_mean - mean) <= ORACLE_TOL
-            assert abs(res.mc_stderr - stderr) <= ORACLE_TOL
+            _assert_matches_oracle(
+                got, per_sample_distinguishabilities(ref, delta, ranks, count), sampler)
 
         state_t, omega, delta = setup(random_mixed(rng, spec, components=3))
-        run(500, None, 5, lambda s, c: mc_mean_distinguishability(state_t, omega, 5, s, c),
-            lambda ref, c: per_sample_mean(ref, delta, 5, c))
-        run(501, None, 7, lambda s, c: mc_n_outcome_mean(state_t, omega, [3, 5, 4], s, c),
-            lambda ref, c: per_sample_n_outcome(ref, delta, [3, 5, 4], c))
+        run(500, None, [5, 7])
+        run(501, None, [3, 5, 4])
         pure = random_pure(rng, spec)
-        a = pure.amplitudes
         state_t, omega, delta = setup(pure)
-        base = float(np.vdot(a, delta @ a).real)
-        run(502, a, 2, lambda s, c: mc_constrained_mean(pure, state_t, omega, 3, s, c),
-            lambda ref, c: per_sample_constrained(ref, base, delta, 3, c))
+        run(502, pure.amplitudes, [2, 9])
 
     def test_unconstrained_estimators_reject_excluded_sampler(self):
         scen = random_scenario(3, 8)
         state_t = evolve(scen.state, 0.8)
         omega = dephase(scen.state)
         sampler = HaarSampler(1, 8, excluded_vector=scen.state.amplitudes)
-        with pytest.raises(ValueError, match="sample dimension"):
-            mc_mean_distinguishability(state_t, omega, 3, sampler, 10)
-        with pytest.raises(ValueError, match="sample dimension"):
-            mc_n_outcome_mean(state_t, omega, [4, 4], sampler, 10)
+        # ranks that partition the whole space do not partition the
+        # complement of the excluded vector
+        for ranks in ([3, 5], [4, 4]):
+            with pytest.raises(ValueError, match="sample dimension"):
+                mc_distinguishabilities(state_t, omega, ranks, sampler, 10)
 
     @pytest.mark.parametrize("entries", [1, 7, CHUNK_ENTRIES])
     def test_samples_do_not_depend_on_chunking(self, entries, monkeypatch):
@@ -233,13 +230,13 @@ class TestBatchedKernel:
         omega = dephase(scen.state)
         count = 40
         frames = np.concatenate(list(HaarSampler(3, 12).batches(5, count)))
-        est = mc_n_outcome_mean(state_t, omega, [3, 5, 4], HaarSampler(4, 12), count)
+        est = mc_distinguishabilities(state_t, omega, [3, 5, 4], HaarSampler(4, 12), count)
         monkeypatch.setattr(haar, "CHUNK_ENTRIES", entries)
         chunks = list(HaarSampler(3, 12).batches(5, count))
         assert len(chunks) == -(-count // max(1, entries // 60))
         assert np.array_equal(np.concatenate(chunks), frames)
-        again = mc_n_outcome_mean(state_t, omega, [3, 5, 4], HaarSampler(4, 12), count)
-        assert np.array_equal([again.mc_mean, again.mc_stderr], [est.mc_mean, est.mc_stderr])
+        again = mc_distinguishabilities(state_t, omega, [3, 5, 4], HaarSampler(4, 12), count)
+        assert np.array_equal(again, est)
 
     @pytest.mark.parametrize("excluded", [False, True])
     @pytest.mark.parametrize("d", [4, 8])
@@ -274,15 +271,9 @@ class TestBatchedKernel:
         omega = dephase(scen.state)
         delta = state_t.rho - dense_dephase(scen.state)
         sampler, ref = _sampler_pair(401, scen, excluded)
-        if excluded:
-            a = scen.state.amplitudes
-            res = mc_constrained_mean(scen.state, state_t, omega, 7, sampler, count)
-            vals = per_sample_constrained(ref, float(np.vdot(a, delta @ a).real),
-                                          delta, 7, count)
-        else:
-            res = mc_mean_distinguishability(state_t, omega, 7, sampler, count)
-            vals = per_sample_mean(ref, delta, 7, count)
-        mean, stderr = per_sample_stats(vals)
+        ranks = [7 - excluded, d - 7]
+        res = _mc(state_t, omega, ranks, sampler, count)
+        mean, stderr = per_sample_stats(per_sample_distinguishabilities(ref, delta, ranks, count))
         assert res.mc_mean == pytest.approx(mean, rel=1e-10, abs=1e-14)
         assert res.mc_stderr == pytest.approx(stderr, rel=1e-8, abs=1e-14)
 
@@ -293,11 +284,11 @@ class TestBatchedKernel:
         sampler = HaarSampler(10, 24)
         tracemalloc.start()
         try:
-            res = mc_n_outcome_mean(state_t, omega, [6, 6, 6, 6], sampler, 2000)
+            values = mc_distinguishabilities(state_t, omega, [6, 6, 6, 6], sampler, 2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.samples == 2000
+        assert values.shape == (2000,)
         assert peak < 2 * 2 ** 20
 
 
@@ -326,8 +317,8 @@ class TestExactSecondMoment:
 
     def test_matches_monte_carlo(self, d8_scenario):
         _, state_t, omega = d8_scenario
-        res = mc_mean_sq_distinguishability(state_t, omega, 3,
-                                            HaarSampler(5, 8), 2000)
+        res = _mc(state_t, omega, [3, 5], HaarSampler(5, 8), 2000,
+                  exact_mean_sq_distinguishability(state_t, omega, 3), square=True)
         assert res.mc_stderr <= 1e-3
         assert abs(res.mc_mean - res.exact) <= 5.0 * res.mc_stderr
 
@@ -335,8 +326,8 @@ class TestExactSecondMoment:
         # K > d/2: the measured block is the largest, so its trace is the
         # total trace less the drawn d - K columns
         _, state_t, omega = d8_scenario
-        res = mc_mean_sq_distinguishability(state_t, omega, 6,
-                                            HaarSampler(6, 8), 2000)
+        res = _mc(state_t, omega, [6, 2], HaarSampler(6, 8), 2000,
+                  exact_mean_sq_distinguishability(state_t, omega, 6), square=True)
         assert res.mc_stderr <= 1e-3
         assert abs(res.mc_mean - res.exact) <= 5.0 * res.mc_stderr
 
@@ -357,14 +348,14 @@ class TestTypicalBound:
 
     def test_jensen_consistency(self, d8_scenario):
         _, state_t, omega = d8_scenario
-        mean = mc_mean_distinguishability(state_t, omega, 3, HaarSampler(7, 8), 1500)
-        meansq = mc_mean_sq_distinguishability(state_t, omega, 3,
-                                               HaarSampler(7, 8), 1500)
+        mean = _mc(state_t, omega, [3, 5], HaarSampler(7, 8), 1500)
+        meansq = _mc(state_t, omega, [3, 5], HaarSampler(7, 8), 1500, square=True)
         assert mean.mc_mean <= np.sqrt(meansq.mc_mean) + 3.0 * mean.mc_stderr
 
     def test_monte_carlo_below_cap(self, d8_scenario):
         _, state_t, omega = d8_scenario
-        res = mc_mean_distinguishability(state_t, omega, 3, HaarSampler(9, 8), 1500)
+        res = _mc(state_t, omega, [3, 5], HaarSampler(9, 8), 1500,
+                  typical_distinguishability_bound(3, 8))
         assert res.mc_mean <= res.exact + 3.0 * res.mc_stderr
 
     def test_rotated_base_projector_is_equivalent(self, d8_scenario):
@@ -377,8 +368,7 @@ class TestTypicalBound:
         base[:3, :3] = np.eye(3)
         rotated = rot @ base @ rot.conj().T
         n = 4000
-        direct = mc_mean_distinguishability(state_t, omega, 3,
-                                            HaarSampler(13, 8), n)
+        direct = _mc(state_t, omega, [3, 5], HaarSampler(13, 8), n)
         s = HaarSampler(14, 8)
         vals = np.empty(n)
         for i in range(n):
@@ -391,10 +381,8 @@ class TestTypicalBound:
 
     def test_stderr_scaling(self, d8_scenario):
         _, state_t, omega = d8_scenario
-        small = mc_mean_distinguishability(state_t, omega, 3,
-                                           HaarSampler(15, 8), 500)
-        large = mc_mean_distinguishability(state_t, omega, 3,
-                                           HaarSampler(15, 8), 8000)
+        small = _mc(state_t, omega, [3, 5], HaarSampler(15, 8), 500)
+        large = _mc(state_t, omega, [3, 5], HaarSampler(15, 8), 8000)
         ratio = small.mc_stderr / large.mc_stderr
         assert ratio == pytest.approx(4.0, rel=0.3)
 
@@ -424,7 +412,8 @@ class TestConstrainedEnsemble:
     def test_monte_carlo_below_bound(self, d10):
         scen, state_t, omega = d10
         sampler = HaarSampler(23, 10, excluded_vector=scen.state.amplitudes)
-        res = mc_constrained_mean(scen.state, state_t, omega, 3, sampler, 1500)
+        res = _mc(state_t, omega, [2, 7], sampler, 1500,
+                  constrained_mean_bound(scen.state, state_t, omega, 3))
         assert res.mc_mean <= res.exact + 3.0 * res.mc_stderr
         tight = constrained_mean_bound_tight(scen.state, state_t, omega, 3)
         assert res.mc_mean <= tight + 3.0 * res.mc_stderr
@@ -432,29 +421,24 @@ class TestConstrainedEnsemble:
     def test_correction_vanishes_with_dimension(self):
         values = []
         for d in (10, 100, 1000):
-            scen = random_scenario(5, 4)  # reuse small state for f(t)
-            omega = dephase(scen.state)
-            f = 1.0 - purity(omega)
-            values.append(n_outcome_constrained_bound(f, 2, d) - abs(f))
+            scen = random_scenario(5, d)
+            state_t, omega = evolve(scen.state, 0.7), dephase(scen.state)
+            f = haar._initial_overlap_deficit(scen.state, state_t, omega)
+            values.append(n_outcome_constrained_bound(scen.state, state_t, omega, 2) - abs(f))
         assert values[0] > values[1] > values[2]
         assert values[2] < 0.025
 
-    def test_sampler_must_exclude_the_initial_state(self, d10):
-        # a sampler that excludes another vector once gave a mean of 0.427
-        # against 0.329, with no error
+    def test_sampler_excluding_another_vector_measures_that_vector(self, d10):
+        # no initial state is passed: the excluded vector w, whatever it is
+        # and up to its phase, is the one inside outcome 0
         scen, state_t, omega = d10
-        other = random_scenario(22, 10).state.amplitudes
-        for sampler, match in ((HaarSampler(5, 10, excluded_vector=other), "other than"),
-                               (HaarSampler(5, 10), "must exclude")):
-            with pytest.raises(ValueError, match=match):
-                mc_constrained_mean(scen.state, state_t, omega, 3, sampler, 100)
-            with pytest.raises(ValueError, match=match):
-                mc_n_outcome_constrained_mean(scen.state, state_t, omega, [3, 6],
-                                              sampler, 100)
-        # the initial state's direction is accepted up to its phase
-        phased = HaarSampler(5, 10, excluded_vector=1j * scen.state.amplitudes)
-        res = mc_constrained_mean(scen.state, state_t, omega, 3, phased, 100)
-        assert res.samples == 100
+        delta = state_t.rho - dense_dephase(scen.state)
+        w = random_scenario(22, 10).state.amplitudes
+        for v in (w, 1j * w):
+            got = mc_distinguishabilities(state_t, omega, [2, 7], HaarSampler(5, 10, v), 100)
+            want = per_sample_distinguishabilities(PerSampleHaar(HaarSampler(5, 10, v)),
+                                                   delta, [2, 7], 100)
+            assert np.abs(got - want).max() <= ORACLE_TOL
 
     def test_mixed_initial_state_rejected(self, d10):
         scen, state_t, omega = d10
@@ -493,7 +477,8 @@ class TestInitialDistinguishability:
     def test_monte_carlo_matches_exact(self, uniform_six_of_twelve):
         state, omega = uniform_six_of_twelve
         sampler = HaarSampler(31, 12, excluded_vector=state.amplitudes)
-        res = mc_initial_distinguishability(state, omega, 4, sampler, 1500)
+        res = _mc(state, omega, [3, 8], sampler, 1500,
+                  initial_distinguishability_exact(state, omega, 4))
         d_eff = effective_dimension(level_distribution(state))
         floor = initial_distinguishability_floor(4, 12, d_eff)
         assert res.mc_mean >= floor - 3.0 * res.mc_stderr
@@ -528,8 +513,8 @@ class TestNOutcome:
         scen = random_scenario(41, 16)
         state_t = evolve(scen.state, 0.9)
         omega = dephase(scen.state)
-        res = mc_n_outcome_mean(state_t, omega, [4, 4, 4, 4],
-                                HaarSampler(43, 16), 1200)
+        res = _mc(state_t, omega, [4, 4, 4, 4], HaarSampler(43, 16), 1200,
+                  n_outcome_typical_bound([4, 4, 4, 4], 16))
         assert res.mc_mean <= res.exact + 3.0 * res.mc_stderr
         assert res.mc_mean <= n_outcome_typical_cap(4, 16) + 3.0 * res.mc_stderr
 
@@ -540,8 +525,10 @@ class TestNOutcome:
         scen = random_scenario(41, 16)
         state_t = evolve(scen.state, 0.9)
         omega = dephase(scen.state)
-        middle = mc_n_outcome_mean(state_t, omega, [3, 8, 5], HaarSampler(44, 16), 2000)
-        last = mc_n_outcome_mean(state_t, omega, [3, 5, 8], HaarSampler(45, 16), 2000)
+        middle = _mc(state_t, omega, [3, 8, 5], HaarSampler(44, 16), 2000,
+                     n_outcome_typical_bound([3, 8, 5], 16))
+        last = _mc(state_t, omega, [3, 5, 8], HaarSampler(45, 16), 2000,
+                   n_outcome_typical_bound([3, 5, 8], 16))
         assert middle.exact == pytest.approx(last.exact, rel=1e-12)
         assert middle.mc_mean <= middle.exact + 3.0 * middle.mc_stderr
         gap = abs(middle.mc_mean - last.mc_mean)
@@ -552,15 +539,21 @@ class TestNOutcome:
         state_t = evolve(scen.state, 1.7)
         omega = dephase(scen.state)
         sampler = HaarSampler(53, 12, excluded_vector=scen.state.amplitudes)
-        res = mc_n_outcome_constrained_mean(scen.state, state_t, omega,
-                                            [4, 4, 3], sampler, 1200)
+        res = _mc(state_t, omega, [4, 4, 3], sampler, 1200,
+                  n_outcome_constrained_bound(scen.state, state_t, omega, 3))
         assert res.mc_mean <= res.exact + 3.0 * res.mc_stderr
 
     def test_constrained_bound_validation(self):
-        with pytest.raises(ValueError):
-            n_outcome_constrained_bound(0.1, 1, 10)
-        with pytest.raises(ValueError):
-            n_outcome_constrained_bound(0.1, 3, 2)
+        state = random_scenario(51, 10).state
+        omega = dephase(state)
+        with pytest.raises(ValueError, match="two outcomes"):
+            n_outcome_constrained_bound(state, state, omega, 1)
+        with pytest.raises(ValueError, match="pure initial state"):
+            n_outcome_constrained_bound(omega, state, omega, 3)
+        spec = EnergySpectrum([0.0, 1.0], [1, 1])
+        small = QuantumState.pure(spec, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="dim > 2"):
+            n_outcome_constrained_bound(small, small, dephase(small), 3)
 
 
 class TestTwirl:
@@ -604,7 +597,7 @@ class TestTwirl:
 
 def test_twirl_result_json(d8_scenario):
     _, state_t, omega = d8_scenario
-    res = mc_mean_sq_distinguishability(state_t, omega, 2, HaarSampler(71, 8), 100)
+    res = _mc(state_t, omega, [2, 6], HaarSampler(71, 8), 100, square=True)
     data = res.to_dict()
     assert set(data) == {"exact", "mc_mean", "mc_stderr", "samples", "seed"}
     assert data["samples"] == 100
@@ -617,13 +610,9 @@ def test_estimators_need_two_samples(d8_scenario, samples):
     state0 = scen.state
     excluded = HaarSampler(1, 8, excluded_vector=state0.amplitudes)
     calls = [
-        lambda: mc_mean_sq_distinguishability(state_t, omega, 3, HaarSampler(1, 8), samples),
-        lambda: mc_mean_distinguishability(state_t, omega, 3, HaarSampler(1, 8), samples),
-        lambda: mc_constrained_mean(state0, state_t, omega, 3, excluded, samples),
-        lambda: mc_initial_distinguishability(state0, omega, 3, excluded, samples),
-        lambda: mc_n_outcome_mean(state_t, omega, [4, 4], HaarSampler(1, 8), samples),
-        lambda: mc_n_outcome_constrained_mean(state0, state_t, omega, [3, 4], excluded,
-                                              samples),
+        lambda: mc_distinguishabilities(state_t, omega, [3, 5], HaarSampler(1, 8), samples),
+        lambda: mc_distinguishabilities(state_t, omega, [2, 5], excluded, samples),
+        lambda: mc_distinguishabilities(state0, omega, [0, 7], excluded, samples),
         lambda: mc_twirl_pair(np.eye(4) / 2.0, HaarSampler(1, 4), samples),
     ]
     for call in calls:

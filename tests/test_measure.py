@@ -86,8 +86,7 @@ class TestMeasurement:
                       Projector.from_factor(v[:, 4:])]
         m = Measurement(projectors)
         resid = m.residuals()
-        assert set(resid) == {"hermiticity", "idempotency", "orthogonality",
-                              "completeness"}
+        assert set(resid) == {"idempotency", "orthogonality", "completeness"}
         assert max(resid.values()) < 1e-10
 
     def test_rejects_incomplete(self, spec):
