@@ -64,10 +64,11 @@ GAP_COUNTING_WINDOWS = 6
 HAAR_STDERR_SIGMAS = 3.0
 
 
-def _check_count(name: str, value: int):
-    """A battery with no trials, scenarios or grid points checks nothing."""
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
+def _check_count(name: str, value: int, least: int = 1):
+    """A battery with no trials, scenarios or grid points checks nothing, and
+    a Monte Carlo estimate needs two samples for its standard error."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass
@@ -438,6 +439,9 @@ def run_gaussian(config: dict) -> ExperimentResult:
 def run_haar(config: dict) -> ExperimentResult:
     """Exact-vs-Monte-Carlo comparisons for the measurement-ensemble
     formulas, plus the full Haar bound battery."""
+    for key, least in (("samples", 2), ("battery_scenarios", 1),
+                       ("battery_samples", 2), ("twirl_samples", 2)):
+        _check_count(key, int(config[key]), least)  # by config key, as the user set it
     seed = int(config["seed"])
     samples = int(config["samples"])
     reports = {}

@@ -14,8 +14,8 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package
 
 from .averaging import TimeGrid, TimeSeries, time_average
-from .measure import (Measurement, Projector, distinguishability_series,
-                      expectation_series)
+from .measure import (Measurement, Projector, expectation_series,
+                      series_distinguishability)
 from .spectra import DEGENERACY_RTOL, EnergySpectrum, _degeneracy_array
 from .states import (QuantumState, dephase, effective_dimension, energy_moments,
                      level_distribution)
@@ -249,12 +249,15 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: 
 
     t_end = (2.0 * k - 1.0) * eps / sigma
     times = np.linspace(0.0, t_end, num_samples)
-    values = np.abs(expectation_series(proj, state, times) - p_omega)
+    # the floor's projector and the refined outcomes share one series call;
+    # the complement outcome reuses the projector's factor
+    meas = partitioned_slow_measurement(subspace, outcomes)
+    stacked = expectation_series([proj, *meas.projectors], state, times)
+    values = np.abs(stacked[0] - p_omega)
     floor = 1.0 - eps ** 2 - np.sqrt(k / d_eff)
     worst = int(np.argmin(values))
     series = TimeSeries(times, values).with_running_average()
-    refined = distinguishability_series(
-        partitioned_slow_measurement(subspace, outcomes), state, omega, times)
+    refined = series_distinguishability(stacked[1:], meas.outcome_probabilities(omega))
 
     ceiling = 2.0 * np.sqrt(k / d_eff)
     grid = TimeGrid.for_window(long_window_sigma / sigma, scenario.spectrum.span)

@@ -22,6 +22,7 @@ __all__ = [
     "distinguishability",
     "distinguishability_series",
     "expectation_series",
+    "series_distinguishability",
     "save_measurement",
     "load_measurement",
 ]
@@ -30,9 +31,15 @@ __all__ = [
 # orthonormalization, so the shared acceptance tolerance is looser than the
 # 1e-10 that exactly constructed projectors meet.
 PROJECTOR_TOL = 1e-8
-# Complex entries that expectation_series' phases, and separately its stacked
-# coefficient rows, may take: SERIES_CHUNK_ENTRIES // 2 each.
+# Complex entries that one chunk of expectation_series' phases may take (half
+# of this), and, separately, the coefficient rows of one group of state
+# columns (the other half). The phases need the budget to amortise their
+# block factoring over many times.
 SERIES_CHUNK_ENTRIES = 4_000_000
+# Complex entries of the start-scaled coefficient rows that one GEMM of
+# expectation_series takes: enough rows to amortise the call, few enough to
+# stay in cache. A group still holds at least one block of rows.
+_ROW_GROUP_ENTRIES = 2 ** 16
 
 
 class Projector:
@@ -97,8 +104,49 @@ def _block_length(times: np.ndarray) -> int:
     return m if ok else 1
 
 
-def expectation_series(projector: Projector, state: QuantumState, times) -> np.ndarray:
-    """tr(P rho_t) for a 1-d array of finite times, from d x r factor products.
+def _row_groups(blocks: int, rows: int, width: int):
+    """Ranges [b0, b1) of blocks whose start-scaled rows (rows per block,
+    width entries each) one GEMM takes: at most _ROW_GROUP_ENTRIES entries,
+    but never less than one block, nor a lone row while there are more
+    (numpy hands a one-row product to GEMV, which rounds differently from
+    GEMM, so the series would depend on the grouping)."""
+    step = max(_ROW_GROUP_ENTRIES // (rows * width), 2 if rows == 1 else 1)
+    edges = [*range(0, blocks, step), blocks]
+    if rows == 1 and len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]  # the lone last block joins the group before it
+    return zip(edges[:-1], edges[1:])
+
+
+def _chunk_series(v, columns: np.ndarray, level_starts: np.ndarray,
+                  offsets: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """tr(V V^dag rho_t) at the blocks x m times of one chunk, given the
+    state's columns, the (levels, m) offset and (blocks, levels) start
+    phases. The coefficient rows of a group of state columns take at most
+    half the entry budget, and its locals are freed when it returns."""
+    levels, m = offsets.shape
+    d = columns.shape[1]
+    # C-ordered operands keep every product below C-ordered, so the GEMMs run in BLAS
+    vh = np.ascontiguousarray(v.conj().T)
+    cols = max(SERIES_CHUNK_ENTRIES // 2 // (vh.shape[0] * d), 1)  # state columns per group
+    values = np.zeros(starts.shape[0] * m)
+    for c0 in range(0, columns.shape[0], cols):
+        coef = np.add.reduceat((columns[c0:c0 + cols, None, :] * vh).reshape(-1, d),
+                               level_starts, axis=1)
+        sums = np.zeros((starts.shape[0], m))
+        for b0, b1 in _row_groups(starts.shape[0], coef.shape[0], max(levels, m)):
+            amp = (starts[b0:b1, None, :] * coef).reshape(-1, levels) @ offsets
+            sq = amp.view(float)
+            np.square(sq, out=sq)
+            pairs = sq.reshape(b1 - b0, -1, 2 * m).sum(axis=1)  # re^2, im^2 interleaved
+            sums[b0:b1] = pairs[:, ::2] + pairs[:, 1::2]
+        values += sums.ravel()
+    return values
+
+
+def expectation_series(projectors, state: QuantumState, times) -> np.ndarray:
+    """tr(P rho_t) for a 1-d array of finite times, from d x r factor
+    products; for a sequence of projectors, a (len, n) array with one series
+    per projector.
 
     With rho = A A^dag, tr(V V^dag rho_t) is the sum over the columns a of A
     and the rows c = conj(V)^T a of |sum_k c_k e^{-i E_k t}|^2; c is first
@@ -107,48 +155,54 @@ def expectation_series(projector: Projector, state: QuantumState, times) -> np.n
     _block_length) where the phase at t_{bm+j} factors exactly as
     e^{-iE t_{bm}} e^{-iE (t_j - t_0)}: about 2 sqrt(n) exponentials per
     level instead of n, and one GEMM of the start-scaled rows of a group of
-    blocks against the (levels, m) offset phases. The phases and the
-    stacked rows each take at most SERIES_CHUNK_ENTRIES // 2 entries (one
-    time, and one block of one state column, at least), so no d x d or
-    d x nt array is formed. A complement's series is 1 - the series of
-    V V^dag.
+    blocks against the (levels, m) offset phases.
+
+    Two bounds keep memory flat. The phases of a chunk, and the coefficient
+    rows of a group of state columns, each take at most
+    SERIES_CHUNK_ENTRIES // 2 complex entries (one time, and one state
+    column, at least). The start-scaled rows of one GEMM take at most
+    _ROW_GROUP_ENTRIES (one block of rows at least), so no d x d or d x nt
+    array is formed. A GEMM holds whole blocks, so each time's squares are
+    summed over the same rows in the same order however the blocks are
+    grouped: the row groups move no bit of the result while BLAS rounds a
+    GEMM row alike in any GEMM (it does single-threaded; a threaded split
+    can differ).
+
+    A stack shares the block check and the phases of every chunk. Each
+    factor forms its own coefficient rows and GEMMs, as a call for it alone
+    would, so a stack takes no more memory than its widest factor and each
+    row is bit for bit the projector's own series; a factor that several
+    projectors share (P and 1 - P) is evaluated once.
+
+    A complement's series is 1 - the series of V V^dag; a rank-0 V V^dag
+    has the series 0.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times)):
         raise ValueError("times must be a 1-d array of finite values")
-    # C-ordered operands keep every product below C-ordered, so the GEMM runs in BLAS
-    vh = np.ascontiguousarray(projector.factor.conj().T)
-    r, d = vh.shape
-    if r == 0:  # V V^dag = 0
-        return np.full(times.size, 1.0 if projector.is_complement else 0.0)
+    single = isinstance(projectors, Projector)
+    stack = (projectors,) if single else tuple(projectors)
+    if any(p.dim != state.factor.shape[0] for p in stack):
+        raise ValueError("projectors and state have mismatched dimensions")
+    factors = {id(p.factor): p.factor for p in stack}
+    values = {key: np.zeros(times.size) for key in factors}
     spec = state.spectrum
-    levels = spec.levels.size
-    # A chunk of k^2 times has k offset and k start phases per level, and the
-    # phases and the stacked rows each take at most half the entry budget.
-    budget = SERIES_CHUNK_ENTRIES // 2
-    chunk = max(budget // (2 * levels), 1) ** 2
-    cols = max(budget // (r * d), 1)  # state columns per group of rows
+    # A chunk of k^2 times has k offset and k start phases per level, at
+    # most half the entry budget.
+    chunk = max(SERIES_CHUNK_ENTRIES // 2 // (2 * spec.levels.size), 1) ** 2
     columns = np.ascontiguousarray(state.factor.T)
-    values = np.zeros(times.size)
-    for c0 in range(0, columns.shape[0], cols):
-        coef = np.add.reduceat((columns[c0:c0 + cols, None, :] * vh).reshape(-1, d),
-                               spec.level_starts, axis=1)
-        rows = coef.shape[0]
-        for start in range(0, times.size, chunk):
-            t = times[start:start + chunk]
-            m = _block_length(t)
-            offsets = _phases(spec.levels, t[:m] - t[0])  # (levels, m)
-            starts = _phases(t[::m], spec.levels)  # (blocks, levels); t E is E t bitwise
-            sums = np.zeros((starts.shape[0], m))
-            step = max(budget // (rows * max(levels, m)), 1)  # blocks per GEMM
-            for b0 in range(0, starts.shape[0], step):
-                amp = (starts[b0:b0 + step, None, :] * coef).reshape(-1, levels) @ offsets
-                sq = amp.view(float)
-                np.square(sq, out=sq)
-                pairs = sq.reshape(-1, rows, 2 * m).sum(axis=1)  # re^2, im^2 interleaved
-                sums[b0:b0 + step] = pairs[:, ::2] + pairs[:, 1::2]
-            values[start:start + t.size] += sums.ravel()[:t.size]
-    return 1.0 - values if projector.is_complement else values
+    for start in range(0, times.size, chunk):
+        t = times[start:start + chunk]
+        m = _block_length(t)
+        offsets = _phases(spec.levels, t[:m] - t[0])  # (levels, m)
+        starts = _phases(t[::m], spec.levels)  # (blocks, levels); t E is E t bitwise
+        for key, v in factors.items():
+            if v.shape[1]:  # else V V^dag = 0
+                values[key][start:start + t.size] = _chunk_series(
+                    v, columns, spec.level_starts, offsets, starts)[:t.size]
+    out = [1.0 - values[id(p.factor)] if p.is_complement else values[id(p.factor)]
+           for p in stack]
+    return out[0] if single else np.array(out).reshape(len(stack), times.size)
 
 
 class Measurement:
@@ -224,11 +278,19 @@ def distinguishability_series(m: Measurement, state: QuantumState,
                               fixed: QuantumState | EquilibriumState,
                               times) -> np.ndarray:
     """D(rho_t, fixed) under m for an array of times, with state evolving
-    and the comparison state (typically the equilibrium state) held fixed."""
-    times = np.asarray(times, dtype=float)
-    total = np.zeros(times.size)
-    for p in m.projectors:
-        total += np.abs(expectation_series(p, state, times) - p.expectation(fixed))
+    and the comparison state (typically the equilibrium state) held fixed;
+    one stacked series call for all outcomes."""
+    return series_distinguishability(expectation_series(m.projectors, state, times),
+                                     m.outcome_probabilities(fixed))
+
+
+def series_distinguishability(series: np.ndarray, fixed) -> np.ndarray:
+    """Half the L1 distance, at each time, between the outcome series (one
+    row per outcome, as expectation_series stacks them) and the fixed
+    outcome probabilities; the outcomes are added in order."""
+    total = np.zeros(series.shape[1])
+    for row, p in zip(series, fixed):
+        total += np.abs(row - p)
     return 0.5 * total
 
 

@@ -81,19 +81,17 @@ def test_haar_quick(tmp_path):
     assert (out / "haar_battery.csv").exists()
 
 
-@pytest.mark.parametrize("key", ["samples", "battery_samples", "twirl_samples"])
-def test_haar_with_one_sample_stops(tmp_path, key):
-    with pytest.raises(SystemExit, match="haar: .*at least 2 samples.*got 1"):
-        _run(["haar", "--out", str(tmp_path), "--set", f"{key}=1"])
-
-
 @pytest.mark.parametrize("experiment,key,value,name", [
     ("bounds", "trials", -3, "trials"), ("bounds", "t_points", 0, "t_points"),
-    ("haar", "battery_scenarios", 0, "scenarios")])
+    ("haar", "battery_scenarios", 0, "battery_scenarios"),
+    ("haar", "samples", 1, "samples"), ("haar", "battery_samples", 1, "battery_samples"),
+    ("haar", "twirl_samples", 1, "twirl_samples")])
 def test_empty_battery_stops(tmp_path, experiment, key, value, name):
-    # a battery without trials, grid points or scenarios checks nothing
-    with pytest.raises(SystemExit, match=f"{experiment}: {name} must be at least 1, "
-                                         f"got {value}"):
+    # a battery without trials, grid points or scenarios checks nothing, and a
+    # Monte Carlo estimate needs two samples; the message names the config key
+    least = 2 if key.endswith("samples") else 1
+    with pytest.raises(SystemExit, match=f"^{experiment}: {name} must be at least "
+                                         f"{least}, got {value}$"):
         _run([experiment, "--out", str(tmp_path), "--set", f"{key}={value}"])
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qequil import constructions
 from qequil.averaging import running_average
 from qequil.constructions import (Scenario, gaussian_scenario,
                                   harmonic_oscillator_1d,
@@ -316,6 +317,21 @@ class TestPartitionedMeasurement:
         base = np.abs(expectation_series(proj, scen.state, times) - p_omega)
         assert np.all(refined >= base - 1e-12)
         assert slow_window_check(sub, scen, 3, num_samples=64).refinement_holds
+
+    def test_floor_and_refined_series_share_one_call(self, monkeypatch):
+        scen = random_scenario(15, 128)
+        sub = snapshot_subspace(scen, 6, 0.5)
+        grids = []
+        kernel = constructions.expectation_series
+        monkeypatch.setattr(constructions, "expectation_series",
+                            lambda stack, state, times: grids.append(times)
+                            or kernel(stack, state, times))
+        rep = slow_window_check(sub, scen, 3, num_samples=64)
+        assert sum(np.array_equal(t, rep.series.times) for t in grids) == 1
+        proj = sub.projector()
+        alone = np.abs(kernel(proj, scen.state, rep.series.times)
+                       - proj.expectation(dephase(scen.state)))
+        assert np.array_equal(rep.series.values, alone)
 
     def test_blocks_sum_to_subspace_projector(self):
         scen = random_scenario(16, 48)

@@ -343,6 +343,84 @@ def test_chunked_series_matches_unchunked(d, data):
     assert np.abs(chunked - whole).max(initial=0.0) <= 1e-12
 
 
+def _stack_case(d, data):
+    """A state (pure or mixed), one to four projectors of any rank 0..d, each
+    a complement or not, or the complement of an earlier one (a shared
+    factor), a time grid (factorable or jittered) and a chunk budget."""
+    rng, spec, p, times = _series_case(d, data)
+    mixed = data.draw(st.booleans(), label="mixed")
+    state = random_mixed(rng, spec, components=data.draw(st.integers(1, 4))) if mixed \
+        else random_pure(rng, spec)
+    stack = [p]
+    for _ in range(data.draw(st.integers(0, 3), label="more")):
+        if data.draw(st.booleans(), label="shared"):
+            stack.append(stack[data.draw(st.integers(0, len(stack) - 1))].complement())
+            continue
+        rank = data.draw(st.integers(0, d), label="rank")
+        q = Projector.from_factor(_haar_frame(rng, d, d)[:, :rank])
+        stack.append(q.complement() if data.draw(st.booleans(), label="complement") else q)
+    if data.draw(st.booleans(), label="jittered"):
+        times = times + rng.uniform(-0.2, 0.2, times.size)
+    entries = data.draw(st.sampled_from([measure.SERIES_CHUNK_ENTRIES, 1, 2, 7, 64, 500]),
+                        label="entries")
+    return state, stack, times, entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 12), data=st.data())
+def test_stacked_series_is_each_projector_series(d, data):
+    state, stack, times, entries = _stack_case(d, data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "SERIES_CHUNK_ENTRIES", entries)
+        stacked = expectation_series(stack, state, times)
+        alone = [expectation_series(p, state, times) for p in stack]
+    assert stacked.shape == (len(stack), times.size)
+    for row, single in zip(stacked, alone):
+        assert np.array_equal(row, single)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 12), data=st.data())
+def test_row_group_bound_moves_no_bit(d, data):
+    # Only the number of blocks per GEMM changes: each time's squares are
+    # summed over the same rows in the same order.
+    state, stack, times, entries = _stack_case(d, data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "SERIES_CHUNK_ENTRIES", entries)
+        default = expectation_series(stack, state, times)
+        for rows in (1, 2 ** 40):
+            mp.setattr(measure, "_ROW_GROUP_ENTRIES", rows)
+            assert np.array_equal(expectation_series(stack, state, times), default)
+
+
+def test_series_stack_edge_cases(spec):
+    state = random_pure(np.random.default_rng(8), spec)
+    times = np.linspace(0.0, 3.0, 7)
+    assert expectation_series([], state, times).shape == (0, 7)
+    empty = Projector.from_factor(np.zeros((5, 0)))
+    both = expectation_series([empty, empty.complement()], state, times)
+    assert np.array_equal(both, [np.zeros(7), np.ones(7)])
+    with pytest.raises(ValueError, match="mismatched dimensions"):
+        expectation_series([empty, Projector.from_factor(np.eye(4)[:, :1])], state, times)
+
+
+def test_distinguishability_series_is_one_stacked_call(spec, monkeypatch):
+    rng = np.random.default_rng(9)
+    state = random_mixed(rng, spec)
+    m = Measurement([Projector.from_factor(f) for f in np.split(_haar_frame(rng, 5, 5),
+                                                                [2, 3], axis=1)])
+    calls = []
+    kernel = measure.expectation_series
+    monkeypatch.setattr(measure, "expectation_series",
+                        lambda *args: calls.append(args) or kernel(*args))
+    times = np.linspace(0.0, 4.0, 9)
+    got = distinguishability_series(m, state, dephase(state), times)
+    assert len(calls) == 1
+    want = 0.5 * sum(np.abs(kernel(p, state, times) - p.expectation(dephase(state)))
+                     for p in m.projectors)
+    assert np.array_equal(got, want)
+
+
 def test_pure_series_memory_is_chunked():
     # d = 2048 over 8192 times: the whole d x nt phase matrix alone would
     # take 256 MB.
@@ -360,11 +438,15 @@ def test_pure_series_memory_is_chunked():
 
 
 def test_blocked_series_memory_stays_within_two_budgets():
-    # d = 2048 over 8192 times: the phases, the stacked rows and their
-    # products each stay within half of SERIES_CHUNK_ENTRIES complex entries.
+    # d = 2048 over 8192 times, one chunk of 91 blocks of 91 times: the
+    # (levels, m) offset and (blocks, levels) start phases take 6 MB, and a
+    # GEMM group of start-scaled rows 1 MB (2^16 complex entries). Another
+    # 8 MB covers the coefficient rows and a group's products; a group
+    # sized like the phase budget (32 MB) breaks the bound.
     scen = random_scenario(20240811, 2048)
     proj = snapshot_subspace(scen, 16, 0.5).projector()
     times = np.linspace(0.0, 50.0, 8192)
+    phases = 2 * scen.spectrum.levels.size * 91 * 16
     tracemalloc.start()
     try:
         series = expectation_series(proj, scen.state, times)
@@ -372,7 +454,7 @@ def test_blocked_series_memory_stays_within_two_budgets():
     finally:
         tracemalloc.stop()
     assert series.shape == (8192,)
-    assert peak < 2 * 16 * measure.SERIES_CHUNK_ENTRIES
+    assert peak < phases + 8 * 2 ** 20
 
 
 # Each phase of either form is within about 8 eps (1 + max|E| max|t|) of
