@@ -11,7 +11,8 @@ decomposition. :func:`mc_distinguishabilities` returns per-sample values of
 D, which the callers reduce with :meth:`TwirlResult.from_samples` to check
 those formulas and bounds, with plain sample standard errors (the
 integrands are bounded, so the CLT is adequate at desk scale). A sampler
-that excludes a vector v draws the constrained ensemble of v.
+that excludes a vector v draws the constrained ensemble of v, in the basis
+of one Householder reflection (:meth:`HaarSampler.embed`).
 
 All samples come from one batched kernel, :meth:`HaarSampler.batches`: a
 rank-k draw takes an n x k Ginibre matrix (2 n k normals) per sample, one
@@ -25,13 +26,13 @@ The estimator reads its rank partition of the sample space through
 than the largest, and the largest block's trace is the total trace less the
 others. The column blocks of a Haar unitary are exchangeable, so this has
 the distribution of drawing every block. Both states are read only through
-their ``column_traces``: each chunk of frames, embedded in the full space
-when the sampler excludes a vector, gives tr(F^dag rho_t F) - tr(F^dag omega F)
-per column from the states' factors, and nothing d x d is formed.
+their ``column_traces``: each chunk of embedded frames gives
+tr(F^dag rho_t F) - tr(F^dag omega F) per column from the states' factors,
+and nothing d x d is formed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package
@@ -62,38 +63,46 @@ __all__ = [
 CHUNK_ENTRIES = 4096
 
 
+def _check_rank_dim(rank: int, dim: int):
+    if not 1 <= rank <= dim:
+        raise ValueError(f"rank {rank} outside [1, {dim}]")
+
+
+def _check_constrained(dim: int, pure: bool = True):
+    if dim <= 2:
+        raise ValueError("the constrained ensemble requires dim > 2")
+    if not pure:
+        raise ValueError("the constrained ensemble requires a pure initial state")
+
+
 class HaarSampler:
     """Seeded stream of Haar-random frames, the first columns of Haar
     unitaries of a fixed dimension.
 
-    With ``excluded_vector`` set, samples are frames of the orthogonal
-    complement of that (pure-state) vector: the first columns of a Haar
-    unitary on the remaining d - 1 dimensions.
+    With ``excluded_vector`` v set, samples are frames of the orthogonal
+    complement of v: the first columns of a Haar unitary on the remaining
+    d - 1 dimensions, in the basis of columns 1..d-1 of the Householder
+    reflection H = 1 - 2 w w^dag, w = v - a e_0 normalized, a = -v_0/|v_0|
+    (-1 when v_0 = 0), so that H e_0 is a multiple of v.
     """
 
     def __init__(self, seed: int, dim: int, excluded_vector=None):
         self.seed = int(seed)
         self.dim = int(dim)
         self._rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+        self.excluded_vector = self._reflector = None
         if excluded_vector is not None:
             v = np.asarray(excluded_vector, dtype=complex).reshape(-1)
             if v.size != dim:
                 raise ValueError("excluded vector has the wrong dimension")
-            if dim <= 2:
-                raise ValueError("the constrained ensemble requires dim > 2")
+            _check_constrained(dim)
             norm = np.linalg.norm(v)
             if not 0 < norm < np.inf:  # also false for NaN
                 raise ValueError("excluded vector must be finite and nonzero")
-            v = v / norm
-            # QR of [v | I] puts v (up to phase) in the first column; the
-            # remaining columns are an orthonormal basis of its complement.
-            stacked = np.concatenate([v[:, None], np.eye(dim, dtype=complex)], axis=1)
-            q, _ = np.linalg.qr(stacked)
-            self.excluded_vector = v
-            self.complement_basis = q[:, 1:]
-        else:
-            self.excluded_vector = None
-            self.complement_basis = None
+            self.excluded_vector = v = v / norm
+            w = v.copy()
+            w[0] += v[0] / abs(v[0]) if v[0] else 1.0
+            self._reflector = w / np.linalg.norm(w)
 
     @property
     def sample_dim(self) -> int:
@@ -101,13 +110,11 @@ class HaarSampler:
 
     def batches(self, rank: int, count: int):
         """First ``rank`` columns of the next ``count`` samples, in chunks of
-        shape (m, n, rank) in sample-space coordinates (n = sample_dim; the
-        complement basis's coordinates when an excluded vector is set).
-        Each sample consumes 2 n rank normals, so the stream does not depend
-        on the chunking."""
+        shape (m, n, rank) in sample-space coordinates (n = sample_dim; see
+        :meth:`embed`). Each sample consumes 2 n rank normals, so the stream
+        does not depend on the chunking."""
         n = self.sample_dim
-        if not 1 <= rank <= n:
-            raise ValueError(f"rank {rank} outside [1, {n}]")
+        _check_rank_dim(rank, n)
         per_chunk = max(1, CHUNK_ENTRIES // (n * rank))
         for start in range(0, count, per_chunk):
             g = self._rng.standard_normal((min(per_chunk, count - start), 2, n, rank))
@@ -117,11 +124,21 @@ class HaarSampler:
             diag = np.diagonal(r, axis1=1, axis2=2)
             yield q * (diag / np.abs(diag))[:, None, :]
 
+    def embed(self, f: np.ndarray) -> np.ndarray:
+        """Frames ``f`` of shape (..., n, k) in sample-space coordinates as
+        frames (..., d, k) of the full space: ``f`` itself when no vector is
+        excluded, else H [0; f] = [0; f] - 2 w (w^dag [0; f])."""
+        w = self._reflector
+        if w is None:
+            return f
+        out = (-2.0 * w)[:, None] * (w[1:].conj() @ f)[..., None, :]
+        out[..., 1:, :] += f
+        return out
+
     def frame(self, rank: int) -> np.ndarray:
         """First ``rank`` columns of the next sample, as an orthonormal d x
         rank frame (inside the complement when an excluded vector is set)."""
-        f = next(self.batches(rank, 1))[0]
-        return f if self.complement_basis is None else self.complement_basis @ f
+        return self.embed(next(self.batches(rank, 1))[0])
 
     def projector(self, rank: int) -> Projector:
         return Projector.from_factor(self.frame(rank))
@@ -149,14 +166,7 @@ class TwirlResult:
                    seed=sampler.seed)
 
     def to_dict(self) -> dict:
-        return {"exact": self.exact, "mc_mean": self.mc_mean,
-                "mc_stderr": self.mc_stderr, "samples": self.samples,
-                "seed": self.seed}
-
-
-def _check_rank_dim(rank: int, dim: int):
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank {rank} outside [1, {dim}]")
+        return asdict(self)
 
 
 def exact_mean_sq_distinguishability(state_t: QuantumState, omega: EquilibriumState,
@@ -186,8 +196,7 @@ def _overlap_deficit(v, state_t: QuantumState, omega: EquilibriumState) -> float
 def _initial_overlap_deficit(state0: QuantumState, state_t: QuantumState,
                              omega: EquilibriumState) -> float:
     """f(t) = tr(rho_0 (rho_t - omega)) for a pure rho_0 = c c^dag."""
-    if not state0.is_pure:
-        raise ValueError("the constrained ensemble requires a pure initial state")
+    _check_constrained(state0.dim, state0.is_pure)
     return _overlap_deficit(state0.amplitudes, state_t, omega)
 
 
@@ -196,8 +205,6 @@ def constrained_mean_bound(state0: QuantumState, state_t: QuantumState,
     """Haar-mean bound for two-outcome measurements containing the initial
     state as an outcome direction: D_{rho_0}(rho_t, omega) + 1/(2 sqrt(d-1))."""
     d = state0.dim
-    if d <= 2:
-        raise ValueError("the constrained ensemble requires dim > 2")
     _check_rank_dim(rank, d)
     f = _initial_overlap_deficit(state0, state_t, omega)
     return abs(f) + 1.0 / (2.0 * np.sqrt(d - 1.0))
@@ -214,9 +221,8 @@ def initial_distinguishability_exact(state0: QuantumState, omega: EquilibriumSta
                                      rank: int) -> float:
     """Exact Haar mean (1 - (K-1)/(d-1)) (1 - tr(rho_0 omega)) of the initial
     distinguishability for a pure initial state."""
-    if not state0.is_pure:
-        raise ValueError("exact initial mean requires a pure initial state")
     d = state0.dim
+    _check_constrained(d, state0.is_pure)
     _check_rank_dim(rank, d)
     t0_omega = float(omega.column_traces(state0.amplitudes[:, None])[0])
     return (1.0 - (rank - 1.0) / (d - 1.0)) * (1.0 - t0_omega)
@@ -244,8 +250,6 @@ def n_outcome_constrained_bound(state0: QuantumState, state_t: QuantumState,
     d = state0.dim
     if outcomes < 2:
         raise ValueError("need at least two outcomes")
-    if d <= 2:
-        raise ValueError("the constrained ensemble requires dim > 2")
     f = _initial_overlap_deficit(state0, state_t, omega)
     return abs(f) + 0.5 * np.sqrt(outcomes / (d - 1.0))
 
@@ -297,9 +301,9 @@ def _partition_traces(sampler: HaarSampler, state_t: QuantumState,
     ``ranks`` (zeros allowed) sum to the sampler's sample dimension n, and
     ``total`` is tr(rho_t - omega) on the sample space. Frames are drawn only
     for the blocks other than the (first) largest, in their order, n -
-    max(ranks) columns per sample, embedded by the complement basis when the
-    sampler has one, and read through both states' column traces; the
-    largest block's trace is ``total`` less theirs.
+    max(ranks) columns per sample, embedded by :meth:`HaarSampler.embed`,
+    and read through both states' column traces; the largest block's trace
+    is ``total`` less theirs.
     """
     _check_samples(count)
     n = sampler.sample_dim
@@ -310,13 +314,10 @@ def _partition_traces(sampler: HaarSampler, state_t: QuantumState,
     big = int(np.argmax(ranks))
     rest = [i for i in range(len(ranks)) if i != big]
     edges = np.cumsum([0, *(ranks[i] for i in rest)])
-    basis = sampler.complement_basis
     out = np.zeros((count, len(ranks)))
     if edges[-1]:
         chunks = []
-        for f in sampler.batches(int(edges[-1]), count):
-            if basis is not None:
-                f = basis @ f
+        for f in map(sampler.embed, sampler.batches(int(edges[-1]), count)):
             cols = state_t.column_traces(f) - omega.column_traces(f)
             chunks.append(np.stack([cols[:, a:b].sum(axis=1)
                                     for a, b in zip(edges[:-1], edges[1:])], axis=1))

@@ -96,6 +96,7 @@ class EnergySpectrum:
                            np.repeat(np.arange(levels.size), degs))
         object.__setattr__(self, "_index_energies", np.repeat(levels, degs))
         object.__setattr__(self, "_level_starts", np.cumsum(degs) - degs)
+        object.__setattr__(self, "_dim", int(degs.sum()))
         object.__setattr__(self, "_gaps", None)
 
     @property
@@ -104,7 +105,7 @@ class EnergySpectrum:
 
     @property
     def dim(self) -> int:
-        return int(self.degeneracies.sum())
+        return self._dim
 
     @property
     def level_of_index(self) -> np.ndarray:

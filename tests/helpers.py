@@ -213,7 +213,7 @@ class PerSampleHaar:
     def __init__(self, sampler):
         self._rng = sampler._rng
         self.excluded = sampler.excluded_vector
-        self.basis = sampler.complement_basis
+        self.embed = sampler.embed
         self.n = sampler.sample_dim
 
     def sample(self, rank):
@@ -227,8 +227,9 @@ class PerSampleHaar:
         return q * (diag / np.abs(diag))
 
     def frame(self, rank):
-        f = self.sample(rank)
-        return f if self.basis is None else self.basis @ f
+        """The next sample embedded in the full space by the sampler's own
+        :meth:`~qequil.haar.HaarSampler.embed`."""
+        return self.embed(self.sample(rank))
 
 
 def _two_outcome_value(frame, delta):
@@ -252,12 +253,15 @@ def per_sample_partition(haar, delta, ranks, samples):
 
     The blocks other than the (first) largest are the column blocks, in
     order, of one embedded frame F of n - max(ranks) columns; the largest is
-    tr((I_s - F F^dag) delta), with I_s the projector onto the sample space.
+    tr((I_s - F F^dag) delta), with I_s the projector onto the sample space:
+    the identity, or I - v v^dag for an excluded vector v.
     """
     big = int(np.argmax(ranks))
     others = [k for i, k in enumerate(ranks) if i != big]
     d = delta.shape[0]
-    eye = np.eye(d) if haar.basis is None else haar.basis @ haar.basis.conj().T
+    eye = np.eye(d)
+    if haar.excluded is not None:
+        eye = eye - np.outer(haar.excluded, haar.excluded.conj())
     out = np.empty((samples, len(ranks)))
     for s in range(samples):
         f = haar.frame(sum(others)) if sum(others) else np.zeros((d, 0))
@@ -481,8 +485,6 @@ def constrained_mean_bound_tight(state0: QuantumState, state_t: QuantumState,
     """Pre-relaxation version sqrt(f(t)^2 + 1/(4 (d-1))) of
     :func:`qequil.haar.constrained_mean_bound`."""
     d = state0.dim
-    if d <= 2:
-        raise ValueError("the constrained ensemble requires dim > 2")
     haar._check_rank_dim(rank, d)
     f = haar._initial_overlap_deficit(state0, state_t, omega)
     return float(np.sqrt(f ** 2 + 1.0 / (4.0 * (d - 1.0))))

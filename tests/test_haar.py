@@ -87,6 +87,52 @@ class TestSampler:
         with pytest.raises(ValueError, match="finite and nonzero"):
             HaarSampler(1, 5, excluded_vector=v)
 
+    @pytest.mark.parametrize("d", [3, 5, 64])
+    @pytest.mark.parametrize("kind", ["e0", "phase_e0", "v0_zero", "real", "complex"])
+    def test_embed_is_the_householder_reflector(self, d, kind):
+        # embed maps f to H [0; f] for the reflector H = I - 2 w w^dag built
+        # here from v alone, and a full embedded frame is an orthonormal
+        # basis of the complement of v
+        rng = np.random.default_rng(d)
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = {"e0": np.eye(d)[0], "phase_e0": np.exp(2.1j) * np.eye(d)[0],
+             "v0_zero": np.concatenate([[0.0], z[1:]]), "real": z.real,
+             "complex": 3.0 * z}[kind]
+        unit = v / np.linalg.norm(v)
+        a = -unit[0] / abs(unit[0]) if unit[0] != 0 else -1.0
+        w = unit - a * np.eye(d)[0]
+        w /= np.linalg.norm(w)
+        h = np.eye(d) - 2.0 * np.outer(w, w.conj())
+        s = HaarSampler(17, d, excluded_vector=v)
+        f = np.concatenate(list(s.batches(2, _crossing_count(d - 1, 2))))
+        assert np.abs(s.embed(f) - h[:, 1:] @ f).max() <= 1e-12
+        assert np.abs(s.embed(f[0]) - h[:, 1:] @ f[0]).max() <= 1e-12
+        full = s.frame(d - 1)
+        assert full.shape == (d, d - 1)
+        assert np.abs(full.conj().T @ full - np.eye(d - 1)).max() <= 1e-12
+        assert np.abs(full.conj().T @ unit).max() <= 1e-12
+
+    def test_embed_without_excluded_vector_is_the_identity(self):
+        f = np.concatenate(list(HaarSampler(1, 6).batches(3, 4)))
+        assert HaarSampler(2, 6).embed(f) is f
+
+    def test_constrained_sampling_memory_is_linear_in_dim(self):
+        # no d x d array: a constrained sampler at d = 2048 and 200 rank-4
+        # samples stay within a few MB (a dense d x (d - 1) complement basis
+        # alone would be 64 MB)
+        d = 2048
+        scen = random_scenario(7, d)
+        state_t, omega = evolve(scen.state, 0.8), dephase(scen.state)
+        tracemalloc.start()
+        try:
+            sampler = HaarSampler(3, d, excluded_vector=scen.state.amplitudes)
+            values = mc_distinguishabilities(state_t, omega, [3, d - 4], sampler, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (200,)
+        assert peak < 4 * 2 ** 20
+
 
 def _sampler_pair(seed, scen, excluded):
     """The batched sampler and the per-sample reference on the same stream."""
@@ -554,6 +600,10 @@ class TestNOutcome:
         small = QuantumState.pure(spec, np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="dim > 2"):
             n_outcome_constrained_bound(small, small, dephase(small), 3)
+        with pytest.raises(ValueError, match="pure initial state"):
+            initial_distinguishability_exact(omega, omega, 3)
+        with pytest.raises(ValueError, match="dim > 2"):
+            initial_distinguishability_exact(small, dephase(small), 1)
 
 
 class TestTwirl:
