@@ -6,15 +6,15 @@ ensembles, and slow-equilibration snapshot constructions, with a CLI for
 reproducible seeded experiments.
 """
 
-from .spectra import (EnergySpectrum, GapSet, LevelDistribution, max_gaps_in_window,
+from .spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
                       max_window_probability, max_window_probability_window,
                       spectrum_from_hermitian)
 from .states import (EquilibriumState, QuantumState, dephase, effective_dimension,
                      energy_moments, evolve, level_distribution, purity)
 from .measure import (Measurement, Projector, distinguishability,
                       distinguishability_series, two_outcome)
-from .averaging import (TimeGrid, TimeSeries, lorentzian_phase_average,
-                        lorentzian_purity, lorentzian_state, time_average)
+from .averaging import (TimeGrid, lorentzian_phase_average, lorentzian_purity,
+                        lorentzian_state, time_average)
 from .bounds import (BoundReport, fast_equilibration_bound,
                      fast_equilibration_constant, general_distinguishability_bound,
                      general_expectation_bound)

@@ -19,11 +19,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .spectra import LevelDistribution, max_window_probability
-from .states import QuantumState, level_distribution
+from .states import QuantumState
 
 __all__ = [
     "TimeGrid",
-    "TimeSeries",
     "AverageResult",
     "time_average",
     "running_average",
@@ -31,7 +30,6 @@ __all__ = [
     "lorentzian_state",
     "lorentzian_purity",
     "lorentzian_purity_product",
-    "PurityPair",
     "dephased_purity_bound",
     "LORENTZIAN_DOMINATION_FACTOR",
 ]
@@ -42,9 +40,6 @@ __all__ = [
 LORENTZIAN_DOMINATION_FACTOR = 5.0 * np.pi / 4.0
 # Fewest samples on an averaging grid, whatever the window and the gaps.
 MIN_GRID_SAMPLES = 64
-# Entries of the stacked (W, d, d) damping array that lorentzian_purity
-# forms at once; more windows than fit are taken in chunks.
-PURITY_STACK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,34 +121,17 @@ def running_average(times, values) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
-    """Sampled times and values, with an optional running average."""
-
-    times: np.ndarray
-    values: np.ndarray
-    running: np.ndarray | None = None
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.shape != v.shape:
-            raise ValueError("times and values must have equal length")
-        if self.running is not None and np.asarray(self.running).shape != t.shape:
-            raise ValueError("running column length mismatch")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    def with_running_average(self) -> "TimeSeries":
-        return TimeSeries(self.times, self.values,
-                          running=running_average(self.times, self.values))
+def _check_window(window) -> None:
+    """A Lorentzian window must be finite and nonnegative: at T = inf the
+    zero gaps damp by inf * 0 = NaN."""
+    if not 0 <= window < np.inf:
+        raise ValueError("window must be nonnegative and finite")
 
 
 def lorentzian_phase_average(nu, window: float):
     """Closed-form Lorentzian average e^{-|nu| T} e^{i nu T / 2} of e^{i nu t},
     entrywise for an array of frequencies; 1 at T = 0, the kernel's limit."""
-    if not window >= 0:
-        raise ValueError("window must be nonnegative")
+    _check_window(window)
     return np.exp(-abs(nu) * window) * np.exp(1j * nu * window / 2.0)
 
 
@@ -166,52 +144,30 @@ def lorentzian_state(state: QuantumState, window: float) -> np.ndarray:
     return state.rho * lorentzian_phase_average(e[None, :] - e[:, None], window)
 
 
-class PurityPair(NamedTuple):
-    exact: float
-    product_bound: float
-
-
 def lorentzian_purity_product(dist: LevelDistribution, window: float) -> float:
     """Population-product form sum_nm p_n p_m e^{-2 |E_n - E_m| T} over level
-    pairs; an upper bound on the Lorentzian-averaged purity and its exact
-    value for pure states."""
-    if not window >= 0:
-        raise ValueError("window must be nonnegative")
+    pairs; an upper bound on the Lorentzian-averaged purity (|rho_jk|^2 is
+    at most the product of populations, by positivity) and its exact value
+    for pure states."""
+    _check_window(window)
     p = dist.probs
     lv = dist.spectrum.levels
     damp = np.exp(-2.0 * window * np.abs(lv[:, None] - lv[None, :]))
     return float(p @ damp @ p)
 
 
-def lorentzian_purity(state: QuantumState, window):
-    """Purity of the Lorentzian-averaged state.
-
-    ``exact`` sums |rho_jk|^2 e^{-2 |E_j - E_k| T} over eigenbasis index
-    pairs and is the true tr(omega_LT^2). ``product_bound`` replaces
-    |rho_jk|^2 by the product of populations (an upper bound by positivity,
-    an equality for pure states) and collapses to a sum over level pairs.
-
-    For a 1-d array of windows the gaps, |rho|^2 and the level distribution
-    are built once, the damped sums are taken over a stacked (W, d, d) array,
-    and one :class:`PurityPair` per window is returned, each equal to the
-    pair of that window alone.
-    """
-    windows = np.asarray(window, dtype=float)
-    if windows.ndim > 1 or not np.all(windows >= 0):
-        raise ValueError("window must be nonnegative, one value or a 1-d array")
+def lorentzian_purity(state: QuantumState, windows) -> np.ndarray:
+    """Purity tr(omega_LT^2) of the Lorentzian-averaged state at each window
+    of a 1-d array: the sum of |rho_jk|^2 e^{-2 |E_j - E_k| T} over
+    eigenbasis index pairs. The gaps and |rho|^2 are built once; each window
+    takes one d x d damped sum."""
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 1 or not np.all((windows >= 0) & (windows < np.inf)):
+        raise ValueError("windows must be a 1-d array of nonnegative finite values")
     e = state.spectrum.index_energies
     gap = np.abs(e[:, None] - e[None, :])
     rho_sq = np.abs(state.rho) ** 2
-    stacked = np.atleast_1d(windows)
-    step = max(1, PURITY_STACK_ENTRIES // gap.size)
-    exact = []
-    for i in range(0, stacked.size, step):
-        damp = np.exp((-2.0 * stacked[i:i + step])[:, None, None] * gap)
-        exact.extend(np.sum(rho_sq * damp, axis=(1, 2)))
-    dist = level_distribution(state)
-    pairs = [PurityPair(float(x), lorentzian_purity_product(dist, w))
-             for x, w in zip(exact, stacked)]
-    return pairs[0] if windows.ndim == 0 else pairs
+    return np.array([np.sum(rho_sq * np.exp(-2.0 * w * gap)) for w in windows])
 
 
 def dephased_purity_bound(dist: LevelDistribution, window, delta=2.0):

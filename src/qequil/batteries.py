@@ -19,9 +19,9 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package
 
 from . import bounds as bounds_mod
-from .averaging import (TimeGrid, TimeSeries, dephased_purity_bound,
-                        lorentzian_purity, lorentzian_purity_product,
-                        lorentzian_state, time_average)
+from .averaging import (TimeGrid, dephased_purity_bound, lorentzian_purity,
+                        lorentzian_purity_product, lorentzian_state,
+                        running_average, time_average)
 from .constructions import (Scenario, gaussian_scenario, harmonic_oscillator_1d,
                             random_scenario, snapshot_subspace, slow_window_check)
 from .haar import (HaarSampler, TwirlResult, constrained_mean_bound,
@@ -143,6 +143,7 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
     its windows at once; only the time averages run window by window."""
     _check_count("trials", trials)
     _check_count("t_points", t_points)
+    _check_count("max_rank", max_rank)
     report = BatteryReport()
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
@@ -182,24 +183,25 @@ def _purity_chain_rows(state, dist, sigma, windows, trial) -> list:
     its matrix path, its product bound and the window-probability caps at
     every width delta (the fixed ones, then ``bound_delta_matched``, the one
     matched to sigma_E)."""
-    pairs = lorentzian_purity(state, windows)
+    exact = lorentzian_purity(state, windows)
     deltas = np.column_stack([np.tile(PURITY_CHAIN_DELTAS, (windows.size, 1)),
                               2.0 * windows * (sigma / 2.0)])
     caps = dephased_purity_bound(dist, windows[:, None], deltas)
     names = [f"bound_delta_{delta:g}" for delta in PURITY_CHAIN_DELTAS]
     names.append("bound_delta_matched")
     rows = []
-    for window, pair, row_caps in zip(windows, pairs, caps):
+    for window, purity, row_caps in zip(windows, exact.tolist(), caps):
+        product = lorentzian_purity_product(dist, window)
         damped = lorentzian_state(state, window)
         matrix_path = float(np.vdot(damped, damped).real)
-        agreement = abs(pair.exact - matrix_path)
+        agreement = abs(purity - matrix_path)
         row = {"battery": "purity_chain", "trial": trial, "T": float(window),
-               "purity_exact": pair.exact, "purity_matrix": matrix_path,
-               "agreement": agreement, "product_bound": pair.product_bound}
-        ok = agreement <= PURITY_DUAL_PATH_TOL and pair.exact <= pair.product_bound + 1e-12
+               "purity_exact": purity, "purity_matrix": matrix_path,
+               "agreement": agreement, "product_bound": product}
+        ok = agreement <= PURITY_DUAL_PATH_TOL and purity <= product + 1e-12
         for name, cap in zip(names, row_caps):
             row[name] = cap
-            ok = ok and pair.exact <= cap + 1e-12
+            ok = ok and purity <= cap + 1e-12
         row["holds"] = ok
         rows.append(row)
     return rows
@@ -303,18 +305,17 @@ def _random_partition(rng, total: int, parts: int):
     return [int(b - a) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _series_rows(series: TimeSeries, **constant) -> list:
+def _series_rows(times, values, **constant) -> list:
     """CSV rows t, D, running_avg of a series, then any constant columns."""
     return [{"t": t, "D": v, "running_avg": r, **constant}
-            for t, v, r in zip(series.times, series.values, series.running)]
+            for t, v, r in zip(times, values, running_average(times, values))]
 
 
-def _initial_projector_series(state: QuantumState, times) -> TimeSeries:
+def _initial_projector_series(state: QuantumState, times) -> np.ndarray:
     """|tr(P rho_t) - tr(P omega)| under the initial-state projector P."""
     proj = Projector.from_factor(state.amplitudes)
-    values = np.abs(expectation_series(proj, state, times)
-                    - proj.expectation(dephase(state)))
-    return TimeSeries(times, values).with_running_average()
+    return np.abs(expectation_series(proj, state, times)
+                  - proj.expectation(dephase(state)))
 
 
 def run_figure3(config: dict) -> ExperimentResult:
@@ -324,20 +325,23 @@ def run_figure3(config: dict) -> ExperimentResult:
     spacing = float(config["spacing"])
     scenario = harmonic_oscillator_1d(levels, spacing)
     state = scenario.state
-    times = np.linspace(0.0, 2.0 * np.pi / spacing, int(config["samples"]))
-    series = _initial_projector_series(state, times)
+    samples = int(config["samples"])
+    _check_count("samples", samples)
+    times = np.linspace(0.0, 2.0 * np.pi / spacing, samples)
+    values = _initial_projector_series(state, times)
+    rows = _series_rows(times, values)
 
     # same populations with seeded random phases; the averaged curve should
     # not care about them
     rng = np.random.default_rng(np.random.SeedSequence(int(config["phase_seed"])))
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, levels))
     rand_state = QuantumState.pure(scenario.spectrum, state.amplitudes * phases)
-    rand_series = _initial_projector_series(rand_state, times)
+    rand_rows = _series_rows(times, _initial_projector_series(rand_state, times))
 
-    d0 = float(series.values[0])
-    revival_gap = float(abs(series.values[-1] - series.values[0]))
-    avg_at_period = float(series.running[-1])
-    rand_avg = float(rand_series.running[-1])
+    d0 = float(values[0])
+    revival_gap = float(abs(values[-1] - values[0]))
+    avg_at_period = float(rows[-1]["running_avg"])
+    rand_avg = float(rand_rows[-1]["running_avg"])
     expected_d0 = 1.0 - 1.0 / levels
     failures = []
     if not (abs(d0 - expected_d0) <= 1e-9):
@@ -352,14 +356,14 @@ def run_figure3(config: dict) -> ExperimentResult:
                "revival_gap": revival_gap, "average_at_revival": avg_at_period,
                "average_at_revival_random_phase": rand_avg,
                "phase_insensitivity_gap": abs(avg_at_period - rand_avg)}
-    tables = {"figure3.csv": _series_rows(series),
-              "figure3_random_phase.csv": _series_rows(rand_series)}
+    tables = {"figure3.csv": rows, "figure3_random_phase.csv": rand_rows}
     return ExperimentResult(tables, summary, failures)
 
 
 def run_bounds(config: dict) -> ExperimentResult:
     """Seeded trial batteries for the two-outcome bound, the purity chain,
     and the gap-counting bounds."""
+    _check_count("gap_counting_dim", int(config["gap_counting_dim"]), 2)
     seed = int(config["seed"])
     report = fast_equilibration_battery(seed, trials=int(config["trials"]),
                                         t_points=int(config["t_points"]),
@@ -381,6 +385,7 @@ def run_slow(config: dict) -> ExperimentResult:
     """Scaled slow-equilibration scenario: snapshot-subspace floor across the
     guaranteed window, eventual-equilibration ceiling, and N-outcome
     refinement dominance."""
+    _check_count("samples", int(config["samples"]))
     scenario = random_scenario(int(config["seed"]), int(config["dim"]))
     k = int(config["snapshots"])
     eps = float(config["epsilon"])
@@ -396,13 +401,18 @@ def run_slow(config: dict) -> ExperimentResult:
                "trace_omega_bound": rep.trace_omega_bound,
                "long_time_average": rep.long_time_average,
                "ceiling": rep.ceiling, "refinement_holds": rep.refinement_holds}
-    return ExperimentResult({"slow.csv": _series_rows(rep.series, bound=rep.floor)},
-                            summary, rep.failures)
+    rows = _series_rows(rep.times, rep.values, bound=rep.floor)
+    return ExperimentResult({"slow.csv": rows}, summary, rep.failures)
 
 
 def run_gaussian(config: dict) -> ExperimentResult:
     """Discretized Gaussian spectrum: window-probability estimate, measured
     Lorentzian purity, and the exact-vs-asymptotic continuum forms."""
+    grid = config["sigma_t_grid"]
+    if not grid or not all(isinstance(st, (int, float)) and not isinstance(st, bool)
+                           and 0 < st < np.inf for st in grid):
+        raise ValueError("sigma_t_grid must be a non-empty list of positive "
+                         f"finite numbers, got {grid!r}")
     scenario = gaussian_scenario(int(config["levels"]), float(config["sigma"]),
                                  float(config["span"]))
     dist = level_distribution(scenario.state)
@@ -410,7 +420,7 @@ def run_gaussian(config: dict) -> ExperimentResult:
     limit_coeff = float(config["eta_limit_coeff"])
     rows = []
     failures = []
-    for st in config["sigma_t_grid"]:
+    for st in grid:
         window = float(st) / sigma
         eta, win = max_window_probability_window(dist, 1.0 / window)
         product = eta * sigma * window
@@ -553,16 +563,17 @@ def run_spectrum_info(config: dict) -> ExperimentResult:
     """Structural report for a spectrum: dimensions, gap extremes, and the
     gap count inside a window when a width is given."""
     spec = _load_spectrum_arg(config)
-    gaps = spec.gaps()
-    positive = gaps.values[gaps.values > 0]
+    levels = spec.levels
+    # rounding is monotone, so the smallest positive gap is between
+    # neighbours and the largest is the span, bit for bit; no L x L array
     summary = {"num_levels": spec.num_levels, "dim": spec.dim,
                "span": spec.span,
-               "min_gap": float(positive.min()) if positive.size else 0.0,
-               "max_gap": float(positive.max()) if positive.size else 0.0,
-               "gap_count": gaps.count,
+               "min_gap": float(np.diff(levels).min()) if levels.size > 1 else 0.0,
+               "max_gap": spec.span,
+               "gap_count": levels.size * (levels.size - 1),
                "degenerate": not spec.is_nondegenerate()}
     if config.get("epsilon"):
         eps = float(config["epsilon"])
         summary["epsilon"] = eps
-        summary["gaps_in_window"] = max_gaps_in_window(gaps, eps)
+        summary["gaps_in_window"] = max_gaps_in_window(spec.gaps(), eps)
     return ExperimentResult({}, summary, [])

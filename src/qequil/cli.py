@@ -3,8 +3,9 @@ file, then flags), runs an experiment of :mod:`qequil.batteries` and writes
 the files it returns. Every file carries the config hash and, for a seeded
 experiment, its seed (``seed``, or ``phase_seed`` for figure3): a leading
 ``#`` comment for CSV, ``_``-prefixed keys for JSON. Outputs are
-byte-identical for identical configs. The exit code is 0 exactly when every
-check holds; failed checks are also written to ``failures.json``.
+byte-identical for identical configs at a fixed BLAS thread count. The exit
+code is 0 exactly when every check holds; failed checks are also written to
+``failures.json``.
 
 Energies are treated in units with hbar = 1; to convert a time column to
 seconds multiply by hbar / (energy unit in joules).

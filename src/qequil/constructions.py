@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package
 
-from .averaging import TimeGrid, TimeSeries, time_average
+from .averaging import TimeGrid, time_average
 from .measure import (Measurement, Projector, expectation_series,
                       series_distinguishability)
 from .spectra import DEGENERACY_RTOL, EnergySpectrum, _degeneracy_array
@@ -193,9 +193,11 @@ def snapshot_subspace(scenario: Scenario, count: int, epsilon: float) -> Snapsho
 @dataclass(frozen=True, eq=False)
 class SlowWindowReport:
     """Floor, ceiling and refinement checks for a snapshot-subspace
-    measurement."""
+    measurement, with the sampled distinguishability ``values`` at
+    ``times``."""
 
-    series: TimeSeries
+    times: np.ndarray
+    values: np.ndarray
     floor: float
     floor_holds: bool
     worst_time: float
@@ -256,7 +258,6 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: 
     values = np.abs(stacked[0] - p_omega)
     floor = 1.0 - eps ** 2 - np.sqrt(k / d_eff)
     worst = int(np.argmin(values))
-    series = TimeSeries(times, values).with_running_average()
     refined = series_distinguishability(stacked[1:], meas.outcome_probabilities(omega))
 
     ceiling = 2.0 * np.sqrt(k / d_eff)
@@ -265,7 +266,8 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: 
         lambda ts: np.abs(expectation_series(proj, state, ts) - p_omega), grid)
 
     return SlowWindowReport(
-        series=series,
+        times=times,
+        values=values,
         floor=float(floor),
         floor_holds=bool(values.min() >= floor),
         worst_time=float(times[worst]),

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "DEGENERACY_RTOL",
     "EnergySpectrum",
-    "GapSet",
     "LevelDistribution",
     "spectrum_from_hermitian",
     "max_window_probability",
@@ -127,10 +126,15 @@ class EnergySpectrum:
     def span(self) -> float:
         return float(self.levels[-1] - self.levels[0])
 
-    def gaps(self) -> "GapSet":
-        """The gap multiset, built on first use (O(L^2)) and kept."""
+    def gaps(self) -> np.ndarray:
+        """Sorted E_n - E_m over ordered pairs of distinct levels (the zero
+        gap n = m is excluded), built on first use (O(L^2)) and kept
+        read-only."""
         if self._gaps is None:
-            object.__setattr__(self, "_gaps", GapSet.from_spectrum(self))
+            diff = self.levels[:, None] - self.levels[None, :]
+            gaps = np.sort(diff[~np.eye(self.levels.size, dtype=bool)])
+            gaps.flags.writeable = False
+            object.__setattr__(self, "_gaps", gaps)
         return self._gaps
 
     def is_nondegenerate(self) -> bool:
@@ -181,29 +185,6 @@ class LevelDistribution:
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"level probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
-
-
-@dataclass(frozen=True, eq=False)
-class GapSet:
-    """Sorted multiset of energy differences E_j - E_k over ordered pairs
-    of distinct levels (the zero gap j = k is excluded)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.sort(np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_spectrum(cls, spectrum: EnergySpectrum) -> "GapSet":
-        levels = spectrum.levels
-        diff = levels[:, None] - levels[None, :]
-        off = ~np.eye(levels.size, dtype=bool)
-        return cls(diff[off])
-
-    @property
-    def count(self) -> int:
-        return int(self.values.size)
 
 
 def spectrum_from_hermitian(matrix, tol: float = DEGENERACY_RTOL):
@@ -284,13 +265,13 @@ def max_window_probability(dist: LevelDistribution, width):
     return value
 
 
-def max_gaps_in_window(gaps: GapSet, width: float) -> int:
+def max_gaps_in_window(gaps: np.ndarray, width: float) -> int:
     """Maximum number of gaps (with multiplicity) inside any closed window
-    of the given width."""
+    of the given width; ``gaps`` is sorted, as ``EnergySpectrum.gaps``
+    returns it."""
     if not width > 0:
         raise ValueError("window width must be positive")
-    vals = gaps.values
-    if vals.size == 0:
+    if gaps.size == 0:
         return 0
-    right = np.searchsorted(vals, vals + width, side="right")
-    return int((right - np.arange(vals.size)).max())
+    right = np.searchsorted(gaps, gaps + width, side="right")
+    return int((right - np.arange(gaps.size)).max())

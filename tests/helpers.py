@@ -13,7 +13,8 @@ from scipy import integrate
 
 from qequil import batteries, haar
 from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid, dephased_purity_bound,
-                              lorentzian_purity, lorentzian_state, time_average)
+                              lorentzian_purity, lorentzian_purity_product,
+                              lorentzian_state, time_average)
 from qequil.bounds import (BoundReport, fast_equilibration_bound,
                            fast_equilibration_constant, general_distinguishability_bound,
                            population_constant, purity_chain_factor)
@@ -414,22 +415,23 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int 
                          "levels": spec.num_levels, "eta": rep.inputs["eta"],
                          "refinement_error": avg.refinement_error})
 
-            pair = lorentzian_purity(state, window)
+            exact = float(lorentzian_purity(state, [window])[0])
+            product = lorentzian_purity_product(dist, window)
             damped = lorentzian_state(state, window)
             matrix_path = float(np.vdot(damped, damped).real)
-            agreement = abs(pair.exact - matrix_path)
+            agreement = abs(exact - matrix_path)
             row = {"battery": "purity_chain", "trial": trial, "T": float(window),
-                   "purity_exact": pair.exact, "purity_matrix": matrix_path,
-                   "agreement": agreement, "product_bound": pair.product_bound}
+                   "purity_exact": exact, "purity_matrix": matrix_path,
+                   "agreement": agreement, "product_bound": product}
             ok = (agreement <= batteries.PURITY_DUAL_PATH_TOL
-                  and pair.exact <= pair.product_bound + 1e-12)
+                  and exact <= product + 1e-12)
             matched = 2.0 * window * (sigma / 2.0)
             names = [f"bound_delta_{delta:g}" for delta in batteries.PURITY_CHAIN_DELTAS]
             for name, delta in zip([*names, "bound_delta_matched"],
                                    (*batteries.PURITY_CHAIN_DELTAS, matched)):
                 cap = dephased_purity_bound(dist, window, delta=delta)
                 row[name] = cap
-                ok = ok and pair.exact <= cap + 1e-12
+                ok = ok and exact <= cap + 1e-12
             row["holds"] = ok
             rows.append(row)
     return rows
@@ -513,7 +515,7 @@ def fast_equilibration_chain(state: QuantumState, projector: Projector,
     p_lor = float(np.sum(v.conj() * (lorentzian_state(state, window) @ v)).real)
     if projector.is_complement:
         p_lor = 1.0 - p_lor
-    pur_lor = lorentzian_purity(state, window).exact
+    pur_lor = lorentzian_purity(state, [window])[0]
     pur_omega = purity(omega)
     eta = max_window_probability(level_distribution(state), 1.0 / window)
 

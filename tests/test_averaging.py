@@ -4,9 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qequil import averaging
 from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid,
-                              TimeSeries, dephased_purity_bound,
+                              dephased_purity_bound,
                               lorentzian_phase_average, lorentzian_purity,
                               lorentzian_purity_product, lorentzian_state,
                               running_average, time_average)
@@ -189,33 +188,33 @@ class TestLorentzianPurity:
         rng = np.random.default_rng(2)
         for state in (random_pure(rng, spec), random_mixed(rng, spec)):
             for T in (0.01, 0.5, 3.0):
-                pair = lorentzian_purity(state, T)
+                exact = lorentzian_purity(state, [T])[0]
                 m = lorentzian_state(state, T)
                 matrix_path = float(np.trace(m @ m).real)
-                assert pair.exact == pytest.approx(matrix_path, abs=1e-12)
-                assert pair.exact <= pair.product_bound + 1e-12
+                assert exact == pytest.approx(matrix_path, abs=1e-12)
+                product = lorentzian_purity_product(level_distribution(state), T)
+                assert exact <= product + 1e-12
 
     def test_zero_window_limit(self, spec):
         rng = np.random.default_rng(3)
         state = random_mixed(rng, spec)
-        pair = lorentzian_purity(state, 0.0)
-        assert pair.exact == pytest.approx(purity(state), rel=1e-12)
-        assert pair.product_bound == pytest.approx(1.0, rel=1e-12)
+        exact = lorentzian_purity(state, [0.0])[0]
+        assert exact == pytest.approx(purity(state), rel=1e-12)
+        product = lorentzian_purity_product(level_distribution(state), 0.0)
+        assert product == pytest.approx(1.0, rel=1e-12)
 
     def test_long_window_limit_pure(self, spec):
         rng = np.random.default_rng(4)
         state = random_pure(rng, spec)
         d_eff = effective_dimension(level_distribution(state))
-        pair = lorentzian_purity(state, 50.0)
-        assert pair.exact == pytest.approx(1.0 / d_eff, rel=1e-9)
+        assert lorentzian_purity(state, [50.0])[0] == pytest.approx(1.0 / d_eff, rel=1e-9)
 
     def test_monotone_and_bracketed(self, spec):
         rng = np.random.default_rng(5)
         state = random_mixed(rng, spec)
         omega_purity = purity(dephase(state))
         rho_purity = purity(state)
-        values = [lorentzian_purity(state, T).exact
-                  for T in (0.05, 0.2, 1.0, 5.0, 25.0)]
+        values = lorentzian_purity(state, [0.05, 0.2, 1.0, 5.0, 25.0])
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert all(omega_purity - 1e-12 <= v <= rho_purity + 1e-12 for v in values)
 
@@ -224,10 +223,9 @@ class TestLorentzianPurity:
         state = random_pure(rng, spec)
         dist = level_distribution(state)
         for T in (0.3, 2.0):
-            pair = lorentzian_purity(state, T)
+            exact = lorentzian_purity(state, [T])[0]
             via_levels = lorentzian_purity_product(dist, T)
-            assert pair.exact == pytest.approx(pair.product_bound, abs=1e-12)
-            assert via_levels == pytest.approx(pair.product_bound, abs=1e-14)
+            assert exact == pytest.approx(via_levels, abs=1e-12)
 
     def test_window_probability_chain(self):
         rng = np.random.default_rng(7)
@@ -236,29 +234,29 @@ class TestLorentzianPurity:
             state = random_pure(rng, spec) if trial % 2 else random_mixed(rng, spec)
             dist = level_distribution(state)
             for T in (0.2, 1.0, 8.0):
-                exact = lorentzian_purity(state, T).exact
+                exact = lorentzian_purity(state, [T])[0]
                 for delta in (0.5, 1.0, 2.0, 4.0):
                     cap = dephased_purity_bound(dist, T, delta=delta)
                     assert exact <= cap + 1e-12
 
-    @pytest.mark.parametrize("stack_entries", [1 << 20, 30])
-    def test_windows_array_matches_per_window_sums(self, monkeypatch, stack_entries):
-        # the stacked sums (in one chunk, or one window per chunk) must be
-        # bit for bit the single-window sum of |rho|^2 e^{-2 T |gap|}
-        monkeypatch.setattr(averaging, "PURITY_STACK_ENTRIES", stack_entries)
+    def test_windows_array_is_per_window_and_matches_dense_oracle(self):
+        # each window of the array is bit for bit its own one-element call,
+        # and equals sum_jk |rho_jk|^2 e^{-2 T |E_j - E_k|} entry by entry, on
+        # degenerate levels for pure and mixed factors of ranks 2 and 4
         rng = np.random.default_rng(8)
         spec = EnergySpectrum([0.0, 0.8, 1.9, 3.5], [1, 2, 1, 2])
         e = spec.index_energies
-        gap = np.abs(e[:, None] - e[None, :])
         windows = np.array([0.0, 0.05, 0.7, 0.7, 3.0, 40.0])
-        for state in (random_pure(rng, spec), random_mixed(rng, spec)):
-            dist = level_distribution(state)
-            pairs = lorentzian_purity(state, windows)
-            assert len(pairs) == windows.size
-            for T, pair in zip(windows, pairs):
-                direct = float(np.sum(np.abs(state.rho) ** 2 * np.exp(-2.0 * T * gap)))
-                assert pair == (direct, lorentzian_purity_product(dist, T))
-                assert pair == lorentzian_purity(state, float(T))
+        for state in (random_pure(rng, spec), random_mixed(rng, spec, components=2),
+                      random_mixed(rng, spec, components=4)):
+            rho = state.rho
+            values = lorentzian_purity(state, windows)
+            assert values.shape == windows.shape
+            for T, value in zip(windows, values):
+                assert value == lorentzian_purity(state, [T])[0]
+                oracle = sum(abs(rho[j, k]) ** 2 * np.exp(-2.0 * T * abs(e[j] - e[k]))
+                             for j in range(spec.dim) for k in range(spec.dim))
+                assert value == pytest.approx(oracle, rel=0, abs=1e-12)
 
     def test_dephased_bound_broadcasts_like_scalar_calls(self):
         rng = np.random.default_rng(9)
@@ -320,7 +318,3 @@ class TestDominationCheck:
         with pytest.raises(ValueError):
             lorentzian_domination_check(lambda t: -np.ones_like(t), 1.0, 0.05)
 
-
-def test_timeseries_validation():
-    with pytest.raises(ValueError):
-        TimeSeries(np.array([0.0, 1.0]), np.array([1.0]))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qequil import batteries, cli, spectra
-from qequil.averaging import TimeSeries
 from qequil.batteries import (BatteryReport, gap_counting_battery, haar_battery,
                               fast_equilibration_battery)
 from qequil.constructions import random_scenario, slow_window_check, snapshot_subspace
@@ -172,8 +171,7 @@ def test_slow_battery_full_sweep():
 def test_figure3_checks_fail_on_nan(monkeypatch):
     # a NaN series passes every `x > limit` test; each check must name it
     def nan_series(state, times):
-        nan = np.full(times.size, np.nan)
-        return TimeSeries(times, nan, running=nan)
+        return np.full(times.size, np.nan)
 
     monkeypatch.setattr(batteries, "_initial_projector_series", nan_series)
     result = batteries.run_figure3(cli.DEFAULTS["figure3"])

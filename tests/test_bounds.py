@@ -73,6 +73,22 @@ def test_nan_scalar_is_rejected(name):
         NAN_CALLS[name]()
 
 
+# An infinite Lorentzian window damps the zero gaps by inf * 0 = NaN.
+INF_CALLS = {
+    "lorentzian_phase_average": lambda: lorentzian_phase_average(0.0, np.inf),
+    "lorentzian_state": lambda: lorentzian_state(_STATE, np.inf),
+    "lorentzian_purity_product": lambda: lorentzian_purity_product(_DIST, np.inf),
+    "lorentzian_purity": lambda: lorentzian_purity(_STATE, [np.inf]),
+    "lorentzian_purity array": lambda: lorentzian_purity(_STATE, [1.0, np.inf]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INF_CALLS))
+def test_infinite_lorentzian_window_is_rejected(name):
+    with pytest.raises(ValueError, match="finite"):
+        INF_CALLS[name]()
+
+
 @pytest.mark.parametrize("call", [
     lambda: dephased_purity_bound(_DIST, 0.0),   # was a ZeroDivisionError
     lambda: dephased_purity_bound(_DIST, np.array([1.0, -1.0])),
@@ -227,7 +243,7 @@ class TestGeneralBounds:
         spec, state = scenario
         gaps = spec.gaps()
         rep = general_expectation_bound(state, 1.0, 4.0 * spec.span, 1.0)
-        assert rep.inputs["N_eps"] == gaps.count
+        assert rep.inputs["N_eps"] == gaps.size
         assert rep.value > 1.0
 
     def test_large_window_limit(self, scenario):

@@ -1,11 +1,14 @@
 import json
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from qequil import batteries
-from qequil.cli import _write_rows_csv, main
+from qequil.cli import DEFAULTS, _write_rows_csv, main
 from qequil.constructions import random_scenario
+from qequil.spectra import EnergySpectrum
 from qequil.states import save_state
 
 
@@ -85,14 +88,25 @@ def test_haar_quick(tmp_path):
     ("bounds", "trials", -3, "trials"), ("bounds", "t_points", 0, "t_points"),
     ("haar", "battery_scenarios", 0, "battery_scenarios"),
     ("haar", "samples", 1, "samples"), ("haar", "battery_samples", 1, "battery_samples"),
-    ("haar", "twirl_samples", 1, "twirl_samples")])
+    ("haar", "twirl_samples", 1, "twirl_samples"), ("slow", "samples", 0, "samples"),
+    ("figure3", "samples", 0, "samples"), ("bounds", "max_rank", 0, "max_rank"),
+    ("bounds", "gap_counting_dim", 1, "gap_counting_dim")])
 def test_empty_battery_stops(tmp_path, experiment, key, value, name):
-    # a battery without trials, grid points or scenarios checks nothing, and a
-    # Monte Carlo estimate needs two samples; the message names the config key
-    least = 2 if key.endswith("samples") else 1
+    # a battery without trials, grid points or scenarios checks nothing, a
+    # Monte Carlo estimate needs two samples and a gap-counting projector of
+    # half the dimension needs two dimensions; the message names the config key
+    least = 2 if key == "gap_counting_dim" or (experiment == "haar"
+                                               and key.endswith("samples")) else 1
     with pytest.raises(SystemExit, match=f"^{experiment}: {name} must be at least "
                                          f"{least}, got {value}$"):
         _run([experiment, "--out", str(tmp_path), "--set", f"{key}={value}"])
+
+
+@pytest.mark.parametrize("grid", ["[]", "[0]", "[2.0,-1.0]", '["a"]'])
+def test_sigma_t_grid_needs_positive_entries(tmp_path, grid):
+    with pytest.raises(SystemExit, match=r"^gaussian: sigma_t_grid must be a non-empty "
+                                         r"list of positive finite numbers, got "):
+        _run(["gaussian", "--out", str(tmp_path), "--set", f"sigma_t_grid={grid}"])
 
 
 def test_seed_flag_changes_trials_not_verdict(tmp_path):
@@ -135,6 +149,28 @@ def test_eta_and_spectrum_info(tmp_path):
     assert info["dim"] == 10
     assert info["gap_count"] == 90
     assert info["gaps_in_window"] >= 1
+
+
+def test_spectrum_info_without_epsilon_builds_no_gap_matrix(tmp_path):
+    # min_gap, max_gap and gap_count come from neighbouring levels and the
+    # span, bit for bit the extremes of the gap array; the L x L gap arrays
+    # (a 95 MB peak at 2,000 levels) are built only when epsilon asks for a
+    # window count
+    levels = np.sort(np.random.default_rng(12).uniform(-5.0, 5.0, 2000))
+    spec_path = tmp_path / "spec.json"
+    EnergySpectrum(levels, np.ones(levels.size, dtype=int)).save(spec_path)
+    config = {**DEFAULTS["spectrum-info"], "spectrum": str(spec_path)}
+    tracemalloc.start()
+    try:
+        summary = batteries.run_spectrum_info(config).summary
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    gaps = EnergySpectrum.load(spec_path).gaps()
+    positive = gaps[gaps > 0]
+    assert (summary["min_gap"], summary["max_gap"], summary["gap_count"]) == (
+        positive.min(), positive.max(), gaps.size)
 
 
 def test_config_file_with_flag_override(tmp_path):

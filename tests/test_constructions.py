@@ -268,7 +268,7 @@ class TestSlowWindow:
 
     def test_series_starts_high(self, slow_checked):
         _, _, rep = slow_checked
-        assert rep.series.values[0] >= 0.9
+        assert rep.values[0] >= 0.9
 
     def test_failures_name_each_failed_check(self, slow_checked):
         _, _, rep = slow_checked
@@ -327,11 +327,11 @@ class TestPartitionedMeasurement:
                             lambda stack, state, times: grids.append(times)
                             or kernel(stack, state, times))
         rep = slow_window_check(sub, scen, 3, num_samples=64)
-        assert sum(np.array_equal(t, rep.series.times) for t in grids) == 1
+        assert sum(np.array_equal(t, rep.times) for t in grids) == 1
         proj = sub.projector()
-        alone = np.abs(kernel(proj, scen.state, rep.series.times)
+        alone = np.abs(kernel(proj, scen.state, rep.times)
                        - proj.expectation(dephase(scen.state)))
-        assert np.array_equal(rep.series.values, alone)
+        assert np.array_equal(rep.values, alone)
 
     def test_blocks_sum_to_subspace_projector(self):
         scen = random_scenario(16, 48)

@@ -243,17 +243,18 @@ def test_gap_count_matches_brute_force(case):
     levels, _, width = case
     spec = EnergySpectrum(levels, np.ones(levels.size, dtype=int))
     gaps = spec.gaps()
-    assert max_gaps_in_window(gaps, width) == brute_gap_count(gaps.values, width)
+    assert max_gaps_in_window(gaps, width) == brute_gap_count(gaps, width)
 
 
 class TestGaps:
     def test_gap_set_structure(self):
         spec = EnergySpectrum([0.0, 1.0, 2.0], [1, 1, 1])
         gaps = spec.gaps()
-        assert gaps.count == 6
-        assert np.allclose(gaps.values, [-2, -1, -1, 1, 1, 2])
-        assert np.allclose(np.sort(-gaps.values), gaps.values)  # antisymmetry
+        assert gaps.size == 6
+        assert np.allclose(gaps, [-2, -1, -1, 1, 1, 2])
+        assert np.allclose(np.sort(-gaps), gaps)  # antisymmetry
         assert spec.gaps() is gaps  # built once, on first use
+        assert not gaps.flags.writeable  # so no caller can change the kept array
 
     def test_equally_spaced_small_window(self):
         spec = EnergySpectrum([0.0, 1.0, 2.0], [1, 1, 1])
@@ -262,11 +263,11 @@ class TestGaps:
     def test_covering_window_counts_all(self):
         spec = EnergySpectrum([0.0, 0.3, 1.1, 4.0], [1, 1, 1, 1])
         gaps = spec.gaps()
-        assert max_gaps_in_window(gaps, 2 * spec.span) == gaps.count
+        assert max_gaps_in_window(gaps, 2 * spec.span) == gaps.size
 
     def test_single_level_has_no_gaps(self):
         spec = EnergySpectrum([2.0], [4])
-        assert spec.gaps().count == 0
+        assert spec.gaps().size == 0
         assert max_gaps_in_window(spec.gaps(), 1.0) == 0
 
     def test_monotone_and_negation_symmetric(self):
