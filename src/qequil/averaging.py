@@ -130,9 +130,11 @@ def _check_window(window) -> None:
 
 def lorentzian_phase_average(nu, window: float):
     """Closed-form Lorentzian average e^{-|nu| T} e^{i nu T / 2} of e^{i nu t},
-    entrywise for an array of frequencies; 1 at T = 0, the kernel's limit."""
+    entrywise for an array of frequencies; 1 at T = 0, the kernel's limit,
+    and 0 wherever the damping underflows, where nu T may be infinite."""
     _check_window(window)
-    return np.exp(-abs(nu) * window) * np.exp(1j * nu * window / 2.0)
+    damp = np.exp(-abs(nu) * window)
+    return damp * np.exp(1j * np.where(damp > 0, nu, 0.0) * window / 2.0)
 
 
 def lorentzian_state(state: QuantumState, window: float) -> np.ndarray:
@@ -152,7 +154,7 @@ def lorentzian_purity_product(dist: LevelDistribution, window: float) -> float:
     _check_window(window)
     p = dist.probs
     lv = dist.spectrum.levels
-    damp = np.exp(-2.0 * window * np.abs(lv[:, None] - lv[None, :]))
+    damp = np.exp(-2.0 * np.abs(lv[:, None] - lv[None, :]) * window)
     return float(p @ damp @ p)
 
 
@@ -165,9 +167,11 @@ def lorentzian_purity(state: QuantumState, windows) -> np.ndarray:
     if windows.ndim != 1 or not np.all((windows >= 0) & (windows < np.inf)):
         raise ValueError("windows must be a 1-d array of nonnegative finite values")
     e = state.spectrum.index_energies
-    gap = np.abs(e[:, None] - e[None, :])
+    # the gaps are doubled before they meet a window, so a zero gap stays 0
+    # where 2T overflows
+    rate = -2.0 * np.abs(e[:, None] - e[None, :])
     rho_sq = np.abs(state.rho) ** 2
-    return np.array([np.sum(rho_sq * np.exp(-2.0 * w * gap)) for w in windows])
+    return np.array([np.sum(rho_sq * np.exp(rate * w)) for w in windows])
 
 
 def dephased_purity_bound(dist: LevelDistribution, window, delta=2.0):

@@ -221,6 +221,7 @@ def gap_counting_scenario(seed: int, dim: int = 40):
 def gap_counting_battery(seed: int, dim: int = 40) -> BatteryReport:
     """Gap-counting bound checks on a dense random-matrix scenario, for both
     the expectation and distinguishability forms."""
+    _check_count("dim", dim, 2)
     report = BatteryReport()
     state, proj = gap_counting_scenario(seed, dim)
     sigma = energy_moments(level_distribution(state)).std

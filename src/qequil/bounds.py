@@ -3,12 +3,11 @@
 All constants are computed from primitives at import time and regression
 pinned in the tests, never hardcoded as decimals here. Window-probability
 bounds take a level distribution, which carries its spectrum; bounds on a
-state read the state's own spectrum. scipy is imported only inside
-:func:`gaussian_purity_exact` (for ``erfcx``), so importing this module, or
-running any experiment but ``gaussian``, does not load it.
+state read the state's own spectrum.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,15 +127,28 @@ def general_distinguishability_bound(state: QuantumState, total_outcomes: int,
                                "T": window, "N_eps": n_eps, "d_eff": d_eff})
 
 
+def _erfcx(x: float) -> float:
+    """Scaled complementary error function e^{x^2} erfc(x) for x >= 0. Below
+    2 it is the product itself. From 2 up, where e^{x^2} magnifies the
+    rounding of x^2 and erfc underflows past x = 26.5, it is the 60-term
+    Laplace continued fraction 1 / (sqrt(pi) (x + (1/2) / (x + 1 / (x +
+    (3/2) / (x + ...))))) (Abramowitz & Stegun 7.1.14), which is 0 at
+    x = inf."""
+    if x < 2.0:
+        return math.exp(x * x) * math.erfc(x)
+    tail = x
+    for k in range(60, 0, -1):
+        tail = x + 0.5 * k / tail
+    return 1.0 / (math.sqrt(math.pi) * tail)
+
+
 def gaussian_purity_exact(sigma: float, window: float) -> float:
     """Exact continuum purity of the Lorentzian-averaged state for a
     Gaussian energy distribution: e^{4 s^2 T^2} erfc(2 s T), evaluated
     stably via the scaled complementary error function."""
     if not (sigma > 0 and window > 0):
         raise ValueError("sigma and window must be positive")
-    from scipy import special
-
-    return float(special.erfcx(2.0 * sigma * window))
+    return _erfcx(float(2.0 * sigma * window))
 
 
 def gaussian_purity_asymptote(sigma: float, window: float) -> float:

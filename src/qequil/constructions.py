@@ -238,6 +238,8 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: 
     ``outcomes`` - 1 blocks plus the complement stays at or above it up to
     1e-10 on the same grid; then average over a long window and check the
     eventual-equilibration ceiling 2 sqrt(K / d_eff)."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     state = scenario.state
     sigma = scenario.sigma_e
     if not sigma > 0:

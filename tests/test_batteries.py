@@ -74,13 +74,19 @@ def test_battery_matches_per_window_oracle(seed):
 
 
 def test_empty_battery_is_rejected():
-    # no windows, trials or scenarios would leave a battery with no rows,
-    # which reads as a pass
-    for call, name in ((lambda: fast_equilibration_battery(SEED, trials=2, t_points=0),
-                        "t_points"),
-                       (lambda: fast_equilibration_battery(SEED, trials=0), "trials"),
-                       (lambda: haar_battery(SEED, scenarios=0), "scenarios")):
-        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+    # no windows, trials, scenarios or samples would leave a battery with no
+    # rows, which reads as a pass; a one-level spectrum has no gaps to count
+    scenario = random_scenario(SEED, 16)
+    sub = snapshot_subspace(scenario, 3, 0.5)
+    for call, name, least in (
+            (lambda: fast_equilibration_battery(SEED, trials=2, t_points=0),
+             "t_points", 1),
+            (lambda: fast_equilibration_battery(SEED, trials=0), "trials", 1),
+            (lambda: haar_battery(SEED, scenarios=0), "scenarios", 1),
+            (lambda: gap_counting_battery(SEED, dim=1), "dim", 2),
+            (lambda: slow_window_check(sub, scenario, 3, num_samples=0),
+             "num_samples", 1)):
+        with pytest.raises(ValueError, match=f"{name} must be at least {least}"):
             call()
 
 

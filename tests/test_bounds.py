@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from qequil.averaging import (TimeGrid, dephased_purity_bound,
                               lorentzian_phase_average, lorentzian_purity,
                               lorentzian_purity_product, lorentzian_state,
                               time_average)
-from qequil.bounds import (BoundReport, fast_equilibration_bound,
+from qequil.bounds import (BoundReport, _erfcx, fast_equilibration_bound,
                            fast_equilibration_constant, gaussian_purity_asymptote,
                            gaussian_purity_exact, general_distinguishability_bound,
                            general_expectation_bound, population_constant,
                            purity_chain_factor)
+from qequil.cli import DEFAULTS
 from qequil.constructions import (gaussian_scenario, harmonic_oscillator_1d,
                                   harmonic_oscillator_3d_boltzmann, random_scenario,
                                   snapshot_subspace)
@@ -18,10 +22,11 @@ from qequil.measure import Projector, expectation_series
 from qequil.spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
                             max_window_probability, max_window_probability_window,
                             spectrum_from_hermitian)
-from qequil.states import (dephase, energy_moments, level_distribution)
+from qequil.states import dephase, energy_moments, level_distribution, purity
 
-from helpers import (best_epsilon, fast_equilibration_chain, n_outcome_fast_bound,
-                     poisson_spectrum, population_term_bound, random_mixed, random_pure)
+from helpers import (best_epsilon, dense_dephase, fast_equilibration_chain,
+                     n_outcome_fast_bound, poisson_spectrum, population_term_bound,
+                     random_mixed, random_pure)
 
 NAN = float("nan")
 _SCEN = random_scenario(3, 6)
@@ -87,6 +92,32 @@ INF_CALLS = {
 def test_infinite_lorentzian_window_is_rejected(name):
     with pytest.raises(ValueError, match="finite"):
         INF_CALLS[name]()
+
+
+# A finite window so large that 2T (or |nu| T) overflows takes the T -> inf
+# limit: the zero gaps, between degenerate indices too, keep weight 1 and
+# every other pair gets 0, where it once got -inf * 0 = NaN.
+_HUGE_SPEC = random_scenario(1, 10, degeneracies=[3, 1, 2, 4]).spectrum
+HUGE_WINDOW_STATES = {
+    "pure": random_pure(np.random.default_rng(5), _HUGE_SPEC),
+    "mixed": random_mixed(np.random.default_rng(5), _HUGE_SPEC),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", sorted(HUGE_WINDOW_STATES))
+def test_huge_finite_lorentzian_window_gives_the_dephased_limit(kind):
+    state = HUGE_WINDOW_STATES[kind]
+    dist = level_distribution(state)
+    limit = purity(dephase(state))
+    assert limit < purity(state)
+    assert lorentzian_purity(state, [1e308]) == pytest.approx([limit], rel=1e-12)
+    product = lorentzian_purity_product(dist, 1e308)
+    assert product == pytest.approx(dist.probs @ dist.probs, rel=1e-12)
+    if kind == "pure":
+        assert product == pytest.approx(limit, rel=1e-12)
+    np.testing.assert_allclose(lorentzian_state(state, 1e308), dense_dephase(state),
+                               rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("call", [
@@ -280,6 +311,23 @@ class TestGeneralBounds:
 
 
 class TestGaussianAnalytics:
+    # _erfcx switches from e^{x^2} erfc(x) to the continued fraction at x = 2
+    @settings(max_examples=400, deadline=None)
+    @given(x=st.one_of(st.floats(0.0, 1e6), st.floats(1.5, 2.5)))
+    @example(x=0.0)
+    @example(x=float(np.nextafter(2.0, 0.0)))
+    @example(x=2.0)
+    @example(x=1e300)
+    @example(x=np.inf)    # both are 0 there
+    def test_erfcx_matches_scipy(self, x):
+        assert _erfcx(x) == pytest.approx(special.erfcx(x), rel=2e-15, abs=0.0)
+
+    def test_purity_exact_form_pinned_to_scipy(self):
+        # criterion 6's grid, which `qequil gaussian` runs by default
+        for sigma_t in DEFAULTS["gaussian"]["sigma_t_grid"]:
+            assert gaussian_purity_exact(1.0, sigma_t) == pytest.approx(
+                special.erfcx(2.0 * sigma_t), rel=1e-15, abs=0.0)
+
     def test_purity_exact_form_against_asymptote(self):
         for sigma_t in (5.0, 10.0, 40.0):
             exact = gaussian_purity_exact(1.0, sigma_t)
