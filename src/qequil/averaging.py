@@ -7,9 +7,9 @@ arithmetic of scipy's ``cumulative_trapezoid``, so bit for bit its result,
 without importing scipy).
 Averaging against the Cauchy kernel T / (pi (T^2 + (t - T/2)^2)) has a
 closed form for pure phases, which turns the time-averaged state into an
-entrywise multiplication and gives a computable handle on its purity. The
-population forms of that purity take a level distribution, which carries
-its own spectrum.
+entrywise multiplication and gives a computable handle on its purity. That
+purity and its population-product cap are one damped sum over level pairs,
+of the factor's level Gram matrices or of a level distribution's populations.
 """
 from __future__ import annotations
 
@@ -133,7 +133,8 @@ def lorentzian_phase_average(nu, window: float):
     entrywise for an array of frequencies; 1 at T = 0, the kernel's limit,
     and 0 wherever the damping underflows, where nu T may be infinite."""
     _check_window(window)
-    damp = np.exp(-abs(nu) * window)
+    with np.errstate(over="ignore"):  # -inf at a huge T is the T -> inf limit
+        damp = np.exp(-abs(nu) * window)
     return damp * np.exp(1j * np.where(damp > 0, nu, 0.0) * window / 2.0)
 
 
@@ -146,32 +147,43 @@ def lorentzian_state(state: QuantumState, window: float) -> np.ndarray:
     return state.rho * lorentzian_phase_average(e[None, :] - e[:, None], window)
 
 
-def lorentzian_purity_product(dist: LevelDistribution, window: float) -> float:
+def _damped_level_sums(levels: np.ndarray, g: np.ndarray, windows) -> np.ndarray:
+    """sum_nm e^{-2 |E_n - E_m| T} g_n . g_m = tr(g^T K g) at each window of a
+    1-d array, for real level rows g (a vector: one entry per level). The
+    doubled gaps are built once; each window's damping K fills one buffer."""
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 1 or not np.all((windows >= 0) & (windows < np.inf)):
+        raise ValueError("windows must be a 1-d array of nonnegative finite values")
+    # the gaps are doubled before they meet a window, so a zero gap stays 0
+    # where 2T overflows, and the others reach -inf, the T -> inf limit
+    rate = -2.0 * np.abs(levels[:, None] - levels[None, :])
+    damp = np.empty_like(rate)
+    out = np.empty(windows.size)
+    with np.errstate(over="ignore"):
+        for i, w in enumerate(windows):
+            np.exp(np.multiply(rate, w, out=damp), out=damp)
+            out[i] = np.vdot(g.T @ damp, g.T)
+    return out
+
+
+def lorentzian_purity_product(dist: LevelDistribution, windows) -> np.ndarray:
     """Population-product form sum_nm p_n p_m e^{-2 |E_n - E_m| T} over level
-    pairs; an upper bound on the Lorentzian-averaged purity (|rho_jk|^2 is
-    at most the product of populations, by positivity) and its exact value
-    for pure states."""
-    _check_window(window)
-    p = dist.probs
-    lv = dist.spectrum.levels
-    damp = np.exp(-2.0 * np.abs(lv[:, None] - lv[None, :]) * window)
-    return float(p @ damp @ p)
+    pairs at each window of a 1-d array; an upper bound on the
+    Lorentzian-averaged purity (|rho_jk|^2 is at most the product of
+    populations, by positivity) and its exact value for pure states."""
+    return _damped_level_sums(dist.spectrum.levels, dist.probs, windows)
 
 
 def lorentzian_purity(state: QuantumState, windows) -> np.ndarray:
     """Purity tr(omega_LT^2) of the Lorentzian-averaged state at each window
-    of a 1-d array: the sum of |rho_jk|^2 e^{-2 |E_j - E_k| T} over
-    eigenbasis index pairs. The gaps and |rho|^2 are built once; each window
-    takes one d x d damped sum."""
-    windows = np.asarray(windows, dtype=float)
-    if windows.ndim != 1 or not np.all((windows >= 0) & (windows < np.inf)):
-        raise ValueError("windows must be a 1-d array of nonnegative finite values")
-    e = state.spectrum.index_energies
-    # the gaps are doubled before they meet a window, so a zero gap stays 0
-    # where 2T overflows
-    rate = -2.0 * np.abs(e[:, None] - e[None, :])
-    rho_sq = np.abs(state.rho) ** 2
-    return np.array([np.sum(rho_sq * np.exp(rate * w)) for w in windows])
+    of a 1-d array. The damping depends only on the levels, so the |rho_jk|^2
+    of levels n and m sum to tr(G_n G_m), G_n = A_n^dag A_n over the factor's
+    rows on level n (p_n for a pure state), the dot product of their real
+    views as both are Hermitian. Nothing d x d is formed."""
+    a, spec = state.factor, state.spectrum
+    gram = np.add.reduceat(a.conj()[:, :, None] * a[:, None, :], spec.level_starts)
+    g = gram.view(float).reshape(spec.num_levels, -1)
+    return _damped_level_sums(spec.levels, g, windows)
 
 
 def dephased_purity_bound(dist: LevelDistribution, window, delta=2.0):
@@ -182,7 +194,7 @@ def dephased_purity_bound(dist: LevelDistribution, window, delta=2.0):
     broadcast shape."""
     if not np.all(np.asarray(delta) > 0):
         raise ValueError("delta must be positive")
-    if not np.all(np.asarray(window) > 0):
-        raise ValueError("window must be positive")
+    if not np.all((np.asarray(window) > 0) & (np.asarray(window) < np.inf)):
+        raise ValueError("window must be positive and finite")
     eta = max_window_probability(dist, delta / (2.0 * window))
     return 2.0 * eta / (1.0 - np.exp(-delta))

@@ -183,15 +183,15 @@ def _purity_chain_rows(state, dist, sigma, windows, trial) -> list:
     its matrix path, its product bound and the window-probability caps at
     every width delta (the fixed ones, then ``bound_delta_matched``, the one
     matched to sigma_E)."""
-    exact = lorentzian_purity(state, windows)
+    exact = lorentzian_purity(state, windows).tolist()
+    products = lorentzian_purity_product(dist, windows).tolist()
     deltas = np.column_stack([np.tile(PURITY_CHAIN_DELTAS, (windows.size, 1)),
                               2.0 * windows * (sigma / 2.0)])
     caps = dephased_purity_bound(dist, windows[:, None], deltas)
     names = [f"bound_delta_{delta:g}" for delta in PURITY_CHAIN_DELTAS]
     names.append("bound_delta_matched")
     rows = []
-    for window, purity, row_caps in zip(windows, exact.tolist(), caps):
-        product = lorentzian_purity_product(dist, window)
+    for window, purity, product, row_caps in zip(windows, exact, products, caps):
         damped = lorentzian_state(state, window)
         matrix_path = float(np.vdot(damped, damped).real)
         agreement = abs(purity - matrix_path)
@@ -419,13 +419,13 @@ def run_gaussian(config: dict) -> ExperimentResult:
     dist = level_distribution(scenario.state)
     sigma = energy_moments(dist).std
     limit_coeff = float(config["eta_limit_coeff"])
+    windows = [float(st) / sigma for st in grid]
+    purities = lorentzian_purity_product(dist, windows).tolist()
     rows = []
     failures = []
-    for st in grid:
-        window = float(st) / sigma
+    for st, window, measured_purity in zip(grid, windows, purities):
         eta, win = max_window_probability_window(dist, 1.0 / window)
         product = eta * sigma * window
-        measured_purity = lorentzian_purity_product(dist, window)
         exact = bounds_mod.gaussian_purity_exact(sigma, window)
         asym = bounds_mod.gaussian_purity_asymptote(sigma, window)
         row = {"sigma_T": float(st), "T": window, "eta": eta,

@@ -76,8 +76,8 @@ def fast_equilibration_bound(dist: LevelDistribution, rank: int, window):
     if rank < 1:
         raise ValueError("rank must be at least 1")
     windows = np.asarray(window, dtype=float)
-    if windows.ndim > 1 or not np.all(windows > 0):
-        raise ValueError("window must be positive, one value or a 1-d array")
+    if windows.ndim > 1 or not np.all((windows > 0) & (windows < np.inf)):
+        raise ValueError("window must be positive and finite, one value or a 1-d array")
     etas = max_window_probability(dist, 1.0 / windows)
     c = fast_equilibration_constant()
 

@@ -416,7 +416,7 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int 
                          "refinement_error": avg.refinement_error})
 
             exact = float(lorentzian_purity(state, [window])[0])
-            product = lorentzian_purity_product(dist, window)
+            product = float(lorentzian_purity_product(dist, [window])[0])
             damped = lorentzian_state(state, window)
             matrix_path = float(np.vdot(damped, damped).real)
             agreement = abs(exact - matrix_path)

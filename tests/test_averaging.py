@@ -192,7 +192,7 @@ class TestLorentzianPurity:
                 m = lorentzian_state(state, T)
                 matrix_path = float(np.trace(m @ m).real)
                 assert exact == pytest.approx(matrix_path, abs=1e-12)
-                product = lorentzian_purity_product(level_distribution(state), T)
+                product = lorentzian_purity_product(level_distribution(state), [T])[0]
                 assert exact <= product + 1e-12
 
     def test_zero_window_limit(self, spec):
@@ -200,7 +200,7 @@ class TestLorentzianPurity:
         state = random_mixed(rng, spec)
         exact = lorentzian_purity(state, [0.0])[0]
         assert exact == pytest.approx(purity(state), rel=1e-12)
-        product = lorentzian_purity_product(level_distribution(state), 0.0)
+        product = lorentzian_purity_product(level_distribution(state), [0.0])[0]
         assert product == pytest.approx(1.0, rel=1e-12)
 
     def test_long_window_limit_pure(self, spec):
@@ -224,7 +224,7 @@ class TestLorentzianPurity:
         dist = level_distribution(state)
         for T in (0.3, 2.0):
             exact = lorentzian_purity(state, [T])[0]
-            via_levels = lorentzian_purity_product(dist, T)
+            via_levels = lorentzian_purity_product(dist, [T])[0]
             assert exact == pytest.approx(via_levels, abs=1e-12)
 
     def test_window_probability_chain(self):
@@ -240,24 +240,36 @@ class TestLorentzianPurity:
                     assert exact <= cap + 1e-12
 
     @pytest.mark.parametrize("seed", [1 << 20, 30])
-    def test_windows_array_matches_per_window_sums(self, seed):
+    def test_windows_array_matches_per_window_sums(self, seed, monkeypatch):
         # each window of the array is bit for bit its own one-element call,
         # and equals sum_jk |rho_jk|^2 e^{-2 T |E_j - E_k|} entry by entry, on
-        # degenerate levels for pure and mixed factors of ranks 2 and 4
+        # degenerate levels for pure and mixed factors of ranks 2 and 4; the
+        # product form likewise, against sum_nm p_n p_m e^{-2 T |E_n - E_m|}
         rng = np.random.default_rng(seed)
         spec = EnergySpectrum([0.0, 0.8, 1.9, 3.5], [1, 2, 1, 2])
-        e = spec.index_energies
+        e, lv = spec.index_energies, spec.levels
         windows = np.array([0.0, 0.05, 0.7, 0.7, 3.0, 40.0])
-        for state in (random_pure(rng, spec), random_mixed(rng, spec, components=2),
-                      random_mixed(rng, spec, components=4)):
-            rho = state.rho
+        states = (random_pure(rng, spec), random_mixed(rng, spec, components=2),
+                  random_mixed(rng, spec, components=4))
+        rhos = [state.rho for state in states]
+        # the purity reads only the factor, never the d x d density matrix
+        monkeypatch.setattr(QuantumState, "rho", property(
+            lambda self: pytest.fail("QuantumState.rho was read")))
+        for state, rho in zip(states, rhos):
+            dist = level_distribution(state)
+            p = dist.probs
             values = lorentzian_purity(state, windows)
-            assert values.shape == windows.shape
-            for T, value in zip(windows, values):
+            products = lorentzian_purity_product(dist, windows)
+            assert values.shape == products.shape == windows.shape
+            for T, value, product in zip(windows, values, products):
                 assert value == lorentzian_purity(state, [T])[0]
                 oracle = sum(abs(rho[j, k]) ** 2 * np.exp(-2.0 * T * abs(e[j] - e[k]))
                              for j in range(spec.dim) for k in range(spec.dim))
                 assert value == pytest.approx(oracle, rel=0, abs=1e-12)
+                assert product == lorentzian_purity_product(dist, [T])[0]
+                oracle = sum(p[n] * p[m] * np.exp(-2.0 * T * abs(lv[n] - lv[m]))
+                             for n in range(lv.size) for m in range(lv.size))
+                assert product == pytest.approx(oracle, rel=0, abs=1e-12)
 
     def test_dephased_bound_broadcasts_like_scalar_calls(self):
         rng = np.random.default_rng(9)
@@ -275,7 +287,7 @@ class TestLorentzianPurity:
         scenario = gaussian_scenario(2000, sigma=1.0, span=8.0)
         dist = level_distribution(scenario.state)
         sigma_t = 10.0
-        measured = lorentzian_purity_product(dist, sigma_t)
+        measured = lorentzian_purity_product(dist, [sigma_t])[0]
         target = gaussian_purity_asymptote(1.0, sigma_t)
         assert abs(measured - target) <= 0.1 * target
 
