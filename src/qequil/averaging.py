@@ -9,7 +9,7 @@ Averaging against the Cauchy kernel T / (pi (T^2 + (t - T/2)^2)) has a
 closed form for pure phases, which turns the time-averaged state into an
 entrywise multiplication and gives a computable handle on its purity. That
 purity and its population-product cap are one damped sum over level pairs,
-of the factor's level Gram matrices or of a level distribution's populations.
+weighing the state's |rho_jk|^2 summed per level pair, or a distribution's p_n p_m.
 """
 from __future__ import annotations
 
@@ -121,18 +121,12 @@ def running_average(times, values) -> np.ndarray:
     return out
 
 
-def _check_window(window) -> None:
-    """A Lorentzian window must be finite and nonnegative: at T = inf the
-    zero gaps damp by inf * 0 = NaN."""
-    if not 0 <= window < np.inf:
-        raise ValueError("window must be nonnegative and finite")
-
-
 def lorentzian_phase_average(nu, window: float):
     """Closed-form Lorentzian average e^{-|nu| T} e^{i nu T / 2} of e^{i nu t},
     entrywise for an array of frequencies; 1 at T = 0, the kernel's limit,
     and 0 wherever the damping underflows, where nu T may be infinite."""
-    _check_window(window)
+    if not 0 <= window < np.inf:  # at T = inf the zero gaps damp by inf * 0 = NaN
+        raise ValueError("window must be nonnegative and finite")
     with np.errstate(over="ignore"):  # -inf at a huge T is the T -> inf limit
         damp = np.exp(-abs(nu) * window)
     return damp * np.exp(1j * np.where(damp > 0, nu, 0.0) * window / 2.0)
@@ -147,22 +141,21 @@ def lorentzian_state(state: QuantumState, window: float) -> np.ndarray:
     return state.rho * lorentzian_phase_average(e[None, :] - e[:, None], window)
 
 
-def _damped_level_sums(levels: np.ndarray, g: np.ndarray, windows) -> np.ndarray:
-    """sum_nm e^{-2 |E_n - E_m| T} g_n . g_m = tr(g^T K g) at each window of a
-    1-d array, for real level rows g (a vector: one entry per level). The
+def _damped_level_sums(levels: np.ndarray, weights: np.ndarray, windows) -> np.ndarray:
+    """sum_nm e^{-2 |E_n - E_m| T} w_nm at each window of a 1-d array, for an
+    L x L weight matrix w or, as p @ K @ p, w = p p^T for a vector p. The
     doubled gaps are built once; each window's damping K fills one buffer."""
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 1 or not np.all((windows >= 0) & (windows < np.inf)):
         raise ValueError("windows must be a 1-d array of nonnegative finite values")
-    # the gaps are doubled before they meet a window, so a zero gap stays 0
-    # where 2T overflows, and the others reach -inf, the T -> inf limit
+    # doubled before they meet T, zero gaps stay 0 where 2T overflows, others reach -inf
     rate = -2.0 * np.abs(levels[:, None] - levels[None, :])
     damp = np.empty_like(rate)
     out = np.empty(windows.size)
     with np.errstate(over="ignore"):
         for i, w in enumerate(windows):
             np.exp(np.multiply(rate, w, out=damp), out=damp)
-            out[i] = np.vdot(g.T @ damp, g.T)
+            out[i] = weights @ damp @ weights if weights.ndim == 1 else np.vdot(weights, damp)
     return out
 
 
@@ -176,14 +169,20 @@ def lorentzian_purity_product(dist: LevelDistribution, windows) -> np.ndarray:
 
 def lorentzian_purity(state: QuantumState, windows) -> np.ndarray:
     """Purity tr(omega_LT^2) of the Lorentzian-averaged state at each window
-    of a 1-d array. The damping depends only on the levels, so the |rho_jk|^2
-    of levels n and m sum to tr(G_n G_m), G_n = A_n^dag A_n over the factor's
-    rows on level n (p_n for a pure state), the dot product of their real
-    views as both are Hermitian. Nothing d x d is formed."""
+    of a 1-d array. The damping depends only on the levels: it weighs w_nm,
+    the |rho_jk|^2 summed over the index pairs of levels n and m, which is
+    tr(G_n G_m) for the Gram matrices G_n = A_n^dag A_n of the factor's rows
+    on each level. A d x s factor with s^2 <= d and s L^2 <= d^2 takes that
+    form (d s^2 products, nothing d x d); a wider one sums |A A^dag|^2."""
     a, spec = state.factor, state.spectrum
-    gram = np.add.reduceat(a.conj()[:, :, None] * a[:, None, :], spec.level_starts)
-    g = gram.view(float).reshape(spec.num_levels, -1)
-    return _damped_level_sums(spec.levels, g, windows)
+    s, n, starts = a.shape[1], spec.num_levels, spec.level_starts
+    if s * s <= spec.dim and s * n * n <= spec.dim ** 2:
+        g = np.add.reduceat(a.conj()[:, :, None] * a[:, None, :], starts).reshape(n, -1)
+        weights = g.view(float) @ g.view(float).T
+    else:
+        rho_sq = np.abs(a @ a.conj().T) ** 2
+        weights = np.add.reduceat(np.add.reduceat(rho_sq, starts, axis=0), starts, axis=1)
+    return _damped_level_sums(spec.levels, weights, windows)
 
 
 def dephased_purity_bound(dist: LevelDistribution, window, delta=2.0):

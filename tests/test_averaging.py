@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -243,8 +245,9 @@ class TestLorentzianPurity:
     def test_windows_array_matches_per_window_sums(self, seed, monkeypatch):
         # each window of the array is bit for bit its own one-element call,
         # and equals sum_jk |rho_jk|^2 e^{-2 T |E_j - E_k|} entry by entry, on
-        # degenerate levels for pure and mixed factors of ranks 2 and 4; the
-        # product form likewise, against sum_nm p_n p_m e^{-2 T |E_n - E_m|}
+        # degenerate levels for pure and mixed factors of ranks 2 and 4 (d = 6,
+        # L = 4: ranks 1 and 2 take the level Gram form, rank 4 |A A^dag|^2);
+        # the product form likewise, against sum_nm p_n p_m e^{-2 T |E_n - E_m|}
         rng = np.random.default_rng(seed)
         spec = EnergySpectrum([0.0, 0.8, 1.9, 3.5], [1, 2, 1, 2])
         e, lv = spec.index_energies, spec.levels
@@ -270,6 +273,35 @@ class TestLorentzianPurity:
                 oracle = sum(p[n] * p[m] * np.exp(-2.0 * T * abs(lv[n] - lv[m]))
                              for n in range(lv.size) for m in range(lv.size))
                 assert product == pytest.approx(oracle, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("degeneracies", [[1], [1, 2, 3]])
+    def test_full_rank_mixed_state_matches_index_pair_sum(self, degeneracies):
+        # a full-rank QuantumState.mixed (s = d = 96) equals the index-pair sum
+        # and allocates a few d x d arrays at most, not the level Gram form's
+        # d s^2 complex products (16 MB here)
+        rng = np.random.default_rng(17)
+        degs = np.resize(degeneracies, 96 // sum(degeneracies) * len(degeneracies))
+        spec = EnergySpectrum(np.cumsum(rng.exponential(1.0, degs.size)), degs)
+        d = spec.dim
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = z @ z.conj().T
+        state = QuantumState.mixed(spec, rho / np.trace(rho).real)
+        assert state.factor.shape == (96, 96)
+        windows = np.array([0.0, 0.02, 0.3, 4.0, 1e308])
+        tracemalloc.start()
+        try:
+            values = lorentzian_purity(state, windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * d * d
+        e = spec.index_energies
+        gaps = np.abs(e[:, None] - e[None, :])
+        rho_sq = np.abs(state.rho) ** 2
+        for T, value in zip(windows, values):
+            with np.errstate(over="ignore"):
+                oracle = np.sum(rho_sq * np.exp(-2.0 * gaps * T))
+            assert value == pytest.approx(oracle, rel=1e-13)
 
     def test_dephased_bound_broadcasts_like_scalar_calls(self):
         rng = np.random.default_rng(9)
