@@ -13,8 +13,7 @@ from .states import (EquilibriumState, QuantumState, dephase, effective_dimensio
                      energy_moments, evolve, level_distribution, purity)
 from .measure import (Measurement, Projector, distinguishability,
                       distinguishability_series, two_outcome)
-from .averaging import (TimeGrid, lorentzian_phase_average, lorentzian_purity,
-                        lorentzian_state, time_average)
+from .averaging import TimeGrid, lorentzian_purity, lorentzian_state, time_average
 from .bounds import (BoundReport, fast_equilibration_bound,
                      fast_equilibration_constant, general_distinguishability_bound,
                      general_expectation_bound)

@@ -26,7 +26,6 @@ __all__ = [
     "AverageResult",
     "time_average",
     "running_average",
-    "lorentzian_phase_average",
     "lorentzian_state",
     "lorentzian_purity",
     "lorentzian_purity_product",
@@ -121,24 +120,32 @@ def running_average(times, values) -> np.ndarray:
     return out
 
 
-def lorentzian_phase_average(nu, window: float):
-    """Closed-form Lorentzian average e^{-|nu| T} e^{i nu T / 2} of e^{i nu t},
-    entrywise for an array of frequencies; 1 at T = 0, the kernel's limit,
-    and 0 wherever the damping underflows, where nu T may be infinite."""
-    if not 0 <= window < np.inf:  # at T = inf the zero gaps damp by inf * 0 = NaN
-        raise ValueError("window must be nonnegative and finite")
-    with np.errstate(over="ignore"):  # -inf at a huge T is the T -> inf limit
-        damp = np.exp(-abs(nu) * window)
-    return damp * np.exp(1j * np.where(damp > 0, nu, 0.0) * window / 2.0)
-
-
 def lorentzian_state(state: QuantumState, window: float) -> np.ndarray:
     """Density matrix of the Lorentzian-averaged state: rho_jk is damped by
     e^{-|E_j - E_k| T} and rotated by e^{-i (E_j - E_k) T / 2}; the
     T -> infinity limit is the dephased state, the T = 0 limit the state
-    itself. Returned as a d x d matrix, not revalidated as a state."""
+    itself. Returned as a d x d matrix, not revalidated as a state.
+
+    The rotation is conj(u_j) u_k with u = e^{i (E - E_ref) T / 2}, energies
+    centred on the middle of the spectrum so that each argument stays within
+    span T / 4: d cosines and sines, and one real d x d exponential for the
+    damping. An argument that overflows belongs to an index whose nonzero
+    gaps have damped to 0, so its phase is taken as 1. Each phase is rounded
+    on its own, so an entry may be off by about eps span T / 2 times
+    |rho_jk|, where a phase taken per pair is off by eps |nu| T damped by
+    e^{-|nu| T}."""
+    if not 0 <= window < np.inf:  # at T = inf the zero gaps damp by inf * 0 = NaN
+        raise ValueError("window must be nonnegative and finite")
     e = state.spectrum.index_energies
-    return state.rho * lorentzian_phase_average(e[None, :] - e[:, None], window)
+    # -inf (and 0) at a huge T is the T -> inf limit
+    with np.errstate(over="ignore", under="ignore"):
+        damp = np.exp(-np.abs(e[None, :] - e[:, None]) * window)
+        arg = (e - 0.5 * (e.min() + e.max())) * (window / 2.0)
+        u = np.exp(1j * np.where(np.isfinite(arg), arg, 0.0))
+        out = u.conj()[:, None] * u[None, :]
+        out *= damp
+        out *= state.rho
+    return out
 
 
 def _damped_level_sums(levels: np.ndarray, weights: np.ndarray, windows) -> np.ndarray:

@@ -30,8 +30,8 @@ from .haar import (HaarSampler, TwirlResult, constrained_mean_bound,
                    mc_twirl_pair, n_outcome_constrained_bound, n_outcome_typical_bound,
                    n_outcome_typical_cap, twirl_reconstruction,
                    typical_distinguishability_bound)
-from .measure import (Projector, distinguishability_series, expectation_series,
-                      two_outcome)
+from .measure import (Projector, expectation_series, grid_series,
+                      series_distinguishability, two_outcome)
 from .spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
                       max_window_probability_window, spectrum_from_hermitian)
 from .states import (QuantumState, complex_in, dephase, effective_dimension,
@@ -139,8 +139,9 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
                                max_rank: int = 8, slack: float = 1e-3) -> BatteryReport:
     """Randomized sweep of the two-outcome fast-equilibration bound, with the
     Lorentzian-purity chain checked at every grid point along the way. Each
-    trial evaluates its bounds, window scans and exact purities over all of
-    its windows at once; only the time averages run window by window."""
+    trial evaluates its bounds, window scans, exact purities and the series
+    on every window's grid at once; only the time averages and the matrix
+    path of the purity run window by window."""
     _check_count("trials", trials)
     _check_count("t_points", t_points)
     _check_count("max_rank", max_rank)
@@ -160,11 +161,11 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
         t_grid = np.geomspace(0.1, 100.0, t_points) / sigma
         reps = bounds_mod.fast_equilibration_bound(dist, rank, t_grid)
         chain_rows = _purity_chain_rows(state, dist, sigma, t_grid, trial)
-        for window, rep, chain_row in zip(t_grid, reps, chain_rows):
-            grid = TimeGrid.for_window(window, spec.span)
-            avg = time_average(
-                lambda ts: np.abs(expectation_series(proj, state, ts) - p_omega),
-                grid)
+        grids = [TimeGrid.for_window(window, spec.span) for window in t_grid]
+        series = grid_series(proj, state, [grid.times for grid in grids])
+        for window, grid, values, rep, chain_row in zip(t_grid, grids, series, reps,
+                                                        chain_rows):
+            avg = time_average(lambda ts, values=values: np.abs(values - p_omega), grid)
             rep.measured = avg.value
             rep.slack = slack
             row = {"name": rep.name, "T": float(window), "eps": 1.0 / window,
@@ -225,16 +226,17 @@ def gap_counting_battery(seed: int, dim: int = 40) -> BatteryReport:
     report = BatteryReport()
     state, proj = gap_counting_scenario(seed, dim)
     sigma = energy_moments(level_distribution(state)).std
-    omega = dephase(state)
-    p_omega = proj.expectation(omega)
     meas = two_outcome(proj)
+    p_omega = meas.outcome_probabilities(dephase(state))
 
-    for window in np.geomspace(1.0, 100.0, GAP_COUNTING_WINDOWS) / sigma:
-        grid = TimeGrid.for_window(window, state.spectrum.span)
-        sq_avg = time_average(
-            lambda ts: (expectation_series(proj, state, ts) - p_omega) ** 2, grid)
+    windows = np.geomspace(1.0, 100.0, GAP_COUNTING_WINDOWS) / sigma
+    grids = [TimeGrid.for_window(window, state.spectrum.span) for window in windows]
+    # one stacked call: row 0 is P's own series, and {P, 1 - P} share its factor
+    stacks = grid_series(meas.projectors, state, [grid.times for grid in grids])
+    for window, grid, stack in zip(windows, grids, stacks):
+        sq_avg = time_average(lambda ts, s=stack: (s[0] - p_omega[0]) ** 2, grid)
         d_avg = time_average(
-            lambda ts: distinguishability_series(meas, state, omega, ts), grid)
+            lambda ts, s=stack: series_distinguishability(s, p_omega), grid)
         for factor in GAP_COUNTING_EPS_FACTORS:
             eps = factor * sigma
             exp_rep = bounds_mod.general_expectation_bound(state, 1.0, eps, window)

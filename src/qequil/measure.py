@@ -22,6 +22,7 @@ __all__ = [
     "distinguishability",
     "distinguishability_series",
     "expectation_series",
+    "grid_series",
     "series_distinguishability",
     "save_measurement",
     "load_measurement",
@@ -31,13 +32,13 @@ __all__ = [
 # orthonormalization, so the shared acceptance tolerance is looser than the
 # 1e-10 that exactly constructed projectors meet.
 PROJECTOR_TOL = 1e-8
-# Complex entries that one chunk of expectation_series' phases may take (half
+# Complex entries that one chunk of grid_series' phases may take (half
 # of this), and, separately, the coefficient rows of one group of state
 # columns (the other half). The phases need the budget to amortise their
 # block factoring over many times.
 SERIES_CHUNK_ENTRIES = 4_000_000
 # Complex entries of the start-scaled coefficient rows that one GEMM of
-# expectation_series takes: enough rows to amortise the call, few enough to
+# grid_series takes: enough rows to amortise the call, few enough to
 # stay in cache. A group still holds at least one block of rows.
 _ROW_GROUP_ENTRIES = 2 ** 16
 
@@ -118,55 +119,89 @@ def _row_groups(blocks: int, rows: int, width: int):
 
 
 def _chunk_series(v, columns: np.ndarray, level_starts: np.ndarray,
-                  offsets: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """tr(V V^dag rho_t) at the blocks x m times of one chunk, given the
-    state's columns, the (levels, m) offset and (blocks, levels) start
-    phases. The coefficient rows of a group of state columns take at most
-    half the entry budget, and its locals are freed when it returns."""
-    levels, m = offsets.shape
+                  offsets: np.ndarray, starts: np.ndarray, pieces) -> None:
+    """Add tr(V V^dag rho_t) at the times of each piece of one chunk into
+    the piece's output view, given the state's columns, the chunk's
+    (levels, sum m) offset and (sum blocks, levels) start phases, and each
+    piece's (offset columns, start rows, output) triple; the last block of
+    a piece may run past its times. The coefficient rows of a group of
+    state columns take at most half the entry budget and serve every piece;
+    its locals are freed when it returns."""
+    levels = offsets.shape[0]
     d = columns.shape[1]
     # C-ordered operands keep every product below C-ordered, so the GEMMs run in BLAS
     vh = np.ascontiguousarray(v.conj().T)
     cols = max(SERIES_CHUNK_ENTRIES // 2 // (vh.shape[0] * d), 1)  # state columns per group
-    values = np.zeros(starts.shape[0] * m)
     for c0 in range(0, columns.shape[0], cols):
         coef = np.add.reduceat((columns[c0:c0 + cols, None, :] * vh).reshape(-1, d),
                                level_starts, axis=1)
-        sums = np.zeros((starts.shape[0], m))
-        for b0, b1 in _row_groups(starts.shape[0], coef.shape[0], max(levels, m)):
-            amp = (starts[b0:b1, None, :] * coef).reshape(-1, levels) @ offsets
-            sq = amp.view(float)
-            np.square(sq, out=sq)
-            pairs = sq.reshape(b1 - b0, -1, 2 * m).sum(axis=1)  # re^2, im^2 interleaved
-            sums[b0:b1] = pairs[:, ::2] + pairs[:, 1::2]
-        values += sums.ravel()
-    return values
+        for offs, rows, out in pieces:
+            phase, start = offsets[:, offs], starts[rows]
+            blocks, m = start.shape[0], phase.shape[1]
+            sums = np.zeros((blocks, m))
+            for b0, b1 in _row_groups(blocks, coef.shape[0], max(levels, m)):
+                amp = (start[b0:b1, None, :] * coef).reshape(-1, levels) @ phase
+                sq = amp.view(float)
+                np.square(sq, out=sq)
+                pairs = sq.reshape(b1 - b0, -1, 2 * m).sum(axis=1)  # re^2, im^2 interleaved
+                sums[b0:b1] = pairs[:, ::2] + pairs[:, 1::2]
+            out += sums.ravel()[:out.size]
 
 
-def expectation_series(projectors, state: QuantumState, times) -> np.ndarray:
-    """tr(P rho_t) for a 1-d array of finite times, from d x r factor
-    products; for a sequence of projectors, a (len, n) array with one series
-    per projector.
+def _plan_chunks(grids, levels: int):
+    """The pieces of every grid, packed in order into chunks. A grid is cut
+    into pieces of k^2 times, k offset and k start phases per level at most
+    half the entry budget; each piece keeps its own block length m. A chunk
+    takes pieces while their m + blocks phases per level stay within half
+    the budget (one piece at least). Yields lists of (grid, first time,
+    times, m)."""
+    chunk = max(SERIES_CHUNK_ENTRIES // 2 // (2 * levels), 1) ** 2
+    planned, used = [], 0
+    for g, times in enumerate(grids):
+        for first in range(0, times.size, chunk):
+            t = times[first:first + chunk]
+            m = _block_length(t)
+            cost = (m + -(-t.size // m)) * levels  # m offsets and ceil(n / m) starts
+            if planned and used + cost > SERIES_CHUNK_ENTRIES // 2:
+                yield planned
+                planned, used = [], 0
+            planned.append((g, first, t, m))
+            used += cost
+    if planned:
+        yield planned
+
+
+def grid_series(projectors, state: QuantumState, grids) -> list:
+    """tr(P rho_t) on each of a sequence of 1-d arrays of finite times: one
+    entry per grid, each what expectation_series gives for that grid alone,
+    bit for bit.
 
     With rho = A A^dag, tr(V V^dag rho_t) is the sum over the columns a of A
     and the rows c = conj(V)^T a of |sum_k c_k e^{-i E_k t}|^2; c is first
-    summed within each level, so the phases are taken per level. The times
-    run in chunks of k^2, and a chunk is cut into blocks of m times (see
+    summed within each level, so the phases are taken per level. Each grid
+    is cut into pieces of k^2 times, and a piece into blocks of m times (see
     _block_length) where the phase at t_{bm+j} factors exactly as
     e^{-iE t_{bm}} e^{-iE (t_j - t_0)}: about 2 sqrt(n) exponentials per
     level instead of n, and one GEMM of the start-scaled rows of a group of
     blocks against the (levels, m) offset phases.
 
+    One planner serves any number of grids: the pieces of all grids are
+    packed into chunks (see _plan_chunks), and a chunk takes the offset
+    phases of all its pieces in one exponential call and their start phases
+    in another. Each factor forms the coefficient rows of a group of state
+    columns once per chunk, and every piece runs its own GEMMs on them, so
+    the many short grids of a window sweep cost one pass, not one per grid.
+
     Two bounds keep memory flat. The phases of a chunk, and the coefficient
     rows of a group of state columns, each take at most
-    SERIES_CHUNK_ENTRIES // 2 complex entries (one time, and one state
+    SERIES_CHUNK_ENTRIES // 2 complex entries (one piece, and one state
     column, at least). The start-scaled rows of one GEMM take at most
     _ROW_GROUP_ENTRIES (one block of rows at least), so no d x d or d x nt
-    array is formed. A GEMM holds whole blocks, so each time's squares are
-    summed over the same rows in the same order however the blocks are
-    grouped: the row groups move no bit of the result while BLAS rounds a
-    GEMM row alike in any GEMM (it does single-threaded; a threaded split
-    can differ).
+    array is formed. A GEMM holds whole blocks of one piece, so each time's
+    squares are summed over the same rows in the same order however the
+    blocks are grouped and the pieces packed: neither moves a bit of the
+    result while BLAS rounds a GEMM row alike in any GEMM (it does
+    single-threaded; a threaded split can differ).
 
     A stack shares the block check and the phases of every chunk. Each
     factor forms its own coefficient rows and GEMMs, as a call for it alone
@@ -177,32 +212,44 @@ def expectation_series(projectors, state: QuantumState, times) -> np.ndarray:
     A complement's series is 1 - the series of V V^dag; a rank-0 V V^dag
     has the series 0.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not np.all(np.isfinite(times)):
+    grids = [np.asarray(times, dtype=float) for times in grids]
+    if any(t.ndim != 1 or not np.all(np.isfinite(t)) for t in grids):
         raise ValueError("times must be a 1-d array of finite values")
     single = isinstance(projectors, Projector)
     stack = (projectors,) if single else tuple(projectors)
     if any(p.dim != state.factor.shape[0] for p in stack):
         raise ValueError("projectors and state have mismatched dimensions")
     factors = {id(p.factor): p.factor for p in stack}
-    values = {key: np.zeros(times.size) for key in factors}
+    values = {key: [np.zeros(t.size) for t in grids] for key in factors}
     spec = state.spectrum
-    # A chunk of k^2 times has k offset and k start phases per level, at
-    # most half the entry budget.
-    chunk = max(SERIES_CHUNK_ENTRIES // 2 // (2 * spec.levels.size), 1) ** 2
     columns = np.ascontiguousarray(state.factor.T)
-    for start in range(0, times.size, chunk):
-        t = times[start:start + chunk]
-        m = _block_length(t)
-        offsets = _phases(spec.levels, t[:m] - t[0])  # (levels, m)
-        starts = _phases(t[::m], spec.levels)  # (blocks, levels); t E is E t bitwise
+    for planned in _plan_chunks(grids, spec.levels.size):
+        o = np.cumsum([0, *(m for *_, m in planned)])
+        r = np.cumsum([0, *(-(-t.size // m) for _, _, t, m in planned)])
+        offsets = _phases(spec.levels, np.concatenate(
+            [t[:m] - t[0] for _, _, t, m in planned]))  # (levels, sum m)
+        starts = _phases(np.concatenate([t[::m] for _, _, t, m in planned]),
+                         spec.levels)  # (sum blocks, levels); t E is E t bitwise
         for key, v in factors.items():
             if v.shape[1]:  # else V V^dag = 0
-                values[key][start:start + t.size] = _chunk_series(
-                    v, columns, spec.level_starts, offsets, starts)[:t.size]
-    out = [1.0 - values[id(p.factor)] if p.is_complement else values[id(p.factor)]
-           for p in stack]
-    return out[0] if single else np.array(out).reshape(len(stack), times.size)
+                pieces = [(slice(o[i], o[i + 1]), slice(r[i], r[i + 1]),
+                           values[key][g][first:first + t.size])
+                          for i, (g, first, t, _) in enumerate(planned)]
+                _chunk_series(v, columns, spec.level_starts, offsets, starts, pieces)
+    out = []
+    for g, times in enumerate(grids):
+        series = [1.0 - values[id(p.factor)][g] if p.is_complement
+                  else values[id(p.factor)][g] for p in stack]
+        out.append(series[0] if single
+                   else np.array(series).reshape(len(stack), times.size))
+    return out
+
+
+def expectation_series(projectors, state: QuantumState, times) -> np.ndarray:
+    """tr(P rho_t) for a 1-d array of finite times; for a sequence of
+    projectors, a (len, n) array with one series per projector. The one-grid
+    call of grid_series, which documents the method."""
+    return grid_series(projectors, state, [times])[0]
 
 
 class Measurement:

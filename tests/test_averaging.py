@@ -7,20 +7,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid,
-                              dephased_purity_bound,
-                              lorentzian_phase_average, lorentzian_purity,
+                              dephased_purity_bound, lorentzian_purity,
                               lorentzian_purity_product, lorentzian_state,
                               running_average, time_average)
 from qequil.bounds import gaussian_purity_asymptote
 from qequil.constructions import gaussian_scenario, harmonic_oscillator_1d
 from qequil.measure import Projector, expectation_series
 from qequil.spectra import EnergySpectrum
-from qequil.states import (QuantumState, dephase, effective_dimension,
+from qequil.states import (QuantumState, dephase, effective_dimension, energy_moments,
                            level_distribution, purity)
 
-from helpers import (dense_dephase, lorentzian_domination_check,
-                     lorentzian_phase_average_quadrature, poisson_spectrum,
-                     random_mixed, random_pure, running_average_trapezoid)
+from helpers import (dense_dephase, lorentzian_domination_check, lorentzian_phase_average,
+                     lorentzian_phase_average_quadrature, lorentzian_state_entrywise,
+                     poisson_spectrum, random_mixed, random_pure,
+                     running_average_trapezoid)
 
 
 class TestTimeGrid:
@@ -179,6 +179,38 @@ class TestLorentzianState:
                               for k in range(4)] for j in range(4)])
             assert np.abs(lorentzian_state(state, T) - want).max() < 1e-15
         assert np.array_equal(lorentzian_state(state, 0.0), state.rho)
+
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_per_index_phases_match_the_entrywise_average(self, seed, kind, offset):
+        # conj(u_j) u_k rounds each index's phase on its own; on degenerate
+        # levels, with energies offset by 10^3 sigma_E and windows from 0 to
+        # 10^3 / sigma_E, it stays within 1e-14 of rho_jk times the phase
+        # average at nu = E_k - E_j
+        rng = np.random.default_rng(seed)
+        degs = [3, 1, 2, 1, 4, 1, 2]
+        levels = np.cumsum(rng.exponential(1.0, len(degs)))
+        spec = EnergySpectrum(levels, degs)
+        state = random_pure(rng, spec) if kind == "pure" else random_mixed(rng, spec)
+        sigma = energy_moments(level_distribution(state)).std
+        state = QuantumState(EnergySpectrum(levels + offset * sigma, degs), state.factor)
+        for T in (0.0, *np.geomspace(1e-3, 1e3, 13) / sigma):
+            got = lorentzian_state(state, T)
+            assert np.abs(got - lorentzian_state_entrywise(state, T)).max() <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_per_index_phases_take_the_huge_window_limit_quietly(self, kind):
+        # at T = 1e308 the phase arguments overflow: those indices' nonzero
+        # gaps have damped to 0, so their phase is 1 and no flag is raised
+        rng = np.random.default_rng(11)
+        spec = EnergySpectrum([-3.0, -0.5, 0.0, 2.0, 7.5], [2, 1, 3, 1, 2])
+        state = random_pure(rng, spec) if kind == "pure" else random_mixed(rng, spec)
+        with np.errstate(all="raise"):
+            got = lorentzian_state(state, 1e308)
+        assert np.abs(got - lorentzian_state_entrywise(state, 1e308)).max() <= 1e-14
+        assert np.abs(got - dense_dephase(state)).max() <= 1e-15
 
 
 class TestLorentzianPurity:

@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from qequil.averaging import (TimeGrid, dephased_purity_bound,
-                              lorentzian_phase_average, lorentzian_purity,
+from qequil.averaging import (TimeGrid, dephased_purity_bound, lorentzian_purity,
                               lorentzian_purity_product, lorentzian_state,
                               time_average)
 from qequil.bounds import (BoundReport, _erfcx, fast_equilibration_bound,
@@ -25,8 +24,8 @@ from qequil.spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_windo
 from qequil.states import dephase, energy_moments, level_distribution, purity
 
 from helpers import (best_epsilon, dense_dephase, fast_equilibration_chain,
-                     n_outcome_fast_bound, poisson_spectrum, population_term_bound,
-                     random_mixed, random_pure)
+                     lorentzian_phase_average, n_outcome_fast_bound, poisson_spectrum,
+                     population_term_bound, random_mixed, random_pure)
 
 NAN = float("nan")
 _SCEN = random_scenario(3, 6)

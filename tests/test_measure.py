@@ -11,7 +11,7 @@ from qequil.averaging import TimeGrid
 from qequil.constructions import (partitioned_slow_measurement, random_scenario,
                                   snapshot_subspace)
 from qequil.measure import (Measurement, Projector, distinguishability,
-                            distinguishability_series, expectation_series,
+                            distinguishability_series, expectation_series, grid_series,
                             load_measurement, save_measurement, two_outcome)
 from qequil.spectra import EnergySpectrum
 from qequil.states import QuantumState, complex_out, dephase, evolve
@@ -391,6 +391,77 @@ def test_row_group_bound_moves_no_bit(d, data):
         for rows in (1, 2 ** 40):
             mp.setattr(measure, "_ROW_GROUP_ENTRIES", rows)
             assert np.array_equal(expectation_series(stack, state, times), default)
+
+
+def _grids_case(times, data, rng):
+    """The drawn grid and zero to three more: linspaces of 0 to 60 times
+    from any start, or jittered ones (block length 1)."""
+    grids = [times]
+    for _ in range(data.draw(st.integers(0, 3), label="grids")):
+        t0 = data.draw(st.floats(-20.0, 20.0), label="t0")
+        n = data.draw(st.integers(0, 60), label="n")
+        grid = np.linspace(t0, t0 + data.draw(st.floats(0.0, 40.0), label="span"), n)
+        if data.draw(st.booleans(), label="jittered"):
+            grid = grid + rng.uniform(-0.2, 0.2, n)
+        grids.append(grid)
+    return grids
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 12), data=st.data())
+def test_grid_series_is_each_grid_series(d, data):
+    # pieces of several grids share a chunk's phases and coefficient rows,
+    # and each piece runs its own GEMMs: every grid is bit for bit its own call
+    state, stack, times, entries = _stack_case(d, data)
+    grids = _grids_case(times, data, np.random.default_rng(d))
+    single = data.draw(st.booleans(), label="single")
+    projectors = stack[0] if single else stack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "SERIES_CHUNK_ENTRIES", entries)
+        together = grid_series(projectors, state, grids)
+        alone = [expectation_series(projectors, state, t) for t in grids]
+    assert len(together) == len(grids)
+    for got, want in zip(together, alone):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_grid_series_packs_pieces_of_several_grids(mixed):
+    # 4 levels and a budget of 200 entries: pieces of 144 times, and chunks
+    # of at most 100 phases. The 40-time linspace (m = 7) and the jittered
+    # grid (m = 1) share the first chunk; the 300-time grid is cut in three,
+    # and its 12-time tail shares a chunk with the one-time grid. A pure
+    # state and a rank-1 projector give one coefficient row, the GEMV guard.
+    rng = np.random.default_rng(4)
+    spec = EnergySpectrum([0.0, 0.7, 1.3, 2.9], [2, 1, 2, 1])
+    state = random_mixed(rng, spec) if mixed else random_pure(rng, spec)
+    p = Projector.from_factor(_haar_frame(rng, 6, 1))
+    empty = Projector.from_factor(np.zeros((6, 0)))
+    stack = [p, p.complement(), empty, Projector.from_factor(_haar_frame(rng, 6, 3))]
+    grids = [np.linspace(0.0, 3.0, 40), np.sort(rng.uniform(0.0, 5.0, 7)),
+             np.linspace(1.0, 50.0, 300), np.array([2.5]), np.array([])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "SERIES_CHUNK_ENTRIES", 200)
+        plan = [[(g, first, t.size) for g, first, t, _ in chunk]
+                for chunk in measure._plan_chunks(grids, spec.levels.size)]
+        together = grid_series(stack, state, grids)
+        alone = [expectation_series(stack, state, t) for t in grids]
+    assert plan == [[(0, 0, 40), (1, 0, 7)], [(2, 0, 144)], [(2, 144, 144)],
+                    [(2, 288, 12), (3, 0, 1)]]
+    for got, want in zip(together, alone):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert not together[0][2].any() and together[-1].shape == (4, 0)
+
+
+def test_grid_series_rejects_any_bad_grid(spec):
+    state = random_pure(np.random.default_rng(8), spec)
+    p = Projector.from_factor(_haar_frame(np.random.default_rng(8), 5, 2))
+    assert grid_series(p, state, []) == []
+    for bad in ([np.inf], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="1-d array of finite values"):
+            grid_series(p, state, [np.linspace(0.0, 1.0, 5), bad])
 
 
 def test_series_stack_edge_cases(spec):
