@@ -11,8 +11,7 @@ from .spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
                       spectrum_from_hermitian)
 from .states import (EquilibriumState, QuantumState, dephase, effective_dimension,
                      energy_moments, evolve, level_distribution, purity)
-from .measure import (Measurement, Projector, distinguishability,
-                      distinguishability_series, two_outcome)
+from .measure import Measurement, Projector, distinguishability, two_outcome
 from .averaging import TimeGrid, lorentzian_purity, lorentzian_state, time_average
 from .bounds import (BoundReport, fast_equilibration_bound,
                      fast_equilibration_constant, general_distinguishability_bound,

@@ -165,7 +165,8 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
         series = grid_series(proj, state, [grid.times for grid in grids])
         for window, grid, values, rep, chain_row in zip(t_grid, grids, series, reps,
                                                         chain_rows):
-            avg = time_average(lambda ts, values=values: np.abs(values - p_omega), grid)
+            # time_average calls f once, on grid.times: the times of values
+            avg = time_average(lambda ts: np.abs(values - p_omega), grid)
             rep.measured = avg.value
             rep.slack = slack
             row = {"name": rep.name, "T": float(window), "eps": 1.0 / window,
@@ -234,9 +235,9 @@ def gap_counting_battery(seed: int, dim: int = 40) -> BatteryReport:
     # one stacked call: row 0 is P's own series, and {P, 1 - P} share its factor
     stacks = grid_series(meas.projectors, state, [grid.times for grid in grids])
     for window, grid, stack in zip(windows, grids, stacks):
-        sq_avg = time_average(lambda ts, s=stack: (s[0] - p_omega[0]) ** 2, grid)
-        d_avg = time_average(
-            lambda ts, s=stack: series_distinguishability(s, p_omega), grid)
+        # time_average calls f once, on grid.times: the times of stack
+        sq_avg = time_average(lambda ts: (stack[0] - p_omega[0]) ** 2, grid)
+        d_avg = time_average(lambda ts: series_distinguishability(stack, p_omega), grid)
         for factor in GAP_COUNTING_EPS_FACTORS:
             eps = factor * sigma
             exp_rep = bounds_mod.general_expectation_bound(state, 1.0, eps, window)

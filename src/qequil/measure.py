@@ -20,7 +20,6 @@ __all__ = [
     "Measurement",
     "two_outcome",
     "distinguishability",
-    "distinguishability_series",
     "expectation_series",
     "grid_series",
     "series_distinguishability",
@@ -319,16 +318,6 @@ def distinguishability(m: Measurement, a: QuantumState | EquilibriumState,
     pa = m.outcome_probabilities(a)
     pb = m.outcome_probabilities(b)
     return 0.5 * float(np.abs(pa - pb).sum())
-
-
-def distinguishability_series(m: Measurement, state: QuantumState,
-                              fixed: QuantumState | EquilibriumState,
-                              times) -> np.ndarray:
-    """D(rho_t, fixed) under m for an array of times, with state evolving
-    and the comparison state (typically the equilibrium state) held fixed;
-    one stacked series call for all outcomes."""
-    return series_distinguishability(expectation_series(m.projectors, state, times),
-                                     m.outcome_probabilities(fixed))
 
 
 def series_distinguishability(series: np.ndarray, fixed) -> np.ndarray:

@@ -18,7 +18,8 @@ from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid, dephased_p
 from qequil.bounds import (BoundReport, fast_equilibration_bound,
                            fast_equilibration_constant, general_distinguishability_bound,
                            population_constant, purity_chain_factor)
-from qequil.measure import PROJECTOR_TOL, Projector, _phases, expectation_series
+from qequil.measure import (PROJECTOR_TOL, Projector, _phases, expectation_series,
+                            series_distinguishability)
 from qequil.spectra import EnergySpectrum, LevelDistribution, max_window_probability
 from qequil.states import (EquilibriumState, QuantumState, dephase, energy_moments,
                            level_distribution, purity)
@@ -155,6 +156,15 @@ def dense_distinguishability(measurement, a, b) -> float:
     matrices."""
     return 0.5 * sum(abs(dense_expectation(p, a) - dense_expectation(p, b))
                      for p in measurement.projectors)
+
+
+def distinguishability_series(m, state: QuantumState, fixed, times) -> np.ndarray:
+    """D(rho_t, fixed) under m for an array of times, with state evolving
+    and the comparison state (typically the equilibrium state) held fixed:
+    series_distinguishability of one stacked series call for all outcomes,
+    the form gap_counting_battery takes on its window grids."""
+    return series_distinguishability(expectation_series(m.projectors, state, times),
+                                     m.outcome_probabilities(fixed))
 
 
 def overlap(a: QuantumState, b: QuantumState) -> float:

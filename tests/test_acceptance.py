@@ -12,14 +12,13 @@ from qequil.constructions import (gaussian_scenario, harmonic_oscillator_1d,
                                   snapshot_subspace, slow_window_check)
 from qequil.haar import HaarSampler, TwirlResult, exact_mean_sq_distinguishability, \
     mc_distinguishabilities, n_outcome_typical_cap
-from qequil.measure import (Projector, distinguishability_series,
-                            expectation_series, two_outcome)
+from qequil.measure import Projector, expectation_series, two_outcome
 from qequil.spectra import EnergySpectrum, LevelDistribution, max_window_probability
 from qequil.states import (QuantumState, dephase, energy_moments, evolve,
                            level_distribution, purity)
 
 from helpers import best_epsilon, brute_eta, brute_gap_count, dense, dense_dephase, \
-    matrix_from_column_traces, overlap, poisson_spectrum, projector_from_matrix, \
+    distinguishability_series, matrix_from_column_traces, overlap, poisson_spectrum, projector_from_matrix, \
     random_mixed, random_pure
 
 SEED = 20240811

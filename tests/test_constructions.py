@@ -11,12 +11,11 @@ from qequil.constructions import (Scenario, gaussian_scenario,
                                   harmonic_oscillator_3d_boltzmann,
                                   partitioned_slow_measurement, random_scenario,
                                   snapshot_subspace, slow_window_check)
-from qequil.measure import (Projector, distinguishability, distinguishability_series,
-                            expectation_series, two_outcome)
+from qequil.measure import Projector, distinguishability, expectation_series, two_outcome
 from qequil.spectra import max_window_probability, max_window_probability_window
 from qequil.states import QuantumState, dephase, evolve, level_distribution
 
-from helpers import brute_eta, dense, overlap
+from helpers import brute_eta, dense, distinguishability_series, overlap
 
 
 @pytest.fixture(scope="module")

@@ -21,13 +21,13 @@ from qequil import batteries, cli
 from qequil.constructions import (partitioned_slow_measurement, random_scenario,
                                   slow_window_check, snapshot_subspace)
 from qequil.measure import (Measurement, Projector, _phases, distinguishability,
-                            distinguishability_series, expectation_series, two_outcome)
+                            expectation_series, two_outcome)
 from qequil.spectra import EnergySpectrum
 from qequil.states import (EquilibriumState, QuantumState, dephase, evolve,
                            level_distribution, purity)
 
 from helpers import (dense_dephase, dense_distinguishability, dense_expectation,
-                     gap_series, matrix_from_column_traces, random_mixed, random_pure)
+                     distinguishability_series, gap_series, matrix_from_column_traces, random_mixed, random_pure)
 
 TOL = 1e-14
 SERIES_TOL = 1e-12

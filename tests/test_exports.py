@@ -13,12 +13,11 @@ import qequil
 
 MODULES = ("spectra", "states", "measure", "averaging", "bounds", "haar",
            "constructions", "batteries", "cli")
-# Public API that no experiment calls: file round trips, distinguishability
-# measures and constructions offered to users of the library. A method is
-# named with its class.
-ENTRY_POINTS = {"save_state", "distinguishability", "distinguishability_series",
-                "save_measurement", "load_measurement",
-                "harmonic_oscillator_3d_boltzmann", "EnergySpectrum.save"}
+# Public API that no experiment calls: file round trips and constructions
+# offered to users of the library. A method is named with its class.
+ENTRY_POINTS = {"save_state", "distinguishability", "save_measurement",
+                "load_measurement", "harmonic_oscillator_3d_boltzmann",
+                "EnergySpectrum.save"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -10,14 +10,15 @@ from qequil import measure
 from qequil.averaging import TimeGrid
 from qequil.constructions import (partitioned_slow_measurement, random_scenario,
                                   snapshot_subspace)
-from qequil.measure import (Measurement, Projector, distinguishability,
-                            distinguishability_series, expectation_series, grid_series,
-                            load_measurement, save_measurement, two_outcome)
+from qequil.measure import (Measurement, Projector, distinguishability, expectation_series,
+                            grid_series, load_measurement, save_measurement, two_outcome)
 from qequil.spectra import EnergySpectrum
 from qequil.states import QuantumState, complex_out, dephase, evolve
 
-from helpers import (dense, direct_series, gap_series, projector_from_matrix,
-                     random_mixed, random_pure, success_probability, trace_distance)
+import helpers
+from helpers import (dense, direct_series, distinguishability_series, gap_series,
+                     projector_from_matrix, random_mixed, random_pure, success_probability,
+                     trace_distance)
 
 
 @pytest.fixture
@@ -482,7 +483,7 @@ def test_distinguishability_series_is_one_stacked_call(spec, monkeypatch):
                                                                 [2, 3], axis=1)])
     calls = []
     kernel = measure.expectation_series
-    monkeypatch.setattr(measure, "expectation_series",
+    monkeypatch.setattr(helpers, "expectation_series",
                         lambda *args: calls.append(args) or kernel(*args))
     times = np.linspace(0.0, 4.0, 9)
     got = distinguishability_series(m, state, dephase(state), times)
