@@ -13,10 +13,10 @@ from .states import (EquilibriumState, QuantumState, dephase, effective_dimensio
                      energy_moments, evolve, level_distribution, purity)
 from .measure import Measurement, Projector, distinguishability, two_outcome
 from .averaging import TimeGrid, lorentzian_purity, lorentzian_state, time_average
-from .bounds import (BoundReport, fast_equilibration_bound,
-                     fast_equilibration_constant, general_distinguishability_bound,
+from .bounds import (fast_equilibration_bound, fast_equilibration_constant,
+                     gap_counting_terms, general_distinguishability_bound,
                      general_expectation_bound)
-from .haar import (HaarSampler, TwirlResult, exact_mean_sq_distinguishability,
+from .haar import (HaarSampler, exact_mean_sq_distinguishability,
                    typical_distinguishability_bound)
 from .constructions import (Scenario, SnapshotSubspace, gaussian_scenario,
                             harmonic_oscillator_1d, harmonic_oscillator_3d_boltzmann,

@@ -14,7 +14,7 @@ weighing the state's |rho_jk|^2 summed per level pair, or a distribution's p_n p
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,16 +89,14 @@ def _trapezoid_mean(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times) / span)
 
 
-def time_average(f: Callable, grid: TimeGrid) -> AverageResult:
-    """Uniform average (1/T) * integral of f over [0, T].
-
-    ``f`` must accept an array of times and return an array of values. The
-    refinement error is the difference to the half-resolution estimate;
-    callers decide whether it is acceptable.
+def time_average(values, grid: TimeGrid) -> AverageResult:
+    """Uniform average (1/T) * integral over [0, T] of ``values``, sampled
+    on ``grid.times``. The refinement error is the difference to the
+    half-resolution estimate; callers decide whether it is acceptable.
     """
-    values = np.asarray(f(grid.times), dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.shape != grid.times.shape:
-        raise ValueError("f must return one value per grid time")
+        raise ValueError("values must hold one value per grid time")
     full = _trapezoid_mean(values, grid.times)
     half = _trapezoid_mean(values[::2], grid.times[::2])
     return AverageResult(full, abs(full - half))

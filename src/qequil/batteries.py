@@ -24,16 +24,17 @@ from .averaging import (TimeGrid, dephased_purity_bound, lorentzian_purity,
                         running_average, time_average)
 from .constructions import (Scenario, gaussian_scenario, harmonic_oscillator_1d,
                             random_scenario, snapshot_subspace, slow_window_check)
-from .haar import (HaarSampler, TwirlResult, constrained_mean_bound,
-                   exact_mean_sq_distinguishability, initial_distinguishability_exact,
-                   initial_distinguishability_floor, mc_distinguishabilities,
-                   mc_twirl_pair, n_outcome_constrained_bound, n_outcome_typical_bound,
+from .haar import (HaarSampler, constrained_mean_bound, exact_mean_sq_distinguishability,
+                   initial_distinguishability_exact, initial_distinguishability_floor,
+                   mc_distinguishabilities, mc_mean_stderr, mc_twirl_pair,
+                   n_outcome_constrained_bound, n_outcome_typical_bound,
                    n_outcome_typical_cap, twirl_reconstruction,
                    typical_distinguishability_bound)
 from .measure import (Projector, expectation_series, grid_series,
                       series_distinguishability, two_outcome)
 from .spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
-                      max_window_probability_window, spectrum_from_hermitian)
+                      max_window_probability, max_window_probability_window,
+                      spectrum_from_hermitian)
 from .states import (QuantumState, complex_in, dephase, effective_dimension,
                      energy_moments, evolve, level_distribution, load_state)
 
@@ -139,7 +140,7 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
                                max_rank: int = 8, slack: float = 1e-3) -> BatteryReport:
     """Randomized sweep of the two-outcome fast-equilibration bound, with the
     Lorentzian-purity chain checked at every grid point along the way. Each
-    trial evaluates its bounds, window scans, exact purities and the series
+    trial evaluates its window scans, bounds, exact purities and the series
     on every window's grid at once; only the time averages and the matrix
     path of the purity run window by window."""
     _check_count("trials", trials)
@@ -159,21 +160,19 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
         proj = HaarSampler(int(rng.integers(2 ** 62)), d).projector(rank)
         p_omega = proj.expectation(omega)
         t_grid = np.geomspace(0.1, 100.0, t_points) / sigma
-        reps = bounds_mod.fast_equilibration_bound(dist, rank, t_grid)
+        etas = max_window_probability(dist, 1.0 / t_grid)
+        bounds = bounds_mod.fast_equilibration_bound(etas, rank)
         chain_rows = _purity_chain_rows(state, dist, sigma, t_grid, trial)
         grids = [TimeGrid.for_window(window, spec.span) for window in t_grid]
         series = grid_series(proj, state, [grid.times for grid in grids])
-        for window, grid, values, rep, chain_row in zip(t_grid, grids, series, reps,
-                                                        chain_rows):
-            # time_average calls f once, on grid.times: the times of values
-            avg = time_average(lambda ts: np.abs(values - p_omega), grid)
-            rep.measured = avg.value
-            rep.slack = slack
-            row = {"name": rep.name, "T": float(window), "eps": 1.0 / window,
-                   "K": rank, "value": rep.value, "measured": avg.value,
-                   "holds": rep.holds, "battery": "fast_equilibration", "trial": trial,
-                   "label": scenario.label, "d": d, "levels": spec.num_levels,
-                   "eta": rep.inputs["eta"],
+        for window, grid, values, eta, bound, chain_row in zip(t_grid, grids, series,
+                                                               etas, bounds, chain_rows):
+            avg = time_average(np.abs(values - p_omega), grid)
+            row = {"name": "fast_equilibration", "T": float(window), "eps": 1.0 / window,
+                   "K": rank, "value": bound, "measured": avg.value,
+                   "holds": avg.value <= bound + slack, "battery": "fast_equilibration",
+                   "trial": trial, "label": scenario.label, "d": d,
+                   "levels": spec.num_levels, "eta": float(eta),
                    "refinement_error": avg.refinement_error}
             report.rows.append(row)
             report.rows.append(chain_row)
@@ -234,24 +233,23 @@ def gap_counting_battery(seed: int, dim: int = 40) -> BatteryReport:
     grids = [TimeGrid.for_window(window, state.spectrum.span) for window in windows]
     # one stacked call: row 0 is P's own series, and {P, 1 - P} share its factor
     stacks = grid_series(meas.projectors, state, [grid.times for grid in grids])
+    widths = [factor * sigma for factor in GAP_COUNTING_EPS_FACTORS]
+    terms = [bounds_mod.gap_counting_terms(state, eps) for eps in widths]
     for window, grid, stack in zip(windows, grids, stacks):
-        # time_average calls f once, on grid.times: the times of stack
-        sq_avg = time_average(lambda ts: (stack[0] - p_omega[0]) ** 2, grid)
-        d_avg = time_average(lambda ts: series_distinguishability(stack, p_omega), grid)
-        for factor in GAP_COUNTING_EPS_FACTORS:
-            eps = factor * sigma
-            exp_rep = bounds_mod.general_expectation_bound(state, 1.0, eps, window)
-            exp_rep.measured, exp_rep.slack = sq_avg.value, 1e-3
-            dis_rep = bounds_mod.general_distinguishability_bound(state, 2, eps, window)
-            dis_rep.measured, dis_rep.slack = d_avg.value, 1e-3
-            for rep in (exp_rep, dis_rep):
-                row = {"name": rep.name, "T": float(window), "eps": float(eps),
-                       "K": proj.rank, "value": rep.value,
-                       "measured": rep.measured, "holds": rep.holds,
-                       "battery": "gap_counting", "d": dim,
-                       "N_eps": rep.inputs["N_eps"],
-                       "informative": rep.value < 1.0}
-                report.rows.append(row)
+        sq_avg = time_average((stack[0] - p_omega[0]) ** 2, grid)
+        d_avg = time_average(series_distinguishability(stack, p_omega), grid)
+        for eps, (n_eps, d_eff) in zip(widths, terms):
+            for name, measured, value in (
+                    ("general_expectation", sq_avg.value,
+                     bounds_mod.general_expectation_bound(n_eps, d_eff, eps, window)),
+                    ("general_distinguishability", d_avg.value,
+                     bounds_mod.general_distinguishability_bound(n_eps, d_eff, 2, eps,
+                                                                 window))):
+                report.rows.append({
+                    "name": name, "T": float(window), "eps": float(eps), "K": proj.rank,
+                    "value": value, "measured": measured,
+                    "holds": measured <= value + 1e-3, "battery": "gap_counting",
+                    "d": dim, "N_eps": n_eps, "informative": value < 1.0})
     return report
 
 
@@ -288,14 +286,12 @@ def haar_battery(seed: int, scenarios: int = 50, samples: int = 300) -> BatteryR
         ]
         for (name, excluded, part, cap), sampler_seed in zip(checks, seeds):
             sampler = HaarSampler(sampler_seed, d, excluded_vector=excluded)
-            res = TwirlResult.from_samples(
-                mc_distinguishabilities(state_t, omega, part, sampler, samples), cap,
-                sampler)
-            limit = cap + HAAR_STDERR_SIGMAS * res.mc_stderr
-            row = {"name": name, "T": t, "K": rank, "value": cap,
-                   "measured": res.mc_mean, "holds": res.mc_mean <= limit,
+            mean, stderr = mc_mean_stderr(
+                mc_distinguishabilities(state_t, omega, part, sampler, samples))
+            row = {"name": name, "T": t, "K": rank, "value": cap, "measured": mean,
+                   "holds": mean <= cap + HAAR_STDERR_SIGMAS * stderr,
                    "battery": "haar", "scenario": idx, "d": d, "N": outcomes,
-                   "mc_stderr": res.mc_stderr}
+                   "mc_stderr": stderr}
             report.rows.append(row)
     return report
 
@@ -462,10 +458,11 @@ def run_haar(config: dict) -> ExperimentResult:
 
     def check(name: str, values: np.ndarray, exact: float, sampler: HaarSampler,
               sigmas: float, cap_only: bool):
-        res = TwirlResult.from_samples(values, exact, sampler)
-        gap = res.mc_mean - res.exact
-        ok = gap <= sigmas * res.mc_stderr if cap_only else abs(gap) <= sigmas * res.mc_stderr
-        reports[name] = {**res.to_dict(), "holds": bool(ok)}
+        mean, stderr = mc_mean_stderr(values)
+        gap = mean - exact
+        ok = gap <= sigmas * stderr if cap_only else abs(gap) <= sigmas * stderr
+        reports[name] = {"exact": float(exact), "mc_mean": mean, "mc_stderr": stderr,
+                         "samples": values.size, "seed": sampler.seed, "holds": bool(ok)}
 
     # exact second moment vs MC
     scenario = random_scenario(seed + 1, 8)

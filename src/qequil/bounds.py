@@ -1,27 +1,28 @@
 """Named equilibration bounds.
 
 All constants are computed from primitives at import time and regression
-pinned in the tests, never hardcoded as decimals here. Window-probability
-bounds take a level distribution, which carries its spectrum; bounds on a
-state read the state's own spectrum.
+pinned in the tests, never hardcoded as decimals here. Each bound is a
+number computed from the quantities it is stated in: the window
+probability eta, or the gap count N(eps) and d_eff of
+:func:`gap_counting_terms`. A negative or NaN bound is rejected; the caller
+compares the number with what it measured.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .averaging import LORENTZIAN_DOMINATION_FACTOR
-from .spectra import LevelDistribution, max_gaps_in_window, max_window_probability
+from .spectra import max_gaps_in_window
 from .states import QuantumState, effective_dimension, level_distribution
 
 __all__ = [
-    "BoundReport",
     "purity_chain_factor",
     "population_constant",
     "fast_equilibration_constant",
     "fast_equilibration_bound",
+    "gap_counting_terms",
     "general_expectation_bound",
     "general_distinguishability_bound",
     "gaussian_purity_exact",
@@ -46,85 +47,58 @@ def fast_equilibration_constant() -> float:
     return population_constant() + 1.0
 
 
-@dataclass
-class BoundReport:
-    """A named bound value next to the inputs that produced it, and
-    optionally a measured quantity to compare against."""
-
-    name: str
-    value: float
-    inputs: dict = field(default_factory=dict)
-    measured: float | None = None
-    slack: float = 0.0
-
-    def __post_init__(self):
-        if not self.value >= 0:
-            raise ValueError(f"bound {self.name} is negative: {self.value!r}")
-
-    @property
-    def holds(self) -> bool:
-        if self.measured is None:
-            raise ValueError("no measured value attached")
-        return self.measured <= self.value + self.slack
+def _nonnegative(name: str, value):
+    """``value`` itself, after checking that none of it is negative or NaN."""
+    if not np.all(np.asarray(value) >= 0):
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    return value
 
 
-def fast_equilibration_bound(dist: LevelDistribution, rank: int, window):
+def fast_equilibration_bound(eta, rank: int):
     """Uniform-average distinguishability bound c * sqrt(eta_{1/T} K) for any
-    two-outcome measurement whose smaller projector rank is K. For a 1-d
-    array of windows every eta comes from one scan, and one report per
-    window is returned."""
+    two-outcome measurement whose smaller projector rank is K, from the
+    window probability eta of width 1/T; ``eta`` may be an array."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
-    windows = np.asarray(window, dtype=float)
-    if windows.ndim > 1 or not np.all((windows > 0) & (windows < np.inf)):
-        raise ValueError("window must be positive and finite, one value or a 1-d array")
-    etas = max_window_probability(dist, 1.0 / windows)
-    c = fast_equilibration_constant()
-
-    def report(w, eta):
-        return BoundReport("fast_equilibration", c * np.sqrt(eta * rank),
-                           inputs={"K": rank, "T": w, "eta": float(eta), "c": c})
-
-    if windows.ndim == 0:
-        return report(window, etas)
-    return [report(w, eta) for w, eta in zip(windows, etas)]
+    return fast_equilibration_constant() * np.sqrt(_nonnegative("eta", eta) * rank)
 
 
-def _gap_counting_terms(state: QuantumState, eps: float, window: float) -> tuple:
-    """N(eps) and d_eff of a pure state: the inputs of both gap-counting forms."""
+def gap_counting_terms(state: QuantumState, eps: float) -> tuple:
+    """(N(eps), d_eff) of a pure state: the most gaps in a window of width
+    eps and the effective dimension, the inputs of both gap-counting forms."""
     if not state.is_pure:
         raise ValueError("this bound is derived for pure initial states")
-    if not (eps > 0 and window > 0):
-        raise ValueError("eps and window must be positive")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     return (max_gaps_in_window(state.spectrum.gaps(), eps),
             effective_dimension(level_distribution(state)))
 
 
-def general_expectation_bound(state: QuantumState, operator_norm: float,
-                              eps: float, window: float) -> BoundReport:
+def _check_eps_window(eps: float, window: float):
+    if not (eps > 0 and window > 0):
+        raise ValueError("eps and window must be positive")
+
+
+def general_expectation_bound(n_eps: int, d_eff: float, eps: float, window: float,
+                              operator_norm: float = 1.0) -> float:
     """Gap-counting bound on <|tr A (rho_t - omega)|^2>_T:
     (5 pi / 2) (|A|^2 / d_eff) N(eps) (3/2 + 1/(eps T))."""
-    n_eps, d_eff = _gap_counting_terms(state, eps, window)
-    value = (2.0 * LORENTZIAN_DOMINATION_FACTOR * operator_norm ** 2 / d_eff
-             * n_eps * (1.5 + 1.0 / (eps * window)))
-    return BoundReport("general_expectation", value,
-                       inputs={"operator_norm": operator_norm, "eps": eps, "T": window,
-                               "N_eps": n_eps, "d_eff": d_eff})
+    _check_eps_window(eps, window)
+    return _nonnegative("general_expectation_bound", (
+        2.0 * LORENTZIAN_DOMINATION_FACTOR * operator_norm ** 2 / d_eff
+        * n_eps * (1.5 + 1.0 / (eps * window))))
 
 
-def general_distinguishability_bound(state: QuantumState, total_outcomes: int,
-                                     eps: float, window: float) -> BoundReport:
+def general_distinguishability_bound(n_eps: int, d_eff: float, total_outcomes: int,
+                                     eps: float, window: float) -> float:
     """Distinguishability form of the gap-counting bound:
     (S/4) sqrt( (5 pi N(eps)) / (2 d_eff) * (3/2 + 1/(eps T)) )."""
     if total_outcomes < 2:
         raise ValueError("total outcome count must be at least 2")
-    n_eps, d_eff = _gap_counting_terms(state, eps, window)
-    value = (total_outcomes / 4.0) * np.sqrt(
-        2.0 * LORENTZIAN_DOMINATION_FACTOR * n_eps / d_eff
-        * (1.5 + 1.0 / (eps * window)))
-    return BoundReport("general_distinguishability", value,
-                       inputs={"total_outcomes": total_outcomes, "eps": eps,
-                               "T": window, "N_eps": n_eps, "d_eff": d_eff})
+    _check_eps_window(eps, window)
+    return _nonnegative("general_distinguishability_bound", (
+        (total_outcomes / 4.0) * np.sqrt(2.0 * LORENTZIAN_DOMINATION_FACTOR * n_eps
+                                         / d_eff * (1.5 + 1.0 / (eps * window)))))
 
 
 def _erfcx(x: float) -> float:

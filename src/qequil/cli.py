@@ -93,10 +93,7 @@ def _effective_config(name: str, args) -> dict:
         raise SystemExit(f"{name}: unknown config key(s) {', '.join(unknown)}; "
                          f"known: {', '.join(sorted(DEFAULTS[name]))}")
     _check_types(name, overrides)
-    config = {**DEFAULTS[name], **overrides}
-    if "spectrum" in config and not (config["spectrum"] or config.get("hermitian")):
-        raise SystemExit("provide a spectrum file (or a hermitian matrix file)")
-    return config
+    return {**DEFAULTS[name], **overrides}
 
 
 def _write_json(path, payload: dict) -> None:
@@ -131,8 +128,10 @@ def _write_rows_csv(path, rows, comment: str) -> None:
 
 def _write_outputs(name: str, config: dict, out_dir: str,
                    result: batteries.ExperimentResult) -> None:
-    """Write the result's tables, its summary and, if any check failed,
-    ``failures.json``, each stamped with the config hash and the seed."""
+    """Make ``out_dir`` if needed and write the result's tables, its summary
+    and, if any check failed, ``failures.json``, each stamped with the config
+    hash and the seed."""
+    os.makedirs(out_dir, exist_ok=True)
     meta = {"config_hash": _config_hash(config)}
     seed = config.get("seed", config.get("phase_seed"))
     if seed is not None:
@@ -194,7 +193,6 @@ def main(argv=None) -> int:
     args.set = _parse_set(args.set)
     name = args.experiment
     config = _effective_config(name, args)
-    os.makedirs(args.out, exist_ok=True)
     try:
         result = RUNNERS[name](config)
     except ValueError as exc:  # an input the experiment cannot run on

@@ -224,10 +224,6 @@ class SlowWindowReport:
         ]
         return [fail for ok, fail in checks if not ok]
 
-    @property
-    def holds(self) -> bool:
-        return not self.failures
-
 
 def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: int,
                       num_samples: int = 256,
@@ -264,8 +260,8 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: 
 
     ceiling = 2.0 * np.sqrt(k / d_eff)
     grid = TimeGrid.for_window(long_window_sigma / sigma, scenario.spectrum.span)
-    long_avg = time_average(
-        lambda ts: np.abs(expectation_series(proj, state, ts) - p_omega), grid)
+    long_avg = time_average(np.abs(expectation_series(proj, state, grid.times) - p_omega),
+                            grid)
 
     return SlowWindowReport(
         times=times,

@@ -8,9 +8,9 @@ all such measurements; the constrained ensemble averages over those that
 have the initial state as an eigenvector, with the state inside outcome 0.
 Second moments have closed forms through the symmetric/antisymmetric twirl
 decomposition. :func:`mc_distinguishabilities` returns per-sample values of
-D, which the callers reduce with :meth:`TwirlResult.from_samples` to check
-those formulas and bounds, with plain sample standard errors (the
-integrands are bounded, so the CLT is adequate at desk scale). A sampler
+D, which the callers reduce with :func:`mc_mean_stderr` to a mean and a plain
+sample standard error (the integrands are bounded, so the CLT is adequate at
+desk scale) and compare with those formulas and bounds. A sampler
 that excludes a vector v draws the constrained ensemble of v, in the basis
 of one Householder reflection (:meth:`HaarSampler.embed`).
 
@@ -32,8 +32,6 @@ and nothing d x d is formed.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package
 
@@ -42,7 +40,6 @@ from .states import EquilibriumState, QuantumState, purity
 
 __all__ = [
     "HaarSampler",
-    "TwirlResult",
     "exact_mean_sq_distinguishability",
     "typical_distinguishability_bound",
     "constrained_mean_bound",
@@ -55,6 +52,7 @@ __all__ = [
     "twirl_second_moment",
     "twirl_reconstruction",
     "mc_distinguishabilities",
+    "mc_mean_stderr",
     "mc_twirl_pair",
 ]
 
@@ -142,31 +140,6 @@ class HaarSampler:
 
     def projector(self, rank: int) -> Projector:
         return Projector.from_factor(self.frame(rank))
-
-
-@dataclass
-class TwirlResult:
-    """Monte Carlo estimate next to the exact (or analytically bounded)
-    reference value it is checked against."""
-
-    exact: float
-    mc_mean: float
-    mc_stderr: float
-    samples: int
-    seed: int
-
-    @classmethod
-    def from_samples(cls, values: np.ndarray, exact: float,
-                     sampler: HaarSampler) -> "TwirlResult":
-        """Mean and plain standard error of per-sample ``values`` drawn from
-        ``sampler``, next to the reference value ``exact``."""
-        n = values.size
-        return cls(exact=float(exact), mc_mean=float(values.mean()),
-                   mc_stderr=float(values.std(ddof=1) / np.sqrt(n)), samples=n,
-                   seed=sampler.seed)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def exact_mean_sq_distinguishability(state_t: QuantumState, omega: EquilibriumState,
@@ -343,6 +316,12 @@ def mc_distinguishabilities(state_t: QuantumState, omega: EquilibriumState, rank
     t[:, 0] += f
     # the builtin sum adds the outcomes in order, one sample per element
     return 0.5 * sum(np.abs(t).T)
+
+
+def mc_mean_stderr(values: np.ndarray) -> tuple:
+    """(mean, standard error) of per-sample Monte Carlo ``values``, the
+    standard error from the ``ddof=1`` sample deviation."""
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
 
 
 def mc_twirl_pair(projector_matrix, sampler: HaarSampler, samples: int):

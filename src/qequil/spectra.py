@@ -229,9 +229,10 @@ def max_window_probability_window(dist: LevelDistribution, width):
 
     The maximum of the window sum as a function of the window position is
     attained with the left edge sitting on a level, so only ``num_levels``
-    candidate windows need to be scanned. ``width`` may be an array: every
-    width is scanned in one pass (one ``searchsorted`` over all of them), and
-    each result equals the scan of that width alone.
+    candidate windows need to be scanned. Every width must be positive and
+    finite. ``width`` may be an array: every width is scanned in one pass
+    (one ``searchsorted`` over all of them), and each result equals the scan
+    of that width alone.
 
     Returns
     -------
@@ -241,8 +242,9 @@ def max_window_probability_window(dist: LevelDistribution, width):
         in the same places.
     """
     widths = np.asarray(width, dtype=float)
-    if not np.all(widths > 0):
-        raise ValueError("window width must be positive")
+    # 1/T at T = 0 is inf, and every bound is stated for T > 0
+    if not np.all((widths > 0) & (widths < np.inf)):
+        raise ValueError("window width must be positive and finite")
     levels = dist.spectrum.levels
     cums = np.concatenate(([0.0], np.cumsum(dist.probs)))
     flat = widths.reshape(-1, 1)

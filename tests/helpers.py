@@ -15,11 +15,11 @@ from qequil import batteries, haar
 from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid, dephased_purity_bound,
                               lorentzian_purity, lorentzian_purity_product,
                               lorentzian_state, time_average)
-from qequil.bounds import (BoundReport, fast_equilibration_bound,
-                           fast_equilibration_constant, general_distinguishability_bound,
-                           population_constant, purity_chain_factor)
+from qequil.bounds import (fast_equilibration_constant, gap_counting_terms,
+                           general_distinguishability_bound, general_expectation_bound,
+                           purity_chain_factor)
 from qequil.measure import (PROJECTOR_TOL, Projector, _phases, expectation_series,
-                            series_distinguishability)
+                            series_distinguishability, two_outcome)
 from qequil.spectra import EnergySpectrum, LevelDistribution, max_window_probability
 from qequil.states import (EquilibriumState, QuantumState, dephase, energy_moments,
                            level_distribution, purity)
@@ -416,9 +416,9 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int 
                                           slack: float = 1e-3) -> list:
     """Rows of :func:`qequil.batteries.fast_equilibration_battery`, computed
     window by window with the scalar form of every call: one series on the
-    window's own grid, one bound, one Lorentzian purity and five
-    window-probability caps per window, and the matrix path of the purity
-    from the entrywise phase average."""
+    window's own grid, one window scan with the bound c sqrt(eta K) written
+    out, one Lorentzian purity and five window-probability caps per window,
+    and the matrix path of the purity from the entrywise phase average."""
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
@@ -435,17 +435,15 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int 
         for window in np.geomspace(0.1, 100.0, t_points) / sigma:
             grid = TimeGrid.for_window(window, spec.span)
             avg = time_average(
-                lambda ts: np.abs(expectation_series(proj, state, ts) - p_omega),
-                grid)
-            rep = fast_equilibration_bound(dist, rank, window)
-            rep.measured = avg.value
-            rep.slack = slack
-            rows.append({"name": rep.name, "T": float(window), "eps": 1.0 / window,
-                         "K": rank, "value": rep.value, "measured": avg.value,
-                         "holds": rep.holds, "battery": "fast_equilibration",
-                         "trial": trial, "label": scenario.label, "d": d,
-                         "levels": spec.num_levels, "eta": rep.inputs["eta"],
-                         "refinement_error": avg.refinement_error})
+                np.abs(expectation_series(proj, state, grid.times) - p_omega), grid)
+            eta = max_window_probability(dist, 1.0 / window)
+            value = fast_equilibration_constant() * np.sqrt(eta * rank)
+            rows.append({"name": "fast_equilibration", "T": float(window),
+                         "eps": 1.0 / window, "K": rank, "value": value,
+                         "measured": avg.value, "holds": avg.value <= value + slack,
+                         "battery": "fast_equilibration", "trial": trial,
+                         "label": scenario.label, "d": d, "levels": spec.num_levels,
+                         "eta": eta, "refinement_error": avg.refinement_error})
 
             exact = float(lorentzian_purity(state, [window])[0])
             product = float(lorentzian_purity_product(dist, [window])[0])
@@ -469,8 +467,37 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int 
     return rows
 
 
-def population_term_bound(dist: LevelDistribution, rank: int,
-                          window: float) -> BoundReport:
+def per_window_gap_counting_battery(seed: int, dim: int = 40) -> list:
+    """Rows of :func:`qequil.batteries.gap_counting_battery`, computed window
+    by window: one series call of {P, 1 - P} on each window's own grid, and
+    N(eps) and d_eff recomputed for every row."""
+    state, proj = batteries.gap_counting_scenario(seed, dim)
+    sigma = energy_moments(level_distribution(state)).std
+    meas = two_outcome(proj)
+    p_omega = meas.outcome_probabilities(dephase(state))
+    rows = []
+    for window in np.geomspace(1.0, 100.0, batteries.GAP_COUNTING_WINDOWS) / sigma:
+        grid = TimeGrid.for_window(window, state.spectrum.span)
+        stack = expectation_series(meas.projectors, state, grid.times)
+        sq_avg = time_average((stack[0] - p_omega[0]) ** 2, grid)
+        d_avg = time_average(series_distinguishability(stack, p_omega), grid)
+        for factor in batteries.GAP_COUNTING_EPS_FACTORS:
+            eps = factor * sigma
+            for name, measured in (("general_expectation", sq_avg.value),
+                                   ("general_distinguishability", d_avg.value)):
+                n_eps, d_eff = gap_counting_terms(state, eps)
+                value = (general_expectation_bound(n_eps, d_eff, eps, window)
+                         if name == "general_expectation" else
+                         general_distinguishability_bound(n_eps, d_eff, 2, eps, window))
+                rows.append({"name": name, "T": float(window), "eps": float(eps),
+                             "K": proj.rank, "value": value, "measured": measured,
+                             "holds": measured <= value + 1e-3,
+                             "battery": "gap_counting", "d": dim, "N_eps": n_eps,
+                             "informative": value < 1.0})
+    return rows
+
+
+def population_term_bound(dist: LevelDistribution, rank: int, window: float) -> float:
     """Bound on the averaged population <tr(P rho_t)>_T alone (the full
     two-outcome bound minus the sqrt(K eta) equilibrium term)."""
     if rank < 1:
@@ -478,12 +505,11 @@ def population_term_bound(dist: LevelDistribution, rank: int,
     if not window > 0:
         raise ValueError("window must be positive")
     eta = max_window_probability(dist, 1.0 / window)
-    value = LORENTZIAN_DOMINATION_FACTOR * np.sqrt(purity_chain_factor(2.0) * eta * rank)
-    return BoundReport("population_term", value,
-                       inputs={"K": rank, "T": window, "eta": eta, "c": population_constant()})
+    return float(LORENTZIAN_DOMINATION_FACTOR
+                 * np.sqrt(purity_chain_factor(2.0) * eta * rank))
 
 
-def n_outcome_fast_bound(dist: LevelDistribution, ranks, window: float) -> BoundReport:
+def n_outcome_fast_bound(dist: LevelDistribution, ranks, window: float) -> float:
     """N-outcome generalization: (c/2) sqrt(eta_{1/T}) * sum_i sqrt(k_i)
     where k_i = min(rank P_i, d - rank P_i)."""
     ranks = [int(k) for k in ranks]
@@ -493,24 +519,24 @@ def n_outcome_fast_bound(dist: LevelDistribution, ranks, window: float) -> Bound
     if not window > 0:
         raise ValueError("window must be positive")
     eta = max_window_probability(dist, 1.0 / window)
-    c = fast_equilibration_constant()
     ksum = sum(np.sqrt(min(k, d - k)) for k in ranks)
-    return BoundReport("n_outcome_fast", 0.5 * c * np.sqrt(eta) * ksum,
-                       inputs={"ranks": tuple(ranks), "T": window, "eta": eta, "c": c})
+    return float(0.5 * fast_equilibration_constant() * np.sqrt(eta) * ksum)
 
 
 def best_epsilon(state: QuantumState, window: float, num: int = 25,
                  total_outcomes: int = 2) -> tuple:
-    """Scan a log grid of window widths and return (eps, report) minimizing
+    """Scan a log grid of window widths and return (eps, bound) minimizing
     the distinguishability form; the width is a free parameter of the bound."""
     span = state.spectrum.span
     if not span > 0:
         raise ValueError("spectrum has a single level; no gaps to count")
     best = None
     for eps in np.geomspace(span * 1e-6, 2.0 * span, num):
-        rep = general_distinguishability_bound(state, total_outcomes, eps, window)
-        if best is None or rep.value < best[1].value:
-            best = (float(eps), rep)
+        n_eps, d_eff = gap_counting_terms(state, eps)
+        value = float(general_distinguishability_bound(n_eps, d_eff, total_outcomes,
+                                                       eps, window))
+        if best is None or value < best[1]:
+            best = (float(eps), value)
     return best
 
 
@@ -539,9 +565,9 @@ def fast_equilibration_chain(state: QuantumState, projector: Projector,
     rank = projector.rank
     grid = TimeGrid.for_window(window, state.spectrum.span)
     p_omega = projector.expectation(omega)
-    measured = time_average(
-        lambda ts: np.abs(expectation_series(projector, state, ts) - p_omega), grid)
-    pop_avg = time_average(lambda ts: expectation_series(projector, state, ts), grid)
+    series = expectation_series(projector, state, grid.times)
+    measured = time_average(np.abs(series - p_omega), grid)
+    pop_avg = time_average(series, grid)
 
     v = projector.factor
     p_lor = float(np.sum(v.conj() * (lorentzian_state(state, window) @ v)).real)

@@ -59,15 +59,23 @@ class TestTimeGrid:
 class TestTimeAverage:
     def test_constant(self):
         grid = TimeGrid.for_window(3.0, 1.0)
-        res = time_average(lambda t: np.full_like(t, 2.5), grid)
+        res = time_average(np.full_like(grid.times, 2.5), grid)
         assert res.value == pytest.approx(2.5, rel=1e-15)
         assert res.refinement_error < 1e-15
 
     def test_full_period_cosine(self):
         nu = 2.0
         grid = TimeGrid.for_window(2.0 * np.pi / nu, max_gap=nu)
-        res = time_average(lambda t: np.cos(nu * t), grid)
+        res = time_average(np.cos(nu * grid.times), grid)
         assert abs(res.value) < 1e-10
+
+    @pytest.mark.parametrize("size", [0, 1, 64, 66])
+    def test_values_of_the_wrong_length_are_rejected(self, size):
+        grid = TimeGrid.for_window(1.0, 0.0)  # 65 samples
+        with pytest.raises(ValueError, match="one value per grid time"):
+            time_average(np.ones(size), grid)
+        with pytest.raises(ValueError, match="one value per grid time"):
+            time_average(np.ones((1, grid.times.size)), grid)
 
     def test_oversampled_oracle_agreement(self):
         scenario = harmonic_oscillator_1d(50)
@@ -82,8 +90,8 @@ class TestTimeAverage:
         window = 2.0 * np.pi
         grid = TimeGrid.for_window(window, scenario.spectrum.span)
         fine = TimeGrid.for_window(window, 4.0 * scenario.spectrum.span)
-        coarse_avg = time_average(f, grid)
-        fine_avg = time_average(f, fine)
+        coarse_avg = time_average(f(grid.times), grid)
+        fine_avg = time_average(f(fine.times), fine)
         assert coarse_avg.value == pytest.approx(fine_avg.value, abs=1e-4)
 
     def test_running_average(self):

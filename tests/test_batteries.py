@@ -8,7 +8,7 @@ from qequil.batteries import (BatteryReport, gap_counting_battery, haar_battery,
                               fast_equilibration_battery)
 from qequil.constructions import random_scenario, slow_window_check, snapshot_subspace
 
-from helpers import per_window_fast_equilibration_battery
+from helpers import per_window_fast_equilibration_battery, per_window_gap_counting_battery
 
 SEED = 20240811
 # Eight trials at each of these seeds draw pure and mixed states on
@@ -77,6 +77,21 @@ def test_battery_matches_per_window_oracle(seed):
                 == {k: (type(v), cli._fmt(v)) for k, v in want.items() if k not in loose})
         for k in loose:
             assert abs(got[k] - want[k]) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS[:2])
+@pytest.mark.parametrize("dim", [24, 40])
+def test_gap_counting_battery_matches_per_window_oracle(seed, dim):
+    # the battery takes every window's series from one call and N(eps) and
+    # d_eff once per width; each row must be what the window-by-window calls
+    # give, to the byte it is written with
+    rows = gap_counting_battery(seed, dim=dim).rows
+    oracle = per_window_gap_counting_battery(seed, dim=dim)
+    assert len(rows) == len(oracle) == 36
+    for got, want in zip(rows, oracle):
+        assert list(got) == list(want)
+        assert ({k: (type(v), cli._fmt(v)) for k, v in got.items()}
+                == {k: (type(v), cli._fmt(v)) for k, v in want.items()})
 
 
 def test_empty_battery_is_rejected():
@@ -165,7 +180,7 @@ def slow_battery(seed: int, scenarios: int = 20) -> BatteryReport:
         rep = slow_window_check(sub, scenario, 3, num_samples=SLOW_BATTERY_SAMPLES)
         report.rows.append({"scenario": idx, "d": d, "K": k, "eps": eps,
                             "floor": rep.floor, "min_value": rep.worst_value,
-                            "ceiling": rep.ceiling, "holds": rep.holds})
+                            "ceiling": rep.ceiling, "holds": not rep.failures})
     return report
 
 

@@ -7,8 +7,8 @@ from scipy import special
 from qequil.averaging import (TimeGrid, dephased_purity_bound, lorentzian_purity,
                               lorentzian_purity_product, lorentzian_state,
                               time_average)
-from qequil.bounds import (BoundReport, _erfcx, fast_equilibration_bound,
-                           fast_equilibration_constant, gaussian_purity_asymptote,
+from qequil.bounds import (_erfcx, fast_equilibration_bound, fast_equilibration_constant,
+                           gap_counting_terms, gaussian_purity_asymptote,
                            gaussian_purity_exact, general_distinguishability_bound,
                            general_expectation_bound, population_constant,
                            purity_chain_factor)
@@ -21,7 +21,8 @@ from qequil.measure import Projector, expectation_series
 from qequil.spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
                             max_window_probability, max_window_probability_window,
                             spectrum_from_hermitian)
-from qequil.states import dephase, energy_moments, level_distribution, purity
+from qequil.states import (dephase, effective_dimension, energy_moments,
+                           level_distribution, purity)
 
 from helpers import (best_epsilon, dense_dephase, fast_equilibration_chain,
                      lorentzian_phase_average, n_outcome_fast_bound, poisson_spectrum,
@@ -39,13 +40,17 @@ NAN_CALLS = {
     "max_gaps_in_window": lambda: max_gaps_in_window(_SPEC.gaps(), NAN),
     "spectrum_from_hermitian": lambda: spectrum_from_hermitian(
         np.array([[0.0, NAN], [NAN, 1.0]])),
-    "BoundReport": lambda: BoundReport("nan", NAN),
-    "fast_equilibration_bound": lambda: fast_equilibration_bound(_DIST, 1, NAN),
+    "fast_equilibration_bound": lambda: fast_equilibration_bound(NAN, 1),
     "population_term_bound": lambda: population_term_bound(_DIST, 1, NAN),
-    "general_expectation_bound": lambda: general_expectation_bound(
-        _STATE, 1.0, NAN, 1.0),
+    "gap_counting_terms": lambda: gap_counting_terms(_STATE, NAN),
+    "general_expectation_bound": lambda: general_expectation_bound(3, 2.0, NAN, 1.0),
     "general_distinguishability_bound": lambda: general_distinguishability_bound(
-        _STATE, 2, 1.0, NAN),
+        3, 2.0, 2, 1.0, NAN),
+    # a NaN input that the eps and window guards do not see reaches the value
+    "general_expectation_bound value": lambda: general_expectation_bound(
+        3, NAN, 1.0, 1.0),
+    "general_distinguishability_bound value": lambda: general_distinguishability_bound(
+        3, NAN, 2, 1.0, 1.0),
     "gaussian_purity_exact": lambda: gaussian_purity_exact(1.0, NAN),
     "gaussian_purity_asymptote": lambda: gaussian_purity_asymptote(NAN, 1.0),
     "TimeGrid.for_window": lambda: TimeGrid.for_window(NAN, 1.0),
@@ -63,8 +68,7 @@ NAN_CALLS = {
     # an array of windows or widths is rejected for any NaN element
     "max_window_probability_window array": lambda: max_window_probability_window(
         _DIST, [1.0, NAN]),
-    "fast_equilibration_bound array": lambda: fast_equilibration_bound(
-        _DIST, 1, [1.0, NAN]),
+    "fast_equilibration_bound array": lambda: fast_equilibration_bound([0.5, NAN], 1),
     "lorentzian_purity array": lambda: lorentzian_purity(_STATE, [1.0, NAN]),
     "dephased_purity_bound array": lambda: dephased_purity_bound(
         _DIST, [1.0, 2.0], [2.0, NAN]),
@@ -77,12 +81,14 @@ def test_nan_scalar_is_rejected(name):
         NAN_CALLS[name]()
 
 
-# An infinite window is rejected by name: a Lorentzian window would damp the
-# zero gaps by inf * 0 = NaN, and the window-probability bounds would scan a
-# zero width the caller never passed.
+# An infinite window or width is rejected by name: a Lorentzian window would
+# damp the zero gaps by inf * 0 = NaN, the window-probability bounds would scan
+# a zero width the caller never passed, and a scan of an infinite width (a
+# window T = 0) would sum every level.
 INF_CALLS = {
-    "fast_equilibration_bound": lambda: fast_equilibration_bound(_DIST, 1, np.inf),
+    "max_window_probability_window": lambda: max_window_probability_window(_DIST, np.inf),
     "dephased_purity_bound": lambda: dephased_purity_bound(_DIST, np.inf),
+    "dephased_purity_bound delta": lambda: dephased_purity_bound(_DIST, 1.0, np.inf),
     "lorentzian_phase_average": lambda: lorentzian_phase_average(0.0, np.inf),
     "lorentzian_state": lambda: lorentzian_state(_STATE, np.inf),
     "lorentzian_purity_product": lambda: lorentzian_purity_product(_DIST, [np.inf]),
@@ -125,12 +131,11 @@ def test_huge_finite_lorentzian_window_gives_the_dephased_limit(kind):
 @pytest.mark.parametrize("call", [
     lambda: dephased_purity_bound(_DIST, 0.0),   # was a ZeroDivisionError
     lambda: dephased_purity_bound(_DIST, np.array([1.0, -1.0])),
-    lambda: fast_equilibration_bound(_DIST, 1, np.array([1.0, 0.0])),
     lambda: max_window_probability(_DIST, np.array([0.5, 0.0])),
     lambda: TimeGrid.for_window(1.0, np.inf),    # was an OverflowError
     lambda: TimeGrid.for_window(1.0, -1.0),
     lambda: n_outcome_fast_bound(_DIST, [3, 3], 0.0),   # was a ZeroDivisionError
-], ids=["dephased-zero", "dephased-array-negative", "fast-array-zero",
+], ids=["dephased-zero", "dephased-array-negative",
         "scan-array-zero", "grid-inf-gap", "grid-negative-gap", "n-outcome-zero"])
 def test_nonpositive_or_infinite_window_inputs_raise_value_error(call):
     with pytest.raises(ValueError):
@@ -167,30 +172,34 @@ def flat_dist():
 
 class TestFastBound:
     def test_saturated_window_probability(self, flat_dist):
-        rep = fast_equilibration_bound(flat_dist, 1, 1e-6)
-        assert rep.inputs["eta"] == pytest.approx(1.0)
-        assert rep.value == pytest.approx(fast_equilibration_constant())
-        assert rep.value >= 1.0  # trivially true bound
+        eta = max_window_probability(flat_dist, 1.0 / 1e-6)
+        assert eta == pytest.approx(1.0)
+        value = fast_equilibration_bound(eta, 1)
+        assert value == pytest.approx(fast_equilibration_constant())
+        assert value >= 1.0  # trivially true bound
 
     def test_rank_scaling(self):
-        spec = EnergySpectrum(np.arange(10, dtype=float), np.ones(10, dtype=int))
-        dist = LevelDistribution(spec, np.full(10, 0.1))
-        one = fast_equilibration_bound(dist, 1, 2.0).value
-        four = fast_equilibration_bound(dist, 4, 2.0).value
+        one = fast_equilibration_bound(0.3, 1)
+        four = fast_equilibration_bound(0.3, 4)
         assert four == pytest.approx(2.0 * one, rel=1e-12)
+
+    def test_array_is_the_scalar_values(self):
+        etas = np.array([0.0, 0.1, 0.35, 1.0])
+        got = fast_equilibration_bound(etas, 3)
+        assert got.shape == etas.shape
+        assert got.tolist() == [fast_equilibration_bound(eta, 3) for eta in etas]
 
     def test_population_term_relation(self):
         spec = EnergySpectrum(np.arange(6, dtype=float), np.ones(6, dtype=int))
         dist = LevelDistribution(spec, np.full(6, 1.0 / 6.0))
         for rank, window in ((1, 0.5), (3, 4.0)):
-            full = fast_equilibration_bound(dist, rank, window).value
-            pop = population_term_bound(dist, rank, window).value
             eta = max_window_probability(dist, 1.0 / window)
+            full = fast_equilibration_bound(eta, rank)
+            pop = population_term_bound(dist, rank, window)
             assert pop == pytest.approx(full - np.sqrt(rank * eta), rel=1e-12)
 
     def test_population_constant_value(self, flat_dist):
-        rep = population_term_bound(flat_dist, 1, 1.0)
-        assert abs(rep.value - 5.98) <= 0.01
+        assert abs(population_term_bound(flat_dist, 1, 1.0) - 5.98) <= 0.01
 
     def test_holds_on_oscillator_scenario(self):
         scenario = harmonic_oscillator_1d(50)
@@ -204,16 +213,17 @@ class TestFastBound:
         window = 50.0 / sigma
         grid = TimeGrid.for_window(window, spec.span)
         measured = time_average(
-            lambda ts: np.abs(expectation_series(proj, state, ts) - p_omega), grid)
-        rep = fast_equilibration_bound(dist, 1, window)
-        rep.measured, rep.slack = measured.value, 1e-3
-        assert rep.holds
+            np.abs(expectation_series(proj, state, grid.times) - p_omega), grid)
+        eta = max_window_probability(dist, 1.0 / window)
+        assert measured.value <= fast_equilibration_bound(eta, 1) + 1e-3
 
-    def test_rejections(self, flat_dist):
-        with pytest.raises(ValueError):
-            fast_equilibration_bound(flat_dist, 0, 1.0)
-        with pytest.raises(ValueError):
-            fast_equilibration_bound(flat_dist, 1, 0.0)
+    def test_rejections(self):
+        with pytest.raises(ValueError, match="rank"):
+            fast_equilibration_bound(0.5, 0)
+        with pytest.raises(ValueError, match="eta must be nonnegative"):
+            fast_equilibration_bound(-0.1, 1)
+        with pytest.raises(ValueError, match="eta must be nonnegative"):
+            fast_equilibration_bound(np.array([0.5, -0.1]), 1)
 
 
 class TestChainLinks:
@@ -254,8 +264,8 @@ class TestNOutcomeFastBound:
         spec = EnergySpectrum(np.arange(8, dtype=float), np.ones(8, dtype=int))
         dist = LevelDistribution(spec, np.full(8, 1.0 / 8.0))
         window = 3.0
-        pair = n_outcome_fast_bound(dist, [3, 5], window).value
-        two = fast_equilibration_bound(dist, 3, window).value
+        pair = n_outcome_fast_bound(dist, [3, 5], window)
+        two = fast_equilibration_bound(max_window_probability(dist, 1.0 / window), 3)
         assert pair == pytest.approx(two, rel=1e-12)
 
     def test_rejects_bad_partition(self):
@@ -274,42 +284,60 @@ class TestGeneralBounds:
 
     def test_vacuous_regime(self, scenario):
         spec, state = scenario
-        gaps = spec.gaps()
-        rep = general_expectation_bound(state, 1.0, 4.0 * spec.span, 1.0)
-        assert rep.inputs["N_eps"] == gaps.size
-        assert rep.value > 1.0
+        eps = 4.0 * spec.span
+        n_eps, d_eff = gap_counting_terms(state, eps)
+        assert n_eps == spec.gaps().size
+        assert general_expectation_bound(n_eps, d_eff, eps, 1.0) > 1.0
+
+    def test_terms(self, scenario):
+        spec, state = scenario
+        assert gap_counting_terms(state, 0.3) == (
+            max_gaps_in_window(spec.gaps(), 0.3),
+            effective_dimension(level_distribution(state)))
 
     def test_large_window_limit(self, scenario):
         # with eps * T -> infinity only the 3/2 term survives
         _, state = scenario
         eps = 0.3
-        rep = general_expectation_bound(state, 1.0, eps, 1e12)
-        from qequil.states import effective_dimension
-        d_eff = effective_dimension(level_distribution(state))
-        limit = (15.0 * np.pi / 4.0) * rep.inputs["N_eps"] / d_eff
-        assert rep.value == pytest.approx(limit, rel=1e-9)
+        n_eps, d_eff = gap_counting_terms(state, eps)
+        limit = (15.0 * np.pi / 4.0) * n_eps / d_eff
+        assert general_expectation_bound(n_eps, d_eff, eps, 1e12) == pytest.approx(
+            limit, rel=1e-9)
+
+    def test_operator_norm_scaling(self):
+        one = general_expectation_bound(5, 7.0, 0.5, 2.0)
+        assert general_expectation_bound(5, 7.0, 0.5, 2.0, operator_norm=3.0) == (
+            pytest.approx(9.0 * one, rel=1e-12))
 
     def test_mixed_state_rejected(self, scenario):
         spec, _ = scenario
         rng = np.random.default_rng(78)
         mixed = random_mixed(rng, spec)
         with pytest.raises(ValueError, match="pure"):
-            general_expectation_bound(mixed, 1.0, 0.5, 1.0)
-        with pytest.raises(ValueError, match="pure"):
-            general_distinguishability_bound(mixed, 2, 0.5, 1.0)
+            gap_counting_terms(mixed, 0.5)
 
-    def test_outcome_scaling(self, scenario):
-        _, state = scenario
-        two = general_distinguishability_bound(state, 2, 0.5, 2.0).value
-        four = general_distinguishability_bound(state, 4, 0.5, 2.0).value
+    def test_rejections(self):
+        for call in (lambda: general_expectation_bound(3, 2.0, 0.0, 1.0),
+                     lambda: general_distinguishability_bound(3, 2.0, 2, 1.0, -1.0),
+                     lambda: gap_counting_terms(_STATE, 0.0)):
+            with pytest.raises(ValueError, match="must be positive"):
+                call()
+        with pytest.raises(ValueError, match="at least 2"):
+            general_distinguishability_bound(3, 2.0, 1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            general_expectation_bound(3, -2.0, 1.0, 1.0)
+
+    def test_outcome_scaling(self):
+        two = general_distinguishability_bound(5, 7.0, 2, 0.5, 2.0)
+        four = general_distinguishability_bound(5, 7.0, 4, 0.5, 2.0)
         assert four == pytest.approx(2.0 * two, rel=1e-12)
 
     def test_best_epsilon_minimizes_grid(self, scenario):
         spec, state = scenario
-        eps, rep = best_epsilon(state, window=10.0, num=15)
-        sweep = [general_distinguishability_bound(state, 2, e, 10.0).value
+        _, best = best_epsilon(state, window=10.0, num=15)
+        sweep = [general_distinguishability_bound(*gap_counting_terms(state, e), 2, e, 10.0)
                  for e in np.geomspace(spec.span * 1e-6, 2 * spec.span, 15)]
-        assert rep.value == pytest.approx(min(sweep), rel=1e-12)
+        assert best == pytest.approx(min(sweep), rel=1e-12)
 
 
 class TestGaussianAnalytics:
@@ -349,21 +377,3 @@ class TestGaussianAnalytics:
             window = sigma_t / sigma
             eta = max_window_probability(dist, 1.0 / window)
             assert eta <= 1.05 * 0.4 / sigma_t
-
-
-class TestBoundReport:
-    def test_holds_flag(self):
-        rep = BoundReport("demo", 1.0, measured=0.9, slack=0.0)
-        assert rep.holds
-        rep = BoundReport("demo", 1.0, measured=1.0005, slack=1e-3)
-        assert rep.holds
-        rep = BoundReport("demo", 1.0, measured=1.1)
-        assert not rep.holds
-
-    def test_rejects_negative_value(self):
-        with pytest.raises(ValueError):
-            BoundReport("demo", -0.1)
-
-    def test_requires_measurement_for_holds(self):
-        with pytest.raises(ValueError):
-            BoundReport("demo", 1.0).holds

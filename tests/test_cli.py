@@ -80,7 +80,11 @@ def test_haar_quick(tmp_path):
                  "--set", "twirl_samples=2000"])
     assert code == 0
     reports = json.loads((out / "haar_reports.json").read_text())
-    assert reports["reports"]["mean_sq_d8_k3"]["holds"]
+    mean_sq = reports["reports"]["mean_sq_d8_k3"]
+    assert mean_sq["holds"]
+    # a Monte Carlo report: the estimate, its reference and where it came from
+    assert set(mean_sq) == {"exact", "mc_mean", "mc_stderr", "samples", "seed", "holds"}
+    assert (mean_sq["samples"], mean_sq["seed"]) == (400, DEFAULTS["haar"]["seed"] + 2)
     assert (out / "haar_battery.csv").exists()
 
 
@@ -94,12 +98,15 @@ def test_haar_quick(tmp_path):
 def test_empty_battery_stops(tmp_path, experiment, key, value, name):
     # a battery without trials, grid points or scenarios checks nothing, a
     # Monte Carlo estimate needs two samples and a gap-counting projector of
-    # half the dimension needs two dimensions; the message names the config key
+    # half the dimension needs two dimensions; the message names the config key,
+    # and no output directory is made
     least = 2 if key == "gap_counting_dim" or (experiment == "haar"
                                                and key.endswith("samples")) else 1
+    out = tmp_path / "out"
     with pytest.raises(SystemExit, match=f"^{experiment}: {name} must be at least "
                                          f"{least}, got {value}$"):
-        _run([experiment, "--out", str(tmp_path), "--set", f"{key}={value}"])
+        _run([experiment, "--out", str(out), "--set", f"{key}={value}"])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["[]", "[0]", "[2.0,-1.0]", '["a"]'])

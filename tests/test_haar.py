@@ -8,11 +8,11 @@ from helpers import (PerSampleHaar, constrained_mean_bound_tight, dense, dense_d
                      random_mixed, random_pure)
 from qequil import haar
 from qequil.constructions import random_scenario
-from qequil.haar import (CHUNK_ENTRIES, HaarSampler, TwirlResult, constrained_mean_bound,
+from qequil.haar import (CHUNK_ENTRIES, HaarSampler, constrained_mean_bound,
                          exact_mean_sq_distinguishability,
                          initial_distinguishability_exact,
                          initial_distinguishability_floor, mc_distinguishabilities,
-                         mc_twirl_pair, n_outcome_constrained_bound,
+                         mc_mean_stderr, mc_twirl_pair, n_outcome_constrained_bound,
                          n_outcome_typical_bound, n_outcome_typical_cap,
                          swap_operator, twirl_reconstruction,
                          twirl_second_moment, typical_distinguishability_bound)
@@ -141,11 +141,11 @@ def _sampler_pair(seed, scen, excluded):
     return HaarSampler(seed, d, v), PerSampleHaar(HaarSampler(seed, d, v))
 
 
-def _mc(state_t, omega, ranks, sampler, samples, exact=0.0, square=False) -> TwirlResult:
-    """The estimate from the estimator's samples, squared for the mean
+def _mc(state_t, omega, ranks, sampler, samples, square=False) -> tuple:
+    """(mean, stderr) from the estimator's samples, squared for the mean
     square, as the experiments report it."""
     x = mc_distinguishabilities(state_t, omega, ranks, sampler, samples)
-    return TwirlResult.from_samples(x * x if square else x, exact, sampler)
+    return mc_mean_stderr(x * x if square else x)
 
 
 def _crossing_count(n, rank):
@@ -166,11 +166,10 @@ def _assert_matches_oracle(got, want, sampler):
     ORACLE_TOL of the oracle's."""
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= ORACLE_TOL
-    res = TwirlResult.from_samples(got, 0.0, sampler)
+    got_mean, got_stderr = mc_mean_stderr(got)
     mean, stderr = per_sample_stats(want)
-    assert res.samples == want.size
-    assert abs(res.mc_mean - mean) <= ORACLE_TOL
-    assert abs(res.mc_stderr - stderr) <= ORACLE_TOL
+    assert abs(got_mean - mean) <= ORACLE_TOL
+    assert abs(got_stderr - stderr) <= ORACLE_TOL
 
 
 class TestBatchedKernel:
@@ -318,10 +317,10 @@ class TestBatchedKernel:
         delta = state_t.rho - dense_dephase(scen.state)
         sampler, ref = _sampler_pair(401, scen, excluded)
         ranks = [7 - excluded, d - 7]
-        res = _mc(state_t, omega, ranks, sampler, count)
+        got_mean, got_stderr = _mc(state_t, omega, ranks, sampler, count)
         mean, stderr = per_sample_stats(per_sample_distinguishabilities(ref, delta, ranks, count))
-        assert res.mc_mean == pytest.approx(mean, rel=1e-10, abs=1e-14)
-        assert res.mc_stderr == pytest.approx(stderr, rel=1e-8, abs=1e-14)
+        assert got_mean == pytest.approx(mean, rel=1e-10, abs=1e-14)
+        assert got_stderr == pytest.approx(stderr, rel=1e-8, abs=1e-14)
 
     def test_n_outcome_memory_is_chunk_bounded(self):
         scen = random_scenario(9, 24)
@@ -363,19 +362,17 @@ class TestExactSecondMoment:
 
     def test_matches_monte_carlo(self, d8_scenario):
         _, state_t, omega = d8_scenario
-        res = _mc(state_t, omega, [3, 5], HaarSampler(5, 8), 2000,
-                  exact_mean_sq_distinguishability(state_t, omega, 3), square=True)
-        assert res.mc_stderr <= 1e-3
-        assert abs(res.mc_mean - res.exact) <= 5.0 * res.mc_stderr
+        mean, stderr = _mc(state_t, omega, [3, 5], HaarSampler(5, 8), 2000, square=True)
+        assert stderr <= 1e-3
+        assert abs(mean - exact_mean_sq_distinguishability(state_t, omega, 3)) <= 5.0 * stderr
 
     def test_matches_monte_carlo_when_measured_block_is_subtracted(self, d8_scenario):
         # K > d/2: the measured block is the largest, so its trace is the
         # total trace less the drawn d - K columns
         _, state_t, omega = d8_scenario
-        res = _mc(state_t, omega, [6, 2], HaarSampler(6, 8), 2000,
-                  exact_mean_sq_distinguishability(state_t, omega, 6), square=True)
-        assert res.mc_stderr <= 1e-3
-        assert abs(res.mc_mean - res.exact) <= 5.0 * res.mc_stderr
+        mean, stderr = _mc(state_t, omega, [6, 2], HaarSampler(6, 8), 2000, square=True)
+        assert stderr <= 1e-3
+        assert abs(mean - exact_mean_sq_distinguishability(state_t, omega, 6)) <= 5.0 * stderr
 
     def test_rank_validation(self, d8_scenario):
         _, state_t, omega = d8_scenario
@@ -394,15 +391,14 @@ class TestTypicalBound:
 
     def test_jensen_consistency(self, d8_scenario):
         _, state_t, omega = d8_scenario
-        mean = _mc(state_t, omega, [3, 5], HaarSampler(7, 8), 1500)
-        meansq = _mc(state_t, omega, [3, 5], HaarSampler(7, 8), 1500, square=True)
-        assert mean.mc_mean <= np.sqrt(meansq.mc_mean) + 3.0 * mean.mc_stderr
+        mean, stderr = _mc(state_t, omega, [3, 5], HaarSampler(7, 8), 1500)
+        meansq, _ = _mc(state_t, omega, [3, 5], HaarSampler(7, 8), 1500, square=True)
+        assert mean <= np.sqrt(meansq) + 3.0 * stderr
 
     def test_monte_carlo_below_cap(self, d8_scenario):
         _, state_t, omega = d8_scenario
-        res = _mc(state_t, omega, [3, 5], HaarSampler(9, 8), 1500,
-                  typical_distinguishability_bound(3, 8))
-        assert res.mc_mean <= res.exact + 3.0 * res.mc_stderr
+        mean, stderr = _mc(state_t, omega, [3, 5], HaarSampler(9, 8), 1500)
+        assert mean <= typical_distinguishability_bound(3, 8) + 3.0 * stderr
 
     def test_rotated_base_projector_is_equivalent(self, d8_scenario):
         # conjugating the base projector by a fixed unitary leaves the
@@ -414,22 +410,22 @@ class TestTypicalBound:
         base[:3, :3] = np.eye(3)
         rotated = rot @ base @ rot.conj().T
         n = 4000
-        direct = _mc(state_t, omega, [3, 5], HaarSampler(13, 8), n)
+        direct, direct_stderr = _mc(state_t, omega, [3, 5], HaarSampler(13, 8), n)
         s = HaarSampler(14, 8)
         vals = np.empty(n)
         for i in range(n):
             u = s.frame(8)
             pu = u @ rotated @ u.conj().T
             vals[i] = abs(np.vdot(pu, delta).real)
-        gap = abs(direct.mc_mean - vals.mean())
-        stderr = np.hypot(direct.mc_stderr, vals.std(ddof=1) / np.sqrt(n))
+        gap = abs(direct - vals.mean())
+        stderr = np.hypot(direct_stderr, vals.std(ddof=1) / np.sqrt(n))
         assert gap <= 4.0 * stderr
 
     def test_stderr_scaling(self, d8_scenario):
         _, state_t, omega = d8_scenario
-        small = _mc(state_t, omega, [3, 5], HaarSampler(15, 8), 500)
-        large = _mc(state_t, omega, [3, 5], HaarSampler(15, 8), 8000)
-        ratio = small.mc_stderr / large.mc_stderr
+        _, small = _mc(state_t, omega, [3, 5], HaarSampler(15, 8), 500)
+        _, large = _mc(state_t, omega, [3, 5], HaarSampler(15, 8), 8000)
+        ratio = small / large
         assert ratio == pytest.approx(4.0, rel=0.3)
 
 
@@ -458,11 +454,10 @@ class TestConstrainedEnsemble:
     def test_monte_carlo_below_bound(self, d10):
         scen, state_t, omega = d10
         sampler = HaarSampler(23, 10, excluded_vector=scen.state.amplitudes)
-        res = _mc(state_t, omega, [2, 7], sampler, 1500,
-                  constrained_mean_bound(scen.state, state_t, omega, 3))
-        assert res.mc_mean <= res.exact + 3.0 * res.mc_stderr
+        mean, stderr = _mc(state_t, omega, [2, 7], sampler, 1500)
+        assert mean <= constrained_mean_bound(scen.state, state_t, omega, 3) + 3.0 * stderr
         tight = constrained_mean_bound_tight(scen.state, state_t, omega, 3)
-        assert res.mc_mean <= tight + 3.0 * res.mc_stderr
+        assert mean <= tight + 3.0 * stderr
 
     def test_correction_vanishes_with_dimension(self):
         values = []
@@ -523,12 +518,11 @@ class TestInitialDistinguishability:
     def test_monte_carlo_matches_exact(self, uniform_six_of_twelve):
         state, omega = uniform_six_of_twelve
         sampler = HaarSampler(31, 12, excluded_vector=state.amplitudes)
-        res = _mc(state, omega, [3, 8], sampler, 1500,
-                  initial_distinguishability_exact(state, omega, 4))
+        mean, stderr = _mc(state, omega, [3, 8], sampler, 1500)
         d_eff = effective_dimension(level_distribution(state))
         floor = initial_distinguishability_floor(4, 12, d_eff)
-        assert res.mc_mean >= floor - 3.0 * res.mc_stderr
-        assert abs(res.mc_mean - res.exact) <= 3.0 * res.mc_stderr
+        assert mean >= floor - 3.0 * stderr
+        assert abs(mean - initial_distinguishability_exact(state, omega, 4)) <= 3.0 * stderr
 
 
 class TestNOutcome:
@@ -559,10 +553,9 @@ class TestNOutcome:
         scen = random_scenario(41, 16)
         state_t = evolve(scen.state, 0.9)
         omega = dephase(scen.state)
-        res = _mc(state_t, omega, [4, 4, 4, 4], HaarSampler(43, 16), 1200,
-                  n_outcome_typical_bound([4, 4, 4, 4], 16))
-        assert res.mc_mean <= res.exact + 3.0 * res.mc_stderr
-        assert res.mc_mean <= n_outcome_typical_cap(4, 16) + 3.0 * res.mc_stderr
+        mean, stderr = _mc(state_t, omega, [4, 4, 4, 4], HaarSampler(43, 16), 1200)
+        assert mean <= n_outcome_typical_bound([4, 4, 4, 4], 16) + 3.0 * stderr
+        assert mean <= n_outcome_typical_cap(4, 16) + 3.0 * stderr
 
     def test_largest_block_not_last(self):
         # the column blocks of a Haar unitary are exchangeable: with the
@@ -571,23 +564,20 @@ class TestNOutcome:
         scen = random_scenario(41, 16)
         state_t = evolve(scen.state, 0.9)
         omega = dephase(scen.state)
-        middle = _mc(state_t, omega, [3, 8, 5], HaarSampler(44, 16), 2000,
-                     n_outcome_typical_bound([3, 8, 5], 16))
-        last = _mc(state_t, omega, [3, 5, 8], HaarSampler(45, 16), 2000,
-                   n_outcome_typical_bound([3, 5, 8], 16))
-        assert middle.exact == pytest.approx(last.exact, rel=1e-12)
-        assert middle.mc_mean <= middle.exact + 3.0 * middle.mc_stderr
-        gap = abs(middle.mc_mean - last.mc_mean)
-        assert gap <= 4.0 * np.hypot(middle.mc_stderr, last.mc_stderr)
+        middle, middle_stderr = _mc(state_t, omega, [3, 8, 5], HaarSampler(44, 16), 2000)
+        last, last_stderr = _mc(state_t, omega, [3, 5, 8], HaarSampler(45, 16), 2000)
+        cap = n_outcome_typical_bound([3, 8, 5], 16)
+        assert cap == pytest.approx(n_outcome_typical_bound([3, 5, 8], 16), rel=1e-12)
+        assert middle <= cap + 3.0 * middle_stderr
+        assert abs(middle - last) <= 4.0 * np.hypot(middle_stderr, last_stderr)
 
     def test_constrained_monte_carlo(self):
         scen = random_scenario(51, 12)
         state_t = evolve(scen.state, 1.7)
         omega = dephase(scen.state)
         sampler = HaarSampler(53, 12, excluded_vector=scen.state.amplitudes)
-        res = _mc(state_t, omega, [4, 4, 3], sampler, 1200,
-                  n_outcome_constrained_bound(scen.state, state_t, omega, 3))
-        assert res.mc_mean <= res.exact + 3.0 * res.mc_stderr
+        mean, stderr = _mc(state_t, omega, [4, 4, 3], sampler, 1200)
+        assert mean <= n_outcome_constrained_bound(scen.state, state_t, omega, 3) + 3.0 * stderr
 
     def test_constrained_bound_validation(self):
         state = random_scenario(51, 10).state
@@ -645,13 +635,11 @@ class TestTwirl:
         assert np.abs(mean - exact).max() <= 6.0 * stderr.max() + 1e-3
 
 
-def test_twirl_result_json(d8_scenario):
-    _, state_t, omega = d8_scenario
-    res = _mc(state_t, omega, [2, 6], HaarSampler(71, 8), 100, square=True)
-    data = res.to_dict()
-    assert set(data) == {"exact", "mc_mean", "mc_stderr", "samples", "seed"}
-    assert data["samples"] == 100
-    assert data["seed"] == 71
+def test_mc_mean_stderr_is_the_sample_mean_and_ddof1_error():
+    values = np.array([0.25, 1.0, 0.5, 0.75])
+    mean, stderr = mc_mean_stderr(values)
+    assert (mean, stderr) == (0.625, float(np.std(values, ddof=1) / 2.0))
+    assert type(mean) is float and type(stderr) is float
 
 
 @pytest.mark.parametrize("samples", [0, 1])
