@@ -142,7 +142,10 @@ def lorentzian_state(state: QuantumState, window: float) -> np.ndarray:
         u = np.exp(1j * np.where(np.isfinite(arg), arg, 0.0))
         out = u.conj()[:, None] * u[None, :]
         out *= damp
-        out *= state.rho
+        # one column goes through np.outer, whose entries are the single rounded
+        # products c_j conj(c_k); a matrix product does not promise those bits
+        a = state.factor
+        out *= np.outer(a[:, 0], a[:, 0].conj()) if state.is_pure else a @ a.conj().T
     return out
 
 

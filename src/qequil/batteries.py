@@ -536,8 +536,11 @@ def _load_spectrum_arg(config) -> EnergySpectrum:
     if config.get("hermitian"):
         with open(config["hermitian"]) as fh:
             payload = json.load(fh)
-        matrix = complex_in(payload["matrix"] if isinstance(payload, dict) else payload)
-        spec, _ = spectrum_from_hermitian(matrix)
+        if isinstance(payload, dict):
+            if "matrix" not in payload:
+                raise ValueError('a hermitian file must hold a list or a {"matrix": [...]} object')
+            payload = payload["matrix"]
+        spec, _ = spectrum_from_hermitian(complex_in(payload))
         return spec
     raise ValueError("provide a spectrum file (or a hermitian matrix file)")
 

@@ -83,10 +83,8 @@ def _effective_config(name: str, args) -> dict:
         if not isinstance(from_file, dict):
             raise SystemExit(f"{name}: config file {args.config} must hold a JSON object")
         overrides.update(from_file)
-    for key in ("seed", "samples"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     overrides.update(args.set or [])
     unknown = sorted(set(overrides) - set(DEFAULTS[name]))
     if unknown:
@@ -186,16 +184,15 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config key (value parsed as JSON)")
     args = parser.parse_args(argv)
     args.set = _parse_set(args.set)
     name = args.experiment
-    config = _effective_config(name, args)
     try:
+        config = _effective_config(name, args)
         result = RUNNERS[name](config)
-    except ValueError as exc:  # an input the experiment cannot run on
+    except (ValueError, OSError) as exc:  # an input the experiment cannot read or run on
         raise SystemExit(f"{name}: {exc}") from exc
     _write_outputs(name, config, args.out, result)
     if result.failures:

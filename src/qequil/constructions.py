@@ -172,8 +172,8 @@ def snapshot_subspace(scenario: Scenario, count: int, epsilon: float) -> Snapsho
     """
     if count < 1:
         raise ValueError("need at least one snapshot")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     state = scenario.state
     if not state.is_pure:
         raise ValueError("snapshot subspaces are built from pure states")

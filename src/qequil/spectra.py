@@ -148,6 +148,9 @@ class EnergySpectrum:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnergySpectrum":
+        for key in ("levels", "degeneracies"):
+            if not isinstance(data, dict) or key not in data:
+                raise ValueError(f'a spectrum must be an object with a "{key}" list')
         return cls(data["levels"], data["degeneracies"])
 
     def save(self, path) -> None:

@@ -11,6 +11,9 @@ tr(v^dag rho v) of every column v of a stack of frames, from which projector
 expectations, overlaps, purity and the Haar estimators are summed.
 :func:`level_distribution` returns the state's level probabilities as a
 :class:`~qequil.spectra.LevelDistribution` over the state's own spectrum.
+The factor is the only stored form of a state: no d x d density matrix is
+built here, and a state file holds the factor's columns
+(:func:`save_state`, :func:`load_state`).
 """
 from __future__ import annotations
 
@@ -37,7 +40,6 @@ __all__ = [
 ]
 
 TRACE_TOL = 1e-10
-HERMITICITY_TOL = 1e-10
 
 
 def _checked_factor(spectrum: EnergySpectrum, factor) -> np.ndarray:
@@ -70,46 +72,19 @@ class QuantumState:
     """A density matrix rho = A A^dag over an :class:`EnergySpectrum`'s
     eigenbasis, stored as its d x s factor A.
 
-    A pure state has s = 1 and A is its amplitude vector; :meth:`mixed`
-    factors a density matrix. The d x d matrix is built only when ``rho`` is
-    read, and then kept. Instances are treated as immutable.
+    A pure state has s = 1 and A is its amplitude vector. No d x d matrix
+    is held. Instances are treated as immutable.
     """
 
-    __slots__ = ("spectrum", "factor", "_rho")
+    __slots__ = ("spectrum", "factor")
 
     def __init__(self, spectrum: EnergySpectrum, factor):
         self.spectrum = spectrum
         self.factor = _checked_factor(spectrum, factor)
-        self._rho = None
 
     @classmethod
     def pure(cls, spectrum: EnergySpectrum, amplitudes) -> "QuantumState":
         return cls(spectrum, np.ravel(amplitudes))
-
-    @classmethod
-    def mixed(cls, spectrum: EnergySpectrum, rho) -> "QuantumState":
-        """Factor a finite, Hermitian, unit-trace, positive semidefinite
-        density matrix: rho = V diag(w) V^dag gives A = V sqrt(w) over the
-        eigenvalues w above the eigensolver's roundoff, d eps max(w). An
-        eigenvalue below -TRACE_TOL is rejected."""
-        d = spectrum.dim
-        m = np.asarray(rho, dtype=complex)
-        if m.shape != (d, d):
-            raise ValueError(f"density matrix has shape {m.shape}, expected {(d, d)}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix entries must be finite")
-        herm = float(np.abs(m - m.conj().T).max())
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace is {tr!r}, not 1")
-        w, v = np.linalg.eigh(m)
-        if w[0] < -TRACE_TOL:
-            raise ValueError(f"density matrix not positive semidefinite: "
-                             f"eigenvalue {w[0]:.3e}")
-        keep = w > d * np.finfo(float).eps * w[-1]
-        return cls(spectrum, v[:, keep] * np.sqrt(w[keep]))
 
     @property
     def dim(self) -> int:
@@ -124,17 +99,6 @@ class QuantumState:
         if not self.is_pure:
             raise ValueError("state is mixed; no amplitude vector")
         return self.factor[:, 0]
-
-    @property
-    def rho(self) -> np.ndarray:
-        """A A^dag as a d x d matrix, built on first read and kept. One column
-        goes through np.outer, whose entries are the single rounded products
-        c_j conj(c_k); a matrix product does not promise those bits."""
-        if self._rho is None:
-            a = self.factor
-            self._rho = (np.outer(a[:, 0], a[:, 0].conj()) if self.is_pure
-                         else a @ a.conj().T)
-        return self._rho
 
     def diagonal(self) -> np.ndarray:
         """Real diagonal sum_k |A_jk|^2 of the density matrix (eigenbasis
@@ -258,33 +222,36 @@ def complex_out(arr) -> list:
 
 def complex_in(data) -> np.ndarray:
     """Parse nested [re, im] pairs into a complex array."""
-    arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
+    try:
+        arr = np.asarray(data, dtype=float)
+    except TypeError as exc:  # an object where a number belongs
+        raise ValueError(f"expected nested [re, im] pairs: {exc}") from None
+    if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError("expected innermost [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
 def save_state(state: QuantumState, path, spectrum_path) -> None:
-    """Write a state file referencing its spectrum file by path."""
-    payload: dict = {"spectrum": str(spectrum_path)}
-    if state.is_pure:
-        payload["amplitudes"] = complex_out(state.amplitudes)
-    else:
-        payload["rho"] = complex_out(state.rho)
+    """Write a state file: the spectrum file's path and the columns of the
+    state's factor as [re, im] pairs; nothing d x d is written."""
+    payload = {"spectrum": str(spectrum_path), "factor": complex_out(state.factor.T)}
     with open(path, "w") as fh:
         json.dump(payload, fh)
 
 
 def load_state(path, spectrum: EnergySpectrum | None = None) -> QuantumState:
-    """Load a state file; the referenced spectrum path is resolved relative
-    to the state file unless a spectrum is passed in."""
+    """Read a state file written by :func:`save_state`; a payload in any
+    other form is rejected. The referenced spectrum path is resolved
+    relative to the state file unless a spectrum is passed in."""
     with open(path) as fh:
         payload = json.load(fh)
+    keys = set(payload) if isinstance(payload, dict) else None
+    if (keys != {"spectrum", "factor"} or not isinstance(payload["spectrum"], str)
+            or not isinstance(payload["factor"], list)):
+        raise ValueError('a state file must hold {"spectrum": path, "factor": [column, ...]}')
     if spectrum is None:
         ref = payload["spectrum"]
         if not os.path.isabs(ref):
             ref = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
         spectrum = EnergySpectrum.load(ref)
-    if "amplitudes" in payload:
-        return QuantumState.pure(spectrum, complex_in(payload["amplitudes"]))
-    return QuantumState.mixed(spectrum, complex_in(payload["rho"]))
+    return QuantumState(spectrum, complex_in(payload["factor"]).T)

@@ -21,8 +21,10 @@ from qequil.bounds import (fast_equilibration_constant, gap_counting_terms,
 from qequil.measure import (PROJECTOR_TOL, Projector, _phases, expectation_series,
                             series_distinguishability, two_outcome)
 from qequil.spectra import EnergySpectrum, LevelDistribution, max_window_probability
-from qequil.states import (EquilibriumState, QuantumState, dephase, energy_moments,
-                           level_distribution, purity)
+from qequil.states import (TRACE_TOL, EquilibriumState, QuantumState, dephase,
+                           energy_moments, level_distribution, purity)
+
+HERMITICITY_TOL = 1e-10
 
 
 def brute_eta(levels, probs, width):
@@ -106,7 +108,7 @@ def gap_series(projector, state: QuantumState, times) -> np.ndarray:
     all d^2 gaps of the dense projector and the dense rho."""
     times = np.asarray(times, dtype=float)
     energies = state.spectrum.index_energies
-    coeff = (dense(projector).conj() * state.rho).ravel()
+    coeff = (dense(projector).conj() * dense_rho(state)).ravel()
     gaps = (energies[:, None] - energies[None, :]).ravel()
     return (coeff @ np.exp(-1j * np.outer(gaps, times))).real
 
@@ -123,13 +125,47 @@ def direct_series(projector, state: QuantumState, times) -> np.ndarray:
     return 1.0 - values if projector.is_complement else values
 
 
+def dense_rho(state: QuantumState) -> np.ndarray:
+    """A A^dag as a d x d matrix, by the formula of
+    :func:`qequil.averaging.lorentzian_state`: one column goes through
+    np.outer, whose entries are the single rounded products c_j conj(c_k); a
+    matrix product does not promise those bits."""
+    a = state.factor
+    return np.outer(a[:, 0], a[:, 0].conj()) if state.is_pure else a @ a.conj().T
+
+
+def mixed_state(spectrum: EnergySpectrum, rho) -> QuantumState:
+    """Density-matrix oracle: factor a finite, Hermitian, unit-trace,
+    positive semidefinite density matrix. rho = V diag(w) V^dag gives
+    A = V sqrt(w) over the eigenvalues w above the eigensolver's roundoff,
+    d eps max(w). An eigenvalue below -TRACE_TOL is rejected."""
+    d = spectrum.dim
+    m = np.asarray(rho, dtype=complex)
+    if m.shape != (d, d):
+        raise ValueError(f"density matrix has shape {m.shape}, expected {(d, d)}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("density matrix entries must be finite")
+    herm = float(np.abs(m - m.conj().T).max())
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace is {tr!r}, not 1")
+    w, v = np.linalg.eigh(m)
+    if w[0] < -TRACE_TOL:
+        raise ValueError(f"density matrix not positive semidefinite: "
+                         f"eigenvalue {w[0]:.3e}")
+    keep = w > d * np.finfo(float).eps * w[-1]
+    return QuantumState(spectrum, v[:, keep] * np.sqrt(w[keep]))
+
+
 def dense_dephase(state: QuantumState) -> np.ndarray:
     """Dense equilibrium density matrix: every element of rho between
     distinct levels zeroed, the within-level blocks kept, as a d x d array
     (never factored, so it is bit for bit the masked copy of rho)."""
     lvl = state.spectrum.level_of_index
     mask = lvl[:, None] == lvl[None, :]
-    return np.where(mask, state.rho, 0.0)
+    return np.where(mask, dense_rho(state), 0.0)
 
 
 def matrix_from_column_traces(state) -> np.ndarray:
@@ -185,7 +221,7 @@ def success_probability(distance: float) -> float:
 
 
 def trace_distance(a: QuantumState, b: QuantumState) -> float:
-    eigs = np.linalg.eigvalsh(a.rho - b.rho)
+    eigs = np.linalg.eigvalsh(dense_rho(a) - dense_rho(b))
     return 0.5 * float(np.abs(eigs).sum())
 
 
@@ -342,7 +378,7 @@ def lorentzian_state_entrywise(state: QuantumState, window: float) -> np.ndarray
     over the d x d frequencies: the Lorentzian-averaged state without its
     per-index phases."""
     e = state.spectrum.index_energies
-    return state.rho * lorentzian_phase_average(e[None, :] - e[:, None], window)
+    return dense_rho(state) * lorentzian_phase_average(e[None, :] - e[:, None], window)
 
 
 def lorentzian_phase_average_quadrature(nu: float, window: float,

@@ -14,12 +14,11 @@ from qequil.haar import HaarSampler, exact_mean_sq_distinguishability, \
     mc_distinguishabilities, mc_mean_stderr, n_outcome_typical_cap
 from qequil.measure import Projector, expectation_series, two_outcome
 from qequil.spectra import EnergySpectrum, LevelDistribution, max_window_probability
-from qequil.states import (QuantumState, dephase, energy_moments, evolve,
-                           level_distribution, purity)
+from qequil.states import dephase, energy_moments, evolve, level_distribution, purity
 
-from helpers import best_epsilon, brute_eta, brute_gap_count, dense, dense_dephase, \
-    distinguishability_series, matrix_from_column_traces, overlap, poisson_spectrum, projector_from_matrix, \
-    random_mixed, random_pure
+from helpers import best_epsilon, brute_eta, brute_gap_count, dense, dense_dephase, dense_rho, \
+    distinguishability_series, matrix_from_column_traces, mixed_state, overlap, poisson_spectrum, \
+    projector_from_matrix, random_mixed, random_pure
 
 SEED = 20240811
 
@@ -176,14 +175,14 @@ def test_criterion_10_structural_properties(acceptance):
     # evolve group law; dephase idempotent and commuting; overlap identity
     spec = poisson_spectrum(rng, 9)
     state = random_mixed(rng, spec)
-    a = evolve(evolve(state, 1.3), 2.1).rho
-    b = evolve(state, 3.4).rho
+    a = dense_rho(evolve(evolve(state, 1.3), 2.1))
+    b = dense_rho(evolve(state, 3.4))
     ok &= np.abs(a - b).max() < 1e-12
-    omega = QuantumState.mixed(spec, dense_dephase(state))
-    ok &= np.abs(dense_dephase(omega) - omega.rho).max() < 1e-13
-    ok &= np.abs(matrix_from_column_traces(dephase(omega)) - omega.rho).max() < 1e-13
-    ok &= np.abs(dense_dephase(evolve(state, 2.7)) - omega.rho).max() < 1e-12
-    ok &= abs(float(np.vdot(evolve(state, 1.9).rho, omega.rho).real)
+    omega = mixed_state(spec, dense_dephase(state))
+    ok &= np.abs(dense_dephase(omega) - dense_rho(omega)).max() < 1e-13
+    ok &= np.abs(matrix_from_column_traces(dephase(omega)) - dense_rho(omega)).max() < 1e-13
+    ok &= np.abs(dense_dephase(evolve(state, 2.7)) - dense_rho(omega)).max() < 1e-12
+    ok &= abs(float(np.vdot(dense_rho(evolve(state, 1.9)), dense_rho(omega)).real)
               - purity(dephase(state))) < 1e-12
 
     # two-outcome symmetry under complement

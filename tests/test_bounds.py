@@ -83,8 +83,9 @@ def test_nan_scalar_is_rejected(name):
 
 # An infinite window or width is rejected by name: a Lorentzian window would
 # damp the zero gaps by inf * 0 = NaN, the window-probability bounds would scan
-# a zero width the caller never passed, and a scan of an infinite width (a
-# window T = 0) would sum every level.
+# a zero width the caller never passed, a scan of an infinite width (a
+# window T = 0) would sum every level, and snapshots an infinite time apart
+# would have NaN phases that the SVD cannot take.
 INF_CALLS = {
     "max_window_probability_window": lambda: max_window_probability_window(_DIST, np.inf),
     "dephased_purity_bound": lambda: dephased_purity_bound(_DIST, np.inf),
@@ -94,6 +95,7 @@ INF_CALLS = {
     "lorentzian_purity_product": lambda: lorentzian_purity_product(_DIST, [np.inf]),
     "lorentzian_purity": lambda: lorentzian_purity(_STATE, [np.inf]),
     "lorentzian_purity array": lambda: lorentzian_purity(_STATE, [1.0, np.inf]),
+    "snapshot_subspace": lambda: snapshot_subspace(_SCEN, 3, np.inf),
 }
 
 

@@ -75,7 +75,7 @@ def test_gaussian_run_and_failure_exit(tmp_path):
 
 def test_haar_quick(tmp_path):
     out = tmp_path / "haar"
-    code = _run(["haar", "--out", str(out), "--samples", "400",
+    code = _run(["haar", "--out", str(out), "--set", "samples=400",
                  "--set", "battery_scenarios=6", "--set", "battery_samples=150",
                  "--set", "twirl_samples=2000"])
     assert code == 0
@@ -185,7 +185,7 @@ def test_config_file_with_flag_override(tmp_path):
     cfg.write_text(json.dumps({"levels": 20, "samples": 257}))
     out = tmp_path / "out"
     code = _run(["figure3", "--config", str(cfg), "--out", str(out),
-                 "--samples", "129"])
+                 "--set", "samples=129"])
     assert code == 0
     rows = (out / "figure3.csv").read_text().splitlines()
     assert len(rows) == 129 + 2  # comment + header + samples
@@ -196,7 +196,7 @@ def test_config_file_with_flag_override(tmp_path):
 @pytest.mark.parametrize("argv, key", [
     (["bounds", "--set", "trails=6"], "trails"),
     (["figure3", "--seed", "3"], "seed"),
-    (["bounds", "--samples", "10"], "samples"),
+    (["bounds", "--set", "samples=10"], "samples"),
     (["haar", "--config", "{cfg}"], "battery_sample"),
 ])
 def test_unknown_config_key_is_rejected(tmp_path, argv, key):
@@ -229,12 +229,28 @@ def test_unknown_config_key_is_rejected(tmp_path, argv, key):
      "epsilon must be a finite positive number or null, got nan"),
     (["spectrum-info", "--set", "spectrum=s.json", "--set", "epsilon=-1"],
      "epsilon must be a finite positive number or null, got -1"),
+    # input files that cannot be read end in one line, not a traceback
+    (["spectrum-info", "--set", "hermitian={cfg}"], "expected nested [re, im] pairs"),
+    (["spectrum-info", "--set", "hermitian={dir}/spec.json"], '{"matrix": [...]}'),
+    (["spectrum-info", "--set", "spectrum={dir}/levels_only.json"],
+     'spectrum-info: a spectrum must be an object with a "degeneracies" list'),
+    (["eta", "--set", "spectrum={cfg}"],
+     'eta: a spectrum must be an object with a "levels" list'),
+    (["eta", "--set", "spectrum={dir}/missing.json"], "eta: [Errno 2] No such file or directory"),
+    (["haar", "--config", "{dir}/missing.json"], "haar: [Errno 2] No such file or directory"),
+    (["eta", "--set", "spectrum={dir}/spec.json", "--set", "state={dir}/rho_state.json"],
+     'eta: a state file must hold {"spectrum": path, "factor": [column, ...]}'),
 ])
 def test_config_value_of_wrong_type_is_rejected(tmp_path, argv, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps([{"samples": 10}]))
+    EnergySpectrum([0.0, 1.0], [1, 1]).save(tmp_path / "spec.json")
+    (tmp_path / "levels_only.json").write_text(json.dumps({"levels": [0.0, 1.0]}))
+    (tmp_path / "rho_state.json").write_text(json.dumps(
+        {"spectrum": "spec.json", "rho": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}))
     out = tmp_path / "out"
-    argv = [a.replace("{cfg}", str(cfg)) for a in argv] + ["--out", str(out)]
+    argv = [a.replace("{cfg}", str(cfg)).replace("{dir}", str(tmp_path))
+            for a in argv] + ["--out", str(out)]
     with pytest.raises(SystemExit, match=re.escape(message)):
         _run(argv)
     assert not out.exists()
@@ -297,7 +313,7 @@ def test_experiment_returns_tables_and_writes_nothing(tmp_path, monkeypatch):
 def test_seed_meta_only_for_seeded_experiments(tmp_path):
     fig = tmp_path / "fig"
     assert _run(["figure3", "--out", str(fig), "--set", "levels=20",
-                 "--samples", "65", "--set", "phase_seed=7"]) == 0
+                 "--set", "samples=65", "--set", "phase_seed=7"]) == 0
     assert json.loads((fig / "figure3_summary.json").read_text())["_seed"] == 7
     assert (fig / "figure3.csv").read_text().splitlines()[0].endswith(" seed=7")
 

@@ -26,8 +26,9 @@ from qequil.spectra import EnergySpectrum
 from qequil.states import (EquilibriumState, QuantumState, dephase, evolve,
                            level_distribution, purity)
 
-from helpers import (dense_dephase, dense_distinguishability, dense_expectation,
-                     distinguishability_series, gap_series, matrix_from_column_traces, random_mixed, random_pure)
+from helpers import (dense_dephase, dense_distinguishability, dense_expectation, dense_rho,
+                     distinguishability_series, gap_series, matrix_from_column_traces,
+                     mixed_state, random_mixed, random_pure)
 
 TOL = 1e-14
 SERIES_TOL = 1e-12
@@ -51,7 +52,7 @@ def _frame(rng, d, k):
 def cases(draw):
     """A spectrum (degenerate or not), a pure, low-rank or full-rank mixed
     state over it (a mixed one possibly factored from its matrix by
-    ``QuantumState.mixed``), and a projector of any rank 0..d, possibly a
+    :func:`helpers.mixed_state`), and a projector of any rank 0..d, possibly a
     complement."""
     d = draw(st.integers(1, 10), label="d")
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
@@ -63,7 +64,7 @@ def cases(draw):
         components = d if kind == "full-rank" else draw(st.integers(1, max(1, d - 1)))
         state = random_mixed(rng, spec, components)
         if draw(st.booleans(), label="from_matrix"):
-            state = QuantumState.mixed(spec, state.rho)
+            state = mixed_state(spec, dense_rho(state))
     p = Projector.from_factor(_frame(rng, d, draw(st.integers(0, d), label="rank")))
     if draw(st.booleans(), label="complement"):
         p = p.complement()
@@ -82,12 +83,12 @@ def test_factor_form_matches_dense_oracle(case, t):
     _, state, p = case
     rho = _outer_sum(state.factor)
     assert state.is_pure == (state.factor.shape[1] == 1)
-    assert np.abs(state.rho - rho).max() <= TOL
+    assert np.abs(dense_rho(state) - rho).max() <= TOL
     assert np.abs(state.diagonal() - rho.diagonal().real).max() <= TOL
     assert abs(p.expectation(state) - dense_expectation(p, rho)) <= TOL
     assert abs(purity(state) - float(np.vdot(rho, rho).real)) <= TOL
     phases = np.exp(-1j * state.spectrum.index_energies * t)
-    assert np.abs(evolve(state, t).rho - rho * np.outer(phases, phases.conj())).max() <= TOL
+    assert np.abs(dense_rho(evolve(state, t)) - rho * np.outer(phases, phases.conj())).max() <= TOL
     times = np.linspace(0.0, t, 9)
     assert np.abs(expectation_series(p, state, times)
                   - gap_series(p, state, times)).max() <= SERIES_TOL
@@ -118,7 +119,7 @@ def test_column_traces_of_batched_frames(case, m, k):
     rng, state, _ = case
     d = state.dim
     v = np.stack([_frame(rng, d, min(k, d)) for _ in range(m)])
-    for s, rho in ((state, state.rho), (dephase(state), dense_dephase(state))):
+    for s, rho in ((state, dense_rho(state)), (dephase(state), dense_dephase(state))):
         got = s.column_traces(v)
         want = np.einsum("mjk,jl,mlk->mk", v.conj(), rho, v).real
         assert got.shape == (m, min(k, d))
@@ -134,9 +135,9 @@ def test_distinguishability_against_block_form(case, t_max):
     m = two_outcome(p)
     state_t = evolve(state, t_max)
     assert abs(distinguishability(m, state_t, omega)
-               - dense_distinguishability(m, state_t.rho, oracle)) <= TOL
+               - dense_distinguishability(m, dense_rho(state_t), oracle)) <= TOL
     assert abs(distinguishability(m, omega, state_t)
-               - dense_distinguishability(m, oracle, state_t.rho)) <= TOL
+               - dense_distinguishability(m, oracle, dense_rho(state_t))) <= TOL
     if state.dim >= 2:
         v = _frame(rng, state.dim, state.dim)
         k = int(rng.integers(1, state.dim))
@@ -175,7 +176,7 @@ def test_pure_source_keeps_no_matrix():
     assert omega.factor is pure.factor and omega.factor.shape == (64, 1)
     mixed = random_mixed(np.random.default_rng(5), spec)
     assert dephase(mixed).factor is mixed.factor and mixed.factor.shape == (64, 3)
-    assert pure._rho is None and mixed._rho is None
+    assert QuantumState.__slots__ == EquilibriumState.__slots__ == ("spectrum", "factor")
     with pytest.raises(TypeError):
         EquilibriumState(spec)
 
@@ -186,7 +187,7 @@ def test_column_traces_take_only_frames(dephased):
     # value (1.0 for <c|omega|c> = 0.2068 here)
     scen = random_scenario(3, 12)
     state = dephase(scen.state) if dephased else scen.state
-    rho = dense_dephase(scen.state) if dephased else scen.state.rho
+    rho = dense_dephase(scen.state) if dephased else dense_rho(scen.state)
     c = scen.state.amplitudes
     want = float(np.vdot(c, rho @ c).real)
     assert state.column_traces(c[:, None]) == pytest.approx([want], rel=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import (PerSampleHaar, constrained_mean_bound_tight, dense, dense_dephase,
                      per_sample_distinguishabilities, per_sample_stats, per_sample_twirl,
-                     random_mixed, random_pure)
+                     dense_rho, random_mixed, random_pure)
 from qequil import haar
 from qequil.constructions import random_scenario
 from qequil.haar import (CHUNK_ENTRIES, HaarSampler, constrained_mean_bound,
@@ -200,7 +200,7 @@ class TestBatchedKernel:
         scen = random_scenario(d + 1, d)
         state_t = evolve(scen.state, 0.8)
         omega = dephase(scen.state)
-        delta = state_t.rho - dense_dephase(scen.state)
+        delta = dense_rho(state_t) - dense_dephase(scen.state)
         n = d - excluded
         seeds = iter(range(200 + d, 300 + d))
 
@@ -239,7 +239,7 @@ class TestBatchedKernel:
             state_t, omega = evolve(state, 0.8), dephase(state)
             oracle = dense_dephase(state)
             assert abs(oracle[1, 2]) > 1e-3  # a kept coherence
-            return state_t, omega, state_t.rho - oracle
+            return state_t, omega, dense_rho(state_t) - oracle
 
         def run(seed, v, ranks):
             n = d - (v is not None)
@@ -314,7 +314,7 @@ class TestBatchedKernel:
         assert np.array_equal(sampler.frame(d - excluded), ref.frame(d - excluded))
         state_t = evolve(scen.state, 0.8)
         omega = dephase(scen.state)
-        delta = state_t.rho - dense_dephase(scen.state)
+        delta = dense_rho(state_t) - dense_dephase(scen.state)
         sampler, ref = _sampler_pair(401, scen, excluded)
         ranks = [7 - excluded, d - 7]
         got_mean, got_stderr = _mc(state_t, omega, ranks, sampler, count)
@@ -404,7 +404,7 @@ class TestTypicalBound:
         # conjugating the base projector by a fixed unitary leaves the
         # ensemble invariant, so two estimates agree within error bars
         scen, state_t, omega = d8_scenario
-        delta = state_t.rho - dense_dephase(scen.state)
+        delta = dense_rho(state_t) - dense_dephase(scen.state)
         rot = HaarSampler(100, 8).frame(8)
         base = np.zeros((8, 8), dtype=complex)
         base[:3, :3] = np.eye(3)
@@ -473,7 +473,7 @@ class TestConstrainedEnsemble:
         # no initial state is passed: the excluded vector w, whatever it is
         # and up to its phase, is the one inside outcome 0
         scen, state_t, omega = d10
-        delta = state_t.rho - dense_dephase(scen.state)
+        delta = dense_rho(state_t) - dense_dephase(scen.state)
         w = random_scenario(22, 10).state.amplitudes
         for v in (w, 1j * w):
             got = mc_distinguishabilities(state_t, omega, [2, 7], HaarSampler(5, 10, v), 100)

@@ -9,9 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qequil
+from qequil.states import save_state
+
+from helpers import poisson_spectrum, random_mixed
 
 SRC = str(Path(qequil.__file__).resolve().parents[1])
 
@@ -31,15 +35,23 @@ SMALL = {
                "--set", "gap_counting_dim=10"],
     "haar": ["--set", "samples=50", "--set", "battery_scenarios=2",
              "--set", "battery_samples=20", "--set", "twirl_samples=50"],
-    "figure3": ["--set", "levels=10", "--samples", "65"],
+    "figure3": ["--set", "levels=10", "--set", "samples=65"],
     "gaussian": ["--set", "levels=200", "--set", "sigma_t_grid=[2.0]"],
+    # the file-reading paths: a mixed state's factor and a spectrum
+    "eta": ["--set", "spectrum={dir}/spec.json", "--set", "state={dir}/state.json"],
+    "spectrum-info": ["--set", "spectrum={dir}/spec.json", "--set", "epsilon=0.5"],
 }
 
 
 def _probe(tmp_path, experiment):
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    argv = [experiment, "--out", str(tmp_path), *SMALL[experiment]]
+    spec = poisson_spectrum(np.random.default_rng(3), 12)
+    spec.save(tmp_path / "spec.json")
+    save_state(random_mixed(np.random.default_rng(4), spec), tmp_path / "state.json",
+               tmp_path / "spec.json")
+    argv = [experiment, "--out", str(tmp_path / "out"),
+            *(a.replace("{dir}", str(tmp_path)) for a in SMALL[experiment])]
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])

@@ -13,12 +13,12 @@ from qequil.constructions import (partitioned_slow_measurement, random_scenario,
 from qequil.measure import (Measurement, Projector, distinguishability, expectation_series,
                             grid_series, load_measurement, save_measurement, two_outcome)
 from qequil.spectra import EnergySpectrum
-from qequil.states import QuantumState, complex_out, dephase, evolve
+from qequil.states import complex_out, dephase, evolve
 
 import helpers
 from helpers import (dense, direct_series, distinguishability_series, gap_series,
-                     projector_from_matrix, random_mixed, random_pure, success_probability,
-                     trace_distance)
+                     mixed_state, projector_from_matrix, random_mixed, random_pure,
+                     success_probability, trace_distance)
 
 
 @pytest.fixture
@@ -132,7 +132,7 @@ class TestDistinguishability:
     def test_pure_versus_maximally_mixed(self, spec):
         rng = np.random.default_rng(6)
         state = random_pure(rng, spec)
-        mixed = QuantumState.mixed(spec, np.eye(5, dtype=complex) / 5.0)
+        mixed = mixed_state(spec, np.eye(5, dtype=complex) / 5.0)
         m = two_outcome(Projector.from_factor(state.amplitudes))
         assert distinguishability(m, state, mixed) == pytest.approx(1 - 1 / 5, abs=1e-12)
 
@@ -325,7 +325,7 @@ def test_mixed_series_matches_gap_oracle(d, data):
 def test_pure_series_matches_same_state_as_rho(d, data):
     rng, spec, p, times = _series_case(d, data)
     pure = random_pure(rng, spec)
-    as_rho = QuantumState.mixed(spec, np.outer(pure.amplitudes, pure.amplitudes.conj()))
+    as_rho = mixed_state(spec, np.outer(pure.amplitudes, pure.amplitudes.conj()))
     assert np.abs(expectation_series(p, pure, times)
                   - expectation_series(p, as_rho, times)).max(initial=0.0) <= 1e-12
 
