@@ -1,18 +1,18 @@
 """Seeded trial batteries and the experiments behind the command line.
 
-Each battery is deterministic given its seed and returns row dictionaries,
-each with a ``holds`` verdict; the violations are the rows that do not hold,
-and an empty list is the expected verdict.
+Each battery is deterministic given its seed and returns a list of row
+dictionaries, each with a ``holds`` verdict; a row that does not hold is a
+violation, and none is the expected verdict.
 
 Each experiment (``run_figure3`` ... ``run_spectrum_info``) takes a config
 dict and returns an :class:`ExperimentResult`: its tables (file name to CSV
-rows or a JSON payload), a summary and the failed checks. Experiments write
-no files; the CLI stamps and writes what they return.
+rows or a JSON payload), a summary and every check it made, as named records
+that carry ``holds``. Experiments write no files; the CLI stamps and writes
+what they return.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +39,6 @@ from .states import (QuantumState, complex_in, dephase, effective_dimension,
                      energy_moments, evolve, level_distribution, load_state)
 
 __all__ = [
-    "BatteryReport",
     "ExperimentResult",
     "fast_equilibration_battery",
     "gap_counting_battery",
@@ -72,24 +71,21 @@ def _check_count(name: str, value: int, least: int = 1):
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-@dataclass
-class BatteryReport:
-    rows: list = field(default_factory=list)
-
-    @property
-    def violations(self) -> list:
-        """The rows whose ``holds`` is false."""
-        return [row for row in self.rows if not row["holds"]]
-
-
 class ExperimentResult(NamedTuple):
     """What an experiment returns: ``tables`` maps a file name to CSV rows (a
-    list of dicts) or to a JSON payload (a dict); ``failures`` lists the
-    checks that did not hold."""
+    list of dicts) or to a JSON payload (a dict); ``checks`` lists every
+    check made as a ``(name, record)`` pair, each record with its ``holds``
+    verdict."""
 
     tables: dict
     summary: dict
-    failures: list
+    checks: list
+
+    @property
+    def failures(self) -> list:
+        """One record per check that did not hold, named by its ``check``."""
+        return [{"check": name, **record} for name, record in self.checks
+                if not record["holds"]]
 
 
 def _random_trial_scenario(rng) -> Scenario:
@@ -137,7 +133,7 @@ def _random_state(rng, spec) -> QuantumState:
 
 
 def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
-                               max_rank: int = 8, slack: float = 1e-3) -> BatteryReport:
+                               max_rank: int = 8, slack: float = 1e-3) -> list:
     """Randomized sweep of the two-outcome fast-equilibration bound, with the
     Lorentzian-purity chain checked at every grid point along the way. Each
     trial evaluates its window scans, bounds, exact purities and the series
@@ -146,7 +142,7 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
     _check_count("trials", trials)
     _check_count("t_points", t_points)
     _check_count("max_rank", max_rank)
-    report = BatteryReport()
+    rows = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         scenario = _random_trial_scenario(rng)
@@ -174,9 +170,8 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
                    "trial": trial, "label": scenario.label, "d": d,
                    "levels": spec.num_levels, "eta": float(eta),
                    "refinement_error": avg.refinement_error}
-            report.rows.append(row)
-            report.rows.append(chain_row)
-    return report
+            rows += [row, chain_row]
+    return rows
 
 
 def _purity_chain_rows(state, dist, sigma, windows, trial) -> list:
@@ -219,11 +214,11 @@ def gap_counting_scenario(seed: int, dim: int = 40):
     return state, proj
 
 
-def gap_counting_battery(seed: int, dim: int = 40) -> BatteryReport:
+def gap_counting_battery(seed: int, dim: int = 40) -> list:
     """Gap-counting bound checks on a dense random-matrix scenario, for both
     the expectation and distinguishability forms."""
     _check_count("dim", dim, 2)
-    report = BatteryReport()
+    rows = []
     state, proj = gap_counting_scenario(seed, dim)
     sigma = energy_moments(level_distribution(state)).std
     meas = two_outcome(proj)
@@ -245,19 +240,19 @@ def gap_counting_battery(seed: int, dim: int = 40) -> BatteryReport:
                     ("general_distinguishability", d_avg.value,
                      bounds_mod.general_distinguishability_bound(n_eps, d_eff, 2, eps,
                                                                  window))):
-                report.rows.append({
+                rows.append({
                     "name": name, "T": float(window), "eps": float(eps), "K": proj.rank,
                     "value": value, "measured": measured,
                     "holds": measured <= value + 1e-3, "battery": "gap_counting",
                     "d": dim, "N_eps": n_eps, "informative": value < 1.0})
-    return report
+    return rows
 
 
-def haar_battery(seed: int, scenarios: int = 50, samples: int = 300) -> BatteryReport:
+def haar_battery(seed: int, scenarios: int = 50, samples: int = 300) -> list:
     """Monte Carlo sweep of all four Haar-ensemble bounds (two-outcome and
     N-outcome, unconstrained and initial-state-constrained)."""
     _check_count("scenarios", scenarios)
-    report = BatteryReport()
+    rows = []
     for idx in range(scenarios):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x44A, idx]))
         d = int(rng.integers(8, 25))
@@ -288,12 +283,11 @@ def haar_battery(seed: int, scenarios: int = 50, samples: int = 300) -> BatteryR
             sampler = HaarSampler(sampler_seed, d, excluded_vector=excluded)
             mean, stderr = mc_mean_stderr(
                 mc_distinguishabilities(state_t, omega, part, sampler, samples))
-            row = {"name": name, "T": t, "K": rank, "value": cap, "measured": mean,
-                   "holds": mean <= cap + HAAR_STDERR_SIGMAS * stderr,
-                   "battery": "haar", "scenario": idx, "d": d, "N": outcomes,
-                   "mc_stderr": stderr}
-            report.rows.append(row)
-    return report
+            rows.append({"name": name, "T": t, "K": rank, "value": cap, "measured": mean,
+                         "holds": mean <= cap + HAAR_STDERR_SIGMAS * stderr,
+                         "battery": "haar", "scenario": idx, "d": d, "N": outcomes,
+                         "mc_stderr": stderr})
+    return rows
 
 
 def _random_partition(rng, total: int, parts: int):
@@ -343,21 +337,19 @@ def run_figure3(config: dict) -> ExperimentResult:
     avg_at_period = float(rows[-1]["running_avg"])
     rand_avg = float(rand_rows[-1]["running_avg"])
     expected_d0 = 1.0 - 1.0 / levels
-    failures = []
-    if not (abs(d0 - expected_d0) <= 1e-9):
-        failures.append({"check": "initial_distinguishability", "value": d0,
-                         "expected": expected_d0})
-    if not (revival_gap <= 1e-9):
-        failures.append({"check": "revival", "value": revival_gap})
-    if not (avg_at_period <= 0.2 * d0):
-        failures.append({"check": "average_at_revival", "value": avg_at_period,
-                         "limit": 0.2 * d0})
+    checks = [
+        ("initial_distinguishability", {"value": d0, "expected": expected_d0,
+                                        "holds": abs(d0 - expected_d0) <= 1e-9}),
+        ("revival", {"value": revival_gap, "holds": revival_gap <= 1e-9}),
+        ("average_at_revival", {"value": avg_at_period, "limit": 0.2 * d0,
+                                "holds": avg_at_period <= 0.2 * d0}),
+    ]
     summary = {"levels": levels, "initial_distinguishability": d0,
                "revival_gap": revival_gap, "average_at_revival": avg_at_period,
                "average_at_revival_random_phase": rand_avg,
                "phase_insensitivity_gap": abs(avg_at_period - rand_avg)}
     tables = {"figure3.csv": rows, "figure3_random_phase.csv": rand_rows}
-    return ExperimentResult(tables, summary, failures)
+    return ExperimentResult(tables, summary, checks)
 
 
 def run_bounds(config: dict) -> ExperimentResult:
@@ -365,20 +357,17 @@ def run_bounds(config: dict) -> ExperimentResult:
     and the gap-counting bounds."""
     _check_count("gap_counting_dim", int(config["gap_counting_dim"]), 2)
     seed = int(config["seed"])
-    report = fast_equilibration_battery(seed, trials=int(config["trials"]),
-                                        t_points=int(config["t_points"]),
-                                        max_rank=int(config["max_rank"]),
-                                        slack=float(config["slack"]))
-    gap_checks = gap_counting_battery(seed, dim=int(config["gap_counting_dim"]))
-    rows = report.rows + gap_checks.rows
+    rows = fast_equilibration_battery(seed, trials=int(config["trials"]),
+                                      t_points=int(config["t_points"]),
+                                      max_rank=int(config["max_rank"]),
+                                      slack=float(config["slack"]))
+    rows += gap_counting_battery(seed, dim=int(config["gap_counting_dim"]))
     tables = {}
     for row in rows:
         tables.setdefault(f"{row['battery']}_trials.csv", []).append(row)
-    failures = [{"check": v["battery"], **v}
-                for v in report.violations + gap_checks.violations]
     summary = {"trials": int(config["trials"]), "rows": len(rows),
-               "violations": len(failures)}
-    return ExperimentResult(tables, summary, failures)
+               "violations": sum(not row["holds"] for row in rows)}
+    return ExperimentResult(tables, summary, [(row["battery"], row) for row in rows])
 
 
 def run_slow(config: dict) -> ExperimentResult:
@@ -402,7 +391,7 @@ def run_slow(config: dict) -> ExperimentResult:
                "long_time_average": rep.long_time_average,
                "ceiling": rep.ceiling, "refinement_holds": rep.refinement_holds}
     rows = _series_rows(rep.times, rep.values, bound=rep.floor)
-    return ExperimentResult({"slow.csv": rows}, summary, rep.failures)
+    return ExperimentResult({"slow.csv": rows}, summary, rep.checks)
 
 
 def run_gaussian(config: dict) -> ExperimentResult:
@@ -421,7 +410,7 @@ def run_gaussian(config: dict) -> ExperimentResult:
     windows = [float(st) / sigma for st in grid]
     purities = lorentzian_purity_product(dist, windows).tolist()
     rows = []
-    failures = []
+    checks = []
     for st, window, measured_purity in zip(grid, windows, purities):
         eta, win = max_window_probability_window(dist, 1.0 / window)
         product = eta * sigma * window
@@ -434,16 +423,16 @@ def run_gaussian(config: dict) -> ExperimentResult:
                "purity_asymptote": asym,
                "holds": product <= limit_coeff}
         rows.append(row)
-        if not row["holds"]:
-            failures.append({"check": "eta_estimate", "sigma_T": float(st),
-                             "value": product, "limit": limit_coeff})
-        if float(st) >= 5.0 and not (abs(exact - asym) <= 0.1 * asym):
-            failures.append({"check": "purity_asymptote", "sigma_T": float(st),
-                             "exact": exact, "asymptote": asym})
+        checks.append(("eta_estimate", {"sigma_T": float(st), "value": product,
+                                        "limit": limit_coeff, "holds": row["holds"]}))
+        if float(st) >= 5.0:
+            checks.append(("purity_asymptote", {"sigma_T": float(st), "exact": exact,
+                                                "asymptote": asym,
+                                                "holds": abs(exact - asym) <= 0.1 * asym}))
     summary = {"sigma_target": float(config["sigma"]), "sigma_measured": sigma,
                "max_eta_sigma_T": max(r["eta_sigma_T"] for r in rows),
                "points": len(rows)}
-    return ExperimentResult({"gaussian.csv": rows}, summary, failures)
+    return ExperimentResult({"gaussian.csv": rows}, summary, checks)
 
 
 def run_haar(config: dict) -> ExperimentResult:
@@ -520,14 +509,12 @@ def run_haar(config: dict) -> ExperimentResult:
 
     battery = haar_battery(seed, int(config["battery_scenarios"]),
                            int(config["battery_samples"]))
-    failures = [{"check": name, **report} for name, report in reports.items()
-                if not report["holds"]]
-    failures += [{"check": "haar_battery", **v} for v in battery.violations]
-    summary = {"reports": len(reports), "battery_rows": len(battery.rows),
-               "violations": len(failures)}
-    tables = {"haar_battery.csv": battery.rows,
+    checks = [*reports.items(), *(("haar_battery", row) for row in battery)]
+    summary = {"reports": len(reports), "battery_rows": len(battery),
+               "violations": sum(not record["holds"] for _, record in checks)}
+    tables = {"haar_battery.csv": battery,
               "haar_reports.json": {"reports": reports}}
-    return ExperimentResult(tables, summary, failures)
+    return ExperimentResult(tables, summary, checks)
 
 
 def _load_spectrum_arg(config) -> EnergySpectrum:
@@ -579,5 +566,5 @@ def run_spectrum_info(config: dict) -> ExperimentResult:
     if config.get("epsilon"):
         eps = float(config["epsilon"])
         summary["epsilon"] = eps
-        summary["gaps_in_window"] = max_gaps_in_window(spec.gaps(), eps)
+        summary["gaps_in_window"] = max_gaps_in_window(spec.levels, eps)
     return ExperimentResult({}, summary, [])

@@ -68,9 +68,9 @@ def gap_counting_terms(state: QuantumState, eps: float) -> tuple:
     eps and the effective dimension, the inputs of both gap-counting forms."""
     if not state.is_pure:
         raise ValueError("this bound is derived for pure initial states")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    return (max_gaps_in_window(state.spectrum.gaps(), eps),
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    return (max_gaps_in_window(state.spectrum.levels, eps),
             effective_dimension(level_distribution(state)))
 
 

@@ -194,7 +194,10 @@ def main(argv=None) -> int:
         result = RUNNERS[name](config)
     except (ValueError, OSError) as exc:  # an input the experiment cannot read or run on
         raise SystemExit(f"{name}: {exc}") from exc
-    _write_outputs(name, config, args.out, result)
+    try:
+        _write_outputs(name, config, args.out, result)
+    except OSError as exc:  # an output path it cannot write; a ValueError is a fault
+        raise SystemExit(f"{name}: {exc}") from exc
     if result.failures:
         print(f"{name}: {len(result.failures)} check(s) FAILED", file=sys.stderr)
         return 1

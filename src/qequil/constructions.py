@@ -194,35 +194,34 @@ def snapshot_subspace(scenario: Scenario, count: int, epsilon: float) -> Snapsho
 class SlowWindowReport:
     """Floor, ceiling and refinement checks for a snapshot-subspace
     measurement, with the sampled distinguishability ``values`` at
-    ``times``."""
+    ``times``; ``worst_value`` is their minimum."""
 
     times: np.ndarray
     values: np.ndarray
     floor: float
-    floor_holds: bool
     worst_time: float
     worst_value: float
     trace_omega: float
     trace_omega_bound: float
     long_time_average: float
     ceiling: float
-    ceiling_holds: bool
     refinement_holds: bool
 
     @property
-    def failures(self) -> list:
-        """One dict per check that did not hold, naming it."""
-        checks = [
-            (self.floor_holds, {"check": "window_floor", "worst_time": self.worst_time,
-                                "worst_value": self.worst_value, "floor": self.floor}),
-            (self.trace_omega <= self.trace_omega_bound,
-             {"check": "equilibrium_weight", "value": self.trace_omega,
-              "limit": self.trace_omega_bound}),
-            (self.ceiling_holds, {"check": "long_time_ceiling",
-                                  "value": self.long_time_average, "limit": self.ceiling}),
-            (self.refinement_holds, {"check": "refinement_dominance"}),
+    def checks(self) -> list:
+        """The four checks as ``(name, record)`` pairs, each record with its
+        ``holds`` verdict."""
+        return [
+            ("window_floor", {"worst_time": self.worst_time, "worst_value": self.worst_value,
+                              "floor": self.floor,
+                              "holds": self.worst_value >= self.floor}),
+            ("equilibrium_weight", {"value": self.trace_omega, "limit": self.trace_omega_bound,
+                                    "holds": self.trace_omega <= self.trace_omega_bound}),
+            ("long_time_ceiling", {"value": self.long_time_average, "limit": self.ceiling,
+                                   "holds": (self.long_time_average
+                                             <= self.ceiling + CEILING_SLACK)}),
+            ("refinement_dominance", {"holds": self.refinement_holds}),
         ]
-        return [fail for ok, fail in checks if not ok]
 
 
 def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: int,
@@ -267,14 +266,12 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: 
         times=times,
         values=values,
         floor=float(floor),
-        floor_holds=bool(values.min() >= floor),
         worst_time=float(times[worst]),
         worst_value=float(values[worst]),
         trace_omega=float(p_omega),
         trace_omega_bound=float(np.sqrt(k / d_eff)),
         long_time_average=float(long_avg.value),
         ceiling=float(ceiling),
-        ceiling_holds=bool(long_avg.value <= ceiling + CEILING_SLACK),
         refinement_holds=bool(np.all(refined >= values - 1e-10)),
     )
 

@@ -1,8 +1,10 @@
-"""Energy spectra, spectral gaps, level distributions and window statistics.
+"""Energy spectra, level distributions and window statistics of levels and
+of spectral gaps.
 
 Everything downstream works in the Hamiltonian eigenbasis, so a spectrum is
 just the sorted distinct energies, their degeneracies, and the map from
-eigenbasis index to level index. A :class:`LevelDistribution` carries the
+eigenbasis index to level index. It keeps no gap array: the gap count of a
+window forms the gaps of the levels it is given for that call only. A :class:`LevelDistribution` carries the
 spectrum whose levels it weights and is checked once, when it is built;
 the window scans read it without checking it again.
 """
@@ -96,7 +98,6 @@ class EnergySpectrum:
         object.__setattr__(self, "_index_energies", np.repeat(levels, degs))
         object.__setattr__(self, "_level_starts", np.cumsum(degs) - degs)
         object.__setattr__(self, "_dim", int(degs.sum()))
-        object.__setattr__(self, "_gaps", None)
 
     @property
     def num_levels(self) -> int:
@@ -125,17 +126,6 @@ class EnergySpectrum:
     @property
     def span(self) -> float:
         return float(self.levels[-1] - self.levels[0])
-
-    def gaps(self) -> np.ndarray:
-        """Sorted E_n - E_m over ordered pairs of distinct levels (the zero
-        gap n = m is excluded), built on first use (O(L^2)) and kept
-        read-only."""
-        if self._gaps is None:
-            diff = self.levels[:, None] - self.levels[None, :]
-            gaps = np.sort(diff[~np.eye(self.levels.size, dtype=bool)])
-            gaps.flags.writeable = False
-            object.__setattr__(self, "_gaps", gaps)
-        return self._gaps
 
     def is_nondegenerate(self) -> bool:
         return bool(np.all(self.degeneracies == 1))
@@ -270,13 +260,18 @@ def max_window_probability(dist: LevelDistribution, width):
     return value
 
 
-def max_gaps_in_window(gaps: np.ndarray, width: float) -> int:
-    """Maximum number of gaps (with multiplicity) inside any closed window
-    of the given width; ``gaps`` is sorted, as ``EnergySpectrum.gaps``
-    returns it."""
-    if not width > 0:
-        raise ValueError("window width must be positive")
+def max_gaps_in_window(levels, width: float) -> int:
+    """Maximum number of gaps E_n - E_m over ordered pairs of distinct levels
+    (with multiplicity) inside any closed window of the given positive,
+    finite width; ``levels`` are the distinct energies, as
+    ``EnergySpectrum.levels`` holds them. The L(L - 1) gaps are formed,
+    sorted and swept within the call, and not kept."""
+    if not 0 < width < np.inf:
+        raise ValueError(f"window width must be positive and finite, got {width!r}")
+    levels = np.asarray(levels, dtype=float)
+    gaps = (levels[:, None] - levels[None, :])[~np.eye(levels.size, dtype=bool)]
     if gaps.size == 0:
         return 0
+    gaps.sort()
     right = np.searchsorted(gaps, gaps + width, side="right")
     return int((right - np.arange(gaps.size)).max())

@@ -41,6 +41,12 @@ def brute_eta(levels, probs, width):
     return best
 
 
+def all_gaps(levels) -> np.ndarray:
+    """E_n - E_m over every ordered pair n != m of the levels, unsorted."""
+    return np.array([a - b for n, a in enumerate(levels)
+                     for m, b in enumerate(levels) if n != m], dtype=float)
+
+
 def brute_gap_count(gap_values, width):
     """O(n^2) scan of closed windows anchored at every gap."""
     vals = np.asarray(gap_values, dtype=float)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qequil import batteries, cli, spectra
-from qequil.batteries import (BatteryReport, gap_counting_battery, haar_battery,
+from qequil.batteries import (gap_counting_battery, haar_battery,
                               fast_equilibration_battery)
 from qequil.constructions import random_scenario, slow_window_check, snapshot_subspace
 
@@ -18,20 +18,20 @@ ORACLE_TRIALS = 8
 
 
 def test_trial_generator_covers_flavors():
-    report = fast_equilibration_battery(SEED, trials=24, t_points=2)
-    rows = [r for r in report.rows if r["battery"] == "fast_equilibration"]
+    battery = fast_equilibration_battery(SEED, trials=24, t_points=2)
+    rows = [r for r in battery if r["battery"] == "fast_equilibration"]
     labels = {r["label"].split("-")[0] for r in rows}
     assert "random" in labels   # ladder spectra
     assert "trial" in labels    # dense-matrix spectra or rebuilt states
     degenerate = {r["d"] != r["levels"] for r in rows}
     assert True in degenerate   # degenerate levels occur
-    assert not report.violations
+    assert all(r["holds"] for r in battery)
 
 
 def test_purity_chain_rows_share_one_set_of_columns():
     # the sigma-matched cap used to be named after its width, which changes
     # with every window, so the CSV header kept it for the first row only
-    rows = [r for r in fast_equilibration_battery(SEED, trials=2, t_points=3).rows
+    rows = [r for r in fast_equilibration_battery(SEED, trials=2, t_points=3)
             if r["battery"] == "purity_chain"]
     assert len(rows) == 6
     assert all(list(r) == list(rows[0]) for r in rows)
@@ -43,7 +43,7 @@ def test_purity_chain_rows_share_one_set_of_columns():
 def test_fast_equilibration_battery_deterministic():
     a = fast_equilibration_battery(3, trials=3, t_points=3)
     b = fast_equilibration_battery(3, trials=3, t_points=3)
-    assert a.rows == b.rows
+    assert a == b
 
 
 def test_oracle_seeds_cover_every_trial_kind():
@@ -67,7 +67,7 @@ def test_battery_matches_per_window_oracle(seed):
     # type, must be what the window-by-window scalar calls give, to the byte
     # it is written with. The matrix path of the purity is the one exception:
     # its per-index phases round apart from the entrywise phase average.
-    rows = fast_equilibration_battery(seed, trials=ORACLE_TRIALS).rows
+    rows = fast_equilibration_battery(seed, trials=ORACLE_TRIALS)
     oracle = per_window_fast_equilibration_battery(seed, trials=ORACLE_TRIALS)
     assert len(rows) == len(oracle) == 2 * 12 * ORACLE_TRIALS
     for got, want in zip(rows, oracle):
@@ -85,7 +85,7 @@ def test_gap_counting_battery_matches_per_window_oracle(seed, dim):
     # the battery takes every window's series from one call and N(eps) and
     # d_eff once per width; each row must be what the window-by-window calls
     # give, to the byte it is written with
-    rows = gap_counting_battery(seed, dim=dim).rows
+    rows = gap_counting_battery(seed, dim=dim)
     oracle = per_window_gap_counting_battery(seed, dim=dim)
     assert len(rows) == len(oracle) == 36
     for got, want in zip(rows, oracle):
@@ -137,33 +137,33 @@ def test_bounds_run_scans_windows_under_the_traced_names(monkeypatch):
 def test_haar_battery_rows_and_determinism():
     a = haar_battery(5, scenarios=4, samples=120)
     b = haar_battery(5, scenarios=4, samples=120)
-    assert a.rows == b.rows
-    assert len(a.rows) == 4 * 4  # four checks per scenario
-    assert not a.violations
+    assert a == b
+    assert len(a) == 4 * 4  # four checks per scenario
+    assert all(r["holds"] for r in a)
 
 
 def test_constrained_n_outcome_rows_measure_every_outcome():
     # a partition of the initial state's complement into N - 1 parts once
     # gave the N = 2 rows a single outcome, the identity: 10 of these 50
     # rows read 0 with a standard error of 0
-    rows = [r for r in haar_battery(SEED).rows if r["name"] == "constrained_n_outcome"]
+    rows = [r for r in haar_battery(SEED) if r["name"] == "constrained_n_outcome"]
     assert len(rows) == 50
     assert all(r["mc_stderr"] > 0 for r in rows)
 
 
 def test_appendix_battery_reports_vacuous_flag():
-    report = gap_counting_battery(SEED, dim=24)
-    assert all("informative" in row for row in report.rows)
-    assert not report.violations
+    rows = gap_counting_battery(SEED, dim=24)
+    assert all("informative" in row for row in rows)
+    assert all(row["holds"] for row in rows)
 
 
 SLOW_BATTERY_SAMPLES = 128
 
 
-def slow_battery(seed: int, scenarios: int = 20) -> BatteryReport:
+def slow_battery(seed: int, scenarios: int = 20) -> list:
     """Snapshot-subspace floor/ceiling checks plus N-outcome refinement
     dominance across a range of dimensions and snapshot counts."""
-    report = BatteryReport()
+    rows = []
     dims = (256, 512, 1024, 2048)
     counts = (4, 8, 16, 32)
     eps_choices = (0.25, 0.5)
@@ -178,21 +178,23 @@ def slow_battery(seed: int, scenarios: int = 20) -> BatteryReport:
         scenario = random_scenario(int(rng.integers(2 ** 62)), d)
         sub = snapshot_subspace(scenario, k, eps)
         rep = slow_window_check(sub, scenario, 3, num_samples=SLOW_BATTERY_SAMPLES)
-        report.rows.append({"scenario": idx, "d": d, "K": k, "eps": eps,
-                            "floor": rep.floor, "min_value": rep.worst_value,
-                            "ceiling": rep.ceiling, "holds": not rep.failures})
-    return report
+        rows.append({"scenario": idx, "d": d, "K": k, "eps": eps,
+                     "floor": rep.floor, "min_value": rep.worst_value,
+                     "ceiling": rep.ceiling,
+                     "holds": all(record["holds"] for _, record in rep.checks)})
+    return rows
 
 
 def test_slow_battery_full_sweep():
     # floor and ceiling hold simultaneously across dimensions, snapshot
     # counts, and window parameters
-    report = slow_battery(SEED, scenarios=20)
-    assert len(report.rows) == 20
-    dims = {r["d"] for r in report.rows}
+    rows = slow_battery(SEED, scenarios=20)
+    assert len(rows) == 20
+    dims = {r["d"] for r in rows}
     assert dims == {256, 512, 1024, 2048}
-    assert {r["eps"] for r in report.rows} <= {0.25, 0.5}
-    assert not report.violations, report.violations[:2]
+    assert {r["eps"] for r in rows} <= {0.25, 0.5}
+    violations = [r for r in rows if not r["holds"]]
+    assert not violations, violations[:2]
 
 
 def test_figure3_checks_fail_on_nan(monkeypatch):
@@ -204,6 +206,7 @@ def test_figure3_checks_fail_on_nan(monkeypatch):
     result = batteries.run_figure3(cli.DEFAULTS["figure3"])
     assert [f["check"] for f in result.failures] == [
         "initial_distinguishability", "revival", "average_at_revival"]
+    assert all(f["holds"] is False for f in result.failures)
 
 
 def test_gaussian_asymptote_check_fails_on_nan(monkeypatch):
@@ -211,4 +214,11 @@ def test_gaussian_asymptote_check_fails_on_nan(monkeypatch):
                         lambda sigma, window: np.nan)
     config = {**cli.DEFAULTS["gaussian"], "sigma_t_grid": [2.0, 10.0]}
     result = batteries.run_gaussian(config)
-    assert [f["check"] for f in result.failures] == ["purity_asymptote"]
+    # the asymptote is checked only from sigma_T = 5 up
+    assert [name for name, _ in result.checks] == [
+        "eta_estimate", "eta_estimate", "purity_asymptote"]
+    [failure] = result.failures
+    assert set(failure) == {"check", "sigma_T", "exact", "asymptote", "holds"}
+    assert (failure["check"], failure["sigma_T"], failure["holds"]) == (
+        "purity_asymptote", 10.0, False)
+    assert np.isnan(failure["exact"])

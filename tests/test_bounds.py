@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,9 +26,9 @@ from qequil.spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_windo
 from qequil.states import (dephase, effective_dimension, energy_moments,
                            level_distribution, purity)
 
-from helpers import (best_epsilon, dense_dephase, fast_equilibration_chain,
-                     lorentzian_phase_average, n_outcome_fast_bound, poisson_spectrum,
-                     population_term_bound, random_mixed, random_pure)
+from helpers import (all_gaps, best_epsilon, brute_gap_count, dense_dephase,
+                     fast_equilibration_chain, lorentzian_phase_average, n_outcome_fast_bound,
+                     poisson_spectrum, population_term_bound, random_mixed, random_pure)
 
 NAN = float("nan")
 _SCEN = random_scenario(3, 6)
@@ -37,7 +39,7 @@ _DIST = level_distribution(_STATE)
 # spread or value, called with NaN, which fails every comparison.
 NAN_CALLS = {
     "max_window_probability_window": lambda: max_window_probability_window(_DIST, NAN),
-    "max_gaps_in_window": lambda: max_gaps_in_window(_SPEC.gaps(), NAN),
+    "max_gaps_in_window": lambda: max_gaps_in_window(_SPEC.levels, NAN),
     "spectrum_from_hermitian": lambda: spectrum_from_hermitian(
         np.array([[0.0, NAN], [NAN, 1.0]])),
     "fast_equilibration_bound": lambda: fast_equilibration_bound(NAN, 1),
@@ -84,8 +86,9 @@ def test_nan_scalar_is_rejected(name):
 # An infinite window or width is rejected by name: a Lorentzian window would
 # damp the zero gaps by inf * 0 = NaN, the window-probability bounds would scan
 # a zero width the caller never passed, a scan of an infinite width (a
-# window T = 0) would sum every level, and snapshots an infinite time apart
-# would have NaN phases that the SVD cannot take.
+# window T = 0) would sum every level, a gap count of an infinite width
+# would count every gap, and snapshots an infinite time apart would have NaN
+# phases that the SVD cannot take.
 INF_CALLS = {
     "max_window_probability_window": lambda: max_window_probability_window(_DIST, np.inf),
     "dephased_purity_bound": lambda: dephased_purity_bound(_DIST, np.inf),
@@ -96,6 +99,8 @@ INF_CALLS = {
     "lorentzian_purity": lambda: lorentzian_purity(_STATE, [np.inf]),
     "lorentzian_purity array": lambda: lorentzian_purity(_STATE, [1.0, np.inf]),
     "snapshot_subspace": lambda: snapshot_subspace(_SCEN, 3, np.inf),
+    "max_gaps_in_window": lambda: max_gaps_in_window(_SPEC.levels, np.inf),
+    "gap_counting_terms": lambda: gap_counting_terms(_STATE, np.inf),
 }
 
 
@@ -288,14 +293,26 @@ class TestGeneralBounds:
         spec, state = scenario
         eps = 4.0 * spec.span
         n_eps, d_eff = gap_counting_terms(state, eps)
-        assert n_eps == spec.gaps().size
+        assert n_eps == spec.num_levels * (spec.num_levels - 1)  # every gap
         assert general_expectation_bound(n_eps, d_eff, eps, 1.0) > 1.0
 
     def test_terms(self, scenario):
         spec, state = scenario
         assert gap_counting_terms(state, 0.3) == (
-            max_gaps_in_window(spec.gaps(), 0.3),
+            brute_gap_count(all_gaps(spec.levels), 0.3),
             effective_dimension(level_distribution(state)))
+
+    def test_gap_count_keeps_no_gap_array(self):
+        # the L(L - 1) gaps live for the call only; a spectrum that kept them
+        # held 33.5 MB at d = 2048 after one call
+        scen = random_scenario(20240811, 2048)
+        tracemalloc.start()
+        try:
+            gap_counting_terms(scen.state, 0.3)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 1 << 20
 
     def test_large_window_limit(self, scenario):
         # with eps * T -> infinity only the 3/2 term survives

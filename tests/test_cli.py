@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qequil import batteries
+from qequil import batteries, cli
 from qequil.cli import DEFAULTS, _write_rows_csv, main
 from qequil.constructions import random_scenario
 from qequil.spectra import EnergySpectrum
@@ -174,7 +174,9 @@ def test_spectrum_info_without_epsilon_builds_no_gap_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    gaps = EnergySpectrum.load(spec_path).gaps()
+    loaded = EnergySpectrum.load(spec_path).levels
+    diff = loaded[:, None] - loaded[None, :]
+    gaps = diff[~np.eye(loaded.size, dtype=bool)]
     positive = gaps[gaps > 0]
     assert (summary["min_gap"], summary["max_gap"], summary["gap_count"]) == (
         positive.min(), positive.max(), gaps.size)
@@ -254,6 +256,27 @@ def test_config_value_of_wrong_type_is_rejected(tmp_path, argv, message):
     with pytest.raises(SystemExit, match=re.escape(message)):
         _run(argv)
     assert not out.exists()
+
+
+def test_unwritable_output_stops_with_one_line(tmp_path):
+    # an --out that is an existing file used to end in a FileExistsError
+    # traceback from the write
+    out = tmp_path / "F"
+    out.write_text("kept")
+    with pytest.raises(SystemExit, match=r"^figure3: \[Errno 17\] File exists: "):
+        _run(["figure3", "--set", "levels=10", "--set", "samples=65", "--out", str(out)])
+    assert out.read_text() == "kept"
+
+
+def test_malformed_table_keeps_its_traceback(tmp_path, monkeypatch):
+    # rows with other keys are a fault of the experiment, not of the input
+    def mismatched(config):
+        """Two rows with different keys."""
+        return batteries.ExperimentResult({"t.csv": [{"a": 1}, {"b": 2}]}, {}, [])
+
+    monkeypatch.setitem(cli.RUNNERS, "figure3", mismatched)
+    with pytest.raises(ValueError, match="row 1 has keys"):
+        _run(["figure3", "--out", str(tmp_path / "out")])
 
 
 def test_timeseries_csv_format(tmp_path):

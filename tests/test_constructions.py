@@ -252,8 +252,8 @@ class TestSlowWindow:
         scen, sub, rep = slow_checked
         assert rep.floor == pytest.approx(
             1.0 - 0.25 - np.sqrt(8.0 / scen.d_eff), rel=1e-12)
-        assert rep.floor_holds
-        assert rep.worst_value >= rep.floor
+        assert rep.worst_value == rep.values.min() >= rep.floor
+        assert dict(rep.checks)["window_floor"]["holds"]
 
     def test_equilibrium_weight_bound(self, slow_checked):
         scen, sub, rep = slow_checked
@@ -261,9 +261,9 @@ class TestSlowWindow:
 
     def test_ceiling_holds(self, slow_checked):
         _, _, rep = slow_checked
-        assert rep.ceiling_holds
+        assert dict(rep.checks)["long_time_ceiling"]["holds"]
         assert rep.long_time_average <= rep.ceiling
-        assert not rep.failures
+        assert all(record["holds"] for _, record in rep.checks)
 
     def test_series_starts_high(self, slow_checked):
         _, _, rep = slow_checked
@@ -271,23 +271,33 @@ class TestSlowWindow:
 
     def test_failures_name_each_failed_check(self, slow_checked):
         _, _, rep = slow_checked
-        assert rep.failures == [] and rep.refinement_holds
-        broken = dataclasses.replace(rep, floor_holds=False, ceiling_holds=False,
-                                     trace_omega=2.0 * rep.trace_omega_bound,
-                                     refinement_holds=False)
-        assert [f["check"] for f in broken.failures] == [
+        assert [name for name, _ in rep.checks] == [
             "window_floor", "equilibrium_weight", "long_time_ceiling",
             "refinement_dominance"]
-        assert broken.failures[0] == {"check": "window_floor",
-                                      "worst_time": rep.worst_time,
-                                      "worst_value": rep.worst_value,
-                                      "floor": rep.floor}
-        assert broken.failures[2] == {"check": "long_time_ceiling",
-                                      "value": rep.long_time_average,
-                                      "limit": rep.ceiling}
-        for flag in ("floor_holds", "ceiling_holds", "refinement_holds"):
-            one = dataclasses.replace(rep, **{flag: False})
-            assert len(one.failures) == 1
+        assert all(record["holds"] for _, record in rep.checks)
+        below_floor = rep.floor - 0.1
+        above_ceiling = rep.ceiling + 2 * constructions.CEILING_SLACK
+        broken = dataclasses.replace(rep, worst_value=below_floor,
+                                     trace_omega=2.0 * rep.trace_omega_bound,
+                                     long_time_average=above_ceiling,
+                                     refinement_holds=False)
+        assert [record["holds"] for _, record in broken.checks] == [False] * 4
+        assert dict(broken.checks)["window_floor"] == {
+            "worst_time": rep.worst_time, "worst_value": below_floor,
+            "floor": rep.floor, "holds": False}
+        assert dict(broken.checks)["long_time_ceiling"] == {
+            "value": above_ceiling, "limit": rep.ceiling, "holds": False}
+        assert dict(broken.checks)["refinement_dominance"] == {"holds": False}
+        # the ceiling allows the quadrature slack, and no more
+        edge = dataclasses.replace(
+            rep, long_time_average=rep.ceiling + constructions.CEILING_SLACK)
+        assert dict(edge.checks)["long_time_ceiling"]["holds"]
+        for change in ({"worst_value": below_floor},
+                       {"trace_omega": 2.0 * rep.trace_omega_bound},
+                       {"long_time_average": above_ceiling},
+                       {"refinement_holds": False}):
+            one = dataclasses.replace(rep, **change)
+            assert sum(not record["holds"] for _, record in one.checks) == 1
 
 
 class TestPartitionedMeasurement:

@@ -56,3 +56,16 @@ def test_traced_smoke_run_passes_the_benchmark_gates(tmp_path, name):
     assert workload.verify(out, {**workload.defaults, **workload.smoke}) == []
     artifact_bytes = sum(os.path.getsize(out / f) for f in os.listdir(out))
     assert trace.layer_metrics(wall_s, artifact_bytes)[workload.must_fire] > 0
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_experiment_makes_the_checks_the_benchmark_counts(name):
+    """The benchmark counts a workload's failed operations against
+    ``workload.checks(size)``; the experiment must list exactly that many
+    checks, and none of them may fail."""
+    workload = run.WORKLOADS[name]
+    config = {**cli.DEFAULTS[workload.experiment], **workload.smoke,
+              "seed": run.DEFAULT_SEED}
+    result = cli.RUNNERS[workload.experiment](config)
+    assert len(result.checks) == workload.checks({**workload.defaults, **workload.smoke})
+    assert result.failures == []

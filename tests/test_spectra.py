@@ -7,7 +7,7 @@ from qequil.spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_windo
                             max_window_probability, max_window_probability_window,
                             spectrum_from_hermitian)
 
-from helpers import brute_eta, brute_gap_count, charpoly_eigenvalues, random_hermitian
+from helpers import all_gaps, brute_eta, brute_gap_count, charpoly_eigenvalues, random_hermitian
 
 
 def test_construction_and_index_maps():
@@ -242,33 +242,30 @@ def test_array_scan_equals_scalar_scans_bitwise(case):
 def test_gap_count_matches_brute_force(case):
     levels, _, width = case
     spec = EnergySpectrum(levels, np.ones(levels.size, dtype=int))
-    gaps = spec.gaps()
-    assert max_gaps_in_window(gaps, width) == brute_gap_count(gaps, width)
+    assert (max_gaps_in_window(spec.levels, width)
+            == brute_gap_count(all_gaps(spec.levels), width))
 
 
 class TestGaps:
     def test_gap_set_structure(self):
-        spec = EnergySpectrum([0.0, 1.0, 2.0], [1, 1, 1])
-        gaps = spec.gaps()
-        assert gaps.size == 6
-        assert np.allclose(gaps, [-2, -1, -1, 1, 1, 2])
-        assert np.allclose(np.sort(-gaps), gaps)  # antisymmetry
-        assert spec.gaps() is gaps  # built once, on first use
-        assert not gaps.flags.writeable  # so no caller can change the kept array
+        # the gaps of 0, 1, 2 are -2, -1, -1, 1, 1, 2: both signs, with
+        # multiplicity, and without the zero gaps n = m, which a window
+        # [-1, 1] would otherwise add three of
+        levels = EnergySpectrum([0.0, 1.0, 2.0], [1, 1, 1]).levels
+        assert [max_gaps_in_window(levels, w) for w in (0.5, 1.0, 2.0, 3.0, 4.0)] == [
+            2, 3, 4, 5, 6]
 
     def test_equally_spaced_small_window(self):
         spec = EnergySpectrum([0.0, 1.0, 2.0], [1, 1, 1])
-        assert max_gaps_in_window(spec.gaps(), 0.5) == 2
+        assert max_gaps_in_window(spec.levels, 0.5) == 2
 
     def test_covering_window_counts_all(self):
         spec = EnergySpectrum([0.0, 0.3, 1.1, 4.0], [1, 1, 1, 1])
-        gaps = spec.gaps()
-        assert max_gaps_in_window(gaps, 2 * spec.span) == gaps.size
+        assert max_gaps_in_window(spec.levels, 2 * spec.span) == 4 * 3
 
     def test_single_level_has_no_gaps(self):
         spec = EnergySpectrum([2.0], [4])
-        assert spec.gaps().size == 0
-        assert max_gaps_in_window(spec.gaps(), 1.0) == 0
+        assert max_gaps_in_window(spec.levels, 1.0) == 0
 
     def test_monotone_and_negation_symmetric(self):
         rng = np.random.default_rng(9)
@@ -276,13 +273,13 @@ class TestGaps:
         spec = EnergySpectrum(levels, np.ones(8, dtype=int))
         neg = EnergySpectrum(np.sort(-levels), np.ones(8, dtype=int))
         widths = np.sort(rng.uniform(0.01, 40.0, 5))
-        counts = [max_gaps_in_window(spec.gaps(), w) for w in widths]
+        counts = [max_gaps_in_window(spec.levels, w) for w in widths]
         assert counts == sorted(counts)
         for w in widths:
-            assert (max_gaps_in_window(spec.gaps(), w)
-                    == max_gaps_in_window(neg.gaps(), w))
+            assert (max_gaps_in_window(spec.levels, w)
+                    == max_gaps_in_window(neg.levels, w))
 
     def test_rejects_nonpositive_width(self):
         spec = EnergySpectrum([0.0, 1.0], [1, 1])
         with pytest.raises(ValueError):
-            max_gaps_in_window(spec.gaps(), -1.0)
+            max_gaps_in_window(spec.levels, -1.0)
