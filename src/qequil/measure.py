@@ -3,13 +3,19 @@
 Distinguishability between two states under a measurement is half the L1
 distance between the outcome probability vectors; for a two-outcome
 measurement {P, 1-P} it reduces to |tr(a P) - tr(b P)|.
+
+The time series tr(P rho_t) come from one kernel, grid_series, with two
+paths: a block-factorised GEMM form for any grid, and a Gaussian-kernel
+non-uniform FFT for long uniform grids over many levels.
 """
 from __future__ import annotations
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it on first use; load it with the package
 
 from .states import EquilibriumState, QuantumState, complex_in, complex_out
 
@@ -40,6 +46,23 @@ SERIES_CHUNK_ENTRIES = 4_000_000
 # grid_series takes: enough rows to amortise the call, few enough to
 # stay in cache. A group still holds at least one block of rows.
 _ROW_GROUP_ENTRIES = 2 ** 16
+# A uniform grid takes grid_series' NUFFT path from 512 levels and 2^17
+# levels x times on: below either the block path kept up or won in the
+# crossover table of the README (few levels, or few times).
+_NUFFT_MIN_LEVELS = 512
+_NUFFT_MIN_WORK = 2 ** 17
+# Half-width, in cells of the oversampled grid, of the NUFFT's Gaussian
+# spreading kernel: 2 * 14 cells per level.
+_NUFFT_HALF_WIDTH = 14
+# A spreading block holds at most 128 levels whose first cells lie within
+# 36 cells, and a row group of the NUFFT at most 16 rows: a block's GEMM
+# then takes at most (36 - 1 + 2 * 14) x 128 x (2 * 16) = 258k
+# multiply-adds, under the 2^18 below which OpenBLAS keeps a GEMM on one
+# thread. A threaded GEMM this small waits for the second thread, and on
+# a busy host that wait reaches milliseconds.
+_SPREAD_BLOCK_CELLS = 36
+_SPREAD_BLOCK_LEVELS = 128
+_NUFFT_ROWS = 16
 
 
 class Projector:
@@ -117,6 +140,20 @@ def _row_groups(blocks: int, rows: int, width: int):
     return zip(edges[:-1], edges[1:])
 
 
+def _coefficient_groups(v, columns: np.ndarray, level_starts: np.ndarray):
+    """The coefficient rows c = conj(V)^T a of the state's columns a, summed
+    within each level, one group of state columns at a time: (group columns
+    x rank, levels) arrays of at most half the entry budget (one state
+    column at least)."""
+    d = columns.shape[1]
+    # C-ordered operands keep every product below C-ordered, so the GEMMs run in BLAS
+    vh = np.ascontiguousarray(v.conj().T)
+    cols = max(SERIES_CHUNK_ENTRIES // 2 // (vh.shape[0] * d), 1)  # state columns per group
+    for c0 in range(0, columns.shape[0], cols):
+        yield np.add.reduceat((columns[c0:c0 + cols, None, :] * vh).reshape(-1, d),
+                              level_starts, axis=1)
+
+
 def _chunk_series(v, columns: np.ndarray, level_starts: np.ndarray,
                   offsets: np.ndarray, starts: np.ndarray, pieces) -> None:
     """Add tr(V V^dag rho_t) at the times of each piece of one chunk into
@@ -124,16 +161,9 @@ def _chunk_series(v, columns: np.ndarray, level_starts: np.ndarray,
     (levels, sum m) offset and (sum blocks, levels) start phases, and each
     piece's (offset columns, start rows, output) triple; the last block of
     a piece may run past its times. The coefficient rows of a group of
-    state columns take at most half the entry budget and serve every piece;
-    its locals are freed when it returns."""
+    state columns serve every piece."""
     levels = offsets.shape[0]
-    d = columns.shape[1]
-    # C-ordered operands keep every product below C-ordered, so the GEMMs run in BLAS
-    vh = np.ascontiguousarray(v.conj().T)
-    cols = max(SERIES_CHUNK_ENTRIES // 2 // (vh.shape[0] * d), 1)  # state columns per group
-    for c0 in range(0, columns.shape[0], cols):
-        coef = np.add.reduceat((columns[c0:c0 + cols, None, :] * vh).reshape(-1, d),
-                               level_starts, axis=1)
+    for coef in _coefficient_groups(v, columns, level_starts):
         for offs, rows, out in pieces:
             phase, start = offsets[:, offs], starts[rows]
             blocks, m = start.shape[0], phase.shape[1]
@@ -170,6 +200,149 @@ def _plan_chunks(grids, levels: int):
         yield planned
 
 
+def _fft_size(minimum: int) -> int:
+    """The smallest multiple of 4 at or above ``minimum`` with no prime
+    factor above 5: a length that pocketfft transforms at its best rate
+    (2 * 3^7, say, takes half as long again per point)."""
+    sizes = []
+    p5 = 1
+    while p5 < minimum:
+        p35 = p5
+        while p35 < minimum:
+            size = 4 * p35
+            while size < minimum:
+                size *= 2
+            sizes.append(size)
+            p35 *= 3
+        p5 *= 5
+    return min(sizes, default=4)
+
+
+class _NufftPlan(NamedTuple):
+    """What the NUFFT path needs of one uniform grid t_j = t_0 + j dt of n
+    times, shared by every factor: the size of the oversampled grid, the
+    rows per FFT, the per-level phases that start-scale and centre the
+    coefficient rows, the spreading blocks and the deconvolution of each
+    time's power."""
+
+    n: int
+    size: int
+    step: int
+    phase: np.ndarray
+    blocks: list
+    scale: np.ndarray
+
+
+def _nufft_size(levels: np.ndarray, times: np.ndarray) -> int:
+    """The number M of cells of the oversampled circle when the grid takes
+    the NUFFT path, else 0: it takes the block path when it has fewer than
+    _NUFFT_MIN_LEVELS levels or _NUFFT_MIN_WORK levels x times, its times
+    are not uniform and increasing (|t_j - (t_0 + j dt)| <= 4 eps max|t|),
+    or one row's M cells would take more than half the entry budget (or be
+    fewer than one spreading block spans), or the levels span 2^52 cells or
+    more, where a level's place within its cell is lost (and its cell
+    index can overflow). The choice reads the levels and the times only."""
+    n = times.size
+    if n < 2 or levels.size < _NUFFT_MIN_LEVELS or levels.size * n < _NUFFT_MIN_WORK:
+        return 0
+    dt = (times[-1] - times[0]) / (n - 1)
+    drift = np.abs(times - (times[0] + np.arange(n) * dt)).max()
+    if not (dt > 0 and drift <= 4.0 * np.finfo(float).eps * np.abs(times).max()):
+        return 0
+    size = _fft_size(2 * n)
+    fits = (_SPREAD_BLOCK_CELLS + 2 * _NUFFT_HALF_WIDTH <= size <= SERIES_CHUNK_ENTRIES // 2
+            and (levels[-1] - levels[0]) * dt * size / (2.0 * np.pi) < 2.0 ** 52)
+    return size if fits else 0
+
+
+def _nufft_plan(levels: np.ndarray, times: np.ndarray, size: int) -> _NufftPlan:
+    """The NUFFT plan of a grid that takes the NUFFT path on ``size`` cells
+    (see _nufft_size).
+
+    With x_k = (E_k - E_c) dt about the spectrum's centre E_c and the modes
+    centred on j' = j - n // 2, a coefficient row gives |amp_j|^2 =
+    |sum_k c_k e^{-i E_k t_0} e^{-i (n//2) x_k} e^{-i j' x_k}|^2: the type-1
+    transform of Greengard & Lee (SIAM Rev. 46 (2004) 443). Each level is
+    spread onto the 2 * 14 nearest cells of an oversampled grid of
+    M >= 2n cells with the Gaussian e^{-(x - x_m)^2 / (4 tau)}, tau =
+    pi 14 / (n^2 s (s - 1/2)) for s = M / n; one FFT and a deconvolution
+    by sqrt(pi / tau) e^{j'^2 tau} / M give amp_j. The levels are sorted,
+    so the levels whose first cells lie within _SPREAD_BLOCK_CELLS of each
+    other form a block, spread by one GEMM against its weights. As j'
+    is an integer, e^{-i j' x} has period 2 pi in x: a cell lies on the
+    circle of M cells, and a grid whose levels span more than 2 pi / dt
+    (an under-sampled one) wraps round it, each block at most once."""
+    n, width = times.size, 2 * _NUFFT_HALF_WIDTH
+    t0 = times[0]
+    dt = (times[-1] - t0) / (n - 1)
+    x = (levels - 0.5 * (levels[0] + levels[-1])) * dt
+    cells = x * (size / (2.0 * np.pi))
+    first = np.floor(cells).astype(np.int64) - (_NUFFT_HALF_WIDTH - 1)
+    s = size / n
+    tau = np.pi * _NUFFT_HALF_WIDTH / (n * n * s * (s - 0.5))
+    weights = (cells - first)[:, None] - np.arange(width)  # distances in cells
+    np.square(weights, out=weights)
+    weights *= -(2.0 * np.pi / size) ** 2 / (4.0 * tau)
+    np.exp(weights, out=weights)  # (levels, 2 * 14)
+    # blocks: runs of levels whose first cells lie within _SPREAD_BLOCK_CELLS
+    # of each other, cut every _SPREAD_BLOCK_LEVELS levels
+    k = np.arange(levels.size)
+    cut = np.flatnonzero(np.diff((first - first[0]) // _SPREAD_BLOCK_CELLS)) + 1
+    pos = k - np.repeat(np.concatenate(([0], cut)), np.diff([0, *cut, levels.size]))
+    a = np.flatnonzero(pos % _SPREAD_BLOCK_LEVELS == 0)
+    b = np.append(a[1:], levels.size)
+    lo, count = first[a], b - a
+    run = first[b - 1] - lo + width
+    ends = np.cumsum(run * count)
+    # each block's (levels, run) weights, C-ordered, one after another in
+    # flat: a level's 2 * 14 weights are one contiguous stretch of its row
+    owner = np.repeat(np.arange(a.size), count)
+    start = ends - run * count
+    flat = np.zeros(int(ends[-1]))
+    stretches = np.lib.stride_tricks.sliding_window_view(flat, width, writeable=True)
+    stretches[start[owner] + (k - a[owner]) * run[owner] + first - lo[owner]] = weights
+    blocks = [(int(i), int(j), int(c) % size, flat[e - r * (j - i):e].reshape(j - i, r))
+              for i, j, c, r, e in zip(a, b, lo, run, ends)]
+    half = n // 2
+    modes = np.arange(n) - half
+    # rows per FFT: _NUFFT_ROWS, fewer if their oversampled grids would
+    # take more than half the entry budget (one row at least)
+    step = min(max(SERIES_CHUNK_ENTRIES // 2 // size, 1), _NUFFT_ROWS)
+    return _NufftPlan(n, size, step, np.exp(-1j * (levels * t0 + half * x)), blocks,
+                      (np.pi / tau) * np.exp(2.0 * tau * modes * modes) / (size * size))
+
+
+def _nufft_series(plan: _NufftPlan, coef: np.ndarray, out: np.ndarray,
+                  work: np.ndarray) -> None:
+    """Add the series of a group of coefficient rows on a planned grid into
+    out, plan.step rows at a time. The rows are start-scaled and centred
+    and laid out as (levels, rows) complex, so each block's real GEMM
+    against its weights gives re and im of every row side by side; they are
+    added into the rows' (rows, cells) grids, held in the complex entries
+    of work, which one FFT along the cells transforms in place."""
+    size, half, n = plan.size, plan.n // 2, plan.n
+    for r0 in range(0, coef.shape[0], plan.step):
+        count = min(plan.step, coef.shape[0] - r0)
+        rows = np.empty((coef.shape[1], count), dtype=complex)
+        np.multiply(coef[r0:r0 + count].T, plan.phase[:, None], out=rows)
+        rows = rows.view(float)
+        grid = work[:count * size].reshape(count, size)
+        grid.fill(0.0)
+        for a, b, lo, wt in plan.blocks:
+            spread = (wt.T @ rows[a:b]).view(complex).T  # (rows, cells of the block)
+            wrap = min(size - lo, spread.shape[1])
+            grid[:, lo:lo + wrap] += spread[:, :wrap]
+            if wrap < spread.shape[1]:
+                grid[:, :spread.shape[1] - wrap] += spread[:, wrap:]
+        np.fft.fft(grid, axis=1, out=grid)
+        for modes, times in ((grid[:, size - half:], slice(0, half)),
+                             (grid[:, :n - half], slice(half, n))):
+            sq = modes.view(float)
+            np.square(sq, out=sq)
+            pairs = sq.sum(axis=0)  # re^2, im^2 interleaved
+            out[times] += (pairs[::2] + pairs[1::2]) * plan.scale[times]
+
+
 def grid_series(projectors, state: QuantumState, grids) -> list:
     """tr(P rho_t) on each of a sequence of 1-d arrays of finite times: one
     entry per grid, each what expectation_series gives for that grid alone,
@@ -178,29 +351,44 @@ def grid_series(projectors, state: QuantumState, grids) -> list:
     With rho = A A^dag, tr(V V^dag rho_t) is the sum over the columns a of A
     and the rows c = conj(V)^T a of |sum_k c_k e^{-i E_k t}|^2; c is first
     summed within each level, so the phases are taken per level. Each grid
-    is cut into pieces of k^2 times, and a piece into blocks of m times (see
-    _block_length) where the phase at t_{bm+j} factors exactly as
-    e^{-iE t_{bm}} e^{-iE (t_j - t_0)}: about 2 sqrt(n) exponentials per
-    level instead of n, and one GEMM of the start-scaled rows of a group of
-    blocks against the (levels, m) offset phases.
+    takes one of two paths, chosen from its times and the levels alone (see
+    _nufft_size): a uniform increasing grid with at least _NUFFT_MIN_LEVELS
+    levels and _NUFFT_MIN_WORK levels x times takes the NUFFT path; every
+    other grid takes the block path, which also serves as the NUFFT's test
+    oracle.
 
-    One planner serves any number of grids: the pieces of all grids are
-    packed into chunks (see _plan_chunks), and a chunk takes the offset
-    phases of all its pieces in one exponential call and their start phases
-    in another. Each factor forms the coefficient rows of a group of state
-    columns once per chunk, and every piece runs its own GEMMs on them, so
-    the many short grids of a window sweep cost one pass, not one per grid.
+    Block path. Each grid is cut into pieces of k^2 times, and a piece into
+    blocks of m times (see _block_length) where the phase at t_{bm+j}
+    factors exactly as e^{-iE t_{bm}} e^{-iE (t_j - t_0)}: about 2 sqrt(n)
+    exponentials per level instead of n, and one GEMM of the start-scaled
+    rows of a group of blocks against the (levels, m) offset phases. It is
+    within 32 eps (1 + max|E| max|t|) of the direct sum. One planner serves
+    any number of grids: the pieces of all grids are packed into chunks
+    (see _plan_chunks), and a chunk takes the offset phases of all its
+    pieces in one exponential call and their start phases in another. Each
+    factor forms the coefficient rows of a group of state columns once per
+    chunk, and every piece runs its own GEMMs on them, so the many short
+    grids of a window sweep cost one pass, not one per grid.
 
-    Two bounds keep memory flat. The phases of a chunk, and the coefficient
-    rows of a group of state columns, each take at most
-    SERIES_CHUNK_ENTRIES // 2 complex entries (one piece, and one state
-    column, at least). The start-scaled rows of one GEMM take at most
-    _ROW_GROUP_ENTRIES (one block of rows at least), so no d x d or d x nt
-    array is formed. A GEMM holds whole blocks of one piece, so each time's
-    squares are summed over the same rows in the same order however the
-    blocks are grouped and the pieces packed: neither moves a bit of the
-    result while BLAS rounds a GEMM row alike in any GEMM (it does
-    single-threaded; a threaded split can differ).
+    NUFFT path. A type-1 non-uniform FFT with a Gaussian kernel (see
+    _nufft_plan) takes O(levels 28 + n log n) per coefficient row instead
+    of O(levels n). Its bound is the block path's plus 1e-13 for the
+    kernel (see the tests), and on the slow scenario's grids the two paths
+    differ by about 3e-14. Each grid is planned once, and its spreading
+    weights serve every factor.
+
+    Two bounds keep memory flat. The phases of a chunk, the coefficient
+    rows of a group of state columns, and the oversampled grids of a group
+    of NUFFT rows each take at most SERIES_CHUNK_ENTRIES // 2 complex
+    entries (one piece, one state column, one row at least). The
+    start-scaled rows of one GEMM take at most _ROW_GROUP_ENTRIES (one
+    block of rows at least), so no d x d or d x nt array is formed. A GEMM
+    holds whole blocks of one piece, so each time's squares are summed over
+    the same rows in the same order however the blocks are grouped and the
+    pieces packed: neither moves a bit of the result while BLAS rounds a
+    GEMM row alike in any GEMM (it does single-threaded; a threaded split
+    can differ). A NUFFT grid is evaluated on its own, whatever else the
+    call holds.
 
     A stack shares the block check and the phases of every chunk. Each
     factor forms its own coefficient rows and GEMMs, as a call for it alone
@@ -222,7 +410,9 @@ def grid_series(projectors, state: QuantumState, grids) -> list:
     values = {key: [np.zeros(t.size) for t in grids] for key in factors}
     spec = state.spectrum
     columns = np.ascontiguousarray(state.factor.T)
-    for planned in _plan_chunks(grids, spec.levels.size):
+    sizes = [_nufft_size(spec.levels, t) for t in grids]
+    for planned in _plan_chunks([t[:0] if size else t for t, size in zip(grids, sizes)],
+                                spec.levels.size):
         o = np.cumsum([0, *(m for *_, m in planned)])
         r = np.cumsum([0, *(-(-t.size // m) for _, _, t, m in planned)])
         offsets = _phases(spec.levels, np.concatenate(
@@ -235,6 +425,15 @@ def grid_series(projectors, state: QuantumState, grids) -> list:
                            values[key][g][first:first + t.size])
                           for i, (g, first, t, _) in enumerate(planned)]
                 _chunk_series(v, columns, spec.level_starts, offsets, starts, pieces)
+    for g, size in enumerate(sizes):
+        if size and any(v.shape[1] for v in factors.values()):
+            # one plan at a time, so memory does not grow with the grids
+            plan = _nufft_plan(spec.levels, grids[g], size)
+            work = np.empty(plan.step * size, dtype=complex)
+            for key, v in factors.items():
+                if v.shape[1]:
+                    for coef in _coefficient_groups(v, columns, spec.level_starts):
+                        _nufft_series(plan, coef, values[key][g], work)
     out = []
     for g, times in enumerate(grids):
         series = [1.0 - values[id(p.factor)][g] if p.is_complement

@@ -225,7 +225,8 @@ def max_window_probability_window(dist: LevelDistribution, width):
     candidate windows need to be scanned. Every width must be positive and
     finite. ``width`` may be an array: every width is scanned in one pass
     (one ``searchsorted`` over all of them), and each result equals the scan
-    of that width alone.
+    of that width alone. A window sum is a difference of cumulative sums,
+    whose total can round above 1, so every value is clipped at 1.
 
     Returns
     -------
@@ -244,7 +245,7 @@ def max_window_probability_window(dist: LevelDistribution, width):
     right = np.searchsorted(levels, levels + flat, side="right")
     sums = cums[right] - cums[: levels.size]
     best = np.argmax(sums, axis=1)
-    values = sums[np.arange(best.size), best]
+    values = np.minimum(sums[np.arange(best.size), best], 1.0)
     lo = levels[best]
     hi = lo + flat[:, 0]
     if widths.ndim == 0:

@@ -228,9 +228,10 @@ def test_phases_equal_complex_exponential_bitwise():
 
 def test_slow_window_check_memory_is_small():
     """slow_window_check at d=2048 with its default 256 samples peaks below
-    10 MB (5.7 MB measured): per-level phases and GEMM row groups of at
-    most _ROW_GROUP_ENTRIES complex entries, where a row group sized like
-    the phase budget took 28 MB."""
+    10 MB (4.1 MB measured on the NUFFT path, 5.2 MB on the block path):
+    per-level phases and GEMM row groups of at most _ROW_GROUP_ENTRIES
+    complex entries, where a row group sized like the phase budget took
+    28 MB."""
     scen = random_scenario(20240811, 2048)
     sub = snapshot_subspace(scen, 16, 0.5)
     tracemalloc.start()
@@ -256,3 +257,20 @@ def test_slow_memory_stays_below_one_dense_matrix():
         tracemalloc.stop()
     assert not result.failures
     assert peak < 16 * d * d
+
+
+def test_slow_memory_grows_no_faster_than_the_dimension():
+    """The traced peak of run_slow at d=8192 is at most 5 times its peak at
+    d=2048 (14.0 and 4.8 MB measured): nothing in it grows as d^2."""
+    batteries.run_slow({**cli.DEFAULTS["slow"], "dim": 256})  # lazy set-up, untraced
+    peaks = []
+    for d in (2048, 8192):
+        tracemalloc.start()
+        try:
+            result = batteries.run_slow({**cli.DEFAULTS["slow"], "dim": d})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not result.failures
+        peaks.append(peak)
+    assert peaks[1] <= 5 * peaks[0]

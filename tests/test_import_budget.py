@@ -29,7 +29,9 @@ print(json.dumps({"code": code, "new": sorted(set(sys.modules) - before)}))
 """
 
 SMALL = {
-    "slow": ["--set", "dim=128", "--set", "snapshots=4", "--set", "samples=32",
+    # 512 levels x 256 samples: the window grid takes the NUFFT path, the
+    # long-window grid the block path
+    "slow": ["--set", "dim=512", "--set", "snapshots=4", "--set", "samples=256",
              "--set", "long_window_sigma=50.0"],
     "bounds": ["--set", "trials=2", "--set", "t_points=2",
                "--set", "gap_counting_dim=10"],

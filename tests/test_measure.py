@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qequil import measure
 from qequil.averaging import TimeGrid
+from qequil.cli import DEFAULTS
 from qequil.constructions import (partitioned_slow_measurement, random_scenario,
                                   snapshot_subspace)
 from qequil.measure import (Measurement, Projector, distinguishability, expectation_series,
@@ -509,16 +510,17 @@ def test_pure_series_memory_is_chunked():
     assert peak < 256 * 2 ** 20
 
 
-def test_blocked_series_memory_stays_within_two_budgets():
-    # d = 2048 over 8192 times, one chunk of 91 blocks of 91 times: the
-    # (levels, m) offset and (blocks, levels) start phases take 6 MB, and a
-    # GEMM group of start-scaled rows 1 MB (2^16 complex entries). Another
-    # 8 MB covers the coefficient rows and a group's products; a group
-    # sized like the phase budget (32 MB) breaks the bound.
+def _series_peak(monkeypatch, nufft: bool):
+    """The series of a rank-16 projector at d = 2048 over 8192 times, on
+    the forced path, with its traced peak and the bound both paths meet:
+    the block path's (levels, m) offset and (blocks, levels) start phases
+    of one chunk of 91 blocks of 91 times (6 MB), plus 8 MB."""
     scen = random_scenario(20240811, 2048)
     proj = snapshot_subspace(scen, 16, 0.5).projector()
     times = np.linspace(0.0, 50.0, 8192)
-    phases = 2 * scen.spectrum.levels.size * 91 * 16
+    if not nufft:
+        monkeypatch.setattr(measure, "_NUFFT_MIN_WORK", 2 ** 62)
+    assert (measure._nufft_size(scen.spectrum.levels, times) > 0) == nufft
     tracemalloc.start()
     try:
         series = expectation_series(proj, scen.state, times)
@@ -526,7 +528,22 @@ def test_blocked_series_memory_stays_within_two_budgets():
     finally:
         tracemalloc.stop()
     assert series.shape == (8192,)
-    assert peak < phases + 8 * 2 ** 20
+    return peak, 2 * scen.spectrum.levels.size * 91 * 16 + 8 * 2 ** 20
+
+
+def test_blocked_series_memory_stays_within_two_budgets(monkeypatch):
+    # A GEMM group of start-scaled rows takes 1 MB (2^16 complex entries);
+    # the extra 8 MB covers the coefficient rows and a group's products. A
+    # group sized like the phase budget (32 MB) breaks the bound.
+    peak, bound = _series_peak(monkeypatch, nufft=False)
+    assert peak < bound
+
+
+def test_nufft_series_memory_stays_within_the_same_bound(monkeypatch):
+    # 16 rows of 16,384 oversampled cells take 4 MB, reused for every
+    # group of rows, and the spreading weights 2048 x 63 entries at most.
+    peak, bound = _series_peak(monkeypatch, nufft=True)
+    assert peak < bound
 
 
 # Each phase of either form is within about 8 eps (1 + max|E| max|t|) of
@@ -565,6 +582,11 @@ def test_blocked_series_matches_direct_form(d, data):
         <= SERIES_ACCURACY * scale
 
 
+# 47 blocks of 47 evenly spaced times from arbitrary increasing starts
+BLOCK_PERIODIC = (np.cumsum(np.random.default_rng(5).uniform(1.0, 2.0, 47))[:, None]
+                  + np.linspace(0.0, 0.9, 47)).ravel()
+
+
 @pytest.mark.parametrize("times, m", [
     (np.linspace(0.0, 7.0, 1), 1),
     (np.linspace(0.0, 7.0, 2), 2),
@@ -573,10 +595,167 @@ def test_blocked_series_matches_direct_form(d, data):
     (np.linspace(0.0, 0.0, 12), 4),
     (TimeGrid.for_window(123.4, 7.5).times, 35),
     (np.array([0.0, 1.0, 2.5, 3.0, 4.5]), 1),
+    (BLOCK_PERIODIC, 47),
     (np.linspace(0.0, 1.0, 9) + 32 * np.finfo(float).eps * (np.arange(9) == 4), 1),
 ])
 def test_block_length_factors_only_uniform_grids(times, m):
     assert measure._block_length(times) == m
+
+
+def _force_path(mp, nufft: bool):
+    """Patch the NUFFT crossover so that every grid the NUFFT can take
+    takes it, or so that every grid takes the block path."""
+    mp.setattr(measure, "_NUFFT_MIN_LEVELS", 0)
+    mp.setattr(measure, "_NUFFT_MIN_WORK", 0 if nufft else 2 ** 62)
+
+
+def _nufft_case(data):
+    """256 to 2048 levels, degenerate or not; a pure or mixed state; a
+    projector of rank 1 to 4, a complement or not; and a uniform grid of 3
+    to 4000 times from a negative, zero or positive start, its step from
+    1e-3 to 30 times 2 pi / span (an under-sampled grid wraps round the
+    oversampled circle)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    levels = data.draw(st.integers(256, 2048), label="levels")
+    degs = np.ones(levels, dtype=int)
+    if data.draw(st.booleans(), label="degenerate"):
+        np.add.at(degs, rng.integers(levels, size=levels // 2), 1)
+    spec = EnergySpectrum(np.cumsum(rng.uniform(0.1, 1.0, levels))
+                          - data.draw(st.floats(0.0, 500.0), label="shift"), degs)
+    state = random_mixed(rng, spec, components=2) if data.draw(st.booleans(), label="mixed") \
+        else random_pure(rng, spec)
+    p = Projector.from_factor(_haar_frame(rng, spec.dim, data.draw(st.integers(1, 4))))
+    if data.draw(st.booleans(), label="complement"):
+        p = p.complement()
+    n = data.draw(st.one_of(st.integers(3, 40), st.integers(41, 4000)), label="times")
+    t0 = data.draw(st.sampled_from([-1.0, 0.0, 1.0])) * data.draw(st.floats(0.0, 100.0))
+    step = 10.0 ** data.draw(st.floats(-3.0, np.log10(30.0)), label="log step")
+    times = t0 + np.arange(n) * (step * 2.0 * np.pi / spec.span)
+    return rng, spec, state, p, times
+
+
+# The NUFFT path's bound against the direct form is the block path's,
+# SERIES_ACCURACY * eps (1 + max|E| max|t|) for the phase rounding both
+# share, plus this floor for its kernel: the Gaussian's truncation at 14
+# cells, and the deconvolution, which scales the FFT's rounding at the
+# outermost modes up by e^{n^2 tau / 4} (about 40). Over 3,000 random cases
+# of _nufft_case the largest error was 0.016 of the bound (5.6e-13 where
+# E t is large); without the floor it reached 0.37 of the block bound,
+# on grids whose E t is below 1e-2.
+NUFFT_FLOOR = 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_nufft_series_matches_block_path_and_direct_form(data):
+    rng, spec, state, p, times = _nufft_case(data)
+    with pytest.MonkeyPatch.context() as mp:
+        _force_path(mp, nufft=True)
+        size = measure._nufft_size(spec.levels, times)
+        fast = expectation_series(p, state, times)
+        _force_path(mp, nufft=False)
+        block = expectation_series(p, state, times)
+    if not size:  # 30 times or fewer: too few cells for one spreading block
+        assert times.size <= 30 and fast.tobytes() == block.tobytes()
+        return
+    scale = np.finfo(float).eps * (1.0 + np.abs(spec.levels).max() * np.abs(times).max())
+    assert np.abs(fast - block).max() <= 2 * SERIES_ACCURACY * scale + NUFFT_FLOOR
+    some = rng.choice(times.size, size=min(times.size, 48), replace=False)
+    assert np.abs(fast[some] - direct_series(p, state, times[some])).max() \
+        <= SERIES_ACCURACY * scale + NUFFT_FLOOR
+
+
+def _slow_grids():
+    """The slow experiment's scenario at its defaults and its two grids: the
+    window samples and the long-time averaging grid."""
+    cfg = DEFAULTS["slow"]
+    scen = random_scenario(cfg["seed"], cfg["dim"])
+    t_end = (2 * cfg["snapshots"] - 1) * cfg["epsilon"] / scen.sigma_e
+    return scen, [np.linspace(0.0, t_end, cfg["samples"]),
+                  TimeGrid.for_window(cfg["long_window_sigma"] / scen.sigma_e,
+                                      scen.spectrum.span).times]
+
+
+def test_slow_grids_take_the_nufft():
+    scen, grids = _slow_grids()
+    assert [(scen.spectrum.levels.size, t.size) for t in grids] == [(2048, 256), (2048, 2179)]
+    for times in grids:
+        assert measure._nufft_size(scen.spectrum.levels, times) > 0
+    # jittered, or decreasing, the long grid takes the block path
+    jittered = grids[1] + np.random.default_rng(3).uniform(-1e-9, 1e-9, grids[1].size)
+    assert measure._nufft_size(scen.spectrum.levels, jittered) == 0
+    assert measure._nufft_size(scen.spectrum.levels, grids[1][::-1]) == 0
+
+
+def _spread_levels(count):
+    return np.sort(np.random.default_rng(count).uniform(0.0, 40.0, count))
+
+
+@pytest.mark.parametrize("levels, times, nufft", [
+    # bounds' largest grid over the default and panel seeds, and figure3's
+    (_spread_levels(60), TimeGrid.for_window(40.0, 40.0).times[:525], False),
+    (_spread_levels(50), np.linspace(0.0, 100.0, 2049), False),
+    # too few levels, or too few levels x times
+    (_spread_levels(511), np.linspace(0.0, 100.0, 4097), False),
+    (_spread_levels(2048), np.linspace(0.0, 10.0, 63), False),
+    (_spread_levels(2048), np.linspace(0.0, 10.0, 64), True),
+    (_spread_levels(512), np.linspace(0.0, 10.0, 256), True),
+    # block-periodic but not uniform: 47 blocks of 47 times from arbitrary
+    # starts, which _block_length factors
+    (_spread_levels(2048), BLOCK_PERIODIC, False),
+    # levels 2^52 cells apart or more: their cells' fractions are lost
+    (_spread_levels(2048), np.linspace(0.0, 1e18, 1024), False),
+    (_spread_levels(2048), np.linspace(0.0, 1e9, 1024), True),
+    # one row's oversampled grid within half the entry budget, 2 * 10^6
+    # cells (itself a size the FFT takes), or beyond it
+    (_spread_levels(512), np.linspace(0.0, 1.0, 10 ** 6), True),
+    (_spread_levels(512), np.linspace(0.0, 1.0, 10 ** 6 + 1), False),
+])
+def test_nufft_takes_only_large_uniform_grids(levels, times, nufft):
+    assert (measure._nufft_size(levels, times) > 0) == nufft
+
+
+def test_undersampled_grid_wraps_and_meets_the_bound():
+    # 1024 levels over 40 units, stepped 5 times past 2 pi / span: the
+    # spread levels go five times round the oversampled circle
+    rng = np.random.default_rng(11)
+    spec = EnergySpectrum(_spread_levels(1024), np.ones(1024, dtype=int))
+    state = random_mixed(rng, spec)
+    p = Projector.from_factor(_haar_frame(rng, 1024, 3))
+    times = np.arange(600) * (5.0 * 2.0 * np.pi / spec.span)
+    assert measure._nufft_size(spec.levels, times) > 0
+    fast = expectation_series(p, state, times)
+    with pytest.MonkeyPatch.context() as mp:
+        _force_path(mp, nufft=False)
+        block = expectation_series(p, state, times)
+    scale = np.finfo(float).eps * (1.0 + np.abs(spec.levels).max() * np.abs(times).max())
+    assert np.abs(fast - block).max() <= 2 * SERIES_ACCURACY * scale + NUFFT_FLOOR
+    assert np.abs(fast[::25] - direct_series(p, state, times[::25])).max() \
+        <= SERIES_ACCURACY * scale + NUFFT_FLOOR
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_grid_series_packs_nufft_grids_with_small_grids(mixed):
+    # 600 levels: the 300- and 700-time linspaces take the NUFFT and share
+    # its work buffer; the 40-time, jittered and one-time grids take the
+    # block path, packed in one chunk. Every grid is bit for bit its own call.
+    rng = np.random.default_rng(12)
+    spec = EnergySpectrum(_spread_levels(600), rng.integers(1, 3, 600))
+    state = random_mixed(rng, spec) if mixed else random_pure(rng, spec)
+    p = Projector.from_factor(_haar_frame(rng, spec.dim, 2))
+    stack = [p, p.complement(), Projector.from_factor(_haar_frame(rng, spec.dim, 5))]
+    grids = [np.linspace(0.0, 3.0, 40), np.linspace(0.0, 20.0, 300),
+             np.sort(rng.uniform(0.0, 5.0, 7)), np.linspace(-30.0, 45.0, 700), np.array([2.5])]
+    assert [measure._nufft_size(spec.levels, t) > 0 for t in grids] \
+        == [False, True, False, True, False]
+    for projectors in (stack, p):
+        together = grid_series(projectors, state, grids)
+        alone = [expectation_series(projectors, state, t) for t in grids]
+        for got, want in zip(together, alone):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert grid_series(p, state, grids)[1].tobytes() == together[1].tobytes()
+    assert grid_series(stack, state, grids)[3][0].tobytes() == together[3].tobytes()
 
 
 @pytest.mark.parametrize("complement", [False, True])

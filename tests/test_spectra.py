@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qequil.constructions import random_scenario
 from qequil.spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
                             max_window_probability, max_window_probability_window,
                             spectrum_from_hermitian)
+from qequil.states import level_distribution
 
 from helpers import all_gaps, brute_eta, brute_gap_count, charpoly_eigenvalues, random_hermitian
 
@@ -235,6 +237,25 @@ def test_array_scan_equals_scalar_scans_bitwise(case):
         value, (left, right) = max_window_probability_window(dist, float(width))
         assert (values[k], lo[k], hi[k]) == (value, left, right)  # exact, no tolerance
     assert np.array_equal(max_window_probability(dist, widths), values)
+
+
+def test_window_probability_of_every_level_is_one():
+    # the cumulative total of these ten probabilities rounds to
+    # 1.0000000000000004, which the scan returned unclipped
+    scen = random_scenario(1, 10)
+    value, _ = max_window_probability_window(level_distribution(scen.state),
+                                             2.0 * scen.spectrum.span)
+    assert value == 1.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(_spectrum_probs_widths())
+def test_window_probability_never_exceeds_one(case):
+    levels, probs, widths = case
+    dist = LevelDistribution(EnergySpectrum(levels, np.ones(levels.size, dtype=int)), probs)
+    values, _ = max_window_probability_window(dist, widths)
+    assert np.all(values <= 1.0)
+    assert max_window_probability(dist, 2.0 * (levels[-1] - levels[0]) + 1.0) <= 1.0
 
 
 @settings(max_examples=120, deadline=None)
