@@ -116,8 +116,7 @@ def _random_matrix_spectrum(rng, d: int) -> EnergySpectrum:
     """Spectrum of the Hermitian part of a d x d complex Ginibre matrix,
     scaled by 1/sqrt(d), with levels merged below a relative 1e-9."""
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    spec, _ = spectrum_from_hermitian((z + z.conj().T) / (2.0 * np.sqrt(d)), tol=1e-9)
-    return spec
+    return spectrum_from_hermitian((z + z.conj().T) / (2.0 * np.sqrt(d)), tol=1e-9)
 
 
 def _random_state(rng, spec) -> QuantumState:
@@ -527,8 +526,7 @@ def _load_spectrum_arg(config) -> EnergySpectrum:
             if "matrix" not in payload:
                 raise ValueError('a hermitian file must hold a list or a {"matrix": [...]} object')
             payload = payload["matrix"]
-        spec, _ = spectrum_from_hermitian(complex_in(payload))
-        return spec
+        return spectrum_from_hermitian(complex_in(payload))
     raise ValueError("provide a spectrum file (or a hermitian matrix file)")
 
 

@@ -42,9 +42,17 @@ PROJECTOR_TOL = 1e-8
 # columns (the other half). The phases need the budget to amortise their
 # block factoring over many times.
 SERIES_CHUNK_ENTRIES = 4_000_000
+# Multiply-adds M N K below which this build's OpenBLAS keeps a GEMM on
+# the calling thread: 2^16 for a complex GEMM (in 400 calls 63 x 32 x 32
+# = 64,512 never woke the worker thread, 64 x 32 x 32 = 65,536 did) and
+# 10^6 for a real one (976 x 32 x 32 = 999,424 stayed on one thread,
+# 977 x 32 x 32 woke the worker). A threaded GEMM this small waits for the
+# second thread, and on a busy host that wait reaches milliseconds.
+_GEMM_ONE_THREAD_WORK = 2 ** 16
 # Complex entries of the start-scaled coefficient rows that one GEMM of
-# grid_series takes: enough rows to amortise the call, few enough to
-# stay in cache. A group still holds at least one block of rows.
+# grid_series takes when one block of them reaches _GEMM_ONE_THREAD_WORK
+# (the GEMM is threaded anyway): enough rows to amortise the call, few
+# enough to stay in cache. A group still holds at least one block of rows.
 _ROW_GROUP_ENTRIES = 2 ** 16
 # A uniform grid takes grid_series' NUFFT path from 512 levels and 2^17
 # levels x times on: below either the block path kept up or won in the
@@ -55,11 +63,10 @@ _NUFFT_MIN_WORK = 2 ** 17
 # spreading kernel: 2 * 14 cells per level.
 _NUFFT_HALF_WIDTH = 14
 # A spreading block holds at most 128 levels whose first cells lie within
-# 36 cells, and a row group of the NUFFT at most 16 rows: a block's GEMM
-# then takes at most (36 - 1 + 2 * 14) x 128 x (2 * 16) = 258k
-# multiply-adds, under the 2^18 below which OpenBLAS keeps a GEMM on one
-# thread. A threaded GEMM this small waits for the second thread, and on
-# a busy host that wait reaches milliseconds.
+# 36 cells, and a row group of the NUFFT at most 16 rows: a block's real
+# GEMM then takes at most (36 - 1 + 2 * 14) x 128 x (2 * 16) = 258k
+# multiply-adds, under the 10^6 below which OpenBLAS keeps a real GEMM on
+# one thread (see _GEMM_ONE_THREAD_WORK).
 _SPREAD_BLOCK_CELLS = 36
 _SPREAD_BLOCK_LEVELS = 128
 _NUFFT_ROWS = 16
@@ -127,13 +134,23 @@ def _block_length(times: np.ndarray) -> int:
     return m if ok else 1
 
 
-def _row_groups(blocks: int, rows: int, width: int):
+def _row_groups(blocks: int, rows: int, levels: int, m: int):
     """Ranges [b0, b1) of blocks whose start-scaled rows (rows per block,
-    width entries each) one GEMM takes: at most _ROW_GROUP_ENTRIES entries,
-    but never less than one block, nor a lone row while there are more
-    (numpy hands a one-row product to GEMV, which rounds differently from
-    GEMM, so the series would depend on the grouping)."""
-    step = max(_ROW_GROUP_ENTRIES // (rows * width), 2 if rows == 1 else 1)
+    levels entries each) one GEMM against the (levels, m) offset phases
+    takes: as many whole blocks as keep the GEMM under
+    _GEMM_ONE_THREAD_WORK multiply-adds, so that it runs on the calling
+    thread, or, when one block alone reaches that, at most
+    _ROW_GROUP_ENTRIES entries of max(levels, m) per row. Never less than
+    one block, nor a lone row while there are more (numpy hands a one-row
+    product to GEMV, which rounds differently from GEMM, so the series
+    would depend on the grouping): a one-row group holds two blocks at
+    least and keeps room under the limit for a lone last block to join."""
+    work = rows * levels * m
+    if work < _GEMM_ONE_THREAD_WORK:
+        step = (_GEMM_ONE_THREAD_WORK - 1) // work - (rows == 1)
+    else:
+        step = _ROW_GROUP_ENTRIES // (rows * max(levels, m))
+    step = max(step, 2 if rows == 1 else 1)
     edges = [*range(0, blocks, step), blocks]
     if rows == 1 and len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]  # the lone last block joins the group before it
@@ -168,7 +185,7 @@ def _chunk_series(v, columns: np.ndarray, level_starts: np.ndarray,
             phase, start = offsets[:, offs], starts[rows]
             blocks, m = start.shape[0], phase.shape[1]
             sums = np.zeros((blocks, m))
-            for b0, b1 in _row_groups(blocks, coef.shape[0], max(levels, m)):
+            for b0, b1 in _row_groups(blocks, coef.shape[0], levels, m):
                 amp = (start[b0:b1, None, :] * coef).reshape(-1, levels) @ phase
                 sq = amp.view(float)
                 np.square(sq, out=sq)
@@ -380,9 +397,11 @@ def grid_series(projectors, state: QuantumState, grids) -> list:
     Two bounds keep memory flat. The phases of a chunk, the coefficient
     rows of a group of state columns, and the oversampled grids of a group
     of NUFFT rows each take at most SERIES_CHUNK_ENTRIES // 2 complex
-    entries (one piece, one state column, one row at least). The
-    start-scaled rows of one GEMM take at most _ROW_GROUP_ENTRIES (one
-    block of rows at least), so no d x d or d x nt array is formed. A GEMM
+    entries (one piece, one state column, one row at least). One GEMM
+    takes the start-scaled rows of as many blocks as keep it under
+    _GEMM_ONE_THREAD_WORK multiply-adds, or, when one block reaches that,
+    at most _ROW_GROUP_ENTRIES entries (one block of rows at least; see
+    _row_groups), so no d x d or d x nt array is formed. A GEMM
     holds whole blocks of one piece, so each time's squares are summed over
     the same rows in the same order however the blocks are grouped and the
     pieces packed: neither moves a bit of the result while BLAS rounds a

@@ -180,19 +180,15 @@ class LevelDistribution:
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
 
 
-def spectrum_from_hermitian(matrix, tol: float = DEGENERACY_RTOL):
-    """Diagonalize a Hermitian matrix into an :class:`EnergySpectrum`.
+def spectrum_from_hermitian(matrix, tol: float = DEGENERACY_RTOL) -> EnergySpectrum:
+    """The :class:`EnergySpectrum` of a Hermitian matrix, from its
+    eigenvalues alone; a caller that needs the eigenbasis calls
+    ``np.linalg.eigh`` itself.
 
     Eigenvalues closer than ``tol * max(1, |E|_max)`` are merged into one
     level; the merge is a transitive closure, so chains of near-equal
     eigenvalues collapse together. ``tol`` must be finite and positive; it
     also bounds the Hermiticity residual, relative to the largest entry.
-
-    Returns
-    -------
-    (EnergySpectrum, ndarray)
-        The spectrum and the unitary whose columns are the eigenvectors,
-        ordered consistently with ``level_of_index``.
     """
     _check_tol(tol)
     H = np.asarray(matrix, dtype=complex)
@@ -207,13 +203,13 @@ def spectrum_from_hermitian(matrix, tol: float = DEGENERACY_RTOL):
             f"matrix is not Hermitian: residual {residual:.3e} exceeds "
             f"{tol * scale:.3e}"
         )
-    eigvals, basis = np.linalg.eigh((H + H.conj().T) / 2.0)
+    eigvals = np.linalg.eigvalsh((H + H.conj().T) / 2.0)
     thr = tol * max(1.0, float(np.abs(eigvals).max()))
     splits = np.nonzero(np.diff(eigvals) > thr)[0] + 1
     groups = np.split(np.arange(eigvals.size), splits)
     levels = np.array([eigvals[g].mean() for g in groups])
     degs = np.array([g.size for g in groups], dtype=int)
-    return EnergySpectrum(levels, degs, tol=tol), basis
+    return EnergySpectrum(levels, degs, tol=tol)
 
 
 def max_window_probability_window(dist: LevelDistribution, width):

@@ -390,9 +390,43 @@ def test_row_group_bound_moves_no_bit(d, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measure, "SERIES_CHUNK_ENTRIES", entries)
         default = expectation_series(stack, state, times)
-        for rows in (1, 2 ** 40):
-            mp.setattr(measure, "_ROW_GROUP_ENTRIES", rows)
-            assert np.array_equal(expectation_series(stack, state, times), default)
+        for work in (1, 2 ** 40):
+            mp.setattr(measure, "_GEMM_ONE_THREAD_WORK", work)
+            for rows in (1, 2 ** 40):
+                mp.setattr(measure, "_ROW_GROUP_ENTRIES", rows)
+                assert np.array_equal(expectation_series(stack, state, times), default)
+
+
+def _entry_groups(blocks, rows, width):
+    """Groups of at most _ROW_GROUP_ENTRIES start-scaled entries, no lone
+    row while there are more: the grouping of a block whose GEMM is
+    threaded anyway."""
+    step = max(measure._ROW_GROUP_ENTRIES // (rows * width), 2 if rows == 1 else 1)
+    edges = [*range(0, blocks, step), blocks]
+    if rows == 1 and len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(blocks=st.integers(1, 300), rows=st.integers(1, 64),
+       levels=st.integers(1, 3000), m=st.integers(1, 64))
+def test_row_groups_keep_each_gemm_on_one_thread(blocks, rows, levels, m):
+    groups = list(measure._row_groups(blocks, rows, levels, m))
+    assert [b0 for b0, _ in groups] == [0, *(b1 for _, b1 in groups[:-1])]
+    assert groups[-1][1] == blocks and all(b0 < b1 for b0, b1 in groups)
+    if rows == 1 and blocks > 1:
+        assert all(b1 - b0 >= 2 for b0, b1 in groups)  # no lone row
+    work, limit = rows * levels * m, measure._GEMM_ONE_THREAD_WORK
+    if work >= limit:
+        assert groups == _entry_groups(blocks, rows, max(levels, m))
+        return
+    for b0, b1 in groups:
+        # a one-row factor's two-block minimum (three with a lone last
+        # block) is the only GEMM that may reach the limit
+        assert (b1 - b0) * work < limit or (rows == 1 and b1 - b0 <= 3)
+    if rows > 1:  # as few GEMMs as the limit allows
+        assert all((b1 - b0 + 1) * work >= limit for b0, b1 in groups[:-1])
 
 
 def _grids_case(times, data, rng):
