@@ -13,7 +13,6 @@ weighing the state's |rho_jk|^2 summed per level pair, or a distribution's p_n p
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,42 +40,31 @@ LORENTZIAN_DOMINATION_FACTOR = 5.0 * np.pi / 4.0
 MIN_GRID_SAMPLES = 64
 
 
-@dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Trapezoid grid on [0, T].
+    """Trapezoid grid on [0, T]: an odd number of evenly spaced times, at
+    least MIN_GRID_SAMPLES, so that the half-resolution grid shares the
+    endpoints.
 
     Spacing is kept at or below pi / (4 * max_gap): the integrands are
     trigonometric polynomials in frequencies up to the largest spectral gap,
     and 8x Nyquist keeps the trapezoid error well under reported tolerances.
     """
 
-    times: np.ndarray
-    window: float
+    __slots__ = ("window", "times")
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 3:
-            raise ValueError("grid needs at least three samples")
-        if not (np.all(np.isfinite(t)) and np.isfinite(self.window)):
-            raise ValueError("grid times and window must be finite")
-        if t[0] != 0.0 or abs(t[-1] - self.window) > 1e-12 * max(1.0, self.window):
-            raise ValueError("grid must span [0, T] inclusive")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-
-    @classmethod
-    def for_window(cls, window: float, max_gap: float) -> "TimeGrid":
+    def __init__(self, window: float, max_gap: float):
         if not 0 < window < np.inf:
             raise ValueError("window must be positive and finite")
         if not 0 <= max_gap < np.inf:
             raise ValueError("max_gap must be nonnegative and finite")
-        n = MIN_GRID_SAMPLES
-        if max_gap > 0:
-            n = max(n, int(np.ceil(4.0 * max_gap * window / np.pi)) + 1)
-        if n % 2 == 0:  # odd count so the half-resolution grid shares endpoints
-            n += 1
-        return cls(np.linspace(0.0, window, n), window)
+        with np.errstate(over="ignore"):
+            count = np.ceil(4.0 * max_gap * window / np.pi)
+        if not np.isfinite(count):
+            raise ValueError(f"a window of {window:g} at gaps up to {max_gap:g} "
+                             "needs more samples than a grid can hold")
+        n = max(MIN_GRID_SAMPLES, int(count) + 1)
+        self.window = window
+        self.times = np.linspace(0.0, window, n + 1 - n % 2)
 
 
 class AverageResult(NamedTuple):

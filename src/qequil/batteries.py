@@ -158,7 +158,7 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
         etas = max_window_probability(dist, 1.0 / t_grid)
         bounds = bounds_mod.fast_equilibration_bound(etas, rank)
         chain_rows = _purity_chain_rows(state, dist, sigma, t_grid, trial)
-        grids = [TimeGrid.for_window(window, spec.span) for window in t_grid]
+        grids = [TimeGrid(window, spec.span) for window in t_grid]
         series = grid_series(proj, state, [grid.times for grid in grids])
         for window, grid, values, eta, bound, chain_row in zip(t_grid, grids, series,
                                                                etas, bounds, chain_rows):
@@ -224,7 +224,7 @@ def gap_counting_battery(seed: int, dim: int = 40) -> list:
     p_omega = meas.outcome_probabilities(dephase(state))
 
     windows = np.geomspace(1.0, 100.0, GAP_COUNTING_WINDOWS) / sigma
-    grids = [TimeGrid.for_window(window, state.spectrum.span) for window in windows]
+    grids = [TimeGrid(window, state.spectrum.span) for window in windows]
     # one stacked call: row 0 is P's own series, and {P, 1 - P} share its factor
     stacks = grid_series(meas.projectors, state, [grid.times for grid in grids])
     widths = [factor * sigma for factor in GAP_COUNTING_EPS_FACTORS]

@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     try:
         config = _effective_config(name, args)
         result = RUNNERS[name](config)
-    except (ValueError, OSError) as exc:  # an input the experiment cannot read or run on
+    except (ValueError, OSError, MemoryError) as exc:  # an input it cannot read or run on
         raise SystemExit(f"{name}: {exc}") from exc
     try:
         _write_outputs(name, config, args.out, result)

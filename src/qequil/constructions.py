@@ -258,7 +258,7 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: 
     refined = series_distinguishability(stacked[1:], meas.outcome_probabilities(omega))
 
     ceiling = 2.0 * np.sqrt(k / d_eff)
-    grid = TimeGrid.for_window(long_window_sigma / sigma, scenario.spectrum.span)
+    grid = TimeGrid(long_window_sigma / sigma, scenario.spectrum.span)
     long_avg = time_average(np.abs(expectation_series(proj, state, grid.times) - p_omega),
                             grid)
 

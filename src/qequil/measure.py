@@ -4,9 +4,9 @@ Distinguishability between two states under a measurement is half the L1
 distance between the outcome probability vectors; for a two-outcome
 measurement {P, 1-P} it reduces to |tr(a P) - tr(b P)|.
 
-The time series tr(P rho_t) come from one kernel, grid_series, with two
-paths: a block-factorised GEMM form for any grid, and a Gaussian-kernel
-non-uniform FFT for long uniform grids over many levels.
+The time series tr(P rho_t) come from one kernel, grid_series, on evenly
+spaced grids only, with two paths: a block-factorised GEMM form, and a
+Gaussian-kernel non-uniform FFT for long grids over many levels.
 """
 from __future__ import annotations
 
@@ -121,17 +121,20 @@ def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_length(times: np.ndarray) -> int:
-    """Block length m of the factorised series: ceil(sqrt(n)) when every time
-    is its block's start plus the matching offset of the first block,
-    t_{bm+j} = t_{bm} + (t_j - t_0), to within 4 eps max|t| (a linspace or
-    TimeGrid is); otherwise 1, whose offsets are all zero and whose starts
-    are the times themselves, the direct form."""
-    m = math.isqrt(times.size - 1) + 1
-    k = np.arange(times.size)
-    resid = times - times[k - k % m] - (times[k % m] - times[0])
-    ok = np.abs(resid).max() <= 4.0 * np.finfo(float).eps * np.abs(times).max()
-    return m if ok else 1
+def _evenly_spaced(t: np.ndarray) -> bool:
+    """Whether t is a 1-d array of finite, evenly spaced times (see
+    grid_series). The drift takes one array of n floats, so a grid is
+    checked before anything larger is formed."""
+    if t.ndim != 1 or not np.all(np.isfinite(t)):
+        return False
+    if t.size < 2:
+        return True
+    limit = 4.0 * np.spacing(np.abs(t).max())
+    drift = np.arange(t.size, dtype=float)
+    drift *= (t[-1] - t[0]) / (t.size - 1)
+    drift += t[0]
+    drift -= t
+    return bool(np.abs(drift, out=drift).max() <= limit)
 
 
 def _row_groups(blocks: int, rows: int, levels: int, m: int):
@@ -182,7 +185,8 @@ def _chunk_series(v, columns: np.ndarray, level_starts: np.ndarray,
     levels = offsets.shape[0]
     for coef in _coefficient_groups(v, columns, level_starts):
         for offs, rows, out in pieces:
-            phase, start = offsets[:, offs], starts[rows]
+            # contiguous: a one-time piece's dot rounds a strided column otherwise
+            phase, start = np.ascontiguousarray(offsets[:, offs]), starts[rows]
             blocks, m = start.shape[0], phase.shape[1]
             sums = np.zeros((blocks, m))
             for b0, b1 in _row_groups(blocks, coef.shape[0], levels, m):
@@ -206,7 +210,7 @@ def _plan_chunks(grids, levels: int):
     for g, times in enumerate(grids):
         for first in range(0, times.size, chunk):
             t = times[first:first + chunk]
-            m = _block_length(t)
+            m = math.isqrt(t.size - 1) + 1
             cost = (m + -(-t.size // m)) * levels  # m offsets and ceil(n / m) starts
             if planned and used + cost > SERIES_CHUNK_ENTRIES // 2:
                 yield planned
@@ -251,23 +255,21 @@ class _NufftPlan(NamedTuple):
 
 
 def _nufft_size(levels: np.ndarray, times: np.ndarray) -> int:
-    """The number M of cells of the oversampled circle when the grid takes
-    the NUFFT path, else 0: it takes the block path when it has fewer than
-    _NUFFT_MIN_LEVELS levels or _NUFFT_MIN_WORK levels x times, its times
-    are not uniform and increasing (|t_j - (t_0 + j dt)| <= 4 eps max|t|),
-    or one row's M cells would take more than half the entry budget (or be
-    fewer than one spreading block spans), or the levels span 2^52 cells or
-    more, where a level's place within its cell is lost (and its cell
-    index can overflow). The choice reads the levels and the times only."""
+    """The number M of cells of the oversampled circle when the evenly
+    spaced grid takes the NUFFT path, else 0: it takes the block path when
+    it has fewer than _NUFFT_MIN_LEVELS levels or _NUFFT_MIN_WORK levels x
+    times, its times do not increase, or one row's M cells would take more
+    than half the entry budget (or be fewer than one spreading block
+    spans), or the levels span 2^52 cells or more, where a level's place
+    within its cell is lost (and its cell index can overflow). The choice
+    reads the levels and the times only."""
     n = times.size
     if n < 2 or levels.size < _NUFFT_MIN_LEVELS or levels.size * n < _NUFFT_MIN_WORK:
         return 0
     dt = (times[-1] - times[0]) / (n - 1)
-    drift = np.abs(times - (times[0] + np.arange(n) * dt)).max()
-    if not (dt > 0 and drift <= 4.0 * np.finfo(float).eps * np.abs(times).max()):
-        return 0
     size = _fft_size(2 * n)
-    fits = (_SPREAD_BLOCK_CELLS + 2 * _NUFFT_HALF_WIDTH <= size <= SERIES_CHUNK_ENTRIES // 2
+    fits = (dt > 0 and _SPREAD_BLOCK_CELLS + 2 * _NUFFT_HALF_WIDTH <= size
+            and size <= SERIES_CHUNK_ENTRIES // 2
             and (levels[-1] - levels[0]) * dt * size / (2.0 * np.pi) < 2.0 ** 52)
     return size if fits else 0
 
@@ -361,22 +363,24 @@ def _nufft_series(plan: _NufftPlan, coef: np.ndarray, out: np.ndarray,
 
 
 def grid_series(projectors, state: QuantumState, grids) -> list:
-    """tr(P rho_t) on each of a sequence of 1-d arrays of finite times: one
-    entry per grid, each what expectation_series gives for that grid alone,
-    bit for bit.
+    """tr(P rho_t) on each of a sequence of grids, each what
+    expectation_series gives for that grid alone, bit for bit. A grid is a
+    1-d array of finite times within 4 ulp of max|t| of t_0 + j dt, dt =
+    (t_{n-1} - t_0) / (n - 1), as a linspace is (0 or 1 times pass); any
+    other grid raises ValueError.
 
     With rho = A A^dag, tr(V V^dag rho_t) is the sum over the columns a of A
     and the rows c = conj(V)^T a of |sum_k c_k e^{-i E_k t}|^2; c is first
     summed within each level, so the phases are taken per level. Each grid
     takes one of two paths, chosen from its times and the levels alone (see
-    _nufft_size): a uniform increasing grid with at least _NUFFT_MIN_LEVELS
+    _nufft_size): an increasing grid with at least _NUFFT_MIN_LEVELS
     levels and _NUFFT_MIN_WORK levels x times takes the NUFFT path; every
     other grid takes the block path, which also serves as the NUFFT's test
     oracle.
 
-    Block path. Each grid is cut into pieces of k^2 times, and a piece into
-    blocks of m times (see _block_length) where the phase at t_{bm+j}
-    factors exactly as e^{-iE t_{bm}} e^{-iE (t_j - t_0)}: about 2 sqrt(n)
+    Block path. Each grid is cut into pieces of k^2 times, and a piece of n
+    times into blocks of m = ceil(sqrt(n)), where the phase at t_{bm+j}
+    factors as e^{-iE t_{bm}} e^{-iE (t_j - t_0)}: about 2 sqrt(n)
     exponentials per level instead of n, and one GEMM of the start-scaled
     rows of a group of blocks against the (levels, m) offset phases. It is
     within 32 eps (1 + max|E| max|t|) of the direct sum. One planner serves
@@ -409,7 +413,7 @@ def grid_series(projectors, state: QuantumState, grids) -> list:
     can differ). A NUFFT grid is evaluated on its own, whatever else the
     call holds.
 
-    A stack shares the block check and the phases of every chunk. Each
+    A stack shares the phases of every chunk. Each
     factor forms its own coefficient rows and GEMMs, as a call for it alone
     would, so a stack takes no more memory than its widest factor and each
     row is bit for bit the projector's own series; a factor that several
@@ -419,8 +423,8 @@ def grid_series(projectors, state: QuantumState, grids) -> list:
     has the series 0.
     """
     grids = [np.asarray(times, dtype=float) for times in grids]
-    if any(t.ndim != 1 or not np.all(np.isfinite(t)) for t in grids):
-        raise ValueError("times must be a 1-d array of finite values")
+    if not all(map(_evenly_spaced, grids)):
+        raise ValueError("times must be a 1-d array of finite, evenly spaced values")
     single = isinstance(projectors, Projector)
     stack = (projectors,) if single else tuple(projectors)
     if any(p.dim != state.factor.shape[0] for p in stack):
@@ -463,7 +467,7 @@ def grid_series(projectors, state: QuantumState, grids) -> list:
 
 
 def expectation_series(projectors, state: QuantumState, times) -> np.ndarray:
-    """tr(P rho_t) for a 1-d array of finite times; for a sequence of
+    """tr(P rho_t) on an evenly spaced grid; for a sequence of
     projectors, a (len, n) array with one series per projector. The one-grid
     call of grid_series, which documents the method."""
     return grid_series(projectors, state, [times])[0]

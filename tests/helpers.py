@@ -475,7 +475,7 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int 
         proj = haar.HaarSampler(int(rng.integers(2 ** 62)), d).projector(rank)
         p_omega = proj.expectation(omega)
         for window in np.geomspace(0.1, 100.0, t_points) / sigma:
-            grid = TimeGrid.for_window(window, spec.span)
+            grid = TimeGrid(window, spec.span)
             avg = time_average(
                 np.abs(expectation_series(proj, state, grid.times) - p_omega), grid)
             eta = max_window_probability(dist, 1.0 / window)
@@ -519,7 +519,7 @@ def per_window_gap_counting_battery(seed: int, dim: int = 40) -> list:
     p_omega = meas.outcome_probabilities(dephase(state))
     rows = []
     for window in np.geomspace(1.0, 100.0, batteries.GAP_COUNTING_WINDOWS) / sigma:
-        grid = TimeGrid.for_window(window, state.spectrum.span)
+        grid = TimeGrid(window, state.spectrum.span)
         stack = expectation_series(meas.projectors, state, grid.times)
         sq_avg = time_average((stack[0] - p_omega[0]) ** 2, grid)
         d_avg = time_average(series_distinguishability(stack, p_omega), grid)
@@ -605,7 +605,7 @@ def fast_equilibration_chain(state: QuantumState, projector: Projector,
         # D_P = D_{1-P}, so run the chain on the smaller-rank side.
         projector = projector.complement()
     rank = projector.rank
-    grid = TimeGrid.for_window(window, state.spectrum.span)
+    grid = TimeGrid(window, state.spectrum.span)
     p_omega = projector.expectation(omega)
     series = expectation_series(projector, state, grid.times)
     measured = time_average(np.abs(series - p_omega), grid)

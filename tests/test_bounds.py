@@ -55,7 +55,7 @@ NAN_CALLS = {
         3, NAN, 2, 1.0, 1.0),
     "gaussian_purity_exact": lambda: gaussian_purity_exact(1.0, NAN),
     "gaussian_purity_asymptote": lambda: gaussian_purity_asymptote(NAN, 1.0),
-    "TimeGrid.for_window": lambda: TimeGrid.for_window(NAN, 1.0),
+    "TimeGrid": lambda: TimeGrid(NAN, 1.0),
     "lorentzian_phase_average": lambda: lorentzian_phase_average(1.0, NAN),
     "lorentzian_state": lambda: lorentzian_state(_STATE, NAN),
     "lorentzian_purity_product": lambda: lorentzian_purity_product(_DIST, [NAN]),
@@ -65,7 +65,7 @@ NAN_CALLS = {
         3, 1.0, NAN),
     "gaussian_scenario": lambda: gaussian_scenario(100, NAN),
     "snapshot_subspace": lambda: snapshot_subspace(_SCEN, 3, NAN),
-    "TimeGrid.for_window max_gap": lambda: TimeGrid.for_window(1.0, NAN),
+    "TimeGrid max_gap": lambda: TimeGrid(1.0, NAN),
     "dephased_purity_bound window": lambda: dephased_purity_bound(_DIST, NAN),
     # an array of windows or widths is rejected for any NaN element
     "max_window_probability_window array": lambda: max_window_probability_window(
@@ -139,8 +139,8 @@ def test_huge_finite_lorentzian_window_gives_the_dephased_limit(kind):
     lambda: dephased_purity_bound(_DIST, 0.0),   # was a ZeroDivisionError
     lambda: dephased_purity_bound(_DIST, np.array([1.0, -1.0])),
     lambda: max_window_probability(_DIST, np.array([0.5, 0.0])),
-    lambda: TimeGrid.for_window(1.0, np.inf),    # was an OverflowError
-    lambda: TimeGrid.for_window(1.0, -1.0),
+    lambda: TimeGrid(1.0, np.inf),    # was an OverflowError
+    lambda: TimeGrid(1.0, -1.0),
     lambda: n_outcome_fast_bound(_DIST, [3, 3], 0.0),   # was a ZeroDivisionError
 ], ids=["dephased-zero", "dephased-array-negative",
         "scan-array-zero", "grid-inf-gap", "grid-negative-gap", "n-outcome-zero"])
@@ -218,7 +218,7 @@ class TestFastBound:
         proj = Projector.from_factor(state.amplitudes)
         p_omega = proj.expectation(omega)
         window = 50.0 / sigma
-        grid = TimeGrid.for_window(window, spec.span)
+        grid = TimeGrid(window, spec.span)
         measured = time_average(
             np.abs(expectation_series(proj, state, grid.times) - p_omega), grid)
         eta = max_window_probability(dist, 1.0 / window)

@@ -268,6 +268,27 @@ def test_unwritable_output_stops_with_one_line(tmp_path):
     assert out.read_text() == "kept"
 
 
+def test_grid_past_the_float_range_stops_with_one_line(tmp_path):
+    # 4 max_gap T / pi overflows to inf: was an OverflowError traceback
+    with pytest.raises(SystemExit, match=r"^slow: a window of .* more samples than a grid "
+                                         r"can hold$"):
+        _run(["slow", "--set", "dim=64", "--set", "long_window_sigma=1e308",
+              "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_memory_stops_with_one_line(tmp_path, monkeypatch):
+    # a grid of 10^13 samples used to end in an _ArrayMemoryError traceback
+    def too_large(config):
+        """Asks for more memory than there is."""
+        raise MemoryError("Unable to allocate 317. TiB for an array")
+
+    monkeypatch.setitem(cli.RUNNERS, "slow", too_large)
+    with pytest.raises(SystemExit, match=r"^slow: Unable to allocate 317\. TiB"):
+        _run(["slow", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_table_keeps_its_traceback(tmp_path, monkeypatch):
     # rows with other keys are a fault of the experiment, not of the input
     def mismatched(config):

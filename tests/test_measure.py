@@ -296,6 +296,14 @@ def _degenerate_spectrum(rng, d):
     return EnergySpectrum(np.cumsum(rng.uniform(0.1, 1.0, num_levels)), degs)
 
 
+def _spans(top):
+    """Spans of drawn grids: 0, or wide enough that the step of a linspace
+    is a normal float. A linspace of 11 times or more whose step is
+    subnormal is not evenly spaced to within 4 ulp, and is rejected (see
+    test_series_rejects_uneven_grids)."""
+    return st.one_of(st.just(0.0), st.floats(1e-290, top))
+
+
 def _series_case(d, data):
     """A spectrum (degenerate or not), a projector of any rank 0..d (a
     complement or not) and a time grid, all drawn."""
@@ -306,7 +314,7 @@ def _series_case(d, data):
     p = Projector.from_factor(_haar_frame(rng, d, d)[:, :rank])
     if data.draw(st.booleans(), label="complement"):
         p = p.complement()
-    times = np.linspace(0.0, data.draw(st.floats(0.0, 40.0), label="t_max"),
+    times = np.linspace(0.0, data.draw(_spans(40.0), label="t_max"),
                         data.draw(st.integers(0, 40), label="times"))
     return rng, spec, p, times
 
@@ -348,7 +356,7 @@ def test_chunked_series_matches_unchunked(d, data):
 def _stack_case(d, data):
     """A state (pure or mixed), one to four projectors of any rank 0..d, each
     a complement or not, or the complement of an earlier one (a shared
-    factor), a time grid (factorable or jittered) and a chunk budget."""
+    factor), the drawn time grid and a chunk budget."""
     rng, spec, p, times = _series_case(d, data)
     mixed = data.draw(st.booleans(), label="mixed")
     state = random_mixed(rng, spec, components=data.draw(st.integers(1, 4))) if mixed \
@@ -361,8 +369,6 @@ def _stack_case(d, data):
         rank = data.draw(st.integers(0, d), label="rank")
         q = Projector.from_factor(_haar_frame(rng, d, d)[:, :rank])
         stack.append(q.complement() if data.draw(st.booleans(), label="complement") else q)
-    if data.draw(st.booleans(), label="jittered"):
-        times = times + rng.uniform(-0.2, 0.2, times.size)
     entries = data.draw(st.sampled_from([measure.SERIES_CHUNK_ENTRIES, 1, 2, 7, 64, 500]),
                         label="entries")
     return state, stack, times, entries
@@ -379,6 +385,10 @@ def test_stacked_series_is_each_projector_series(d, data):
     assert stacked.shape == (len(stack), times.size)
     for row, single in zip(stacked, alone):
         assert np.array_equal(row, single)
+    if times.size >= 3:  # any two times are evenly spaced
+        jittered = times + np.random.default_rng(d).uniform(-0.2, 0.2, times.size)
+        with pytest.raises(ValueError, match="evenly spaced"):
+            expectation_series(stack, state, jittered)
 
 
 @settings(max_examples=100, deadline=None)
@@ -429,17 +439,14 @@ def test_row_groups_keep_each_gemm_on_one_thread(blocks, rows, levels, m):
         assert all((b1 - b0 + 1) * work >= limit for b0, b1 in groups[:-1])
 
 
-def _grids_case(times, data, rng):
+def _grids_case(times, data):
     """The drawn grid and zero to three more: linspaces of 0 to 60 times
-    from any start, or jittered ones (block length 1)."""
+    from any start."""
     grids = [times]
     for _ in range(data.draw(st.integers(0, 3), label="grids")):
         t0 = data.draw(st.floats(-20.0, 20.0), label="t0")
         n = data.draw(st.integers(0, 60), label="n")
-        grid = np.linspace(t0, t0 + data.draw(st.floats(0.0, 40.0), label="span"), n)
-        if data.draw(st.booleans(), label="jittered"):
-            grid = grid + rng.uniform(-0.2, 0.2, n)
-        grids.append(grid)
+        grids.append(np.linspace(t0, t0 + data.draw(_spans(40.0), label="span"), n))
     return grids
 
 
@@ -449,7 +456,7 @@ def test_grid_series_is_each_grid_series(d, data):
     # pieces of several grids share a chunk's phases and coefficient rows,
     # and each piece runs its own GEMMs: every grid is bit for bit its own call
     state, stack, times, entries = _stack_case(d, data)
-    grids = _grids_case(times, data, np.random.default_rng(d))
+    grids = _grids_case(times, data)
     single = data.draw(st.booleans(), label="single")
     projectors = stack[0] if single else stack
     with pytest.MonkeyPatch.context() as mp:
@@ -460,13 +467,17 @@ def test_grid_series_is_each_grid_series(d, data):
     for got, want in zip(together, alone):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    # one uneven grid anywhere stops the call
+    grids.insert(data.draw(st.integers(0, len(grids)), label="at"), np.array([0.0, 1.0, 2.5]))
+    with pytest.raises(ValueError, match="evenly spaced"):
+        grid_series(projectors, state, grids)
 
 
 @pytest.mark.parametrize("mixed", [False, True])
 def test_grid_series_packs_pieces_of_several_grids(mixed):
     # 4 levels and a budget of 200 entries: pieces of 144 times, and chunks
-    # of at most 100 phases. The 40-time linspace (m = 7) and the jittered
-    # grid (m = 1) share the first chunk; the 300-time grid is cut in three,
+    # of at most 100 phases. The 40-time (m = 7) and 7-time (m = 3) grids
+    # share the first chunk; the 300-time grid is cut in three,
     # and its 12-time tail shares a chunk with the one-time grid. A pure
     # state and a rank-1 projector give one coefficient row, the GEMV guard.
     rng = np.random.default_rng(4)
@@ -475,16 +486,16 @@ def test_grid_series_packs_pieces_of_several_grids(mixed):
     p = Projector.from_factor(_haar_frame(rng, 6, 1))
     empty = Projector.from_factor(np.zeros((6, 0)))
     stack = [p, p.complement(), empty, Projector.from_factor(_haar_frame(rng, 6, 3))]
-    grids = [np.linspace(0.0, 3.0, 40), np.sort(rng.uniform(0.0, 5.0, 7)),
+    grids = [np.linspace(0.0, 3.0, 40), np.linspace(0.5, 5.0, 7),
              np.linspace(1.0, 50.0, 300), np.array([2.5]), np.array([])]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measure, "SERIES_CHUNK_ENTRIES", 200)
-        plan = [[(g, first, t.size) for g, first, t, _ in chunk]
+        plan = [[(g, first, t.size, m) for g, first, t, m in chunk]
                 for chunk in measure._plan_chunks(grids, spec.levels.size)]
         together = grid_series(stack, state, grids)
         alone = [expectation_series(stack, state, t) for t in grids]
-    assert plan == [[(0, 0, 40), (1, 0, 7)], [(2, 0, 144)], [(2, 144, 144)],
-                    [(2, 288, 12), (3, 0, 1)]]
+    assert plan == [[(0, 0, 40, 7), (1, 0, 7, 3)], [(2, 0, 144, 12)], [(2, 144, 144, 12)],
+                    [(2, 288, 12, 4), (3, 0, 1, 1)]]
     for got, want in zip(together, alone):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -496,7 +507,7 @@ def test_grid_series_rejects_any_bad_grid(spec):
     p = Projector.from_factor(_haar_frame(np.random.default_rng(8), 5, 2))
     assert grid_series(p, state, []) == []
     for bad in ([np.inf], [[0.0, 1.0]]):
-        with pytest.raises(ValueError, match="1-d array of finite values"):
+        with pytest.raises(ValueError, match="1-d array of finite, evenly spaced values"):
             grid_series(p, state, [np.linspace(0.0, 1.0, 5), bad])
 
 
@@ -581,7 +592,8 @@ def test_nufft_series_memory_stays_within_the_same_bound(monkeypatch):
 
 
 # Each phase of either form is within about 8 eps (1 + max|E| max|t|) of
-# exp(-iEt): 4 from the block check in _block_length, the rest from rounding
+# exp(-iEt): 4 from the grid's admission check in grid_series (4 ulp of
+# max|t|, never more than 4 eps max|t|), the rest from rounding
 # E t, cos/sin and the start-offset product. A coefficient row has l1 norm at
 # most 1, so its amplitude moves by no more than a phase does and, as
 # |amp| <= 1, its |amp|^2 by twice that; two forms make 32 for one row. The
@@ -600,10 +612,12 @@ def test_blocked_series_matches_direct_form(d, data):
         else random_pure(rng, spec)
     n = data.draw(st.integers(0, 90), label="times")
     t0 = data.draw(st.floats(-200.0, 200.0), label="t0")
-    span = data.draw(st.floats(0.0, 3000.0), label="span")
+    span = data.draw(_spans(3000.0), label="span")
     times = np.linspace(t0, t0 + span, n)
-    if data.draw(st.booleans(), label="jittered"):
-        times = times + rng.uniform(-0.3, 0.3, n) * (span + 1.0) / max(n, 1)
+    if n >= 3 and data.draw(st.booleans(), label="jittered"):
+        jittered = times + rng.uniform(-0.3, 0.3, n) * (span + 1.0) / n
+        with pytest.raises(ValueError, match="evenly spaced"):
+            expectation_series(p, state, jittered)
     entries = data.draw(st.sampled_from([measure.SERIES_CHUNK_ENTRIES, 1, 7, 64, 500]),
                         label="entries")
     with pytest.MonkeyPatch.context() as mp:
@@ -627,13 +641,56 @@ BLOCK_PERIODIC = (np.cumsum(np.random.default_rng(5).uniform(1.0, 2.0, 47))[:, N
     (np.linspace(0.0, 7.0, 10), 4),
     (np.linspace(-3.0, 5e3, 2179), 47),
     (np.linspace(0.0, 0.0, 12), 4),
-    (TimeGrid.for_window(123.4, 7.5).times, 35),
-    (np.array([0.0, 1.0, 2.5, 3.0, 4.5]), 1),
-    (BLOCK_PERIODIC, 47),
-    (np.linspace(0.0, 1.0, 9) + 32 * np.finfo(float).eps * (np.arange(9) == 4), 1),
+    (TimeGrid(123.4, 7.5).times, 35),
+    (np.linspace(0.0, 5e-324, 9), 3),
+    (np.linspace(0.0, 1e-310, 9), 3),
 ])
-def test_block_length_factors_only_uniform_grids(times, m):
-    assert measure._block_length(times) == m
+def test_even_grids_take_blocks_of_ceil_sqrt_n(times, m):
+    assert measure._evenly_spaced(times)
+    [[(_, _, piece, got)]] = measure._plan_chunks([times], 4)
+    assert piece.size == times.size and got == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(t0=st.floats(-1e12, 1e12), span=_spans(1e12), n=st.integers(0, 5000))
+def test_linspace_grids_are_evenly_spaced(t0, span, n):
+    assert measure._evenly_spaced(np.linspace(t0, t0 + span, n))
+
+
+@pytest.mark.parametrize("times", [
+    np.array([0.0, 1.0, 2.5, 3.0, 4.5]),
+    BLOCK_PERIODIC,
+    # a few ulps off at one time
+    np.linspace(0.0, 1.0, 9) + 16 * np.spacing(1.0) * (np.arange(9) == 4),
+    TimeGrid(123.4, 7.5).times + 16 * np.spacing(123.4) * (np.arange(1181) == 700),
+    # a subnormal step: the last time is off by more than 4 ulp
+    np.linspace(0.0, 1e-310, 40),
+])
+def test_series_rejects_uneven_grids(spec, times):
+    assert not measure._evenly_spaced(times)
+    p = Projector.from_factor(_haar_frame(np.random.default_rng(6), 5, 2))
+    state = random_pure(np.random.default_rng(6), spec)
+    with pytest.raises(ValueError, match="evenly spaced"):
+        expectation_series(p, state, times)
+    with pytest.raises(ValueError, match="evenly spaced"):
+        grid_series([p, p.complement()], state, [np.linspace(0.0, 1.0, 5), times])
+
+
+def test_uneven_grid_is_rejected_before_anything_of_its_size():
+    # 80k jittered times at d = 256: one n x levels complex array of start
+    # phases would take 312 MiB
+    scen = random_scenario(7, 256)
+    p = Projector.from_factor(_haar_frame(np.random.default_rng(7), 256, 4))
+    times = np.linspace(0.0, 400.0, 80_000)
+    times += np.random.default_rng(7).uniform(-1e-3, 1e-3, times.size)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="evenly spaced"):
+            expectation_series(p, scen.state, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def _force_path(mp, nufft: bool):
@@ -706,8 +763,7 @@ def _slow_grids():
     scen = random_scenario(cfg["seed"], cfg["dim"])
     t_end = (2 * cfg["snapshots"] - 1) * cfg["epsilon"] / scen.sigma_e
     return scen, [np.linspace(0.0, t_end, cfg["samples"]),
-                  TimeGrid.for_window(cfg["long_window_sigma"] / scen.sigma_e,
-                                      scen.spectrum.span).times]
+                  TimeGrid(cfg["long_window_sigma"] / scen.sigma_e, scen.spectrum.span).times]
 
 
 def test_slow_grids_take_the_nufft():
@@ -715,9 +771,10 @@ def test_slow_grids_take_the_nufft():
     assert [(scen.spectrum.levels.size, t.size) for t in grids] == [(2048, 256), (2048, 2179)]
     for times in grids:
         assert measure._nufft_size(scen.spectrum.levels, times) > 0
-    # jittered, or decreasing, the long grid takes the block path
+    # jittered, the long grid is no grid at all; decreasing, it takes the
+    # block path
     jittered = grids[1] + np.random.default_rng(3).uniform(-1e-9, 1e-9, grids[1].size)
-    assert measure._nufft_size(scen.spectrum.levels, jittered) == 0
+    assert not measure._evenly_spaced(jittered)
     assert measure._nufft_size(scen.spectrum.levels, grids[1][::-1]) == 0
 
 
@@ -727,16 +784,15 @@ def _spread_levels(count):
 
 @pytest.mark.parametrize("levels, times, nufft", [
     # bounds' largest grid over the default and panel seeds, and figure3's
-    (_spread_levels(60), TimeGrid.for_window(40.0, 40.0).times[:525], False),
+    (_spread_levels(60), TimeGrid(40.0, 40.0).times[:525], False),
     (_spread_levels(50), np.linspace(0.0, 100.0, 2049), False),
     # too few levels, or too few levels x times
     (_spread_levels(511), np.linspace(0.0, 100.0, 4097), False),
     (_spread_levels(2048), np.linspace(0.0, 10.0, 63), False),
     (_spread_levels(2048), np.linspace(0.0, 10.0, 64), True),
     (_spread_levels(512), np.linspace(0.0, 10.0, 256), True),
-    # block-periodic but not uniform: 47 blocks of 47 times from arbitrary
-    # starts, which _block_length factors
-    (_spread_levels(2048), BLOCK_PERIODIC, False),
+    # decreasing
+    (_spread_levels(2048), np.linspace(10.0, 0.0, 1024), False),
     # levels 2^52 cells apart or more: their cells' fractions are lost
     (_spread_levels(2048), np.linspace(0.0, 1e18, 1024), False),
     (_spread_levels(2048), np.linspace(0.0, 1e9, 1024), True),
@@ -771,7 +827,7 @@ def test_undersampled_grid_wraps_and_meets_the_bound():
 @pytest.mark.parametrize("mixed", [False, True])
 def test_grid_series_packs_nufft_grids_with_small_grids(mixed):
     # 600 levels: the 300- and 700-time linspaces take the NUFFT and share
-    # its work buffer; the 40-time, jittered and one-time grids take the
+    # its work buffer; the 40-, 7- and one-time grids take the
     # block path, packed in one chunk. Every grid is bit for bit its own call.
     rng = np.random.default_rng(12)
     spec = EnergySpectrum(_spread_levels(600), rng.integers(1, 3, 600))
@@ -779,7 +835,7 @@ def test_grid_series_packs_nufft_grids_with_small_grids(mixed):
     p = Projector.from_factor(_haar_frame(rng, spec.dim, 2))
     stack = [p, p.complement(), Projector.from_factor(_haar_frame(rng, spec.dim, 5))]
     grids = [np.linspace(0.0, 3.0, 40), np.linspace(0.0, 20.0, 300),
-             np.sort(rng.uniform(0.0, 5.0, 7)), np.linspace(-30.0, 45.0, 700), np.array([2.5])]
+             np.linspace(0.5, 5.0, 7), np.linspace(-30.0, 45.0, 700), np.array([2.5])]
     assert [measure._nufft_size(spec.levels, t) > 0 for t in grids] \
         == [False, True, False, True, False]
     for projectors in (stack, p):
@@ -816,7 +872,7 @@ def test_series_edge_cases(spec, complement, mixed):
 def test_series_rejects_non_finite_or_nested_times(spec, times):
     p = Projector.from_factor(_haar_frame(np.random.default_rng(6), 5, 2))
     state = random_pure(np.random.default_rng(6), spec)
-    with pytest.raises(ValueError, match="times must be a 1-d array of finite values"):
+    with pytest.raises(ValueError, match="times must be a 1-d array of finite, evenly spaced"):
         expectation_series(p, state, times)
 
 
