@@ -18,8 +18,8 @@ from .bounds import (fast_equilibration_bound, fast_equilibration_constant,
                      general_expectation_bound)
 from .haar import (HaarSampler, exact_mean_sq_distinguishability,
                    typical_distinguishability_bound)
-from .constructions import (Scenario, SnapshotSubspace, gaussian_scenario,
-                            harmonic_oscillator_1d, harmonic_oscillator_3d_boltzmann,
-                            random_scenario, snapshot_subspace)
+from .constructions import (SnapshotSubspace, gaussian_scenario, harmonic_oscillator_1d,
+                            harmonic_oscillator_3d_boltzmann, random_scenario,
+                            snapshot_subspace)
 
 __version__ = "0.1.0"

@@ -22,8 +22,8 @@ from . import bounds as bounds_mod
 from .averaging import (TimeGrid, dephased_purity_bound, lorentzian_purity,
                         lorentzian_purity_product, lorentzian_state,
                         running_average, time_average)
-from .constructions import (Scenario, gaussian_scenario, harmonic_oscillator_1d,
-                            random_scenario, snapshot_subspace, slow_window_check)
+from .constructions import (gaussian_scenario, harmonic_oscillator_1d, random_scenario,
+                            snapshot_subspace, slow_window_check)
 from .haar import (HaarSampler, constrained_mean_bound, exact_mean_sq_distinguishability,
                    initial_distinguishability_exact, initial_distinguishability_floor,
                    mc_distinguishabilities, mc_mean_stderr, mc_twirl_pair,
@@ -88,28 +88,28 @@ class ExperimentResult(NamedTuple):
                 if not record["holds"]]
 
 
-def _random_trial_scenario(rng) -> Scenario:
-    """One randomized (spectrum, state) pair; spectra alternate between
-    Poisson-spaced ladders, versions with degenerate levels, and dense
+def _random_trial_scenario(rng) -> tuple:
+    """One randomized state and its label, ``random-{seed}-d{d}`` for a
+    :func:`random_scenario` and ``trial-{seed}`` otherwise; spectra alternate
+    between Poisson-spaced ladders, versions with degenerate levels, and dense
     random-matrix spectra; states alternate pure and low-rank mixed."""
     d = int(rng.integers(TRIAL_DIM_RANGE[0], TRIAL_DIM_RANGE[1] + 1))
     flavor = int(rng.integers(3))
     seed = int(rng.integers(2 ** 62))
     if flavor == 0:
-        scenario = random_scenario(seed, d)
+        state = random_scenario(seed, d)
     elif flavor == 1:
         # collapse random levels into degenerate blocks
         num_levels = max(2, int(0.7 * d))
         degs = np.ones(num_levels, dtype=int)
         bump = rng.choice(num_levels, size=d - num_levels, replace=True)
         np.add.at(degs, bump, 1)
-        scenario = random_scenario(seed, d, degeneracies=degs)
+        state = random_scenario(seed, d, degeneracies=degs)
     else:
-        return Scenario(_random_state(rng, _random_matrix_spectrum(rng, d)),
-                        f"trial-{seed}")
+        return _random_state(rng, _random_matrix_spectrum(rng, d)), f"trial-{seed}"
     if rng.random() < 0.2:
-        return Scenario(_random_state(rng, scenario.spectrum), f"trial-{seed}")
-    return scenario
+        return _random_state(rng, state.spectrum), f"trial-{seed}"
+    return state, f"random-{seed}-d{d}"
 
 
 def _random_matrix_spectrum(rng, d: int) -> EnergySpectrum:
@@ -131,8 +131,8 @@ def _random_state(rng, spec) -> QuantumState:
     return QuantumState(spec, np.column_stack(columns))
 
 
-def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
-                               max_rank: int = 8, slack: float = 1e-3) -> list:
+def fast_equilibration_battery(seed: int, trials: int, t_points: int, max_rank: int,
+                               slack: float) -> list:
     """Randomized sweep of the two-outcome fast-equilibration bound, with the
     Lorentzian-purity chain checked at every grid point along the way. Each
     trial evaluates its window scans, bounds, exact purities and the series
@@ -144,9 +144,8 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        scenario = _random_trial_scenario(rng)
-        spec = scenario.spectrum
-        state = scenario.state
+        state, label = _random_trial_scenario(rng)
+        spec = state.spectrum
         dist = level_distribution(state)
         sigma = energy_moments(dist).std
         omega = dephase(state)
@@ -166,7 +165,7 @@ def fast_equilibration_battery(seed: int, trials: int = 200, t_points: int = 12,
             row = {"name": "fast_equilibration", "T": float(window), "eps": 1.0 / window,
                    "K": rank, "value": bound, "measured": avg.value,
                    "holds": avg.value <= bound + slack, "battery": "fast_equilibration",
-                   "trial": trial, "label": scenario.label, "d": d,
+                   "trial": trial, "label": label, "d": d,
                    "levels": spec.num_levels, "eta": float(eta),
                    "refinement_error": avg.refinement_error}
             rows += [row, chain_row]
@@ -202,7 +201,7 @@ def _purity_chain_rows(state, dist, sigma, windows, trial) -> list:
     return rows
 
 
-def gap_counting_scenario(seed: int, dim: int = 40):
+def gap_counting_scenario(seed: int, dim: int):
     """Dense random-matrix spectrum with a Haar pure state and a half-rank
     projector, shared by the gap-counting checks."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA]))
@@ -213,7 +212,7 @@ def gap_counting_scenario(seed: int, dim: int = 40):
     return state, proj
 
 
-def gap_counting_battery(seed: int, dim: int = 40) -> list:
+def gap_counting_battery(seed: int, dim: int) -> list:
     """Gap-counting bound checks on a dense random-matrix scenario, for both
     the expectation and distinguishability forms."""
     _check_count("dim", dim, 2)
@@ -247,7 +246,7 @@ def gap_counting_battery(seed: int, dim: int = 40) -> list:
     return rows
 
 
-def haar_battery(seed: int, scenarios: int = 50, samples: int = 300) -> list:
+def haar_battery(seed: int, scenarios: int, samples: int) -> list:
     """Monte Carlo sweep of all four Haar-ensemble bounds (two-outcome and
     N-outcome, unconstrained and initial-state-constrained)."""
     _check_count("scenarios", scenarios)
@@ -255,9 +254,8 @@ def haar_battery(seed: int, scenarios: int = 50, samples: int = 300) -> list:
     for idx in range(scenarios):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x44A, idx]))
         d = int(rng.integers(8, 25))
-        scenario = random_scenario(int(rng.integers(2 ** 62)), d)
-        state0 = scenario.state
-        sigma = scenario.sigma_e
+        state0 = random_scenario(int(rng.integers(2 ** 62)), d)
+        sigma = energy_moments(level_distribution(state0)).std
         t = float(rng.uniform(0.0, 20.0 / sigma))
         state_t = evolve(state0, t)
         omega = dephase(state0)
@@ -316,8 +314,7 @@ def run_figure3(config: dict) -> ExperimentResult:
     against its equilibrium, under the initial-state projector."""
     levels = int(config["levels"])
     spacing = float(config["spacing"])
-    scenario = harmonic_oscillator_1d(levels, spacing)
-    state = scenario.state
+    state = harmonic_oscillator_1d(levels, spacing)
     samples = int(config["samples"])
     _check_count("samples", samples)
     times = np.linspace(0.0, 2.0 * np.pi / spacing, samples)
@@ -328,7 +325,7 @@ def run_figure3(config: dict) -> ExperimentResult:
     # not care about them
     rng = np.random.default_rng(np.random.SeedSequence(int(config["phase_seed"])))
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, levels))
-    rand_state = QuantumState.pure(scenario.spectrum, state.amplitudes * phases)
+    rand_state = QuantumState.pure(state.spectrum, state.amplitudes * phases)
     rand_rows = _series_rows(times, _initial_projector_series(rand_state, times))
 
     d0 = float(values[0])
@@ -374,14 +371,15 @@ def run_slow(config: dict) -> ExperimentResult:
     guaranteed window, eventual-equilibration ceiling, and N-outcome
     refinement dominance."""
     _check_count("samples", int(config["samples"]))
-    scenario = random_scenario(int(config["seed"]), int(config["dim"]))
+    state = random_scenario(int(config["seed"]), int(config["dim"]))
     k = int(config["snapshots"])
     eps = float(config["epsilon"])
-    sub = snapshot_subspace(scenario, k, eps)
-    rep = slow_window_check(sub, scenario, int(config["outcomes"]),
+    sub = snapshot_subspace(state, k, eps)
+    rep = slow_window_check(sub, state, int(config["outcomes"]),
                             num_samples=int(config["samples"]),
                             long_window_sigma=float(config["long_window_sigma"]))
-    summary = {"dim": scenario.spectrum.dim, "d_eff": scenario.d_eff,
+    summary = {"dim": state.spectrum.dim,
+               "d_eff": effective_dimension(level_distribution(state)),
                "snapshots": k, "epsilon": eps,
                "effective_rank": sub.effective_rank, "floor": rep.floor,
                "min_window_value": rep.worst_value,
@@ -401,9 +399,9 @@ def run_gaussian(config: dict) -> ExperimentResult:
                            and 0 < st < np.inf for st in grid):
         raise ValueError("sigma_t_grid must be a non-empty list of positive "
                          f"finite numbers, got {grid!r}")
-    scenario = gaussian_scenario(int(config["levels"]), float(config["sigma"]),
-                                 float(config["span"]))
-    dist = level_distribution(scenario.state)
+    dist = level_distribution(gaussian_scenario(int(config["levels"]),
+                                                float(config["sigma"]),
+                                                float(config["span"])))
     sigma = energy_moments(dist).std
     limit_coeff = float(config["eta_limit_coeff"])
     windows = [float(st) / sigma for st in grid]
@@ -453,22 +451,22 @@ def run_haar(config: dict) -> ExperimentResult:
                          "samples": values.size, "seed": sampler.seed, "holds": bool(ok)}
 
     # exact second moment vs MC
-    scenario = random_scenario(seed + 1, 8)
-    state_t = evolve(scenario.state, 0.7)
-    omega = dephase(scenario.state)
+    state = random_scenario(seed + 1, 8)
+    state_t = evolve(state, 0.7)
+    omega = dephase(state)
     sampler = HaarSampler(seed + 2, 8)
     x = mc_distinguishabilities(state_t, omega, [3, 5], sampler, samples)
     check("mean_sq_d8_k3", x * x, exact_mean_sq_distinguishability(state_t, omega, 3),
           sampler, 5.0, cap_only=False)
 
     # constrained ensemble
-    scen10 = random_scenario(seed + 3, 10)
-    st10 = evolve(scen10.state, 1.3)
-    om10 = dephase(scen10.state)
-    sampler = HaarSampler(seed + 4, 10, excluded_vector=scen10.state.amplitudes)
+    state10 = random_scenario(seed + 3, 10)
+    st10 = evolve(state10, 1.3)
+    om10 = dephase(state10)
+    sampler = HaarSampler(seed + 4, 10, excluded_vector=state10.amplitudes)
     check("constrained_d10_k3",
           mc_distinguishabilities(st10, om10, [2, 7], sampler, samples),
-          constrained_mean_bound(scen10.state, st10, om10, 3), sampler, 3.0,
+          constrained_mean_bound(state10, st10, om10, 3), sampler, 3.0,
           cap_only=True)
 
     # initial distinguishability floor, uniform state over 6 of 12 levels
@@ -486,9 +484,9 @@ def run_haar(config: dict) -> ExperimentResult:
         4, 12, effective_dimension(level_distribution(state12)))
 
     # N-outcome cap
-    scen16 = random_scenario(seed + 6, 16)
-    st16 = evolve(scen16.state, 0.9)
-    om16 = dephase(scen16.state)
+    state16 = random_scenario(seed + 6, 16)
+    st16 = evolve(state16, 0.9)
+    om16 = dephase(state16)
     sampler = HaarSampler(seed + 7, 16)
     check("n_outcome_d16_n4",
           mc_distinguishabilities(st16, om16, [4, 4, 4, 4], sampler, samples),

@@ -79,14 +79,12 @@ def _check_eps_window(eps: float, window: float):
         raise ValueError("eps and window must be positive")
 
 
-def general_expectation_bound(n_eps: int, d_eff: float, eps: float, window: float,
-                              operator_norm: float = 1.0) -> float:
-    """Gap-counting bound on <|tr A (rho_t - omega)|^2>_T:
-    (5 pi / 2) (|A|^2 / d_eff) N(eps) (3/2 + 1/(eps T))."""
+def general_expectation_bound(n_eps: int, d_eff: float, eps: float, window: float) -> float:
+    """Gap-counting bound on <|tr A (rho_t - omega)|^2>_T for |A| <= 1, such
+    as a projector: (5 pi / 2) (N(eps) / d_eff) (3/2 + 1/(eps T))."""
     _check_eps_window(eps, window)
     return _nonnegative("general_expectation_bound", (
-        2.0 * LORENTZIAN_DOMINATION_FACTOR * operator_norm ** 2 / d_eff
-        * n_eps * (1.5 + 1.0 / (eps * window))))
+        2.0 * LORENTZIAN_DOMINATION_FACTOR / d_eff * n_eps * (1.5 + 1.0 / (eps * window))))
 
 
 def general_distinguishability_bound(n_eps: int, d_eff: float, total_outcomes: int,

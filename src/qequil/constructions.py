@@ -1,10 +1,10 @@
 """Scenario builders and the slow-equilibration snapshot subspace.
 
-A scenario bundles an initial state, which carries its spectrum, with a
-label. The snapshot subspace spans sequential evolved copies of a pure state
-at step 2*eps/sigma_E; measuring its projector stays far from equilibrium
-for a window that grows with the number of snapshots, yet the projector's
-small rank forces eventual equilibration.
+A scenario is its initial state, which carries its spectrum. The snapshot
+subspace spans sequential evolved copies of a pure state at step
+2*eps/sigma_E; measuring its projector stays far from equilibrium for a
+window that grows with the number of snapshots, yet the projector's small
+rank forces eventual equilibration.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .states import (QuantumState, dephase, effective_dimension, energy_moments,
                      level_distribution)
 
 __all__ = [
-    "Scenario",
     "harmonic_oscillator_1d",
     "harmonic_oscillator_3d_boltzmann",
     "gaussian_scenario",
@@ -37,27 +36,7 @@ SNAPSHOT_SVD_CUTOFF = 1e-8
 CEILING_SLACK = 1e-3  # quadrature allowance on the eventual-equilibration ceiling
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """An initial state and a label; the spectrum is the state's."""
-
-    state: QuantumState
-    label: str
-
-    @property
-    def spectrum(self) -> EnergySpectrum:
-        return self.state.spectrum
-
-    @property
-    def sigma_e(self) -> float:
-        return energy_moments(level_distribution(self.state)).std
-
-    @property
-    def d_eff(self) -> float:
-        return effective_dimension(level_distribution(self.state))
-
-
-def harmonic_oscillator_1d(levels: int, spacing: float = 1.0) -> Scenario:
+def harmonic_oscillator_1d(levels: int, spacing: float = 1.0) -> QuantumState:
     """Equally spaced nondegenerate ladder E_n = (n + 1/2) * spacing with a
     pure state spread evenly (real positive amplitudes) over all levels."""
     if levels < 2:
@@ -65,12 +44,11 @@ def harmonic_oscillator_1d(levels: int, spacing: float = 1.0) -> Scenario:
     energies = (np.arange(levels) + 0.5) * spacing
     amps = np.full(levels, 1.0 / np.sqrt(levels))
     spec = EnergySpectrum(energies, np.ones(levels, dtype=int))
-    state = QuantumState.pure(spec, amps)
-    return Scenario(state, f"ho1d-{levels}")
+    return QuantumState.pure(spec, amps)
 
 
 def harmonic_oscillator_3d_boltzmann(levels: int, spacing: float,
-                                     temperature: float) -> Scenario:
+                                     temperature: float) -> QuantumState:
     """Ladder E_n = (n + 1/2) * spacing with three-dimensional oscillator
     degeneracies (n+1)(n+2)/2 and a thermal diagonal state, level weights
     proportional to degeneracy times the Boltzmann factor."""
@@ -85,12 +63,11 @@ def harmonic_oscillator_3d_boltzmann(levels: int, spacing: float,
     probs = weights / weights.sum()
     spec = EnergySpectrum(energies, degs)
     diag = np.repeat(probs / degs, degs)
-    state = QuantumState(spec, np.diag(np.sqrt(diag)))
-    return Scenario(state, f"ho3d-{levels}")
+    return QuantumState(spec, np.diag(np.sqrt(diag)))
 
 
 def gaussian_scenario(num_levels: int, sigma: float = 1.0,
-                      span: float = 8.0) -> Scenario:
+                      span: float = 8.0) -> QuantumState:
     """Equally spaced levels across a window of total width span * sigma,
     carrying a pure state with Gaussian level probabilities of target
     standard deviation sigma.
@@ -104,23 +81,18 @@ def gaussian_scenario(num_levels: int, sigma: float = 1.0,
     probs = np.exp(-energies ** 2 / (2.0 * sigma ** 2))
     probs /= probs.sum()
     spec = EnergySpectrum(energies, np.ones(num_levels, dtype=int))
-    state = QuantumState.pure(spec, np.sqrt(probs))
-    return Scenario(state, f"gaussian-{num_levels}")
+    return QuantumState.pure(spec, np.sqrt(probs))
 
 
-def random_scenario(seed: int, dim: int, degeneracies=None,
-                    mean_spacing: float = 1.0) -> Scenario:
+def random_scenario(seed: int, dim: int, degeneracies=None) -> QuantumState:
     """Seeded generic scenario: level spacings drawn i.i.d. exponential with
-    the given mean (a Poisson spectrum), and a Haar-random pure state.
+    unit mean (a Poisson spectrum), and a Haar-random pure state.
 
     Levels that land within the :class:`EnergySpectrum` separation limit of
     the one below merge, transitively, into one degenerate level at the
     first one's energy, with the degeneracies summed. The draws do not
     change, so a seed without such a collision gives the same scenario.
-    ``mean_spacing`` must be finite and positive.
     """
-    if not (np.isfinite(mean_spacing) and mean_spacing > 0):
-        raise ValueError(f"mean_spacing must be a finite positive number, got {mean_spacing!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if degeneracies is None:
         degeneracies = np.ones(dim, dtype=int)
@@ -128,15 +100,14 @@ def random_scenario(seed: int, dim: int, degeneracies=None,
     if degeneracies.sum() != dim:
         raise ValueError("degeneracies must sum to the dimension")
     num_levels = degeneracies.size
-    spacings = rng.exponential(mean_spacing, num_levels - 1)
+    spacings = rng.exponential(1.0, num_levels - 1)
     levels = np.concatenate(([0.0], np.cumsum(spacings)))
     scale = max(1.0, float(np.abs(levels).max()))
     first = np.concatenate(([True], np.diff(levels) > DEGENERACY_RTOL * scale))
     spec = EnergySpectrum(levels[first],
                           np.add.reduceat(degeneracies, np.flatnonzero(first)))
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    state = QuantumState.pure(spec, z / np.linalg.norm(z))
-    return Scenario(state, f"random-{seed}-d{dim}")
+    return QuantumState.pure(spec, z / np.linalg.norm(z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,23 +134,26 @@ class SnapshotSubspace:
         return Projector.from_factor(self.basis)
 
 
-def snapshot_subspace(scenario: Scenario, count: int, epsilon: float) -> SnapshotSubspace:
+def snapshot_subspace(state: QuantumState, count: int, epsilon: float) -> SnapshotSubspace:
     """Span of |psi(j tau)> for j = 0..count-1 with tau = 2 eps / sigma_E.
 
     Rank deficiency (near-parallel snapshots) is reported through
     ``effective_rank``, not treated as an error; the slow-equilibration
-    bounds only need rank <= count.
+    bounds only need rank <= count. An epsilon whose square or last
+    snapshot time overflows is rejected.
     """
     if count < 1:
         raise ValueError("need at least one snapshot")
     if not 0 < epsilon < np.inf:
         raise ValueError("epsilon must be positive and finite")
-    state = scenario.state
     if not state.is_pure:
         raise ValueError("snapshot subspaces are built from pure states")
-    sigma = scenario.sigma_e
+    sigma = float(energy_moments(level_distribution(state)).std)
     tau = 2.0 * epsilon / sigma if sigma > 0 else 0.0
-    energies = scenario.spectrum.index_energies
+    if not np.isfinite([float(epsilon) * float(epsilon), tau * (count - 1)]).all():
+        raise ValueError(f"epsilon {epsilon!r} is too large: its square or the last "
+                         "snapshot time overflows")
+    energies = state.spectrum.index_energies
     times = tau * np.arange(count)
     snaps = state.amplitudes[:, None] * np.exp(-1j * np.outer(energies, times))
     u, s, _ = np.linalg.svd(snaps, full_matrices=False)
@@ -224,9 +198,8 @@ class SlowWindowReport:
         ]
 
 
-def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: int,
-                      num_samples: int = 256,
-                      long_window_sigma: float = 500.0) -> SlowWindowReport:
+def slow_window_check(subspace: SnapshotSubspace, state: QuantumState, outcomes: int,
+                      num_samples: int, long_window_sigma: float) -> SlowWindowReport:
     """Sample the distinguishability of the snapshot projector across the
     guaranteed window [0, (2K-1) eps / sigma_E] and check it stays above
     1 - eps^2 - sqrt(K / d_eff), and that splitting the subspace into
@@ -235,11 +208,11 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: 
     eventual-equilibration ceiling 2 sqrt(K / d_eff)."""
     if num_samples < 1:
         raise ValueError(f"num_samples must be at least 1, got {num_samples}")
-    state = scenario.state
-    sigma = scenario.sigma_e
+    dist = level_distribution(state)
+    sigma = energy_moments(dist).std
     if not sigma > 0:
         raise ValueError("slow-window check needs a state with energy spread")
-    d_eff = scenario.d_eff
+    d_eff = effective_dimension(dist)
     k = subspace.count
     eps = subspace.epsilon
     omega = dephase(state)
@@ -258,7 +231,7 @@ def slow_window_check(subspace: SnapshotSubspace, scenario: Scenario, outcomes: 
     refined = series_distinguishability(stacked[1:], meas.outcome_probabilities(omega))
 
     ceiling = 2.0 * np.sqrt(k / d_eff)
-    grid = TimeGrid(long_window_sigma / sigma, scenario.spectrum.span)
+    grid = TimeGrid(long_window_sigma / sigma, state.spectrum.span)
     long_avg = time_average(np.abs(expectation_series(proj, state, grid.times) - p_omega),
                             grid)
 

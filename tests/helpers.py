@@ -22,7 +22,8 @@ from qequil.measure import (PROJECTOR_TOL, Projector, _phases, expectation_serie
                             series_distinguishability, two_outcome)
 from qequil.spectra import EnergySpectrum, LevelDistribution, max_window_probability
 from qequil.states import (TRACE_TOL, EquilibriumState, QuantumState, dephase,
-                           energy_moments, level_distribution, purity)
+                           effective_dimension, energy_moments, level_distribution,
+                           purity)
 
 HERMITICITY_TOL = 1e-10
 
@@ -207,6 +208,16 @@ def distinguishability_series(m, state: QuantumState, fixed, times) -> np.ndarra
     the form gap_counting_battery takes on its window grids."""
     return series_distinguishability(expectation_series(m.projectors, state, times),
                                      m.outcome_probabilities(fixed))
+
+
+def sigma_e_of(state: QuantumState) -> float:
+    """Energy standard deviation sigma_E of the state's level distribution."""
+    return energy_moments(level_distribution(state)).std
+
+
+def d_eff_of(state: QuantumState) -> float:
+    """Effective dimension d_eff of the state's level distribution."""
+    return effective_dimension(level_distribution(state))
 
 
 def overlap(a: QuantumState, b: QuantumState) -> float:
@@ -453,9 +464,8 @@ def lorentzian_domination_check(f: Callable, window: float, spacing: float,
     return DominationReport(uniform, lorentzian, limit, tail, uniform <= limit)
 
 
-def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int = 12,
-                                          max_rank: int = 8,
-                                          slack: float = 1e-3) -> list:
+def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int,
+                                          max_rank: int, slack: float) -> list:
     """Rows of :func:`qequil.batteries.fast_equilibration_battery`, computed
     window by window with the scalar form of every call: one series on the
     window's own grid, one window scan with the bound c sqrt(eta K) written
@@ -464,9 +474,8 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int 
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        scenario = batteries._random_trial_scenario(rng)
-        spec = scenario.spectrum
-        state = scenario.state
+        state, label = batteries._random_trial_scenario(rng)
+        spec = state.spectrum
         dist = level_distribution(state)
         sigma = energy_moments(dist).std
         omega = dephase(state)
@@ -484,7 +493,7 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int 
                          "eps": 1.0 / window, "K": rank, "value": value,
                          "measured": avg.value, "holds": avg.value <= value + slack,
                          "battery": "fast_equilibration", "trial": trial,
-                         "label": scenario.label, "d": d, "levels": spec.num_levels,
+                         "label": label, "d": d, "levels": spec.num_levels,
                          "eta": eta, "refinement_error": avg.refinement_error})
 
             exact = float(lorentzian_purity(state, [window])[0])
@@ -509,7 +518,7 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int 
     return rows
 
 
-def per_window_gap_counting_battery(seed: int, dim: int = 40) -> list:
+def per_window_gap_counting_battery(seed: int, dim: int) -> list:
     """Rows of :func:`qequil.batteries.gap_counting_battery`, computed window
     by window: one series call of {P, 1 - P} on each window's own grid, and
     N(eps) and d_eff recomputed for every row."""

@@ -3,7 +3,7 @@ pass/fail line each (printed in the terminal summary)."""
 import numpy as np
 import pytest
 
-from qequil import batteries
+from qequil import batteries, cli
 from qequil.averaging import running_average
 from qequil.bounds import (fast_equilibration_constant, gaussian_purity_asymptote,
                            gaussian_purity_exact, population_constant)
@@ -17,12 +17,15 @@ from qequil.spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_windo
                             max_window_probability)
 from qequil.states import dephase, energy_moments, evolve, level_distribution, purity
 
-from helpers import (all_gaps, best_epsilon, brute_eta, brute_gap_count, dense, dense_dephase,
-                     dense_rho, distinguishability_series, matrix_from_column_traces,
-                     mixed_state, overlap, poisson_spectrum, projector_from_matrix,
-                     random_mixed, random_pure)
+from helpers import (all_gaps, best_epsilon, brute_eta, brute_gap_count, d_eff_of, dense,
+                     dense_dephase, dense_rho, distinguishability_series,
+                     matrix_from_column_traces, mixed_state, overlap, poisson_spectrum,
+                     projector_from_matrix, random_mixed, random_pure)
 
 SEED = 20240811
+# The criteria certify the configuration the command line ships.
+FIGURE3, BOUNDS, SLOW, GAUSSIAN, HAAR = (
+    cli.DEFAULTS[name] for name in ("figure3", "bounds", "slow", "gaussian", "haar"))
 
 # Measured once at the default grid (2049 samples over one period) and
 # frozen; the primary assertion is the 0.2 * D(0) cap.
@@ -31,7 +34,9 @@ FIGURE3_AVERAGE_PIN = 0.03541217011724115
 
 @pytest.fixture(scope="module")
 def fast_bound_report():
-    return batteries.fast_equilibration_battery(SEED, trials=200, t_points=12)
+    return batteries.fast_equilibration_battery(BOUNDS["seed"], BOUNDS["trials"],
+                                                BOUNDS["t_points"], BOUNDS["max_rank"],
+                                                BOUNDS["slack"])
 
 
 def test_criterion_1_constant_regression(acceptance):
@@ -44,9 +49,9 @@ def test_criterion_1_constant_regression(acceptance):
 
 
 def test_criterion_2_exact_haar_formula_vs_monte_carlo(acceptance):
-    scen = random_scenario(11, 8)
-    state_t = evolve(scen.state, 0.7)
-    omega = dephase(scen.state)
+    state = random_scenario(11, 8)
+    state_t = evolve(state, 0.7)
+    omega = dephase(state)
     sampler = HaarSampler(5, 8)
     x = mc_distinguishabilities(state_t, omega, [3, 5], sampler, 2000)
     mean, stderr = mc_mean_stderr(x * x)
@@ -58,14 +63,15 @@ def test_criterion_2_exact_haar_formula_vs_monte_carlo(acceptance):
 
 
 def test_criterion_3_typical_measurement_caps(acceptance):
-    rows = batteries.haar_battery(SEED, scenarios=50, samples=300)
+    rows = batteries.haar_battery(HAAR["seed"], HAAR["battery_scenarios"],
+                                  HAAR["battery_samples"])
     named = [r for r in rows
              if r["name"] in ("typical_two_outcome", "typical_n_outcome")]
     ok = bool(named) and all(r["holds"] for r in rows)
 
-    scen = random_scenario(SEED + 16, 16)
-    state_t = evolve(scen.state, 0.9)
-    omega = dephase(scen.state)
+    state = random_scenario(SEED + 16, 16)
+    state_t = evolve(state, 0.9)
+    omega = dephase(state)
     sampler = HaarSampler(SEED + 17, 16)
     mean, stderr = mc_mean_stderr(
         mc_distinguishabilities(state_t, omega, [4, 4, 4, 4], sampler, 2000))
@@ -78,9 +84,10 @@ def test_criterion_3_typical_measurement_caps(acceptance):
 def test_criterion_4_fast_equilibration_battery(acceptance, fast_bound_report):
     rows = [r for r in fast_bound_report if r["battery"] == "fast_equilibration"]
     bad = [r for r in rows if not r["holds"]]
-    ok = len(rows) == 200 * 12 and not bad
+    ok = len(rows) == BOUNDS["trials"] * BOUNDS["t_points"] and not bad
     acceptance(4, f"two-outcome bound battery: {len(bad)}/{len(rows)} violations "
-                  "(200 trials x 12 windows, slack 1e-3)", ok)
+                  f"({BOUNDS['trials']} trials x {BOUNDS['t_points']} windows, "
+                  f"slack {BOUNDS['slack']:g})", ok)
     assert ok, bad[:3]
 
 
@@ -88,18 +95,19 @@ def test_criterion_5_purity_chain(acceptance, fast_bound_report):
     rows = [r for r in fast_bound_report if r["battery"] == "purity_chain"]
     bad = [r for r in rows if not r["holds"]]
     worst_gap = max(r["agreement"] for r in rows)
-    ok = len(rows) == 200 * 12 and not bad and worst_gap <= 1e-12
+    ok = (len(rows) == BOUNDS["trials"] * BOUNDS["t_points"] and not bad
+          and worst_gap <= 1e-12)
     acceptance(5, f"Lorentzian purity chain: dual-path agreement "
                   f"{worst_gap:.1e} <= 1e-12, {len(bad)} bound violations", ok)
     assert ok, bad[:3]
 
 
 def test_criterion_6_gaussian_analytics(acceptance):
-    scenario = gaussian_scenario(2000, sigma=1.0, span=8.0)
-    dist = level_distribution(scenario.state)
-    sigma = scenario.sigma_e
+    dist = level_distribution(gaussian_scenario(GAUSSIAN["levels"], GAUSSIAN["sigma"],
+                                                GAUSSIAN["span"]))
+    sigma = energy_moments(dist).std
     worst = 0.0
-    for sigma_t in (2.0, 2.5, 4.0, 5.0, 8.0, 10.0, 20.0, 25.0, 50.0):
+    for sigma_t in GAUSSIAN["sigma_t_grid"]:
         window = sigma_t / sigma
         eta = max_window_probability(dist, 1.0 / window)
         worst = max(worst, eta * sigma * window)
@@ -117,17 +125,16 @@ def test_criterion_6_gaussian_analytics(acceptance):
 
 
 def test_criterion_7_oscillator_revival(acceptance):
-    scenario = harmonic_oscillator_1d(50)
-    state = scenario.state
+    state = harmonic_oscillator_1d(FIGURE3["levels"], FIGURE3["spacing"])
     omega = dephase(state)
     proj = Projector.from_factor(state.amplitudes)
     p_omega = proj.expectation(omega)
-    times = np.linspace(0.0, 2.0 * np.pi, 2049)
+    times = np.linspace(0.0, 2.0 * np.pi / FIGURE3["spacing"], FIGURE3["samples"])
     values = np.abs(expectation_series(proj, state, times) - p_omega)
     avg = running_average(times, values)[-1]
     d0 = values[0]
     revival_gap = abs(values[-1] - values[0])
-    ok = (abs(d0 - 0.98) <= 1e-9 and revival_gap <= 1e-9
+    ok = (abs(d0 - (1.0 - 1.0 / FIGURE3["levels"])) <= 1e-9 and revival_gap <= 1e-9
           and avg <= 0.2 * d0
           and abs(avg - FIGURE3_AVERAGE_PIN) <= 1e-9)
     acceptance(7, f"oscillator revival: D(0)={d0:.12f}, revival gap "
@@ -136,35 +143,37 @@ def test_criterion_7_oscillator_revival(acceptance):
 
 
 def test_criterion_8_slow_equilibration_scaled(acceptance):
-    scenario = random_scenario(SEED, 2048)
-    sub = snapshot_subspace(scenario, 16, 0.5)
-    rep = slow_window_check(sub, scenario, 3, num_samples=256)
-    omega = dephase(scenario.state)
-    meas = partitioned_slow_measurement(sub, 3)
+    state = random_scenario(SLOW["seed"], SLOW["dim"])
+    sub = snapshot_subspace(state, SLOW["snapshots"], SLOW["epsilon"])
+    rep = slow_window_check(sub, state, SLOW["outcomes"], num_samples=SLOW["samples"],
+                            long_window_sigma=SLOW["long_window_sigma"])
+    omega = dephase(state)
+    meas = partitioned_slow_measurement(sub, SLOW["outcomes"])
     proj = sub.projector()
     p_omega = proj.expectation(omega)
     times = np.linspace(0.0, rep.times[-1], 64)
-    refined = distinguishability_series(meas, scenario.state, omega, times)
-    base = np.abs(expectation_series(proj, scenario.state, times) - p_omega)
+    refined = distinguishability_series(meas, state, omega, times)
+    base = np.abs(expectation_series(proj, state, times) - p_omega)
     refine_ok = bool(np.all(refined >= base - 1e-10))
     ok = all(record["holds"] for _, record in rep.checks) and refine_ok
-    acceptance(8, f"slow equilibration: d_eff={scenario.d_eff:.0f}, floor "
-                  f"{rep.floor:.3f} held at 256 samples, tr(P omega)="
+    acceptance(8, f"slow equilibration: d_eff={d_eff_of(state):.0f}, floor "
+                  f"{rep.floor:.3f} held at {SLOW['samples']} samples, tr(P omega)="
                   f"{rep.trace_omega:.4f} <= {rep.trace_omega_bound:.4f}, "
                   "refinement dominance at 64 samples", ok)
     assert ok
 
 
 def test_criterion_9_gap_counting_bounds(acceptance):
-    rows = batteries.gap_counting_battery(SEED, dim=40)
+    dim = BOUNDS["gap_counting_dim"]
+    rows = batteries.gap_counting_battery(BOUNDS["seed"], dim)
     bad = [r for r in rows if not r["holds"]]
     # a distinct-gap spectrum admits an informative (< 1) regime once the
     # window width is optimized and the averaging window is long
-    state, _ = batteries.gap_counting_scenario(SEED, 40)
+    state, _ = batteries.gap_counting_scenario(BOUNDS["seed"], dim)
     sigma = energy_moments(level_distribution(state)).std
     _, optimized = best_epsilon(state, window=2000.0 / sigma)
     ok = not bad and optimized < 1.0
-    acceptance(9, f"gap-counting bounds on d=40: {len(bad)}/{len(rows)} "
+    acceptance(9, f"gap-counting bounds on d={dim}: {len(bad)}/{len(rows)} "
                   f"violations, optimized bound {optimized:.3f} < 1", ok)
     assert ok
 

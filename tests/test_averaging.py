@@ -73,8 +73,7 @@ class TestTimeAverage:
             time_average(np.ones((1, grid.times.size)), grid)
 
     def test_oversampled_oracle_agreement(self):
-        scenario = harmonic_oscillator_1d(50)
-        state = scenario.state
+        state = harmonic_oscillator_1d(50)
         omega = dephase(state)
         proj = Projector.from_factor(state.amplitudes)
         p_omega = proj.expectation(omega)
@@ -83,8 +82,8 @@ class TestTimeAverage:
             return np.abs(expectation_series(proj, state, ts) - p_omega)
 
         window = 2.0 * np.pi
-        grid = TimeGrid(window, scenario.spectrum.span)
-        fine = TimeGrid(window, 4.0 * scenario.spectrum.span)
+        grid = TimeGrid(window, state.spectrum.span)
+        fine = TimeGrid(window, 4.0 * state.spectrum.span)
         coarse_avg = time_average(f(grid.times), grid)
         fine_avg = time_average(f(fine.times), fine)
         assert coarse_avg.value == pytest.approx(fine_avg.value, abs=1e-4)
@@ -361,7 +360,7 @@ class TestLorentzianPurity:
 
     def test_gaussian_scenario_matches_continuum(self):
         scenario = gaussian_scenario(2000, sigma=1.0, span=8.0)
-        dist = level_distribution(scenario.state)
+        dist = level_distribution(scenario)
         sigma_t = 10.0
         measured = lorentzian_purity_product(dist, [sigma_t])[0]
         target = gaussian_purity_asymptote(1.0, sigma_t)

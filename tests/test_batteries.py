@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -15,10 +16,17 @@ SEED = 20240811
 # nondegenerate, degenerate and random-matrix spectra (every combination).
 ORACLE_SEEDS = (2, 24, 33)
 ORACLE_TRIALS = 8
+BOUNDS = cli.DEFAULTS["bounds"]
+SLOW = cli.DEFAULTS["slow"]
+
+
+def fast_battery(seed, trials, t_points=BOUNDS["t_points"], run=fast_equilibration_battery):
+    """The battery, or its per-window oracle, at the CLI's rank and slack."""
+    return run(seed, trials, t_points, BOUNDS["max_rank"], BOUNDS["slack"])
 
 
 def test_trial_generator_covers_flavors():
-    battery = fast_equilibration_battery(SEED, trials=24, t_points=2)
+    battery = fast_battery(SEED, 24, 2)
     rows = [r for r in battery if r["battery"] == "fast_equilibration"]
     labels = {r["label"].split("-")[0] for r in rows}
     assert "random" in labels   # ladder spectra
@@ -31,7 +39,7 @@ def test_trial_generator_covers_flavors():
 def test_purity_chain_rows_share_one_set_of_columns():
     # the sigma-matched cap used to be named after its width, which changes
     # with every window, so the CSV header kept it for the first row only
-    rows = [r for r in fast_equilibration_battery(SEED, trials=2, t_points=3)
+    rows = [r for r in fast_battery(SEED, 2, 3)
             if r["battery"] == "purity_chain"]
     assert len(rows) == 6
     assert all(list(r) == list(rows[0]) for r in rows)
@@ -41,24 +49,30 @@ def test_purity_chain_rows_share_one_set_of_columns():
 
 
 def test_fast_equilibration_battery_deterministic():
-    a = fast_equilibration_battery(3, trials=3, t_points=3)
-    b = fast_equilibration_battery(3, trials=3, t_points=3)
+    a = fast_battery(3, 3, 3)
+    b = fast_battery(3, 3, 3)
     assert a == b
 
 
 def test_oracle_seeds_cover_every_trial_kind():
-    kinds = set()
+    kinds, labels = set(), set()
     for seed in ORACLE_SEEDS:
         for trial in range(ORACLE_TRIALS):
             rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-            scenario = batteries._random_trial_scenario(rng)
-            spec = scenario.spectrum
+            state, label = batteries._random_trial_scenario(rng)
+            spec = state.spectrum
             # ladder spectra start at 0; random-matrix ones do not
             flavor = ("random-matrix" if spec.levels[0] != 0.0
                       else "nondegenerate" if spec.is_nondegenerate() else "degenerate")
-            kinds.add((scenario.state.is_pure, flavor))
+            kinds.add((state.is_pure, flavor))
+            # random-{seed}-d{d} for a state as random_scenario built it, a
+            # pure one on a ladder; trial-{seed} for any other
+            assert re.fullmatch(rf"random-\d+-d{state.dim}|trial-\d+", label)
+            assert label.startswith("trial") or (state.is_pure and flavor != "random-matrix")
+            labels.add(label.partition("-")[0])
     assert kinds == {(pure, flavor) for pure in (True, False)
                      for flavor in ("nondegenerate", "degenerate", "random-matrix")}
+    assert labels == {"random", "trial"}
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
@@ -67,8 +81,8 @@ def test_battery_matches_per_window_oracle(seed):
     # type, must be what the window-by-window scalar calls give, to the byte
     # it is written with. The matrix path of the purity is the one exception:
     # its per-index phases round apart from the entrywise phase average.
-    rows = fast_equilibration_battery(seed, trials=ORACLE_TRIALS)
-    oracle = per_window_fast_equilibration_battery(seed, trials=ORACLE_TRIALS)
+    rows = fast_battery(seed, ORACLE_TRIALS)
+    oracle = fast_battery(seed, ORACLE_TRIALS, run=per_window_fast_equilibration_battery)
     assert len(rows) == len(oracle) == 2 * 12 * ORACLE_TRIALS
     for got, want in zip(rows, oracle):
         assert list(got) == list(want)
@@ -97,15 +111,15 @@ def test_gap_counting_battery_matches_per_window_oracle(seed, dim):
 def test_empty_battery_is_rejected():
     # no windows, trials, scenarios or samples would leave a battery with no
     # rows, which reads as a pass; a one-level spectrum has no gaps to count
-    scenario = random_scenario(SEED, 16)
-    sub = snapshot_subspace(scenario, 3, 0.5)
+    state = random_scenario(SEED, 16)
+    sub = snapshot_subspace(state, 3, 0.5)
     for call, name, least in (
-            (lambda: fast_equilibration_battery(SEED, trials=2, t_points=0),
-             "t_points", 1),
-            (lambda: fast_equilibration_battery(SEED, trials=0), "trials", 1),
-            (lambda: haar_battery(SEED, scenarios=0), "scenarios", 1),
+            (lambda: fast_battery(SEED, 2, 0), "t_points", 1),
+            (lambda: fast_battery(SEED, 0), "trials", 1),
+            (lambda: haar_battery(SEED, scenarios=0, samples=300), "scenarios", 1),
             (lambda: gap_counting_battery(SEED, dim=1), "dim", 2),
-            (lambda: slow_window_check(sub, scenario, 3, num_samples=0),
+            (lambda: slow_window_check(sub, state, 3, num_samples=0,
+                                       long_window_sigma=SLOW["long_window_sigma"]),
              "num_samples", 1)):
         with pytest.raises(ValueError, match=f"{name} must be at least {least}"):
             call()
@@ -146,7 +160,8 @@ def test_constrained_n_outcome_rows_measure_every_outcome():
     # a partition of the initial state's complement into N - 1 parts once
     # gave the N = 2 rows a single outcome, the identity: 10 of these 50
     # rows read 0 with a standard error of 0
-    rows = [r for r in haar_battery(SEED) if r["name"] == "constrained_n_outcome"]
+    rows = [r for r in haar_battery(SEED, scenarios=50, samples=300)
+            if r["name"] == "constrained_n_outcome"]
     assert len(rows) == 50
     assert all(r["mc_stderr"] > 0 for r in rows)
 
@@ -175,9 +190,10 @@ def slow_battery(seed: int, scenarios: int = 20) -> list:
         while np.sqrt(k / (d / 2.2)) > 0.5:
             k //= 2
         eps = float(eps_choices[int(rng.integers(2))])
-        scenario = random_scenario(int(rng.integers(2 ** 62)), d)
-        sub = snapshot_subspace(scenario, k, eps)
-        rep = slow_window_check(sub, scenario, 3, num_samples=SLOW_BATTERY_SAMPLES)
+        state = random_scenario(int(rng.integers(2 ** 62)), d)
+        sub = snapshot_subspace(state, k, eps)
+        rep = slow_window_check(sub, state, 3, num_samples=SLOW_BATTERY_SAMPLES,
+                                long_window_sigma=SLOW["long_window_sigma"])
         rows.append({"scenario": idx, "d": d, "K": k, "eps": eps,
                      "floor": rep.floor, "min_value": rep.worst_value,
                      "ceiling": rep.ceiling,

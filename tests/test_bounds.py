@@ -31,8 +31,8 @@ from helpers import (all_gaps, best_epsilon, brute_gap_count, dense_dephase,
                      poisson_spectrum, population_term_bound, random_mixed, random_pure)
 
 NAN = float("nan")
-_SCEN = random_scenario(3, 6)
-_SPEC, _STATE = _SCEN.spectrum, _SCEN.state
+_STATE = random_scenario(3, 6)
+_SPEC = _STATE.spectrum
 _DIST = level_distribution(_STATE)
 
 # Every scalar guard against a nonpositive (or negative) width, window,
@@ -64,7 +64,7 @@ NAN_CALLS = {
     "harmonic_oscillator_3d_boltzmann": lambda: harmonic_oscillator_3d_boltzmann(
         3, 1.0, NAN),
     "gaussian_scenario": lambda: gaussian_scenario(100, NAN),
-    "snapshot_subspace": lambda: snapshot_subspace(_SCEN, 3, NAN),
+    "snapshot_subspace": lambda: snapshot_subspace(_STATE, 3, NAN),
     "TimeGrid max_gap": lambda: TimeGrid(1.0, NAN),
     "dephased_purity_bound window": lambda: dephased_purity_bound(_DIST, NAN),
     # an array of windows or widths is rejected for any NaN element
@@ -98,7 +98,7 @@ INF_CALLS = {
     "lorentzian_purity_product": lambda: lorentzian_purity_product(_DIST, [np.inf]),
     "lorentzian_purity": lambda: lorentzian_purity(_STATE, [np.inf]),
     "lorentzian_purity array": lambda: lorentzian_purity(_STATE, [1.0, np.inf]),
-    "snapshot_subspace": lambda: snapshot_subspace(_SCEN, 3, np.inf),
+    "snapshot_subspace": lambda: snapshot_subspace(_STATE, 3, np.inf),
     "max_gaps_in_window": lambda: max_gaps_in_window(_SPEC.levels, np.inf),
     "gap_counting_terms": lambda: gap_counting_terms(_STATE, np.inf),
 }
@@ -209,9 +209,8 @@ class TestFastBound:
         assert abs(population_term_bound(flat_dist, 1, 1.0) - 5.98) <= 0.01
 
     def test_holds_on_oscillator_scenario(self):
-        scenario = harmonic_oscillator_1d(50)
-        state = scenario.state
-        spec = scenario.spectrum
+        state = harmonic_oscillator_1d(50)
+        spec = state.spectrum
         dist = level_distribution(state)
         sigma = energy_moments(dist).std
         omega = dephase(state)
@@ -308,7 +307,7 @@ class TestGeneralBounds:
         scen = random_scenario(20240811, 2048)
         tracemalloc.start()
         try:
-            gap_counting_terms(scen.state, 0.3)
+            gap_counting_terms(scen, 0.3)
             current, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -322,11 +321,6 @@ class TestGeneralBounds:
         limit = (15.0 * np.pi / 4.0) * n_eps / d_eff
         assert general_expectation_bound(n_eps, d_eff, eps, 1e12) == pytest.approx(
             limit, rel=1e-9)
-
-    def test_operator_norm_scaling(self):
-        one = general_expectation_bound(5, 7.0, 0.5, 2.0)
-        assert general_expectation_bound(5, 7.0, 0.5, 2.0, operator_norm=3.0) == (
-            pytest.approx(9.0 * one, rel=1e-12))
 
     def test_mixed_state_rejected(self, scenario):
         spec, _ = scenario
@@ -389,7 +383,7 @@ class TestGaussianAnalytics:
 
     def test_discretized_spectrum_obeys_estimate(self):
         scenario = gaussian_scenario(2000, sigma=1.0, span=8.0)
-        dist = level_distribution(scenario.state)
+        dist = level_distribution(scenario)
         sigma = energy_moments(dist).std
         assert abs(sigma - 1.0) < 0.01
         for sigma_t in (2.0, 5.0, 10.0, 25.0, 50.0):

@@ -136,7 +136,7 @@ def test_eta_and_spectrum_info(tmp_path):
     spec_path = tmp_path / "spec.json"
     state_path = tmp_path / "state.json"
     scen.spectrum.save(spec_path)
-    save_state(scen.state, state_path, spec_path)
+    save_state(scen, state_path, spec_path)
 
     out = tmp_path / "eta"
     code = _run(["eta", "--out", str(out),
@@ -274,6 +274,16 @@ def test_grid_past_the_float_range_stops_with_one_line(tmp_path):
                                          r"can hold$"):
         _run(["slow", "--set", "dim=64", "--set", "long_window_sigma=1e308",
               "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["1e300", "1e308"])
+def test_epsilon_past_the_float_range_stops_with_one_line(tmp_path, epsilon):
+    # eps ** 2 was an OverflowError traceback at 1e300; at 1e308 the infinite
+    # snapshot step made every snapshot NaN and the SVD did not converge
+    with pytest.raises(SystemExit, match=r"^slow: epsilon 1e\+30[08] is too large: ") as info:
+        _run(["slow", "--set", f"epsilon={epsilon}", "--out", str(tmp_path / "out")])
+    assert "\n" not in str(info.value)
     assert not (tmp_path / "out").exists()
 
 

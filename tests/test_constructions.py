@@ -6,8 +6,7 @@ from scipy import stats
 
 from qequil import constructions
 from qequil.averaging import running_average
-from qequil.constructions import (Scenario, gaussian_scenario,
-                                  harmonic_oscillator_1d,
+from qequil.constructions import (gaussian_scenario, harmonic_oscillator_1d,
                                   harmonic_oscillator_3d_boltzmann,
                                   partitioned_slow_measurement, random_scenario,
                                   snapshot_subspace, slow_window_check)
@@ -15,7 +14,8 @@ from qequil.measure import Projector, distinguishability, expectation_series, tw
 from qequil.spectra import max_window_probability, max_window_probability_window
 from qequil.states import QuantumState, dephase, evolve, level_distribution
 
-from helpers import brute_eta, dense, distinguishability_series, overlap
+from helpers import (brute_eta, d_eff_of, dense, distinguishability_series, overlap,
+                     sigma_e_of)
 
 
 @pytest.fixture(scope="module")
@@ -42,27 +42,27 @@ class TestHarmonicOscillator1D:
         assert scenario.spectrum.is_nondegenerate()
 
     def test_effective_dimension(self, scenario):
-        assert scenario.d_eff == pytest.approx(50.0, rel=1e-12)
+        assert d_eff_of(scenario) == pytest.approx(50.0, rel=1e-12)
 
     def test_energy_spread(self, scenario):
-        assert scenario.sigma_e == pytest.approx(np.sqrt(2499.0 / 12.0), rel=1e-12)
+        assert sigma_e_of(scenario) == pytest.approx(np.sqrt(2499.0 / 12.0), rel=1e-12)
 
     def test_initial_distinguishability(self, scenario):
-        omega = dephase(scenario.state)
-        m = two_outcome(Projector.from_factor(scenario.state.amplitudes))
-        assert distinguishability(m, scenario.state, omega) == pytest.approx(
+        omega = dephase(scenario)
+        m = two_outcome(Projector.from_factor(scenario.amplitudes))
+        assert distinguishability(m, scenario, omega) == pytest.approx(
             0.98, abs=1e-12)
 
     def test_full_revival(self, scenario):
         period = 2.0 * np.pi
-        omega = dephase(scenario.state)
-        m = two_outcome(Projector.from_factor(scenario.state.amplitudes))
-        d0 = distinguishability(m, scenario.state, omega)
-        dt = distinguishability(m, evolve(scenario.state, period), omega)
+        omega = dephase(scenario)
+        m = two_outcome(Projector.from_factor(scenario.amplitudes))
+        d0 = distinguishability(m, scenario, omega)
+        dt = distinguishability(m, evolve(scenario, period), omega)
         assert abs(dt - d0) < 1e-9
 
     def test_average_suppressed_despite_revival(self, scenario):
-        state = scenario.state
+        state = scenario
         omega = dephase(state)
         proj = Projector.from_factor(state.amplitudes)
         p_omega = proj.expectation(omega)
@@ -84,7 +84,7 @@ class TestHarmonicOscillator3D:
 
     def test_cold_limit_concentrates(self):
         scen = harmonic_oscillator_3d_boltzmann(6, 1.0, 1e-3)
-        probs = level_distribution(scen.state).probs
+        probs = level_distribution(scen).probs
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_boltzmann_weights(self):
@@ -93,11 +93,11 @@ class TestHarmonicOscillator3D:
         n = np.arange(8)
         expected = (n + 1) * (n + 2) / 2 * np.exp(-n * nu / temp)
         expected /= expected.sum()
-        assert np.abs(level_distribution(scen.state).probs - expected).max() < 1e-12
+        assert np.abs(level_distribution(scen).probs - expected).max() < 1e-12
 
     def test_window_probability_against_brute_force(self):
         scen = harmonic_oscillator_3d_boltzmann(30, 1.0, 10.0)
-        dist = level_distribution(scen.state)
+        dist = level_distribution(scen)
         fast = max_window_probability(dist, 8.0)
         assert fast == pytest.approx(
             brute_eta(scen.spectrum.levels, dist.probs, 8.0), abs=1e-14)
@@ -109,14 +109,14 @@ class TestHarmonicOscillator3D:
 
 class TestGaussianScenario:
     def test_symmetric_probabilities(self, gaussian_2000):
-        probs = level_distribution(gaussian_2000.state).probs
+        probs = level_distribution(gaussian_2000).probs
         assert np.abs(probs - probs[::-1]).max() < 1e-15
 
     def test_measured_spread_near_target(self, gaussian_2000):
-        assert abs(gaussian_2000.sigma_e - 1.0) < 0.01
+        assert abs(sigma_e_of(gaussian_2000) - 1.0) < 0.01
 
     def test_peak_window_at_center(self, gaussian_2000):
-        dist = level_distribution(gaussian_2000.state)
+        dist = level_distribution(gaussian_2000)
         _, window = max_window_probability_window(dist, 0.5)
         center = 0.5 * (window[0] + window[1])
         assert abs(center) < 0.01
@@ -131,12 +131,12 @@ class TestRandomScenario:
         a = random_scenario(5, 32)
         b = random_scenario(5, 32)
         assert np.array_equal(a.spectrum.levels, b.spectrum.levels)
-        assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_effective_dimension_range(self):
         for seed in range(5):
             scen = random_scenario(seed, 24)
-            assert 1.0 <= scen.d_eff <= scen.spectrum.num_levels + 1e-9
+            assert 1.0 <= d_eff_of(scen) <= scen.spectrum.num_levels + 1e-9
 
     def test_spacing_statistics(self):
         scen = random_scenario(1234, 1001)
@@ -157,12 +157,6 @@ class TestRandomScenario:
         with pytest.raises(ValueError, match="positive integers"):
             random_scenario(1, 3, degeneracies=degs)
 
-    @pytest.mark.parametrize("spacing", [np.nan, np.inf, 0.0, -1.0])
-    def test_mean_spacing_must_be_finite_and_positive(self, spacing):
-        # mean_spacing=nan used to merge every draw into one level
-        with pytest.raises(ValueError, match="mean_spacing"):
-            random_scenario(1, 5, mean_spacing=spacing)
-
     @staticmethod
     def _draws(seed, dim):
         """The unmerged levels and the amplitudes, drawn as the builder does."""
@@ -179,13 +173,19 @@ class TestRandomScenario:
         levels, amps = self._draws(seed, dim)
         assert spec.dim == dim
         assert spec.num_levels < dim
-        assert np.array_equal(scen.state.amplitudes, amps)
+        assert np.array_equal(scen.amplitudes, amps)
         # each merged level keeps the energy of its first member
         assert np.array_equal(spec.levels, levels[np.isin(levels, spec.levels)])
         assert np.all(np.abs(spec.index_energies - levels) <= 1e-10 * levels[-1])
 
-    def test_collision_chain_merges_transitively(self):
-        scen = random_scenario(4, 8, mean_spacing=1e-13)
+    def test_collision_chain_merges_transitively(self, monkeypatch):
+        # a separation limit just above the largest drawn spacing but below
+        # the span joins every level to the one below it, and so all of them
+        levels, _ = self._draws(4, 8)
+        limit = 1.01 * np.diff(levels).max()
+        assert limit < levels[-1]
+        monkeypatch.setattr(constructions, "DEGENERACY_RTOL", limit / max(1.0, levels[-1]))
+        scen = random_scenario(4, 8)
         assert list(scen.spectrum.degeneracies) == [8]
         assert list(scen.spectrum.levels) == [0.0]
 
@@ -194,7 +194,7 @@ class TestRandomScenario:
         scen = random_scenario(5, 4096)
         assert np.array_equal(scen.spectrum.levels, levels)
         assert np.all(scen.spectrum.degeneracies == 1)
-        assert np.array_equal(scen.state.amplitudes, amps)
+        assert np.array_equal(scen.amplitudes, amps)
 
 
 class TestSnapshotSubspace:
@@ -203,14 +203,14 @@ class TestSnapshotSubspace:
         sub = snapshot_subspace(scen, 1, 0.5)
         assert sub.effective_rank == 1
         p = dense(sub.projector())
-        rho0 = np.outer(scen.state.amplitudes, scen.state.amplitudes.conj())
+        rho0 = np.outer(scen.amplitudes, scen.amplitudes.conj())
         assert np.abs(p - rho0).max() < 1e-12
 
     def test_eigenstate_collapses_to_rank_one(self):
         scen = random_scenario(8, 16)
         amps = np.zeros(16, dtype=complex)
         amps[3] = 1.0
-        eigen = Scenario(QuantumState.pure(scen.spectrum, amps), "eigen")
+        eigen = QuantumState.pure(scen.spectrum, amps)
         sub = snapshot_subspace(eigen, 6, 0.5)
         assert sub.effective_rank == 1
 
@@ -225,11 +225,11 @@ class TestSnapshotSubspace:
         sub = snapshot_subspace(scen, 8, 0.25)
         assert sub.effective_rank <= 8
         assert sub.snapshot_residual < 1e-10
-        assert sub.tau == pytest.approx(2.0 * 0.25 / scen.sigma_e, rel=1e-12)
+        assert sub.tau == pytest.approx(2.0 * 0.25 / sigma_e_of(scen), rel=1e-12)
 
     def test_requires_pure_state(self):
         scen = random_scenario(11, 8)
-        mixed = Scenario(dephase(scen.state), "mixed")
+        mixed = dephase(scen)
         with pytest.raises(ValueError):
             snapshot_subspace(mixed, 2, 0.5)
 
@@ -242,8 +242,8 @@ class TestSnapshotSubspace:
         for _ in range(20):
             t = rng.uniform(0.0, 5.0 * tau)
             dt = rng.uniform(-tau / 2.0, tau / 2.0)
-            a = evolve(scen.state, t)
-            b = evolve(scen.state, t + dt)
+            a = evolve(scen, t)
+            b = evolve(scen, t + dt)
             assert overlap(a, b) >= 1.0 - eps ** 2 - 1e-12
 
 
@@ -251,7 +251,7 @@ class TestSlowWindow:
     def test_floor_holds(self, slow_checked):
         scen, sub, rep = slow_checked
         assert rep.floor == pytest.approx(
-            1.0 - 0.25 - np.sqrt(8.0 / scen.d_eff), rel=1e-12)
+            1.0 - 0.25 - np.sqrt(8.0 / d_eff_of(scen)), rel=1e-12)
         assert rep.worst_value == rep.values.min() >= rep.floor
         assert dict(rep.checks)["window_floor"]["holds"]
 
@@ -304,27 +304,28 @@ class TestPartitionedMeasurement:
     def test_two_outcomes_match_plain_projector(self):
         scen = random_scenario(14, 64)
         sub = snapshot_subspace(scen, 4, 0.5)
-        omega = dephase(scen.state)
+        omega = dephase(scen)
         meas = partitioned_slow_measurement(sub, 2)
         plain = two_outcome(sub.projector())
         times = np.linspace(0.0, 3.0 * sub.tau, 16)
-        a = distinguishability_series(meas, scen.state, omega, times)
-        b = distinguishability_series(plain, scen.state, omega, times)
+        a = distinguishability_series(meas, scen, omega, times)
+        b = distinguishability_series(plain, scen, omega, times)
         assert np.abs(a - b).max() < 1e-12
 
     def test_refinement_dominates(self):
         scen = random_scenario(15, 128)
         sub = snapshot_subspace(scen, 6, 0.5)
-        omega = dephase(scen.state)
+        omega = dephase(scen)
         meas = partitioned_slow_measurement(sub, 3)
         proj = sub.projector()
         p_omega = proj.expectation(omega)
-        t_end = (2 * 6 - 1) * 0.5 / scen.sigma_e
+        t_end = (2 * 6 - 1) * 0.5 / sigma_e_of(scen)
         times = np.linspace(0.0, t_end, 64)
-        refined = distinguishability_series(meas, scen.state, omega, times)
-        base = np.abs(expectation_series(proj, scen.state, times) - p_omega)
+        refined = distinguishability_series(meas, scen, omega, times)
+        base = np.abs(expectation_series(proj, scen, times) - p_omega)
         assert np.all(refined >= base - 1e-12)
-        assert slow_window_check(sub, scen, 3, num_samples=64).refinement_holds
+        assert slow_window_check(sub, scen, 3, num_samples=64,
+                                 long_window_sigma=500.0).refinement_holds
 
     def test_floor_and_refined_series_share_one_call(self, monkeypatch):
         scen = random_scenario(15, 128)
@@ -334,11 +335,11 @@ class TestPartitionedMeasurement:
         monkeypatch.setattr(constructions, "expectation_series",
                             lambda stack, state, times: grids.append(times)
                             or kernel(stack, state, times))
-        rep = slow_window_check(sub, scen, 3, num_samples=64)
+        rep = slow_window_check(sub, scen, 3, num_samples=64, long_window_sigma=500.0)
         assert sum(np.array_equal(t, rep.times) for t in grids) == 1
         proj = sub.projector()
-        alone = np.abs(kernel(proj, scen.state, rep.times)
-                       - proj.expectation(dephase(scen.state)))
+        alone = np.abs(kernel(proj, scen, rep.times)
+                       - proj.expectation(dephase(scen)))
         assert np.array_equal(rep.values, alone)
 
     def test_blocks_sum_to_subspace_projector(self):

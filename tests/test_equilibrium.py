@@ -157,8 +157,8 @@ def test_slow_default_matches_dense_omega():
     scen = random_scenario(config["seed"], config["dim"])
     assert scen.spectrum.is_nondegenerate()
     sub = snapshot_subspace(scen, config["snapshots"], config["epsilon"])
-    omega = dephase(scen.state)
-    rho = dense_dephase(scen.state)
+    omega = dephase(scen)
+    rho = dense_dephase(scen)
     meas = partitioned_slow_measurement(sub, config["outcomes"])
     for p in (sub.projector(), *meas.projectors):
         dense_value = float(np.sum(p.factor.conj() * (rho @ p.factor)).real)
@@ -186,9 +186,9 @@ def test_column_traces_take_only_frames(dephased):
     # a 1-d vector used to broadcast to an outer product and give a wrong
     # value (1.0 for <c|omega|c> = 0.2068 here)
     scen = random_scenario(3, 12)
-    state = dephase(scen.state) if dephased else scen.state
-    rho = dense_dephase(scen.state) if dephased else dense_rho(scen.state)
-    c = scen.state.amplitudes
+    state = dephase(scen) if dephased else scen
+    rho = dense_dephase(scen) if dephased else dense_rho(scen)
+    c = scen.amplitudes
     want = float(np.vdot(c, rho @ c).real)
     assert state.column_traces(c[:, None]) == pytest.approx([want], rel=1e-12)
     for bad in (c, c[None, :], np.ones((11, 1)), np.ones((2, 11, 12))):
@@ -227,16 +227,18 @@ def test_phases_equal_complex_exponential_bitwise():
 
 
 def test_slow_window_check_memory_is_small():
-    """slow_window_check at d=2048 with its default 256 samples peaks below
-    10 MB (4.1 MB measured on the NUFFT path, 5.2 MB on the block path):
-    per-level phases and GEMM row groups of at most _ROW_GROUP_ENTRIES
-    complex entries, where a row group sized like the phase budget took
-    28 MB."""
-    scen = random_scenario(20240811, 2048)
-    sub = snapshot_subspace(scen, 16, 0.5)
+    """slow_window_check at the slow experiment's defaults (d=2048, 256
+    samples) peaks below 10 MB (4.1 MB measured on the NUFFT path, 5.2 MB on
+    the block path): per-level phases and GEMM row groups of at most
+    _ROW_GROUP_ENTRIES complex entries, where a row group sized like the
+    phase budget took 28 MB."""
+    config = cli.DEFAULTS["slow"]
+    scen = random_scenario(config["seed"], config["dim"])
+    sub = snapshot_subspace(scen, config["snapshots"], config["epsilon"])
     tracemalloc.start()
     try:
-        rep = slow_window_check(sub, scen, 3)
+        rep = slow_window_check(sub, scen, config["outcomes"], config["samples"],
+                                config["long_window_sigma"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -122,10 +122,10 @@ class TestSampler:
         # alone would be 64 MB)
         d = 2048
         scen = random_scenario(7, d)
-        state_t, omega = evolve(scen.state, 0.8), dephase(scen.state)
+        state_t, omega = evolve(scen, 0.8), dephase(scen)
         tracemalloc.start()
         try:
-            sampler = HaarSampler(3, d, excluded_vector=scen.state.amplitudes)
+            sampler = HaarSampler(3, d, excluded_vector=scen.amplitudes)
             values = mc_distinguishabilities(state_t, omega, [3, d - 4], sampler, 200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -136,7 +136,7 @@ class TestSampler:
 
 def _sampler_pair(seed, scen, excluded):
     """The batched sampler and the per-sample reference on the same stream."""
-    v = scen.state.amplitudes if excluded else None
+    v = scen.amplitudes if excluded else None
     d = scen.spectrum.dim
     return HaarSampler(seed, d, v), PerSampleHaar(HaarSampler(seed, d, v))
 
@@ -198,9 +198,9 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("d", [4, 8, 13, 24, 64])
     def test_estimators_match_per_sample(self, d, excluded):
         scen = random_scenario(d + 1, d)
-        state_t = evolve(scen.state, 0.8)
-        omega = dephase(scen.state)
-        delta = dense_rho(state_t) - dense_dephase(scen.state)
+        state_t = evolve(scen, 0.8)
+        omega = dephase(scen)
+        delta = dense_rho(state_t) - dense_dephase(scen)
         n = d - excluded
         seeds = iter(range(200 + d, 300 + d))
 
@@ -259,9 +259,9 @@ class TestBatchedKernel:
 
     def test_unconstrained_estimators_reject_excluded_sampler(self):
         scen = random_scenario(3, 8)
-        state_t = evolve(scen.state, 0.8)
-        omega = dephase(scen.state)
-        sampler = HaarSampler(1, 8, excluded_vector=scen.state.amplitudes)
+        state_t = evolve(scen, 0.8)
+        omega = dephase(scen)
+        sampler = HaarSampler(1, 8, excluded_vector=scen.amplitudes)
         # ranks that partition the whole space do not partition the
         # complement of the excluded vector
         for ranks in ([3, 5], [4, 4]):
@@ -271,8 +271,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("entries", [1, 7, CHUNK_ENTRIES])
     def test_samples_do_not_depend_on_chunking(self, entries, monkeypatch):
         scen = random_scenario(5, 12)
-        state_t = evolve(scen.state, 0.8)
-        omega = dephase(scen.state)
+        state_t = evolve(scen, 0.8)
+        omega = dephase(scen)
         count = 40
         frames = np.concatenate(list(HaarSampler(3, 12).batches(5, count)))
         est = mc_distinguishabilities(state_t, omega, [3, 5, 4], HaarSampler(4, 12), count)
@@ -312,9 +312,9 @@ class TestBatchedKernel:
         want = np.stack([ref.sample(5) for _ in range(count)])
         assert np.array_equal(got, want)
         assert np.array_equal(sampler.frame(d - excluded), ref.frame(d - excluded))
-        state_t = evolve(scen.state, 0.8)
-        omega = dephase(scen.state)
-        delta = dense_rho(state_t) - dense_dephase(scen.state)
+        state_t = evolve(scen, 0.8)
+        omega = dephase(scen)
+        delta = dense_rho(state_t) - dense_dephase(scen)
         sampler, ref = _sampler_pair(401, scen, excluded)
         ranks = [7 - excluded, d - 7]
         got_mean, got_stderr = _mc(state_t, omega, ranks, sampler, count)
@@ -324,8 +324,8 @@ class TestBatchedKernel:
 
     def test_n_outcome_memory_is_chunk_bounded(self):
         scen = random_scenario(9, 24)
-        state_t = evolve(scen.state, 0.8)
-        omega = dephase(scen.state)
+        state_t = evolve(scen, 0.8)
+        omega = dephase(scen)
         sampler = HaarSampler(10, 24)
         tracemalloc.start()
         try:
@@ -340,8 +340,8 @@ class TestBatchedKernel:
 @pytest.fixture
 def d8_scenario():
     scen = random_scenario(11, 8)
-    state_t = evolve(scen.state, 0.7)
-    omega = dephase(scen.state)
+    state_t = evolve(scen, 0.7)
+    omega = dephase(scen)
     return scen, state_t, omega
 
 
@@ -356,7 +356,7 @@ class TestExactSecondMoment:
 
     def test_time_invariance(self, d8_scenario):
         scen, _, omega = d8_scenario
-        vals = [exact_mean_sq_distinguishability(evolve(scen.state, t), omega, 3)
+        vals = [exact_mean_sq_distinguishability(evolve(scen, t), omega, 3)
                 for t in (0.0, 0.4, 2.9, 11.0)]
         assert max(vals) - min(vals) < 1e-12
 
@@ -404,7 +404,7 @@ class TestTypicalBound:
         # conjugating the base projector by a fixed unitary leaves the
         # ensemble invariant, so two estimates agree within error bars
         scen, state_t, omega = d8_scenario
-        delta = dense_rho(state_t) - dense_dephase(scen.state)
+        delta = dense_rho(state_t) - dense_dephase(scen)
         rot = HaarSampler(100, 8).frame(8)
         base = np.zeros((8, 8), dtype=complex)
         base[:3, :3] = np.eye(3)
@@ -433,39 +433,39 @@ class TestConstrainedEnsemble:
     @pytest.fixture
     def d10(self):
         scen = random_scenario(21, 10)
-        state_t = evolve(scen.state, 1.3)
-        omega = dephase(scen.state)
+        state_t = evolve(scen, 1.3)
+        omega = dephase(scen)
         return scen, state_t, omega
 
     def test_initial_value_nonnegative(self, d10):
         scen, _, omega = d10
-        f0 = 1.0 - float(np.vdot(scen.state.amplitudes,
-                                 dense_dephase(scen.state) @ scen.state.amplitudes).real)
+        f0 = 1.0 - float(np.vdot(scen.amplitudes,
+                                 dense_dephase(scen) @ scen.amplitudes).real)
         assert f0 >= 0.0
-        assert constrained_mean_bound(scen.state, scen.state, omega, 3) == \
+        assert constrained_mean_bound(scen, scen, omega, 3) == \
             pytest.approx(f0 + 0.5 / np.sqrt(9.0), rel=1e-12)
 
     def test_tight_version_is_tighter(self, d10):
         scen, state_t, omega = d10
-        tight = constrained_mean_bound_tight(scen.state, state_t, omega, 3)
-        loose = constrained_mean_bound(scen.state, state_t, omega, 3)
+        tight = constrained_mean_bound_tight(scen, state_t, omega, 3)
+        loose = constrained_mean_bound(scen, state_t, omega, 3)
         assert tight <= loose + 1e-15
 
     def test_monte_carlo_below_bound(self, d10):
         scen, state_t, omega = d10
-        sampler = HaarSampler(23, 10, excluded_vector=scen.state.amplitudes)
+        sampler = HaarSampler(23, 10, excluded_vector=scen.amplitudes)
         mean, stderr = _mc(state_t, omega, [2, 7], sampler, 1500)
-        assert mean <= constrained_mean_bound(scen.state, state_t, omega, 3) + 3.0 * stderr
-        tight = constrained_mean_bound_tight(scen.state, state_t, omega, 3)
+        assert mean <= constrained_mean_bound(scen, state_t, omega, 3) + 3.0 * stderr
+        tight = constrained_mean_bound_tight(scen, state_t, omega, 3)
         assert mean <= tight + 3.0 * stderr
 
     def test_correction_vanishes_with_dimension(self):
         values = []
         for d in (10, 100, 1000):
             scen = random_scenario(5, d)
-            state_t, omega = evolve(scen.state, 0.7), dephase(scen.state)
-            f = haar._initial_overlap_deficit(scen.state, state_t, omega)
-            values.append(n_outcome_constrained_bound(scen.state, state_t, omega, 2) - abs(f))
+            state_t, omega = evolve(scen, 0.7), dephase(scen)
+            f = haar._initial_overlap_deficit(scen, state_t, omega)
+            values.append(n_outcome_constrained_bound(scen, state_t, omega, 2) - abs(f))
         assert values[0] > values[1] > values[2]
         assert values[2] < 0.025
 
@@ -473,8 +473,8 @@ class TestConstrainedEnsemble:
         # no initial state is passed: the excluded vector w, whatever it is
         # and up to its phase, is the one inside outcome 0
         scen, state_t, omega = d10
-        delta = dense_rho(state_t) - dense_dephase(scen.state)
-        w = random_scenario(22, 10).state.amplitudes
+        delta = dense_rho(state_t) - dense_dephase(scen)
+        w = random_scenario(22, 10).amplitudes
         for v in (w, 1j * w):
             got = mc_distinguishabilities(state_t, omega, [2, 7], HaarSampler(5, 10, v), 100)
             want = per_sample_distinguishabilities(PerSampleHaar(HaarSampler(5, 10, v)),
@@ -551,8 +551,8 @@ class TestNOutcome:
 
     def test_monte_carlo_below_cap(self):
         scen = random_scenario(41, 16)
-        state_t = evolve(scen.state, 0.9)
-        omega = dephase(scen.state)
+        state_t = evolve(scen, 0.9)
+        omega = dephase(scen)
         mean, stderr = _mc(state_t, omega, [4, 4, 4, 4], HaarSampler(43, 16), 1200)
         assert mean <= n_outcome_typical_bound([4, 4, 4, 4], 16) + 3.0 * stderr
         assert mean <= n_outcome_typical_cap(4, 16) + 3.0 * stderr
@@ -562,8 +562,8 @@ class TestNOutcome:
         # largest block (the subtracted one) in the middle, the mean agrees
         # with the same partition ordered largest-last, and stays below the cap
         scen = random_scenario(41, 16)
-        state_t = evolve(scen.state, 0.9)
-        omega = dephase(scen.state)
+        state_t = evolve(scen, 0.9)
+        omega = dephase(scen)
         middle, middle_stderr = _mc(state_t, omega, [3, 8, 5], HaarSampler(44, 16), 2000)
         last, last_stderr = _mc(state_t, omega, [3, 5, 8], HaarSampler(45, 16), 2000)
         cap = n_outcome_typical_bound([3, 8, 5], 16)
@@ -573,14 +573,14 @@ class TestNOutcome:
 
     def test_constrained_monte_carlo(self):
         scen = random_scenario(51, 12)
-        state_t = evolve(scen.state, 1.7)
-        omega = dephase(scen.state)
-        sampler = HaarSampler(53, 12, excluded_vector=scen.state.amplitudes)
+        state_t = evolve(scen, 1.7)
+        omega = dephase(scen)
+        sampler = HaarSampler(53, 12, excluded_vector=scen.amplitudes)
         mean, stderr = _mc(state_t, omega, [4, 4, 3], sampler, 1200)
-        assert mean <= n_outcome_constrained_bound(scen.state, state_t, omega, 3) + 3.0 * stderr
+        assert mean <= n_outcome_constrained_bound(scen, state_t, omega, 3) + 3.0 * stderr
 
     def test_constrained_bound_validation(self):
-        state = random_scenario(51, 10).state
+        state = random_scenario(51, 10)
         omega = dephase(state)
         with pytest.raises(ValueError, match="two outcomes"):
             n_outcome_constrained_bound(state, state, omega, 1)
@@ -644,8 +644,7 @@ def test_mc_mean_stderr_is_the_sample_mean_and_ddof1_error():
 
 @pytest.mark.parametrize("samples", [0, 1])
 def test_estimators_need_two_samples(d8_scenario, samples):
-    scen, state_t, omega = d8_scenario
-    state0 = scen.state
+    state0, state_t, omega = d8_scenario
     excluded = HaarSampler(1, 8, excluded_vector=state0.amplitudes)
     calls = [
         lambda: mc_distinguishabilities(state_t, omega, [3, 5], HaarSampler(1, 8), samples),

@@ -19,7 +19,7 @@ from qequil.states import complex_out, dephase, evolve
 import helpers
 from helpers import (dense, direct_series, distinguishability_series, gap_series,
                      mixed_state, projector_from_matrix, random_mixed, random_pure,
-                     success_probability, trace_distance)
+                     sigma_e_of, success_probability, trace_distance)
 
 
 @pytest.fixture
@@ -547,7 +547,7 @@ def test_pure_series_memory_is_chunked():
     times = np.linspace(0.0, 50.0, 8192)
     tracemalloc.start()
     try:
-        series = expectation_series(proj, scen.state, times)
+        series = expectation_series(proj, scen, times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -568,7 +568,7 @@ def _series_peak(monkeypatch, nufft: bool):
     assert (measure._nufft_size(scen.spectrum.levels, times) > 0) == nufft
     tracemalloc.start()
     try:
-        series = expectation_series(proj, scen.state, times)
+        series = expectation_series(proj, scen, times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -686,7 +686,7 @@ def test_uneven_grid_is_rejected_before_anything_of_its_size():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="evenly spaced"):
-            expectation_series(p, scen.state, times)
+            expectation_series(p, scen, times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -761,9 +761,10 @@ def _slow_grids():
     window samples and the long-time averaging grid."""
     cfg = DEFAULTS["slow"]
     scen = random_scenario(cfg["seed"], cfg["dim"])
-    t_end = (2 * cfg["snapshots"] - 1) * cfg["epsilon"] / scen.sigma_e
+    sigma = sigma_e_of(scen)
+    t_end = (2 * cfg["snapshots"] - 1) * cfg["epsilon"] / sigma
     return scen, [np.linspace(0.0, t_end, cfg["samples"]),
-                  TimeGrid(cfg["long_window_sigma"] / scen.sigma_e, scen.spectrum.span).times]
+                  TimeGrid(cfg["long_window_sigma"] / sigma, scen.spectrum.span).times]
 
 
 def test_slow_grids_take_the_nufft():

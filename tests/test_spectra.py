@@ -254,7 +254,7 @@ def test_window_probability_of_every_level_is_one():
     # the cumulative total of these ten probabilities rounds to
     # 1.0000000000000004, which the scan returned unclipped
     scen = random_scenario(1, 10)
-    value, _ = max_window_probability_window(level_distribution(scen.state),
+    value, _ = max_window_probability_window(level_distribution(scen),
                                              2.0 * scen.spectrum.span)
     assert value == 1.0
 
