@@ -233,6 +233,22 @@ class TestSnapshotSubspace:
         with pytest.raises(ValueError):
             snapshot_subspace(mixed, 2, 0.5)
 
+    @pytest.mark.parametrize("epsilon", [1e155, 1e300, 1e308])
+    def test_epsilon_whose_square_overflows_is_rejected(self, epsilon):
+        # eps ** 2 raised OverflowError at 1e300; at 1e308 the infinite
+        # snapshot step made every snapshot NaN and the SVD did not converge.
+        # At 1e155 only the square overflows, not the last snapshot time.
+        scen = random_scenario(16, 8)
+        with pytest.raises(ValueError, match=r"too large: its square or the last"):
+            snapshot_subspace(scen, 3, epsilon)
+
+    def test_largest_epsilon_with_a_finite_square_is_kept(self):
+        scen = random_scenario(16, 8)
+        sub = snapshot_subspace(scen, 1, 1e154)
+        assert sub.epsilon == 1e154
+        assert np.isfinite(sub.tau)
+        assert sub.effective_rank == 1
+
     def test_overlap_lemma_between_snapshots(self):
         scen = random_scenario(12, 256)
         eps = 0.5
