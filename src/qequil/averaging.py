@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectra import LevelDistribution, max_window_probability
+from .spectra import LevelDistribution
 from .states import QuantumState
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "lorentzian_state",
     "lorentzian_purity",
     "lorentzian_purity_product",
-    "dephased_purity_bound",
     "LORENTZIAN_DOMINATION_FACTOR",
 ]
 
@@ -41,53 +40,111 @@ MIN_GRID_SAMPLES = 64
 
 
 class TimeGrid:
-    """Trapezoid grid on [0, T]: an odd number of evenly spaced times, at
-    least MIN_GRID_SAMPLES, so that the half-resolution grid shares the
-    endpoints.
+    """Trapezoid grid on [0, T] for one window T, or a sweep: the grids of
+    every window of a 1-d array, laid end to end.
 
-    Spacing is kept at or below pi / (4 * max_gap): the integrands are
-    trigonometric polynomials in frequencies up to the largest spectral gap,
-    and 8x Nyquist keeps the trapezoid error well under reported tolerances.
+    Each window's grid is an odd number of evenly spaced times, at least
+    MIN_GRID_SAMPLES, so that the half-resolution grid shares the
+    endpoints. Spacing is kept at or below pi / (4 * max_gap): the
+    integrands are trigonometric polynomials in frequencies up to the
+    largest spectral gap, and 8x Nyquist keeps the trapezoid error well
+    under reported tolerances.
+
+    ``times`` holds the windows' grids one after another: window i's times
+    are ``times[offsets[i]:offsets[i + 1]]`` (``split`` gives them as
+    views), each bit for bit ``np.linspace(0, T_i, n_i)``. The whole sweep
+    is built in one vectorized step, j * (T_i / (n_i - 1)) with the last
+    time set to T_i as linspace does (j / (n_i - 1) * T_i where that step
+    underflows to 0). A scalar window gives one grid, with ``offsets``
+    [0, n]. A window whose sample count reaches 2^53 (or overflows) is
+    rejected: no grid can hold it.
     """
 
-    __slots__ = ("window", "times")
+    __slots__ = ("window", "times", "offsets")
 
-    def __init__(self, window: float, max_gap: float):
-        if not 0 < window < np.inf:
-            raise ValueError("window must be positive and finite")
+    def __init__(self, window, max_gap: float):
+        windows = np.asarray(window, dtype=float)
+        if (windows.ndim > 1 or windows.size == 0
+                or not np.all((windows > 0) & (windows < np.inf))):
+            raise ValueError("window must be positive and finite, or a non-empty "
+                             "1-d array of such windows")
         if not 0 <= max_gap < np.inf:
             raise ValueError("max_gap must be nonnegative and finite")
+        flat = windows.reshape(-1)
         with np.errstate(over="ignore"):
-            count = np.ceil(4.0 * max_gap * window / np.pi)
-        if not np.isfinite(count):
-            raise ValueError(f"a window of {window:g} at gaps up to {max_gap:g} "
-                             "needs more samples than a grid can hold")
-        n = max(MIN_GRID_SAMPLES, int(count) + 1)
-        self.window = window
-        self.times = np.linspace(0.0, window, n + 1 - n % 2)
+            count = np.ceil(4.0 * max_gap * flat / np.pi)
+        too_many = ~(count < 2.0 ** 53)
+        if too_many.any():
+            raise ValueError(f"a window of {flat[too_many.argmax()]:g} at gaps up to "
+                             f"{max_gap:g} needs more samples than a grid can hold")
+        n = np.maximum(MIN_GRID_SAMPLES, count.astype(np.int64) + 1)
+        n += 1 - n % 2
+        offsets = np.zeros(n.size + 1, dtype=np.int64)
+        np.cumsum(n, out=offsets[1:])
+        step = flat / (n - 1)
+        times = np.arange(offsets[-1], dtype=float)  # then each time's index in its window
+        if n.size > 1:
+            times -= np.repeat(offsets[:-1].astype(float), n)
+        for i in np.flatnonzero(step == 0):  # linspace divides first (numpy gh-5437)
+            times[offsets[i]:offsets[i + 1]] /= n[i] - 1
+            step[i] = flat[i]
+        times *= step if n.size == 1 else np.repeat(step, n)
+        times[offsets[1:] - 1] = flat
+        self.window = windows if windows.ndim else window
+        self.times = times
+        self.offsets = offsets
+
+    def split(self, values) -> list:
+        """Views of ``values``, laid out along ``times``, one per window."""
+        return np.split(values, self.offsets[1:-1])
 
 
 class AverageResult(NamedTuple):
+    """An average and its refinement error: floats for one window, arrays
+    of one per window for a sweep."""
+
     value: float
     refinement_error: float
 
 
-def _trapezoid_mean(values: np.ndarray, times: np.ndarray) -> float:
-    span = times[-1] - times[0]
-    return float(np.trapezoid(values, times) / span)
+def _trapezoid_terms(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The terms dt (y_1 + y_0) / 2 that np.trapezoid sums, in its order of
+    operations."""
+    return np.diff(times) * (values[1:] + values[:-1]) / 2.0
 
 
 def time_average(values, grid: TimeGrid) -> AverageResult:
     """Uniform average (1/T) * integral over [0, T] of ``values``, sampled
-    on ``grid.times``. The refinement error is the difference to the
-    half-resolution estimate; callers decide whether it is acceptable.
+    on ``grid.times``, for each window of the grid. The refinement error is
+    the difference to the half-resolution estimate, on every other time;
+    callers decide whether it is acceptable.
+
+    One pass forms the trapezoid terms of the whole sweep, and those of its
+    half-resolution grids (every other time from an even index, and from an
+    odd one); each window then sums its own contiguous run of terms. Each
+    value and error is bit for bit what ``np.trapezoid`` gives on that
+    window's times (and every other one) divided by T. A scalar-window grid
+    gives floats, a sweep arrays of one value per window.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != grid.times.shape:
+    times = grid.times
+    if values.shape != times.shape:
         raise ValueError("values must hold one value per grid time")
-    full = _trapezoid_mean(values, grid.times)
-    half = _trapezoid_mean(values[::2], grid.times[::2])
-    return AverageResult(full, abs(full - half))
+    full = _trapezoid_terms(times, values)
+    halves = [_trapezoid_terms(times[p::2], values[p::2]) for p in (0, 1)]
+    starts, ends = grid.offsets[:-1], grid.offsets[1:]
+    sums = np.empty(starts.size)
+    coarse = np.empty(starts.size)
+    for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        sums[i] = full[a:b - 1].sum()
+        coarse[i] = halves[a % 2][a // 2:(b - 1) // 2].sum()
+    span = times[ends - 1] - times[starts]
+    sums /= span
+    coarse /= span
+    error = np.abs(sums - coarse)
+    if np.ndim(grid.window) == 0:
+        return AverageResult(float(sums[0]), float(error[0]))
+    return AverageResult(sums, error)
 
 
 def running_average(times, values) -> np.ndarray:
@@ -106,11 +163,14 @@ def running_average(times, values) -> np.ndarray:
     return out
 
 
-def lorentzian_state(state: QuantumState, window: float) -> np.ndarray:
+def lorentzian_state(state: QuantumState, window) -> np.ndarray:
     """Density matrix of the Lorentzian-averaged state: rho_jk is damped by
     e^{-|E_j - E_k| T} and rotated by e^{-i (E_j - E_k) T / 2}; the
     T -> infinity limit is the dephased state, the T = 0 limit the state
-    itself. Returned as a d x d matrix, not revalidated as a state.
+    itself. Returned as a d x d matrix, not revalidated as a state; for a
+    1-d array of windows, a (windows, d, d) stack of them, each bit for bit
+    the one its window gives alone, with the negated gaps -|E_j - E_k|, the
+    centred energies and rho formed once for all of them.
 
     The rotation is conj(u_j) u_k with u = e^{i (E - E_ref) T / 2}, energies
     centred on the middle of the spectrum so that each argument stays within
@@ -120,21 +180,28 @@ def lorentzian_state(state: QuantumState, window: float) -> np.ndarray:
     on its own, so an entry may be off by about eps span T / 2 times
     |rho_jk|, where a phase taken per pair is off by eps |nu| T damped by
     e^{-|nu| T}."""
-    if not 0 <= window < np.inf:  # at T = inf the zero gaps damp by inf * 0 = NaN
-        raise ValueError("window must be nonnegative and finite")
+    windows = np.asarray(window, dtype=float)
+    # at T = inf the zero gaps damp by inf * 0 = NaN
+    if windows.ndim > 1 or not np.all((windows >= 0) & (windows < np.inf)):
+        raise ValueError("window must be nonnegative and finite, or a 1-d array of "
+                         "such windows")
     e = state.spectrum.index_energies
+    rates = -np.abs(e[None, :] - e[:, None])
+    centred = e - 0.5 * (e.min() + e.max())
+    # one column goes through np.outer, whose entries are the single rounded
+    # products c_j conj(c_k); a matrix product does not promise those bits
+    a = state.factor
+    rho = np.outer(a[:, 0], a[:, 0].conj()) if state.is_pure else a @ a.conj().T
+    out = np.empty((windows.size, *rho.shape), dtype=complex)
     # -inf (and 0) at a huge T is the T -> inf limit
     with np.errstate(over="ignore", under="ignore"):
-        damp = np.exp(-np.abs(e[None, :] - e[:, None]) * window)
-        arg = (e - 0.5 * (e.min() + e.max())) * (window / 2.0)
-        u = np.exp(1j * np.where(np.isfinite(arg), arg, 0.0))
-        out = u.conj()[:, None] * u[None, :]
-        out *= damp
-        # one column goes through np.outer, whose entries are the single rounded
-        # products c_j conj(c_k); a matrix product does not promise those bits
-        a = state.factor
-        out *= np.outer(a[:, 0], a[:, 0].conj()) if state.is_pure else a @ a.conj().T
-    return out
+        for w, damped in zip(windows.reshape(-1).tolist(), out):
+            arg = centred * (w / 2.0)
+            u = np.exp(1j * np.where(np.isfinite(arg), arg, 0.0))
+            np.multiply(u.conj()[:, None], u[None, :], out=damped)
+            damped *= np.exp(rates * w)
+            damped *= rho
+    return out if windows.ndim else out[0]
 
 
 def _damped_level_sums(levels: np.ndarray, weights: np.ndarray, windows) -> np.ndarray:
@@ -179,17 +246,3 @@ def lorentzian_purity(state: QuantumState, windows) -> np.ndarray:
         rho_sq = np.abs(a @ a.conj().T) ** 2
         weights = np.add.reduceat(np.add.reduceat(rho_sq, starts, axis=0), starts, axis=1)
     return _damped_level_sums(spec.levels, weights, windows)
-
-
-def dephased_purity_bound(dist: LevelDistribution, window, delta=2.0):
-    """Window-probability bound on the Lorentzian-averaged purity:
-    2 * eta_{delta / 2T} / (1 - e^{-delta}), valid for every delta > 0.
-    ``window`` and ``delta`` may be arrays that broadcast together; every
-    width is then scanned in one pass and the bounds come back in their
-    broadcast shape."""
-    if not np.all(np.asarray(delta) > 0):
-        raise ValueError("delta must be positive")
-    if not np.all((np.asarray(window) > 0) & (np.asarray(window) < np.inf)):
-        raise ValueError("window must be positive and finite")
-    eta = max_window_probability(dist, delta / (2.0 * window))
-    return 2.0 * eta / (1.0 - np.exp(-delta))

@@ -19,9 +19,8 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package
 
 from . import bounds as bounds_mod
-from .averaging import (TimeGrid, dephased_purity_bound, lorentzian_purity,
-                        lorentzian_purity_product, lorentzian_state,
-                        running_average, time_average)
+from .averaging import (TimeGrid, lorentzian_purity, lorentzian_purity_product,
+                        lorentzian_state, running_average, time_average)
 from .constructions import (gaussian_scenario, harmonic_oscillator_1d, random_scenario,
                             snapshot_subspace, slow_window_check)
 from .haar import (HaarSampler, constrained_mean_bound, exact_mean_sq_distinguishability,
@@ -135,9 +134,10 @@ def fast_equilibration_battery(seed: int, trials: int, t_points: int, max_rank: 
                                slack: float) -> list:
     """Randomized sweep of the two-outcome fast-equilibration bound, with the
     Lorentzian-purity chain checked at every grid point along the way. Each
-    trial evaluates its window scans, bounds, exact purities and the series
-    on every window's grid at once; only the time averages and the matrix
-    path of the purity run window by window."""
+    trial takes its windows as one sweep: one window scan for every eta and
+    every cap, one :class:`TimeGrid` of all its windows, one series call and
+    one time average over it; only the matrix path of the purity runs window
+    by window."""
     _check_count("trials", trials)
     _check_count("t_points", t_points)
     _check_count("max_rank", max_rank)
@@ -154,39 +154,44 @@ def fast_equilibration_battery(seed: int, trials: int, t_points: int, max_rank: 
         proj = HaarSampler(int(rng.integers(2 ** 62)), d).projector(rank)
         p_omega = proj.expectation(omega)
         t_grid = np.geomspace(0.1, 100.0, t_points) / sigma
-        etas = max_window_probability(dist, 1.0 / t_grid)
+        # the purity-chain widths delta (the fixed ones, then the one matched
+        # to sigma_E) and one scan: width 1/T for eta, delta / 2T for each cap
+        deltas = np.column_stack([np.tile(PURITY_CHAIN_DELTAS, (t_points, 1)),
+                                  2.0 * t_grid * (sigma / 2.0)])
+        scan = max_window_probability(dist, np.column_stack(
+            [1.0 / t_grid, deltas / (2.0 * t_grid[:, None])]))
+        etas = scan[:, 0]
         bounds = bounds_mod.fast_equilibration_bound(etas, rank)
-        chain_rows = _purity_chain_rows(state, dist, sigma, t_grid, trial)
-        grids = [TimeGrid(window, spec.span) for window in t_grid]
-        series = grid_series(proj, state, [grid.times for grid in grids])
-        for window, grid, values, eta, bound, chain_row in zip(t_grid, grids, series,
-                                                               etas, bounds, chain_rows):
-            avg = time_average(np.abs(values - p_omega), grid)
+        chain_rows = _purity_chain_rows(
+            state, dist, t_grid, bounds_mod.window_purity_bound(scan[:, 1:], deltas), trial)
+        grid = TimeGrid(t_grid, spec.span)
+        series = grid_series(proj, state, grid.split(grid.times))
+        avg = time_average(np.abs(np.concatenate(series) - p_omega), grid)
+        for window, measured, error, eta, bound, chain_row in zip(
+                t_grid, avg.value.tolist(), avg.refinement_error.tolist(), etas, bounds,
+                chain_rows):
             row = {"name": "fast_equilibration", "T": float(window), "eps": 1.0 / window,
-                   "K": rank, "value": bound, "measured": avg.value,
-                   "holds": avg.value <= bound + slack, "battery": "fast_equilibration",
+                   "K": rank, "value": bound, "measured": measured,
+                   "holds": measured <= bound + slack, "battery": "fast_equilibration",
                    "trial": trial, "label": label, "d": d,
                    "levels": spec.num_levels, "eta": float(eta),
-                   "refinement_error": avg.refinement_error}
+                   "refinement_error": error}
             rows += [row, chain_row]
     return rows
 
 
-def _purity_chain_rows(state, dist, sigma, windows, trial) -> list:
+def _purity_chain_rows(state, dist, windows, caps, trial) -> list:
     """One purity-chain row per window: the exact Lorentzian purity against
-    its matrix path, its product bound and the window-probability caps at
-    every width delta (the fixed ones, then ``bound_delta_matched``, the one
-    matched to sigma_E)."""
+    its matrix path, its product bound and the window-probability ``caps``
+    at every width delta, one row of them per window (the fixed ones, then
+    ``bound_delta_matched``, the one matched to sigma_E)."""
     exact = lorentzian_purity(state, windows).tolist()
     products = lorentzian_purity_product(dist, windows).tolist()
-    deltas = np.column_stack([np.tile(PURITY_CHAIN_DELTAS, (windows.size, 1)),
-                              2.0 * windows * (sigma / 2.0)])
-    caps = dephased_purity_bound(dist, windows[:, None], deltas)
     names = [f"bound_delta_{delta:g}" for delta in PURITY_CHAIN_DELTAS]
     names.append("bound_delta_matched")
     rows = []
-    for window, purity, product, row_caps in zip(windows, exact, products, caps):
-        damped = lorentzian_state(state, window)
+    for window, purity, product, row_caps, damped in zip(
+            windows, exact, products, caps, lorentzian_state(state, windows)):
         matrix_path = float(np.vdot(damped, damped).real)
         agreement = abs(purity - matrix_path)
         row = {"battery": "purity_chain", "trial": trial, "T": float(window),
@@ -223,19 +228,20 @@ def gap_counting_battery(seed: int, dim: int) -> list:
     p_omega = meas.outcome_probabilities(dephase(state))
 
     windows = np.geomspace(1.0, 100.0, GAP_COUNTING_WINDOWS) / sigma
-    grids = [TimeGrid(window, state.spectrum.span) for window in windows]
+    grid = TimeGrid(windows, state.spectrum.span)
     # one stacked call: row 0 is P's own series, and {P, 1 - P} share its factor
-    stacks = grid_series(meas.projectors, state, [grid.times for grid in grids])
+    stack = np.concatenate(grid_series(meas.projectors, state, grid.split(grid.times)),
+                           axis=1)
+    sq_avgs = time_average((stack[0] - p_omega[0]) ** 2, grid).value.tolist()
+    d_avgs = time_average(series_distinguishability(stack, p_omega), grid).value.tolist()
     widths = [factor * sigma for factor in GAP_COUNTING_EPS_FACTORS]
     terms = [bounds_mod.gap_counting_terms(state, eps) for eps in widths]
-    for window, grid, stack in zip(windows, grids, stacks):
-        sq_avg = time_average((stack[0] - p_omega[0]) ** 2, grid)
-        d_avg = time_average(series_distinguishability(stack, p_omega), grid)
+    for window, sq_avg, d_avg in zip(windows, sq_avgs, d_avgs):
         for eps, (n_eps, d_eff) in zip(widths, terms):
             for name, measured, value in (
-                    ("general_expectation", sq_avg.value,
+                    ("general_expectation", sq_avg,
                      bounds_mod.general_expectation_bound(n_eps, d_eff, eps, window)),
-                    ("general_distinguishability", d_avg.value,
+                    ("general_distinguishability", d_avg,
                      bounds_mod.general_distinguishability_bound(n_eps, d_eff, 2, eps,
                                                                  window))):
                 rows.append({
@@ -386,6 +392,7 @@ def run_slow(config: dict) -> ExperimentResult:
                "trace_omega": rep.trace_omega,
                "trace_omega_bound": rep.trace_omega_bound,
                "long_time_average": rep.long_time_average,
+               "floor_informative": rep.floor > 0,
                "ceiling": rep.ceiling, "refinement_holds": rep.refinement_holds}
     rows = _series_rows(rep.times, rep.values, bound=rep.floor)
     return ExperimentResult({"slow.csv": rows}, summary, rep.checks)

@@ -22,6 +22,7 @@ __all__ = [
     "population_constant",
     "fast_equilibration_constant",
     "fast_equilibration_bound",
+    "window_purity_bound",
     "gap_counting_terms",
     "general_expectation_bound",
     "general_distinguishability_bound",
@@ -61,6 +62,16 @@ def fast_equilibration_bound(eta, rank: int):
     if rank < 1:
         raise ValueError("rank must be at least 1")
     return fast_equilibration_constant() * np.sqrt(_nonnegative("eta", eta) * rank)
+
+
+def window_purity_bound(eta, delta):
+    """Window-probability bound 2 eta / (1 - e^{-delta}) on the purity of
+    the Lorentzian-averaged state at window T, valid for every delta > 0,
+    from the window probability eta of width delta / 2T. ``eta`` and
+    ``delta`` may be arrays that broadcast together."""
+    if not np.all((np.asarray(delta) > 0) & (np.asarray(delta) < np.inf)):
+        raise ValueError("delta must be positive and finite")
+    return 2.0 * _nonnegative("eta", eta) / (1.0 - np.exp(-delta))
 
 
 def gap_counting_terms(state: QuantumState, eps: float) -> tuple:

@@ -36,7 +36,7 @@ SNAPSHOT_SVD_CUTOFF = 1e-8
 CEILING_SLACK = 1e-3  # quadrature allowance on the eventual-equilibration ceiling
 
 
-def harmonic_oscillator_1d(levels: int, spacing: float = 1.0) -> QuantumState:
+def harmonic_oscillator_1d(levels: int, spacing: float) -> QuantumState:
     """Equally spaced nondegenerate ladder E_n = (n + 1/2) * spacing with a
     pure state spread evenly (real positive amplitudes) over all levels."""
     if levels < 2:
@@ -66,8 +66,7 @@ def harmonic_oscillator_3d_boltzmann(levels: int, spacing: float,
     return QuantumState(spec, np.diag(np.sqrt(diag)))
 
 
-def gaussian_scenario(num_levels: int, sigma: float = 1.0,
-                      span: float = 8.0) -> QuantumState:
+def gaussian_scenario(num_levels: int, sigma: float, span: float) -> QuantumState:
     """Equally spaced levels across a window of total width span * sigma,
     carrying a pure state with Gaussian level probabilities of target
     standard deviation sigma.

@@ -121,20 +121,37 @@ def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evenly_spaced(t: np.ndarray) -> bool:
-    """Whether t is a 1-d array of finite, evenly spaced times (see
-    grid_series). The drift takes one array of n floats, so a grid is
-    checked before anything larger is formed."""
-    if t.ndim != 1 or not np.all(np.isfinite(t)):
-        return False
-    if t.size < 2:
+def _evenly_spaced(grids) -> bool:
+    """Whether every grid of a list is a 1-d array of finite, evenly spaced
+    times (see grid_series), checked in one pass over all their times: the
+    drift of each time from t_0 + j dt, each grid's largest against 4 ulp of
+    its max|t|. The drift takes one array of as many floats as the grids
+    hold (one grid is read in place), so a grid is checked before anything
+    larger is formed."""
+    if not grids:
         return True
-    limit = 4.0 * np.spacing(np.abs(t).max())
-    drift = np.arange(t.size, dtype=float)
-    drift *= (t[-1] - t[0]) / (t.size - 1)
-    drift += t[0]
-    drift -= t
-    return bool(np.abs(drift, out=drift).max() <= limit)
+    if any(t.ndim != 1 for t in grids):
+        return False
+    sizes = np.array([t.size for t in grids], dtype=np.int64)
+    times = grids[0] if len(grids) == 1 else np.concatenate(grids)
+    if not np.all(np.isfinite(times)):
+        return False
+    starts = (np.cumsum(sizes) - sizes)[sizes > 0]
+    sizes = sizes[sizes > 0]
+    if not sizes.size:
+        return True
+    limit = 4.0 * np.spacing(np.maximum.reduceat(np.abs(times), starts))
+    first = times[starts]
+    step = np.zeros(sizes.size)  # a one-time grid drifts by 0
+    np.divide(times[starts + sizes - 1] - first, sizes - 1, out=step, where=sizes > 1)
+    drift = np.arange(times.size, dtype=float)  # then each time's index in its grid
+    if sizes.size > 1:
+        drift -= np.repeat(starts.astype(float), sizes)
+        step, first = np.repeat(step, sizes), np.repeat(first, sizes)
+    drift *= step
+    drift += first
+    drift -= times
+    return bool(np.all(np.maximum.reduceat(np.abs(drift, out=drift), starts) <= limit))
 
 
 def _row_groups(blocks: int, rows: int, levels: int, m: int):
@@ -367,7 +384,8 @@ def grid_series(projectors, state: QuantumState, grids) -> list:
     expectation_series gives for that grid alone, bit for bit. A grid is a
     1-d array of finite times within 4 ulp of max|t| of t_0 + j dt, dt =
     (t_{n-1} - t_0) / (n - 1), as a linspace is (0 or 1 times pass); any
-    other grid raises ValueError.
+    other grid raises ValueError. All the grids of a call are checked in one
+    vectorized pass (see _evenly_spaced).
 
     With rho = A A^dag, tr(V V^dag rho_t) is the sum over the columns a of A
     and the rows c = conj(V)^T a of |sum_k c_k e^{-i E_k t}|^2; c is first
@@ -423,7 +441,7 @@ def grid_series(projectors, state: QuantumState, grids) -> list:
     has the series 0.
     """
     grids = [np.asarray(times, dtype=float) for times in grids]
-    if not all(map(_evenly_spaced, grids)):
+    if not _evenly_spaced(grids):
         raise ValueError("times must be a 1-d array of finite, evenly spaced values")
     single = isinstance(projectors, Projector)
     stack = (projectors,) if single else tuple(projectors)

@@ -12,9 +12,9 @@ import numpy as np
 from scipy import integrate
 
 from qequil import batteries, haar
-from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid, dephased_purity_bound,
+from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, MIN_GRID_SAMPLES,
                               lorentzian_purity, lorentzian_purity_product,
-                              lorentzian_state, time_average)
+                              lorentzian_state)
 from qequil.bounds import (fast_equilibration_constant, gap_counting_terms,
                            general_distinguishability_bound, general_expectation_bound,
                            purity_chain_factor)
@@ -26,6 +26,32 @@ from qequil.states import (TRACE_TOL, EquilibriumState, QuantumState, dephase,
                            purity)
 
 HERMITICITY_TOL = 1e-10
+
+
+def linspace_grid(window: float, max_gap: float) -> np.ndarray:
+    """The times of one window's averaging grid from ``np.linspace``: the
+    sample count rule of :class:`qequil.averaging.TimeGrid` written out
+    (spacing at most pi / (4 max_gap), at least MIN_GRID_SAMPLES, odd)."""
+    n = max(MIN_GRID_SAMPLES, int(np.ceil(4.0 * max_gap * window / np.pi)) + 1)
+    return np.linspace(0.0, window, n + 1 - n % 2)
+
+
+def trapezoid_average(values, times) -> tuple:
+    """(average, refinement error) over one window's grid by ``np.trapezoid``:
+    the integral over the span, and its distance to the same on every other
+    time."""
+    values = np.asarray(values, dtype=float)
+    full = float(np.trapezoid(values, times) / (times[-1] - times[0]))
+    half = float(np.trapezoid(values[::2], times[::2]) / (times[::2][-1] - times[::2][0]))
+    return full, abs(full - half)
+
+
+def dephased_purity_bound(dist: LevelDistribution, window, delta):
+    """Window-probability bound on the Lorentzian-averaged purity,
+    2 eta_{delta / 2T} / (1 - e^{-delta}), from its own window scan:
+    the oracle of the battery's caps, which share one scan with eta."""
+    eta = max_window_probability(dist, delta / (2.0 * window))
+    return 2.0 * eta / (1.0 - np.exp(-delta))
 
 
 def brute_eta(levels, probs, width):
@@ -484,17 +510,17 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int,
         proj = haar.HaarSampler(int(rng.integers(2 ** 62)), d).projector(rank)
         p_omega = proj.expectation(omega)
         for window in np.geomspace(0.1, 100.0, t_points) / sigma:
-            grid = TimeGrid(window, spec.span)
-            avg = time_average(
-                np.abs(expectation_series(proj, state, grid.times) - p_omega), grid)
+            times = linspace_grid(window, spec.span)
+            measured, error = trapezoid_average(
+                np.abs(expectation_series(proj, state, times) - p_omega), times)
             eta = max_window_probability(dist, 1.0 / window)
             value = fast_equilibration_constant() * np.sqrt(eta * rank)
             rows.append({"name": "fast_equilibration", "T": float(window),
                          "eps": 1.0 / window, "K": rank, "value": value,
-                         "measured": avg.value, "holds": avg.value <= value + slack,
+                         "measured": measured, "holds": measured <= value + slack,
                          "battery": "fast_equilibration", "trial": trial,
                          "label": label, "d": d, "levels": spec.num_levels,
-                         "eta": eta, "refinement_error": avg.refinement_error})
+                         "eta": eta, "refinement_error": error})
 
             exact = float(lorentzian_purity(state, [window])[0])
             product = float(lorentzian_purity_product(dist, [window])[0])
@@ -510,7 +536,7 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int,
             names = [f"bound_delta_{delta:g}" for delta in batteries.PURITY_CHAIN_DELTAS]
             for name, delta in zip([*names, "bound_delta_matched"],
                                    (*batteries.PURITY_CHAIN_DELTAS, matched)):
-                cap = dephased_purity_bound(dist, window, delta=delta)
+                cap = dephased_purity_bound(dist, window, delta)
                 row[name] = cap
                 ok = ok and exact <= cap + 1e-12
             row["holds"] = ok
@@ -528,14 +554,14 @@ def per_window_gap_counting_battery(seed: int, dim: int) -> list:
     p_omega = meas.outcome_probabilities(dephase(state))
     rows = []
     for window in np.geomspace(1.0, 100.0, batteries.GAP_COUNTING_WINDOWS) / sigma:
-        grid = TimeGrid(window, state.spectrum.span)
-        stack = expectation_series(meas.projectors, state, grid.times)
-        sq_avg = time_average((stack[0] - p_omega[0]) ** 2, grid)
-        d_avg = time_average(series_distinguishability(stack, p_omega), grid)
+        times = linspace_grid(window, state.spectrum.span)
+        stack = expectation_series(meas.projectors, state, times)
+        sq_avg, _ = trapezoid_average((stack[0] - p_omega[0]) ** 2, times)
+        d_avg, _ = trapezoid_average(series_distinguishability(stack, p_omega), times)
         for factor in batteries.GAP_COUNTING_EPS_FACTORS:
             eps = factor * sigma
-            for name, measured in (("general_expectation", sq_avg.value),
-                                   ("general_distinguishability", d_avg.value)):
+            for name, measured in (("general_expectation", sq_avg),
+                                   ("general_distinguishability", d_avg)):
                 n_eps, d_eff = gap_counting_terms(state, eps)
                 value = (general_expectation_bound(n_eps, d_eff, eps, window)
                          if name == "general_expectation" else
@@ -614,11 +640,11 @@ def fast_equilibration_chain(state: QuantumState, projector: Projector,
         # D_P = D_{1-P}, so run the chain on the smaller-rank side.
         projector = projector.complement()
     rank = projector.rank
-    grid = TimeGrid(window, state.spectrum.span)
+    times = linspace_grid(window, state.spectrum.span)
     p_omega = projector.expectation(omega)
-    series = expectation_series(projector, state, grid.times)
-    measured = time_average(np.abs(series - p_omega), grid)
-    pop_avg = time_average(series, grid)
+    series = expectation_series(projector, state, times)
+    measured, measured_error = trapezoid_average(np.abs(series - p_omega), times)
+    pop_avg, pop_error = trapezoid_average(series, times)
 
     v = projector.factor
     p_lor = float(np.sum(v.conj() * (lorentzian_state(state, window) @ v)).real)
@@ -629,8 +655,8 @@ def fast_equilibration_chain(state: QuantumState, projector: Projector,
     eta = max_window_probability(level_distribution(state), 1.0 / window)
 
     links = {
-        "measured": measured.value,
-        "triangle": pop_avg.value + p_omega,
+        "measured": measured,
+        "triangle": pop_avg + p_omega,
         "lorentzian_population": (LORENTZIAN_DOMINATION_FACTOR * p_lor
                                   + np.sqrt(pur_omega * rank)),
         "purity_cauchy_schwarz": (LORENTZIAN_DOMINATION_FACTOR
@@ -638,5 +664,5 @@ def fast_equilibration_chain(state: QuantumState, projector: Projector,
                                   + np.sqrt(rank * pur_omega)),
         "window_probability": fast_equilibration_constant() * np.sqrt(eta * rank),
     }
-    links["refinement_error"] = measured.refinement_error + pop_avg.refinement_error
+    links["refinement_error"] = measured_error + pop_error
     return links

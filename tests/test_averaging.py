@@ -6,21 +6,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid,
-                              dephased_purity_bound, lorentzian_purity,
-                              lorentzian_purity_product, lorentzian_state,
-                              running_average, time_average)
-from qequil.bounds import gaussian_purity_asymptote
+from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, MIN_GRID_SAMPLES, TimeGrid,
+                              lorentzian_purity, lorentzian_purity_product,
+                              lorentzian_state, running_average, time_average)
+from qequil.bounds import gaussian_purity_asymptote, window_purity_bound
 from qequil.constructions import gaussian_scenario, harmonic_oscillator_1d
 from qequil.measure import Projector, expectation_series
-from qequil.spectra import EnergySpectrum
+from qequil.spectra import EnergySpectrum, max_window_probability
 from qequil.states import (QuantumState, dephase, effective_dimension, energy_moments,
                            level_distribution, purity)
 
-from helpers import (dense_dephase, dense_rho, lorentzian_domination_check,
-                     lorentzian_phase_average, lorentzian_phase_average_quadrature,
-                     lorentzian_state_entrywise, mixed_state, poisson_spectrum, random_mixed,
-                     random_pure, running_average_trapezoid)
+from helpers import (dense_dephase, dense_rho, dephased_purity_bound, linspace_grid,
+                     lorentzian_domination_check, lorentzian_phase_average,
+                     lorentzian_phase_average_quadrature, lorentzian_state_entrywise,
+                     mixed_state, poisson_spectrum, random_mixed, random_pure,
+                     running_average_trapezoid, trapezoid_average)
 
 
 class TestTimeGrid:
@@ -51,6 +51,53 @@ class TestTimeGrid:
             TimeGrid(1e308, 3.0)
 
 
+# A sweep's windows span 1e-3 to 1e6; max_gap is 0 (MIN_GRID_SAMPLES times
+# each) or scaled so that the longest window takes up to about 3,800 times,
+# even counts rounded up to odd among them.
+_SWEEP_WINDOWS = st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=12)
+_SWEEP_SCALES = st.one_of(st.just(0.0), st.floats(0.0, 3000.0))
+
+
+class TestSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(windows=_SWEEP_WINDOWS, scale=_SWEEP_SCALES)
+    def test_sweep_times_are_each_windows_linspace(self, windows, scale):
+        max_gap = scale / max(windows)
+        grid = TimeGrid(np.array(windows), max_gap)
+        wants = [linspace_grid(window, max_gap) for window in windows]
+        assert all(w.size % 2 == 1 and w.size >= MIN_GRID_SAMPLES for w in wants)
+        assert grid.offsets.tolist() == np.cumsum([0, *(w.size for w in wants)]).tolist()
+        assert grid.times.tobytes() == np.concatenate(wants).tobytes()
+        for window, want in zip(windows, wants):
+            assert TimeGrid(window, max_gap).times.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(windows=_SWEEP_WINDOWS, scale=_SWEEP_SCALES, data=st.data())
+    def test_sweep_average_is_each_windows_trapezoid(self, windows, scale, data):
+        grid = TimeGrid(np.array(windows), scale / max(windows))
+        values = data.draw(hnp.arrays(float, grid.times.size,
+                                      elements=st.floats(-1e3, 1e3)), label="values")
+        avg = time_average(values, grid)
+        assert avg.value.shape == avg.refinement_error.shape == (len(windows),)
+        for i, (piece, part) in enumerate(zip(grid.split(grid.times), grid.split(values))):
+            want = trapezoid_average(part, piece)
+            assert (avg.value[i], avg.refinement_error[i]) == want
+            alone = TimeGrid(windows[i], scale / max(windows))
+            assert time_average(part, alone) == want
+
+    def test_subnormal_step_follows_linspace(self):
+        # T / (n - 1) underflows to 0: linspace divides j by n - 1 first
+        grid = TimeGrid(np.array([5e-324, 1e-300, 2.0]), 0.0)
+        for window, piece in zip(grid.window, grid.split(grid.times)):
+            assert piece.tobytes() == np.linspace(0.0, window, piece.size).tobytes()
+
+    def test_scalar_grid_gives_floats(self):
+        grid = TimeGrid(2.0, 1.0)
+        assert grid.offsets.tolist() == [0, grid.times.size]
+        avg = time_average(np.cos(grid.times), grid)
+        assert type(avg.value) is float and type(avg.refinement_error) is float
+
+
 class TestTimeAverage:
     def test_constant(self):
         grid = TimeGrid(3.0, 1.0)
@@ -73,7 +120,7 @@ class TestTimeAverage:
             time_average(np.ones((1, grid.times.size)), grid)
 
     def test_oversampled_oracle_agreement(self):
-        state = harmonic_oscillator_1d(50)
+        state = harmonic_oscillator_1d(50, 1.0)
         omega = dephase(state)
         proj = Projector.from_factor(state.amplitudes)
         p_omega = proj.expectation(omega)
@@ -215,6 +262,21 @@ class TestLorentzianState:
                 assert np.all(np.abs(got[pair]) >= 0.99 * rho[pair])
 
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_window_array_stacks_each_windows_matrix(self, kind):
+        # the gaps, centred energies and rho are formed once; every matrix
+        # of the stack is bit for bit its own window's
+        rng = np.random.default_rng(12)
+        spec = EnergySpectrum([-3.0, -0.5, 0.0, 2.0, 7.5], [2, 1, 3, 1, 2])
+        state = random_pure(rng, spec) if kind == "pure" else random_mixed(rng, spec)
+        windows = np.array([0.0, 0.3, 0.3, 7.0, 1e308])
+        with np.errstate(all="raise"):
+            stack = lorentzian_state(state, windows)
+        assert stack.shape == (windows.size, spec.dim, spec.dim)
+        for T, matrix in zip(windows, stack):
+            assert matrix.tobytes() == lorentzian_state(state, T).tobytes()
+        assert lorentzian_state(state, windows[:0]).shape == (0, spec.dim, spec.dim)
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_per_index_phases_take_the_huge_window_limit_quietly(self, kind):
         # at T = 1e308 the phase arguments overflow: those indices' nonzero
         # gaps have damped to 0, so their phase is 1 and no flag is raised
@@ -284,7 +346,7 @@ class TestLorentzianPurity:
             for T in (0.2, 1.0, 8.0):
                 exact = lorentzian_purity(state, [T])[0]
                 for delta in (0.5, 1.0, 2.0, 4.0):
-                    cap = dephased_purity_bound(dist, T, delta=delta)
+                    cap = dephased_purity_bound(dist, T, delta)
                     assert exact <= cap + 1e-12
 
     @pytest.mark.parametrize("seed", [1 << 20, 30])
@@ -346,17 +408,20 @@ class TestLorentzianPurity:
                 oracle = np.sum(rho_sq * np.exp(-2.0 * gaps * T))
             assert value == pytest.approx(oracle, rel=1e-13)
 
-    def test_dephased_bound_broadcasts_like_scalar_calls(self):
+    def test_caps_from_one_scan_match_scalar_calls(self):
+        # the battery's form: every width delta / 2T scanned in one call,
+        # each cap bit for bit the single-window oracle's
         rng = np.random.default_rng(9)
         spec = poisson_spectrum(rng, 12)
         dist = level_distribution(random_pure(rng, spec))
         windows = np.array([0.1, 1.0, 1.0, 9.0])
         deltas = np.column_stack([np.tile([0.5, 2.0], (windows.size, 1)), windows])
-        caps = dephased_purity_bound(dist, windows[:, None], deltas)
+        caps = window_purity_bound(
+            max_window_probability(dist, deltas / (2.0 * windows[:, None])), deltas)
         assert caps.shape == deltas.shape
         for T, row_deltas, row_caps in zip(windows, deltas, caps):
             for delta, cap in zip(row_deltas, row_caps):
-                assert cap == dephased_purity_bound(dist, T, delta=delta)
+                assert cap == dephased_purity_bound(dist, T, delta)
 
     def test_gaussian_scenario_matches_continuum(self):
         scenario = gaussian_scenario(2000, sigma=1.0, span=8.0)

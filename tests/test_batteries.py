@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from qequil import batteries, cli, spectra
+from qequil import averaging, batteries, cli, measure, spectra
 from qequil.batteries import (gap_counting_battery, haar_battery,
                               fast_equilibration_battery)
 from qequil.constructions import random_scenario, slow_window_check, snapshot_subspace
@@ -146,6 +146,44 @@ def test_bounds_run_scans_windows_under_the_traced_names(monkeypatch):
               "gap_counting_dim": 24}
     batteries.run_bounds(config)
     assert len(calls) >= 1
+
+
+def _count_sweep_work(monkeypatch) -> dict:
+    """Count TimeGrid builds, grid_series calls (direct, or through
+    expectation_series) and window scans (every max_window_probability call
+    goes through spectra.max_window_probability_window)."""
+    counts = {"grids": 0, "series": 0, "scans": 0}
+
+    def counted(key, original):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(averaging.TimeGrid, "__init__",
+                        counted("grids", averaging.TimeGrid.__init__))
+    series = counted("series", measure.grid_series)
+    monkeypatch.setattr(measure, "grid_series", series)
+    monkeypatch.setattr(batteries, "grid_series", series)
+    scan = counted("scans", spectra.max_window_probability_window)
+    monkeypatch.setattr(spectra, "max_window_probability_window", scan)
+    monkeypatch.setattr(batteries, "max_window_probability_window", scan)
+    return counts
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_each_bounds_trial_is_one_sweep(monkeypatch, trials):
+    # per-window grids, series calls or scans must not creep back
+    counts = _count_sweep_work(monkeypatch)
+    rows = fast_battery(SEED, trials)
+    assert len(rows) == 2 * BOUNDS["t_points"] * trials
+    assert counts == {"grids": trials, "series": trials, "scans": trials}
+
+
+def test_gap_counting_battery_is_one_sweep(monkeypatch):
+    counts = _count_sweep_work(monkeypatch)
+    assert len(gap_counting_battery(SEED, dim=24)) == 36
+    assert counts == {"grids": 1, "series": 1, "scans": 0}
 
 
 def test_haar_battery_rows_and_determinism():

@@ -6,14 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from qequil.averaging import (TimeGrid, dephased_purity_bound, lorentzian_purity,
-                              lorentzian_purity_product, lorentzian_state,
-                              time_average)
+from qequil.averaging import (TimeGrid, lorentzian_purity, lorentzian_purity_product,
+                              lorentzian_state, time_average)
 from qequil.bounds import (_erfcx, fast_equilibration_bound, fast_equilibration_constant,
                            gap_counting_terms, gaussian_purity_asymptote,
                            gaussian_purity_exact, general_distinguishability_bound,
                            general_expectation_bound, population_constant,
-                           purity_chain_factor)
+                           purity_chain_factor, window_purity_bound)
 from qequil.cli import DEFAULTS
 from qequil.constructions import (gaussian_scenario, harmonic_oscillator_1d,
                                   harmonic_oscillator_3d_boltzmann, random_scenario,
@@ -60,20 +59,21 @@ NAN_CALLS = {
     "lorentzian_state": lambda: lorentzian_state(_STATE, NAN),
     "lorentzian_purity_product": lambda: lorentzian_purity_product(_DIST, [NAN]),
     "lorentzian_purity": lambda: lorentzian_purity(_STATE, NAN),
-    "dephased_purity_bound": lambda: dephased_purity_bound(_DIST, 1.0, NAN),
+    "window_purity_bound": lambda: window_purity_bound(0.5, NAN),
     "harmonic_oscillator_3d_boltzmann": lambda: harmonic_oscillator_3d_boltzmann(
         3, 1.0, NAN),
-    "gaussian_scenario": lambda: gaussian_scenario(100, NAN),
+    "gaussian_scenario": lambda: gaussian_scenario(100, NAN, 8.0),
     "snapshot_subspace": lambda: snapshot_subspace(_STATE, 3, NAN),
     "TimeGrid max_gap": lambda: TimeGrid(1.0, NAN),
-    "dephased_purity_bound window": lambda: dephased_purity_bound(_DIST, NAN),
+    "window_purity_bound eta": lambda: window_purity_bound(NAN, 2.0),
     # an array of windows or widths is rejected for any NaN element
     "max_window_probability_window array": lambda: max_window_probability_window(
         _DIST, [1.0, NAN]),
     "fast_equilibration_bound array": lambda: fast_equilibration_bound([0.5, NAN], 1),
     "lorentzian_purity array": lambda: lorentzian_purity(_STATE, [1.0, NAN]),
-    "dephased_purity_bound array": lambda: dephased_purity_bound(
-        _DIST, [1.0, 2.0], [2.0, NAN]),
+    "lorentzian_state array": lambda: lorentzian_state(_STATE, np.array([1.0, NAN])),
+    "window_purity_bound array": lambda: window_purity_bound([0.5, 0.5], [2.0, NAN]),
+    "TimeGrid array": lambda: TimeGrid(np.array([1.0, NAN]), 1.0),
 }
 
 
@@ -91,13 +91,14 @@ def test_nan_scalar_is_rejected(name):
 # phases that the SVD cannot take.
 INF_CALLS = {
     "max_window_probability_window": lambda: max_window_probability_window(_DIST, np.inf),
-    "dephased_purity_bound": lambda: dephased_purity_bound(_DIST, np.inf),
-    "dephased_purity_bound delta": lambda: dephased_purity_bound(_DIST, 1.0, np.inf),
+    "window_purity_bound delta": lambda: window_purity_bound(0.5, np.inf),
+    "TimeGrid array": lambda: TimeGrid(np.array([2.0, np.inf]), 1.0),
     "lorentzian_phase_average": lambda: lorentzian_phase_average(0.0, np.inf),
     "lorentzian_state": lambda: lorentzian_state(_STATE, np.inf),
     "lorentzian_purity_product": lambda: lorentzian_purity_product(_DIST, [np.inf]),
     "lorentzian_purity": lambda: lorentzian_purity(_STATE, [np.inf]),
     "lorentzian_purity array": lambda: lorentzian_purity(_STATE, [1.0, np.inf]),
+    "lorentzian_state array": lambda: lorentzian_state(_STATE, np.array([0.0, np.inf])),
     "snapshot_subspace": lambda: snapshot_subspace(_STATE, 3, np.inf),
     "max_gaps_in_window": lambda: max_gaps_in_window(_SPEC.levels, np.inf),
     "gap_counting_terms": lambda: gap_counting_terms(_STATE, np.inf),
@@ -136,14 +137,16 @@ def test_huge_finite_lorentzian_window_gives_the_dephased_limit(kind):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: dephased_purity_bound(_DIST, 0.0),   # was a ZeroDivisionError
-    lambda: dephased_purity_bound(_DIST, np.array([1.0, -1.0])),
+    lambda: window_purity_bound(0.5, 0.0),
+    lambda: window_purity_bound(np.array([0.5, -0.5]), 2.0),
     lambda: max_window_probability(_DIST, np.array([0.5, 0.0])),
     lambda: TimeGrid(1.0, np.inf),    # was an OverflowError
     lambda: TimeGrid(1.0, -1.0),
+    lambda: TimeGrid(np.array([1.0, 0.0, 3.0]), 1.0),
     lambda: n_outcome_fast_bound(_DIST, [3, 3], 0.0),   # was a ZeroDivisionError
-], ids=["dephased-zero", "dephased-array-negative",
-        "scan-array-zero", "grid-inf-gap", "grid-negative-gap", "n-outcome-zero"])
+], ids=["cap-zero-delta", "cap-array-negative-eta",
+        "scan-array-zero", "grid-inf-gap", "grid-negative-gap", "grid-array-zero",
+        "n-outcome-zero"])
 def test_nonpositive_or_infinite_window_inputs_raise_value_error(call):
     with pytest.raises(ValueError):
         call()
@@ -209,7 +212,7 @@ class TestFastBound:
         assert abs(population_term_bound(flat_dist, 1, 1.0) - 5.98) <= 0.01
 
     def test_holds_on_oscillator_scenario(self):
-        state = harmonic_oscillator_1d(50)
+        state = harmonic_oscillator_1d(50, 1.0)
         spec = state.spectrum
         dist = level_distribution(state)
         sigma = energy_moments(dist).std

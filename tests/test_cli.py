@@ -51,8 +51,20 @@ def test_slow_scaled_down(tmp_path):
     assert code == 0
     summary = json.loads((out / "slow_summary.json").read_text())
     assert summary["min_window_value"] >= summary["floor"]
+    assert summary["floor"] > 0 and summary["floor_informative"] is True
     header = (out / "slow.csv").read_text().splitlines()[1]
     assert header == "t,D,running_avg,bound"
+
+
+def test_slow_summary_says_when_the_floor_is_vacuous(tmp_path):
+    # at epsilon = 3 the guaranteed floor 1 - eps^2 - sqrt(K / d_eff) is
+    # about -8.3: window_floor holds, but says nothing
+    out = tmp_path / "slow"
+    assert _run(["slow", "--out", str(out), "--set", "epsilon=3",
+                 "--set", "dim=256"]) == 0
+    summary = json.loads((out / "slow_summary.json").read_text())
+    assert summary["floor"] < 0 and summary["min_window_value"] >= summary["floor"]
+    assert summary["floor_informative"] is False
 
 
 def test_gaussian_run_and_failure_exit(tmp_path):

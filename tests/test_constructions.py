@@ -20,7 +20,7 @@ from helpers import (brute_eta, d_eff_of, dense, distinguishability_series, over
 
 @pytest.fixture(scope="module")
 def scenario():
-    return harmonic_oscillator_1d(50)
+    return harmonic_oscillator_1d(50, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +72,8 @@ class TestHarmonicOscillator1D:
         assert avg <= 0.2 * values[0]
 
     def test_rejects_single_level(self):
-        with pytest.raises(ValueError):
-            harmonic_oscillator_1d(1)
+        with pytest.raises(ValueError, match="at least two levels"):
+            harmonic_oscillator_1d(1, 1.0)
 
 
 class TestHarmonicOscillator3D:
@@ -122,8 +122,8 @@ class TestGaussianScenario:
         assert abs(center) < 0.01
 
     def test_rejects_sparse_discretization(self):
-        with pytest.raises(ValueError):
-            gaussian_scenario(50)
+        with pytest.raises(ValueError, match="at least 100 levels"):
+            gaussian_scenario(50, 1.0, 8.0)
 
 
 class TestRandomScenario:

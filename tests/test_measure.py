@@ -646,7 +646,7 @@ BLOCK_PERIODIC = (np.cumsum(np.random.default_rng(5).uniform(1.0, 2.0, 47))[:, N
     (np.linspace(0.0, 1e-310, 9), 3),
 ])
 def test_even_grids_take_blocks_of_ceil_sqrt_n(times, m):
-    assert measure._evenly_spaced(times)
+    assert measure._evenly_spaced([times])
     [[(_, _, piece, got)]] = measure._plan_chunks([times], 4)
     assert piece.size == times.size and got == m
 
@@ -654,7 +654,7 @@ def test_even_grids_take_blocks_of_ceil_sqrt_n(times, m):
 @settings(max_examples=300, deadline=None)
 @given(t0=st.floats(-1e12, 1e12), span=_spans(1e12), n=st.integers(0, 5000))
 def test_linspace_grids_are_evenly_spaced(t0, span, n):
-    assert measure._evenly_spaced(np.linspace(t0, t0 + span, n))
+    assert measure._evenly_spaced([np.linspace(t0, t0 + span, n)])
 
 
 @pytest.mark.parametrize("times", [
@@ -667,13 +667,21 @@ def test_linspace_grids_are_evenly_spaced(t0, span, n):
     np.linspace(0.0, 1e-310, 40),
 ])
 def test_series_rejects_uneven_grids(spec, times):
-    assert not measure._evenly_spaced(times)
+    assert not measure._evenly_spaced([times])
     p = Projector.from_factor(_haar_frame(np.random.default_rng(6), 5, 2))
     state = random_pure(np.random.default_rng(6), spec)
     with pytest.raises(ValueError, match="evenly spaced"):
         expectation_series(p, state, times)
     with pytest.raises(ValueError, match="evenly spaced"):
         grid_series([p, p.complement()], state, [np.linspace(0.0, 1.0, 5), times])
+    # one uneven grid among even ones, checked in the same pass as theirs
+    even = [np.linspace(0.0, 1.0, 5), np.array([]), TimeGrid(3.0, 2.0).times,
+            np.array([7.5]), np.linspace(-4.0, 9.0, 130)]
+    assert measure._evenly_spaced(even)
+    for at in range(len(even) + 1):
+        assert not measure._evenly_spaced([*even[:at], times, *even[at:]])
+    with pytest.raises(ValueError, match="evenly spaced"):
+        grid_series(p, state, [*even[:2], times, *even[2:]])
 
 
 def test_uneven_grid_is_rejected_before_anything_of_its_size():
@@ -775,7 +783,7 @@ def test_slow_grids_take_the_nufft():
     # jittered, the long grid is no grid at all; decreasing, it takes the
     # block path
     jittered = grids[1] + np.random.default_rng(3).uniform(-1e-9, 1e-9, grids[1].size)
-    assert not measure._evenly_spaced(jittered)
+    assert not measure._evenly_spaced([jittered])
     assert measure._nufft_size(scen.spectrum.levels, grids[1][::-1]) == 0
 
 
