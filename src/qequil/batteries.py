@@ -1,14 +1,17 @@
 """Seeded trial batteries and the experiments behind the command line.
 
-Each battery is deterministic given its seed and returns a list of row
-dictionaries, each with a ``holds`` verdict; a row that does not hold is a
-violation, and none is the expected verdict.
+A table is a dict of equal-length columns, in the order they are written:
+a numpy array for numbers and for the ``holds`` verdicts, a list for
+strings. No row is held as a dict. Each battery is deterministic given its
+seed and returns its table (or tables), one row per check with its
+``holds`` verdict; a row that does not hold is a violation, and none is the
+expected verdict.
 
 Each experiment (``run_figure3`` ... ``run_spectrum_info``) takes a config
-dict and returns an :class:`ExperimentResult`: its tables (file name to CSV
-rows or a JSON payload), a summary and every check it made, as named records
-that carry ``holds``. Experiments write no files; the CLI stamps and writes
-what they return.
+dict and returns an :class:`ExperimentResult`: its tables (a ``.csv`` file
+name to a table, a ``.json`` one to a payload), a summary and every check it
+made, as :class:`Checks`. Experiments write no files; the CLI stamps and
+writes what they return.
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ from .states import (QuantumState, complex_in, dephase, effective_dimension,
                      energy_moments, evolve, level_distribution, load_state)
 
 __all__ = [
+    "Checks",
     "ExperimentResult",
     "fast_equilibration_battery",
     "gap_counting_battery",
@@ -49,6 +53,7 @@ __all__ = [
     "run_haar",
     "run_eta",
     "run_spectrum_info",
+    "table_length",
 ]
 
 PURITY_DUAL_PATH_TOL = 1e-12
@@ -61,6 +66,9 @@ PURITY_CHAIN_DELTAS = (0.5, 1.0, 2.0, 4.0)
 GAP_COUNTING_EPS_FACTORS = (0.1, 1.0, 10.0)
 GAP_COUNTING_WINDOWS = 6
 HAAR_STDERR_SIGMAS = 3.0
+# The purity chain's cap columns: one per fixed width, then the matched one.
+PURITY_CAP_COLUMNS = (*(f"bound_delta_{delta:g}" for delta in PURITY_CHAIN_DELTAS),
+                      "bound_delta_matched")
 
 
 def _check_count(name: str, value: int, least: int = 1):
@@ -70,21 +78,69 @@ def _check_count(name: str, value: int, least: int = 1):
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def table_length(table) -> int:
+    """The number of rows of ``table``, a dict of equal-length columns, each
+    a list or a 1-D numpy array; anything else raises ``ValueError``."""
+    if not isinstance(table, dict) or not all(
+            isinstance(column, list) or (isinstance(column, np.ndarray) and column.ndim == 1)
+            for column in table.values()):
+        raise ValueError("a table must be a dict of columns, each a list or a 1-D array, "
+                         f"got {type(table).__name__}")
+    lengths = {name: len(column) for name, column in table.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"table columns differ in length: {lengths}")
+    return next(iter(lengths.values()), 0)
+
+
+def _table_row(table: dict, index: int) -> dict:
+    """Row ``index`` of ``table`` as a record of Python scalars."""
+    return {name: column[index].item() if isinstance(column, np.ndarray) else column[index]
+            for name, column in table.items()}
+
+
+class Checks:
+    """Every check an experiment made, as ``(name, record)`` pairs whose
+    record carries ``holds``: first ``records``, listed one by one, then one
+    per row of each ``(name, table)`` of ``tables``, whose record is that
+    row. A row's record is built only when it is read; :meth:`failures`
+    reads each table's ``holds`` column and builds the failing rows alone."""
+
+    def __init__(self, records=(), tables=()):
+        self.records = list(records)
+        self.tables = list(tables)
+
+    def __len__(self) -> int:
+        return len(self.records) + sum(table_length(table) for _, table in self.tables)
+
+    def __iter__(self):
+        yield from self.records
+        for name, table in self.tables:
+            for index in range(table_length(table)):
+                yield name, _table_row(table, index)
+
+    def failures(self) -> list:
+        """One record per check that did not hold, named by its ``check``."""
+        failed = [{"check": name, **record} for name, record in self.records
+                  if not record["holds"]]
+        for name, table in self.tables:
+            failed += [{"check": name, **_table_row(table, index)}
+                       for index in np.flatnonzero(np.logical_not(table["holds"]))]
+        return failed
+
+
 class ExperimentResult(NamedTuple):
-    """What an experiment returns: ``tables`` maps a file name to CSV rows (a
-    list of dicts) or to a JSON payload (a dict); ``checks`` lists every
-    check made as a ``(name, record)`` pair, each record with its ``holds``
-    verdict."""
+    """What an experiment returns: ``tables`` maps a ``.csv`` file name to a
+    table and a ``.json`` one to a JSON payload (a dict); ``checks`` holds
+    every check made."""
 
     tables: dict
     summary: dict
-    checks: list
+    checks: Checks
 
     @property
     def failures(self) -> list:
         """One record per check that did not hold, named by its ``check``."""
-        return [{"check": name, **record} for name, record in self.checks
-                if not record["holds"]]
+        return self.checks.failures()
 
 
 def _random_trial_scenario(rng) -> tuple:
@@ -131,17 +187,28 @@ def _random_state(rng, spec) -> QuantumState:
 
 
 def fast_equilibration_battery(seed: int, trials: int, t_points: int, max_rank: int,
-                               slack: float) -> list:
+                               slack: float) -> dict:
     """Randomized sweep of the two-outcome fast-equilibration bound, with the
     Lorentzian-purity chain checked at every grid point along the way. Each
     trial takes its windows as one sweep: one window scan for every eta and
     every cap, one :class:`TimeGrid` of all its windows, one series call and
     one time average over it; only the matrix path of the purity runs window
-    by window."""
+    by window. Returns the tables ``fast_equilibration`` (the bound) and
+    ``purity_chain``, each with one row per trial and window, their columns
+    allocated for every trial up front and filled a trial's slice at a
+    time."""
     _check_count("trials", trials)
     _check_count("t_points", t_points)
     _check_count("max_rank", max_rank)
-    rows = []
+    size = trials * t_points
+    fast = {"name": ["fast_equilibration"] * size, "T": np.empty(size),
+            "eps": np.empty(size), "K": np.empty(size, dtype=int),
+            "value": np.empty(size), "measured": np.empty(size),
+            "holds": np.empty(size, dtype=bool), "battery": ["fast_equilibration"] * size,
+            "trial": np.repeat(np.arange(trials), t_points), "label": [""] * size,
+            "d": np.empty(size, dtype=int), "levels": np.empty(size, dtype=int),
+            "eta": np.empty(size), "refinement_error": np.empty(size)}
+    chain = _purity_chain_table(fast["trial"], fast["T"])
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         state, label = _random_trial_scenario(rng)
@@ -162,48 +229,58 @@ def fast_equilibration_battery(seed: int, trials: int, t_points: int, max_rank: 
             [1.0 / t_grid, deltas / (2.0 * t_grid[:, None])]))
         etas = scan[:, 0]
         bounds = bounds_mod.fast_equilibration_bound(etas, rank)
-        chain_rows = _purity_chain_rows(
-            state, dist, t_grid, bounds_mod.window_purity_bound(scan[:, 1:], deltas), trial)
         grid = TimeGrid(t_grid, spec.span)
         series = grid_series(proj, state, grid.split(grid.times))
         avg = time_average(np.abs(np.concatenate(series) - p_omega), grid)
-        for window, measured, error, eta, bound, chain_row in zip(
-                t_grid, avg.value.tolist(), avg.refinement_error.tolist(), etas, bounds,
-                chain_rows):
-            row = {"name": "fast_equilibration", "T": float(window), "eps": 1.0 / window,
-                   "K": rank, "value": bound, "measured": measured,
-                   "holds": measured <= bound + slack, "battery": "fast_equilibration",
-                   "trial": trial, "label": label, "d": d,
-                   "levels": spec.num_levels, "eta": float(eta),
-                   "refinement_error": error}
-            rows += [row, chain_row]
-    return rows
+        rows = slice(trial * t_points, (trial + 1) * t_points)
+        fast["T"][rows] = t_grid
+        fast["eps"][rows] = 1.0 / t_grid
+        fast["K"][rows] = rank
+        fast["value"][rows] = bounds
+        fast["measured"][rows] = avg.value
+        fast["holds"][rows] = avg.value <= bounds + slack
+        fast["label"][rows] = [label] * t_points
+        fast["d"][rows] = d
+        fast["levels"][rows] = spec.num_levels
+        fast["eta"][rows] = etas
+        fast["refinement_error"][rows] = avg.refinement_error
+        _fill_purity_chain(chain, rows, state, dist, t_grid,
+                           bounds_mod.window_purity_bound(scan[:, 1:], deltas))
+    return {"fast_equilibration": fast, "purity_chain": chain}
 
 
-def _purity_chain_rows(state, dist, windows, caps, trial) -> list:
-    """One purity-chain row per window: the exact Lorentzian purity against
-    its matrix path, its product bound and the window-probability ``caps``
-    at every width delta, one row of them per window (the fixed ones, then
-    ``bound_delta_matched``, the one matched to sigma_E)."""
-    exact = lorentzian_purity(state, windows).tolist()
-    products = lorentzian_purity_product(dist, windows).tolist()
-    names = [f"bound_delta_{delta:g}" for delta in PURITY_CHAIN_DELTAS]
-    names.append("bound_delta_matched")
-    rows = []
-    for window, purity, product, row_caps, damped in zip(
-            windows, exact, products, caps, lorentzian_state(state, windows)):
-        matrix_path = float(np.vdot(damped, damped).real)
-        agreement = abs(purity - matrix_path)
-        row = {"battery": "purity_chain", "trial": trial, "T": float(window),
-               "purity_exact": purity, "purity_matrix": matrix_path,
-               "agreement": agreement, "product_bound": product}
-        ok = agreement <= PURITY_DUAL_PATH_TOL and purity <= product + 1e-12
-        for name, cap in zip(names, row_caps):
-            row[name] = cap
-            ok = ok and purity <= cap + 1e-12
-        row["holds"] = ok
-        rows.append(row)
-    return rows
+def _purity_chain_table(trials: np.ndarray, windows: np.ndarray) -> dict:
+    """Unfilled purity-chain columns beside the given trial and window
+    columns: the exact Lorentzian purity against its matrix path, its
+    product bound and the window-probability caps at every width delta (the
+    fixed ones, then ``bound_delta_matched``, the one matched to sigma_E)."""
+    size = windows.size
+    table = {"battery": ["purity_chain"] * size, "trial": trials, "T": windows}
+    for name in ("purity_exact", "purity_matrix", "agreement", "product_bound",
+                 *PURITY_CAP_COLUMNS):
+        table[name] = np.empty(size)
+    table["holds"] = np.empty(size, dtype=bool)
+    return table
+
+
+def _fill_purity_chain(table: dict, rows: slice, state, dist, windows, caps) -> None:
+    """The purity chain of one trial's ``windows`` into ``rows`` of
+    ``table``, with ``caps`` the window-probability caps, one row of them
+    per window."""
+    exact = lorentzian_purity(state, windows)
+    products = lorentzian_purity_product(dist, windows)
+    matrix_path = np.array([np.vdot(damped, damped).real
+                            for damped in lorentzian_state(state, windows)])
+    agreement = np.abs(exact - matrix_path)
+    table["purity_exact"][rows] = exact
+    table["purity_matrix"][rows] = matrix_path
+    table["agreement"][rows] = agreement
+    table["product_bound"][rows] = products
+    for name, cap in zip(PURITY_CAP_COLUMNS, caps.T):
+        table[name][rows] = cap
+    table["holds"][rows] = ((agreement <= PURITY_DUAL_PATH_TOL)
+                            & (exact <= products + 1e-12)
+                            & np.all(exact[:, None] <= caps + 1e-12, axis=1))
 
 
 def gap_counting_scenario(seed: int, dim: int):
@@ -217,11 +294,11 @@ def gap_counting_scenario(seed: int, dim: int):
     return state, proj
 
 
-def gap_counting_battery(seed: int, dim: int) -> list:
+def gap_counting_battery(seed: int, dim: int) -> dict:
     """Gap-counting bound checks on a dense random-matrix scenario, for both
-    the expectation and distinguishability forms."""
+    the expectation and distinguishability forms: a table with one row per
+    window, width and form, in that order."""
     _check_count("dim", dim, 2)
-    rows = []
     state, proj = gap_counting_scenario(seed, dim)
     sigma = energy_moments(level_distribution(state)).std
     meas = two_outcome(proj)
@@ -232,31 +309,46 @@ def gap_counting_battery(seed: int, dim: int) -> list:
     # one stacked call: row 0 is P's own series, and {P, 1 - P} share its factor
     stack = np.concatenate(grid_series(meas.projectors, state, grid.split(grid.times)),
                            axis=1)
-    sq_avgs = time_average((stack[0] - p_omega[0]) ** 2, grid).value.tolist()
-    d_avgs = time_average(series_distinguishability(stack, p_omega), grid).value.tolist()
+    sq_avgs = time_average((stack[0] - p_omega[0]) ** 2, grid).value
+    d_avgs = time_average(series_distinguishability(stack, p_omega), grid).value
     widths = [factor * sigma for factor in GAP_COUNTING_EPS_FACTORS]
     terms = [bounds_mod.gap_counting_terms(state, eps) for eps in widths]
-    for window, sq_avg, d_avg in zip(windows, sq_avgs, d_avgs):
-        for eps, (n_eps, d_eff) in zip(widths, terms):
-            for name, measured, value in (
-                    ("general_expectation", sq_avg,
-                     bounds_mod.general_expectation_bound(n_eps, d_eff, eps, window)),
-                    ("general_distinguishability", d_avg,
-                     bounds_mod.general_distinguishability_bound(n_eps, d_eff, 2, eps,
-                                                                 window))):
-                rows.append({
-                    "name": name, "T": float(window), "eps": float(eps), "K": proj.rank,
-                    "value": value, "measured": measured,
-                    "holds": measured <= value + 1e-3, "battery": "gap_counting",
-                    "d": dim, "N_eps": n_eps, "informative": value < 1.0})
-    return rows
+    values = np.array([
+        bound for window in windows for eps, (n_eps, d_eff) in zip(widths, terms)
+        for bound in (bounds_mod.general_expectation_bound(n_eps, d_eff, eps, window),
+                      bounds_mod.general_distinguishability_bound(n_eps, d_eff, 2, eps,
+                                                                  window))])
+    measured = np.tile(np.column_stack([sq_avgs, d_avgs]), len(widths)).ravel()
+    per_window = 2 * len(widths)
+    size = per_window * windows.size
+    return {"name": ["general_expectation", "general_distinguishability"] * (size // 2),
+            "T": np.repeat(windows, per_window),
+            "eps": np.tile(np.repeat(widths, 2), windows.size),
+            "K": np.full(size, proj.rank), "value": values, "measured": measured,
+            "holds": measured <= values + 1e-3, "battery": ["gap_counting"] * size,
+            "d": np.full(size, dim),
+            "N_eps": np.tile(np.repeat([n_eps for n_eps, _ in terms], 2), windows.size),
+            "informative": values < 1.0}
 
 
-def haar_battery(seed: int, scenarios: int, samples: int) -> list:
+HAAR_BATTERY_CHECKS = ("typical_two_outcome", "constrained_two_outcome",
+                       "typical_n_outcome", "constrained_n_outcome")
+
+
+def haar_battery(seed: int, scenarios: int, samples: int) -> dict:
     """Monte Carlo sweep of all four Haar-ensemble bounds (two-outcome and
-    N-outcome, unconstrained and initial-state-constrained)."""
+    N-outcome, unconstrained and initial-state-constrained): a table with one
+    row per scenario and check."""
     _check_count("scenarios", scenarios)
-    rows = []
+    per_scenario = len(HAAR_BATTERY_CHECKS)
+    size = per_scenario * scenarios
+    table = {"name": list(HAAR_BATTERY_CHECKS) * scenarios, "T": np.empty(size),
+             "K": np.empty(size, dtype=int), "value": np.empty(size),
+             "measured": np.empty(size), "holds": np.empty(size, dtype=bool),
+             "battery": ["haar"] * size,
+             "scenario": np.repeat(np.arange(scenarios), per_scenario),
+             "d": np.empty(size, dtype=int), "N": np.empty(size, dtype=int),
+             "mc_stderr": np.empty(size)}
     for idx in range(scenarios):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x44A, idx]))
         d = int(rng.integers(8, 25))
@@ -270,27 +362,31 @@ def haar_battery(seed: int, scenarios: int, samples: int) -> list:
         seeds = [int(x) for x in rng.integers(0, 2 ** 62, size=4)]
         ranks = _random_partition(rng, d, outcomes)
         ranks_c = _random_partition(rng, d - 1, outcomes)
-        # (name, excluded vector, rank partition of the sample space, cap);
-        # an excluded initial state sits inside outcome 0
+        # (excluded vector, rank partition of the sample space, cap) of each
+        # check; an excluded initial state sits inside outcome 0
         checks = [
-            ("typical_two_outcome", None, [rank, d - rank],
-             typical_distinguishability_bound(rank, d)),
-            ("constrained_two_outcome", state0.amplitudes, [rank - 1, d - rank],
+            (None, [rank, d - rank], typical_distinguishability_bound(rank, d)),
+            (state0.amplitudes, [rank - 1, d - rank],
              constrained_mean_bound(state0, state_t, omega, rank)),
-            ("typical_n_outcome", None, ranks,
+            (None, ranks,
              min(n_outcome_typical_bound(ranks, d), n_outcome_typical_cap(outcomes, d))),
-            ("constrained_n_outcome", state0.amplitudes, ranks_c,
+            (state0.amplitudes, ranks_c,
              n_outcome_constrained_bound(state0, state_t, omega, len(ranks_c))),
         ]
-        for (name, excluded, part, cap), sampler_seed in zip(checks, seeds):
+        rows = slice(idx * per_scenario, (idx + 1) * per_scenario)
+        table["T"][rows] = t
+        table["K"][rows] = rank
+        table["d"][rows] = d
+        table["N"][rows] = outcomes
+        for row, ((excluded, part, cap), sampler_seed) in enumerate(zip(checks, seeds),
+                                                                    rows.start):
             sampler = HaarSampler(sampler_seed, d, excluded_vector=excluded)
-            mean, stderr = mc_mean_stderr(
+            table["value"][row] = cap
+            table["measured"][row], table["mc_stderr"][row] = mc_mean_stderr(
                 mc_distinguishabilities(state_t, omega, part, sampler, samples))
-            rows.append({"name": name, "T": t, "K": rank, "value": cap, "measured": mean,
-                         "holds": mean <= cap + HAAR_STDERR_SIGMAS * stderr,
-                         "battery": "haar", "scenario": idx, "d": d, "N": outcomes,
-                         "mc_stderr": stderr})
-    return rows
+    table["holds"][:] = table["measured"] <= (table["value"]
+                                              + HAAR_STDERR_SIGMAS * table["mc_stderr"])
+    return table
 
 
 def _random_partition(rng, total: int, parts: int):
@@ -302,10 +398,10 @@ def _random_partition(rng, total: int, parts: int):
     return [int(b - a) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _series_rows(times, values, **constant) -> list:
-    """CSV rows t, D, running_avg of a series, then any constant columns."""
-    return [{"t": t, "D": v, "running_avg": r, **constant}
-            for t, v, r in zip(times, values, running_average(times, values))]
+def _series_table(times, values, **constant) -> dict:
+    """Columns t, D, running_avg of a series, then any constant columns."""
+    return {"t": times, "D": values, "running_avg": running_average(times, values),
+            **{name: np.full(times.size, value) for name, value in constant.items()}}
 
 
 def _initial_projector_series(state: QuantumState, times) -> np.ndarray:
@@ -325,19 +421,19 @@ def run_figure3(config: dict) -> ExperimentResult:
     _check_count("samples", samples)
     times = np.linspace(0.0, 2.0 * np.pi / spacing, samples)
     values = _initial_projector_series(state, times)
-    rows = _series_rows(times, values)
+    table = _series_table(times, values)
 
     # same populations with seeded random phases; the averaged curve should
     # not care about them
     rng = np.random.default_rng(np.random.SeedSequence(int(config["phase_seed"])))
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, levels))
     rand_state = QuantumState.pure(state.spectrum, state.amplitudes * phases)
-    rand_rows = _series_rows(times, _initial_projector_series(rand_state, times))
+    rand_table = _series_table(times, _initial_projector_series(rand_state, times))
 
     d0 = float(values[0])
     revival_gap = float(abs(values[-1] - values[0]))
-    avg_at_period = float(rows[-1]["running_avg"])
-    rand_avg = float(rand_rows[-1]["running_avg"])
+    avg_at_period = float(table["running_avg"][-1])
+    rand_avg = float(rand_table["running_avg"][-1])
     expected_d0 = 1.0 - 1.0 / levels
     checks = [
         ("initial_distinguishability", {"value": d0, "expected": expected_d0,
@@ -350,8 +446,8 @@ def run_figure3(config: dict) -> ExperimentResult:
                "revival_gap": revival_gap, "average_at_revival": avg_at_period,
                "average_at_revival_random_phase": rand_avg,
                "phase_insensitivity_gap": abs(avg_at_period - rand_avg)}
-    tables = {"figure3.csv": rows, "figure3_random_phase.csv": rand_rows}
-    return ExperimentResult(tables, summary, checks)
+    tables = {"figure3.csv": table, "figure3_random_phase.csv": rand_table}
+    return ExperimentResult(tables, summary, Checks(checks))
 
 
 def run_bounds(config: dict) -> ExperimentResult:
@@ -359,17 +455,17 @@ def run_bounds(config: dict) -> ExperimentResult:
     and the gap-counting bounds."""
     _check_count("gap_counting_dim", int(config["gap_counting_dim"]), 2)
     seed = int(config["seed"])
-    rows = fast_equilibration_battery(seed, trials=int(config["trials"]),
-                                      t_points=int(config["t_points"]),
-                                      max_rank=int(config["max_rank"]),
-                                      slack=float(config["slack"]))
-    rows += gap_counting_battery(seed, dim=int(config["gap_counting_dim"]))
-    tables = {}
-    for row in rows:
-        tables.setdefault(f"{row['battery']}_trials.csv", []).append(row)
-    summary = {"trials": int(config["trials"]), "rows": len(rows),
-               "violations": sum(not row["holds"] for row in rows)}
-    return ExperimentResult(tables, summary, [(row["battery"], row) for row in rows])
+    battery_tables = fast_equilibration_battery(seed, trials=int(config["trials"]),
+                                                t_points=int(config["t_points"]),
+                                                max_rank=int(config["max_rank"]),
+                                                slack=float(config["slack"]))
+    battery_tables["gap_counting"] = gap_counting_battery(
+        seed, dim=int(config["gap_counting_dim"]))
+    checks = Checks(tables=battery_tables.items())
+    summary = {"trials": int(config["trials"]), "rows": len(checks),
+               "violations": len(checks.failures())}
+    tables = {f"{name}_trials.csv": table for name, table in battery_tables.items()}
+    return ExperimentResult(tables, summary, checks)
 
 
 def run_slow(config: dict) -> ExperimentResult:
@@ -394,8 +490,8 @@ def run_slow(config: dict) -> ExperimentResult:
                "long_time_average": rep.long_time_average,
                "floor_informative": rep.floor > 0,
                "ceiling": rep.ceiling, "refinement_holds": rep.refinement_holds}
-    rows = _series_rows(rep.times, rep.values, bound=rep.floor)
-    return ExperimentResult({"slow.csv": rows}, summary, rep.checks)
+    table = _series_table(rep.times, rep.values, bound=rep.floor)
+    return ExperimentResult({"slow.csv": table}, summary, Checks(rep.checks))
 
 
 def run_gaussian(config: dict) -> ExperimentResult:
@@ -411,32 +507,31 @@ def run_gaussian(config: dict) -> ExperimentResult:
                                                 float(config["span"])))
     sigma = energy_moments(dist).std
     limit_coeff = float(config["eta_limit_coeff"])
-    windows = [float(st) / sigma for st in grid]
-    purities = lorentzian_purity_product(dist, windows).tolist()
-    rows = []
+    sigma_t = np.array(grid, dtype=float)
+    windows = sigma_t / sigma
+    scans = [max_window_probability_window(dist, 1.0 / window) for window in windows]
+    eta = np.array([eta for eta, _ in scans])
+    product = eta * sigma * windows
+    exact = np.array([bounds_mod.gaussian_purity_exact(sigma, w) for w in windows])
+    asym = np.array([bounds_mod.gaussian_purity_asymptote(sigma, w) for w in windows])
+    table = {"sigma_T": sigma_t, "T": windows, "eta": eta, "eta_sigma_T": product,
+             "eta_limit": np.full(windows.size, limit_coeff),
+             "window_left": np.array([win[0] for _, win in scans]),
+             "window_right": np.array([win[1] for _, win in scans]),
+             "purity_measured": lorentzian_purity_product(dist, windows),
+             "purity_exact_form": exact, "purity_asymptote": asym,
+             "holds": product <= limit_coeff}
     checks = []
-    for st, window, measured_purity in zip(grid, windows, purities):
-        eta, win = max_window_probability_window(dist, 1.0 / window)
-        product = eta * sigma * window
-        exact = bounds_mod.gaussian_purity_exact(sigma, window)
-        asym = bounds_mod.gaussian_purity_asymptote(sigma, window)
-        row = {"sigma_T": float(st), "T": window, "eta": eta,
-               "eta_sigma_T": product, "eta_limit": limit_coeff,
-               "window_left": win[0], "window_right": win[1],
-               "purity_measured": measured_purity, "purity_exact_form": exact,
-               "purity_asymptote": asym,
-               "holds": product <= limit_coeff}
-        rows.append(row)
-        checks.append(("eta_estimate", {"sigma_T": float(st), "value": product,
-                                        "limit": limit_coeff, "holds": row["holds"]}))
-        if float(st) >= 5.0:
-            checks.append(("purity_asymptote", {"sigma_T": float(st), "exact": exact,
-                                                "asymptote": asym,
-                                                "holds": abs(exact - asym) <= 0.1 * asym}))
+    for st, value, ok, ex, asy in zip(sigma_t.tolist(), product.tolist(),
+                                      table["holds"].tolist(), exact.tolist(), asym.tolist()):
+        checks.append(("eta_estimate", {"sigma_T": st, "value": value,
+                                        "limit": limit_coeff, "holds": ok}))
+        if st >= 5.0:
+            checks.append(("purity_asymptote", {"sigma_T": st, "exact": ex, "asymptote": asy,
+                                                "holds": abs(ex - asy) <= 0.1 * asy}))
     summary = {"sigma_target": float(config["sigma"]), "sigma_measured": sigma,
-               "max_eta_sigma_T": max(r["eta_sigma_T"] for r in rows),
-               "points": len(rows)}
-    return ExperimentResult({"gaussian.csv": rows}, summary, checks)
+               "max_eta_sigma_T": max(product.tolist()), "points": windows.size}
+    return ExperimentResult({"gaussian.csv": table}, summary, Checks(checks))
 
 
 def run_haar(config: dict) -> ExperimentResult:
@@ -513,9 +608,9 @@ def run_haar(config: dict) -> ExperimentResult:
 
     battery = haar_battery(seed, int(config["battery_scenarios"]),
                            int(config["battery_samples"]))
-    checks = [*reports.items(), *(("haar_battery", row) for row in battery)]
-    summary = {"reports": len(reports), "battery_rows": len(battery),
-               "violations": sum(not record["holds"] for _, record in checks)}
+    checks = Checks(reports.items(), [("haar_battery", battery)])
+    summary = {"reports": len(reports), "battery_rows": table_length(battery),
+               "violations": len(checks.failures())}
     tables = {"haar_battery.csv": battery,
               "haar_reports.json": {"reports": reports}}
     return ExperimentResult(tables, summary, checks)
@@ -550,7 +645,7 @@ def run_eta(config: dict) -> ExperimentResult:
     summary = {"epsilon": eps, "eta": value,
                "window": [window[0], window[1]], "probs_source": source,
                "num_levels": spec.num_levels}
-    return ExperimentResult({}, summary, [])
+    return ExperimentResult({}, summary, Checks())
 
 
 def run_spectrum_info(config: dict) -> ExperimentResult:
@@ -570,4 +665,4 @@ def run_spectrum_info(config: dict) -> ExperimentResult:
         eps = float(config["epsilon"])
         summary["epsilon"] = eps
         summary["gaps_in_window"] = max_gaps_in_window(spec.levels, eps)
-    return ExperimentResult({}, summary, [])
+    return ExperimentResult({}, summary, Checks())

@@ -1,8 +1,10 @@
 """Command-line runner: parses arguments, merges and checks the config (JSON
 file, then flags), runs an experiment of :mod:`qequil.batteries` and writes
-the files it returns. Every file carries the config hash and, for a seeded
-experiment, its seed (``seed``, or ``phase_seed`` for figure3): a leading
-``#`` comment for CSV, ``_``-prefixed keys for JSON. Outputs are
+the files it returns: each ``.csv`` table from its columns, a block of rows
+at a time, and each ``.json`` payload whole. Every file carries the config
+hash and, for a seeded experiment, its seed (``seed``, or ``phase_seed``
+for figure3): a leading ``#`` comment for CSV, ``_``-prefixed keys for
+JSON. Outputs are
 byte-identical for identical configs at a fixed BLAS thread count. The exit
 code is 0 exactly when every check holds; failed checks are also written to
 ``failures.json``.
@@ -108,20 +110,31 @@ def _fmt(value):
     return str(value)
 
 
-def _write_rows_csv(path, rows, comment: str) -> None:
-    """One CSV line per row under the first row's keys; a row with other
-    keys raises ``ValueError`` rather than losing or blanking a column."""
+# Rows formatted and written at a time: enough to amortize the per-block
+# slicing, few enough that no table's cell strings are all held at once.
+CSV_BLOCK_ROWS = 256
+
+
+def _write_rows_csv(path, table, comment: str) -> None:
+    """The columns of ``table`` under their names, one CSV line per row, each
+    cell as :func:`_fmt` writes it, formatted and written a block of rows at
+    a time. A table whose columns differ in length, or anything but a table,
+    raises ``ValueError`` before the file is opened."""
+    rows = batteries.table_length(table)
+    names = list(table)
     with open(path, "w") as fh:
         fh.write(f"# {comment}\n")
-        if not rows:
+        if not names:
             return
-        cols = list(rows[0].keys())
-        fh.write(",".join(cols) + "\n")
-        for i, row in enumerate(rows):
-            if row.keys() != rows[0].keys():
-                raise ValueError(f"{path}: row {i} has keys {sorted(row)}, "
-                                 f"expected {sorted(cols)}")
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+        fh.write(",".join(names) + "\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            cells = [_cells(table[name][start:start + CSV_BLOCK_ROWS]) for name in names]
+            fh.writelines(",".join(line) + "\n" for line in zip(*cells))
+
+
+def _cells(column) -> list:
+    """The text of every cell of a block of one column."""
+    return list(map(_fmt, column.tolist() if isinstance(column, np.ndarray) else column))
 
 
 def _write_outputs(name: str, config: dict, out_dir: str,
@@ -138,7 +151,7 @@ def _write_outputs(name: str, config: dict, out_dir: str,
     stamp = {f"_{k}": v for k, v in meta.items()}
     for file_name, table in result.tables.items():
         path = os.path.join(out_dir, file_name)
-        if isinstance(table, list):
+        if file_name.endswith(".csv"):
             _write_rows_csv(path, table, comment)
         else:
             _write_json(path, {**table, **stamp})

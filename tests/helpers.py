@@ -11,16 +11,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import integrate
 
-from qequil import batteries, haar
+from qequil import batteries, cli, haar
 from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, MIN_GRID_SAMPLES,
                               lorentzian_purity, lorentzian_purity_product,
                               lorentzian_state)
 from qequil.bounds import (fast_equilibration_constant, gap_counting_terms,
+                           gaussian_purity_asymptote, gaussian_purity_exact,
                            general_distinguishability_bound, general_expectation_bound,
                            purity_chain_factor)
+from qequil.constructions import gaussian_scenario
 from qequil.measure import (PROJECTOR_TOL, Projector, _phases, expectation_series,
                             series_distinguishability, two_outcome)
-from qequil.spectra import EnergySpectrum, LevelDistribution, max_window_probability
+from qequil.spectra import (EnergySpectrum, LevelDistribution, max_window_probability,
+                            max_window_probability_window)
 from qequil.states import (TRACE_TOL, EquilibriumState, QuantumState, dephase,
                            effective_dimension, energy_moments, level_distribution,
                            purity)
@@ -488,6 +491,60 @@ def lorentzian_domination_check(f: Callable, window: float, spacing: float,
 
     limit = LORENTZIAN_DOMINATION_FACTOR * (lorentzian + tail) + slack
     return DominationReport(uniform, lorentzian, limit, tail, uniform <= limit)
+
+
+def rows(table: dict) -> list:
+    """The rows of a table (a dict of equal-length columns) as dicts of
+    Python scalars, for tests that compare rows."""
+    columns = [column.tolist() if isinstance(column, np.ndarray) else list(column)
+               for column in table.values()]
+    return [dict(zip(table, values)) for values in zip(*columns)]
+
+
+def scalar_kind(value) -> type:
+    """The Python type a cell is written as: a numpy scalar counts as the
+    Python scalar it holds."""
+    return type(value.item() if isinstance(value, np.generic) else value)
+
+
+def write_rows_csv_oracle(path, rows: list, comment: str) -> None:
+    """The per-row CSV writer that the column writer replaced: one line per
+    dict row under the first row's keys, each cell through ``cli._fmt``; a
+    row with other keys raises ``ValueError``."""
+    with open(path, "w") as fh:
+        fh.write(f"# {comment}\n")
+        if not rows:
+            return
+        cols = list(rows[0].keys())
+        fh.write(",".join(cols) + "\n")
+        for i, row in enumerate(rows):
+            if row.keys() != rows[0].keys():
+                raise ValueError(f"{path}: row {i} has keys {sorted(row)}, "
+                                 f"expected {sorted(cols)}")
+            fh.write(",".join(cli._fmt(row[c]) for c in cols) + "\n")
+
+
+def per_point_gaussian_checks(config: dict) -> list:
+    """The ``eta_estimate`` and ``purity_asymptote`` checks of
+    :func:`qequil.batteries.run_gaussian`, one grid point at a time."""
+    dist = level_distribution(gaussian_scenario(config["levels"], config["sigma"],
+                                                config["span"]))
+    sigma = energy_moments(dist).std
+    limit = float(config["eta_limit_coeff"])
+    checks = []
+    for st in config["sigma_t_grid"]:
+        window = float(st) / sigma
+        eta, _ = max_window_probability_window(dist, 1.0 / window)
+        product = eta * sigma * window
+        checks.append(("eta_estimate", {"sigma_T": float(st), "value": product,
+                                        "limit": limit, "holds": product <= limit}))
+        if float(st) >= 5.0:
+            exact = gaussian_purity_exact(sigma, window)
+            asym = gaussian_purity_asymptote(sigma, window)
+            checks.append(("purity_asymptote", {"sigma_T": float(st), "exact": exact,
+                                                "asymptote": asym,
+                                                "holds": abs(exact - asym) <= 0.1 * asym}))
+    return checks
 
 
 def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int,

@@ -20,7 +20,7 @@ from qequil.states import dephase, energy_moments, evolve, level_distribution, p
 from helpers import (all_gaps, best_epsilon, brute_eta, brute_gap_count, d_eff_of, dense,
                      dense_dephase, dense_rho, distinguishability_series,
                      matrix_from_column_traces, mixed_state, overlap, poisson_spectrum,
-                     projector_from_matrix, random_mixed, random_pure)
+                     projector_from_matrix, random_mixed, random_pure, rows)
 
 SEED = 20240811
 # The criteria certify the configuration the command line ships.
@@ -63,11 +63,11 @@ def test_criterion_2_exact_haar_formula_vs_monte_carlo(acceptance):
 
 
 def test_criterion_3_typical_measurement_caps(acceptance):
-    rows = batteries.haar_battery(HAAR["seed"], HAAR["battery_scenarios"],
-                                  HAAR["battery_samples"])
-    named = [r for r in rows
+    battery = rows(batteries.haar_battery(HAAR["seed"], HAAR["battery_scenarios"],
+                                          HAAR["battery_samples"]))
+    named = [r for r in battery
              if r["name"] in ("typical_two_outcome", "typical_n_outcome")]
-    ok = bool(named) and all(r["holds"] for r in rows)
+    ok = bool(named) and all(r["holds"] for r in battery)
 
     state = random_scenario(SEED + 16, 16)
     state_t = evolve(state, 0.9)
@@ -82,20 +82,20 @@ def test_criterion_3_typical_measurement_caps(acceptance):
 
 
 def test_criterion_4_fast_equilibration_battery(acceptance, fast_bound_report):
-    rows = [r for r in fast_bound_report if r["battery"] == "fast_equilibration"]
-    bad = [r for r in rows if not r["holds"]]
-    ok = len(rows) == BOUNDS["trials"] * BOUNDS["t_points"] and not bad
-    acceptance(4, f"two-outcome bound battery: {len(bad)}/{len(rows)} violations "
+    fast = rows(fast_bound_report["fast_equilibration"])
+    bad = [r for r in fast if not r["holds"]]
+    ok = len(fast) == BOUNDS["trials"] * BOUNDS["t_points"] and not bad
+    acceptance(4, f"two-outcome bound battery: {len(bad)}/{len(fast)} violations "
                   f"({BOUNDS['trials']} trials x {BOUNDS['t_points']} windows, "
                   f"slack {BOUNDS['slack']:g})", ok)
     assert ok, bad[:3]
 
 
 def test_criterion_5_purity_chain(acceptance, fast_bound_report):
-    rows = [r for r in fast_bound_report if r["battery"] == "purity_chain"]
-    bad = [r for r in rows if not r["holds"]]
-    worst_gap = max(r["agreement"] for r in rows)
-    ok = (len(rows) == BOUNDS["trials"] * BOUNDS["t_points"] and not bad
+    chain = rows(fast_bound_report["purity_chain"])
+    bad = [r for r in chain if not r["holds"]]
+    worst_gap = max(r["agreement"] for r in chain)
+    ok = (len(chain) == BOUNDS["trials"] * BOUNDS["t_points"] and not bad
           and worst_gap <= 1e-12)
     acceptance(5, f"Lorentzian purity chain: dual-path agreement "
                   f"{worst_gap:.1e} <= 1e-12, {len(bad)} bound violations", ok)
@@ -165,15 +165,15 @@ def test_criterion_8_slow_equilibration_scaled(acceptance):
 
 def test_criterion_9_gap_counting_bounds(acceptance):
     dim = BOUNDS["gap_counting_dim"]
-    rows = batteries.gap_counting_battery(BOUNDS["seed"], dim)
-    bad = [r for r in rows if not r["holds"]]
+    gap_rows = rows(batteries.gap_counting_battery(BOUNDS["seed"], dim))
+    bad = [r for r in gap_rows if not r["holds"]]
     # a distinct-gap spectrum admits an informative (< 1) regime once the
     # window width is optimized and the averaging window is long
     state, _ = batteries.gap_counting_scenario(BOUNDS["seed"], dim)
     sigma = energy_moments(level_distribution(state)).std
     _, optimized = best_epsilon(state, window=2000.0 / sigma)
     ok = not bad and optimized < 1.0
-    acceptance(9, f"gap-counting bounds on d={dim}: {len(bad)}/{len(rows)} "
+    acceptance(9, f"gap-counting bounds on d={dim}: {len(bad)}/{len(gap_rows)} "
                   f"violations, optimized bound {optimized:.3f} < 1", ok)
     assert ok
 

@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from qequil.batteries import (gap_counting_battery, haar_battery,
                               fast_equilibration_battery)
 from qequil.constructions import random_scenario, slow_window_check, snapshot_subspace
 
-from helpers import per_window_fast_equilibration_battery, per_window_gap_counting_battery
+from helpers import (per_window_fast_equilibration_battery, per_window_gap_counting_battery,
+                     rows, scalar_kind)
 
 SEED = 20240811
 # Eight trials at each of these seeds draw pure and mixed states on
@@ -27,23 +29,21 @@ def fast_battery(seed, trials, t_points=BOUNDS["t_points"], run=fast_equilibrati
 
 def test_trial_generator_covers_flavors():
     battery = fast_battery(SEED, 24, 2)
-    rows = [r for r in battery if r["battery"] == "fast_equilibration"]
-    labels = {r["label"].split("-")[0] for r in rows}
+    fast = rows(battery["fast_equilibration"])
+    labels = {r["label"].split("-")[0] for r in fast}
     assert "random" in labels   # ladder spectra
     assert "trial" in labels    # dense-matrix spectra or rebuilt states
-    degenerate = {r["d"] != r["levels"] for r in rows}
+    degenerate = {r["d"] != r["levels"] for r in fast}
     assert True in degenerate   # degenerate levels occur
-    assert all(r["holds"] for r in battery)
+    assert all(table["holds"].all() for table in battery.values())
 
 
 def test_purity_chain_rows_share_one_set_of_columns():
     # the sigma-matched cap used to be named after its width, which changes
     # with every window, so the CSV header kept it for the first row only
-    rows = [r for r in fast_battery(SEED, 2, 3)
-            if r["battery"] == "purity_chain"]
-    assert len(rows) == 6
-    assert all(list(r) == list(rows[0]) for r in rows)
-    caps = [k for k in rows[0] if k.startswith("bound_delta_")]
+    chain = fast_battery(SEED, 2, 3)["purity_chain"]
+    assert batteries.table_length(chain) == 6
+    caps = [k for k in chain if k.startswith("bound_delta_")]
     assert caps == [*(f"bound_delta_{d:g}" for d in batteries.PURITY_CHAIN_DELTAS),
                     "bound_delta_matched"]
 
@@ -51,7 +51,8 @@ def test_purity_chain_rows_share_one_set_of_columns():
 def test_fast_equilibration_battery_deterministic():
     a = fast_battery(3, 3, 3)
     b = fast_battery(3, 3, 3)
-    assert a == b
+    assert list(a) == list(b) == ["fast_equilibration", "purity_chain"]
+    assert all(rows(a[name]) == rows(b[name]) for name in a)
 
 
 def test_oracle_seeds_cover_every_trial_kind():
@@ -77,20 +78,27 @@ def test_oracle_seeds_cover_every_trial_kind():
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_battery_matches_per_window_oracle(seed):
-    # the battery evaluates a trial's windows together; every value, and its
-    # type, must be what the window-by-window scalar calls give, to the byte
-    # it is written with. The matrix path of the purity is the one exception:
-    # its per-index phases round apart from the entrywise phase average.
-    rows = fast_battery(seed, ORACLE_TRIALS)
+    # the battery evaluates a trial's windows together; every value, and the
+    # kind of scalar it is written as, must be what the window-by-window
+    # scalar calls give, to the byte it is written with. The matrix path of
+    # the purity is the one exception: its per-index phases round apart from
+    # the entrywise phase average.
+    tables = fast_battery(seed, ORACLE_TRIALS)
     oracle = fast_battery(seed, ORACLE_TRIALS, run=per_window_fast_equilibration_battery)
-    assert len(rows) == len(oracle) == 2 * 12 * ORACLE_TRIALS
-    for got, want in zip(rows, oracle):
-        assert list(got) == list(want)
-        loose = {"purity_matrix", "agreement"} if got["battery"] == "purity_chain" else set()
-        assert ({k: (type(v), cli._fmt(v)) for k, v in got.items() if k not in loose}
-                == {k: (type(v), cli._fmt(v)) for k, v in want.items() if k not in loose})
-        for k in loose:
-            assert abs(got[k] - want[k]) <= 1e-15
+    assert len(oracle) == 2 * 12 * ORACLE_TRIALS
+    for name, table in tables.items():
+        got_rows = rows(table)
+        want_rows = [r for r in oracle if r["battery"] == name]
+        assert len(got_rows) == len(want_rows) == 12 * ORACLE_TRIALS
+        loose = {"purity_matrix", "agreement"} if name == "purity_chain" else set()
+        for got, want in zip(got_rows, want_rows):
+            assert list(got) == list(want)
+            assert ({k: (scalar_kind(v), cli._fmt(v)) for k, v in got.items()
+                     if k not in loose}
+                    == {k: (scalar_kind(v), cli._fmt(v)) for k, v in want.items()
+                        if k not in loose})
+            for k in loose:
+                assert abs(got[k] - want[k]) <= 1e-15
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS[:2])
@@ -99,13 +107,13 @@ def test_gap_counting_battery_matches_per_window_oracle(seed, dim):
     # the battery takes every window's series from one call and N(eps) and
     # d_eff once per width; each row must be what the window-by-window calls
     # give, to the byte it is written with
-    rows = gap_counting_battery(seed, dim=dim)
+    got_rows = rows(gap_counting_battery(seed, dim=dim))
     oracle = per_window_gap_counting_battery(seed, dim=dim)
-    assert len(rows) == len(oracle) == 36
-    for got, want in zip(rows, oracle):
+    assert len(got_rows) == len(oracle) == 36
+    for got, want in zip(got_rows, oracle):
         assert list(got) == list(want)
-        assert ({k: (type(v), cli._fmt(v)) for k, v in got.items()}
-                == {k: (type(v), cli._fmt(v)) for k, v in want.items()})
+        assert ({k: (scalar_kind(v), cli._fmt(v)) for k, v in got.items()}
+                == {k: (scalar_kind(v), cli._fmt(v)) for k, v in want.items()})
 
 
 def test_empty_battery_is_rejected():
@@ -175,20 +183,20 @@ def _count_sweep_work(monkeypatch) -> dict:
 def test_each_bounds_trial_is_one_sweep(monkeypatch, trials):
     # per-window grids, series calls or scans must not creep back
     counts = _count_sweep_work(monkeypatch)
-    rows = fast_battery(SEED, trials)
-    assert len(rows) == 2 * BOUNDS["t_points"] * trials
+    tables = fast_battery(SEED, trials)
+    assert sum(map(batteries.table_length, tables.values())) == 2 * BOUNDS["t_points"] * trials
     assert counts == {"grids": trials, "series": trials, "scans": trials}
 
 
 def test_gap_counting_battery_is_one_sweep(monkeypatch):
     counts = _count_sweep_work(monkeypatch)
-    assert len(gap_counting_battery(SEED, dim=24)) == 36
+    assert batteries.table_length(gap_counting_battery(SEED, dim=24)) == 36
     assert counts == {"grids": 1, "series": 1, "scans": 0}
 
 
 def test_haar_battery_rows_and_determinism():
-    a = haar_battery(5, scenarios=4, samples=120)
-    b = haar_battery(5, scenarios=4, samples=120)
+    a = rows(haar_battery(5, scenarios=4, samples=120))
+    b = rows(haar_battery(5, scenarios=4, samples=120))
     assert a == b
     assert len(a) == 4 * 4  # four checks per scenario
     assert all(r["holds"] for r in a)
@@ -198,16 +206,16 @@ def test_constrained_n_outcome_rows_measure_every_outcome():
     # a partition of the initial state's complement into N - 1 parts once
     # gave the N = 2 rows a single outcome, the identity: 10 of these 50
     # rows read 0 with a standard error of 0
-    rows = [r for r in haar_battery(SEED, scenarios=50, samples=300)
-            if r["name"] == "constrained_n_outcome"]
-    assert len(rows) == 50
-    assert all(r["mc_stderr"] > 0 for r in rows)
+    constrained = [r for r in rows(haar_battery(SEED, scenarios=50, samples=300))
+                   if r["name"] == "constrained_n_outcome"]
+    assert len(constrained) == 50
+    assert all(r["mc_stderr"] > 0 for r in constrained)
 
 
 def test_appendix_battery_reports_vacuous_flag():
-    rows = gap_counting_battery(SEED, dim=24)
-    assert all("informative" in row for row in rows)
-    assert all(row["holds"] for row in rows)
+    table = gap_counting_battery(SEED, dim=24)
+    assert "informative" in table
+    assert table["holds"].all()
 
 
 SLOW_BATTERY_SAMPLES = 128
@@ -276,3 +284,45 @@ def test_gaussian_asymptote_check_fails_on_nan(monkeypatch):
     assert (failure["check"], failure["sigma_T"], failure["holds"]) == (
         "purity_asymptote", 10.0, False)
     assert np.isnan(failure["exact"])
+
+
+def test_bounds_result_holds_columns_not_rows():
+    """run_bounds holds at most 200 bytes per row of its result at 20 and 80
+    trials (111-135 measured; 747-753 when each row was a dict), and its traced
+    peak grows no faster than its rows."""
+    batteries.run_bounds({**BOUNDS, "trials": 1})  # lazy set-up, untraced
+    held, peaks, sizes = [], [], []
+    for trials in (20, 80):
+        tracemalloc.start()
+        try:
+            result = batteries.run_bounds({**BOUNDS, "trials": trials})
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.failures == []
+        sizes.append(len(result.checks))
+        held.append(current)
+        peaks.append(peak)
+    assert sizes == [2 * trials * BOUNDS["t_points"] + 36 for trials in (20, 80)]
+    assert all(h <= 200 * n for h, n in zip(held, sizes)), held
+    assert peaks[1] * sizes[0] <= peaks[0] * sizes[1], peaks
+
+
+def test_checks_list_records_then_table_rows():
+    # a table row's record is its row, with Python scalars; failures come
+    # from the holds columns, records first, then each table in turn
+    table = {"T": np.array([0.5, 1.5, 2.5]), "K": np.array([1, 2, 3]),
+             "label": ["a", "b", "c"], "holds": np.array([True, False, False])}
+    checks = batteries.Checks([("single", {"value": 1.0, "holds": False})],
+                              [("first", table), ("second", {"holds": np.array([False])})])
+    assert len(checks) == 5
+    listed = list(checks)
+    assert [name for name, _ in listed] == ["single", "first", "first", "first", "second"]
+    assert listed[2] == ("first", {"T": 1.5, "K": 2, "label": "b", "holds": False})
+    assert [type(v) for v in listed[2][1].values()] == [float, int, str, bool]
+    assert checks.failures() == [
+        {"check": "single", "value": 1.0, "holds": False},
+        {"check": "first", "T": 1.5, "K": 2, "label": "b", "holds": False},
+        {"check": "first", "T": 2.5, "K": 3, "label": "c", "holds": False},
+        {"check": "second", "holds": False}]
+    assert batteries.ExperimentResult({}, {}, checks).failures == checks.failures()

@@ -2,8 +2,9 @@
 series GEMMs stay under OpenBLAS's threading limit and its trial spectra
 come from eigenvalues alone. So its artifacts are the same bytes at one and
 at two OpenBLAS threads, and with two the worker thread takes no CPU time
-across ``cli.main``. Each run is a fresh interpreter, because OpenBLAS reads
-its thread count when numpy loads it."""
+across ``cli.main``. `figure3`, `gaussian` and `haar` also write the same
+bytes at both thread counts. Each run is a fresh interpreter, because
+OpenBLAS reads its thread count when numpy loads it."""
 import hashlib
 import json
 import os
@@ -40,16 +41,21 @@ print(json.dumps({"code": code, "workers": workers, "ticks": after - before}))
 """
 
 
+def _env(threads):
+    return {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def _digests(out):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+
+
 def _run_bounds(out, threads):
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", PROBE, "bounds", "--out", str(out),
                            "--set", "trials=12"],
-                          env=env, capture_output=True, text=True, timeout=120, check=True)
-    report = json.loads(proc.stdout.splitlines()[-1])
-    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-               for f in sorted(out.iterdir())}
-    return report, digests
+                          env=_env(threads), capture_output=True, text=True, timeout=120,
+                          check=True)
+    return json.loads(proc.stdout.splitlines()[-1]), _digests(out)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
@@ -61,3 +67,21 @@ def test_bounds_stays_on_one_blas_thread(tmp_path):
     assert one["code"] == two["code"] == 0
     assert len(one_digests) == 4 and one_digests == two_digests
     assert two["ticks"] <= 1
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["figure3", "--set", "levels=20", "--set", "samples=257"], 3),
+    (["gaussian"], 2),
+    (["haar", "--set", "samples=50", "--set", "battery_scenarios=3",
+      "--set", "battery_samples=50", "--set", "twirl_samples=200"], 3)],
+    ids=["figure3", "gaussian", "haar"])
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, argv, files):
+    # small sizes, gaussian at its defaults (a fraction of a second); each
+    # run must exit 0
+    digests = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "qequil.cli", *argv, "--out", str(out)],
+                       env=_env(threads), capture_output=True, timeout=120, check=True)
+        digests.append(_digests(out))
+    assert len(digests[0]) == files and digests[0] == digests[1]

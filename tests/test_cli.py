@@ -11,6 +11,9 @@ from qequil.constructions import random_scenario
 from qequil.spectra import EnergySpectrum
 from qequil.states import save_state
 
+from helpers import (per_point_gaussian_checks, per_window_fast_equilibration_battery,
+                     per_window_gap_counting_battery, write_rows_csv_oracle)
+
 
 def _run(argv):
     return main(argv)
@@ -312,21 +315,24 @@ def test_out_of_memory_stops_with_one_line(tmp_path, monkeypatch):
 
 
 def test_malformed_table_keeps_its_traceback(tmp_path, monkeypatch):
-    # rows with other keys are a fault of the experiment, not of the input
+    # columns of unequal lengths are a fault of the experiment, not of the
+    # input; the file is not started
     def mismatched(config):
-        """Two rows with different keys."""
-        return batteries.ExperimentResult({"t.csv": [{"a": 1}, {"b": 2}]}, {}, [])
+        """Two columns of different lengths."""
+        return batteries.ExperimentResult({"t.csv": {"a": [1, 3], "b": [2]}}, {},
+                                          batteries.Checks())
 
     monkeypatch.setitem(cli.RUNNERS, "figure3", mismatched)
-    with pytest.raises(ValueError, match="row 1 has keys"):
+    with pytest.raises(ValueError, match="table columns differ in length"):
         _run(["figure3", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out" / "t.csv").exists()
 
 
 def test_timeseries_csv_format(tmp_path):
-    rows = [{"t": t, "D": v, "running_avg": 0.5}
-            for t, v in [(0.0, 1.0), (0.5, 1 / 3.0), (1.0, 0.25)]]
+    table = {"t": np.array([0.0, 0.5, 1.0]), "D": np.array([1.0, 1 / 3.0, 0.25]),
+             "running_avg": np.full(3, 0.5)}
     path = tmp_path / "series.csv"
-    _write_rows_csv(path, rows, "config=abc seed=1")
+    _write_rows_csv(path, table, "config=abc seed=1")
     lines = path.read_text().splitlines()
     assert lines[0] == "# config=abc seed=1"
     assert lines[1] == "t,D,running_avg"
@@ -334,18 +340,71 @@ def test_timeseries_csv_format(tmp_path):
     assert "0.33333333333333331" in lines[3]  # 17 significant digits
 
 
-@pytest.mark.parametrize("second", [{"a": 3, "c": 4}, {"a": 3}, {"a": 3, "b": 4, "c": 5}])
-def test_rows_csv_rejects_rows_with_other_keys(tmp_path, second):
-    # a row with other keys used to lose its extra columns and blank the
-    # missing ones
-    with pytest.raises(ValueError, match="row 1 has keys"):
-        _write_rows_csv(tmp_path / "rows.csv", [{"a": 1, "b": 2}, second], "config=abc")
-
-
-def test_rows_csv_writes_reordered_keys_in_header_order(tmp_path):
+@pytest.mark.parametrize("table, message", [
+    ({"a": [1, 3], "b": [2]}, "table columns differ in length"),
+    ({"a": np.array([1.0]), "b": [2, 4], "c": ["x"]}, "table columns differ in length"),
+    ([{"a": 1, "b": 2}, {"a": 3}], "a table must be a dict of columns"),
+    ({"a": np.zeros((2, 2))}, "a table must be a dict of columns"),
+    ({"a": (1, 2)}, "a table must be a dict of columns")],
+    ids=["unequal-lists", "unequal-array-and-lists", "row-dicts", "2d-column", "tuple-column"])
+def test_rows_csv_rejects_what_is_not_a_table(tmp_path, table, message):
+    # a malformed table used to raise only after its header and first rows
+    # were on disk; it must raise before the file is opened
     path = tmp_path / "rows.csv"
-    _write_rows_csv(path, [{"a": 1, "b": 2}, {"b": 4, "a": 3}], "config=abc")
-    assert path.read_text().splitlines()[1:] == ["a,b", "1,2", "3,4"]
+    with pytest.raises(ValueError, match=message):
+        _write_rows_csv(path, table, "config=abc")
+    assert not path.exists()
+
+
+def test_rows_csv_writes_columns_in_table_order(tmp_path):
+    path = tmp_path / "rows.csv"
+    _write_rows_csv(path, {"b": [2, 4], "a": np.array([1, 3])}, "config=abc")
+    assert path.read_text().splitlines()[1:] == ["b,a", "2,1", "4,3"]
+
+
+# Floats the writer must spell as the per-row writer did: signed zeros,
+# subnormals, the ends of the range, non-finite values and 17-digit ones.
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+                  1.7976931348623157e308, float("nan"), float("inf"), float("-inf"),
+                  1 / 3.0, 0.1, 1e16, 123456789.0, 1e-5, 2.5]
+
+
+def test_rows_csv_matches_the_per_row_writer(tmp_path):
+    # 600 rows cross two block boundaries; each column is written from a
+    # numpy array and from a list of Python or numpy scalars
+    size = 600
+    floats = np.resize(np.array(AWKWARD_FLOATS), size)
+    ints = np.resize(np.array([0, -1, 7, 2 ** 62, -(2 ** 63)], dtype=np.int64), size)
+    flags = np.resize(np.array([True, False, False]), size)
+    words = [f"trial-{i}" for i in range(size)]
+    table = {"f": floats, "f_py": floats.tolist(), "f_np": list(floats),
+             "i": ints, "i_py": ints.tolist(), "i_np": list(ints),
+             "holds": flags, "holds_py": flags.tolist(), "holds_np": list(flags),
+             "label": words}
+    rows = [{name: column[i] for name, column in table.items()} for i in range(size)]
+    assert {type(rows[0][name]) for name in ("f", "f_np", "i", "i_np", "holds")} == {
+        np.float64, np.int64, np.bool_}
+    got, want = tmp_path / "columns.csv", tmp_path / "rows.csv"
+    _write_rows_csv(got, table, "config=abc seed=1")
+    write_rows_csv_oracle(want, rows, "config=abc seed=1")
+    assert got.read_bytes() == want.read_bytes()
+    lines = got.read_text().splitlines()
+    assert len(lines) == size + 2
+    assert lines[3].startswith("-0,-0,-0,-1,-1,-1,false,false,false,")
+
+
+def test_rows_csv_writes_in_blocks(tmp_path):
+    # a 200k-row table: formatting every cell at once peaks at about 20 MB
+    # of Python floats and strings; a block of rows at a time at a few kB
+    table = {"t": np.linspace(0.0, 1.0, 200_000)}
+    tracemalloc.start()
+    try:
+        _write_rows_csv(tmp_path / "big.csv", table, "config=abc")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert len((tmp_path / "big.csv").read_text().splitlines()) == 200_002
 
 
 def test_battery_violation_exits_with_typed_failures(tmp_path):
@@ -370,8 +429,9 @@ def test_experiment_returns_tables_and_writes_nothing(tmp_path, monkeypatch):
     result = batteries.run_figure3(config)
     assert list(tmp_path.iterdir()) == []
     assert set(result.tables) == {"figure3.csv", "figure3_random_phase.csv"}
-    rows = result.tables["figure3.csv"]
-    assert len(rows) == 65 and list(rows[0]) == ["t", "D", "running_avg"]
+    table = result.tables["figure3.csv"]
+    assert list(table) == ["t", "D", "running_avg"]
+    assert batteries.table_length(table) == 65
     assert result.failures == []
     assert result.summary["levels"] == 20
 
@@ -397,3 +457,57 @@ def test_spectrum_experiment_without_spectrum_stops(tmp_path):
     with pytest.raises(SystemExit, match="provide a spectrum file"):
         _run(["eta", "--out", str(out)])
     assert not out.exists()
+
+
+def _failures_json_oracle(tmp_path, experiment, config, checks):
+    """failures.json as the per-row records of ``checks``, ``(name, record)``
+    pairs, give it: ``{"check": name, **record}`` for each that does not
+    hold."""
+    meta = {"config_hash": cli._config_hash(config)}
+    if "seed" in config:
+        meta["seed"] = config["seed"]
+    failures = [{"check": name, **record} for name, record in checks if not record["holds"]]
+    path = tmp_path / "oracle.json"
+    cli._write_json(path, {"experiment": experiment, **meta, "failures": failures})
+    return path.read_bytes()
+
+
+def test_bounds_failures_match_the_per_row_records(tmp_path):
+    # a slack of -10 pulls the smaller fast-equilibration bounds below the
+    # measured values; the records built from the columns must be the
+    # per-row oracle's, byte for byte
+    out = tmp_path / "bounds"
+    assert _run(["bounds", "--out", str(out), "--set", "trials=2", "--set", "t_points=3",
+                 "--set", "slack=-10"]) == 1
+    config = {**DEFAULTS["bounds"], "trials": 2, "t_points": 3, "slack": -10}
+    oracle_rows = per_window_fast_equilibration_battery(
+        config["seed"], config["trials"], config["t_points"], config["max_rank"],
+        config["slack"])
+    oracle_rows += per_window_gap_counting_battery(config["seed"], config["gap_counting_dim"])
+    checks = [(row["battery"], row) for name in ("fast_equilibration", "purity_chain",
+                                                 "gap_counting")
+              for row in oracle_rows if row["battery"] == name]
+    written = (out / "failures.json").read_bytes()
+    assert written == _failures_json_oracle(tmp_path, "bounds", config, checks)
+    failures = json.loads(written)["failures"]
+    assert failures and {f["check"] for f in failures} == {"fast_equilibration"}
+    for record in failures:
+        assert record["holds"] is False
+        assert all(type(record[k]) is int for k in ("K", "trial", "d", "levels"))
+        assert all(type(record[k]) is float
+                   for k in ("T", "eps", "value", "measured", "eta", "refinement_error"))
+
+
+def test_gaussian_failures_match_the_per_point_records(tmp_path):
+    out = tmp_path / "gauss"
+    assert _run(["gaussian", "--out", str(out), "--set", "eta_limit_coeff=0.01",
+                 "--set", "levels=400"]) == 1
+    config = {**DEFAULTS["gaussian"], "eta_limit_coeff": 0.01, "levels": 400}
+    written = (out / "failures.json").read_bytes()
+    assert written == _failures_json_oracle(tmp_path, "gaussian", config,
+                                            per_point_gaussian_checks(config))
+    failures = json.loads(written)["failures"]
+    assert len(failures) == len(config["sigma_t_grid"])
+    assert all(f["check"] == "eta_estimate" and f["holds"] is False
+               and type(f["value"]) is float and type(f["sigma_T"]) is float
+               for f in failures)
