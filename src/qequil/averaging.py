@@ -51,13 +51,12 @@ class TimeGrid:
     under reported tolerances.
 
     ``times`` holds the windows' grids one after another: window i's times
-    are ``times[offsets[i]:offsets[i + 1]]`` (``split`` gives them as
-    views), each bit for bit ``np.linspace(0, T_i, n_i)``. The whole sweep
-    is built in one vectorized step, j * (T_i / (n_i - 1)) with the last
-    time set to T_i as linspace does (j / (n_i - 1) * T_i where that step
-    underflows to 0). A scalar window gives one grid, with ``offsets``
-    [0, n]. A window whose sample count reaches 2^53 (or overflows) is
-    rejected: no grid can hold it.
+    are ``times[offsets[i]:offsets[i + 1]]``, each bit for bit
+    ``np.linspace(0, T_i, n_i)``. The whole sweep is built in one vectorized
+    step, j * (T_i / (n_i - 1)) with the last time set to T_i as linspace
+    does (j / (n_i - 1) * T_i where that step underflows to 0). A scalar
+    window gives one grid, with ``offsets`` [0, n]. A window whose sample
+    count reaches 2^53 (or overflows) is rejected: no grid can hold it.
     """
 
     __slots__ = ("window", "times", "offsets")
@@ -93,10 +92,6 @@ class TimeGrid:
         self.window = windows if windows.ndim else window
         self.times = times
         self.offsets = offsets
-
-    def split(self, values) -> list:
-        """Views of ``values``, laid out along ``times``, one per window."""
-        return np.split(values, self.offsets[1:-1])
 
 
 class AverageResult(NamedTuple):

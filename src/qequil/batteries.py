@@ -32,8 +32,7 @@ from .haar import (HaarSampler, constrained_mean_bound, exact_mean_sq_distinguis
                    n_outcome_constrained_bound, n_outcome_typical_bound,
                    n_outcome_typical_cap, twirl_reconstruction,
                    typical_distinguishability_bound)
-from .measure import (Projector, expectation_series, grid_series,
-                      series_distinguishability, two_outcome)
+from .measure import Projector, expectation_series, series_distinguishability, two_outcome
 from .spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
                       max_window_probability, max_window_probability_window,
                       spectrum_from_hermitian)
@@ -117,6 +116,13 @@ class Checks:
         for name, table in self.tables:
             for index in range(table_length(table)):
                 yield name, _table_row(table, index)
+
+    def violations(self) -> int:
+        """How many checks did not hold, read from the records' and the
+        tables' ``holds`` without building a record."""
+        return (sum(not record["holds"] for _, record in self.records)
+                + sum(int(np.count_nonzero(np.logical_not(table["holds"])))
+                      for _, table in self.tables))
 
     def failures(self) -> list:
         """One record per check that did not hold, named by its ``check``."""
@@ -230,8 +236,7 @@ def fast_equilibration_battery(seed: int, trials: int, t_points: int, max_rank: 
         etas = scan[:, 0]
         bounds = bounds_mod.fast_equilibration_bound(etas, rank)
         grid = TimeGrid(t_grid, spec.span)
-        series = grid_series(proj, state, grid.split(grid.times))
-        avg = time_average(np.abs(np.concatenate(series) - p_omega), grid)
+        avg = time_average(np.abs(expectation_series(proj, state, grid) - p_omega), grid)
         rows = slice(trial * t_points, (trial + 1) * t_points)
         fast["T"][rows] = t_grid
         fast["eps"][rows] = 1.0 / t_grid
@@ -307,8 +312,7 @@ def gap_counting_battery(seed: int, dim: int) -> dict:
     windows = np.geomspace(1.0, 100.0, GAP_COUNTING_WINDOWS) / sigma
     grid = TimeGrid(windows, state.spectrum.span)
     # one stacked call: row 0 is P's own series, and {P, 1 - P} share its factor
-    stack = np.concatenate(grid_series(meas.projectors, state, grid.split(grid.times)),
-                           axis=1)
+    stack = expectation_series(meas.projectors, state, grid)
     sq_avgs = time_average((stack[0] - p_omega[0]) ** 2, grid).value
     d_avgs = time_average(series_distinguishability(stack, p_omega), grid).value
     widths = [factor * sigma for factor in GAP_COUNTING_EPS_FACTORS]
@@ -463,7 +467,7 @@ def run_bounds(config: dict) -> ExperimentResult:
         seed, dim=int(config["gap_counting_dim"]))
     checks = Checks(tables=battery_tables.items())
     summary = {"trials": int(config["trials"]), "rows": len(checks),
-               "violations": len(checks.failures())}
+               "violations": checks.violations()}
     tables = {f"{name}_trials.csv": table for name, table in battery_tables.items()}
     return ExperimentResult(tables, summary, checks)
 
@@ -509,15 +513,13 @@ def run_gaussian(config: dict) -> ExperimentResult:
     limit_coeff = float(config["eta_limit_coeff"])
     sigma_t = np.array(grid, dtype=float)
     windows = sigma_t / sigma
-    scans = [max_window_probability_window(dist, 1.0 / window) for window in windows]
-    eta = np.array([eta for eta, _ in scans])
+    eta, (left, right) = max_window_probability_window(dist, 1.0 / windows)
     product = eta * sigma * windows
     exact = np.array([bounds_mod.gaussian_purity_exact(sigma, w) for w in windows])
     asym = np.array([bounds_mod.gaussian_purity_asymptote(sigma, w) for w in windows])
     table = {"sigma_T": sigma_t, "T": windows, "eta": eta, "eta_sigma_T": product,
              "eta_limit": np.full(windows.size, limit_coeff),
-             "window_left": np.array([win[0] for _, win in scans]),
-             "window_right": np.array([win[1] for _, win in scans]),
+             "window_left": left, "window_right": right,
              "purity_measured": lorentzian_purity_product(dist, windows),
              "purity_exact_form": exact, "purity_asymptote": asym,
              "holds": product <= limit_coeff}
@@ -610,7 +612,7 @@ def run_haar(config: dict) -> ExperimentResult:
                            int(config["battery_samples"]))
     checks = Checks(reports.items(), [("haar_battery", battery)])
     summary = {"reports": len(reports), "battery_rows": table_length(battery),
-               "violations": len(checks.failures())}
+               "violations": checks.violations()}
     tables = {"haar_battery.csv": battery,
               "haar_reports.json": {"reports": reports}}
     return ExperimentResult(tables, summary, checks)

@@ -138,10 +138,10 @@ def _cells(column) -> list:
 
 
 def _write_outputs(name: str, config: dict, out_dir: str,
-                   result: batteries.ExperimentResult) -> None:
+                   result: batteries.ExperimentResult, failures: list) -> None:
     """Make ``out_dir`` if needed and write the result's tables, its summary
-    and, if any check failed, ``failures.json``, each stamped with the config
-    hash and the seed."""
+    and, if ``failures`` (the result's failing records) is not empty,
+    ``failures.json``, each stamped with the config hash and the seed."""
     os.makedirs(out_dir, exist_ok=True)
     meta = {"config_hash": _config_hash(config)}
     seed = config.get("seed", config.get("phase_seed"))
@@ -157,9 +157,9 @@ def _write_outputs(name: str, config: dict, out_dir: str,
             _write_json(path, {**table, **stamp})
     _write_json(os.path.join(out_dir, f"{name}_summary.json"),
                 {**result.summary, **stamp, "_experiment": name})
-    if result.failures:
+    if failures:
         _write_json(os.path.join(out_dir, "failures.json"),
-                    {"experiment": name, **meta, "failures": result.failures})
+                    {"experiment": name, **meta, "failures": failures})
 
 
 RUNNERS = {
@@ -207,12 +207,13 @@ def main(argv=None) -> int:
         result = RUNNERS[name](config)
     except (ValueError, OSError, MemoryError) as exc:  # an input it cannot read or run on
         raise SystemExit(f"{name}: {exc}") from exc
+    failures = result.failures  # each failing record is built here, once
     try:
-        _write_outputs(name, config, args.out, result)
+        _write_outputs(name, config, args.out, result, failures)
     except OSError as exc:  # an output path it cannot write; a ValueError is a fault
         raise SystemExit(f"{name}: {exc}") from exc
-    if result.failures:
-        print(f"{name}: {len(result.failures)} check(s) FAILED", file=sys.stderr)
+    if failures:
+        print(f"{name}: {len(failures)} check(s) FAILED", file=sys.stderr)
         return 1
     print(json.dumps({name: result.summary}, indent=1, sort_keys=True))
     return 0

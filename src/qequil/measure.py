@@ -4,9 +4,10 @@ Distinguishability between two states under a measurement is half the L1
 distance between the outcome probability vectors; for a two-outcome
 measurement {P, 1-P} it reduces to |tr(a P) - tr(b P)|.
 
-The time series tr(P rho_t) come from one kernel, grid_series, on evenly
-spaced grids only, with two paths: a block-factorised GEMM form, and a
-Gaussian-kernel non-uniform FFT for long grids over many levels.
+The time series tr(P rho_t) come from one kernel, expectation_series, on an
+evenly spaced grid or a TimeGrid window sweep read in place, with two paths:
+a block-factorised GEMM form, and a Gaussian-kernel non-uniform FFT for long
+grids over many levels.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import numpy.fft  # numpy 2 loads it on first use; load it with the package
 
+from .averaging import TimeGrid
 from .states import EquilibriumState, QuantumState, complex_in, complex_out
 
 __all__ = [
@@ -27,7 +29,6 @@ __all__ = [
     "two_outcome",
     "distinguishability",
     "expectation_series",
-    "grid_series",
     "series_distinguishability",
     "save_measurement",
     "load_measurement",
@@ -37,7 +38,7 @@ __all__ = [
 # orthonormalization, so the shared acceptance tolerance is looser than the
 # 1e-10 that exactly constructed projectors meet.
 PROJECTOR_TOL = 1e-8
-# Complex entries that one chunk of grid_series' phases may take (half
+# Complex entries that one chunk of expectation_series' phases may take (half
 # of this), and, separately, the coefficient rows of one group of state
 # columns (the other half). The phases need the budget to amortise their
 # block factoring over many times.
@@ -50,11 +51,11 @@ SERIES_CHUNK_ENTRIES = 4_000_000
 # second thread, and on a busy host that wait reaches milliseconds.
 _GEMM_ONE_THREAD_WORK = 2 ** 16
 # Complex entries of the start-scaled coefficient rows that one GEMM of
-# grid_series takes when one block of them reaches _GEMM_ONE_THREAD_WORK
+# expectation_series takes when one block of them reaches _GEMM_ONE_THREAD_WORK
 # (the GEMM is threaded anyway): enough rows to amortise the call, few
 # enough to stay in cache. A group still holds at least one block of rows.
 _ROW_GROUP_ENTRIES = 2 ** 16
-# A uniform grid takes grid_series' NUFFT path from 512 levels and 2^17
+# A uniform grid takes expectation_series' NUFFT path from 512 levels and 2^17
 # levels x times on: below either the block path kept up or won in the
 # crossover table of the README (few levels, or few times).
 _NUFFT_MIN_LEVELS = 512
@@ -121,37 +122,20 @@ def _phases(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evenly_spaced(grids) -> bool:
-    """Whether every grid of a list is a 1-d array of finite, evenly spaced
-    times (see grid_series), checked in one pass over all their times: the
-    drift of each time from t_0 + j dt, each grid's largest against 4 ulp of
-    its max|t|. The drift takes one array of as many floats as the grids
-    hold (one grid is read in place), so a grid is checked before anything
-    larger is formed."""
-    if not grids:
-        return True
-    if any(t.ndim != 1 for t in grids):
+def _evenly_spaced(t: np.ndarray) -> bool:
+    """Whether t is a 1-d array of finite, evenly spaced times (see
+    expectation_series). The drift takes one array of n floats, so a grid is
+    checked before anything larger is formed."""
+    if t.ndim != 1 or not np.all(np.isfinite(t)):
         return False
-    sizes = np.array([t.size for t in grids], dtype=np.int64)
-    times = grids[0] if len(grids) == 1 else np.concatenate(grids)
-    if not np.all(np.isfinite(times)):
-        return False
-    starts = (np.cumsum(sizes) - sizes)[sizes > 0]
-    sizes = sizes[sizes > 0]
-    if not sizes.size:
+    if t.size < 2:
         return True
-    limit = 4.0 * np.spacing(np.maximum.reduceat(np.abs(times), starts))
-    first = times[starts]
-    step = np.zeros(sizes.size)  # a one-time grid drifts by 0
-    np.divide(times[starts + sizes - 1] - first, sizes - 1, out=step, where=sizes > 1)
-    drift = np.arange(times.size, dtype=float)  # then each time's index in its grid
-    if sizes.size > 1:
-        drift -= np.repeat(starts.astype(float), sizes)
-        step, first = np.repeat(step, sizes), np.repeat(first, sizes)
-    drift *= step
-    drift += first
-    drift -= times
-    return bool(np.all(np.maximum.reduceat(np.abs(drift, out=drift), starts) <= limit))
+    limit = 4.0 * np.spacing(np.abs(t).max())
+    drift = np.arange(t.size, dtype=float)
+    drift *= (t[-1] - t[0]) / (t.size - 1)
+    drift += t[0]
+    drift -= t
+    return bool(np.abs(drift, out=drift).max() <= limit)
 
 
 def _row_groups(blocks: int, rows: int, levels: int, m: int):
@@ -379,13 +363,18 @@ def _nufft_series(plan: _NufftPlan, coef: np.ndarray, out: np.ndarray,
             out[times] += (pairs[::2] + pairs[1::2]) * plan.scale[times]
 
 
-def grid_series(projectors, state: QuantumState, grids) -> list:
-    """tr(P rho_t) on each of a sequence of grids, each what
-    expectation_series gives for that grid alone, bit for bit. A grid is a
-    1-d array of finite times within 4 ulp of max|t| of t_0 + j dt, dt =
-    (t_{n-1} - t_0) / (n - 1), as a linspace is (0 or 1 times pass); any
-    other grid raises ValueError. All the grids of a call are checked in one
-    vectorized pass (see _evenly_spaced).
+def expectation_series(projectors, state: QuantumState, times) -> np.ndarray:
+    """tr(P rho_t) at ``times``; for a sequence of projectors, a
+    (len, n) array with one series per projector (also for an empty one).
+
+    ``times`` is one grid or a window sweep. A grid is a 1-d array of finite
+    times within 4 ulp of max|t| of t_0 + j dt, dt = (t_{n-1} - t_0) /
+    (n - 1), as a linspace is (0 or 1 times pass); any other array raises
+    ValueError (see _evenly_spaced). A sweep is a TimeGrid: its windows'
+    grids, laid end to end in ``times.times``, are evenly spaced by
+    construction and are read in place, unchecked. The series is laid out
+    along the times either way, and each window's stretch of it is bit for
+    bit the call on that window's times alone.
 
     With rho = A A^dag, tr(V V^dag rho_t) is the sum over the columns a of A
     and the rows c = conj(V)^T a of |sum_k c_k e^{-i E_k t}|^2; c is first
@@ -402,12 +391,12 @@ def grid_series(projectors, state: QuantumState, grids) -> list:
     exponentials per level instead of n, and one GEMM of the start-scaled
     rows of a group of blocks against the (levels, m) offset phases. It is
     within 32 eps (1 + max|E| max|t|) of the direct sum. One planner serves
-    any number of grids: the pieces of all grids are packed into chunks
+    every window of a sweep: the pieces of all windows are packed into chunks
     (see _plan_chunks), and a chunk takes the offset phases of all its
     pieces in one exponential call and their start phases in another. Each
     factor forms the coefficient rows of a group of state columns once per
     chunk, and every piece runs its own GEMMs on them, so the many short
-    grids of a window sweep cost one pass, not one per grid.
+    windows of a sweep cost one pass, not one per window.
 
     NUFFT path. A type-1 non-uniform FFT with a Gaussian kernel (see
     _nufft_plan) takes O(levels 28 + n log n) per coefficient row instead
@@ -440,15 +429,20 @@ def grid_series(projectors, state: QuantumState, grids) -> list:
     A complement's series is 1 - the series of V V^dag; a rank-0 V V^dag
     has the series 0.
     """
-    grids = [np.asarray(times, dtype=float) for times in grids]
-    if not _evenly_spaced(grids):
-        raise ValueError("times must be a 1-d array of finite, evenly spaced values")
+    if isinstance(times, TimeGrid):
+        times, offsets = times.times, times.offsets
+    else:
+        times = np.asarray(times, dtype=float)
+        if not _evenly_spaced(times):
+            raise ValueError("times must be a 1-d array of finite, evenly spaced values")
+        offsets = np.array([0, times.size])
+    grids = np.split(times, offsets[1:-1])
     single = isinstance(projectors, Projector)
     stack = (projectors,) if single else tuple(projectors)
     if any(p.dim != state.factor.shape[0] for p in stack):
         raise ValueError("projectors and state have mismatched dimensions")
     factors = {id(p.factor): p.factor for p in stack}
-    values = {key: [np.zeros(t.size) for t in grids] for key in factors}
+    values = {key: np.zeros(times.size) for key in factors}
     spec = state.spectrum
     columns = np.ascontiguousarray(state.factor.T)
     sizes = [_nufft_size(spec.levels, t) for t in grids]
@@ -456,39 +450,30 @@ def grid_series(projectors, state: QuantumState, grids) -> list:
                                 spec.levels.size):
         o = np.cumsum([0, *(m for *_, m in planned)])
         r = np.cumsum([0, *(-(-t.size // m) for _, _, t, m in planned)])
-        offsets = _phases(spec.levels, np.concatenate(
+        offset_phases = _phases(spec.levels, np.concatenate(
             [t[:m] - t[0] for _, _, t, m in planned]))  # (levels, sum m)
         starts = _phases(np.concatenate([t[::m] for _, _, t, m in planned]),
                          spec.levels)  # (sum blocks, levels); t E is E t bitwise
         for key, v in factors.items():
             if v.shape[1]:  # else V V^dag = 0
                 pieces = [(slice(o[i], o[i + 1]), slice(r[i], r[i + 1]),
-                           values[key][g][first:first + t.size])
+                           values[key][offsets[g] + first:offsets[g] + first + t.size])
                           for i, (g, first, t, _) in enumerate(planned)]
-                _chunk_series(v, columns, spec.level_starts, offsets, starts, pieces)
+                _chunk_series(v, columns, spec.level_starts, offset_phases, starts,
+                              pieces)
     for g, size in enumerate(sizes):
         if size and any(v.shape[1] for v in factors.values()):
-            # one plan at a time, so memory does not grow with the grids
+            # one plan at a time, so memory does not grow with the windows
             plan = _nufft_plan(spec.levels, grids[g], size)
             work = np.empty(plan.step * size, dtype=complex)
             for key, v in factors.items():
                 if v.shape[1]:
                     for coef in _coefficient_groups(v, columns, spec.level_starts):
-                        _nufft_series(plan, coef, values[key][g], work)
-    out = []
-    for g, times in enumerate(grids):
-        series = [1.0 - values[id(p.factor)][g] if p.is_complement
-                  else values[id(p.factor)][g] for p in stack]
-        out.append(series[0] if single
-                   else np.array(series).reshape(len(stack), times.size))
-    return out
-
-
-def expectation_series(projectors, state: QuantumState, times) -> np.ndarray:
-    """tr(P rho_t) on an evenly spaced grid; for a sequence of
-    projectors, a (len, n) array with one series per projector. The one-grid
-    call of grid_series, which documents the method."""
-    return grid_series(projectors, state, [times])[0]
+                        _nufft_series(plan, coef, values[key][offsets[g]:offsets[g + 1]],
+                                      work)
+    series = [1.0 - values[id(p.factor)] if p.is_complement else values[id(p.factor)]
+              for p in stack]
+    return series[0] if single else np.array(series).reshape(len(stack), times.size)
 
 
 class Measurement:

@@ -157,9 +157,9 @@ def test_bounds_run_scans_windows_under_the_traced_names(monkeypatch):
 
 
 def _count_sweep_work(monkeypatch) -> dict:
-    """Count TimeGrid builds, grid_series calls (direct, or through
-    expectation_series) and window scans (every max_window_probability call
-    goes through spectra.max_window_probability_window)."""
+    """Count TimeGrid builds, expectation_series calls and window scans
+    (every max_window_probability call goes through
+    spectra.max_window_probability_window)."""
     counts = {"grids": 0, "series": 0, "scans": 0}
 
     def counted(key, original):
@@ -170,9 +170,9 @@ def _count_sweep_work(monkeypatch) -> dict:
 
     monkeypatch.setattr(averaging.TimeGrid, "__init__",
                         counted("grids", averaging.TimeGrid.__init__))
-    series = counted("series", measure.grid_series)
-    monkeypatch.setattr(measure, "grid_series", series)
-    monkeypatch.setattr(batteries, "grid_series", series)
+    series = counted("series", measure.expectation_series)
+    monkeypatch.setattr(measure, "expectation_series", series)
+    monkeypatch.setattr(batteries, "expectation_series", series)
     scan = counted("scans", spectra.max_window_probability_window)
     monkeypatch.setattr(spectra, "max_window_probability_window", scan)
     monkeypatch.setattr(batteries, "max_window_probability_window", scan)
@@ -326,3 +326,5 @@ def test_checks_list_records_then_table_rows():
         {"check": "first", "T": 2.5, "K": 3, "label": "c", "holds": False},
         {"check": "second", "holds": False}]
     assert batteries.ExperimentResult({}, {}, checks).failures == checks.failures()
+    assert checks.violations() == 4
+    assert batteries.Checks([("ok", {"holds": np.True_})]).violations() == 0

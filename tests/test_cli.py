@@ -423,6 +423,26 @@ def test_battery_violation_exits_with_typed_failures(tmp_path):
     assert summary["violations"] == len(failures["failures"])
 
 
+def test_failing_run_builds_each_failure_record_once(tmp_path, monkeypatch):
+    # failures.json, the exit code, the message and the summary's violations
+    # count share one list of records; none is built twice
+    builds = []
+
+    def counted(table, index):
+        builds.append(index)
+        return table_row(table, index)
+
+    table_row = batteries._table_row
+    monkeypatch.setattr(batteries, "_table_row", counted)
+    out = tmp_path / "bounds"
+    assert _run(["bounds", "--out", str(out), "--set", "trials=2", "--set", "t_points=3",
+                 "--set", "slack=-10"]) == 1
+    failures = json.loads((out / "failures.json").read_text())["failures"]
+    assert failures and len(builds) == len(failures)
+    summary = json.loads((out / "bounds_summary.json").read_text())
+    assert summary["violations"] == len(failures)
+
+
 def test_experiment_returns_tables_and_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     config = {"levels": 20, "spacing": 1.0, "samples": 65, "phase_seed": 0}

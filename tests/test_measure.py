@@ -12,7 +12,7 @@ from qequil.cli import DEFAULTS
 from qequil.constructions import (partitioned_slow_measurement, random_scenario,
                                   snapshot_subspace)
 from qequil.measure import (Measurement, Projector, distinguishability, expectation_series,
-                            grid_series, load_measurement, save_measurement, two_outcome)
+                            load_measurement, save_measurement, two_outcome)
 from qequil.spectra import EnergySpectrum
 from qequil.states import complex_out, dephase, evolve
 
@@ -439,76 +439,62 @@ def test_row_groups_keep_each_gemm_on_one_thread(blocks, rows, levels, m):
         assert all((b1 - b0 + 1) * work >= limit for b0, b1 in groups[:-1])
 
 
-def _grids_case(times, data):
-    """The drawn grid and zero to three more: linspaces of 0 to 60 times
-    from any start."""
-    grids = [times]
-    for _ in range(data.draw(st.integers(0, 3), label="grids")):
-        t0 = data.draw(st.floats(-20.0, 20.0), label="t0")
-        n = data.draw(st.integers(0, 60), label="n")
-        grids.append(np.linspace(t0, t0 + data.draw(_spans(40.0), label="span"), n))
-    return grids
+def _windows(grid):
+    """Each window's times of a sweep, as views."""
+    return np.split(grid.times, grid.offsets[1:-1])
+
+
+def _assert_each_window_is_its_own_call(projectors, state, grid, together):
+    """Each window's stretch of a sweep's series is bit for bit the call on
+    that window's times alone."""
+    assert together.shape[-1] == grid.times.size
+    for a, b, times in zip(grid.offsets[:-1], grid.offsets[1:], _windows(grid)):
+        alone = expectation_series(projectors, state, times)
+        got = together[..., a:b]
+        assert got.shape == alone.shape
+        assert got.tobytes() == alone.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
-@given(d=st.integers(1, 12), data=st.data())
-def test_grid_series_is_each_grid_series(d, data):
-    # pieces of several grids share a chunk's phases and coefficient rows,
-    # and each piece runs its own GEMMs: every grid is bit for bit its own call
-    state, stack, times, entries = _stack_case(d, data)
-    grids = _grids_case(times, data)
-    single = data.draw(st.booleans(), label="single")
-    projectors = stack[0] if single else stack
+@given(d=st.integers(1, 12), data=st.data(),
+       windows=st.lists(st.floats(0.01, 50.0), min_size=1, max_size=4),
+       scale=st.floats(0.0, 200.0))
+def test_sweep_is_each_windows_series(d, data, windows, scale):
+    # pieces of several windows share a chunk's phases and coefficient rows,
+    # and each piece runs its own GEMMs: every window is bit for bit its own call
+    state, stack, _, entries = _stack_case(d, data)
+    grid = TimeGrid(np.array(windows), scale / max(windows))
+    projectors = stack[0] if data.draw(st.booleans(), label="single") else stack
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measure, "SERIES_CHUNK_ENTRIES", entries)
-        together = grid_series(projectors, state, grids)
-        alone = [expectation_series(projectors, state, t) for t in grids]
-    assert len(together) == len(grids)
-    for got, want in zip(together, alone):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    # one uneven grid anywhere stops the call
-    grids.insert(data.draw(st.integers(0, len(grids)), label="at"), np.array([0.0, 1.0, 2.5]))
-    with pytest.raises(ValueError, match="evenly spaced"):
-        grid_series(projectors, state, grids)
+        together = expectation_series(projectors, state, grid)
+        _assert_each_window_is_its_own_call(projectors, state, grid, together)
 
 
 @pytest.mark.parametrize("mixed", [False, True])
-def test_grid_series_packs_pieces_of_several_grids(mixed):
+def test_sweep_packs_pieces_of_several_windows(mixed):
     # 4 levels and a budget of 200 entries: pieces of 144 times, and chunks
-    # of at most 100 phases. The 40-time (m = 7) and 7-time (m = 3) grids
-    # share the first chunk; the 300-time grid is cut in three,
-    # and its 12-time tail shares a chunk with the one-time grid. A pure
-    # state and a rank-1 projector give one coefficient row, the GEMV guard.
+    # of at most 100 phases. The 301-time window is cut in three, and its
+    # 13-time tail (m = 4) shares a chunk with the next 65-time window
+    # (m = 9). A pure state and a rank-1 projector give one coefficient
+    # row, the GEMV guard.
     rng = np.random.default_rng(4)
     spec = EnergySpectrum([0.0, 0.7, 1.3, 2.9], [2, 1, 2, 1])
     state = random_mixed(rng, spec) if mixed else random_pure(rng, spec)
     p = Projector.from_factor(_haar_frame(rng, 6, 1))
     empty = Projector.from_factor(np.zeros((6, 0)))
     stack = [p, p.complement(), empty, Projector.from_factor(_haar_frame(rng, 6, 3))]
-    grids = [np.linspace(0.0, 3.0, 40), np.linspace(0.5, 5.0, 7),
-             np.linspace(1.0, 50.0, 300), np.array([2.5]), np.array([])]
+    grid = TimeGrid(np.array([63.5, 299.5, 63.5]), np.pi / 4)
+    assert np.diff(grid.offsets).tolist() == [65, 301, 65]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measure, "SERIES_CHUNK_ENTRIES", 200)
         plan = [[(g, first, t.size, m) for g, first, t, m in chunk]
-                for chunk in measure._plan_chunks(grids, spec.levels.size)]
-        together = grid_series(stack, state, grids)
-        alone = [expectation_series(stack, state, t) for t in grids]
-    assert plan == [[(0, 0, 40, 7), (1, 0, 7, 3)], [(2, 0, 144, 12)], [(2, 144, 144, 12)],
-                    [(2, 288, 12, 4), (3, 0, 1, 1)]]
-    for got, want in zip(together, alone):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert not together[0][2].any() and together[-1].shape == (4, 0)
-
-
-def test_grid_series_rejects_any_bad_grid(spec):
-    state = random_pure(np.random.default_rng(8), spec)
-    p = Projector.from_factor(_haar_frame(np.random.default_rng(8), 5, 2))
-    assert grid_series(p, state, []) == []
-    for bad in ([np.inf], [[0.0, 1.0]]):
-        with pytest.raises(ValueError, match="1-d array of finite, evenly spaced values"):
-            grid_series(p, state, [np.linspace(0.0, 1.0, 5), bad])
+                for chunk in measure._plan_chunks(_windows(grid), spec.levels.size)]
+        together = expectation_series(stack, state, grid)
+        _assert_each_window_is_its_own_call(stack, state, grid, together)
+    assert plan == [[(0, 0, 65, 9)], [(1, 0, 144, 12)], [(1, 144, 144, 12)],
+                    [(1, 288, 13, 4), (2, 0, 65, 9)]]
+    assert together.shape == (4, 431) and not together[2].any()
 
 
 def test_series_stack_edge_cases(spec):
@@ -592,9 +578,9 @@ def test_nufft_series_memory_stays_within_the_same_bound(monkeypatch):
 
 
 # Each phase of either form is within about 8 eps (1 + max|E| max|t|) of
-# exp(-iEt): 4 from the grid's admission check in grid_series (4 ulp of
-# max|t|, never more than 4 eps max|t|), the rest from rounding
-# E t, cos/sin and the start-offset product. A coefficient row has l1 norm at
+# exp(-iEt): 4 from the grid's admission check in expectation_series (4 ulp
+# of max|t|, never more than 4 eps max|t|), the rest from rounding E t,
+# cos/sin and the start-offset product. A coefficient row has l1 norm at
 # most 1, so its amplitude moves by no more than a phase does and, as
 # |amp| <= 1, its |amp|^2 by twice that; two forms make 32 for one row. The
 # rows' |amp|^2 sum to tr(P rho_t) <= 1, so more rows share the error rather
@@ -646,7 +632,7 @@ BLOCK_PERIODIC = (np.cumsum(np.random.default_rng(5).uniform(1.0, 2.0, 47))[:, N
     (np.linspace(0.0, 1e-310, 9), 3),
 ])
 def test_even_grids_take_blocks_of_ceil_sqrt_n(times, m):
-    assert measure._evenly_spaced([times])
+    assert measure._evenly_spaced(times)
     [[(_, _, piece, got)]] = measure._plan_chunks([times], 4)
     assert piece.size == times.size and got == m
 
@@ -654,7 +640,7 @@ def test_even_grids_take_blocks_of_ceil_sqrt_n(times, m):
 @settings(max_examples=300, deadline=None)
 @given(t0=st.floats(-1e12, 1e12), span=_spans(1e12), n=st.integers(0, 5000))
 def test_linspace_grids_are_evenly_spaced(t0, span, n):
-    assert measure._evenly_spaced([np.linspace(t0, t0 + span, n)])
+    assert measure._evenly_spaced(np.linspace(t0, t0 + span, n))
 
 
 @pytest.mark.parametrize("times", [
@@ -667,21 +653,13 @@ def test_linspace_grids_are_evenly_spaced(t0, span, n):
     np.linspace(0.0, 1e-310, 40),
 ])
 def test_series_rejects_uneven_grids(spec, times):
-    assert not measure._evenly_spaced([times])
+    assert not measure._evenly_spaced(times)
     p = Projector.from_factor(_haar_frame(np.random.default_rng(6), 5, 2))
     state = random_pure(np.random.default_rng(6), spec)
     with pytest.raises(ValueError, match="evenly spaced"):
         expectation_series(p, state, times)
     with pytest.raises(ValueError, match="evenly spaced"):
-        grid_series([p, p.complement()], state, [np.linspace(0.0, 1.0, 5), times])
-    # one uneven grid among even ones, checked in the same pass as theirs
-    even = [np.linspace(0.0, 1.0, 5), np.array([]), TimeGrid(3.0, 2.0).times,
-            np.array([7.5]), np.linspace(-4.0, 9.0, 130)]
-    assert measure._evenly_spaced(even)
-    for at in range(len(even) + 1):
-        assert not measure._evenly_spaced([*even[:at], times, *even[at:]])
-    with pytest.raises(ValueError, match="evenly spaced"):
-        grid_series(p, state, [*even[:2], times, *even[2:]])
+        expectation_series([p, p.complement()], state, times)
 
 
 def test_uneven_grid_is_rejected_before_anything_of_its_size():
@@ -783,7 +761,7 @@ def test_slow_grids_take_the_nufft():
     # jittered, the long grid is no grid at all; decreasing, it takes the
     # block path
     jittered = grids[1] + np.random.default_rng(3).uniform(-1e-9, 1e-9, grids[1].size)
-    assert not measure._evenly_spaced([jittered])
+    assert not measure._evenly_spaced(jittered)
     assert measure._nufft_size(scen.spectrum.levels, grids[1][::-1]) == 0
 
 
@@ -834,27 +812,23 @@ def test_undersampled_grid_wraps_and_meets_the_bound():
 
 
 @pytest.mark.parametrize("mixed", [False, True])
-def test_grid_series_packs_nufft_grids_with_small_grids(mixed):
-    # 600 levels: the 300- and 700-time linspaces take the NUFFT and share
-    # its work buffer; the 40-, 7- and one-time grids take the
-    # block path, packed in one chunk. Every grid is bit for bit its own call.
+def test_sweep_packs_nufft_windows_with_block_windows(mixed):
+    # 600 levels: the 301- and 677-time windows take the NUFFT and share
+    # its work buffer; the 65- and 77-time windows take the block path,
+    # packed in one chunk. Every window is bit for bit its own call.
     rng = np.random.default_rng(12)
     spec = EnergySpectrum(_spread_levels(600), rng.integers(1, 3, 600))
     state = random_mixed(rng, spec) if mixed else random_pure(rng, spec)
     p = Projector.from_factor(_haar_frame(rng, spec.dim, 2))
     stack = [p, p.complement(), Projector.from_factor(_haar_frame(rng, spec.dim, 5))]
-    grids = [np.linspace(0.0, 3.0, 40), np.linspace(0.0, 20.0, 300),
-             np.linspace(0.5, 5.0, 7), np.linspace(-30.0, 45.0, 700), np.array([2.5])]
-    assert [measure._nufft_size(spec.levels, t) > 0 for t in grids] \
+    grid = TimeGrid(np.array([3.0, 20.0, 5.0, 45.0, 2.5]), 15.0 * np.pi / 4)
+    assert np.diff(grid.offsets).tolist() == [65, 301, 77, 677, 65]
+    assert [measure._nufft_size(spec.levels, t) > 0 for t in _windows(grid)] \
         == [False, True, False, True, False]
     for projectors in (stack, p):
-        together = grid_series(projectors, state, grids)
-        alone = [expectation_series(projectors, state, t) for t in grids]
-        for got, want in zip(together, alone):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-    assert grid_series(p, state, grids)[1].tobytes() == together[1].tobytes()
-    assert grid_series(stack, state, grids)[3][0].tobytes() == together[3].tobytes()
+        together = expectation_series(projectors, state, grid)
+        _assert_each_window_is_its_own_call(projectors, state, grid, together)
+    assert expectation_series(stack, state, grid)[0].tobytes() == together.tobytes()
 
 
 @pytest.mark.parametrize("complement", [False, True])

@@ -36,8 +36,9 @@ run = _load("run")
 tracer = _load("tracer")
 
 
-@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
-def test_traced_smoke_run_passes_the_benchmark_gates(tmp_path, name):
+def _traced_smoke_run(tmp_path, name) -> dict:
+    """The traced CLI run of a workload at its smoke sizes, checked against
+    the benchmark's gates; returns its per-layer metrics."""
     workload = run.WORKLOADS[name]
     out = tmp_path / "out"
     argv = [workload.experiment, "--out", str(out), "--seed", str(run.DEFAULT_SEED)]
@@ -55,7 +56,18 @@ def test_traced_smoke_run_passes_the_benchmark_gates(tmp_path, name):
     assert tracer.leftover_wrappers() == []
     assert workload.verify(out, {**workload.defaults, **workload.smoke}) == []
     artifact_bytes = sum(os.path.getsize(out / f) for f in os.listdir(out))
-    assert trace.layer_metrics(wall_s, artifact_bytes)[workload.must_fire] > 0
+    return trace.layer_metrics(wall_s, artifact_bytes)
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_traced_smoke_run_passes_the_benchmark_gates(tmp_path, name):
+    assert _traced_smoke_run(tmp_path, name)[run.WORKLOADS[name].must_fire] > 0
+
+
+def test_bounds_series_calls_are_traced(tmp_path):
+    # every series of the bounds battery goes through expectation_series,
+    # the entry point the tracer's series group wraps
+    assert _traced_smoke_run(tmp_path, "bounds-battery")["measure.series_calls"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
