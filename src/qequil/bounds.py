@@ -18,7 +18,6 @@ from .spectra import max_gaps_in_window
 from .states import QuantumState, effective_dimension, level_distribution
 
 __all__ = [
-    "purity_chain_factor",
     "population_constant",
     "fast_equilibration_constant",
     "fast_equilibration_bound",
@@ -31,15 +30,10 @@ __all__ = [
 ]
 
 
-def purity_chain_factor(delta: float = 2.0) -> float:
-    """2 / (1 - e^{-delta}), the geometric factor in the window-probability
-    purity bound."""
-    return 2.0 / (1.0 - np.exp(-delta))
-
-
 def population_constant() -> float:
-    """Prefactor of the population term: (5 pi / 4) sqrt(2 / (1 - e^{-2}))."""
-    return LORENTZIAN_DOMINATION_FACTOR * np.sqrt(purity_chain_factor(2.0))
+    """Prefactor of the population term: (5 pi / 4) sqrt(2 / (1 - e^{-2})),
+    the window purity bound at eta = 1 and delta = 2."""
+    return LORENTZIAN_DOMINATION_FACTOR * np.sqrt(window_purity_bound(1.0, 2.0))
 
 
 def fast_equilibration_constant() -> float:

@@ -30,12 +30,11 @@ __all__ = ["main"]
 DEFAULTS = {
     "figure3": {"levels": 50, "spacing": 1.0, "samples": 2049, "phase_seed": 0},
     "bounds": {"seed": 20240811, "trials": 200, "t_points": 12, "max_rank": 8,
-               "slack": 1e-3, "gap_counting_dim": 40},
+               "gap_counting_dim": 40},
     "slow": {"seed": 20240811, "dim": 2048, "snapshots": 16, "epsilon": 0.5,
-             "samples": 256, "outcomes": 3, "long_window_sigma": 500.0},
+             "samples": 256, "outcomes": 3},
     "gaussian": {"levels": 2000, "sigma": 1.0, "span": 8.0,
-                 "sigma_t_grid": [2.0, 2.5, 4.0, 5.0, 8.0, 10.0, 20.0, 25.0, 50.0],
-                 "eta_limit_coeff": 0.42},
+                 "sigma_t_grid": [2.0, 2.5, 4.0, 5.0, 8.0, 10.0, 20.0, 25.0, 50.0]},
     "haar": {"seed": 20240811, "samples": 2000, "battery_scenarios": 50,
              "battery_samples": 300, "twirl_samples": 10000},
     "eta": {"spectrum": None, "state": None, "epsilon": 1.0},

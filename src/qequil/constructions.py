@@ -14,7 +14,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package
 
 from .averaging import TimeGrid, time_average
-from .measure import (Measurement, Projector, expectation_series,
+from .measure import (Measurement, Projector, _phases, expectation_series,
                       series_distinguishability)
 from .spectra import DEGENERACY_RTOL, EnergySpectrum, _degeneracy_array
 from .states import (QuantumState, dephase, effective_dimension, energy_moments,
@@ -34,6 +34,7 @@ __all__ = [
 
 SNAPSHOT_SVD_CUTOFF = 1e-8
 CEILING_SLACK = 1e-3  # quadrature allowance on the eventual-equilibration ceiling
+MIN_LONG_WINDOW_SIGMA_T = 500.0  # the ceiling's averaging window is at least 500 / sigma_E
 
 
 def harmonic_oscillator_1d(levels: int, spacing: float) -> QuantumState:
@@ -154,7 +155,7 @@ def snapshot_subspace(state: QuantumState, count: int, epsilon: float) -> Snapsh
                          "snapshot time overflows")
     energies = state.spectrum.index_energies
     times = tau * np.arange(count)
-    snaps = state.amplitudes[:, None] * np.exp(-1j * np.outer(energies, times))
+    snaps = state.amplitudes[:, None] * _phases(energies, times)
     u, s, _ = np.linalg.svd(snaps, full_matrices=False)
     keep = s > SNAPSHOT_SVD_CUTOFF * s[0]
     basis = u[:, keep]
@@ -198,13 +199,17 @@ class SlowWindowReport:
 
 
 def slow_window_check(subspace: SnapshotSubspace, state: QuantumState, outcomes: int,
-                      num_samples: int, long_window_sigma: float) -> SlowWindowReport:
+                      num_samples: int) -> SlowWindowReport:
     """Sample the distinguishability of the snapshot projector across the
-    guaranteed window [0, (2K-1) eps / sigma_E] and check it stays above
-    1 - eps^2 - sqrt(K / d_eff), and that splitting the subspace into
-    ``outcomes`` - 1 blocks plus the complement stays at or above it up to
-    1e-10 on the same grid; then average over a long window and check the
-    eventual-equilibration ceiling 2 sqrt(K / d_eff)."""
+    guaranteed window [0, t_end], t_end = (2K-1) eps / sigma_E, and check it
+    stays above 1 - eps^2 - sqrt(K / d_eff), and that splitting the subspace
+    into ``outcomes`` - 1 blocks plus the complement stays at or above it up
+    to 1e-10 on the same grid; then check that the average over [0, T] stays
+    under the eventual-equilibration ceiling 2 sqrt(K / d_eff), with
+    T = max(MIN_LONG_WINDOW_SIGMA_T / sigma_E, 4 t_end / ceiling). The
+    distinguishability is at most 1, so the slow stretch then adds at most
+    t_end / T <= ceiling / 4 to the average at any d. Where 4 t_end / ceiling
+    is smaller, as at the slow experiment's default d=2048, T is the minimum."""
     if num_samples < 1:
         raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     dist = level_distribution(state)
@@ -230,7 +235,8 @@ def slow_window_check(subspace: SnapshotSubspace, state: QuantumState, outcomes:
     refined = series_distinguishability(stacked[1:], meas.outcome_probabilities(omega))
 
     ceiling = 2.0 * np.sqrt(k / d_eff)
-    grid = TimeGrid(long_window_sigma / sigma, state.spectrum.span)
+    grid = TimeGrid(max(MIN_LONG_WINDOW_SIGMA_T / sigma, 4.0 * t_end / ceiling),
+                    state.spectrum.span)
     long_avg = time_average(np.abs(expectation_series(proj, state, grid.times) - p_omega),
                             grid)
 

@@ -17,8 +17,7 @@ from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, MIN_GRID_SAMPLES,
                               lorentzian_state)
 from qequil.bounds import (fast_equilibration_constant, gap_counting_terms,
                            gaussian_purity_asymptote, gaussian_purity_exact,
-                           general_distinguishability_bound, general_expectation_bound,
-                           purity_chain_factor)
+                           general_distinguishability_bound, general_expectation_bound)
 from qequil.constructions import gaussian_scenario
 from qequil.measure import (PROJECTOR_TOL, Projector, _phases, expectation_series,
                             series_distinguishability, two_outcome)
@@ -525,30 +524,30 @@ def write_rows_csv_oracle(path, rows: list, comment: str) -> None:
 
 
 def per_point_gaussian_checks(config: dict) -> list:
-    """The ``eta_estimate`` and ``purity_asymptote`` checks of
-    :func:`qequil.batteries.run_gaussian`, one grid point at a time."""
+    """The ``eta_estimate`` checks of :func:`qequil.batteries.run_gaussian`,
+    then its ``purity_asymptote`` checks, one grid point at a time."""
     dist = level_distribution(gaussian_scenario(config["levels"], config["sigma"],
                                                 config["span"]))
     sigma = energy_moments(dist).std
-    limit = float(config["eta_limit_coeff"])
-    checks = []
+    limit = batteries.GAUSSIAN_ETA_LIMIT
+    estimates, asymptotes = [], []
     for st in config["sigma_t_grid"]:
         window = float(st) / sigma
         eta, _ = max_window_probability_window(dist, 1.0 / window)
         product = eta * sigma * window
-        checks.append(("eta_estimate", {"sigma_T": float(st), "value": product,
-                                        "limit": limit, "holds": product <= limit}))
+        estimates.append(("eta_estimate", {"sigma_T": float(st), "value": product,
+                                           "limit": limit, "holds": product <= limit}))
         if float(st) >= 5.0:
             exact = gaussian_purity_exact(sigma, window)
             asym = gaussian_purity_asymptote(sigma, window)
-            checks.append(("purity_asymptote", {"sigma_T": float(st), "exact": exact,
-                                                "asymptote": asym,
-                                                "holds": abs(exact - asym) <= 0.1 * asym}))
-    return checks
+            asymptotes.append(("purity_asymptote", {"sigma_T": float(st), "exact": exact,
+                                                    "asymptote": asym,
+                                                    "holds": abs(exact - asym) <= 0.1 * asym}))
+    return estimates + asymptotes
 
 
 def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int,
-                                          max_rank: int, slack: float) -> list:
+                                          max_rank: int) -> list:
     """Rows of :func:`qequil.batteries.fast_equilibration_battery`, computed
     window by window with the scalar form of every call: one series on the
     window's own grid, one window scan with the bound c sqrt(eta K) written
@@ -574,7 +573,8 @@ def per_window_fast_equilibration_battery(seed: int, trials: int, t_points: int,
             value = fast_equilibration_constant() * np.sqrt(eta * rank)
             rows.append({"name": "fast_equilibration", "T": float(window),
                          "eps": 1.0 / window, "K": rank, "value": value,
-                         "measured": measured, "holds": measured <= value + slack,
+                         "measured": measured,
+                         "holds": measured <= value + batteries.FAST_EQUILIBRATION_SLACK,
                          "battery": "fast_equilibration", "trial": trial,
                          "label": label, "d": d, "levels": spec.num_levels,
                          "eta": eta, "refinement_error": error})
@@ -640,7 +640,7 @@ def population_term_bound(dist: LevelDistribution, rank: int, window: float) -> 
         raise ValueError("window must be positive")
     eta = max_window_probability(dist, 1.0 / window)
     return float(LORENTZIAN_DOMINATION_FACTOR
-                 * np.sqrt(purity_chain_factor(2.0) * eta * rank))
+                 * np.sqrt(2.0 / (1.0 - np.exp(-2.0)) * eta * rank))
 
 
 def n_outcome_fast_bound(dist: LevelDistribution, ranks, window: float) -> float:

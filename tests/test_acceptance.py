@@ -35,8 +35,7 @@ FIGURE3_AVERAGE_PIN = 0.03541217011724115
 @pytest.fixture(scope="module")
 def fast_bound_report():
     return batteries.fast_equilibration_battery(BOUNDS["seed"], BOUNDS["trials"],
-                                                BOUNDS["t_points"], BOUNDS["max_rank"],
-                                                BOUNDS["slack"])
+                                                BOUNDS["t_points"], BOUNDS["max_rank"])
 
 
 def test_criterion_1_constant_regression(acceptance):
@@ -87,7 +86,7 @@ def test_criterion_4_fast_equilibration_battery(acceptance, fast_bound_report):
     ok = len(fast) == BOUNDS["trials"] * BOUNDS["t_points"] and not bad
     acceptance(4, f"two-outcome bound battery: {len(bad)}/{len(fast)} violations "
                   f"({BOUNDS['trials']} trials x {BOUNDS['t_points']} windows, "
-                  f"slack {BOUNDS['slack']:g})", ok)
+                  f"slack {batteries.FAST_EQUILIBRATION_SLACK:g})", ok)
     assert ok, bad[:3]
 
 
@@ -145,8 +144,7 @@ def test_criterion_7_oscillator_revival(acceptance):
 def test_criterion_8_slow_equilibration_scaled(acceptance):
     state = random_scenario(SLOW["seed"], SLOW["dim"])
     sub = snapshot_subspace(state, SLOW["snapshots"], SLOW["epsilon"])
-    rep = slow_window_check(sub, state, SLOW["outcomes"], num_samples=SLOW["samples"],
-                            long_window_sigma=SLOW["long_window_sigma"])
+    rep = slow_window_check(sub, state, SLOW["outcomes"], num_samples=SLOW["samples"])
     omega = dephase(state)
     meas = partitioned_slow_measurement(sub, SLOW["outcomes"])
     proj = sub.projector()

@@ -23,8 +23,8 @@ SLOW = cli.DEFAULTS["slow"]
 
 
 def fast_battery(seed, trials, t_points=BOUNDS["t_points"], run=fast_equilibration_battery):
-    """The battery, or its per-window oracle, at the CLI's rank and slack."""
-    return run(seed, trials, t_points, BOUNDS["max_rank"], BOUNDS["slack"])
+    """The battery, or its per-window oracle, at the CLI's rank."""
+    return run(seed, trials, t_points, BOUNDS["max_rank"])
 
 
 def test_trial_generator_covers_flavors():
@@ -126,9 +126,7 @@ def test_empty_battery_is_rejected():
             (lambda: fast_battery(SEED, 0), "trials", 1),
             (lambda: haar_battery(SEED, scenarios=0, samples=300), "scenarios", 1),
             (lambda: gap_counting_battery(SEED, dim=1), "dim", 2),
-            (lambda: slow_window_check(sub, state, 3, num_samples=0,
-                                       long_window_sigma=SLOW["long_window_sigma"]),
-             "num_samples", 1)):
+            (lambda: slow_window_check(sub, state, 3, num_samples=0), "num_samples", 1)):
         with pytest.raises(ValueError, match=f"{name} must be at least {least}"):
             call()
 
@@ -238,8 +236,7 @@ def slow_battery(seed: int, scenarios: int = 20) -> list:
         eps = float(eps_choices[int(rng.integers(2))])
         state = random_scenario(int(rng.integers(2 ** 62)), d)
         sub = snapshot_subspace(state, k, eps)
-        rep = slow_window_check(sub, state, 3, num_samples=SLOW_BATTERY_SAMPLES,
-                                long_window_sigma=SLOW["long_window_sigma"])
+        rep = slow_window_check(sub, state, 3, num_samples=SLOW_BATTERY_SAMPLES)
         rows.append({"scenario": idx, "d": d, "K": k, "eps": eps,
                      "floor": rep.floor, "min_value": rep.worst_value,
                      "ceiling": rep.ceiling,

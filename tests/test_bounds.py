@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from qequil.averaging import (TimeGrid, lorentzian_purity, lorentzian_purity_product,
-                              lorentzian_state, time_average)
+from qequil.averaging import (LORENTZIAN_DOMINATION_FACTOR, TimeGrid, lorentzian_purity,
+                              lorentzian_purity_product, lorentzian_state, time_average)
 from qequil.bounds import (_erfcx, fast_equilibration_bound, fast_equilibration_constant,
                            gap_counting_terms, gaussian_purity_asymptote,
                            gaussian_purity_exact, general_distinguishability_bound,
                            general_expectation_bound, population_constant,
-                           purity_chain_factor, window_purity_bound)
+                           window_purity_bound)
 from qequil.cli import DEFAULTS
 from qequil.constructions import (gaussian_scenario, harmonic_oscillator_1d,
                                   harmonic_oscillator_3d_boltzmann, random_scenario,
@@ -170,8 +170,9 @@ class TestConstants:
         assert abs(population_constant() - 5.98) <= 0.01
 
     def test_chain_factor(self):
-        assert purity_chain_factor(2.0) == pytest.approx(2.0 / (1 - np.exp(-2.0)),
-                                                         rel=1e-15)
+        # the population term's chain factor is 2 / (1 - e^{-2}), bit for bit
+        assert population_constant() == (LORENTZIAN_DOMINATION_FACTOR
+                                         * np.sqrt(2.0 / (1 - np.exp(-2.0))))
 
 
 @pytest.fixture

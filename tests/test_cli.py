@@ -49,8 +49,7 @@ def test_bounds_small_battery(tmp_path):
 def test_slow_scaled_down(tmp_path):
     out = tmp_path / "slow"
     code = _run(["slow", "--out", str(out),
-                 "--set", "dim=256", "--set", "snapshots=6",
-                 "--set", "samples=64", "--set", "long_window_sigma=200.0"])
+                 "--set", "dim=256", "--set", "snapshots=6", "--set", "samples=64"])
     assert code == 0
     summary = json.loads((out / "slow_summary.json").read_text())
     assert summary["min_window_value"] >= summary["floor"]
@@ -70,7 +69,17 @@ def test_slow_summary_says_when_the_floor_is_vacuous(tmp_path):
     assert summary["floor_informative"] is False
 
 
-def test_gaussian_run_and_failure_exit(tmp_path):
+def test_slow_long_window_grows_with_the_dimension(tmp_path):
+    # at d=131072 a fixed long window of 500 / sigma_E leaves the average at
+    # 0.044, above the ceiling 0.031: the slow stretch alone adds 15.5 / 500
+    out = tmp_path / "slow"
+    assert _run(["slow", "--out", str(out), "--set", "dim=131072"]) == 0
+    summary = json.loads((out / "slow_summary.json").read_text())
+    assert summary["dim"] == 131072
+    assert summary["long_time_average"] <= summary["ceiling"]
+
+
+def test_gaussian_run_and_failure_exit(tmp_path, monkeypatch):
     out = tmp_path / "gauss"
     assert _run(["gaussian", "--out", str(out)]) == 0
     rows = (out / "gaussian.csv").read_text().splitlines()
@@ -79,9 +88,9 @@ def test_gaussian_run_and_failure_exit(tmp_path):
     assert summary["max_eta_sigma_T"] <= 0.42
 
     # force a failure: impossible limit coefficient
+    monkeypatch.setattr(batteries, "GAUSSIAN_ETA_LIMIT", 0.01)
     bad = tmp_path / "gauss_bad"
-    code = _run(["gaussian", "--out", str(bad), "--set", "eta_limit_coeff=0.01",
-                 "--set", "levels=400"])
+    code = _run(["gaussian", "--out", str(bad), "--set", "levels=400"])
     assert code == 1
     failures = json.loads((bad / "failures.json").read_text())
     assert failures["failures"]
@@ -215,6 +224,10 @@ def test_config_file_with_flag_override(tmp_path):
     (["figure3", "--seed", "3"], "seed"),
     (["bounds", "--set", "samples=10"], "samples"),
     (["haar", "--config", "{cfg}"], "battery_sample"),
+    # how a verdict is judged is no config key
+    (["bounds", "--set", "slack=10"], "slack"),
+    (["slow", "--set", "long_window_sigma=1e5"], "long_window_sigma"),
+    (["gaussian", "--set", "eta_limit_coeff=1"], "eta_limit_coeff"),
 ])
 def test_unknown_config_key_is_rejected(tmp_path, argv, key):
     cfg = tmp_path / "cfg.json"
@@ -230,7 +243,7 @@ def test_unknown_config_key_is_rejected(tmp_path, argv, key):
     (["slow", "--set", "dim=256.7"], "dim must be an integer, got 256.7"),
     (["slow", "--set", "dim=true"], "dim must be an integer, got True"),
     (["bounds", "--set", "trials=12.0"], "trials must be an integer"),
-    (["bounds", "--set", "slack=NaN"], "slack must be a finite number, got nan"),
+    (["slow", "--set", "epsilon=NaN"], "epsilon must be a finite number, got nan"),
     (["slow", "--set", "epsilon=Infinity"], "epsilon must be a finite number"),
     (["figure3", "--set", "spacing=one"], "spacing must be a finite number, got 'one'"),
     (["gaussian", "--set", "sigma_t_grid=2.0"], "sigma_t_grid must be a list"),
@@ -284,10 +297,11 @@ def test_unwritable_output_stops_with_one_line(tmp_path):
 
 
 def test_grid_past_the_float_range_stops_with_one_line(tmp_path):
-    # 4 max_gap T / pi overflows to inf: was an OverflowError traceback
+    # at epsilon 1e150 the long window 4 t_end / ceiling needs about 4e152
+    # samples, past the 2^53 a grid can hold
     with pytest.raises(SystemExit, match=r"^slow: a window of .* more samples than a grid "
                                          r"can hold$"):
-        _run(["slow", "--set", "dim=64", "--set", "long_window_sigma=1e308",
+        _run(["slow", "--set", "epsilon=1e150", "--set", "dim=64",
               "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 
@@ -407,10 +421,11 @@ def test_rows_csv_writes_in_blocks(tmp_path):
     assert len((tmp_path / "big.csv").read_text().splitlines()) == 200_002
 
 
-def test_battery_violation_exits_with_typed_failures(tmp_path):
+def test_battery_violation_exits_with_typed_failures(tmp_path, monkeypatch):
+    monkeypatch.setattr(batteries, "FAST_EQUILIBRATION_SLACK", -10.0)
     out = tmp_path / "bounds"
     code = _run(["bounds", "--out", str(out), "--set", "trials=1",
-                 "--set", "t_points=2", "--set", "slack=-10"])
+                 "--set", "t_points=2"])
     assert code == 1
     failures = json.loads((out / "failures.json").read_text())
     assert failures["experiment"] == "bounds"
@@ -434,9 +449,10 @@ def test_failing_run_builds_each_failure_record_once(tmp_path, monkeypatch):
 
     table_row = batteries._table_row
     monkeypatch.setattr(batteries, "_table_row", counted)
+    monkeypatch.setattr(batteries, "FAST_EQUILIBRATION_SLACK", -10.0)
     out = tmp_path / "bounds"
-    assert _run(["bounds", "--out", str(out), "--set", "trials=2", "--set", "t_points=3",
-                 "--set", "slack=-10"]) == 1
+    assert _run(["bounds", "--out", str(out), "--set", "trials=2",
+                 "--set", "t_points=3"]) == 1
     failures = json.loads((out / "failures.json").read_text())["failures"]
     assert failures and len(builds) == len(failures)
     summary = json.loads((out / "bounds_summary.json").read_text())
@@ -492,17 +508,17 @@ def _failures_json_oracle(tmp_path, experiment, config, checks):
     return path.read_bytes()
 
 
-def test_bounds_failures_match_the_per_row_records(tmp_path):
+def test_bounds_failures_match_the_per_row_records(tmp_path, monkeypatch):
     # a slack of -10 pulls the smaller fast-equilibration bounds below the
     # measured values; the records built from the columns must be the
     # per-row oracle's, byte for byte
+    monkeypatch.setattr(batteries, "FAST_EQUILIBRATION_SLACK", -10.0)
     out = tmp_path / "bounds"
-    assert _run(["bounds", "--out", str(out), "--set", "trials=2", "--set", "t_points=3",
-                 "--set", "slack=-10"]) == 1
-    config = {**DEFAULTS["bounds"], "trials": 2, "t_points": 3, "slack": -10}
+    assert _run(["bounds", "--out", str(out), "--set", "trials=2",
+                 "--set", "t_points=3"]) == 1
+    config = {**DEFAULTS["bounds"], "trials": 2, "t_points": 3}
     oracle_rows = per_window_fast_equilibration_battery(
-        config["seed"], config["trials"], config["t_points"], config["max_rank"],
-        config["slack"])
+        config["seed"], config["trials"], config["t_points"], config["max_rank"])
     oracle_rows += per_window_gap_counting_battery(config["seed"], config["gap_counting_dim"])
     checks = [(row["battery"], row) for name in ("fast_equilibration", "purity_chain",
                                                  "gap_counting")
@@ -518,11 +534,11 @@ def test_bounds_failures_match_the_per_row_records(tmp_path):
                    for k in ("T", "eps", "value", "measured", "eta", "refinement_error"))
 
 
-def test_gaussian_failures_match_the_per_point_records(tmp_path):
+def test_gaussian_failures_match_the_per_point_records(tmp_path, monkeypatch):
+    monkeypatch.setattr(batteries, "GAUSSIAN_ETA_LIMIT", 0.01)
     out = tmp_path / "gauss"
-    assert _run(["gaussian", "--out", str(out), "--set", "eta_limit_coeff=0.01",
-                 "--set", "levels=400"]) == 1
-    config = {**DEFAULTS["gaussian"], "eta_limit_coeff": 0.01, "levels": 400}
+    assert _run(["gaussian", "--out", str(out), "--set", "levels=400"]) == 1
+    config = {**DEFAULTS["gaussian"], "levels": 400}
     written = (out / "failures.json").read_bytes()
     assert written == _failures_json_oracle(tmp_path, "gaussian", config,
                                             per_point_gaussian_checks(config))

@@ -12,7 +12,7 @@ from qequil.constructions import (gaussian_scenario, harmonic_oscillator_1d,
                                   snapshot_subspace, slow_window_check)
 from qequil.measure import Projector, distinguishability, expectation_series, two_outcome
 from qequil.spectra import max_window_probability, max_window_probability_window
-from qequil.states import QuantumState, dephase, evolve, level_distribution
+from qequil.states import QuantumState, dephase, energy_moments, evolve, level_distribution
 
 from helpers import (brute_eta, d_eff_of, dense, distinguishability_series, overlap,
                      sigma_e_of)
@@ -32,7 +32,7 @@ def gaussian_2000():
 def slow_checked():
     scen = random_scenario(13, 512)
     sub = snapshot_subspace(scen, 8, 0.5)
-    rep = slow_window_check(sub, scen, 3, num_samples=128, long_window_sigma=300.0)
+    rep = slow_window_check(sub, scen, 3, num_samples=128)
     return scen, sub, rep
 
 
@@ -281,6 +281,26 @@ class TestSlowWindow:
         assert rep.long_time_average <= rep.ceiling
         assert all(record["holds"] for _, record in rep.checks)
 
+    @pytest.mark.parametrize("epsilon, derived", [(0.5, False), (4.0, True)])
+    def test_long_window_is_its_minimum_or_four_t_end_over_ceiling(self, monkeypatch,
+                                                                   epsilon, derived):
+        # 4 t_end / ceiling = 2 (2K - 1) eps sqrt(d_eff / K) / sigma_E: about
+        # 84 / sigma_E at d=512, K=8, eps=0.5 (below the minimum 500 / sigma_E)
+        # and 671 / sigma_E at eps=4
+        scen = random_scenario(13, 512)
+        sub = snapshot_subspace(scen, 8, epsilon)
+        windows = []
+        grid = constructions.TimeGrid
+        monkeypatch.setattr(constructions, "TimeGrid", lambda window, max_gap:
+                            windows.append(window) or grid(window, max_gap))
+        rep = slow_window_check(sub, scen, 3, num_samples=64)
+        minimum = (constructions.MIN_LONG_WINDOW_SIGMA_T
+                   / energy_moments(level_distribution(scen)).std)
+        derived_window = 4.0 * rep.times[-1] / rep.ceiling
+        assert bool(derived_window > minimum) is derived
+        assert windows == [derived_window if derived else minimum]
+        assert all(record["holds"] for _, record in rep.checks)
+
     def test_series_starts_high(self, slow_checked):
         _, _, rep = slow_checked
         assert rep.values[0] >= 0.9
@@ -340,8 +360,7 @@ class TestPartitionedMeasurement:
         refined = distinguishability_series(meas, scen, omega, times)
         base = np.abs(expectation_series(proj, scen, times) - p_omega)
         assert np.all(refined >= base - 1e-12)
-        assert slow_window_check(sub, scen, 3, num_samples=64,
-                                 long_window_sigma=500.0).refinement_holds
+        assert slow_window_check(sub, scen, 3, num_samples=64).refinement_holds
 
     def test_floor_and_refined_series_share_one_call(self, monkeypatch):
         scen = random_scenario(15, 128)
@@ -351,7 +370,7 @@ class TestPartitionedMeasurement:
         monkeypatch.setattr(constructions, "expectation_series",
                             lambda stack, state, times: grids.append(times)
                             or kernel(stack, state, times))
-        rep = slow_window_check(sub, scen, 3, num_samples=64, long_window_sigma=500.0)
+        rep = slow_window_check(sub, scen, 3, num_samples=64)
         assert sum(np.array_equal(t, rep.times) for t in grids) == 1
         proj = sub.projector()
         alone = np.abs(kernel(proj, scen, rep.times)

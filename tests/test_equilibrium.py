@@ -237,8 +237,7 @@ def test_slow_window_check_memory_is_small():
     sub = snapshot_subspace(scen, config["snapshots"], config["epsilon"])
     tracemalloc.start()
     try:
-        rep = slow_window_check(sub, scen, config["outcomes"], config["samples"],
-                                config["long_window_sigma"])
+        rep = slow_window_check(sub, scen, config["outcomes"], config["samples"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

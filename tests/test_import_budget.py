@@ -29,10 +29,9 @@ print(json.dumps({"code": code, "new": sorted(set(sys.modules) - before)}))
 """
 
 SMALL = {
-    # 512 levels x 256 samples: the window grid takes the NUFFT path, the
-    # long-window grid the block path
-    "slow": ["--set", "dim=512", "--set", "snapshots=4", "--set", "samples=256",
-             "--set", "long_window_sigma=50.0"],
+    # 512 levels x 256 samples: both grids take the NUFFT path; figure3 and
+    # bounds take the block path
+    "slow": ["--set", "dim=512", "--set", "snapshots=4", "--set", "samples=256"],
     "bounds": ["--set", "trials=2", "--set", "t_points=2",
                "--set", "gap_counting_dim=10"],
     "haar": ["--set", "samples=50", "--set", "battery_scenarios=2",

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from qequil import measure
 from qequil.averaging import TimeGrid
 from qequil.cli import DEFAULTS
-from qequil.constructions import (partitioned_slow_measurement, random_scenario,
-                                  snapshot_subspace)
+from qequil.constructions import (MIN_LONG_WINDOW_SIGMA_T, partitioned_slow_measurement,
+                                  random_scenario, snapshot_subspace)
 from qequil.measure import (Measurement, Projector, distinguishability, expectation_series,
                             load_measurement, save_measurement, two_outcome)
 from qequil.spectra import EnergySpectrum
@@ -744,13 +744,14 @@ def test_nufft_series_matches_block_path_and_direct_form(data):
 
 def _slow_grids():
     """The slow experiment's scenario at its defaults and its two grids: the
-    window samples and the long-time averaging grid."""
+    window samples and the long-time averaging grid, whose window is its
+    minimum at these sizes."""
     cfg = DEFAULTS["slow"]
     scen = random_scenario(cfg["seed"], cfg["dim"])
     sigma = sigma_e_of(scen)
     t_end = (2 * cfg["snapshots"] - 1) * cfg["epsilon"] / sigma
     return scen, [np.linspace(0.0, t_end, cfg["samples"]),
-                  TimeGrid(cfg["long_window_sigma"] / sigma, scen.spectrum.span).times]
+                  TimeGrid(MIN_LONG_WINDOW_SIGMA_T / sigma, scen.spectrum.span).times]
 
 
 def test_slow_grids_take_the_nufft():

@@ -38,6 +38,20 @@ MUTANTS = {
         "sq = amp.view(float)\n",
         ["figure3", "--set", "levels=10", "--set", "samples=65"],
         {"revival", "average_at_revival"}),
+    # snapshots evolved backwards: the subspace holds |psi(-j tau)>, which the
+    # forward evolution leaves at once
+    "snapshots-backwards": (
+        "constructions.py", "times = tau * np.arange(count)",
+        "times = -tau * np.arange(count)",
+        ["slow", "--set", "dim=256"],
+        {"window_floor"}),
+    # the long window never evolves: every time of its grid reads tr(P rho_0),
+    # so the average stays at the initial distinguishability
+    "slow-long-window-frozen": (
+        "constructions.py", "expectation_series(proj, state, grid.times)",
+        "expectation_series(proj, state, np.zeros_like(grid.times))",
+        ["slow", "--set", "dim=256"],
+        {"long_time_ceiling"}),
 }
 
 
