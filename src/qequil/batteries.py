@@ -16,6 +16,8 @@ writes what they return.
 from __future__ import annotations
 
 import json
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -343,7 +345,9 @@ HAAR_BATTERY_CHECKS = ("typical_two_outcome", "constrained_two_outcome",
 def haar_battery(seed: int, scenarios: int, samples: int) -> dict:
     """Monte Carlo sweep of all four Haar-ensemble bounds (two-outcome and
     N-outcome, unconstrained and initial-state-constrained): a table with one
-    row per scenario and check."""
+    row per scenario and check. The scenarios run on the usable CPUs (see
+    :func:`_map_in_processes`); each is seeded by its index alone, so the
+    table does not depend on how many run at once."""
     _check_count("scenarios", scenarios)
     per_scenario = len(HAAR_BATTERY_CHECKS)
     size = per_scenario * scenarios
@@ -354,44 +358,90 @@ def haar_battery(seed: int, scenarios: int, samples: int) -> dict:
              "scenario": np.repeat(np.arange(scenarios), per_scenario),
              "d": np.empty(size, dtype=int), "N": np.empty(size, dtype=int),
              "mc_stderr": np.empty(size)}
-    for idx in range(scenarios):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x44A, idx]))
-        d = int(rng.integers(8, 25))
-        state0 = random_scenario(int(rng.integers(2 ** 62)), d)
-        sigma = energy_moments(level_distribution(state0)).std
-        t = float(rng.uniform(0.0, 20.0 / sigma))
-        state_t = evolve(state0, t)
-        omega = dephase(state0)
-        rank = int(rng.integers(1, d))
-        outcomes = int(rng.integers(2, min(6, d // 2) + 1))
-        seeds = [int(x) for x in rng.integers(0, 2 ** 62, size=4)]
-        ranks = _random_partition(rng, d, outcomes)
-        ranks_c = _random_partition(rng, d - 1, outcomes)
-        # (excluded vector, rank partition of the sample space, cap) of each
-        # check; an excluded initial state sits inside outcome 0
-        checks = [
-            (None, [rank, d - rank], typical_distinguishability_bound(rank, d)),
-            (state0.amplitudes, [rank - 1, d - rank],
-             constrained_mean_bound(state0, state_t, omega, rank)),
-            (None, ranks,
-             min(n_outcome_typical_bound(ranks, d), n_outcome_typical_cap(outcomes, d))),
-            (state0.amplitudes, ranks_c,
-             n_outcome_constrained_bound(state0, state_t, omega, len(ranks_c))),
-        ]
+    results = _map_in_processes(_haar_scenario,
+                                [(seed, idx, samples) for idx in range(scenarios)])
+    for idx, (t, rank, d, outcomes, caps, measured, stderr) in enumerate(results):
         rows = slice(idx * per_scenario, (idx + 1) * per_scenario)
         table["T"][rows] = t
         table["K"][rows] = rank
         table["d"][rows] = d
         table["N"][rows] = outcomes
-        for row, ((excluded, part, cap), sampler_seed) in enumerate(zip(checks, seeds),
-                                                                    rows.start):
-            sampler = HaarSampler(sampler_seed, d, excluded_vector=excluded)
-            table["value"][row] = cap
-            table["measured"][row], table["mc_stderr"][row] = mc_mean_stderr(
-                mc_distinguishabilities(state_t, omega, part, sampler, samples))
+        table["value"][rows] = caps
+        table["measured"][rows] = measured
+        table["mc_stderr"][rows] = stderr
     table["holds"][:] = table["measured"] <= (table["value"]
                                               + HAAR_STDERR_SIGMAS * table["mc_stderr"])
     return table
+
+
+def _haar_scenario(seed: int, idx: int, samples: int) -> tuple:
+    """Scenario ``idx`` of :func:`haar_battery`: its time ``T``, rank ``K``,
+    dimension ``d`` and outcome count ``N``, then the cap, the Monte Carlo
+    mean and its standard error of each of the four checks, as lists in
+    ``HAAR_BATTERY_CHECKS`` order."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x44A, idx]))
+    d = int(rng.integers(8, 25))
+    state0 = random_scenario(int(rng.integers(2 ** 62)), d)
+    sigma = energy_moments(level_distribution(state0)).std
+    t = float(rng.uniform(0.0, 20.0 / sigma))
+    state_t = evolve(state0, t)
+    omega = dephase(state0)
+    rank = int(rng.integers(1, d))
+    outcomes = int(rng.integers(2, min(6, d // 2) + 1))
+    seeds = [int(x) for x in rng.integers(0, 2 ** 62, size=4)]
+    ranks = _random_partition(rng, d, outcomes)
+    ranks_c = _random_partition(rng, d - 1, outcomes)
+    # (excluded vector, rank partition of the sample space, cap) of each
+    # check; an excluded initial state sits inside outcome 0
+    checks = [
+        (None, [rank, d - rank], typical_distinguishability_bound(rank, d)),
+        (state0.amplitudes, [rank - 1, d - rank],
+         constrained_mean_bound(state0, state_t, omega, rank)),
+        (None, ranks,
+         min(n_outcome_typical_bound(ranks, d), n_outcome_typical_cap(outcomes, d))),
+        (state0.amplitudes, ranks_c,
+         n_outcome_constrained_bound(state0, state_t, omega, len(ranks_c))),
+    ]
+    caps, measured, stderr = [], [], []
+    for (excluded, part, cap), sampler_seed in zip(checks, seeds):
+        sampler = HaarSampler(sampler_seed, d, excluded_vector=excluded)
+        mean, err = mc_mean_stderr(
+            mc_distinguishabilities(state_t, omega, part, sampler, samples))
+        caps.append(cap)
+        measured.append(mean)
+        stderr.append(err)
+    return t, rank, d, outcomes, caps, measured, stderr
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of the machine's where the
+    platform cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_in_processes(task, arguments: list) -> list:
+    """``[task(*args) for args in arguments]``, in that order, on a ``fork``
+    pool of ``min(usable CPUs, tasks)`` worker processes. It runs in this
+    process instead with one worker, where there is no ``fork`` start
+    method, and on CPython 3.12 and later, which warns when a process with
+    live threads (OpenBLAS's) forks. ``task`` must be a module-level
+    function. A task's exception reaches the caller as raised; a worker
+    that dies raises ``BrokenProcessPool``. Either way, and on success, the
+    workers are joined before this returns."""
+    workers = min(_usable_cpus(), len(arguments))
+    if workers > 1 and sys.version_info < (3, 12):
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(workers,
+                                       mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(task, *zip(*arguments)))
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+    return [task(*args) for args in arguments]
 
 
 def _random_partition(rng, total: int, parts: int):

@@ -4,10 +4,14 @@ the files it returns: each ``.csv`` table from its columns, a block of rows
 at a time, and each ``.json`` payload whole. Every file carries the config
 hash and, for a seeded experiment, its seed (``seed``, or ``phase_seed``
 for figure3): a leading ``#`` comment for CSV, ``_``-prefixed keys for
-JSON. Outputs are
-byte-identical for identical configs at a fixed BLAS thread count. The exit
-code is 0 exactly when every check holds; failed checks are also written to
-``failures.json``.
+JSON. Outputs are byte-identical for identical configs at a fixed BLAS
+thread count, whatever the number of CPUs: ``haar`` runs its battery's
+scenarios on a ``fork`` process pool over the usable CPUs (in process on
+one CPU, where ``fork`` is missing, or on CPython 3.12 and later), each
+seeded by its index alone. The workers' memory is outside this process's
+peak RSS. The exit code is 0 exactly when every check holds; failed checks
+are also written to ``failures.json``. An input it cannot run on, or a
+worker that dies, ends the run with one line on standard error.
 
 Energies are treated in units with hbar = 1; to convert a time column to
 seconds multiply by hbar / (energy unit in joules).
@@ -186,6 +190,14 @@ def _parse_set(pairs):
     return out
 
 
+def _run_errors() -> tuple:
+    """What ends a run with one line: an input it cannot read or run on, or
+    a worker process of its pool that died. Evaluated only as an exception
+    is matched, so a run that succeeds never imports the pool's module."""
+    from concurrent.futures.process import BrokenProcessPool
+    return ValueError, OSError, MemoryError, BrokenProcessPool
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qequil",
@@ -204,7 +216,7 @@ def main(argv=None) -> int:
     try:
         config = _effective_config(name, args)
         result = RUNNERS[name](config)
-    except (ValueError, OSError, MemoryError) as exc:  # an input it cannot read or run on
+    except _run_errors() as exc:
         raise SystemExit(f"{name}: {exc}") from exc
     failures = result.failures  # each failing record is built here, once
     try:

@@ -1,5 +1,15 @@
 import pytest
 
+from qequil import batteries
+
+
+@pytest.fixture(autouse=True)
+def at_most_two_workers(monkeypatch):
+    """Process pools started in a test take at most two workers, whatever
+    the machine's CPU count."""
+    usable = batteries._usable_cpus
+    monkeypatch.setattr(batteries, "_usable_cpus", lambda: min(usable(), 2))
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     lines = getattr(config, "_acceptance_lines", None)

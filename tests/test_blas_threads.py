@@ -4,7 +4,9 @@ come from eigenvalues alone. So its artifacts are the same bytes at one and
 at two OpenBLAS threads, and with two the worker thread takes no CPU time
 across ``cli.main``. `figure3`, `gaussian` and `haar` also write the same
 bytes at both thread counts. Each run is a fresh interpreter, because
-OpenBLAS reads its thread count when numpy loads it."""
+OpenBLAS reads its thread count when numpy loads it. `haar` also writes the
+same bytes pinned to one CPU, where its battery runs in process, as on every
+usable CPU, where it runs on a process pool."""
 import hashlib
 import json
 import os
@@ -85,3 +87,21 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, argv, files)
                        env=_env(threads), capture_output=True, timeout=120, check=True)
         digests.append(_digests(out))
     assert len(digests[0]) == files and digests[0] == digests[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs and sched_setaffinity")
+def test_haar_artifacts_do_not_depend_on_the_cpu_count(tmp_path):
+    # the benchmark's smoke sizes, 3 battery scenarios
+    argv = ["haar", "--set", "samples=50", "--set", "battery_scenarios=3",
+            "--set", "battery_samples=50", "--set", "twirl_samples=200"]
+    one_cpu = min(os.sched_getaffinity(0))
+    digests = []
+    for pin in (lambda: os.sched_setaffinity(0, {one_cpu}), None):
+        out = tmp_path / ("pinned" if pin else "unpinned")
+        subprocess.run([sys.executable, "-m", "qequil.cli", *argv, "--out", str(out)],
+                       env=_env(1), preexec_fn=pin, capture_output=True, timeout=120,
+                       check=True)
+        digests.append(_digests(out))
+    assert len(digests[0]) == 3 and digests[0] == digests[1]
