@@ -199,10 +199,15 @@ def _random_state(rng, spec) -> QuantumState:
 def fast_equilibration_battery(seed: int, trials: int, t_points: int, max_rank: int) -> dict:
     """Randomized sweep of the two-outcome fast-equilibration bound, with the
     Lorentzian-purity chain checked at every grid point along the way. Each
-    trial takes its windows as one sweep: one window scan for every eta and
-    every cap, one :class:`TimeGrid` of all its windows, one series call and
-    one time average over it; only the matrix path of the purity runs window
-    by window. Returns the tables ``fast_equilibration`` (the bound) and
+    trial takes its windows as one sweep: one :class:`TimeGrid` of all its
+    windows, one series call and one time average over it, and one window
+    scan for every eta and every cap; only the matrix path of the purity
+    runs window by window. The trials' measured side (:func:`_measure_trial`)
+    runs on the usable CPUs (see :func:`_map_in_processes`); each trial is
+    seeded by its index alone, so the tables do not depend on how many run
+    at once, and the workers' memory is outside this process's peak RSS.
+    The window scans, bounds and verdicts stay in this process.
+    Returns the tables ``fast_equilibration`` (the bound) and
     ``purity_chain``, each with one row per trial and window, their columns
     allocated for every trial up front and filled a trial's slice at a
     time."""
@@ -218,18 +223,10 @@ def fast_equilibration_battery(seed: int, trials: int, t_points: int, max_rank: 
             "d": np.empty(size, dtype=int), "levels": np.empty(size, dtype=int),
             "eta": np.empty(size), "refinement_error": np.empty(size)}
     chain = _purity_chain_table(fast["trial"], fast["T"])
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        state, label = _random_trial_scenario(rng)
-        spec = state.spectrum
-        dist = level_distribution(state)
-        sigma = energy_moments(dist).std
-        omega = dephase(state)
-        d = spec.dim
-        rank = int(rng.integers(1, min(max_rank, d // 2) + 1))
-        proj = HaarSampler(int(rng.integers(2 ** 62)), d).projector(rank)
-        p_omega = proj.expectation(omega)
-        t_grid = np.geomspace(0.1, 100.0, t_points) / sigma
+    results = _map_in_processes(_measure_trial, [(seed, trial, t_points, max_rank)
+                                                 for trial in range(trials)])
+    for trial, (label, dist, sigma, rank, t_grid, measured, refinement, purity,
+                matrix_path) in enumerate(results):
         # the purity-chain widths delta (the fixed ones, then the one matched
         # to sigma_E) and one scan: width 1/T for eta, delta / 2T for each cap
         deltas = np.column_stack([np.tile(PURITY_CHAIN_DELTAS, (t_points, 1)),
@@ -238,23 +235,45 @@ def fast_equilibration_battery(seed: int, trials: int, t_points: int, max_rank: 
             [1.0 / t_grid, deltas / (2.0 * t_grid[:, None])]))
         etas = scan[:, 0]
         bounds = bounds_mod.fast_equilibration_bound(etas, rank)
-        grid = TimeGrid(t_grid, spec.span)
-        avg = time_average(np.abs(expectation_series(proj, state, grid) - p_omega), grid)
         rows = slice(trial * t_points, (trial + 1) * t_points)
         fast["T"][rows] = t_grid
         fast["eps"][rows] = 1.0 / t_grid
         fast["K"][rows] = rank
         fast["value"][rows] = bounds
-        fast["measured"][rows] = avg.value
-        fast["holds"][rows] = avg.value <= bounds + FAST_EQUILIBRATION_SLACK
+        fast["measured"][rows] = measured
+        fast["holds"][rows] = measured <= bounds + FAST_EQUILIBRATION_SLACK
         fast["label"][rows] = [label] * t_points
-        fast["d"][rows] = d
-        fast["levels"][rows] = spec.num_levels
+        fast["d"][rows] = dist.spectrum.dim
+        fast["levels"][rows] = dist.spectrum.num_levels
         fast["eta"][rows] = etas
-        fast["refinement_error"][rows] = avg.refinement_error
-        _fill_purity_chain(chain, rows, state, dist, t_grid,
+        fast["refinement_error"][rows] = refinement
+        _fill_purity_chain(chain, rows, dist, t_grid, purity, matrix_path,
                            bounds_mod.window_purity_bound(scan[:, 1:], deltas))
     return {"fast_equilibration": fast, "purity_chain": chain}
+
+
+def _measure_trial(seed: int, trial: int, t_points: int, max_rank: int) -> tuple:
+    """The measured side of trial ``trial`` of
+    :func:`fast_equilibration_battery`: its label, level distribution,
+    sigma_E and projector rank ``K``, then at each of its ``t_points``
+    windows ``T`` the time average of |tr(P rho_t) - tr(P omega)| with its
+    refinement error, and the exact Lorentzian purity with its matrix path.
+    No bound is computed here."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+    state, label = _random_trial_scenario(rng)
+    dist = level_distribution(state)
+    sigma = energy_moments(dist).std
+    d = state.spectrum.dim
+    rank = int(rng.integers(1, min(max_rank, d // 2) + 1))
+    proj = HaarSampler(int(rng.integers(2 ** 62)), d).projector(rank)
+    p_omega = proj.expectation(dephase(state))
+    t_grid = np.geomspace(0.1, 100.0, t_points) / sigma
+    grid = TimeGrid(t_grid, state.spectrum.span)
+    avg = time_average(np.abs(expectation_series(proj, state, grid) - p_omega), grid)
+    matrix_path = np.array([np.vdot(damped, damped).real
+                            for damped in lorentzian_state(state, t_grid)])
+    return (label, dist, sigma, rank, t_grid, avg.value, avg.refinement_error,
+            lorentzian_purity(state, t_grid), matrix_path)
 
 
 def _purity_chain_table(trials: np.ndarray, windows: np.ndarray) -> dict:
@@ -271,14 +290,13 @@ def _purity_chain_table(trials: np.ndarray, windows: np.ndarray) -> dict:
     return table
 
 
-def _fill_purity_chain(table: dict, rows: slice, state, dist, windows, caps) -> None:
+def _fill_purity_chain(table: dict, rows: slice, dist, windows, exact, matrix_path,
+                       caps) -> None:
     """The purity chain of one trial's ``windows`` into ``rows`` of
-    ``table``, with ``caps`` the window-probability caps, one row of them
-    per window."""
-    exact = lorentzian_purity(state, windows)
+    ``table``: its ``exact`` Lorentzian purity and ``matrix_path`` against
+    each other, against the product bound of ``dist`` and against ``caps``,
+    the window-probability caps, one row of them per window."""
     products = lorentzian_purity_product(dist, windows)
-    matrix_path = np.array([np.vdot(damped, damped).real
-                            for damped in lorentzian_state(state, windows)])
     agreement = np.abs(exact - matrix_path)
     table["purity_exact"][rows] = exact
     table["purity_matrix"][rows] = matrix_path
@@ -427,9 +445,13 @@ def _map_in_processes(task, arguments: list) -> list:
     process instead with one worker, where there is no ``fork`` start
     method, and on CPython 3.12 and later, which warns when a process with
     live threads (OpenBLAS's) forks. ``task`` must be a module-level
-    function. A task's exception reaches the caller as raised; a worker
-    that dies raises ``BrokenProcessPool``. Either way, and on success, the
-    workers are joined before this returns."""
+    function. It maps :func:`_haar_scenario` for ``haar`` and
+    :func:`_measure_trial`, the measured side of a ``bounds`` trial, whose
+    window scans, bounds and verdicts stay in this process. The workers'
+    memory is outside this process's peak RSS. A task's exception reaches
+    the caller as raised; a worker that dies raises ``BrokenProcessPool``.
+    Either way, and on success, the workers are joined before this
+    returns."""
     workers = min(_usable_cpus(), len(arguments))
     if workers > 1 and sys.version_info < (3, 12):
         import multiprocessing

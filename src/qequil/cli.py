@@ -6,12 +6,14 @@ hash and, for a seeded experiment, its seed (``seed``, or ``phase_seed``
 for figure3): a leading ``#`` comment for CSV, ``_``-prefixed keys for
 JSON. Outputs are byte-identical for identical configs at a fixed BLAS
 thread count, whatever the number of CPUs: ``haar`` runs its battery's
-scenarios on a ``fork`` process pool over the usable CPUs (in process on
-one CPU, where ``fork`` is missing, or on CPython 3.12 and later), each
-seeded by its index alone. The workers' memory is outside this process's
-peak RSS. The exit code is 0 exactly when every check holds; failed checks
-are also written to ``failures.json``. An input it cannot run on, or a
-worker that dies, ends the run with one line on standard error.
+scenarios, and ``bounds`` the measured side of its trials, on a ``fork``
+process pool over the usable CPUs (in process on one CPU, where ``fork`` is
+missing, or on CPython 3.12 and later), each seeded by its index alone.
+``bounds`` keeps its window scans, bounds and verdicts in this process. The
+workers' memory is outside this process's peak RSS. The exit code is 0
+exactly when every check holds; failed checks are also written to
+``failures.json``. An input it cannot run on, or a worker that dies, ends
+the run with one line on standard error.
 
 Energies are treated in units with hbar = 1; to convert a time column to
 seconds multiply by hbar / (energy unit in joules).

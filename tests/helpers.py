@@ -6,9 +6,12 @@ experiment evaluates (the population term, the N-outcome extension, the
 window-width optimizer, the bound chain and the tight constrained mean) live
 here too, as references the theorem checks compare against.
 """
+import multiprocessing
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
+import pytest
 from scipy import integrate
 
 from qequil import batteries, cli, haar
@@ -28,6 +31,13 @@ from qequil.states import (TRACE_TOL, EquilibriumState, QuantumState, dephase,
                            purity)
 
 HERMITICITY_TOL = 1e-10
+
+# Whether batteries._map_in_processes runs its tasks on a process pool here
+# (the tests cap the pool at two workers, see conftest.py).
+POOLED = (batteries._usable_cpus() >= 2 and sys.version_info < (3, 12)
+          and "fork" in multiprocessing.get_all_start_methods())
+needs_pool = pytest.mark.skipif(not POOLED, reason="the pool runs in process here: one "
+                                "usable CPU, no fork start method, or CPython 3.12+")
 
 
 def linspace_grid(window: float, max_gap: float) -> np.ndarray:

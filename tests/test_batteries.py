@@ -10,8 +10,8 @@ from qequil.batteries import (gap_counting_battery, haar_battery,
                               fast_equilibration_battery)
 from qequil.constructions import random_scenario, slow_window_check, snapshot_subspace
 
-from helpers import (per_window_fast_equilibration_battery, per_window_gap_counting_battery,
-                     rows, scalar_kind)
+from helpers import (needs_pool, per_window_fast_equilibration_battery,
+                     per_window_gap_counting_battery, rows, scalar_kind)
 
 SEED = 20240811
 # Eight trials at each of these seeds draw pure and mixed states on
@@ -179,11 +179,22 @@ def _count_sweep_work(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("trials", [1, 3])
 def test_each_bounds_trial_is_one_sweep(monkeypatch, trials):
-    # per-window grids, series calls or scans must not creep back
+    # per-window grids, series calls or scans must not creep back; in one
+    # process, so that the counters see the trials' measured side too
+    monkeypatch.setattr(batteries, "_usable_cpus", lambda: 1)
     counts = _count_sweep_work(monkeypatch)
     tables = fast_battery(SEED, trials)
     assert sum(map(batteries.table_length, tables.values())) == 2 * BOUNDS["t_points"] * trials
     assert counts == {"grids": trials, "series": trials, "scans": trials}
+
+
+@needs_pool
+def test_pooled_bounds_trials_scan_here_and_measure_in_the_workers(monkeypatch):
+    # the window scans, and so every bound, stay in this process; the grids
+    # and series run in the workers, where these counters do not reach
+    counts = _count_sweep_work(monkeypatch)
+    fast_battery(SEED, 3)
+    assert counts == {"grids": 0, "series": 0, "scans": 3}
 
 
 def test_gap_counting_battery_is_one_sweep(monkeypatch):

@@ -2,11 +2,15 @@
 series GEMMs stay under OpenBLAS's threading limit and its trial spectra
 come from eigenvalues alone. So its artifacts are the same bytes at one and
 at two OpenBLAS threads, and with two the worker thread takes no CPU time
-across ``cli.main``. `figure3`, `gaussian` and `haar` also write the same
-bytes at both thread counts. Each run is a fresh interpreter, because
-OpenBLAS reads its thread count when numpy loads it. `haar` also writes the
-same bytes pinned to one CPU, where its battery runs in process, as on every
-usable CPU, where it runs on a process pool."""
+across ``cli.main``. That probe runs the trials in process: a fork shuts
+OpenBLAS's worker threads down in the forking process, so where the trials
+run on the process pool the thread it watches is gone before the trials'
+GEMMs run, and those run in the pool's workers, out of its sight.
+`figure3`, `gaussian` and `haar` also write the same bytes at both thread
+counts. Each run is a fresh interpreter, because OpenBLAS reads its thread
+count when numpy loads it. `haar` and `bounds` also write the same bytes
+pinned to one CPU, where their trials run in process, as on every usable
+CPU, where they run on a process pool."""
 import hashlib
 import json
 import os
@@ -35,6 +39,7 @@ def worker_ticks():
             total, workers = total + int(fields[11]) + int(fields[12]), workers + 1
     return total, workers
 
+qequil.batteries._usable_cpus = lambda: 1  # the trials in process, see above
 time.sleep(0.5)
 before, workers = worker_ticks()
 code = qequil.cli.main(sys.argv[1:])
@@ -92,10 +97,13 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, argv, files)
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                     or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two usable CPUs and sched_setaffinity")
-def test_haar_artifacts_do_not_depend_on_the_cpu_count(tmp_path):
+@pytest.mark.parametrize("argv, files", [
     # the benchmark's smoke sizes, 3 battery scenarios
-    argv = ["haar", "--set", "samples=50", "--set", "battery_scenarios=3",
-            "--set", "battery_samples=50", "--set", "twirl_samples=200"]
+    (["haar", "--set", "samples=50", "--set", "battery_scenarios=3",
+      "--set", "battery_samples=50", "--set", "twirl_samples=200"], 3),
+    (["bounds", "--set", "trials=12"], 4)],
+    ids=["haar", "bounds"])
+def test_artifacts_do_not_depend_on_the_cpu_count(tmp_path, argv, files):
     one_cpu = min(os.sched_getaffinity(0))
     digests = []
     for pin in (lambda: os.sched_setaffinity(0, {one_cpu}), None):
@@ -104,4 +112,4 @@ def test_haar_artifacts_do_not_depend_on_the_cpu_count(tmp_path):
                        env=_env(1), preexec_fn=pin, capture_output=True, timeout=120,
                        check=True)
         digests.append(_digests(out))
-    assert len(digests[0]) == 3 and digests[0] == digests[1]
+    assert len(digests[0]) == files and digests[0] == digests[1]

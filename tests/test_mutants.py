@@ -64,8 +64,9 @@ BOUNDS_SMALL = ["bounds", "--set", "trials=4", "--set", "gap_counting_dim=12"]
 
 # Faults that every verdict misses; each runs to exit 0 on bounds.
 SURVIVORS = {
-    # the deviation taken from tr((1 - P) omega), not tr(P omega): the measured
-    # averages stay far below the two-outcome bound
+    # the deviation taken from tr((1 - P) omega), not tr(P omega), in the
+    # trials' measured side (_measure_trial, run on the process pool): the
+    # measured averages stay far below the two-outcome bound
     "complement-swap": (
         "batteries.py", "expectation_series(proj, state, grid) - p_omega",
         "expectation_series(proj, state, grid) - (1 - p_omega)",

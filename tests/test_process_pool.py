@@ -1,24 +1,24 @@
-"""The Haar battery's process pool: it returns its tasks' results in task
-order, a task's error reaches the caller as raised, and a worker that dies
-ends the command line with one line. No worker outlives a call. The tests
-start at most two workers (see ``conftest.py``); that the battery's
-artifacts do not depend on the CPU count is checked in
+"""The process pool of the Haar battery's scenarios and of the measured side
+of the ``bounds`` trials: it returns its tasks' results in task order, a
+task's error reaches the caller as raised, a worker that dies ends the
+command line with one line, and the pooled ``bounds`` tables equal the
+in-process ones column for column. No worker outlives a call. The tests
+start at most two workers (see ``conftest.py``); that the artifacts of both
+experiments do not depend on the CPU count is checked in
 ``test_blas_threads.py``."""
 import multiprocessing
 import os
-import sys
 
+import numpy as np
 import pytest
 
 from qequil import batteries, cli
 
-POOLED = (batteries._usable_cpus() >= 2 and sys.version_info < (3, 12)
-          and "fork" in multiprocessing.get_all_start_methods())
-needs_pool = pytest.mark.skipif(not POOLED, reason="the pool runs in process here: one "
-                                "usable CPU, no fork start method, or CPython 3.12+")
+from helpers import POOLED, needs_pool
 
 HAAR_SMALL = ["--set", "samples=50", "--set", "battery_scenarios=2",
               "--set", "battery_samples=50", "--set", "twirl_samples=200"]
+BOUNDS_SMALL = ["--set", "trials=4", "--set", "gap_counting_dim=12"]
 
 
 def _square_or_fail(x):
@@ -45,13 +45,38 @@ def test_task_error_reaches_the_caller_as_raised():
     assert multiprocessing.active_children() == []
 
 
-@needs_pool
-def test_dead_worker_ends_the_run_with_one_line(monkeypatch, tmp_path):
-    monkeypatch.setattr(batteries, "_haar_scenario", _die)
+def _assert_dead_worker_ends_the_run(monkeypatch, tmp_path, experiment, task, argv):
+    monkeypatch.setattr(batteries, task, _die)
     with pytest.raises(SystemExit) as info:
-        cli.main(["haar", "--out", str(tmp_path / "out"), *HAAR_SMALL])
+        cli.main([experiment, "--out", str(tmp_path / "out"), *argv])
     message = str(info.value.code)
-    assert message.startswith("haar: A process in the process pool was terminated")
+    assert message.startswith(f"{experiment}: A process in the process pool was terminated")
     assert "\n" not in message
     assert not (tmp_path / "out").exists()
+    assert multiprocessing.active_children() == []
+
+
+@needs_pool
+def test_dead_worker_ends_the_run_with_one_line(monkeypatch, tmp_path):
+    _assert_dead_worker_ends_the_run(monkeypatch, tmp_path, "haar", "_haar_scenario",
+                                     HAAR_SMALL)
+
+
+@needs_pool
+def test_dead_bounds_worker_ends_the_run_with_one_line(monkeypatch, tmp_path):
+    _assert_dead_worker_ends_the_run(monkeypatch, tmp_path, "bounds", "_measure_trial",
+                                     BOUNDS_SMALL)
+
+
+def test_pooled_bounds_tables_equal_the_in_process_ones(monkeypatch):
+    tables = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(batteries, "_usable_cpus", lambda: cpus)
+        tables.append(batteries.fast_equilibration_battery(20240811, 5, 6, 8))
+    in_process, pooled = tables
+    assert list(in_process) == list(pooled) == ["fast_equilibration", "purity_chain"]
+    for name, table in in_process.items():
+        assert list(table) == list(pooled[name])
+        for column, values in table.items():
+            assert np.array_equal(values, pooled[name][column]), (name, column)
     assert multiprocessing.active_children() == []
