@@ -206,50 +206,17 @@ def fast_equilibration_battery(seed: int, trials: int, t_points: int, max_rank: 
     runs on the usable CPUs (see :func:`_map_in_processes`); each trial is
     seeded by its index alone, so the tables do not depend on how many run
     at once, and the workers' memory is outside this process's peak RSS.
-    The window scans, bounds and verdicts stay in this process.
-    Returns the tables ``fast_equilibration`` (the bound) and
-    ``purity_chain``, each with one row per trial and window, their columns
-    allocated for every trial up front and filled a trial's slice at a
-    time."""
+    Each trial's window scan, bounds and verdicts (:func:`_check_trial`)
+    stay in this process. Returns the tables ``fast_equilibration`` (the
+    bound) and ``purity_chain``: each trial's rows, one per window, stacked
+    in trial order."""
     _check_count("trials", trials)
     _check_count("t_points", t_points)
     _check_count("max_rank", max_rank)
-    size = trials * t_points
-    fast = {"name": ["fast_equilibration"] * size, "T": np.empty(size),
-            "eps": np.empty(size), "K": np.empty(size, dtype=int),
-            "value": np.empty(size), "measured": np.empty(size),
-            "holds": np.empty(size, dtype=bool), "battery": ["fast_equilibration"] * size,
-            "trial": np.repeat(np.arange(trials), t_points), "label": [""] * size,
-            "d": np.empty(size, dtype=int), "levels": np.empty(size, dtype=int),
-            "eta": np.empty(size), "refinement_error": np.empty(size)}
-    chain = _purity_chain_table(fast["trial"], fast["T"])
-    results = _map_in_processes(_measure_trial, [(seed, trial, t_points, max_rank)
-                                                 for trial in range(trials)])
-    for trial, (label, dist, sigma, rank, t_grid, measured, refinement, purity,
-                matrix_path) in enumerate(results):
-        # the purity-chain widths delta (the fixed ones, then the one matched
-        # to sigma_E) and one scan: width 1/T for eta, delta / 2T for each cap
-        deltas = np.column_stack([np.tile(PURITY_CHAIN_DELTAS, (t_points, 1)),
-                                  2.0 * t_grid * (sigma / 2.0)])
-        scan = max_window_probability(dist, np.column_stack(
-            [1.0 / t_grid, deltas / (2.0 * t_grid[:, None])]))
-        etas = scan[:, 0]
-        bounds = bounds_mod.fast_equilibration_bound(etas, rank)
-        rows = slice(trial * t_points, (trial + 1) * t_points)
-        fast["T"][rows] = t_grid
-        fast["eps"][rows] = 1.0 / t_grid
-        fast["K"][rows] = rank
-        fast["value"][rows] = bounds
-        fast["measured"][rows] = measured
-        fast["holds"][rows] = measured <= bounds + FAST_EQUILIBRATION_SLACK
-        fast["label"][rows] = [label] * t_points
-        fast["d"][rows] = dist.spectrum.dim
-        fast["levels"][rows] = dist.spectrum.num_levels
-        fast["eta"][rows] = etas
-        fast["refinement_error"][rows] = refinement
-        _fill_purity_chain(chain, rows, dist, t_grid, purity, matrix_path,
-                           bounds_mod.window_purity_bound(scan[:, 1:], deltas))
-    return {"fast_equilibration": fast, "purity_chain": chain}
+    measured = _map_in_processes(_measure_trial, [(seed, trial, t_points, max_rank)
+                                                  for trial in range(trials)])
+    fast, chain = zip(*(_check_trial(trial, *result) for trial, result in enumerate(measured)))
+    return {"fast_equilibration": _stack_tables(fast), "purity_chain": _stack_tables(chain)}
 
 
 def _measure_trial(seed: int, trial: int, t_points: int, max_rank: int) -> tuple:
@@ -258,7 +225,7 @@ def _measure_trial(seed: int, trial: int, t_points: int, max_rank: int) -> tuple
     sigma_E and projector rank ``K``, then at each of its ``t_points``
     windows ``T`` the time average of |tr(P rho_t) - tr(P omega)| with its
     refinement error, and the exact Lorentzian purity with its matrix path.
-    No bound is computed here."""
+    No bound is computed here; :func:`_check_trial` takes this tuple."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
     state, label = _random_trial_scenario(rng)
     dist = level_distribution(state)
@@ -276,37 +243,47 @@ def _measure_trial(seed: int, trial: int, t_points: int, max_rank: int) -> tuple
             lorentzian_purity(state, t_grid), matrix_path)
 
 
-def _purity_chain_table(trials: np.ndarray, windows: np.ndarray) -> dict:
-    """Unfilled purity-chain columns beside the given trial and window
-    columns: the exact Lorentzian purity against its matrix path, its
-    product bound and the window-probability caps at every width delta (the
-    fixed ones, then ``bound_delta_matched``, the one matched to sigma_E)."""
+def _check_trial(trial: int, label: str, dist, sigma: float, rank: int, windows,
+                 measured, refinement, exact, matrix_path) -> tuple:
+    """The ``fast_equilibration`` and ``purity_chain`` tables of trial
+    ``trial``, one row per window ``T``, from its measured side (see
+    :func:`_measure_trial`). One window scan gives eta (width 1/T) and the
+    cap at every purity-chain width delta (width delta / 2T): the fixed
+    widths, then the one matched to sigma_E."""
     size = windows.size
-    table = {"battery": ["purity_chain"] * size, "trial": trials, "T": windows}
-    for name in ("purity_exact", "purity_matrix", "agreement", "product_bound",
-                 *PURITY_CAP_COLUMNS):
-        table[name] = np.empty(size)
-    table["holds"] = np.empty(size, dtype=bool)
-    return table
-
-
-def _fill_purity_chain(table: dict, rows: slice, dist, windows, exact, matrix_path,
-                       caps) -> None:
-    """The purity chain of one trial's ``windows`` into ``rows`` of
-    ``table``: its ``exact`` Lorentzian purity and ``matrix_path`` against
-    each other, against the product bound of ``dist`` and against ``caps``,
-    the window-probability caps, one row of them per window."""
+    deltas = np.column_stack([np.tile(PURITY_CHAIN_DELTAS, (size, 1)),
+                              2.0 * windows * (sigma / 2.0)])
+    scan = max_window_probability(dist, np.column_stack(
+        [1.0 / windows, deltas / (2.0 * windows[:, None])]))
+    etas = scan[:, 0]
+    bounds = bounds_mod.fast_equilibration_bound(etas, rank)
+    trials = np.full(size, trial)
+    fast = {"name": ["fast_equilibration"] * size, "T": windows, "eps": 1.0 / windows,
+            "K": np.full(size, rank), "value": bounds, "measured": measured,
+            "holds": measured <= bounds + FAST_EQUILIBRATION_SLACK,
+            "battery": ["fast_equilibration"] * size, "trial": trials,
+            "label": [label] * size, "d": np.full(size, dist.spectrum.dim),
+            "levels": np.full(size, dist.spectrum.num_levels), "eta": etas,
+            "refinement_error": refinement}
+    caps = bounds_mod.window_purity_bound(scan[:, 1:], deltas)
     products = lorentzian_purity_product(dist, windows)
     agreement = np.abs(exact - matrix_path)
-    table["purity_exact"][rows] = exact
-    table["purity_matrix"][rows] = matrix_path
-    table["agreement"][rows] = agreement
-    table["product_bound"][rows] = products
-    for name, cap in zip(PURITY_CAP_COLUMNS, caps.T):
-        table[name][rows] = cap
-    table["holds"][rows] = ((agreement <= PURITY_DUAL_PATH_TOL)
-                            & (exact <= products + 1e-12)
-                            & np.all(exact[:, None] <= caps + 1e-12, axis=1))
+    chain = {"battery": ["purity_chain"] * size, "trial": trials, "T": windows,
+             "purity_exact": exact, "purity_matrix": matrix_path, "agreement": agreement,
+             "product_bound": products, **dict(zip(PURITY_CAP_COLUMNS, caps.T)),
+             "holds": ((agreement <= PURITY_DUAL_PATH_TOL) & (exact <= products + 1e-12)
+                       & np.all(exact[:, None] <= caps + 1e-12, axis=1))}
+    return fast, chain
+
+
+def _stack_tables(tables) -> dict:
+    """The rows of ``tables``, a sequence of tables with the same columns in
+    the same order, one table after another: array columns concatenated,
+    list columns joined."""
+    return {name: np.concatenate([table[name] for table in tables])
+            if isinstance(column, np.ndarray)
+            else [cell for table in tables for cell in table[name]]
+            for name, column in tables[0].items()}
 
 
 def gap_counting_scenario(seed: int, dim: int):
@@ -363,40 +340,21 @@ HAAR_BATTERY_CHECKS = ("typical_two_outcome", "constrained_two_outcome",
 def haar_battery(seed: int, scenarios: int, samples: int) -> dict:
     """Monte Carlo sweep of all four Haar-ensemble bounds (two-outcome and
     N-outcome, unconstrained and initial-state-constrained): a table with one
-    row per scenario and check. The scenarios run on the usable CPUs (see
-    :func:`_map_in_processes`); each is seeded by its index alone, so the
-    table does not depend on how many run at once."""
+    row per scenario and check, the rows of each scenario
+    (:func:`_haar_scenario`) stacked in scenario order. The scenarios run on
+    the usable CPUs (see :func:`_map_in_processes`); each is seeded by its
+    index alone, so the table does not depend on how many run at once."""
     _check_count("scenarios", scenarios)
-    per_scenario = len(HAAR_BATTERY_CHECKS)
-    size = per_scenario * scenarios
-    table = {"name": list(HAAR_BATTERY_CHECKS) * scenarios, "T": np.empty(size),
-             "K": np.empty(size, dtype=int), "value": np.empty(size),
-             "measured": np.empty(size), "holds": np.empty(size, dtype=bool),
-             "battery": ["haar"] * size,
-             "scenario": np.repeat(np.arange(scenarios), per_scenario),
-             "d": np.empty(size, dtype=int), "N": np.empty(size, dtype=int),
-             "mc_stderr": np.empty(size)}
-    results = _map_in_processes(_haar_scenario,
-                                [(seed, idx, samples) for idx in range(scenarios)])
-    for idx, (t, rank, d, outcomes, caps, measured, stderr) in enumerate(results):
-        rows = slice(idx * per_scenario, (idx + 1) * per_scenario)
-        table["T"][rows] = t
-        table["K"][rows] = rank
-        table["d"][rows] = d
-        table["N"][rows] = outcomes
-        table["value"][rows] = caps
-        table["measured"][rows] = measured
-        table["mc_stderr"][rows] = stderr
-    table["holds"][:] = table["measured"] <= (table["value"]
-                                              + HAAR_STDERR_SIGMAS * table["mc_stderr"])
-    return table
+    return _stack_tables(_map_in_processes(
+        _haar_scenario, [(seed, idx, samples) for idx in range(scenarios)]))
 
 
-def _haar_scenario(seed: int, idx: int, samples: int) -> tuple:
-    """Scenario ``idx`` of :func:`haar_battery`: its time ``T``, rank ``K``,
-    dimension ``d`` and outcome count ``N``, then the cap, the Monte Carlo
-    mean and its standard error of each of the four checks, as lists in
-    ``HAAR_BATTERY_CHECKS`` order."""
+def _haar_scenario(seed: int, idx: int, samples: int) -> dict:
+    """The rows of scenario ``idx`` of :func:`haar_battery`, one per check
+    in ``HAAR_BATTERY_CHECKS`` order: the scenario's time ``T``, rank ``K``,
+    dimension ``d`` and outcome count ``N``, and each check's cap, Monte
+    Carlo mean and standard error; a check holds when its mean is within
+    ``HAAR_STDERR_SIGMAS`` standard errors above its cap."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x44A, idx]))
     d = int(rng.integers(8, 25))
     state0 = random_scenario(int(rng.integers(2 ** 62)), d)
@@ -420,15 +378,18 @@ def _haar_scenario(seed: int, idx: int, samples: int) -> tuple:
         (state0.amplitudes, ranks_c,
          n_outcome_constrained_bound(state0, state_t, omega, len(ranks_c))),
     ]
-    caps, measured, stderr = [], [], []
+    stats = []
     for (excluded, part, cap), sampler_seed in zip(checks, seeds):
         sampler = HaarSampler(sampler_seed, d, excluded_vector=excluded)
-        mean, err = mc_mean_stderr(
-            mc_distinguishabilities(state_t, omega, part, sampler, samples))
-        caps.append(cap)
-        measured.append(mean)
-        stderr.append(err)
-    return t, rank, d, outcomes, caps, measured, stderr
+        stats.append((cap, *mc_mean_stderr(
+            mc_distinguishabilities(state_t, omega, part, sampler, samples))))
+    caps, measured, stderr = np.array(stats, dtype=float).T
+    size = len(checks)
+    return {"name": list(HAAR_BATTERY_CHECKS), "T": np.full(size, t),
+            "K": np.full(size, rank), "value": caps, "measured": measured,
+            "holds": measured <= caps + HAAR_STDERR_SIGMAS * stderr,
+            "battery": ["haar"] * size, "scenario": np.full(size, idx),
+            "d": np.full(size, d), "N": np.full(size, outcomes), "mc_stderr": stderr}
 
 
 def _usable_cpus() -> int:
@@ -445,10 +406,11 @@ def _map_in_processes(task, arguments: list) -> list:
     process instead with one worker, where there is no ``fork`` start
     method, and on CPython 3.12 and later, which warns when a process with
     live threads (OpenBLAS's) forks. ``task`` must be a module-level
-    function. It maps :func:`_haar_scenario` for ``haar`` and
-    :func:`_measure_trial`, the measured side of a ``bounds`` trial, whose
-    window scans, bounds and verdicts stay in this process. The workers'
-    memory is outside this process's peak RSS. A task's exception reaches
+    function. It maps :func:`_haar_scenario`, which returns one scenario's
+    rows, for ``haar``, and :func:`_measure_trial`, the measured side of a
+    ``bounds`` trial; :func:`_check_trial` makes that trial's rows in this
+    process, with its window scan, bounds and verdicts. The workers' memory
+    is outside this process's peak RSS. A task's exception reaches
     the caller as raised; a worker that dies raises ``BrokenProcessPool``.
     Either way, and on success, the workers are joined before this
     returns."""
@@ -686,6 +648,8 @@ def run_haar(config: dict) -> ExperimentResult:
 
 
 def _load_spectrum_arg(config) -> EnergySpectrum:
+    if config.get("spectrum") and config.get("hermitian"):
+        raise ValueError("give a spectrum file or a hermitian matrix file, not both")
     if config.get("spectrum"):
         return EnergySpectrum.load(config["spectrum"])
     if config.get("hermitian"):

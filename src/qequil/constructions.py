@@ -237,7 +237,7 @@ def slow_window_check(subspace: SnapshotSubspace, state: QuantumState, outcomes:
     ceiling = 2.0 * np.sqrt(k / d_eff)
     grid = TimeGrid(max(MIN_LONG_WINDOW_SIGMA_T / sigma, 4.0 * t_end / ceiling),
                     state.spectrum.span)
-    long_avg = time_average(np.abs(expectation_series(proj, state, grid.times) - p_omega),
+    long_avg = time_average(np.abs(expectation_series(proj, state, grid) - p_omega),
                             grid)
 
     return SlowWindowReport(

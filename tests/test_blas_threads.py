@@ -5,7 +5,10 @@ at two OpenBLAS threads, and with two the worker thread takes no CPU time
 across ``cli.main``. That probe runs the trials in process: a fork shuts
 OpenBLAS's worker threads down in the forking process, so where the trials
 run on the process pool the thread it watches is gone before the trials'
-GEMMs run, and those run in the pool's workers, out of its sight.
+GEMMs run, and those run in the pool's workers, out of its sight. A second
+probe watches those workers: where the pool runs, at two OpenBLAS threads,
+each worker's threads but its main one take at most one tick across its
+``_measure_trial`` calls.
 `figure3`, `gaussian` and `haar` also write the same bytes at both thread
 counts. Each run is a fresh interpreter, because OpenBLAS reads its thread
 count when numpy loads it. `haar` and `bounds` also write the same bytes
@@ -22,29 +25,62 @@ import pytest
 
 import qequil
 
+from helpers import needs_pool
+
 SRC = str(Path(qequil.__file__).resolve().parents[1])
 
-# Ticks (utime + stime, in clock ticks) of every thread but the main one,
-# across cli.main, after a pause that lets the workers settle after import.
-PROBE = """
+# Ticks (utime + stime, in clock ticks) of each thread of this process but
+# the main one, by thread id.
+THREAD_TICKS = """
 import json, os, sys, time
 import qequil.cli
 
-def worker_ticks():
-    total, workers = 0, 0
+def thread_ticks():
+    ticks = {}
     for tid in os.listdir("/proc/self/task"):
         if int(tid) != os.getpid():
             with open(f"/proc/self/task/{tid}/stat") as fh:
                 fields = fh.read().rsplit(")", 1)[1].split()
-            total, workers = total + int(fields[11]) + int(fields[12]), workers + 1
-    return total, workers
+            ticks[tid] = int(fields[11]) + int(fields[12])
+    return ticks
+"""
 
+# The ticks of those threads across cli.main, after a pause that lets the
+# workers settle after import.
+PROBE = THREAD_TICKS + """
 qequil.batteries._usable_cpus = lambda: 1  # the trials in process, see above
 time.sleep(0.5)
-before, workers = worker_ticks()
+before = thread_ticks()
 code = qequil.cli.main(sys.argv[1:])
-after, _ = worker_ticks()
-print(json.dumps({"code": code, "workers": workers, "ticks": after - before}))
+after = thread_ticks()
+print(json.dumps({"code": code, "workers": len(before),
+                  "ticks": sum(after.values()) - sum(before.values())}))
+"""
+
+# The ticks of those threads in each pool worker across its _measure_trial
+# calls, summed by worker: each call appends its share to a file named by
+# its worker's process id in the directory argv[1]. Threads that start
+# during a call count from zero.
+POOL_PROBE = THREAD_TICKS + """
+from qequil import batteries
+
+measure_trial = batteries._measure_trial
+
+def probed_trial(*args):
+    before = thread_ticks()
+    result = measure_trial(*args)
+    ticks = sum(t - before.get(tid, 0) for tid, t in thread_ticks().items())
+    with open(os.path.join(sys.argv[1], str(os.getpid())), "a") as fh:
+        fh.write(f"{ticks}\\n")
+    return result
+
+usable = batteries._usable_cpus
+batteries._usable_cpus = lambda: min(usable(), 2)
+batteries._measure_trial = probed_trial
+code = qequil.cli.main(sys.argv[2:])
+calls = {name: [int(line) for line in open(os.path.join(sys.argv[1], name))]
+         for name in os.listdir(sys.argv[1])}
+print(json.dumps({"code": code, "pid": os.getpid(), "calls": calls}))
 """
 
 
@@ -74,6 +110,23 @@ def test_bounds_stays_on_one_blas_thread(tmp_path):
     assert one["code"] == two["code"] == 0
     assert len(one_digests) == 4 and one_digests == two_digests
     assert two["ticks"] <= 1
+
+
+@needs_pool
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_pool_workers_stay_on_one_blas_thread(tmp_path):
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    proc = subprocess.run([sys.executable, "-c", POOL_PROBE, str(calls), "bounds",
+                           "--out", str(tmp_path / "out"), "--set", "trials=12"],
+                          env=_env(2), capture_output=True, text=True, timeout=120,
+                          check=True)
+    run = json.loads(proc.stdout.splitlines()[-1])
+    assert run["code"] == 0
+    workers = run["calls"]
+    assert workers and str(run["pid"]) not in workers
+    assert sum(len(ticks) for ticks in workers.values()) == 12
+    assert all(sum(ticks) <= 1 for ticks in workers.values()), workers
 
 
 @pytest.mark.parametrize("argv, files", [

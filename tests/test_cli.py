@@ -253,6 +253,8 @@ def test_unknown_config_key_is_rejected(tmp_path, argv, key):
      "state must be a path string or null, got [1]"),
     (["spectrum-info", "--set", "hermitian=true"],
      "hermitian must be a path string or null, got True"),
+    (["spectrum-info", "--set", "spectrum=s.json", "--set", "hermitian=h.json"],
+     "spectrum-info: give a spectrum file or a hermitian matrix file, not both"),
     (["spectrum-info", "--set", "spectrum=s.json", "--set", 'epsilon="abc"'],
      "epsilon must be a finite positive number or null, got 'abc'"),
     (["spectrum-info", "--set", "spectrum=s.json", "--set", "epsilon=NaN"],

@@ -53,7 +53,7 @@ MUTANTS = {
     # the long window never evolves: every time of its grid reads tr(P rho_0),
     # so the average stays at the initial distinguishability
     "slow-long-window-frozen": (
-        "constructions.py", "expectation_series(proj, state, grid.times)",
+        "constructions.py", "expectation_series(proj, state, grid)",
         "expectation_series(proj, state, np.zeros_like(grid.times))",
         ["slow", "--set", "dim=256"],
         {"long_time_ceiling"}),

@@ -1,8 +1,9 @@
 """The process pool of the Haar battery's scenarios and of the measured side
 of the ``bounds`` trials: it returns its tasks' results in task order, a
 task's error reaches the caller as raised, a worker that dies ends the
-command line with one line, and the pooled ``bounds`` tables equal the
-in-process ones column for column. No worker outlives a call. The tests
+command line with one line, and the pooled ``bounds`` and ``haar`` tables
+equal the in-process ones column for column, in value, type and dtype. No
+worker outlives a call. The tests
 start at most two workers (see ``conftest.py``); that the artifacts of both
 experiments do not depend on the CPU count is checked in
 ``test_blas_threads.py``."""
@@ -68,15 +69,32 @@ def test_dead_bounds_worker_ends_the_run_with_one_line(monkeypatch, tmp_path):
                                      BOUNDS_SMALL)
 
 
-def test_pooled_bounds_tables_equal_the_in_process_ones(monkeypatch):
+# The numpy dtype kind of every array column that is not float64: counts and
+# indices are integers, verdicts booleans. List columns hold strings.
+COLUMN_KINDS = {"K": "i", "d": "i", "levels": "i", "N": "i", "trial": "i", "scenario": "i",
+                "holds": "b"}
+
+
+@pytest.mark.parametrize("battery", [
+    lambda: batteries.fast_equilibration_battery(20240811, 5, 6, 8),
+    lambda: {"haar_battery": batteries.haar_battery(20240811, 3, 50)}],
+    ids=["bounds", "haar"])
+def test_pooled_tables_equal_the_in_process_ones(monkeypatch, battery):
     tables = []
     for cpus in (1, 2):
         monkeypatch.setattr(batteries, "_usable_cpus", lambda: cpus)
-        tables.append(batteries.fast_equilibration_battery(20240811, 5, 6, 8))
+        tables.append(battery())
     in_process, pooled = tables
-    assert list(in_process) == list(pooled) == ["fast_equilibration", "purity_chain"]
+    assert list(in_process) == list(pooled)
     for name, table in in_process.items():
         assert list(table) == list(pooled[name])
         for column, values in table.items():
-            assert np.array_equal(values, pooled[name][column]), (name, column)
+            other = pooled[name][column]
+            assert type(values) is type(other), (name, column)
+            if isinstance(values, np.ndarray):
+                assert values.dtype == other.dtype, (name, column)
+                assert values.dtype.kind == COLUMN_KINDS.get(column, "f"), (name, column)
+            else:
+                assert {type(cell) for cell in values + other} == {str}, (name, column)
+            assert np.array_equal(values, other), (name, column)
     assert multiprocessing.active_children() == []
