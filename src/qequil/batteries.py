@@ -454,17 +454,16 @@ def run_figure3(config: dict) -> ExperimentResult:
     """Full-period distinguishability of the evenly spread oscillator state
     against its equilibrium, under the initial-state projector."""
     levels = int(config["levels"])
-    spacing = float(config["spacing"])
-    state = harmonic_oscillator_1d(levels, spacing)
+    state = harmonic_oscillator_1d(levels, 1.0)
     samples = int(config["samples"])
     _check_count("samples", samples)
-    times = np.linspace(0.0, 2.0 * np.pi / spacing, samples)
+    times = np.linspace(0.0, 2.0 * np.pi, samples)
     values = _initial_projector_series(state, times)
     table = _series_table(times, values)
 
     # same populations with seeded random phases; the averaged curve should
     # not care about them
-    rng = np.random.default_rng(np.random.SeedSequence(int(config["phase_seed"])))
+    rng = np.random.default_rng(np.random.SeedSequence(int(config["seed"])))
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, levels))
     rand_state = QuantumState.pure(state.spectrum, state.amplitudes * phases)
     rand_table = _series_table(times, _initial_projector_series(rand_state, times))
@@ -537,8 +536,7 @@ def run_gaussian(config: dict) -> ExperimentResult:
                            and 0 < st < np.inf for st in grid):
         raise ValueError("sigma_t_grid must be a non-empty list of positive "
                          f"finite numbers, got {grid!r}")
-    dist = level_distribution(gaussian_scenario(int(config["levels"]),
-                                                float(config["sigma"]),
+    dist = level_distribution(gaussian_scenario(int(config["levels"]), 1.0,
                                                 float(config["span"])))
     sigma = energy_moments(dist).std
     sigma_t = np.array(grid, dtype=float)
@@ -560,7 +558,7 @@ def run_gaussian(config: dict) -> ExperimentResult:
         ("purity_asymptote", {"sigma_T": sigma_t[far], "exact": exact[far],
                               "asymptote": asym[far],
                               "holds": np.abs(exact - asym)[far] <= 0.1 * asym[far]})])
-    summary = {"sigma_target": float(config["sigma"]), "sigma_measured": sigma,
+    summary = {"sigma_target": 1.0, "sigma_measured": sigma,
                "max_eta_sigma_T": max(product.tolist()), "points": windows.size}
     return ExperimentResult({"gaussian.csv": table}, summary, checks)
 
@@ -654,13 +652,9 @@ def _load_spectrum_arg(config) -> EnergySpectrum:
         return EnergySpectrum.load(config["spectrum"])
     if config.get("hermitian"):
         with open(config["hermitian"]) as fh:
-            payload = json.load(fh)
-        if isinstance(payload, dict):
-            if "matrix" not in payload:
-                raise ValueError('a hermitian file must hold a list or a {"matrix": [...]} object')
-            payload = payload["matrix"]
-        return spectrum_from_hermitian(complex_in(payload))
-    raise ValueError("provide a spectrum file (or a hermitian matrix file)")
+            return spectrum_from_hermitian(complex_in(json.load(fh)))
+    raise ValueError("provide a spectrum file"
+                     + (" or a hermitian matrix file" if "hermitian" in config else ""))
 
 
 def run_eta(config: dict) -> ExperimentResult:

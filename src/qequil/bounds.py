@@ -1,6 +1,6 @@
 """Named equilibration bounds.
 
-All constants are computed from primitives at import time and regression
+The constants are computed from primitives at every call and regression
 pinned in the tests, never hardcoded as decimals here. Each bound is a
 number computed from the quantities it is stated in: the window
 probability eta, or the gap count N(eps) and d_eff of

@@ -2,21 +2,22 @@
 file, then flags), runs an experiment of :mod:`qequil.batteries` and writes
 the files it returns: each ``.csv`` table from its columns, a block of rows
 at a time, and each ``.json`` payload whole. Every file carries the config
-hash and, for a seeded experiment, its seed (``seed``, or ``phase_seed``
-for figure3): a leading ``#`` comment for CSV, ``_``-prefixed keys for
-JSON. Outputs are byte-identical for identical configs at a fixed BLAS
-thread count, whatever the number of CPUs: ``haar`` runs its battery's
-scenarios, and ``bounds`` the measured side of its trials, on a ``fork``
-process pool over the usable CPUs (in process on one CPU, where ``fork`` is
-missing, or on CPython 3.12 and later), each seeded by its index alone.
-``bounds`` keeps its window scans, bounds and verdicts in this process. The
-workers' memory is outside this process's peak RSS. The exit code is 0
-exactly when every check holds; failed checks are also written to
-``failures.json``. An input it cannot run on, or a worker that dies, ends
-the run with one line on standard error.
+hash and, for a seeded experiment, its ``seed``: a leading ``#`` comment
+for CSV, ``_``-prefixed keys for JSON. Outputs are byte-identical for
+identical configs at a fixed BLAS thread count, whatever the number of
+CPUs: ``haar`` runs its battery's scenarios, and ``bounds`` the measured
+side of its trials, on a ``fork`` process pool over the usable CPUs (in
+process on one CPU, where ``fork`` is missing, or on CPython 3.12 and
+later), each seeded by its index alone. ``bounds`` keeps its window scans,
+bounds and verdicts in this process. The workers' memory is outside this
+process's peak RSS. The exit code is 0 exactly when every check holds;
+failed checks are also written to ``failures.json``. An input it cannot run
+on, or a worker that dies, ends the run with one line on standard error.
 
-Energies are treated in units with hbar = 1; to convert a time column to
-seconds multiply by hbar / (energy unit in joules).
+Energies are treated in units with hbar = 1, and figure3's level spacing
+and gaussian's sigma_E are the energy unit, since their checks are stated
+in ``spacing * t`` and ``sigma_E T``; to convert a time column to seconds
+multiply by hbar / (energy unit in joules).
 """
 from __future__ import annotations
 
@@ -34,12 +35,12 @@ from . import batteries
 __all__ = ["main"]
 
 DEFAULTS = {
-    "figure3": {"levels": 50, "spacing": 1.0, "samples": 2049, "phase_seed": 0},
+    "figure3": {"levels": 50, "samples": 2049, "seed": 0},
     "bounds": {"seed": 20240811, "trials": 200, "t_points": 12, "max_rank": 8,
                "gap_counting_dim": 40},
     "slow": {"seed": 20240811, "dim": 2048, "snapshots": 16, "epsilon": 0.5,
              "samples": 256, "outcomes": 3},
-    "gaussian": {"levels": 2000, "sigma": 1.0, "span": 8.0,
+    "gaussian": {"levels": 2000, "span": 8.0,
                  "sigma_t_grid": [2.0, 2.5, 4.0, 5.0, 8.0, 10.0, 20.0, 25.0, 50.0]},
     "haar": {"seed": 20240811, "samples": 2000, "battery_scenarios": 50,
              "battery_samples": 300, "twirl_samples": 10000},
@@ -90,7 +91,7 @@ def _effective_config(name: str, args) -> dict:
         if not isinstance(from_file, dict):
             raise SystemExit(f"{name}: config file {args.config} must hold a JSON object")
         overrides.update(from_file)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     overrides.update(args.set or [])
     unknown = sorted(set(overrides) - set(DEFAULTS[name]))
@@ -149,7 +150,7 @@ def _write_outputs(name: str, config: dict, out_dir: str,
     ``failures.json``, each stamped with the config hash and the seed."""
     os.makedirs(out_dir, exist_ok=True)
     meta = {"config_hash": _config_hash(config)}
-    seed = config.get("seed", config.get("phase_seed"))
+    seed = config.get("seed")
     if seed is not None:
         meta["seed"] = seed
     comment = f"config={meta['config_hash']}" + ("" if seed is None else f" seed={seed}")
@@ -209,7 +210,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=(runner.__doc__ or "").strip().splitlines()[0])
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        if "seed" in DEFAULTS[name]:
+            p.add_argument("--seed", type=int, help="override the config key seed")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config key (value parsed as JSON)")
     args = parser.parse_args(argv)

@@ -6,8 +6,10 @@ experiment evaluates (the population term, the N-outcome extension, the
 window-width optimizer, the bound chain and the tight constrained mean) live
 here too, as references the theorem checks compare against.
 """
+import importlib.util
 import multiprocessing
 import sys
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,6 +40,25 @@ POOLED = (batteries._usable_cpus() >= 2 and sys.version_info < (3, 12)
           and "fork" in multiprocessing.get_all_start_methods())
 needs_pool = pytest.mark.skipif(not POOLED, reason="the pool runs in process here: one "
                                 "usable CPU, no fork start method, or CPython 3.12+")
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """perfbench/<name>.py as a module, loaded once and without writing a
+    bytecode cache."""
+    module_name = f"perfbench_{name}"
+    if module_name in sys.modules:
+        return sys.modules[module_name]
+    spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[module_name] = module  # dataclasses look their module up
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 def linspace_grid(window: float, max_gap: float) -> np.ndarray:
@@ -536,8 +557,7 @@ def write_rows_csv_oracle(path, rows: list, comment: str) -> None:
 def per_point_gaussian_checks(config: dict) -> list:
     """The ``eta_estimate`` checks of :func:`qequil.batteries.run_gaussian`,
     then its ``purity_asymptote`` checks, one grid point at a time."""
-    dist = level_distribution(gaussian_scenario(config["levels"], config["sigma"],
-                                                config["span"]))
+    dist = level_distribution(gaussian_scenario(config["levels"], 1.0, config["span"]))
     sigma = energy_moments(dist).std
     limit = batteries.GAUSSIAN_ETA_LIMIT
     estimates, asymptotes = [], []

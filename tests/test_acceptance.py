@@ -102,8 +102,7 @@ def test_criterion_5_purity_chain(acceptance, fast_bound_report):
 
 
 def test_criterion_6_gaussian_analytics(acceptance):
-    dist = level_distribution(gaussian_scenario(GAUSSIAN["levels"], GAUSSIAN["sigma"],
-                                                GAUSSIAN["span"]))
+    dist = level_distribution(gaussian_scenario(GAUSSIAN["levels"], 1.0, GAUSSIAN["span"]))
     sigma = energy_moments(dist).std
     worst = 0.0
     for sigma_t in GAUSSIAN["sigma_t_grid"]:
@@ -124,11 +123,11 @@ def test_criterion_6_gaussian_analytics(acceptance):
 
 
 def test_criterion_7_oscillator_revival(acceptance):
-    state = harmonic_oscillator_1d(FIGURE3["levels"], FIGURE3["spacing"])
+    state = harmonic_oscillator_1d(FIGURE3["levels"], 1.0)
     omega = dephase(state)
     proj = Projector.from_factor(state.amplitudes)
     p_omega = proj.expectation(omega)
-    times = np.linspace(0.0, 2.0 * np.pi / FIGURE3["spacing"], FIGURE3["samples"])
+    times = np.linspace(0.0, 2.0 * np.pi, FIGURE3["samples"])
     values = np.abs(expectation_series(proj, state, times) - p_omega)
     avg = running_average(times, values)[-1]
     d0 = values[0]

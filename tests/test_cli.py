@@ -8,11 +8,18 @@ import pytest
 from qequil import batteries, cli
 from qequil.cli import DEFAULTS, _write_rows_csv, main
 from qequil.constructions import random_scenario
-from qequil.spectra import EnergySpectrum
-from qequil.states import save_state
+from qequil.spectra import (EnergySpectrum, LevelDistribution, max_gaps_in_window,
+                            max_window_probability_window, spectrum_from_hermitian)
+from qequil.states import complex_out, save_state
 
-from helpers import (per_point_gaussian_checks, per_window_fast_equilibration_battery,
-                     per_window_gap_counting_battery, write_rows_csv_oracle)
+from helpers import (load_perfbench, per_point_gaussian_checks,
+                     per_window_fast_equilibration_battery, per_window_gap_counting_battery,
+                     random_hermitian, write_rows_csv_oracle)
+
+# Small sizes for every experiment: the benchmark's smoke sizes where it has
+# them, a 400-level gaussian and a short figure3.
+SMALL = {"figure3": {"levels": 10, "samples": 65}, "gaussian": {"levels": 400},
+         **{w.experiment: w.smoke for w in load_perfbench("run").WORKLOADS.values()}}
 
 
 def _run(argv):
@@ -182,6 +189,39 @@ def test_eta_and_spectrum_info(tmp_path):
     assert info["gaps_in_window"] >= 1
 
 
+def test_hermitian_file_through_the_cli(tmp_path):
+    # a matrix written as complex_out's nested [re, im] rows reads back bit
+    # for bit; eta takes no hermitian key, so it runs on the spectrum file
+    # of the same matrix's spectrum
+    rng = np.random.default_rng(5)
+    vectors = np.linalg.qr(random_hermitian(rng, 6))[0]
+    matrix = (vectors * [0.0, 0.0, 0.5, 1.5, 1.5, 3.0]) @ vectors.conj().T
+    herm_path = tmp_path / "h.json"
+    herm_path.write_text(json.dumps(complex_out(matrix)))
+    spec = spectrum_from_hermitian(matrix)
+    assert (spec.dim, spec.num_levels) == (6, 4)
+
+    out = tmp_path / "info"
+    assert _run(["spectrum-info", "--out", str(out), "--set", f"hermitian={herm_path}",
+                 "--set", "epsilon=1.0"]) == 0
+    info = json.loads((out / "spectrum-info_summary.json").read_text())
+    assert (info["num_levels"], info["dim"], info["span"]) == (
+        spec.num_levels, spec.dim, spec.span)
+    assert info["gaps_in_window"] == max_gaps_in_window(spec.levels, 1.0)
+
+    spec_path = tmp_path / "spec.json"
+    spec.save(spec_path)
+    out = tmp_path / "eta"
+    assert _run(["eta", "--out", str(out), "--set", f"spectrum={spec_path}"]) == 0
+    uniform = LevelDistribution(spec, np.full(spec.num_levels, 1.0 / spec.num_levels))
+    eta, window = max_window_probability_window(uniform, 1.0)
+    summary = json.loads((out / "eta_summary.json").read_text())
+    assert (summary["num_levels"], summary["eta"], summary["window"]) == (
+        spec.num_levels, eta, list(window))
+    with pytest.raises(SystemExit, match="^eta: unknown config key.s. hermitian"):
+        _run(["eta", "--out", str(out), "--set", f"hermitian={herm_path}"])
+
+
 def test_spectrum_info_without_epsilon_builds_no_gap_matrix(tmp_path):
     # min_gap, max_gap and gap_count come from neighbouring levels and the
     # span, bit for bit the extremes of the gap array; the L x L gap arrays
@@ -221,7 +261,7 @@ def test_config_file_with_flag_override(tmp_path):
 
 @pytest.mark.parametrize("argv, key", [
     (["bounds", "--set", "trails=6"], "trails"),
-    (["figure3", "--seed", "3"], "seed"),
+    (["gaussian", "--set", "seed=3"], "seed"),
     (["bounds", "--set", "samples=10"], "samples"),
     (["haar", "--config", "{cfg}"], "battery_sample"),
     # how a verdict is judged is no config key
@@ -245,7 +285,7 @@ def test_unknown_config_key_is_rejected(tmp_path, argv, key):
     (["bounds", "--set", "trials=12.0"], "trials must be an integer"),
     (["slow", "--set", "epsilon=NaN"], "epsilon must be a finite number, got nan"),
     (["slow", "--set", "epsilon=Infinity"], "epsilon must be a finite number"),
-    (["figure3", "--set", "spacing=one"], "spacing must be a finite number, got 'one'"),
+    (["gaussian", "--set", "span=one"], "span must be a finite number, got 'one'"),
     (["gaussian", "--set", "sigma_t_grid=2.0"], "sigma_t_grid must be a list"),
     (["haar", "--config", "{cfg}"], "must hold a JSON object"),
     (["eta", "--set", "spectrum=7"], "spectrum must be a path string or null, got 7"),
@@ -263,7 +303,10 @@ def test_unknown_config_key_is_rejected(tmp_path, argv, key):
      "epsilon must be a finite positive number or null, got -1"),
     # input files that cannot be read end in one line, not a traceback
     (["spectrum-info", "--set", "hermitian={cfg}"], "expected nested [re, im] pairs"),
-    (["spectrum-info", "--set", "hermitian={dir}/spec.json"], '{"matrix": [...]}'),
+    # a hermitian file holds the matrix's rows alone, not an object
+    (["spectrum-info", "--set", "hermitian={dir}/spec.json"],
+     "spectrum-info: expected nested [re, im] pairs: float() argument must be a string "
+     "or a real number, not 'dict'"),
     (["spectrum-info", "--set", "spectrum={dir}/levels_only.json"],
      'spectrum-info: a spectrum must be an object with a "degeneracies" list'),
     (["eta", "--set", "spectrum={cfg}"],
@@ -463,7 +506,7 @@ def test_failing_run_builds_each_failure_record_once(tmp_path, monkeypatch):
 
 def test_experiment_returns_tables_and_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    config = {"levels": 20, "spacing": 1.0, "samples": 65, "phase_seed": 0}
+    config = {"levels": 20, "samples": 65, "seed": 0}
     result = batteries.run_figure3(config)
     assert list(tmp_path.iterdir()) == []
     assert set(result.tables) == {"figure3.csv", "figure3_random_phase.csv"}
@@ -477,7 +520,7 @@ def test_experiment_returns_tables_and_writes_nothing(tmp_path, monkeypatch):
 def test_seed_meta_only_for_seeded_experiments(tmp_path):
     fig = tmp_path / "fig"
     assert _run(["figure3", "--out", str(fig), "--set", "levels=20",
-                 "--set", "samples=65", "--set", "phase_seed=7"]) == 0
+                 "--set", "samples=65", "--set", "seed=7"]) == 0
     assert json.loads((fig / "figure3_summary.json").read_text())["_seed"] == 7
     assert (fig / "figure3.csv").read_text().splitlines()[0].endswith(" seed=7")
 
@@ -488,6 +531,56 @@ def test_seed_meta_only_for_seeded_experiments(tmp_path):
     assert "_seed" not in summary and "_config_hash" in summary
     comment = (gauss / "gaussian.csv").read_text().splitlines()[0]
     assert comment.startswith("# config=") and "seed" not in comment
+
+
+@pytest.mark.parametrize("experiment", sorted(DEFAULTS))
+def test_seed_flag_only_where_seed_is_read(tmp_path, capsys, experiment):
+    # --seed N is the config key seed, stamped on every file; an experiment
+    # without that key has no --seed flag
+    out = tmp_path / "out"
+    argv = [experiment, "--out", str(out), "--seed", "20241811",
+            *(f"--set={key}={value}" for key, value in SMALL.get(experiment, {}).items())]
+    if "seed" not in DEFAULTS[experiment]:
+        with pytest.raises(SystemExit) as stop:
+            _run(argv)
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --seed 20241811" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert _run(argv) == 0
+    assert json.loads((out / f"{experiment}_summary.json").read_text())["_seed"] == 20241811
+    for csv in out.glob("*.csv"):
+        assert csv.read_text().splitlines()[0].endswith(" seed=20241811")
+
+
+class _ReadKeys(dict):
+    """A config that records each key read through ``[]`` or ``get``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_every_config_key_is_read(tmp_path):
+    # a key that its experiment never reads would be hashed and ignored
+    scen = random_scenario(77, 10)
+    spec_path, state_path = tmp_path / "spec.json", tmp_path / "state.json"
+    scen.spectrum.save(spec_path)
+    save_state(scen, state_path, spec_path)
+    files = {"spectrum": str(spec_path), "state": str(state_path)}
+    for name, runner in cli.RUNNERS.items():
+        config = _ReadKeys({**DEFAULTS[name], **SMALL.get(name, {}),
+                            **{key: path for key, path in files.items() if key in DEFAULTS[name]}})
+        runner(config)
+        assert config.read >= set(DEFAULTS[name]), (name, set(DEFAULTS[name]) - config.read)
 
 
 def test_spectrum_experiment_without_spectrum_stops(tmp_path):

@@ -5,35 +5,17 @@ fire its gated span and leave no wrapper installed. A library change that
 breaks the tracer's hooks (a renamed argument, a lost cache slot) fails here
 rather than as a failed benchmark run. The files under ``perfbench/`` are
 only read."""
-import importlib.util
 import os
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from qequil import cli
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from helpers import load_perfbench
 
-
-def _load(name: str):
-    """perfbench/<name>.py as a module, without writing a bytecode cache."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
-
-
-run = _load("run")
-tracer = _load("tracer")
+run = load_perfbench("run")
+tracer = load_perfbench("tracer")
 
 
 def _traced_smoke_run(tmp_path, name) -> dict:
