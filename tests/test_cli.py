@@ -584,9 +584,13 @@ def test_every_config_key_is_read(tmp_path):
 
 
 def test_spectrum_experiment_without_spectrum_stops(tmp_path):
+    # each names only the input files it takes; eta has no hermitian key
     out = tmp_path / "out"
-    with pytest.raises(SystemExit, match="provide a spectrum file"):
-        _run(["eta", "--out", str(out)])
+    for experiment, message in (("eta", "provide a spectrum file"),
+                                ("spectrum-info",
+                                 "provide a spectrum file or a hermitian matrix file")):
+        with pytest.raises(SystemExit, match=f"^{experiment}: {message}$"):
+            _run([experiment, "--out", str(out)])
     assert not out.exists()
 
 
