@@ -51,12 +51,10 @@ class TimeGrid:
     under reported tolerances.
 
     ``times`` holds the windows' grids one after another: window i's times
-    are ``times[offsets[i]:offsets[i + 1]]``, each bit for bit
-    ``np.linspace(0, T_i, n_i)``. The whole sweep is built in one vectorized
-    step, j * (T_i / (n_i - 1)) with the last time set to T_i as linspace
-    does (j / (n_i - 1) * T_i where that step underflows to 0). A scalar
-    window gives one grid, with ``offsets`` [0, n]. A window whose sample
-    count reaches 2^53 (or overflows) is rejected: no grid can hold it.
+    are ``times[offsets[i]:offsets[i + 1]]``, built by
+    ``np.linspace(0, T_i, n_i)``. A scalar window gives one grid, with
+    ``offsets`` [0, n]. A window whose sample count reaches 2^53 (or
+    overflows) is rejected: no grid can hold it.
     """
 
     __slots__ = ("window", "times", "offsets")
@@ -78,20 +76,10 @@ class TimeGrid:
                              f"{max_gap:g} needs more samples than a grid can hold")
         n = np.maximum(MIN_GRID_SAMPLES, count.astype(np.int64) + 1)
         n += 1 - n % 2
-        offsets = np.zeros(n.size + 1, dtype=np.int64)
-        np.cumsum(n, out=offsets[1:])
-        step = flat / (n - 1)
-        times = np.arange(offsets[-1], dtype=float)  # then each time's index in its window
-        if n.size > 1:
-            times -= np.repeat(offsets[:-1].astype(float), n)
-        for i in np.flatnonzero(step == 0):  # linspace divides first (numpy gh-5437)
-            times[offsets[i]:offsets[i + 1]] /= n[i] - 1
-            step[i] = flat[i]
-        times *= step if n.size == 1 else np.repeat(step, n)
-        times[offsets[1:] - 1] = flat
         self.window = windows if windows.ndim else window
-        self.times = times
-        self.offsets = offsets
+        self.times = np.concatenate([np.linspace(0.0, w, k)
+                                     for w, k in zip(flat.tolist(), n.tolist())])
+        self.offsets = np.concatenate(([0], np.cumsum(n)))
 
 
 class AverageResult(NamedTuple):
@@ -151,7 +139,7 @@ def running_average(times, values) -> np.ndarray:
         raise ValueError("running average needs at least one point")
     if times.shape != values.shape:
         raise ValueError("times and values must have the same length")
-    cum = np.cumsum(np.diff(times) * (values[1:] + values[:-1]) / 2.0)
+    cum = np.cumsum(_trapezoid_terms(times, values))
     out = np.empty_like(values)
     out[0] = values[0]
     out[1:] = cum / (times[1:] - times[0])

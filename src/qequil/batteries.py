@@ -188,7 +188,7 @@ def _random_state(rng, spec) -> QuantumState:
     d = spec.dim
     if rng.random() < 0.8:
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        return QuantumState.pure(spec, z / np.linalg.norm(z))
+        return QuantumState(spec, z / np.linalg.norm(z))
     columns = []
     for w in rng.dirichlet(np.ones(int(rng.integers(2, 5)))):
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -292,7 +292,7 @@ def gap_counting_scenario(seed: int, dim: int):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA]))
     spec = _random_matrix_spectrum(rng, dim)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    state = QuantumState.pure(spec, z / np.linalg.norm(z))
+    state = QuantumState(spec, z / np.linalg.norm(z))
     proj = HaarSampler(int(rng.integers(2 ** 62)), dim).projector(dim // 2)
     return state, proj
 
@@ -465,7 +465,7 @@ def run_figure3(config: dict) -> ExperimentResult:
     # not care about them
     rng = np.random.default_rng(np.random.SeedSequence(int(config["seed"])))
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, levels))
-    rand_state = QuantumState.pure(state.spectrum, state.amplitudes * phases)
+    rand_state = QuantumState(state.spectrum, state.amplitudes * phases)
     rand_table = _series_table(times, _initial_projector_series(rand_state, times))
 
     d0 = float(values[0])
@@ -604,7 +604,7 @@ def run_haar(config: dict) -> ExperimentResult:
     spec12 = EnergySpectrum(np.arange(12, dtype=float), np.ones(12, dtype=int))
     amps = np.zeros(12, dtype=complex)
     amps[:6] = 1.0 / np.sqrt(6.0)
-    state12 = QuantumState.pure(spec12, amps)
+    state12 = QuantumState(spec12, amps)
     om12 = dephase(state12)
     sampler = HaarSampler(seed + 5, 12, excluded_vector=amps)
     check("initial_floor_d12_k4",
@@ -645,40 +645,42 @@ def run_haar(config: dict) -> ExperimentResult:
     return ExperimentResult(tables, summary, checks)
 
 
-def _load_spectrum_arg(config) -> EnergySpectrum:
-    if config.get("spectrum") and config.get("hermitian"):
-        raise ValueError("give a spectrum file or a hermitian matrix file, not both")
-    if config.get("spectrum"):
-        return EnergySpectrum.load(config["spectrum"])
-    if config.get("hermitian"):
-        with open(config["hermitian"]) as fh:
-            return spectrum_from_hermitian(complex_in(json.load(fh)))
-    raise ValueError("provide a spectrum file"
-                     + (" or a hermitian matrix file" if "hermitian" in config else ""))
-
-
 def run_eta(config: dict) -> ExperimentResult:
-    """Window probability of a state (or the uniform distribution) over a
-    spectrum, with the maximizing window."""
-    spec = _load_spectrum_arg(config)
+    """Window probability of a state over the spectrum its file names (or of
+    the uniform distribution over a spectrum file), with the maximizing
+    window."""
     if config.get("state"):
-        dist = level_distribution(load_state(config["state"], spectrum=spec))
+        if config.get("spectrum"):
+            raise ValueError("give a state file or a spectrum file, not both: "
+                             "a state file names its own spectrum")
+        dist = level_distribution(load_state(config["state"]))
         source = config["state"]
-    else:
+    elif config.get("spectrum"):
+        spec = EnergySpectrum.load(config["spectrum"])
         dist = LevelDistribution(spec, np.full(spec.num_levels, 1.0 / spec.num_levels))
         source = "uniform"
+    else:
+        raise ValueError("provide a state file or a spectrum file")
     eps = float(config["epsilon"])
     value, window = max_window_probability_window(dist, eps)
     summary = {"epsilon": eps, "eta": value,
                "window": [window[0], window[1]], "probs_source": source,
-               "num_levels": spec.num_levels}
+               "num_levels": dist.spectrum.num_levels}
     return ExperimentResult({}, summary, Checks())
 
 
 def run_spectrum_info(config: dict) -> ExperimentResult:
     """Structural report for a spectrum: dimensions, gap extremes, and the
     gap count inside a window when a width is given."""
-    spec = _load_spectrum_arg(config)
+    if config.get("spectrum") and config.get("hermitian"):
+        raise ValueError("give a spectrum file or a hermitian matrix file, not both")
+    if config.get("spectrum"):
+        spec = EnergySpectrum.load(config["spectrum"])
+    elif config.get("hermitian"):
+        with open(config["hermitian"]) as fh:
+            spec = spectrum_from_hermitian(complex_in(json.load(fh)))
+    else:
+        raise ValueError("provide a spectrum file or a hermitian matrix file")
     levels = spec.levels
     # rounding is monotone, so the smallest positive gap is between
     # neighbours and the largest is the span, bit for bit; no L x L array

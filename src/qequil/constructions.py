@@ -45,7 +45,7 @@ def harmonic_oscillator_1d(levels: int, spacing: float) -> QuantumState:
     energies = (np.arange(levels) + 0.5) * spacing
     amps = np.full(levels, 1.0 / np.sqrt(levels))
     spec = EnergySpectrum(energies, np.ones(levels, dtype=int))
-    return QuantumState.pure(spec, amps)
+    return QuantumState(spec, amps)
 
 
 def harmonic_oscillator_3d_boltzmann(levels: int, spacing: float,
@@ -81,7 +81,7 @@ def gaussian_scenario(num_levels: int, sigma: float, span: float) -> QuantumStat
     probs = np.exp(-energies ** 2 / (2.0 * sigma ** 2))
     probs /= probs.sum()
     spec = EnergySpectrum(energies, np.ones(num_levels, dtype=int))
-    return QuantumState.pure(spec, np.sqrt(probs))
+    return QuantumState(spec, np.sqrt(probs))
 
 
 def random_scenario(seed: int, dim: int, degeneracies=None) -> QuantumState:
@@ -107,7 +107,7 @@ def random_scenario(seed: int, dim: int, degeneracies=None) -> QuantumState:
     spec = EnergySpectrum(levels[first],
                           np.add.reduceat(degeneracies, np.flatnonzero(first)))
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return QuantumState.pure(spec, z / np.linalg.norm(z))
+    return QuantumState(spec, z / np.linalg.norm(z))
 
 
 @dataclass(frozen=True, eq=False)

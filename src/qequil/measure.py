@@ -565,10 +565,13 @@ def save_measurement(m: Measurement, path) -> None:
 
 
 def load_measurement(path) -> Measurement:
-    """Read a measurement file written by :func:`save_measurement`; an entry
-    in any other form is rejected."""
+    """Read a measurement file written by :func:`save_measurement`; a
+    payload or an entry in any other form is rejected."""
     with open(path) as fh:
         payload = json.load(fh)
+    if (not isinstance(payload, dict) or set(payload) != {"projectors"}
+            or not isinstance(payload["projectors"], list)):
+        raise ValueError('a measurement file must hold {"projectors": [entry, ...]}')
     projectors = []
     for i, entry in enumerate(payload["projectors"]):
         keys = set(entry) if isinstance(entry, dict) else None

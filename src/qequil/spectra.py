@@ -130,27 +130,20 @@ class EnergySpectrum:
     def is_nondegenerate(self) -> bool:
         return bool(np.all(self.degeneracies == 1))
 
-    def to_dict(self) -> dict:
-        return {
-            "levels": [float(x) for x in self.levels],
-            "degeneracies": [int(g) for g in self.degeneracies],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnergySpectrum":
-        for key in ("levels", "degeneracies"):
-            if not isinstance(data, dict) or key not in data:
-                raise ValueError(f'a spectrum must be an object with a "{key}" list')
-        return cls(data["levels"], data["degeneracies"])
-
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            json.dump({"levels": [float(x) for x in self.levels],
+                       "degeneracies": [int(g) for g in self.degeneracies]}, fh, indent=1)
 
     @classmethod
     def load(cls, path) -> "EnergySpectrum":
+        """Read a spectrum file written by :meth:`save`; a payload with any
+        other keys is rejected."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict) or set(data) != {"levels", "degeneracies"}:
+            raise ValueError('a spectrum file must hold {"levels": [...], "degeneracies": [...]}')
+        return cls(data["levels"], data["degeneracies"])
 
 
 @dataclass(frozen=True, eq=False)

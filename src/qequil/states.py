@@ -82,10 +82,6 @@ class QuantumState:
         self.spectrum = spectrum
         self.factor = _checked_factor(spectrum, factor)
 
-    @classmethod
-    def pure(cls, spectrum: EnergySpectrum, amplitudes) -> "QuantumState":
-        return cls(spectrum, np.ravel(amplitudes))
-
     @property
     def dim(self) -> int:
         return self.spectrum.dim
@@ -214,10 +210,8 @@ def purity(state: QuantumState | EquilibriumState) -> float:
 
 def complex_out(arr) -> list:
     """Render a complex array as nested [re, im] pairs."""
-    arr = np.asarray(arr)
-    if arr.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in arr]
-    return [complex_out(row) for row in arr]
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
 def complex_in(data) -> np.ndarray:
@@ -239,19 +233,16 @@ def save_state(state: QuantumState, path, spectrum_path) -> None:
         json.dump(payload, fh)
 
 
-def load_state(path, spectrum: EnergySpectrum | None = None) -> QuantumState:
-    """Read a state file written by :func:`save_state`; a payload in any
-    other form is rejected. The referenced spectrum path is resolved
-    relative to the state file unless a spectrum is passed in."""
+def load_state(path) -> QuantumState:
+    """Read a state file written by :func:`save_state`, over the spectrum
+    file it names; a payload in any other form is rejected. A relative
+    spectrum path is resolved against the state file."""
     with open(path) as fh:
         payload = json.load(fh)
     keys = set(payload) if isinstance(payload, dict) else None
     if (keys != {"spectrum", "factor"} or not isinstance(payload["spectrum"], str)
             or not isinstance(payload["factor"], list)):
         raise ValueError('a state file must hold {"spectrum": path, "factor": [column, ...]}')
-    if spectrum is None:
-        ref = payload["spectrum"]
-        if not os.path.isabs(ref):
-            ref = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-        spectrum = EnergySpectrum.load(ref)
-    return QuantumState(spectrum, complex_in(payload["factor"]).T)
+    # an absolute spectrum path replaces the state file's directory
+    ref = os.path.join(os.path.dirname(os.path.abspath(path)), payload["spectrum"])
+    return QuantumState(EnergySpectrum.load(ref), complex_in(payload["factor"]).T)

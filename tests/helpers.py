@@ -308,7 +308,7 @@ def random_hermitian(rng, dim):
 
 def random_pure(rng, spectrum: EnergySpectrum) -> QuantumState:
     z = rng.standard_normal(spectrum.dim) + 1j * rng.standard_normal(spectrum.dim)
-    return QuantumState.pure(spectrum, z / np.linalg.norm(z))
+    return QuantumState(spectrum, z / np.linalg.norm(z))
 
 
 def random_mixed(rng, spectrum: EnergySpectrum, components=3) -> QuantumState:

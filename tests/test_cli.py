@@ -171,7 +171,6 @@ def test_eta_and_spectrum_info(tmp_path):
 
     out = tmp_path / "eta"
     code = _run(["eta", "--out", str(out),
-                 "--set", f'spectrum="{spec_path}"',
                  "--set", f'state="{state_path}"',
                  "--set", "epsilon=2.0"])
     assert code == 0
@@ -308,19 +307,30 @@ def test_unknown_config_key_is_rejected(tmp_path, argv, key):
      "spectrum-info: expected nested [re, im] pairs: float() argument must be a string "
      "or a real number, not 'dict'"),
     (["spectrum-info", "--set", "spectrum={dir}/levels_only.json"],
-     'spectrum-info: a spectrum must be an object with a "degeneracies" list'),
+     'spectrum-info: a spectrum file must hold {"levels": [...], "degeneracies": [...]}'),
     (["eta", "--set", "spectrum={cfg}"],
-     'eta: a spectrum must be an object with a "levels" list'),
+     'eta: a spectrum file must hold {"levels": [...], "degeneracies": [...]}'),
+    # a key beside the two, such as a tol, would be ignored without notice
+    (["spectrum-info", "--set", "spectrum={dir}/extra_key.json"],
+     'spectrum-info: a spectrum file must hold {"levels": [...], "degeneracies": [...]}'),
     (["eta", "--set", "spectrum={dir}/missing.json"], "eta: [Errno 2] No such file or directory"),
     (["haar", "--config", "{dir}/missing.json"], "haar: [Errno 2] No such file or directory"),
-    (["eta", "--set", "spectrum={dir}/spec.json", "--set", "state={dir}/rho_state.json"],
+    (["eta", "--set", "state={dir}/rho_state.json"],
      'eta: a state file must hold {"spectrum": path, "factor": [column, ...]}'),
+    # a state is read over the spectrum its file names, and no other
+    (["eta", "--set", "spectrum={dir}/spec.json", "--set", "state={dir}/state.json"],
+     "eta: give a state file or a spectrum file, not both: "
+     "a state file names its own spectrum"),
 ])
 def test_config_value_of_wrong_type_is_rejected(tmp_path, argv, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps([{"samples": 10}]))
     EnergySpectrum([0.0, 1.0], [1, 1]).save(tmp_path / "spec.json")
     (tmp_path / "levels_only.json").write_text(json.dumps({"levels": [0.0, 1.0]}))
+    (tmp_path / "extra_key.json").write_text(
+        json.dumps({"levels": [0.0, 1.0], "degeneracies": [1, 1], "tol": 0.5}))
+    (tmp_path / "state.json").write_text(
+        json.dumps({"spectrum": "spec.json", "factor": [[[1.0, 0.0], [0.0, 0.0]]]}))
     (tmp_path / "rho_state.json").write_text(json.dumps(
         {"spectrum": "spec.json", "rho": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}))
     out = tmp_path / "out"
@@ -575,8 +585,10 @@ def test_every_config_key_is_read(tmp_path):
     spec_path, state_path = tmp_path / "spec.json", tmp_path / "state.json"
     scen.spectrum.save(spec_path)
     save_state(scen, state_path, spec_path)
-    files = {"spectrum": str(spec_path), "state": str(state_path)}
     for name, runner in cli.RUNNERS.items():
+        # eta reads the spectrum its state file names
+        files = ({"state": str(state_path)} if "state" in DEFAULTS[name]
+                 else {"spectrum": str(spec_path)})
         config = _ReadKeys({**DEFAULTS[name], **SMALL.get(name, {}),
                             **{key: path for key, path in files.items() if key in DEFAULTS[name]}})
         runner(config)
@@ -586,7 +598,7 @@ def test_every_config_key_is_read(tmp_path):
 def test_spectrum_experiment_without_spectrum_stops(tmp_path):
     # each names only the input files it takes; eta has no hermitian key
     out = tmp_path / "out"
-    for experiment, message in (("eta", "provide a spectrum file"),
+    for experiment, message in (("eta", "provide a state file or a spectrum file"),
                                 ("spectrum-info",
                                  "provide a spectrum file or a hermitian matrix file")):
         with pytest.raises(SystemExit, match=f"^{experiment}: {message}$"):

@@ -210,7 +210,7 @@ class TestSnapshotSubspace:
         scen = random_scenario(8, 16)
         amps = np.zeros(16, dtype=complex)
         amps[3] = 1.0
-        eigen = QuantumState.pure(scen.spectrum, amps)
+        eigen = QuantumState(scen.spectrum, amps)
         sub = snapshot_subspace(eigen, 6, 0.5)
         assert sub.effective_rank == 1
 

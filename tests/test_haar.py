@@ -488,7 +488,7 @@ class TestConstrainedEnsemble:
 
     def test_small_dimension_rejected(self):
         spec = EnergySpectrum([0.0, 1.0], [1, 1])
-        state = QuantumState.pure(spec, np.array([1.0, 0.0]))
+        state = QuantumState(spec, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             constrained_mean_bound(state, state, dephase(state), 1)
 
@@ -499,7 +499,7 @@ class TestInitialDistinguishability:
         spec = EnergySpectrum(np.arange(12, dtype=float), np.ones(12, dtype=int))
         amps = np.zeros(12, dtype=complex)
         amps[:6] = 1.0 / np.sqrt(6.0)
-        state = QuantumState.pure(spec, amps)
+        state = QuantumState(spec, amps)
         return state, dephase(state)
 
     def test_floor_extremes(self, uniform_six_of_twelve):
@@ -587,7 +587,7 @@ class TestNOutcome:
         with pytest.raises(ValueError, match="pure initial state"):
             n_outcome_constrained_bound(omega, state, omega, 3)
         spec = EnergySpectrum([0.0, 1.0], [1, 1])
-        small = QuantumState.pure(spec, np.array([1.0, 0.0]))
+        small = QuantumState(spec, np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="dim > 2"):
             n_outcome_constrained_bound(small, small, dephase(small), 3)
         with pytest.raises(ValueError, match="pure initial state"):

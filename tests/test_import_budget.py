@@ -39,7 +39,7 @@ SMALL = {
     "figure3": ["--set", "levels=10", "--set", "samples=65"],
     "gaussian": ["--set", "levels=200", "--set", "sigma_t_grid=[2.0]"],
     # the file-reading paths: a mixed state's factor and a spectrum
-    "eta": ["--set", "spectrum={dir}/spec.json", "--set", "state={dir}/state.json"],
+    "eta": ["--set", "state={dir}/state.json"],
     "spectrum-info": ["--set", "spectrum={dir}/spec.json", "--set", "epsilon=0.5"],
 }
 

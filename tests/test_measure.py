@@ -247,19 +247,22 @@ def test_measurement_file_rank_zero_outcome(tmp_path):
     assert [p.rank for p in load_measurement(path).projectors] == [0, 3]
 
 
-@pytest.mark.parametrize("form", ["rank_one", "matrix", "misspelled_key"])
+@pytest.mark.parametrize("form", ["rank_one", "matrix", "misspelled_key",
+                                  "list", "no_projectors", "projectors_not_a_list"])
 def test_legacy_measurement_file_rejected(tmp_path, form):
     v = _haar_frame(np.random.default_rng(19), 5, 5)
+    rest = {"dim": 5, "factor": complex_out(v[:, :1].T), "complement": True}
+    # a malformed top level once escaped as a TypeError or a KeyError
+    top = {"list": [], "no_projectors": {}, "projectors_not_a_list": {"projectors": 3}}
     first = {
         "rank_one": {"rank_one": complex_out(v[:, 0])},
         "matrix": complex_out(v[:, :1] @ v[:, :1].conj().T),
         "misspelled_key": {"dim": 5, "factor": complex_out(v[:, :1].T),
                            "complment": False},
-    }[form]
-    rest = {"dim": 5, "factor": complex_out(v[:, :1].T), "complement": True}
+    }
     path = tmp_path / "legacy.json"
-    path.write_text(json.dumps({"projectors": [first, rest]}))
-    with pytest.raises(ValueError, match='"factor"'):
+    path.write_text(json.dumps(top[form] if form in top else {"projectors": [first[form], rest]}))
+    with pytest.raises(ValueError, match='"projectors"' if form in top else '"factor"'):
         load_measurement(path)
 
 

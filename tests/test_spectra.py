@@ -48,7 +48,7 @@ def test_spectrum_tolerance_must_be_finite_and_positive(tol):
 @pytest.mark.parametrize("bad", [1.5, True, np.nan])
 def test_non_integer_degeneracy_rejected(bad):
     with pytest.raises(ValueError, match=f"positive integers, got {bad!r}"):
-        EnergySpectrum.from_dict({"levels": [0.0, 1.0], "degeneracies": [bad, 2]})
+        EnergySpectrum([0.0, 1.0], [bad, 2])
     with pytest.raises(ValueError, match="positive integers"):
         EnergySpectrum([0.0, 1.0], np.array([bad, bad]))
 

@@ -25,9 +25,9 @@ def degenerate_spec():
 
 def test_constructor_validation(small_spec):
     with pytest.raises(ValueError):
-        QuantumState.pure(small_spec, [1.0, 0.0, 0.0])        # wrong length
+        QuantumState(small_spec, [1.0, 0.0, 0.0])             # wrong length
     with pytest.raises(ValueError):
-        QuantumState.pure(small_spec, [1.0, 1.0, 0.0, 0.0])   # not normalized
+        QuantumState(small_spec, [1.0, 1.0, 0.0, 0.0])        # not normalized
     with pytest.raises(ValueError):
         mixed_state(small_spec, np.eye(4) / 2.0)               # trace 2
     bad = np.eye(4, dtype=complex) / 4.0
@@ -44,7 +44,7 @@ def test_constructor_validation(small_spec):
 
 def test_rejects_non_finite_input(small_spec):
     with pytest.raises(ValueError, match="finite"):
-        QuantumState.pure(small_spec, [np.nan, 1.0, 0.0, 0.0])
+        QuantumState(small_spec, [np.nan, 1.0, 0.0, 0.0])
     rho = np.eye(4, dtype=complex) / 4.0
     rho[1, 2] = rho[2, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
@@ -98,13 +98,13 @@ class TestEvolve:
     def test_eigenstate_is_stationary(self, small_spec):
         amps = np.zeros(4, dtype=complex)
         amps[2] = 1.0
-        state = QuantumState.pure(small_spec, amps)
+        state = QuantumState(small_spec, amps)
         after = evolve(state, 3.7)
         assert np.abs(dense_rho(after) - dense_rho(state)).max() < 1e-15
 
     def test_two_level_phase_flip(self):
         spec = EnergySpectrum([0.0, 1.0], [1, 1])
-        plus = QuantumState.pure(spec, np.array([1.0, 1.0]) / np.sqrt(2))
+        plus = QuantumState(spec, np.array([1.0, 1.0]) / np.sqrt(2))
         moved = evolve(plus, np.pi)  # gap is 1, so half a period
         population = abs(np.vdot(plus.amplitudes, moved.amplitudes)) ** 2
         assert population == pytest.approx(0.0, abs=1e-28)
@@ -196,7 +196,7 @@ class TestDistributionsAndMoments:
     def test_effective_dimension_uniform(self):
         spec = EnergySpectrum(np.arange(7, dtype=float), np.ones(7, dtype=int))
         amps = np.full(7, 1.0 / np.sqrt(7))
-        d_eff = effective_dimension(level_distribution(QuantumState.pure(spec, amps)))
+        d_eff = effective_dimension(level_distribution(QuantumState(spec, amps)))
         assert d_eff == pytest.approx(7.0, rel=1e-12)
 
     def test_effective_dimension_simple_cases(self, small_spec):
@@ -219,12 +219,12 @@ class TestDistributionsAndMoments:
         spec = EnergySpectrum((np.arange(levels) + 0.5) * 1.0,
                               np.ones(levels, dtype=int))
         amps = np.full(levels, 1.0 / np.sqrt(levels))
-        _, std = energy_moments(level_distribution(QuantumState.pure(spec, amps)))
+        _, std = energy_moments(level_distribution(QuantumState(spec, amps)))
         assert std == pytest.approx(np.sqrt((levels ** 2 - 1) / 12.0), rel=1e-12)
 
     def test_degenerate_level_probability(self, degenerate_spec):
         amps = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
-        dist = level_distribution(QuantumState.pure(degenerate_spec, amps))
+        dist = level_distribution(QuantumState(degenerate_spec, amps))
         assert dist.spectrum is degenerate_spec
         assert np.allclose(dist.probs, [0.0, 1.0, 0.0])
 
@@ -300,7 +300,8 @@ def test_state_file_roundtrip(tmp_path, small_spec):
         back = load_state(path)
         assert back.is_pure == state.is_pure
         assert np.array_equal(back.factor, state.factor)
-        assert np.array_equal(load_state(path, spectrum=small_spec).factor, state.factor)
+        assert np.array_equal(back.spectrum.levels, small_spec.levels)
+        assert np.array_equal(back.spectrum.degeneracies, small_spec.degeneracies)
 
 
 @pytest.mark.parametrize("payload", [
